@@ -75,11 +75,14 @@ type (
 	// BlockingEngine interns record IDs once for several blocking
 	// passes over the same records.
 	BlockingEngine = blocking.Engine
+	// BlockingOpts configures NewBlockingEngine (workers, shards,
+	// pair-memory budget, metrics, cancellation).
+	BlockingOpts = blocking.Opts
 	// IndexedBlocks is the interned, rank-based block collection the
 	// parallel engine produces.
 	IndexedBlocks = blocking.Indexed
 	// CandidateSet is a deduplicated candidate collection packed as
-	// uint64 rank codes; it streams into MatchPairsFrom without a pair
+	// uint64 rank codes; it streams into MatchStream without a pair
 	// slice ever existing.
 	CandidateSet = blocking.CandidateSet
 )
@@ -105,17 +108,25 @@ var (
 	QGramBlockingKey = blocking.QGramKey
 	// BuildBlocks groups records by blocking key.
 	BuildBlocks = blocking.BuildBlocks
-	// NewBlockingEngine interns record IDs for sharded block building.
-	NewBlockingEngine = blocking.NewEngine
+	// NewBlockingEngine interns record IDs for sharded block building;
+	// errors along the derived chain stick to the engine (read Err).
+	NewBlockingEngine = blocking.NewEngineOpts
 	// UnionCandidateSets unions packed candidate sets, deduplicating
 	// while preserving first-seen order.
 	UnionCandidateSets = blocking.UnionCandidates
 )
 
 // BuildIndexedBlocks builds an interned block collection across the
-// given number of workers (0 = NumCPU) — the one-shot engine form.
+// given number of workers (0 = NumCPU) — the one-shot engine form. It
+// has no error return: a nil key or a panicking key function panics
+// here; use NewBlockingEngine and its Err to handle them.
 func BuildIndexedBlocks(records []*Record, key KeyFunc, workers int) *IndexedBlocks {
-	return blocking.NewEngine(records, workers).Blocks(key)
+	eng := blocking.NewEngineOpts(records, blocking.Opts{Workers: workers})
+	idx := eng.Blocks(key)
+	if err := eng.Err(); err != nil {
+		panic(err)
+	}
+	return idx
 }
 
 // Matching and clustering.
@@ -141,24 +152,23 @@ type (
 	CorrelationClustering = linkage.CorrelationClustering
 	// IncrementalLinker links a stream of records online.
 	IncrementalLinker = linkage.Incremental
+	// PairSlice adapts a materialised pair slice to the candidate
+	// stream MatchStream and MatchBudgeted consume.
+	PairSlice = linkage.PairSlice
 )
 
 var (
 	// NewFellegiSunter returns an untrained probabilistic matcher.
 	NewFellegiSunter = linkage.NewFellegiSunter
-	// MatchPairs scores candidate pairs in parallel, preparing the
-	// matcher's feature index once per batch.
-	MatchPairs = linkage.MatchPairs
-	// MatchPairsFrom is MatchPairs over a packed candidate source
-	// (e.g. a CandidateSet): pairs decode on the fly inside the
-	// workers.
-	MatchPairsFrom = linkage.MatchPairsFrom
-	// MatchPairsObs is MatchPairs recording comparison counts into a
-	// metrics registry (nil registry = identical to MatchPairs).
-	MatchPairsObs = linkage.MatchPairsObs
-	// MatchPairsFromObs is the instrumented MatchPairsFrom.
-	MatchPairsFromObs = linkage.MatchPairsFromObs
-	// NoIndexMatcher wraps a matcher so MatchPairs skips the feature
+	// MatchStream scores a candidate stream (a CandidateSet, or a pair
+	// slice through PairSlice) in parallel bounded batches, preparing
+	// the matcher's feature index once; a nil registry records nothing.
+	MatchStream = linkage.MatchStreamCtx
+	// MatchBudgeted is MatchStream stopping front-first at a
+	// comparison budget (0 = unlimited); it also reports how many
+	// comparisons ran.
+	MatchBudgeted = linkage.MatchBudgetedCtx
+	// NoIndexMatcher wraps a matcher so matching skips the feature
 	// cache — the uncached baseline for benchmarks and ablations.
 	NoIndexMatcher = linkage.NoIndex
 	// NewIncrementalLinker returns an empty online linker.

@@ -71,10 +71,13 @@ func TestFacadeStageComposition(t *testing.T) {
 	_ = d.AddRecord(NewRecord("r3", "b").Set("title", StringValue("zenix blender")))
 
 	cands := StandardBlocking{Key: TokenBlockingKey("title")}.Candidates(d.Records())
-	matched := MatchPairs(d, cands, ThresholdMatcher{
+	matched, err := MatchStream(context.Background(), d, PairSlice(cands), ThresholdMatcher{
 		Comparator: UniformComparator(Jaccard, "title"),
 		Threshold:  0.6,
-	}, 2)
+	}, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	clusters := ConnectedComponents{}.Cluster([]string{"r1", "r2", "r3"}, matched)
 	if len(clusters) != 2 {
 		t.Errorf("clusters = %v", clusters)

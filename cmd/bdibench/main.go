@@ -18,16 +18,15 @@
 // E24 (the sharded-blocking scale sweep) takes extra knobs:
 //
 //	bdibench -exp E24 -e24-sizes 1000000,3000000,10000000 \
-//	    -e24-workers 1,2,8 -shards 16 -bench-json BENCH_blocking.json
+//	    -e24-workers 1,2,8 -shards 16
 //
-// E25 (rank fusion: recall vs comparison budget) writes its own
-// baseline:
+// E25 (rank fusion: recall vs comparison budget) takes the fusion
+// constant:
 //
-//	bdibench -exp E25 -rrf-k 600 -bench-json BENCH_progressive.json
+//	bdibench -exp E25 -rrf-k 600
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -61,7 +60,6 @@ func run() error {
 		e24Sizes   = flag.String("e24-sizes", "", "E24: comma-separated record counts, e.g. 1000000,3000000,10000000")
 		e24Workers = flag.String("e24-workers", "", "E24: comma-separated worker counts (default 1,2,8)")
 		rrfK       = flag.Float64("rrf-k", 0, "E25: reciprocal-rank-fusion constant (0 = committed default)")
-		benchJSON  = flag.String("bench-json", "", "E24/E25: write the perf baseline JSON to this path")
 	)
 	flag.Parse()
 
@@ -106,26 +104,11 @@ func run() error {
 		switch id {
 		case "E24":
 			// E24 goes through the options-aware entry point so the
-			// scale flags and the bench-json baseline apply.
-			var res *experiments.E24Result
-			tab, res, err = experiments.E24Scale(*seed, e24opts)
-			if err == nil && *benchJSON != "" {
-				if werr := writeBenchJSON(*benchJSON, "E24", *seed, res); werr != nil {
-					return werr
-				}
-				fmt.Fprintf(os.Stderr, "bdibench: wrote %s\n", *benchJSON)
-			}
+			// scale flags apply.
+			tab, _, err = experiments.E24Scale(*seed, e24opts)
 		case "E25":
-			// E25 likewise: the -rrf-k knob and the progressive
-			// baseline (BENCH_progressive.json) apply.
-			var res *experiments.E25Result
-			tab, res, err = experiments.E25RankFusion(*seed, experiments.E25Opts{RRFK: *rrfK})
-			if err == nil && *benchJSON != "" {
-				if werr := writeBenchJSON(*benchJSON, "E25", *seed, res); werr != nil {
-					return werr
-				}
-				fmt.Fprintf(os.Stderr, "bdibench: wrote %s\n", *benchJSON)
-			}
+			// E25 likewise, for the -rrf-k knob.
+			tab, _, err = experiments.E25RankFusion(*seed, experiments.E25Opts{RRFK: *rrfK})
 		default:
 			tab, err = runner.Run(id)
 		}
@@ -162,20 +145,4 @@ func parseInts(s string) ([]int, error) {
 		out = append(out, n)
 	}
 	return out, nil
-}
-
-// writeBenchJSON persists an experiment result as a perf baseline
-// (BENCH_blocking.json, BENCH_progressive.json) future runs diff
-// against.
-func writeBenchJSON(path, experiment string, seed int64, res any) error {
-	doc := struct {
-		Experiment string `json:"experiment"`
-		Seed       int64  `json:"seed"`
-		Result     any    `json:"result"`
-	}{Experiment: experiment, Seed: seed, Result: res}
-	js, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(js, '\n'), 0o644)
 }

@@ -187,7 +187,7 @@ func run() error {
 		return runLoadTest(srv, *loadtest)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "bdiserve: listening on %s\n", *addr)
@@ -205,6 +205,21 @@ func run() error {
 			return err
 		}
 		return nil
+	}
+}
+
+// newHTTPServer bounds every phase of a connection, so a slow or stalled
+// client cannot hold one open indefinitely. Every response is a small
+// JSON document computed from an in-memory snapshot, so the limits are
+// generous rather than tuned.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       15 * time.Second,
+		WriteTimeout:      30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
 	}
 }
 
@@ -239,7 +254,7 @@ func runLoadTest(srv *serve.Server, spec string) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer("", srv.Handler())
 	go func() { _ = httpSrv.Serve(ln) }()
 	defer httpSrv.Close()
 	baseURL := "http://" + ln.Addr().String()

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -100,7 +101,10 @@ func main() {
 		Comparator: bdi.UniformComparator(bdi.Jaccard, "title"),
 		Threshold:  0.55,
 	}
-	matched := bdi.MatchPairs(d, candidates, matcher, 2)
+	matched, err := bdi.MatchStream(context.Background(), d, bdi.PairSlice(candidates), matcher, 2, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 	var ids []string
 	for _, r := range records {
 		ids = append(ids, r.ID)

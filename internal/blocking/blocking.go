@@ -9,7 +9,6 @@ import (
 	"sort"
 
 	"repro/internal/data"
-	"repro/internal/parallel"
 	"repro/internal/tokenize"
 )
 
@@ -30,8 +29,8 @@ type Blocks map[string][]string
 // BuildBlocks applies key to every record and groups IDs by key. Within
 // a block, IDs appear in input order. Records yielding no keys are
 // unblocked (they generate no candidates). This is the sequential
-// path; Engine.Blocks / BuildIndexed shard the key extraction across
-// workers with byte-identical output.
+// path; Engine.Blocks shards the key extraction across workers with
+// byte-identical output.
 func BuildBlocks(records []*data.Record, key KeyFunc) Blocks {
 	b := Blocks{}
 	var ks keySet
@@ -94,14 +93,19 @@ func (s *keySet) add(k string) bool {
 // in-block input order — is byte-identical to the historical
 // map[data.Pair]bool implementation.
 func (b Blocks) Pairs() []data.Pair {
-	return b.Index().Pairs()
+	x := b.Index()
+	pairs := x.Pairs()
+	x.sink.must()
+	return pairs
 }
 
 // EmitPairs streams the deduplicated candidate pairs to emit in Pairs
 // order without materialising the pair slice, stopping early when emit
 // returns false.
 func (b Blocks) EmitPairs(emit func(data.Pair) bool) {
-	b.Index().EmitPairs(emit)
+	x := b.Index()
+	x.EmitPairs(emit)
+	x.sink.must()
 }
 
 // Comparisons counts the total pairwise comparisons implied by the
@@ -159,8 +163,10 @@ type Standard struct {
 // the candidate list is byte-identical to the sequential
 // BuildBlocks/Purge/Pairs path at any worker count.
 func (s Standard) Candidates(records []*data.Record) []data.Pair {
-	cfg := parallel.Config{Workers: s.Workers}
-	return BuildIndexed(cfg, records, s.Key).Purge(s.MaxBlock).Pairs()
+	eng := NewEngineOpts(records, Opts{Workers: s.Workers})
+	pairs := eng.Blocks(s.Key).Purge(s.MaxBlock).Pairs()
+	eng.sink.must()
+	return pairs
 }
 
 // AttrPrefixKey blocks on the first n runes of the normalised attribute

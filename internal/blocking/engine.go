@@ -32,13 +32,31 @@ var ErrNilKey = errors.New("blocking: nil key function")
 // reads the sticky error from Engine.Err at the end.
 type errSink struct{ err error }
 
-func (s *errSink) set(err error) {
+// check records err (the first one sticks) and reports whether there
+// was one.
+func (s *errSink) check(err error) bool {
+	if err == nil {
+		return false
+	}
 	if s.err == nil {
 		s.err = err
 	}
+	return true
 }
 
-func (s *errSink) failed() bool { return s != nil && s.err != nil }
+func (s *errSink) failed() bool { return s.err != nil }
+
+// must re-raises a recorded error at an API boundary that has no error
+// return (the Blocker interface, map-form Blocks). Those boundaries run
+// without a context, so what reaches them is a programming fault (a
+// nil key, a recovered worker panic) or, for a budgeted Progressive, a
+// spill I/O failure — callers that must handle those use the engine and
+// its Err directly.
+func (s *errSink) must() {
+	if s.err != nil {
+		panic(s.err)
+	}
+}
 
 // ranker maps record IDs to dense uint32 ranks in lexicographic order,
 // so rank comparisons agree with data.Pair's canonical ID ordering.
@@ -124,8 +142,8 @@ type Opts struct {
 	SpillDir string
 	// Obs records "blocking." metrics (nil falls back to obs.Default).
 	Obs *obs.Registry
-	// Ctx, when set, makes errors stick to the engine instead of
-	// panicking (see NewEngineCtx).
+	// Ctx cancels the parallel passes at chunk boundaries (nil never
+	// cancels); the cancellation is reported by Err.
 	Ctx context.Context
 }
 
@@ -137,57 +155,32 @@ type Engine struct {
 	recs   []*data.Record
 	rk     *ranker
 	ranks  []uint32 // record position → rank
-	sink   *errSink // nil on the legacy constructors: errors panic instead
+	sink   *errSink // first error of the engine and everything derived from it
 	shards int      // pair-generation shard count (<=1 = unsharded)
 	budget int64    // pair-memory budget in bytes (0 = unlimited)
 	dir    string   // spill directory ("" = os.TempDir())
 }
 
-// NewEngine interns the record IDs once (in parallel) and returns an
-// engine bound to the records. workers <= 0 means NumCPU.
-func NewEngine(records []*data.Record, workers int) *Engine {
-	return NewEngineObs(records, workers, nil)
-}
-
-// NewEngineOpts is the fully-configurable constructor: sharded block
-// building and pair generation, an optional pair-memory budget with
-// disk spill, metrics and cancellation. With Opts.Ctx set, errors stick
-// to the engine (read Err after the chain); without it they panic,
-// matching NewEngine.
+// NewEngineOpts interns the record IDs once (in parallel) and returns
+// an engine bound to the records: sharded block building and pair
+// generation, an optional pair-memory budget with disk spill, metrics
+// and cancellation. The engine and every Indexed/CandidateSet derived
+// from it record "blocking." counters (blocks built/purged, raw vs
+// emitted pairs, dedup ratio) into Opts.Obs.
+//
+// Nothing derived from the engine returns an error or panics on one:
+// any error (cancellation, worker panic, nil key) sticks to the engine,
+// derived operations degrade to cheap no-ops, and the caller reads the
+// first error from Err after the chain.
 func NewEngineOpts(records []*data.Record, o Opts) *Engine {
-	var sink *errSink
-	if o.Ctx != nil {
-		sink = &errSink{}
+	e := &Engine{
+		cfg:    parallel.Config{Workers: o.Workers, Obs: obs.OrDefault(o.Obs), Ctx: o.Ctx},
+		recs:   records,
+		sink:   &errSink{},
+		shards: o.Shards,
+		budget: o.PairMemBudget,
+		dir:    o.SpillDir,
 	}
-	e := newEngine(parallel.Config{Workers: o.Workers, Obs: obs.OrDefault(o.Obs), Ctx: o.Ctx}, sink, records)
-	e.shards = o.Shards
-	e.budget = o.PairMemBudget
-	e.dir = o.SpillDir
-	return e
-}
-
-// NewEngineObs is NewEngine with an attached metrics registry: the
-// engine and every Indexed/CandidateSet derived from it record
-// "blocking." counters (blocks built/purged, raw vs emitted pairs,
-// dedup ratio). A nil registry falls back to the process-wide
-// obs.Default registry (usually unset, which disables recording at no
-// cost).
-func NewEngineObs(records []*data.Record, workers int, reg *obs.Registry) *Engine {
-	return newEngine(parallel.Config{Workers: workers, Obs: obs.OrDefault(reg)}, nil, records)
-}
-
-// NewEngineCtx is NewEngineObs bound to a context: the parallel passes
-// observe ctx at chunk boundaries, and instead of panicking, any error
-// (cancellation, worker panic, nil key) sticks to the engine — derived
-// operations degrade to cheap no-ops and the caller reads the first
-// error from Err after the chain. This is the constructor the pipeline
-// uses for cancellable runs.
-func NewEngineCtx(ctx context.Context, records []*data.Record, workers int, reg *obs.Registry) *Engine {
-	return newEngine(parallel.Config{Workers: workers, Obs: obs.OrDefault(reg), Ctx: ctx}, &errSink{}, records)
-}
-
-func newEngine(cfg parallel.Config, sink *errSink, records []*data.Record) *Engine {
-	e := &Engine{cfg: cfg, recs: records, sink: sink}
 	ids := make([]string, len(records))
 	for i, r := range records {
 		ids[i] = r.ID
@@ -197,32 +190,13 @@ func newEngine(cfg parallel.Config, sink *errSink, records []*data.Record) *Engi
 	e.ranks, err = parallel.MapSlice(e.cfg, records, func(r *data.Record) uint32 {
 		return e.rk.rank(r.ID)
 	})
-	e.check(err)
+	e.sink.check(err)
 	return e
 }
 
 // Err returns the first error recorded by this engine or anything
-// derived from it. Always nil for engines built without a context.
-func (e *Engine) Err() error {
-	if e.sink == nil {
-		return nil
-	}
-	return e.sink.err
-}
-
-// check records err on the sink; without a sink (legacy constructors)
-// a non-nil error is a programming fault and panics, preserving the
-// historical crash semantics.
-func (e *Engine) check(err error) bool {
-	if err == nil {
-		return false
-	}
-	if e.sink != nil {
-		e.sink.set(err)
-		return true
-	}
-	panic(err)
-}
+// derived from it.
+func (e *Engine) Err() error { return e.sink.err }
 
 // empty returns the poisoned/empty index carrying the engine's
 // configuration, the return value of every failed derivation.
@@ -243,7 +217,7 @@ func (e *Engine) Blocks(key KeyFunc) *Indexed {
 		return e.empty()
 	}
 	if key == nil {
-		e.check(fmt.Errorf("blocking: engine pass: %w", ErrNilKey))
+		e.sink.check(fmt.Errorf("blocking: engine pass: %w", ErrNilKey))
 		return e.empty()
 	}
 	n := len(e.recs)
@@ -277,7 +251,7 @@ func (e *Engine) Blocks(key KeyFunc) *Indexed {
 		}
 		shards[si] = m
 	})
-	if e.check(err) {
+	if e.sink.check(err) {
 		return e.empty()
 	}
 	total := 0
@@ -310,7 +284,7 @@ func (e *Engine) Blocks(key KeyFunc) *Indexed {
 			}
 			rows[i] = row
 		})
-		if e.check(err) {
+		if e.sink.check(err) {
 			return e.empty()
 		}
 	}
@@ -320,36 +294,18 @@ func (e *Engine) Blocks(key KeyFunc) *Indexed {
 	return x
 }
 
-// BuildIndexed is the one-shot form of NewEngine(...).Blocks(key): it
-// builds an interned block collection from records in parallel.
-func BuildIndexed(cfg parallel.Config, records []*data.Record, key KeyFunc) *Indexed {
-	return NewEngine(records, cfg.Workers).Blocks(key)
-}
-
 // Indexed is the interned form of a block collection: record IDs are
 // dense lexicographic ranks, block keys are sorted, and each row holds
 // the member ranks in record input order.
 type Indexed struct {
 	cfg    parallel.Config
-	sink   *errSink   // shared with the engine; nil on standalone indexes
+	sink   *errSink   // shared with the engine (standalone indexes own theirs)
 	ids    []string   // rank → record ID, sorted ascending
 	keys   []string   // sorted block keys
 	rows   [][]uint32 // rows[i] = member ranks of keys[i], input order
 	shards int        // pair-generation shard count (<=1 = unsharded)
 	budget int64      // pair-memory budget in bytes (0 = unlimited)
 	dir    string     // spill directory ("" = os.TempDir())
-}
-
-// check mirrors Engine.check for operations derived from the index.
-func (x *Indexed) check(err error) bool {
-	if err == nil {
-		return false
-	}
-	if x.sink != nil {
-		x.sink.set(err)
-		return true
-	}
-	panic(err)
 }
 
 // Index interns a map-form block collection. Within-block order is
@@ -366,7 +322,7 @@ func (b Blocks) Index() *Indexed {
 		all = append(all, ids...)
 	}
 	rk := newRanker(all)
-	x := &Indexed{ids: rk.ids, keys: keys, rows: make([][]uint32, len(keys))}
+	x := &Indexed{sink: &errSink{}, ids: rk.ids, keys: keys, rows: make([][]uint32, len(keys))}
 	for i, k := range keys {
 		src := b[k]
 		row := make([]uint32, len(src))
@@ -455,7 +411,7 @@ func (x *Indexed) rawCodes() []uint64 {
 			}
 		}
 	})
-	if x.check(err) {
+	if x.sink.check(err) {
 		return nil
 	}
 	return codes
@@ -470,26 +426,22 @@ func (x *Indexed) rawCodes() []uint64 {
 // deduplicated result through k-way loser-tree merges. Spill-backed
 // sets must be released with Close.
 func (x *Indexed) CandidateSet() *CandidateSet {
+	cs := &CandidateSet{ids: x.ids, sink: x.sink}
 	if x.sink.failed() {
-		return &CandidateSet{ids: x.ids}
+		return cs
 	}
 	offs := x.pairOffsets()
 	nraw := offs[len(x.rows)]
-	var cs *CandidateSet
 	switch {
 	case x.budget > 0 && int64(nraw)*8 > x.budget:
 		cs = x.spillCandidates(offs)
 	case x.shards > 1:
-		cs = &CandidateSet{ids: x.ids, codes: x.shardedCodes(offs)}
+		cs.codes = x.shardedCodes(offs)
 	default:
-		raw := x.rawCodes()
-		if x.sink.failed() {
-			return &CandidateSet{ids: x.ids}
-		}
-		cs = &CandidateSet{ids: x.ids, codes: dedupCodesStable(raw)}
+		cs.codes = dedupCodesStable(x.rawCodes())
 	}
 	if x.sink.failed() {
-		return &CandidateSet{ids: x.ids}
+		return &CandidateSet{ids: x.ids, sink: x.sink}
 	}
 	if reg := x.cfg.Obs; reg != nil {
 		rawC := reg.Counter("blocking.pairs_raw")
@@ -528,7 +480,7 @@ type CandidateSet struct {
 	ids   []string
 	codes []uint64  // deduplicated pair codes, first-emission order
 	ext   *spillSet // non-nil: codes stream from disk, c.codes is the union tail
-	sink  *errSink  // error sink for streaming reads; nil panics (legacy semantics)
+	sink  *errSink  // error sink for streaming reads; nil only on in-memory unions
 }
 
 // Len returns the number of candidate pairs.
@@ -569,19 +521,6 @@ func (c *CandidateSet) Pair(i int) data.Pair {
 	return c.decode(c.codes[i])
 }
 
-// check records a streaming error on the engine's sink, panicking when
-// the set has none (the legacy crash semantics).
-func (c *CandidateSet) check(err error) bool {
-	if err == nil {
-		return false
-	}
-	if c.sink != nil {
-		c.sink.set(err)
-		return true
-	}
-	panic(err)
-}
-
 // emitCodes streams the packed codes in emission order: the spilled
 // stream (when present) followed by the in-memory tail.
 func (c *CandidateSet) emitCodes(emit func(code uint64) bool) {
@@ -594,7 +533,7 @@ func (c *CandidateSet) emitCodes(emit func(code uint64) bool) {
 			}
 			return true
 		})
-		if c.check(err) || stop {
+		if c.sink.check(err) || stop {
 			return
 		}
 	}
@@ -719,10 +658,8 @@ func unionOntoSpilled(base *CandidateSet, rest []*CandidateSet) *CandidateSet {
 	slices.Sort(sorted)
 	inBase := make(map[uint64]bool, len(sorted))
 	if err := base.ext.filterSorted(sorted, func(code uint64) { inBase[code] = true }); err != nil {
-		out := &CandidateSet{ids: base.ids}
-		out.sink = base.sink
-		out.check(err)
-		return out
+		base.sink.check(err)
+		return &CandidateSet{ids: base.ids, sink: base.sink}
 	}
 	kept := tail[:0]
 	for _, code := range tail {

@@ -1,13 +1,14 @@
 package blocking
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/data"
-	"repro/internal/parallel"
 )
 
 // ---------------------------------------------------------------------
@@ -364,7 +365,7 @@ func TestEngineBlocksMatchSeedBlocks(t *testing.T) {
 	key := TokenKey("title")
 	want := refBuildBlocks(recs, key)
 	for _, w := range workerCounts {
-		got := NewEngine(recs, w).Blocks(key).Blocks()
+		got := NewEngineOpts(recs, Opts{Workers: w}).Blocks(key).Blocks()
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d blocks, want %d", w, len(got), len(want))
 		}
@@ -395,7 +396,7 @@ func TestEngineMetaBlockingMatchesSeed(t *testing.T) {
 
 				// The interned fast path over an engine-built collection
 				// (whose ID table spans all records) must agree too.
-				idx := BuildIndexed(cfgFor(w), recs, TokenKey("title")).Purge(60)
+				idx := NewEngineOpts(recs, Opts{Workers: w}).Blocks(TokenKey("title")).Purge(60)
 				got2 := mb.Pruned(idx).Pairs()
 				samePairs(t, fmt.Sprintf("pruned weight=%d prune=%d workers=%d", weight, prune, w), want, got2)
 			}
@@ -473,7 +474,7 @@ func TestEngineMinHashCanonicalAndSetMatchesSeed(t *testing.T) {
 func refMinHash(m MinHashLSH, records []*data.Record) []data.Pair {
 	attrs, bands, rows := m.params()
 	n := bands * rows
-	eng := NewEngine(records, 1)
+	eng := NewEngineOpts(records, Opts{Workers: 1})
 	buckets := map[uint64][]uint32{}
 	for i, r := range records {
 		sig := m.signature(r, attrs, n)
@@ -508,7 +509,7 @@ func refMinHash(m MinHashLSH, records []*data.Record) []data.Pair {
 
 func TestUnionCandidatesMatchesAppendDedup(t *testing.T) {
 	recs := detRecords(200)
-	eng := NewEngine(recs, 4)
+	eng := NewEngineOpts(recs, Opts{Workers: 4})
 	token := eng.Blocks(TokenKey("title")).Purge(50).CandidateSet()
 	id := eng.Blocks(AttrExactKey("pid")).CandidateSet()
 
@@ -527,7 +528,7 @@ func TestUnionCandidatesMatchesAppendDedup(t *testing.T) {
 	samePairs(t, "union shared table", dedup, UnionCandidates(token, id).Pairs())
 
 	// Mixed ID tables (separate engines) must agree as a set and order.
-	other := NewEngine(recs[:150], 2).Blocks(AttrExactKey("pid")).CandidateSet()
+	other := NewEngineOpts(recs[:150], Opts{Workers: 2}).Blocks(AttrExactKey("pid")).CandidateSet()
 	var want2 []data.Pair
 	want2 = append(want2, token.Pairs()...)
 	want2 = append(want2, other.Pairs()...)
@@ -544,7 +545,7 @@ func TestUnionCandidatesMatchesAppendDedup(t *testing.T) {
 
 func TestEmitPairsOrderAndEarlyStop(t *testing.T) {
 	recs := detRecords(120)
-	idx := BuildIndexed(cfgFor(2), recs, TokenKey("title")).Purge(40)
+	idx := NewEngineOpts(recs, Opts{Workers: 2}).Blocks(TokenKey("title")).Purge(40)
 	want := idx.Pairs()
 	var got []data.Pair
 	idx.EmitPairs(func(p data.Pair) bool {
@@ -566,7 +567,7 @@ func TestEmitPairsOrderAndEarlyStop(t *testing.T) {
 
 func TestCandidateSetRecordIDs(t *testing.T) {
 	recs := detRecords(100)
-	cs := BuildIndexed(cfgFor(2), recs, AttrExactKey("pid")).CandidateSet()
+	cs := NewEngineOpts(recs, Opts{Workers: 2}).Blocks(AttrExactKey("pid")).CandidateSet()
 	ids := cs.RecordIDs()
 	if !sort.StringsAreSorted(ids) {
 		t.Fatalf("RecordIDs not sorted: %v", ids)
@@ -610,6 +611,29 @@ func TestDedupAllocsDoNotScaleWithPairs(t *testing.T) {
 	}
 }
 
-func cfgFor(workers int) parallel.Config {
-	return parallel.Config{Workers: workers}
+// TestEngineErrWithoutContext: an engine built without a context still
+// reports a nil key and a panicking key function through Err — the
+// chain degrades to empty results instead of crashing.
+func TestEngineErrWithoutContext(t *testing.T) {
+	recs := detRecords(50)
+	e := NewEngineOpts(recs, Opts{Workers: 2})
+	if cs := e.Blocks(nil).Purge(10).CandidateSet(); cs.Len() != 0 {
+		t.Fatalf("nil key produced %d pairs", cs.Len())
+	}
+	if err := e.Err(); !errors.Is(err, ErrNilKey) {
+		t.Fatalf("Err = %v, want ErrNilKey", err)
+	}
+
+	e = NewEngineOpts(recs, Opts{Workers: 2})
+	cs := e.Blocks(func(*data.Record) []string { panic("boom") }).CandidateSet()
+	if err := e.Err(); err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("Err = %v, want the recovered worker panic", err)
+	}
+	if cs.Len() != 0 {
+		t.Fatalf("poisoned engine produced %d pairs", cs.Len())
+	}
+	// The first error sticks; later passes are no-ops.
+	if n := e.Blocks(TokenKey("title")).NumBlocks(); n != 0 {
+		t.Fatalf("poisoned engine built %d blocks", n)
+	}
 }

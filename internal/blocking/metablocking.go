@@ -74,14 +74,17 @@ type iedge struct {
 // Candidates builds the blocking graph from blocks and returns the
 // pairs surviving pruning.
 func (mb MetaBlocker) Candidates(blocks Blocks) []data.Pair {
-	return mb.Pruned(blocks.Index()).Pairs()
+	x := blocks.Index()
+	pairs := mb.Pruned(x).Pairs()
+	x.sink.must()
+	return pairs
 }
 
 // Pruned is Candidates on the interned representation, returning the
 // surviving pairs as a packed candidate set in pruning order.
-// Pruning inherits x's context and error sink: on an engine built with
-// NewEngineCtx a cancellation sticks to the engine and Pruned returns
-// an empty candidate set; the caller reads Engine.Err afterwards.
+// Pruning inherits x's context and error sink: a cancellation or
+// worker panic sticks to the engine and Pruned returns an empty
+// candidate set; the caller reads Engine.Err afterwards.
 func (mb MetaBlocker) Pruned(x *Indexed) *CandidateSet {
 	if x.sink.failed() {
 		return &CandidateSet{ids: x.ids}
@@ -156,7 +159,7 @@ func (mb MetaBlocker) Pruned(x *Indexed) *CandidateSet {
 		}
 		perRec[ri] = edges
 	})
-	if x.check(err) {
+	if x.sink.check(err) {
 		return &CandidateSet{ids: x.ids}
 	}
 	total := 0

@@ -85,7 +85,8 @@ func (m MinHashLSH) signature(r *data.Record, attrs []string, n int) []uint64 {
 func (m MinHashLSH) Candidates(records []*data.Record) []data.Pair {
 	attrs, bands, rows := m.params()
 	n := bands * rows
-	eng := NewEngine(records, m.Workers)
+	eng := NewEngineOpts(records, Opts{Workers: m.Workers})
+	eng.sink.must()
 	sigs := parallel.Must(parallel.MapSlice(eng.cfg, records, func(r *data.Record) []uint64 {
 		return m.signature(r, attrs, n)
 	}))

@@ -81,7 +81,9 @@ func (x *Indexed) ProgressiveOrder() *Indexed {
 // spill-backed — pair state lives in sorted disk runs, EmitPairs
 // replays the identical order, and the caller must Close it — so
 // progressive ordering works at scales where the materialized stream
-// would not fit in RAM.
+// would not fit in RAM. There is no error return: a failure to build
+// the set (nil key, spill I/O) panics; use the engine directly and read
+// its Err when errors must be handled.
 func (p Progressive) StreamSet(records []*data.Record) *CandidateSet {
 	e := NewEngineOpts(records, Opts{
 		Workers:       p.Workers,
@@ -90,7 +92,9 @@ func (p Progressive) StreamSet(records []*data.Record) *CandidateSet {
 		SpillDir:      p.SpillDir,
 		Obs:           p.Obs,
 	})
-	return e.Blocks(p.Key).Purge(p.MaxBlock).ProgressiveOrder().CandidateSet()
+	cs := e.Blocks(p.Key).Purge(p.MaxBlock).ProgressiveOrder().CandidateSet()
+	e.sink.must()
+	return cs
 }
 
 // Stream returns candidate pairs in progressive order, deduplicated.
@@ -101,7 +105,9 @@ func (p Progressive) StreamSet(records []*data.Record) *CandidateSet {
 func (p Progressive) Stream(records []*data.Record) []data.Pair {
 	cs := p.StreamSet(records)
 	defer cs.Close()
-	return cs.Pairs()
+	pairs := cs.Pairs()
+	cs.sink.must()
+	return pairs
 }
 
 // Candidates implements Blocker (the full stream).

@@ -103,7 +103,7 @@ func (r RankedSortedNeighborhood) Ranked(e *Engine) RankedStream {
 	passes := make([][]entry, len(r.Keys))
 	for pi, key := range r.Keys {
 		keyed, err := parallel.MapSlice(e.cfg, e.recs, func(rec *data.Record) []string { return key(rec) })
-		if e.check(err) {
+		if e.sink.check(err) {
 			return RankedStream{Name: r.Name}
 		}
 		entries := make([]entry, 0, len(e.recs))
@@ -152,7 +152,7 @@ func (r RankedMinHash) Ranked(e *Engine) RankedStream {
 	sigs, err := parallel.MapSlice(e.cfg, e.recs, func(rec *data.Record) []uint64 {
 		return r.MinHash.signature(rec, attrs, n)
 	})
-	if e.check(err) {
+	if e.sink.check(err) {
 		return RankedStream{Name: r.Name}
 	}
 	buckets := map[uint64][]uint32{}
@@ -321,7 +321,7 @@ func (e *Engine) fuseRRF(k float64, streams []RankedStream) []pe {
 		})
 		ents[s] = es
 	})
-	if e.check(err) {
+	if e.sink.check(err) {
 		return nil
 	}
 	// Distinct code universe plus per-code multiplicity prefix sums —
@@ -396,7 +396,7 @@ func (e *Engine) fuseRRF(k float64, streams []RankedStream) []pe {
 		})
 		per[si] = out
 	})
-	if e.check(err) {
+	if e.sink.check(err) {
 		return nil
 	}
 	// Deterministic sorted merge of the per-shard fused orders, then
@@ -410,7 +410,7 @@ func (e *Engine) fuseRRF(k float64, streams []RankedStream) []pe {
 		fused = append(fused, pe{code: en.code, pos: uint64(len(fused))})
 		return nil
 	})
-	if e.check(err) {
+	if e.sink.check(err) {
 		return nil
 	}
 	return fused
@@ -424,12 +424,12 @@ func (e *Engine) fuseRRF(k float64, streams []RankedStream) []pe {
 func (e *Engine) spillFused(fused []pe) *CandidateSet {
 	reg := e.cfg.Obs
 	dir, err := os.MkdirTemp(e.dir, "bdi-rrf-*")
-	if e.check(err) {
+	if e.sink.check(err) {
 		return &CandidateSet{ids: e.rk.ids, sink: e.sink}
 	}
 	fail := func(err error) *CandidateSet {
 		os.RemoveAll(dir)
-		e.check(err)
+		e.sink.check(err)
 		return &CandidateSet{ids: e.rk.ids, sink: e.sink}
 	}
 	ss := &spillSet{dir: dir, reg: reg, n: len(fused)}

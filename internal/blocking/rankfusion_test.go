@@ -60,7 +60,7 @@ func fusionBlockers() []RankedBlocker {
 
 func TestRankedStreamsAreDeduplicated(t *testing.T) {
 	records := fusionWorld(t)
-	e := NewEngine(records, 0)
+	e := NewEngineOpts(records, Opts{Workers: 0})
 	for _, b := range fusionBlockers() {
 		s := b.Ranked(e)
 		if len(s.Codes) == 0 {
@@ -81,7 +81,7 @@ func TestRankedStreamsAreDeduplicated(t *testing.T) {
 
 func TestFuseStreamsMatchesSequentialReference(t *testing.T) {
 	records := fusionWorld(t)
-	ref := NewEngine(records, 0)
+	ref := NewEngineOpts(records, Opts{Workers: 0})
 	blockers := fusionBlockers()
 	streams := make([]RankedStream, len(blockers))
 	codeLists := make([][]uint64, len(blockers))
@@ -113,7 +113,7 @@ func TestFuseStreamsMatchesSequentialReference(t *testing.T) {
 
 func TestFuseStreamsSpillPathReplaysFusedOrder(t *testing.T) {
 	records := fusionWorld(t)
-	ref := NewEngine(records, 0)
+	ref := NewEngineOpts(records, Opts{Workers: 0})
 	blockers := fusionBlockers()
 	want := ref.FuseRanked(60, blockers...).Pairs()
 
@@ -149,7 +149,7 @@ func TestFuseStreamsSpillPathReplaysFusedOrder(t *testing.T) {
 
 func TestFuseStreamsEmptyInputs(t *testing.T) {
 	records := fusionWorld(t)
-	e := NewEngine(records, 0)
+	e := NewEngineOpts(records, Opts{Workers: 0})
 	if cs := e.FuseStreams(60); cs.Len() != 0 {
 		t.Fatalf("fusing zero streams produced %d pairs", cs.Len())
 	}

@@ -108,7 +108,7 @@ func (x *Indexed) shardedCodes(offs []int) []uint64 {
 		ents, _ = x.appendBlockEntries(lo, hi, offs, ents, func(b []pe) ([]pe, error) { return b, nil })
 		per[s] = sortCompactEntries(ents)
 	})
-	if x.check(err) {
+	if x.sink.check(err) {
 		return nil
 	}
 	x.cfg.Obs.Gauge("blocking.shards").Set(float64(len(ranges)))
@@ -126,7 +126,7 @@ func (x *Indexed) shardedCodes(offs []int) []uint64 {
 		}
 		return nil
 	})
-	if x.check(err) {
+	if x.sink.check(err) {
 		return nil
 	}
 	slices.SortFunc(merged, func(a, b pe) int {

@@ -31,7 +31,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	recs := detRecords(300)
 	for name, key := range pinKeys() {
 		for _, max := range []int{0, 40} {
-			want := NewEngine(recs, 1).Blocks(key).Purge(max).Pairs()
+			want := NewEngineOpts(recs, Opts{Workers: 1}).Blocks(key).Purge(max).Pairs()
 			for _, w := range workerCounts {
 				for _, s := range shardCounts {
 					e := NewEngineOpts(recs, Opts{Workers: w, Shards: s})
@@ -51,7 +51,7 @@ func TestSpilledMatchesInMemory(t *testing.T) {
 	recs := detRecords(300)
 	const budget = 1 << 6 // 64 bytes ≪ raw pair bytes for every key
 	for name, key := range pinKeys() {
-		want := NewEngine(recs, 1).Blocks(key).Pairs()
+		want := NewEngineOpts(recs, Opts{Workers: 1}).Blocks(key).Pairs()
 		for _, w := range workerCounts {
 			for _, s := range shardCounts {
 				e := NewEngineOpts(recs, Opts{
@@ -127,7 +127,7 @@ func TestSpilledUnionStaysExternal(t *testing.T) {
 	recs := detRecords(250)
 	dir := t.TempDir()
 
-	mem := NewEngine(recs, 2)
+	mem := NewEngineOpts(recs, Opts{Workers: 2})
 	memBase := mem.Blocks(TokenKey("title")).CandidateSet()
 	memID := mem.Blocks(AttrExactKey("pid")).CandidateSet()
 	want := UnionCandidates(memBase, memID).Pairs()
@@ -163,7 +163,7 @@ func TestSpilledUnionStaysExternal(t *testing.T) {
 // matches the in-memory union.
 func TestSpilledUnionLaterPosition(t *testing.T) {
 	recs := detRecords(250)
-	mem := NewEngine(recs, 2)
+	mem := NewEngineOpts(recs, Opts{Workers: 2})
 	want := UnionCandidates(
 		mem.Blocks(AttrExactKey("pid")).CandidateSet(),
 		mem.Blocks(TokenKey("title")).CandidateSet(),
@@ -208,7 +208,7 @@ func TestSpillObsCounters(t *testing.T) {
 // in-memory set.
 func TestSpilledRecordIDs(t *testing.T) {
 	recs := detRecords(150)
-	want := NewEngine(recs, 1).Blocks(TokenKey("title")).CandidateSet().RecordIDs()
+	want := NewEngineOpts(recs, Opts{Workers: 1}).Blocks(TokenKey("title")).CandidateSet().RecordIDs()
 	e := NewEngineOpts(recs, Opts{PairMemBudget: 1 << 10, SpillDir: t.TempDir()})
 	cs := e.Blocks(TokenKey("title")).CandidateSet()
 	defer cs.Close()

@@ -28,7 +28,8 @@ func (sn SortedNeighborhood) Candidates(records []*data.Record) []data.Pair {
 		w = 5
 	}
 	cfg := parallel.Config{Workers: sn.Workers}
-	eng := NewEngine(records, sn.Workers)
+	eng := NewEngineOpts(records, Opts{Workers: sn.Workers})
+	eng.sink.must()
 	var codes []uint64
 	for _, key := range sn.Keys {
 		type entry struct {
@@ -76,7 +77,8 @@ type Canopy struct {
 
 // Candidates implements Blocker.
 func (c Canopy) Candidates(records []*data.Record) []data.Pair {
-	eng := NewEngine(records, 1)
+	eng := NewEngineOpts(records, Opts{Workers: 1})
+	eng.sink.must()
 	rank := make(map[string]uint32, len(records))
 	for i, r := range records {
 		rank[r.ID] = eng.ranks[i]

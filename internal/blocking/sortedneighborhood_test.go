@@ -111,11 +111,11 @@ func TestSortedNeighborhoodMultiPassDedups(t *testing.T) {
 // usable (Len/Pairs/EmitPairs/Close).
 func TestUnionCandidatesEmptyAndNil(t *testing.T) {
 	recs := detRecords(60)
-	full := NewEngine(recs, 0).Blocks(TokenKey("title")).CandidateSet()
+	full := NewEngineOpts(recs, Opts{Workers: 0}).Blocks(TokenKey("title")).CandidateSet()
 	if full.Len() == 0 {
 		t.Fatal("fixture produced no pairs")
 	}
-	empty := NewEngine(recs, 0).Blocks(AttrExactKey("missing-attr")).CandidateSet()
+	empty := NewEngineOpts(recs, Opts{Workers: 0}).Blocks(AttrExactKey("missing-attr")).CandidateSet()
 	if empty.Len() != 0 {
 		t.Fatal("fixture empty set is not empty")
 	}

@@ -428,12 +428,12 @@ func (x *Indexed) spillCandidates(offs []int) *CandidateSet {
 	reg := x.cfg.Obs
 	nraw := offs[len(x.rows)]
 	dir, err := os.MkdirTemp(x.dir, "bdi-spill-*")
-	if x.check(err) {
+	if x.sink.check(err) {
 		return &CandidateSet{ids: x.ids}
 	}
 	fail := func(err error) *CandidateSet {
 		os.RemoveAll(dir)
-		x.check(err)
+		x.sink.check(err)
 		return &CandidateSet{ids: x.ids}
 	}
 

@@ -78,8 +78,7 @@ type Config struct {
 	// produce a ranked candidate stream (progressive emission order),
 	// and the streams are fused with reciprocal-rank fusion so
 	// consensus candidates come first — the ordering a ComparisonBudget
-	// consumes. Requires the engine path (incompatible with
-	// MaterializeCandidates).
+	// consumes.
 	RankFusion bool
 	// RRFK is the reciprocal-rank-fusion constant (score contribution
 	// is 1/(RRFK+rank+1)); 0 means the default 60.
@@ -141,19 +140,6 @@ type Config struct {
 	// cancelled at the next chunk boundary and RunCtx returns an error
 	// satisfying errors.Is(err, context.DeadlineExceeded).
 	StageTimeout time.Duration
-
-	// NoFeatureIndex disables the per-record feature cache in matching
-	// (each pair re-tokenises its records). Matching output is identical
-	// either way; the knob exists for ablations and benchmark baselines.
-	NoFeatureIndex bool
-
-	// MaterializeCandidates forces the historical blocking path: map-form
-	// blocks, a fully materialised []data.Pair candidate slice and
-	// map-based dedup. The default (false) runs the interned parallel
-	// blocking engine and streams packed candidates straight into the
-	// matcher. Candidates and matches are identical either way; the knob
-	// exists for ablations and benchmark baselines.
-	MaterializeCandidates bool
 
 	// Obs, when set, records per-stage metrics and the stage span tree
 	// into the registry (falling back to obs.Default() when nil). A nil
@@ -268,9 +254,6 @@ func (c Config) Validate() error {
 	}
 	if c.ComparisonBudget < 0 {
 		return fmt.Errorf("core: negative comparison budget %d", c.ComparisonBudget)
-	}
-	if c.RankFusion && c.MaterializeCandidates {
-		return fmt.Errorf("core: rank fusion requires the engine path (disable MaterializeCandidates)")
 	}
 	return nil
 }
@@ -389,131 +372,81 @@ func (p *Pipeline) runSchemaFirst(ctx context.Context, d *data.Dataset, rep *Rep
 	return rep, nil
 }
 
-// linkStage: blocking → matching → clustering. The default path keeps
-// candidates packed inside the blocking engine's CandidateSet all the
-// way to the matcher; MaterializeCandidates restores the historical
-// pair-slice path for ablations.
+// linkStage: blocking → matching → clustering. Candidates stay packed
+// inside the blocking engine's CandidateSet all the way to the matcher.
 func (p *Pipeline) linkStage(ctx context.Context, d *data.Dataset, rep *Report, root *obs.Span) error {
 	reg := p.reg()
 	records := d.Records()
 
 	sp := root.Child("blocking")
-	keyFn := blocking.TokenKey(p.cfg.BlockAttrs...)
-	var (
-		candidates []data.Pair            // materialised path
-		cs         *blocking.CandidateSet // streaming path
-	)
-	if p.cfg.MaterializeCandidates {
-		if err := ctx.Err(); err != nil {
-			sp.End()
-			return err
-		}
-		blocks := blocking.BuildBlocks(records, keyFn).Purge(p.cfg.MaxBlock)
+	eng := blocking.NewEngineOpts(records, blocking.Opts{
+		Workers:       p.cfg.Workers,
+		Shards:        p.cfg.Shards,
+		PairMemBudget: p.cfg.PairMemBudget,
+		SpillDir:      p.cfg.SpillDir,
+		Obs:           reg,
+		Ctx:           ctx,
+	})
+	var cs *blocking.CandidateSet
+	if p.cfg.RankFusion {
+		// Multi-blocker rank fusion: every blocker contributes a
+		// ranked stream, RRF orders consensus candidates first, and
+		// the fused stream feeds matching front-first (the order a
+		// ComparisonBudget pays for).
+		cs = eng.FuseRanked(p.cfg.RRFK, p.rankedBlockers()...)
+	} else {
+		idx := eng.Blocks(blocking.TokenKey(p.cfg.BlockAttrs...)).Purge(p.cfg.MaxBlock)
+		var base *blocking.CandidateSet
 		if p.cfg.MetaBlock {
-			candidates = blocking.MetaBlocker{
-				Weight: blocking.ECBS, Prune: blocking.WEP,
-			}.Candidates(blocks)
+			base = blocking.MetaBlocker{
+				Weight: blocking.ECBS, Prune: blocking.WEP, Workers: p.cfg.Workers, Obs: reg,
+			}.Pruned(idx)
 		} else {
-			candidates = blocks.Pairs()
+			base = idx.CandidateSet()
 		}
 		// Identifier blocking always contributes candidates: records
-		// sharing an identifier must be compared no matter what.
+		// sharing an identifier must be compared no matter what. It
+		// shares the engine's interning, so the union dedups on packed
+		// codes without leaving rank space.
+		sets := []*blocking.CandidateSet{base}
 		for _, attr := range p.cfg.IdentifierAttrs {
-			idPairs := blocking.Standard{Key: blocking.AttrExactKey(attr)}.Candidates(records)
-			candidates = append(candidates, idPairs...)
+			sets = append(sets, eng.Blocks(blocking.AttrExactKey(attr)).CandidateSet())
 		}
-		candidates = dedupePairs(candidates)
-		rep.Candidates = len(candidates)
-	} else {
-		eng := blocking.NewEngineOpts(records, blocking.Opts{
-			Workers:       p.cfg.Workers,
-			Shards:        p.cfg.Shards,
-			PairMemBudget: p.cfg.PairMemBudget,
-			SpillDir:      p.cfg.SpillDir,
-			Obs:           reg,
-			Ctx:           ctx,
-		})
-		if p.cfg.RankFusion {
-			// Multi-blocker rank fusion: every blocker contributes a
-			// ranked stream, RRF orders consensus candidates first, and
-			// the fused stream feeds matching front-first (the order a
-			// ComparisonBudget pays for).
-			cs = eng.FuseRanked(p.cfg.RRFK, p.rankedBlockers()...)
-		} else {
-			idx := eng.Blocks(keyFn).Purge(p.cfg.MaxBlock)
-			var base *blocking.CandidateSet
-			if p.cfg.MetaBlock {
-				base = blocking.MetaBlocker{
-					Weight: blocking.ECBS, Prune: blocking.WEP, Workers: p.cfg.Workers, Obs: reg,
-				}.Pruned(idx)
-			} else {
-				base = idx.CandidateSet()
-			}
-			// Identifier blocking shares the engine's interning, so the union
-			// dedups on packed codes without leaving rank space.
-			sets := []*blocking.CandidateSet{base}
-			for _, attr := range p.cfg.IdentifierAttrs {
-				sets = append(sets, eng.Blocks(blocking.AttrExactKey(attr)).CandidateSet())
-			}
-			cs = blocking.UnionCandidates(sets...)
-			// The union retains any spill runs it shares with its inputs, so
-			// the inputs release their references now and the union's Close
-			// (deferred to stage end) drops the last one. Close is a no-op on
-			// in-memory sets, and UnionCandidates may return an input
-			// unchanged — that one keeps its reference.
-			for _, s := range sets {
-				if s != cs {
-					s.Close()
-				}
+		cs = blocking.UnionCandidates(sets...)
+		// The union retains any spill runs it shares with its inputs, so
+		// the inputs release their references now and the union's Close
+		// (deferred to stage end) drops the last one. Close is a no-op on
+		// in-memory sets, and UnionCandidates may return an input
+		// unchanged — that one keeps its reference.
+		for _, s := range sets {
+			if s != cs {
+				s.Close()
 			}
 		}
-		// Err surfaces any cancellation or worker panic the engine's sink
-		// recorded; the recorded error already names the failing pass.
-		if err := eng.Err(); err != nil {
-			cs.Close()
-			sp.End()
-			return err
-		}
-		defer cs.Close()
-		rep.Candidates = cs.Len()
 	}
+	// Err surfaces any cancellation or worker panic the engine's sink
+	// recorded; the recorded error already names the failing pass.
+	if err := eng.Err(); err != nil {
+		cs.Close()
+		sp.End()
+		return err
+	}
+	defer cs.Close()
+	rep.Candidates = cs.Len()
 	reg.Counter("blocking.candidates").Add(int64(rep.Candidates))
 	sp.End()
 
 	sp = root.Child("matching")
 	// Only Fellegi–Sunter training needs a pair slice; everything else
 	// consumes the packed set directly.
-	matcher, err := p.buildMatcher(d, func() []data.Pair {
-		if p.cfg.MaterializeCandidates {
-			return candidates
-		}
-		return cs.Pairs()
-	}, sp)
+	matcher, err := p.buildMatcher(d, cs.Pairs, sp)
 	if err != nil {
 		sp.End()
 		return err
 	}
-	scorer := matcher
-	if p.cfg.NoFeatureIndex {
-		scorer = linkage.NoIndex(matcher)
-	}
-	rep.Comparisons = rep.Candidates
-	switch {
-	case p.cfg.MaterializeCandidates && p.cfg.ComparisonBudget > 0:
-		rep.Matched, rep.Comparisons, err = linkage.MatchBudgetedCtx(ctx, d, linkage.PairSlice(candidates), scorer, p.cfg.ComparisonBudget, p.cfg.Workers, reg)
-	case p.cfg.MaterializeCandidates:
-		rep.Matched, err = linkage.MatchPairsCtx(ctx, d, candidates, scorer, p.cfg.Workers, reg)
-	case p.cfg.ComparisonBudget > 0:
-		// Budgeted progressive matching: consume the stream front-first
-		// and stop at the comparison budget.
-		rep.Matched, rep.Comparisons, err = linkage.MatchBudgetedCtx(ctx, d, cs, scorer, p.cfg.ComparisonBudget, p.cfg.Workers, reg)
-	case cs.Spilled():
-		// Spill-backed sets have no random access: stream them through
-		// the batched matcher (identical output, bounded pair memory).
-		rep.Matched, err = linkage.MatchStreamCtx(ctx, d, cs, scorer, p.cfg.Workers, reg)
-	default:
-		rep.Matched, err = linkage.MatchPairsFromCtx(ctx, d, cs, scorer, p.cfg.Workers, reg)
-	}
+	// One path for every candidate set: in memory or spilled, budgeted
+	// (ComparisonBudget > 0 stops front-first at the budget) or not.
+	rep.Matched, rep.Comparisons, err = linkage.MatchBudgetedCtx(ctx, d, cs, matcher, p.cfg.ComparisonBudget, p.cfg.Workers, reg)
 	if err != nil {
 		sp.End()
 		return fmt.Errorf("matching: %w", err)
@@ -654,11 +587,6 @@ func (p *Pipeline) buildMatcher(d *data.Dataset, candidates func() []data.Pair, 
 		if err != nil {
 			return nil, fmt.Errorf("core: training matcher: %w", err)
 		}
-		if p.cfg.NoFeatureIndex {
-			// Train attaches a feature index for its own EM passes; drop
-			// it so scoring goes through the uncached path.
-			cmp.AttachIndex(nil)
-		}
 		return &fsWithIdentifier{fs: fs, exact: p.cfg.IdentifierAttrs}, nil
 	}
 	return linkage.RuleMatcher{
@@ -673,11 +601,6 @@ func (p *Pipeline) buildMatcher(d *data.Dataset, candidates func() []data.Pair, 
 type fsWithIdentifier struct {
 	fs    *linkage.FellegiSunter
 	exact []string
-}
-
-// PrepareIndex implements linkage.IndexPreparer.
-func (m *fsWithIdentifier) PrepareIndex(d *data.Dataset, candidates []data.Pair) {
-	m.fs.PrepareIndex(d, candidates)
 }
 
 // PrepareIndexIDs implements linkage.IDIndexPreparer.
@@ -850,18 +773,6 @@ func topAttrs(d *data.Dataset, k int, exclude []string) []string {
 		out = append(out, ac.Attr)
 		if len(out) == k {
 			break
-		}
-	}
-	return out
-}
-
-func dedupePairs(ps []data.Pair) []data.Pair {
-	seen := map[data.Pair]bool{}
-	out := ps[:0:0]
-	for _, p := range ps {
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
 		}
 	}
 	return out

@@ -11,7 +11,6 @@ func TestConfigValidateRankFusion(t *testing.T) {
 	cases := []Config{
 		{RRFK: -1},
 		{ComparisonBudget: -5},
-		{RankFusion: true, MaterializeCandidates: true},
 	}
 	for i, cfg := range cases {
 		if err := cfg.Validate(); err == nil {

@@ -419,39 +419,12 @@ func (s *Stream) updateAccuracy(cs *data.ClaimSet, res *fusion.OnlineResult) {
 // set. It returns after every source is drained (with a final publish
 // and save) or on the first error.
 func (s *Stream) Run(ctx context.Context, fleet []source.Source, totals map[string]int) error {
-	metas := make(map[string]*data.Source, len(fleet))
-	for _, src := range fleet {
-		metas[src.Meta().ID] = src.Meta()
-	}
-	cursors := make(map[string]int, len(s.cursors))
-	for id, c := range s.cursors {
-		cursors[id] = c
-	}
-	str, err := source.NewStreamer(ctx, fleet, source.StreamConfig{
-		EpochSize: s.cfg.EpochSize,
-		Buffer:    s.cfg.Buffer,
-		Retries:   s.cfg.Retries,
-		Totals:    totals,
-		Cursors:   cursors,
-		StartSeq:  s.epoch,
-	})
+	str, err := source.NewStreamer(ctx, fleet, s.streamerConfig(totals))
 	if err != nil {
 		return err
 	}
-	defer str.Close()
-
-	for ep := range str.C {
-		if err := s.ApplyEpoch(metas, ep); err != nil {
-			return err
-		}
-		if err := s.afterEpoch(ctx); err != nil {
-			return err
-		}
-	}
-	if err := str.Err(); err != nil {
-		return err
-	}
-	return s.finish(ctx)
+	metas := fleetMetas(fleet)
+	return drain(ctx, s, str, str.C, func(ep source.Epoch) error { return s.ApplyEpoch(metas, ep) })
 }
 
 // RunDeltas drains a mutable fleet: delta watch → epoch batches →
@@ -460,29 +433,49 @@ func (s *Stream) Run(ctx context.Context, fleet []source.Source, totals map[stri
 // declares each source's canonical log length (mandatory for wrapped
 // sources; see StreamConfig.Totals).
 func (s *Stream) RunDeltas(ctx context.Context, fleet []source.DeltaSource, totals map[string]int) error {
-	metas := make(map[string]*data.Source, len(fleet))
-	for _, src := range fleet {
-		metas[src.Meta().ID] = src.Meta()
+	str, err := source.NewDeltaStreamer(ctx, fleet, s.streamerConfig(totals))
+	if err != nil {
+		return err
 	}
-	cursors := make(map[string]int, len(s.cursors))
-	for id, c := range s.cursors {
-		cursors[id] = c
-	}
-	str, err := source.NewDeltaStreamer(ctx, fleet, source.StreamConfig{
+	metas := fleetMetas(fleet)
+	return drain(ctx, s, str, str.C, func(ep source.DeltaEpoch) error { return s.ApplyDeltas(metas, ep) })
+}
+
+// streamerConfig positions a fleet streamer at this stream's resume
+// point: its persisted cursors and epoch numbering.
+func (s *Stream) streamerConfig(totals map[string]int) source.StreamConfig {
+	return source.StreamConfig{
 		EpochSize: s.cfg.EpochSize,
 		Buffer:    s.cfg.Buffer,
 		Retries:   s.cfg.Retries,
 		Totals:    totals,
-		Cursors:   cursors,
+		Cursors:   s.Cursors(),
 		StartSeq:  s.epoch,
-	})
-	if err != nil {
-		return err
 	}
-	defer str.Close()
+}
 
-	for ep := range str.C {
-		if err := s.ApplyDeltas(metas, ep); err != nil {
+func fleetMetas[S interface{ Meta() *data.Source }](fleet []S) map[string]*data.Source {
+	metas := make(map[string]*data.Source, len(fleet))
+	for _, src := range fleet {
+		metas[src.Meta().ID] = src.Meta()
+	}
+	return metas
+}
+
+// fleetStreamer is what drain needs of either source streamer besides
+// its epoch channel.
+type fleetStreamer interface {
+	Err() error
+	Close()
+}
+
+// drain is the consumer loop Run and RunDeltas share: apply every epoch
+// the streamer delivers, run the per-epoch tail, and on a clean drain
+// publish and persist the final state. It closes the streamer.
+func drain[E any](ctx context.Context, s *Stream, str fleetStreamer, epochs <-chan E, apply func(E) error) error {
+	defer str.Close()
+	for ep := range epochs {
+		if err := apply(ep); err != nil {
 			return err
 		}
 		if err := s.afterEpoch(ctx); err != nil {

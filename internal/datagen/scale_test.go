@@ -32,7 +32,7 @@ func TestScaleRecordsDeterministicAndShaped(t *testing.T) {
 	}
 	// After purging the vocabulary blocks, pairs come from the unique
 	// group tokens alone: NumRecords/GroupSize groups of C(8,2) pairs.
-	idx := blocking.NewEngine(a, 2).Blocks(blocking.TokenKey("title")).Purge(cfg.GroupSize)
+	idx := blocking.NewEngineOpts(a, blocking.Opts{Workers: 2}).Blocks(blocking.TokenKey("title")).Purge(cfg.GroupSize)
 	want := (1000 / 8) * (8 * 7 / 2)
 	if got := idx.CandidateSet().Len(); got != want {
 		t.Fatalf("purged pair count = %d, want %d", got, want)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"time"
 
 	"repro/internal/blocking"
@@ -202,7 +203,10 @@ func E5(seed int64) (*Table, *E5Result, error) {
 		res.F1[dirt] = map[string]float64{}
 		row := []string{d1(dirt)}
 		for _, m := range matchers {
-			matched := linkage.MatchPairs(d, cands, m.m, 4)
+			matched, err := linkage.MatchStreamCtx(context.Background(), d, linkage.PairSlice(cands), m.m, 4, nil)
+			if err != nil {
+				return nil, nil, err
+			}
 			var pred []data.Pair
 			for _, sp := range matched {
 				pred = append(pred, sp.Pair)
@@ -241,12 +245,14 @@ func E9(seed int64) (*Table, *E9Result, error) {
 		}
 	}
 	const reps = 5
-	run := func(m linkage.Matcher, w int) time.Duration {
+	run := func(m linkage.Matcher, w int) (time.Duration, error) {
 		start := time.Now()
 		for r := 0; r < reps; r++ {
-			linkage.MatchPairs(d, cands, m, w)
+			if _, err := linkage.MatchStreamCtx(context.Background(), d, linkage.PairSlice(cands), m, w, nil); err != nil {
+				return 0, err
+			}
 		}
-		return time.Since(start) / reps
+		return time.Since(start) / reps, nil
 	}
 	res := &E9Result{}
 	tab := &Table{
@@ -256,8 +262,14 @@ func E9(seed int64) (*Table, *E9Result, error) {
 	for _, w := range []int{1, 2, 4, 8} {
 		// The comparator must be fresh per variant: NoIndex only skips
 		// index preparation, an already-attached index would still be used.
-		el := run(matcher(), w)
-		elU := run(linkage.NoIndex(matcher()), w)
+		el, err := run(matcher(), w)
+		if err != nil {
+			return nil, nil, err
+		}
+		elU, err := run(linkage.NoIndex(matcher()), w)
+		if err != nil {
+			return nil, nil, err
+		}
 		tput := float64(len(cands)) / el.Seconds()
 		tputU := float64(len(cands)) / elU.Seconds()
 		res.Workers = append(res.Workers, w)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -35,7 +36,10 @@ func E6(seed int64) (*Table, *E6Result, error) {
 		Comparator: similarity.UniformComparator(similarity.Jaccard, "title"),
 		Threshold:  0.45,
 	}
-	edges := linkage.MatchPairs(d, cands, m, 4)
+	edges, err := linkage.MatchStreamCtx(context.Background(), d, linkage.PairSlice(cands), m, 4, nil)
+	if err != nil {
+		return nil, nil, err
+	}
 	var ids []string
 	for _, r := range records {
 		ids = append(ids, r.ID)
@@ -128,7 +132,10 @@ func E7(seed int64) (*Table, *E7Result, error) {
 		t0 = time.Now()
 		seen := all[:end]
 		cands := blocking.Standard{Key: blocking.TokenKey("title"), MaxBlock: 200}.Candidates(seen)
-		edges := linkage.MatchPairs(d, cands, matcher, 4)
+		edges, err := linkage.MatchStreamCtx(context.Background(), d, linkage.PairSlice(cands), matcher, 4, nil)
+		if err != nil {
+			return nil, nil, err
+		}
 		var ids []string
 		for _, r := range seen {
 			ids = append(ids, r.ID)
@@ -183,7 +190,10 @@ func E8(seed int64) (*Table, *E8Result, error) {
 		// Identifier-based linkage for the evidence.
 		records := d.Records()
 		cands := blocking.Standard{Key: blocking.AttrExactKey("pid")}.Candidates(records)
-		edges := linkage.MatchPairs(d, cands, linkage.RuleMatcher{Exact: []string{"pid"}}, 4)
+		edges, err := linkage.MatchStreamCtx(context.Background(), d, linkage.PairSlice(cands), linkage.RuleMatcher{Exact: []string{"pid"}}, 4, nil)
+		if err != nil {
+			return nil, nil, err
+		}
 		var ids []string
 		for _, r := range records {
 			ids = append(ids, r.ID)

@@ -180,34 +180,23 @@ func E12(seed int64) (*Table, *E12Result, error) {
 	return tab, res, nil
 }
 
-// E13Result is the structured output of E13. MatchingUncached and
-// MatchSpeedup compare the matching stage against a NoFeatureIndex
-// ablation run; BlockingMaterialized and BlockingSpeedup compare the
-// streaming interned blocking engine against the historical
-// materialized map-based path (MaterializeCandidates); FusionSeq and
+// E13Result is the structured output of E13. FusionSeq and
 // FusionSpeedup re-fuse the pipeline's claims on one worker vs the
 // default pool (byte-identical results either way).
 type E13Result struct {
-	Report               *core.Report
-	LinkageF1            float64
-	FusedItems           int
-	MatchingCached       time.Duration
-	MatchingUncached     time.Duration
-	MatchSpeedup         float64
-	BlockingStreamed     time.Duration
-	BlockingMaterialized time.Duration
-	BlockingSpeedup      float64
-	FusionSeq            time.Duration
-	FusionPar            time.Duration
-	FusionSpeedup        float64
+	Report        *core.Report
+	LinkageF1     float64
+	FusedItems    int
+	FusionSeq     time.Duration
+	FusionPar     time.Duration
+	FusionSpeedup float64
 }
 
 // E13 — end-to-end pipeline: stage timings and integration quality on a
-// full heterogeneous multi-category web. The pipeline runs three times —
-// default (feature cache on, streaming blocking engine), with
-// NoFeatureIndex, and with MaterializeCandidates — to report the
-// matching-stage speedup the cache buys and the blocking-stage speedup
-// the interned engine buys.
+// full heterogeneous multi-category web. (What the feature cache and
+// the interned blocking engine buy is measured where those layers are
+// exercised alone: E9's cached-vs-uncached columns and E3's
+// sequential-vs-engine columns.)
 func E13(seed int64) (*Table, *E13Result, error) {
 	w := datagen.NewWorld(datagen.WorldConfig{Seed: seed, NumEntities: 60})
 	web := datagen.BuildWeb(w, datagen.SourceConfig{
@@ -219,28 +208,10 @@ func E13(seed int64) (*Table, *E13Result, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	repU, err := core.New(core.Config{Fuser: "accucopy", NoFeatureIndex: true}).Run(web.Dataset)
-	if err != nil {
-		return nil, nil, err
-	}
-	repM, err := core.New(core.Config{Fuser: "accucopy", MaterializeCandidates: true}).Run(web.Dataset)
-	if err != nil {
-		return nil, nil, err
-	}
 	res := &E13Result{
-		Report:               rep,
-		LinkageF1:            eval.Clusters(rep.Clusters, web.Dataset.GroundTruthClusters()).F1,
-		FusedItems:           len(rep.Fusion.Values),
-		MatchingCached:       rep.StageTime["matching"],
-		MatchingUncached:     repU.StageTime["matching"],
-		BlockingStreamed:     rep.StageTime["blocking"],
-		BlockingMaterialized: repM.StageTime["blocking"],
-	}
-	if res.MatchingCached > 0 {
-		res.MatchSpeedup = float64(res.MatchingUncached) / float64(res.MatchingCached)
-	}
-	if res.BlockingStreamed > 0 {
-		res.BlockingSpeedup = float64(res.BlockingMaterialized) / float64(res.BlockingStreamed)
+		Report:     rep,
+		LinkageF1:  eval.Clusters(rep.Clusters, web.Dataset.GroundTruthClusters()).F1,
+		FusedItems: len(rep.Fusion.Values),
 	}
 	fuserSeq, err := core.BuildFuserWith("accucopy", 1)
 	if err != nil {
@@ -274,10 +245,6 @@ func E13(seed int64) (*Table, *E13Result, error) {
 		tab.Rows = append(tab.Rows, []string{stage + " time", rep.StageTime[stage].String()})
 	}
 	tab.Rows = append(tab.Rows,
-		[]string{"matching time (no feature cache)", res.MatchingUncached.String()},
-		[]string{"matching cache speedup", f3(res.MatchSpeedup) + "x"},
-		[]string{"blocking time (materialized path)", res.BlockingMaterialized.String()},
-		[]string{"blocking engine speedup", f3(res.BlockingSpeedup) + "x"},
 		[]string{"fusion time (1 worker)", res.FusionSeq.String()},
 		[]string{"fusion time (parallel engine)", res.FusionPar.String()},
 		[]string{"fusion parallel speedup", f3(res.FusionSpeedup) + "x"},

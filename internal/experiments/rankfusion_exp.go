@@ -9,7 +9,7 @@ import (
 )
 
 // E25Opts parameterises the rank-fusion evaluation. The zero value is
-// the committed BENCH_progressive.json configuration.
+// the configuration behind the EXPERIMENTS.md E25 table.
 type E25Opts struct {
 	Entities int     // workload entities (default 300)
 	Sources  int     // workload sources (default 14)
@@ -40,8 +40,7 @@ func (o *E25Opts) defaults() {
 	}
 }
 
-// E25Result is the structured output of E25 — the
-// BENCH_progressive.json baseline schema.
+// E25Result is the structured output of E25.
 type E25Result struct {
 	RRFK       float64 `json:"rrf_k"`
 	TotalPairs int     `json:"total_pairs"` // fused stream length (= union universe)
@@ -128,7 +127,7 @@ func E25RankFusion(seed int64, o E25Opts) (*Table, *E25Result, error) {
 	blockers := e25Blockers()
 
 	// Reference run: produce the ranked streams once, fuse, decode.
-	eng := blocking.NewEngine(records, 0)
+	eng := blocking.NewEngineOpts(records, blocking.Opts{})
 	streams := make([]blocking.RankedStream, len(blockers))
 	for i, b := range blockers {
 		streams[i] = b.Ranked(eng)
@@ -159,9 +158,9 @@ func E25RankFusion(seed int64, o E25Opts) (*Table, *E25Result, error) {
 	}
 
 	// Dominance: the fused ordering must match or beat every single
-	// blocker and the plain union at every budget. The committed
-	// baseline is only valid when this holds, so it is an error here,
-	// not just a table note.
+	// blocker and the plain union at every budget. The published table
+	// is only valid when this holds, so it is an error here, not just a
+	// table note.
 	const eps = 1e-12
 	for bi := range res.Budgets {
 		if res.Fused[bi]+eps < res.Union[bi] {

@@ -42,9 +42,7 @@ func (o *E24Opts) defaults() {
 	}
 }
 
-// E24Row is one (size, workers) cell of the scaling sweep. The JSON
-// form is the BENCH_blocking.json baseline schema future PRs compare
-// against.
+// E24Row is one (size, workers) cell of the scaling sweep.
 type E24Row struct {
 	Records int `json:"records"`
 	Workers int `json:"workers"`
@@ -116,7 +114,7 @@ func E24Scale(seed int64, o E24Opts) (*Table, *E24Result, error) {
 		// Unsharded in-memory reference: raw pair count, the dedup
 		// stream fingerprint, and the analytic pair-memory peak (the
 		// raw code slice plus the sorted clone dedup makes of it).
-		ref := blocking.NewEngine(recs, 0).Blocks(key).Purge(e24GroupSize)
+		ref := blocking.NewEngineOpts(recs, blocking.Opts{}).Blocks(key).Purge(e24GroupSize)
 		raw := ref.Comparisons()
 		refSet := ref.CandidateSet()
 		wantHash := pairStreamHash(refSet)

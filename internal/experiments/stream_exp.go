@@ -112,7 +112,10 @@ func E27(seed int64) (*Table, *E27Result, error) {
 		seen := st.Dataset().Records()
 		t0 = time.Now()
 		cands := blocking.Standard{Key: blocking.TokenKey("title"), MaxBlock: 200}.Candidates(seen)
-		edges := linkage.MatchPairs(st.Dataset(), cands, matcher, 4)
+		edges, err := linkage.MatchStreamCtx(context.Background(), st.Dataset(), linkage.PairSlice(cands), matcher, 4, nil)
+		if err != nil {
+			return nil, nil, err
+		}
 		ids := make([]string, 0, len(seen))
 		for _, r := range seen {
 			ids = append(ids, r.ID)

@@ -27,45 +27,6 @@ func budgetSample() (*data.Dataset, PairSlice, Matcher) {
 	return d, pairs, m
 }
 
-func TestMatchBudgetedStopsAtBudget(t *testing.T) {
-	d, pairs, m := budgetSample()
-	// Budget 2 covers only the first two stream pairs: (a,b) matches,
-	// (a,c) does not.
-	out, consumed, err := MatchBudgetedCtx(context.Background(), d, pairs, m, 2, 1, obs.NewRegistry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if consumed != 2 {
-		t.Fatalf("consumed = %d, want 2", consumed)
-	}
-	if len(out) != 1 || out[0].Pair != data.NewPair("a", "b") {
-		t.Fatalf("matched = %v, want just (a,b)", out)
-	}
-}
-
-func TestMatchBudgetedUnlimitedEqualsStreamMatcher(t *testing.T) {
-	d, pairs, m := budgetSample()
-	want, err := MatchStreamCtx(context.Background(), d, pairs, m, 1, obs.NewRegistry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) == 0 {
-		t.Fatal("stream matcher found nothing")
-	}
-	for _, budget := range []int{0, -1, len(pairs), len(pairs) + 10} {
-		out, consumed, err := MatchBudgetedCtx(context.Background(), d, pairs, m, budget, 1, obs.NewRegistry())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if consumed != len(pairs) {
-			t.Fatalf("budget %d: consumed = %d, want %d", budget, consumed, len(pairs))
-		}
-		if !slices.Equal(out, want) {
-			t.Fatalf("budget %d: matches diverged from MatchStreamCtx", budget)
-		}
-	}
-}
-
 func TestMatchBudgetedRecordsObsGauges(t *testing.T) {
 	d, pairs, m := budgetSample()
 	reg := obs.NewRegistry()

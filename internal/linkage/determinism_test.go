@@ -1,9 +1,9 @@
 package linkage
 
 import (
-	"fmt"
+	"context"
 	"reflect"
-	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/blocking"
@@ -15,9 +15,13 @@ import (
 // matchWorkload builds the seeded dirty-duplicate corpus used by the
 // determinism and cache-equivalence regressions.
 func matchWorkload(t testing.TB) (*data.Dataset, []data.Pair) {
+	return matchWorkloadN(t, 60)
+}
+
+func matchWorkloadN(t testing.TB, entities int) (*data.Dataset, []data.Pair) {
 	t.Helper()
 	w := datagen.NewWorld(datagen.WorldConfig{
-		Seed: 42, NumEntities: 60, Categories: []string{"camera"},
+		Seed: 42, NumEntities: entities, Categories: []string{"camera"},
 	})
 	web := datagen.BuildWeb(w, datagen.SourceConfig{
 		Seed: 43, NumSources: 10, DirtLevel: 2,
@@ -41,62 +45,90 @@ func workloadComparator() *similarity.RecordComparator {
 	)
 }
 
-func renderPairs(ps []data.ScoredPair) string {
-	s := ""
-	for _, p := range ps {
-		s += fmt.Sprintf("%s|%s|%.17g\n", p.A, p.B, p.Score)
+// refMatch is the sequential reference the matching loop is pinned to:
+// score the first budget pairs one at a time, keep the matches, sort.
+func refMatch(d *data.Dataset, pairs []data.Pair, m Matcher, budget int) ([]data.ScoredPair, int) {
+	if budget <= 0 || budget > len(pairs) {
+		budget = len(pairs)
 	}
-	return s
-}
-
-// TestMatchPairsDeterministicOnSeededWeb is the determinism
-// regression: byte-identical results for workers ∈ {1, 4, NumCPU} on a
-// seeded corpus, with and without the feature cache.
-func TestMatchPairsDeterministicOnSeededWeb(t *testing.T) {
-	d, cands := matchWorkload(t)
-	for _, variant := range []struct {
-		name string
-		mk   func() Matcher
-	}{
-		{"cached", func() Matcher {
-			return ThresholdMatcher{Comparator: workloadComparator(), Threshold: 0.6}
-		}},
-		{"uncached", func() Matcher {
-			return NoIndex(ThresholdMatcher{Comparator: workloadComparator(), Threshold: 0.6})
-		}},
-	} {
-		base := renderPairs(MatchPairs(d, cands, variant.mk(), 1))
-		if base == "" {
-			t.Fatalf("%s: no matches on the seeded corpus", variant.name)
-		}
-		for _, w := range []int{4, runtime.NumCPU()} {
-			if got := renderPairs(MatchPairs(d, cands, variant.mk(), w)); got != base {
-				t.Errorf("%s: workers=%d output differs from workers=1", variant.name, w)
+	var out []data.ScoredPair
+	for _, p := range pairs[:budget] {
+		if a, b := d.Record(p.A), d.Record(p.B); a != nil && b != nil {
+			if s, ok := m.Match(a, b); ok {
+				out = append(out, data.ScoredPair{Pair: p, Score: s})
 			}
 		}
 	}
+	sortScored(out)
+	return out, budget
 }
 
-// TestMatchPairsCachedEqualsUncached: the feature cache is a pure
-// optimisation — identical scores and decisions pair for pair.
-func TestMatchPairsCachedEqualsUncached(t *testing.T) {
-	d, cands := matchWorkload(t)
-	cached := MatchPairs(d, cands, ThresholdMatcher{Comparator: workloadComparator(), Threshold: 0.6}, 4)
-	uncached := MatchPairs(d, cands, NoIndex(ThresholdMatcher{Comparator: workloadComparator(), Threshold: 0.6}), 4)
-	if !reflect.DeepEqual(cached, uncached) {
-		t.Errorf("cached (%d pairs) and uncached (%d pairs) results differ", len(cached), len(uncached))
+// TestMatchIdentity pins the one matching loop to the sequential,
+// uncached reference for every way candidates reach it: a pair slice
+// (with a dangling pair), an in-memory candidate set and a spilled one,
+// at workers {1, 2, 8}, unlimited and under budgets below, at and above
+// the stream length, with and without the feature cache. The workload
+// spans several scoring batches.
+func TestMatchIdentity(t *testing.T) {
+	d, _ := matchWorkloadN(t, 200)
+	records := d.Records()
+	key := blocking.TokenKey("title")
+	mem := blocking.NewEngineOpts(records, blocking.Opts{}).Blocks(key).CandidateSet()
+	spillEng := blocking.NewEngineOpts(records, blocking.Opts{PairMemBudget: 1 << 12, SpillDir: t.TempDir()})
+	spilled := spillEng.Blocks(key).CandidateSet()
+	defer spilled.Close()
+	if !spilled.Spilled() || mem.Len() <= matchBatch {
+		t.Fatalf("workload too small: %d pairs, spilled=%v", mem.Len(), spilled.Spilled())
+	}
+	slice := append(PairSlice{data.NewPair(records[0].ID, "ghost")}, mem.Pairs()...)
+	newMatcher := func() Matcher { return ThresholdMatcher{Comparator: workloadComparator(), Threshold: 0.6} }
+	for _, src := range []struct {
+		name   string
+		stream PairStream
+		pairs  []data.Pair
+	}{{"slice", slice, slice}, {"memory", mem, mem.Pairs()}, {"spilled", spilled, mem.Pairs()}} {
+		n := len(src.pairs)
+		full, _ := refMatch(d, src.pairs, NoIndex(newMatcher()), 0)
+		third, _ := refMatch(d, src.pairs, NoIndex(newMatcher()), n/3)
+		if len(third) == 0 || len(third) == len(full) {
+			t.Fatalf("%s: budget n/3 does not separate the references (%d vs %d matches)", src.name, len(third), len(full))
+		}
+		for _, c := range []struct {
+			budget, consumed int
+			want             []data.ScoredPair
+		}{{0, n, full}, {-1, n, full}, {n / 3, n / 3, third}, {n, n, full}, {2 * n, n, full}} {
+			for _, workers := range []int{1, 2, 8} {
+				matchers := []Matcher{newMatcher()}
+				if workers == 2 && src.name == "slice" {
+					matchers = append(matchers, NoIndex(newMatcher())) // the cache never changes a score
+				}
+				for _, m := range matchers {
+					got, consumed, err := MatchBudgetedCtx(context.Background(), d, src.stream, m, c.budget, workers, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if consumed != c.consumed || !slices.Equal(got, c.want) {
+						t.Errorf("%s budget=%d workers=%d %T: consumed %d (want %d), %d matches (want %d) or order differs",
+							src.name, c.budget, workers, m, consumed, c.consumed, len(got), len(c.want))
+					}
+				}
+			}
+		}
+	}
+	if err := spillEng.Err(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestMatchPairsAttachesIndex: MatchPairs must prepare the comparator
-// index for IndexPreparer matchers and reuse a covering index.
-func TestMatchPairsAttachesIndex(t *testing.T) {
+// TestMatchAttachesIndex: matching must prepare the comparator index
+// for IDIndexPreparer matchers and reuse a covering index.
+func TestMatchAttachesIndex(t *testing.T) {
 	d, cands := matchWorkload(t)
 	cmp := workloadComparator()
-	MatchPairs(d, cands, ThresholdMatcher{Comparator: cmp, Threshold: 0.6}, 2)
+	matchAll(t, d, cands, ThresholdMatcher{Comparator: cmp, Threshold: 0.6}, 2)
 	idx := cmp.Index()
 	if idx == nil {
-		t.Fatal("MatchPairs did not attach a feature index")
+		t.Fatal("matching did not attach a feature index")
 	}
 	for _, p := range cands[:10] {
 		if !idx.Has(p.A) || !idx.Has(p.B) {
@@ -104,7 +136,7 @@ func TestMatchPairsAttachesIndex(t *testing.T) {
 		}
 	}
 	// A second batch over the same candidates must reuse the index.
-	MatchPairs(d, cands, ThresholdMatcher{Comparator: cmp, Threshold: 0.6}, 2)
+	matchAll(t, d, cands, ThresholdMatcher{Comparator: cmp, Threshold: 0.6}, 2)
 	if cmp.Index() != idx {
 		t.Error("covering index was rebuilt instead of reused")
 	}
@@ -126,12 +158,12 @@ func TestFellegiSunterCachedEqualsUncached(t *testing.T) {
 				t.Fatal(err)
 			}
 			fs.Comparator.AttachIndex(nil)
-			return MatchPairs(d, cands, NoIndex(fs), 4)
+			return matchAll(t, d, cands, NoIndex(fs), 4)
 		}
 		if err := fs.Train(d, cands, 10); err != nil {
 			t.Fatal(err)
 		}
-		return MatchPairs(d, cands, fs, 4)
+		return matchAll(t, d, cands, fs, 4)
 	}
 	if got, want := run(true), run(false); !reflect.DeepEqual(got, want) {
 		t.Errorf("FS cached (%d pairs) differs from uncached (%d pairs)", len(got), len(want))

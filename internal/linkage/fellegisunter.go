@@ -32,14 +32,9 @@ func NewFellegiSunter(c *similarity.RecordComparator) *FellegiSunter {
 	return &FellegiSunter{Comparator: c, AgreeAt: 0.8, Threshold: 0.9}
 }
 
-// PrepareIndex implements IndexPreparer: the comparison-vector path
-// (agreement vectors during EM training and posterior scoring) reads
-// the comparator's cached per-record features.
-func (fs *FellegiSunter) PrepareIndex(d *data.Dataset, candidates []data.Pair) {
-	PrepareComparatorIndex(fs.Comparator, d, candidates)
-}
-
-// PrepareIndexIDs implements IDIndexPreparer for the streaming path.
+// PrepareIndexIDs implements IDIndexPreparer: the comparison-vector
+// path (agreement vectors during EM training and posterior scoring)
+// reads the comparator's cached per-record features.
 func (fs *FellegiSunter) PrepareIndexIDs(d *data.Dataset, ids []string) {
 	PrepareComparatorIndexIDs(fs.Comparator, d, ids)
 }
@@ -80,7 +75,7 @@ func (fs *FellegiSunter) Train(d *data.Dataset, candidates []data.Pair, iteratio
 	if iterations <= 0 {
 		iterations = 20
 	}
-	fs.PrepareIndex(d, candidates)
+	fs.PrepareIndexIDs(d, PairSlice(candidates).RecordIDs())
 
 	scratch := make([]float64, k)
 	vectors := make([][]int, 0, len(candidates))

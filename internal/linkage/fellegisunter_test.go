@@ -112,7 +112,7 @@ func fsF1(t *testing.T, dirt int) float64 {
 	if err := fs.Train(d, cands, 15); err != nil {
 		t.Fatal(err)
 	}
-	matched := MatchPairs(d, cands, fs, 4)
+	matched := matchAll(t, d, cands, fs, 4)
 	var pred []data.Pair
 	for _, sp := range matched {
 		pred = append(pred, sp.Pair)

@@ -1,12 +1,7 @@
 package linkage
 
 import (
-	"context"
-	"sort"
-
 	"repro/internal/data"
-	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/similarity"
 )
 
@@ -16,81 +11,21 @@ type Matcher interface {
 	Match(a, b *data.Record) (score float64, match bool)
 }
 
-// IndexPreparer is implemented by matchers that can precompute
-// per-record comparison features (a similarity.FeatureIndex) before a
-// batch of pair evaluations. MatchPairs calls it once per batch so
-// every record is tokenized exactly once instead of once per candidate
-// pair.
-type IndexPreparer interface {
-	PrepareIndex(d *data.Dataset, candidates []data.Pair)
-}
-
-// IDIndexPreparer is the streaming-friendly variant of IndexPreparer:
-// the matcher precomputes per-record features from record IDs alone,
-// so a packed candidate source never has to materialise pair slices
-// just to warm the cache.
+// IDIndexPreparer is implemented by matchers that can precompute
+// per-record comparison features (a similarity.FeatureIndex) from
+// record IDs before a batch of pair evaluations, so every record is
+// tokenized once instead of once per candidate pair and a packed
+// candidate stream never has to materialise pair slices just to warm
+// the cache.
 type IDIndexPreparer interface {
 	PrepareIndexIDs(d *data.Dataset, ids []string)
 }
 
-// PairSource is a random-access, deduplicated candidate collection —
-// the streaming alternative to a materialised []data.Pair. The
-// blocking engine's CandidateSet implements it with packed uint64
-// codes, so large candidate sets reach the matcher without a pair
-// slice ever existing.
-type PairSource interface {
-	// Len returns the number of candidate pairs.
-	Len() int
-	// Pair decodes the i-th candidate.
-	Pair(i int) data.Pair
-	// RecordIDs returns the distinct record IDs the candidates
-	// reference (a superset is permitted).
-	RecordIDs() []string
-}
-
-// PrepareComparatorIndex builds a feature index over the records
-// referenced by candidates and attaches it to the comparator. It is a
-// no-op when the comparator is nil or its attached index already covers
-// every candidate record (so repeated batches over a stable corpus
-// reuse the cache). Not safe to call concurrently with matching.
-func PrepareComparatorIndex(c *similarity.RecordComparator, d *data.Dataset, candidates []data.Pair) {
-	if c == nil || len(c.Fields()) == 0 || len(candidates) == 0 {
-		return
-	}
-	if idx := c.Index(); idx != nil {
-		covered := true
-		for _, p := range candidates {
-			if !idx.Has(p.A) || !idx.Has(p.B) {
-				covered = false
-				break
-			}
-		}
-		if covered {
-			return
-		}
-	}
-	seen := make(map[string]bool, 2*len(candidates))
-	recs := make([]*data.Record, 0, 2*len(candidates))
-	add := func(id string) {
-		if seen[id] {
-			return
-		}
-		seen[id] = true
-		if r := d.Record(id); r != nil {
-			recs = append(recs, r)
-		}
-	}
-	for _, p := range candidates {
-		add(p.A)
-		add(p.B)
-	}
-	c.AttachIndex(similarity.BuildFeatureIndex(recs, c))
-}
-
-// PrepareComparatorIndexIDs is PrepareComparatorIndex for a known
-// record-ID set (the streaming path): no candidate pairs are needed to
-// decide what to index. IDs must be distinct; an attached index that
-// already covers them is kept.
+// PrepareComparatorIndexIDs builds a feature index over the given
+// records and attaches it to the comparator. It is a no-op when the
+// comparator is nil or its attached index already covers every ID (so
+// repeated batches over a stable corpus reuse the cache). IDs must be
+// distinct. Not safe to call concurrently with matching.
 func PrepareComparatorIndexIDs(c *similarity.RecordComparator, d *data.Dataset, ids []string) {
 	if c == nil || len(c.Fields()) == 0 || len(ids) == 0 {
 		return
@@ -116,7 +51,7 @@ func PrepareComparatorIndexIDs(c *similarity.RecordComparator, d *data.Dataset, 
 	c.AttachIndex(similarity.BuildFeatureIndex(recs, c))
 }
 
-// NoIndex hides a matcher's IndexPreparer implementation so MatchPairs
+// NoIndex hides a matcher's IDIndexPreparer implementation so matching
 // evaluates it without building the per-record feature cache — the
 // uncached baseline for benchmarks and ablations.
 func NoIndex(m Matcher) Matcher { return noIndexMatcher{m: m} }
@@ -136,11 +71,6 @@ type ThresholdMatcher struct {
 func (m ThresholdMatcher) Match(a, b *data.Record) (float64, bool) {
 	s := m.Comparator.Compare(a, b)
 	return s, s >= m.Threshold
-}
-
-// PrepareIndex implements IndexPreparer.
-func (m ThresholdMatcher) PrepareIndex(d *data.Dataset, candidates []data.Pair) {
-	PrepareComparatorIndex(m.Comparator, d, candidates)
 }
 
 // PrepareIndexIDs implements IDIndexPreparer.
@@ -174,217 +104,7 @@ func (m RuleMatcher) Match(a, b *data.Record) (float64, bool) {
 	return s, s >= m.Threshold
 }
 
-// PrepareIndex implements IndexPreparer.
-func (m RuleMatcher) PrepareIndex(d *data.Dataset, candidates []data.Pair) {
-	PrepareComparatorIndex(m.Comparator, d, candidates)
-}
-
 // PrepareIndexIDs implements IDIndexPreparer.
 func (m RuleMatcher) PrepareIndexIDs(d *data.Dataset, ids []string) {
 	PrepareComparatorIndexIDs(m.Comparator, d, ids)
-}
-
-// MatchPairs scores every candidate pair with the matcher, in parallel,
-// and returns the matching pairs with scores, sorted by descending
-// score then pair order (deterministic regardless of worker count).
-// Matchers implementing IndexPreparer get one PrepareIndex call before
-// the parallel phase, so per-record features are computed once per
-// batch instead of once per pair; wrap the matcher in NoIndex to opt
-// out.
-func MatchPairs(d *data.Dataset, candidates []data.Pair, m Matcher, workers int) []data.ScoredPair {
-	return MatchPairsObs(d, candidates, m, workers, nil)
-}
-
-// MatchPairsObs is MatchPairs with an attached metrics registry
-// recording "matching.comparisons" and "matching.matched". A nil
-// registry disables recording at no cost.
-func MatchPairsObs(d *data.Dataset, candidates []data.Pair, m Matcher, workers int, reg *obs.Registry) []data.ScoredPair {
-	return parallel.Must(MatchPairsCtx(nil, d, candidates, m, workers, reg))
-}
-
-// MatchPairsCtx is MatchPairsObs bound to a context: the parallel
-// scoring pass observes ctx at chunk boundaries and a cancellation (or
-// a recovered matcher panic) is returned as an error instead of
-// crashing or running to completion. A nil ctx never cancels.
-func MatchPairsCtx(ctx context.Context, d *data.Dataset, candidates []data.Pair, m Matcher, workers int, reg *obs.Registry) ([]data.ScoredPair, error) {
-	if ip, ok := m.(IndexPreparer); ok {
-		ip.PrepareIndex(d, candidates)
-	}
-	return matchAt(ctx, d, len(candidates), func(i int) data.Pair { return candidates[i] }, m, workers, reg)
-}
-
-// MatchPairsFrom is MatchPairs over a packed candidate source: pairs
-// are decoded on the fly inside the workers, so no []data.Pair is ever
-// materialised. Matchers implementing IDIndexPreparer warm their
-// feature cache from the source's record IDs; legacy IndexPreparer
-// matchers fall back to a one-off pair materialisation. Output is
-// identical to MatchPairs over src's pairs.
-func MatchPairsFrom(d *data.Dataset, src PairSource, m Matcher, workers int) []data.ScoredPair {
-	return MatchPairsFromObs(d, src, m, workers, nil)
-}
-
-// MatchPairsFromObs is MatchPairsFrom with an attached metrics registry
-// (see MatchPairsObs).
-func MatchPairsFromObs(d *data.Dataset, src PairSource, m Matcher, workers int, reg *obs.Registry) []data.ScoredPair {
-	return parallel.Must(MatchPairsFromCtx(nil, d, src, m, workers, reg))
-}
-
-// MatchPairsFromCtx is MatchPairsFromObs bound to a context (see
-// MatchPairsCtx). A nil ctx never cancels.
-func MatchPairsFromCtx(ctx context.Context, d *data.Dataset, src PairSource, m Matcher, workers int, reg *obs.Registry) ([]data.ScoredPair, error) {
-	switch ip := m.(type) {
-	case IDIndexPreparer:
-		ip.PrepareIndexIDs(d, src.RecordIDs())
-	case IndexPreparer:
-		pairs := make([]data.Pair, src.Len())
-		for i := range pairs {
-			pairs[i] = src.Pair(i)
-		}
-		ip.PrepareIndex(d, pairs)
-	}
-	return matchAt(ctx, d, src.Len(), src.Pair, m, workers, reg)
-}
-
-// PairStream is the emission-order streaming form of PairSource: a
-// deduplicated candidate collection that may live on disk (the
-// blocking engine's spilled CandidateSet) and therefore offers no
-// random access. The engine's in-memory CandidateSet implements both.
-type PairStream interface {
-	// Len returns the number of candidate pairs.
-	Len() int
-	// EmitPairs streams the candidates in emission order, stopping
-	// early when emit returns false.
-	EmitPairs(emit func(data.Pair) bool)
-	// RecordIDs returns the distinct record IDs the candidates
-	// reference (a superset is permitted).
-	RecordIDs() []string
-}
-
-// matchBatch is the streaming matcher's scoring-window size: pairs in
-// flight are bounded by it, so a spilled candidate stream reaches the
-// matcher without ever existing as a slice.
-const matchBatch = 1 << 16
-
-// MatchStreamCtx scores a streamed candidate source in bounded
-// batches: at most matchBatch decoded pairs exist at once, each batch
-// runs through the parallel scoring pass, and one final sort yields
-// output identical to MatchPairsFromCtx over the same candidates (the
-// ordering is total, so batching cannot reorder it). This is the
-// matching entry point for spill-backed candidate sets.
-//
-// Matchers implementing IDIndexPreparer warm their feature cache from
-// the stream's record IDs — the same global index the random-access
-// path builds, so scores are identical. A legacy IndexPreparer matcher
-// forces a one-off materialisation of the stream, surrendering the
-// memory bound but never correctness.
-func MatchStreamCtx(ctx context.Context, d *data.Dataset, src PairStream, m Matcher, workers int, reg *obs.Registry) ([]data.ScoredPair, error) {
-	switch ip := m.(type) {
-	case IDIndexPreparer:
-		ip.PrepareIndexIDs(d, src.RecordIDs())
-	case IndexPreparer:
-		pairs := make([]data.Pair, 0, src.Len())
-		src.EmitPairs(func(p data.Pair) bool {
-			pairs = append(pairs, p)
-			return true
-		})
-		ip.PrepareIndex(d, pairs)
-	}
-	reg = obs.OrDefault(reg)
-	n := src.Len()
-	reg.Counter("matching.comparisons").Add(int64(n))
-	var out []data.ScoredPair
-	var err error
-	batch := make([]data.Pair, 0, min(max(n, 1), matchBatch))
-	flush := func() bool {
-		if len(batch) == 0 || err != nil {
-			return err == nil
-		}
-		results := make([]data.ScoredPair, len(batch))
-		ok := make([]bool, len(batch))
-		err = parallel.ForEach(parallel.Config{Workers: workers, Obs: reg, Ctx: ctx}, len(batch), func(i int) {
-			p := batch[i]
-			a, b := d.Record(p.A), d.Record(p.B)
-			if a == nil || b == nil {
-				return
-			}
-			s, match := m.Match(a, b)
-			if match {
-				results[i] = data.ScoredPair{Pair: p, Score: s}
-				ok[i] = true
-			}
-		})
-		if err != nil {
-			return false
-		}
-		for i, keep := range ok {
-			if keep {
-				out = append(out, results[i])
-			}
-		}
-		batch = batch[:0]
-		return true
-	}
-	src.EmitPairs(func(p data.Pair) bool {
-		batch = append(batch, p)
-		if len(batch) == cap(batch) {
-			return flush()
-		}
-		return true
-	})
-	flush()
-	if err != nil {
-		return nil, err
-	}
-	reg.Counter("matching.matched").Add(int64(len(out)))
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
-	return out, nil
-}
-
-// matchAt scores n candidates supplied by at, in parallel, returning
-// accepted pairs sorted by descending score then pair order. Counters
-// are bumped once per batch, never per pair.
-func matchAt(ctx context.Context, d *data.Dataset, n int, at func(int) data.Pair, m Matcher, workers int, reg *obs.Registry) ([]data.ScoredPair, error) {
-	reg = obs.OrDefault(reg)
-	reg.Counter("matching.comparisons").Add(int64(n))
-	results := make([]data.ScoredPair, n)
-	ok := make([]bool, n)
-	if err := parallel.ForEach(parallel.Config{Workers: workers, Obs: reg, Ctx: ctx}, n, func(i int) {
-		p := at(i)
-		a, b := d.Record(p.A), d.Record(p.B)
-		if a == nil || b == nil {
-			return
-		}
-		s, match := m.Match(a, b)
-		if match {
-			results[i] = data.ScoredPair{Pair: p, Score: s}
-			ok[i] = true
-		}
-	}); err != nil {
-		return nil, err
-	}
-	out := make([]data.ScoredPair, 0, n)
-	for i, keep := range ok {
-		if keep {
-			out = append(out, results[i])
-		}
-	}
-	reg.Counter("matching.matched").Add(int64(len(out)))
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
-	return out, nil
 }

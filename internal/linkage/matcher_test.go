@@ -1,6 +1,7 @@
 package linkage
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -69,34 +70,20 @@ func TestRuleMatcherFallsBackToComparator(t *testing.T) {
 	}
 }
 
-func TestMatchPairsDeterministicAcrossWorkers(t *testing.T) {
-	d := linkageSample()
-	cands := []data.Pair{
-		data.NewPair("a", "b"), data.NewPair("a", "c"),
-		data.NewPair("a", "d"), data.NewPair("b", "d"), data.NewPair("c", "d"),
+// matchAll runs the unbudgeted matching door over a pair slice.
+func matchAll(t testing.TB, d *data.Dataset, cands []data.Pair, m Matcher, workers int) []data.ScoredPair {
+	t.Helper()
+	out, err := MatchStreamCtx(context.Background(), d, PairSlice(cands), m, workers, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	m := ThresholdMatcher{
-		Comparator: similarity.UniformComparator(similarity.Jaccard, "title"),
-		Threshold:  0.3,
-	}
-	base := MatchPairs(d, cands, m, 1)
-	for _, w := range []int{2, 4, 8} {
-		got := MatchPairs(d, cands, m, w)
-		if len(got) != len(base) {
-			t.Fatalf("workers=%d: %d pairs vs %d", w, len(got), len(base))
-		}
-		for i := range got {
-			if got[i] != base[i] {
-				t.Fatalf("workers=%d: result %d differs", w, i)
-			}
-		}
-	}
+	return out
 }
 
-func TestMatchPairsSkipsUnknownRecords(t *testing.T) {
+func TestMatchSkipsUnknownRecords(t *testing.T) {
 	d := linkageSample()
 	m := RuleMatcher{Exact: []string{"pid"}}
-	out := MatchPairs(d, []data.Pair{data.NewPair("a", "ghost")}, m, 2)
+	out := matchAll(t, d, []data.Pair{data.NewPair("a", "ghost")}, m, 2)
 	if len(out) != 0 {
 		t.Errorf("unknown record must be skipped, got %v", out)
 	}
@@ -129,7 +116,7 @@ func TestRuleMatcherOnGeneratedWeb(t *testing.T) {
 			}
 		}
 	}
-	matched := MatchPairs(d, cands, RuleMatcher{Exact: []string{"pid"}}, 4)
+	matched := matchAll(t, d, cands, RuleMatcher{Exact: []string{"pid"}}, 4)
 	clusters := ConnectedComponents{}.Cluster(ids, matched)
 	truth := d.GroundTruthClusters()
 	// Pairwise precision must be perfect (identifiers are unique);
@@ -170,9 +157,9 @@ func clusterPRF(pred, truth data.Clustering) prf {
 	return out
 }
 
-func TestMatchPairsEmptyCandidates(t *testing.T) {
+func TestMatchEmptyCandidates(t *testing.T) {
 	d := linkageSample()
-	if got := MatchPairs(d, nil, RuleMatcher{Exact: []string{"pid"}}, 3); len(got) != 0 {
+	if got := matchAll(t, d, nil, RuleMatcher{Exact: []string{"pid"}}, 3); len(got) != 0 {
 		t.Errorf("empty candidates = %v", got)
 	}
 }
@@ -194,7 +181,7 @@ func BenchmarkMatchPairs(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatchPairs(d, cands, m, 4)
+		matchAll(b, d, cands, m, 4)
 	}
 	_ = fmt.Sprint(len(cands))
 }

@@ -197,9 +197,18 @@ type resolveRequest struct {
 	K      int               `json:"k,omitempty"`
 }
 
+// maxResolveBody bounds the /resolve request body: a record to resolve
+// is a handful of attribute values, never megabytes.
+const maxResolveBody = 1 << 20
+
 func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 	var req resolveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxResolveBody)).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeErr(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooBig.Limit)
+			return
+		}
 		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

@@ -206,6 +206,29 @@ func TestResolveEndpoint(t *testing.T) {
 	}
 }
 
+// TestResolveHostileBodies: an oversized body is refused with 413 before
+// it is buffered, a truncated one with 400, and the server keeps serving.
+func TestResolveHostileBodies(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	huge := `{"values":{"title":"` + strings.Repeat("a", maxResolveBody) + `"}}`
+	for _, c := range []struct {
+		name, body string
+		want       int
+	}{
+		{"oversized", huge, http.StatusRequestEntityTooLarge},
+		{"oversized unterminated", `"` + strings.Repeat("a", 2*maxResolveBody), http.StatusRequestEntityTooLarge},
+		{"truncated", `{"values":{"title":"acme rock`, http.StatusBadRequest},
+		{"empty", ``, http.StatusBadRequest},
+	} {
+		if code, body := post(t, ts.URL+"/resolve", c.body); code != c.want {
+			t.Errorf("%s body: %d %s, want %d", c.name, code, body, c.want)
+		}
+	}
+	if code, _ := post(t, ts.URL+"/resolve", `{"values":{"title":"acme"}}`); code != http.StatusOK {
+		t.Errorf("resolve after hostile bodies: %d, want 200", code)
+	}
+}
+
 func TestSimilarEndpoint(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	id := srv.Snapshot().Entities()[0].ID

@@ -2,9 +2,7 @@ package source
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/data"
 )
@@ -111,40 +109,6 @@ func AsDeltaSources(srcs []Source) []DeltaSource {
 	return out
 }
 
-// pollWindow is the refetch-until-covered core shared by Watch and
-// DeltaWatch: it refetches src's canonical sequence (up to retries
-// extra attempts) until a payload covers [0, target), then returns the
-// window [cursor, target). Transient errors and short payloads consume
-// the budget; permanent errors and cancellation abort immediately.
-// Because a delivered window always comes from a payload that covered
-// it, content and order depend only on the canonical sequence — never
-// on the fault schedule.
-func pollWindow[T any](ctx context.Context, id string,
-	fetch func(context.Context) ([]T, error), cursor, target, retries int) ([]T, error) {
-	var lastErr error
-	for attempt := 0; attempt <= retries; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		items, err := fetch(ctx)
-		if err != nil {
-			if errors.Is(err, ErrPermanent) || ctx.Err() != nil {
-				return nil, err
-			}
-			lastErr = err
-			continue
-		}
-		if len(items) < target {
-			lastErr = fmt.Errorf("source: %s delivered %d items, need %d: %w",
-				id, len(items), target, ErrShortSource)
-			continue
-		}
-		return items[cursor:target], nil
-	}
-	return nil, fmt.Errorf("source: watch poll on %s exhausted %d attempts: %w",
-		id, retries+1, lastErr)
-}
-
 // DeltaEpoch is one batch of changes across the watched fleet — the
 // mutable-stream analogue of Epoch.
 type DeltaEpoch struct {
@@ -158,72 +122,15 @@ type DeltaEpoch struct {
 	Cursors map[string]int
 }
 
-// DeltaWatch is Watch over a change log: each Poll delivers the next
-// (at most) epochSize deltas of the source's canonical log with the
-// same refetch-until-covered determinism guarantee.
-type DeltaWatch struct {
-	src     DeltaSource
-	total   int
-	epoch   int
-	retries int
-	cursor  int
-}
+// DeltaWatch is the watch over a change log: each Poll delivers the
+// next (at most) epochSize deltas of the source's canonical log.
+type DeltaWatch = watch[Delta]
 
 // NewDeltaWatch builds a watch over src delivering epochSize deltas
 // per poll (default 100) with the given refetch budget (default 8;
 // negative means none). total declares the canonical log length.
 func NewDeltaWatch(src DeltaSource, total, epochSize, retries int) *DeltaWatch {
-	if epochSize <= 0 {
-		epochSize = 100
-	}
-	if retries == 0 {
-		retries = 8
-	}
-	if retries < 0 {
-		retries = 0
-	}
-	if total < 0 {
-		total = 0
-	}
-	return &DeltaWatch{src: src, total: total, epoch: epochSize, retries: retries}
-}
-
-// Meta returns the watched source's metadata.
-func (w *DeltaWatch) Meta() *data.Source { return w.src.Meta() }
-
-// Cursor reports how many deltas have been delivered so far.
-func (w *DeltaWatch) Cursor() int { return w.cursor }
-
-// Seek positions the cursor (clamped to [0, total]).
-func (w *DeltaWatch) Seek(cursor int) {
-	if cursor < 0 {
-		cursor = 0
-	}
-	if cursor > w.total {
-		cursor = w.total
-	}
-	w.cursor = cursor
-}
-
-// Done reports whether the whole log has been delivered.
-func (w *DeltaWatch) Done() bool { return w.cursor >= w.total }
-
-// Poll delivers the next batch of deltas; a drained watch returns
-// (nil, nil). Error classification matches Watch.Poll.
-func (w *DeltaWatch) Poll(ctx context.Context) ([]Delta, error) {
-	if w.Done() {
-		return nil, nil
-	}
-	target := w.cursor + w.epoch
-	if target > w.total {
-		target = w.total
-	}
-	batch, err := pollWindow(ctx, w.Meta().ID, w.src.FetchDeltas, w.cursor, target, w.retries)
-	if err != nil {
-		return nil, err
-	}
-	w.cursor = target
-	return batch, nil
+	return newWatch(src.Meta(), src.FetchDeltas, total, epochSize, retries)
 }
 
 // DeltaTotals maps each source ID to its declared log length —
@@ -240,98 +147,22 @@ func DeltaTotals(sources []DeltaSource) (map[string]int, error) {
 	return out, nil
 }
 
-// DeltaStreamer drives a fleet of delta watches exactly like Streamer
-// drives record watches: one producer polls every live watch per
-// epoch, bundles the changes into a DeltaEpoch and sends it on the
-// bounded channel C, closing on drain or first error.
-type DeltaStreamer struct {
-	// C delivers delta epochs in sequence order.
-	C <-chan DeltaEpoch
+// DeltaStreamer is the fleet streamer over change-log sources,
+// delivering DeltaEpochs.
+type DeltaStreamer = streamer[DeltaEpoch]
 
-	cancel context.CancelFunc
-	done   chan struct{}
-
-	mu  sync.Mutex
-	err error
-}
-
-// NewDeltaStreamer starts streaming the fleet. Sources are watched in
-// ascending ID order (duplicate IDs rejected). cfg.Totals declares
-// each source's log length; sources without an entry fall back to
-// len(Log) when the source is a *DeltaStatic.
+// NewDeltaStreamer starts streaming a delta fleet (see startFleet).
+// Sources without a cfg.Totals entry fall back to len(Log) when they
+// are a *DeltaStatic.
 func NewDeltaStreamer(ctx context.Context, sources []DeltaSource, cfg StreamConfig) (*DeltaStreamer, error) {
-	sorted, err := sortSources(sources)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Buffer <= 0 {
-		cfg.Buffer = 4
-	}
-	watches := make([]*DeltaWatch, 0, len(sorted))
-	for _, s := range sorted {
-		id := s.Meta().ID
-		total, ok := cfg.Totals[id]
-		if !ok {
-			st, isStatic := s.(*DeltaStatic)
-			if !isStatic {
-				return nil, fmt.Errorf("source: no declared total for watched delta source %q", id)
+	return startFleet(ctx, sources, cfg,
+		func(s DeltaSource) (func(context.Context) ([]Delta, error), int) {
+			if st, ok := s.(*DeltaStatic); ok {
+				return s.FetchDeltas, len(st.Log)
 			}
-			total = len(st.Log)
-		}
-		w := NewDeltaWatch(s, total, cfg.EpochSize, cfg.Retries)
-		if c, ok := cfg.Cursors[id]; ok {
-			w.Seek(c)
-		}
-		watches = append(watches, w)
-	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	ch := make(chan DeltaEpoch, cfg.Buffer)
-	str := &DeltaStreamer{C: ch, cancel: cancel, done: make(chan struct{})}
-	go func() {
-		defer close(str.done)
-		defer close(ch)
-		for seq := cfg.StartSeq; ; seq++ {
-			ep := DeltaEpoch{Seq: seq, Cursors: make(map[string]int, len(watches))}
-			for _, w := range watches {
-				ds, err := w.Poll(ctx)
-				if err != nil {
-					str.setErr(err)
-					return
-				}
-				ep.Deltas = append(ep.Deltas, ds...)
-				ep.Cursors[w.Meta().ID] = w.Cursor()
-			}
-			if len(ep.Deltas) == 0 {
-				return // every source drained
-			}
-			select {
-			case ch <- ep:
-			case <-ctx.Done():
-				str.setErr(ctx.Err())
-				return
-			}
-		}
-	}()
-	return str, nil
-}
-
-func (s *DeltaStreamer) setErr(err error) {
-	s.mu.Lock()
-	s.err = err
-	s.mu.Unlock()
-}
-
-// Err reports why the stream stopped: nil after a clean drain. Valid
-// once C is closed.
-func (s *DeltaStreamer) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
-
-// Close stops the producer and waits for it to exit.
-func (s *DeltaStreamer) Close() {
-	s.cancel()
-	<-s.done
+			return s.FetchDeltas, -1
+		},
+		func(seq int, deltas []Delta, cursors map[string]int) DeltaEpoch {
+			return DeltaEpoch{Seq: seq, Deltas: deltas, Cursors: cursors}
+		})
 }

@@ -2,7 +2,6 @@ package source
 
 import (
 	"context"
-	"errors"
 	"testing"
 
 	"repro/internal/data"
@@ -37,132 +36,6 @@ func TestAsDeltaSourceLiftsRecords(t *testing.T) {
 	for i, dl := range log {
 		if dl.Op != OpUpsert || dl.ID != want[i].ID || dl.Record != want[i] {
 			t.Fatalf("delta %d = %v, want upsert of %s", i, dl, want[i].ID)
-		}
-	}
-}
-
-func TestDeltaWatchDeliversCanonicalLog(t *testing.T) {
-	d := streamWeb(11)
-	srcs := d.Sources()
-	log, _ := Churn(d.SourceRecords(srcs[0].ID), ChurnConfig{Seed: 7, UpdateRate: 0.2, DeleteRate: 0.1})
-	ds := &DeltaStatic{Src: srcs[0], Log: log}
-
-	w := NewDeltaWatch(ds, len(log), 6, 0)
-	var got []Delta
-	for !w.Done() {
-		batch, err := w.Poll(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(batch) == 0 || len(batch) > 6 {
-			t.Fatalf("batch size %d", len(batch))
-		}
-		got = append(got, batch...)
-	}
-	if deltaFingerprint(got) != deltaFingerprint(log) {
-		t.Fatal("delivered log differs from canonical log")
-	}
-	if batch, err := w.Poll(context.Background()); batch != nil || err != nil {
-		t.Fatalf("drained watch: %v %v", batch, err)
-	}
-}
-
-// flakyDeltaSource fails its first n fetches transiently and truncates
-// the next m to a prefix, then behaves — the delta analogue of
-// flakySource.
-type flakyDeltaSource struct {
-	inner     *DeltaStatic
-	transient int
-	truncated int
-}
-
-func (f *flakyDeltaSource) Meta() *data.Source { return f.inner.Src }
-
-func (f *flakyDeltaSource) FetchDeltas(ctx context.Context) ([]Delta, error) {
-	if f.transient > 0 {
-		f.transient--
-		return nil, ErrTransient
-	}
-	if f.truncated > 0 {
-		f.truncated--
-		return f.inner.Log[:len(f.inner.Log)/2], nil
-	}
-	return f.inner.FetchDeltas(ctx)
-}
-
-func TestDeltaWatchRefetchesThroughFaults(t *testing.T) {
-	d := streamWeb(12)
-	srcs := d.Sources()
-	log, _ := Churn(d.SourceRecords(srcs[0].ID), ChurnConfig{Seed: 3, UpdateRate: 0.3, DeleteRate: 0.2})
-	static := &DeltaStatic{Src: srcs[0], Log: log}
-	total := len(log)
-
-	flaky := &flakyDeltaSource{inner: static, transient: 2, truncated: 2}
-	w := NewDeltaWatch(flaky, total, total, 8)
-	batch, err := w.Poll(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if deltaFingerprint(batch) != deltaFingerprint(log) {
-		t.Fatal("faulted delivery diverged from canonical log")
-	}
-
-	flaky = &flakyDeltaSource{inner: static, transient: 5}
-	w = NewDeltaWatch(flaky, total, total, 3)
-	if _, err := w.Poll(context.Background()); !errors.Is(err, ErrTransient) {
-		t.Fatalf("err = %v, want ErrTransient", err)
-	}
-	flaky = &flakyDeltaSource{inner: static, truncated: 50}
-	w = NewDeltaWatch(flaky, total, total, 3)
-	if _, err := w.Poll(context.Background()); !errors.Is(err, ErrShortSource) {
-		t.Fatalf("err = %v, want ErrShortSource", err)
-	}
-}
-
-func TestDeltaStreamerDeterministicAndResumable(t *testing.T) {
-	d := streamWeb(13)
-	fleet, totals, _ := ChurnSources(d, ChurnConfig{Seed: 9, UpdateRate: 0.15, DeleteRate: 0.1})
-
-	drain := func(cursors map[string]int, startSeq int) []DeltaEpoch {
-		str, err := NewDeltaStreamer(context.Background(), fleet, StreamConfig{
-			EpochSize: 8, Totals: totals, Cursors: cursors, StartSeq: startSeq,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer str.Close()
-		var eps []DeltaEpoch
-		for ep := range str.C {
-			eps = append(eps, ep)
-		}
-		if err := str.Err(); err != nil {
-			t.Fatal(err)
-		}
-		return eps
-	}
-
-	a, b := drain(nil, 0), drain(nil, 0)
-	if len(a) < 3 || len(a) != len(b) {
-		t.Fatalf("epoch counts %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Seq != i {
-			t.Errorf("epoch %d has seq %d", i, a[i].Seq)
-		}
-		if deltaFingerprint(a[i].Deltas) != deltaFingerprint(b[i].Deltas) {
-			t.Fatalf("epoch %d differs across runs", i)
-		}
-	}
-
-	// Resume from epoch k-1's cursors: the tail must match exactly.
-	k := len(a) / 2
-	resumed := drain(a[k-1].Cursors, k)
-	if len(resumed) != len(a)-k {
-		t.Fatalf("resumed %d epochs, want %d", len(resumed), len(a)-k)
-	}
-	for i, ep := range resumed {
-		if ep.Seq != a[k+i].Seq || deltaFingerprint(ep.Deltas) != deltaFingerprint(a[k+i].Deltas) {
-			t.Fatalf("resumed epoch %d differs from uninterrupted run", i)
 		}
 	}
 }
