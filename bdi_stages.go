@@ -195,9 +195,14 @@ type (
 	AttrProfiler = schema.Profiler
 	// LinkageEvidence derives alignment evidence from linked clusters.
 	LinkageEvidence = schema.LinkageEvidence
+	// AttrColumns is the interned attribute-column view of a dataset that
+	// linkage evidence, transform discovery and normalisation read.
+	AttrColumns = schema.Columns
 )
 
 var (
+	// NewAttrColumns builds the column view of a dataset under profiles.
+	NewAttrColumns = schema.NewColumns
 	// NewLinkageEvidence scans co-linked records for attribute agreement.
 	NewLinkageEvidence = schema.NewLinkageEvidence
 	// DiscoverTransforms finds unit conversions between aligned attrs.

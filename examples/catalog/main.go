@@ -121,19 +121,30 @@ func main() {
 	//     "weight" and "item weight" correspond despite the g-vs-kg
 	//     units, and transform discovery recovers the factor.
 	profiles := bdi.AttrProfiler{}.Build(d)
-	evidence := bdi.NewLinkageEvidence(d, clusters)
+	ctx := context.Background()
+	cols, err := bdi.NewAttrColumns(ctx, d, profiles)
+	if err != nil {
+		log.Fatal(err)
+	}
+	evidence, err := bdi.NewLinkageEvidence(ctx, cols, clusters, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	ms, err := bdi.SchemaAligner{Evidence: evidence.Blend, Threshold: 0.45}.Align(profiles)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nmediated schema:\n%s", ms)
-	transforms := bdi.DiscoverTransforms(d, clusters, ms, 2)
+	transforms, err := bdi.DiscoverTransforms(ctx, cols, clusters, ms, 2)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, t := range transforms {
 		fmt.Printf("unit transform: %s -> %s  x%.4g (support %d)\n", t.From, t.To, t.Scale, t.Support)
 	}
 
 	// --- Normalise and fuse: conflicting prices are resolved by vote.
-	normalized := bdi.NewSchemaNormalizer(ms, transforms).ApplyAll(d)
+	normalized := bdi.NewSchemaNormalizer(ms, transforms).ApplyAll(cols)
 	var attrs []string
 	for _, ma := range ms.Attrs {
 		attrs = append(attrs, ma.Name)

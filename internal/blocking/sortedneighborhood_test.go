@@ -37,11 +37,11 @@ func TestSortedNeighborhoodWindowBoundaries(t *testing.T) {
 		window int
 		want   int
 	}{
-		{window: 2, want: n - 1},                 // adjacent pairs only
-		{window: 3, want: (n - 1) + (n - 2)},     // two diagonals
-		{window: n, want: n * (n - 1) / 2},       // exactly all pairs
-		{window: n + 1, want: n * (n - 1) / 2},   // over-sized: still all pairs
-		{window: 100, want: n * (n - 1) / 2},     // far over-sized
+		{window: 2, want: n - 1},                                 // adjacent pairs only
+		{window: 3, want: (n - 1) + (n - 2)},                     // two diagonals
+		{window: n, want: n * (n - 1) / 2},                       // exactly all pairs
+		{window: n + 1, want: n * (n - 1) / 2},                   // over-sized: still all pairs
+		{window: 100, want: n * (n - 1) / 2},                     // far over-sized
 		{window: 0, want: (n - 1) + (n - 2) + (n - 3) + (n - 4)}, // default w=5
 		{window: 1, want: (n - 1) + (n - 2) + (n - 3) + (n - 4)}, // <2 ⇒ default w=5
 	}

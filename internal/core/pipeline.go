@@ -632,37 +632,25 @@ func (p *Pipeline) buildClusterer() linkage.Clusterer {
 	}
 }
 
-// alignStage: profiling → (optional linkage evidence) → mediated schema
-// → transforms → normalisation.
+// alignStage: profiling → column view → (optional linkage evidence) →
+// mediated schema → transforms → normalisation. Every phase takes ctx.
 func (p *Pipeline) alignStage(ctx context.Context, d *data.Dataset, rep *Report, clusters data.Clustering, root *obs.Span) error {
 	reg := p.reg()
 	sp := root.Child("alignment")
 	defer sp.End()
-	// Alignment's phases are sequential and cheap relative to linkage and
-	// fusion, so cancellation is checked at phase boundaries rather than
-	// threaded into the profiler.
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	sub := sp.Child("align")
-	profiles := schema.Profiler{}.Build(d)
-	aligner := schema.Aligner{Threshold: p.cfg.AlignThreshold, Ctx: ctx}
-	if clusters != nil {
-		le := schema.NewLinkageEvidence(d, clusters)
-		aligner.Evidence = le.Blend
-	}
-	ms, err := aligner.Align(profiles)
+	cols, ms, err := p.align(ctx, d, clusters)
 	sub.End()
 	if err != nil {
 		return fmt.Errorf("schema alignment: %w", err)
 	}
 	rep.Schema = ms
 	if clusters != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 		sub = sp.Child("transforms")
-		rep.Transforms, err = schema.DiscoverTransformsCtx(ctx, d, clusters, ms, 3)
+		rep.Transforms, err = schema.DiscoverTransforms(ctx, cols, clusters, ms, 3)
 		sub.End()
 		if err != nil {
 			return fmt.Errorf("transform discovery: %w", err)
@@ -672,12 +660,31 @@ func (p *Pipeline) alignStage(ctx context.Context, d *data.Dataset, rep *Report,
 		return err
 	}
 	sub = sp.Child("normalize")
-	norm := schema.NewNormalizer(ms, rep.Transforms)
-	rep.Normalized = norm.ApplyAll(d)
+	rep.Normalized = schema.NewNormalizer(ms, rep.Transforms).ApplyAll(cols)
 	sub.End()
 	reg.Counter("alignment.mediated_attrs").Add(int64(len(ms.Attrs)))
 	reg.Counter("alignment.transforms").Add(int64(len(rep.Transforms)))
 	return nil
+}
+
+// align profiles d, builds the column view the whole stage reads and
+// clusters the profiles, under linkage evidence when clusters are given.
+func (p *Pipeline) align(ctx context.Context, d *data.Dataset, clusters data.Clustering) (*schema.Columns, *schema.MediatedSchema, error) {
+	profiles := schema.Profiler{}.Build(d)
+	cols, err := schema.NewColumns(ctx, d, profiles)
+	if err != nil {
+		return nil, nil, err
+	}
+	aligner := schema.Aligner{Evidence: cols.Combined, Threshold: p.cfg.AlignThreshold, Ctx: ctx, Workers: p.cfg.Workers}
+	if clusters != nil {
+		le, err := schema.NewLinkageEvidence(ctx, cols, clusters, p.cfg.Workers)
+		if err != nil {
+			return nil, nil, err
+		}
+		aligner.Evidence = le.Blend
+	}
+	ms, err := aligner.Align(profiles)
+	return cols, ms, err
 }
 
 // fuseStage: claims over (cluster, mediated attribute) → fusion.

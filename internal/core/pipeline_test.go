@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/data"
@@ -334,5 +335,35 @@ func TestOrderStringUnknown(t *testing.T) {
 	}
 	if got := Order(7).String(); got != "order(7)" {
 		t.Errorf("Order(7) = %q, must not masquerade as a valid ordering", got)
+	}
+}
+
+// TestPipelineAlignmentIdenticalAcrossWorkers: the alignment stage shards
+// its evidence scan and fills its matrix on the worker pool; its three
+// products must not depend on how many workers there are, under either
+// stage order.
+func TestPipelineAlignmentIdenticalAcrossWorkers(t *testing.T) {
+	web := testWeb(t, 1, 0.9)
+	for _, order := range []Order{LinkageFirst, SchemaFirst} {
+		var want *Report
+		for _, workers := range []int{1, 2, 8} {
+			rep, err := New(Config{Order: order, Workers: workers}).Run(web.Dataset)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = rep
+				continue
+			}
+			if !reflect.DeepEqual(rep.Schema, want.Schema) {
+				t.Errorf("%v workers=%d: mediated schema differs from workers=1", order, workers)
+			}
+			if !reflect.DeepEqual(rep.Transforms, want.Transforms) {
+				t.Errorf("%v workers=%d: transforms differ from workers=1", order, workers)
+			}
+			if !reflect.DeepEqual(rep.Normalized.Records(), want.Normalized.Records()) {
+				t.Errorf("%v workers=%d: normalised records differ from workers=1", order, workers)
+			}
+		}
 	}
 }

@@ -310,7 +310,7 @@ func (s *Snapshot) Resolve(rec *data.Record, k int) ([]Hit, error) {
 	if err != nil {
 		return nil, err
 	}
-	if rec == nil || len(rec.Attrs()) == 0 {
+	if rec == nil || len(rec.Fields) == 0 {
 		return nil, fmt.Errorf("core: empty record")
 	}
 	// Text probe: distinct words across every string value.

@@ -278,7 +278,7 @@ func E9(seed int64) (*Table, *E9Result, error) {
 		res.UncachedThroughput = append(res.UncachedThroughput, tputU)
 		res.Speedup = append(res.Speedup, tput/tputU)
 		tab.Rows = append(tab.Rows, []string{
-			d1(w), d1(len(cands)), el.String(), f3(tput), f3(tputU), f3(tput / tputU) + "x",
+			d1(w), d1(len(cands)), el.String(), f3(tput), f3(tputU), f3(tput/tputU) + "x",
 		})
 	}
 	tab.Notes = "feature cache tokenises each record once per batch instead of once per pair; throughput should also rise with workers until cores saturate"

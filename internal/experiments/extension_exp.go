@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/blocking"
@@ -154,7 +155,14 @@ func E17(seed int64) (*Table, *E17Result, error) {
 		res.AlignFull += AlignmentF1(web, rep.Schema)
 
 		profiles := schema.Profiler{}.Build(web.Dataset)
-		le := schema.NewLinkageEvidence(web.Dataset, rep.Clusters)
+		cols, err := schema.NewColumns(context.Background(), web.Dataset, profiles)
+		if err != nil {
+			return nil, nil, err
+		}
+		le, err := schema.NewLinkageEvidence(context.Background(), cols, rep.Clusters, 0)
+		if err != nil {
+			return nil, nil, err
+		}
 		msNoRatio, err := (schema.Aligner{Evidence: le.BlendAgreementOnly, Threshold: 0.5}).Align(profiles)
 		if err != nil {
 			return nil, nil, err

@@ -201,7 +201,14 @@ func E8(seed int64) (*Table, *E8Result, error) {
 		clusters := linkage.ConnectedComponents{}.Cluster(ids, edges)
 
 		profiles := schema.Profiler{}.Build(d)
-		le := schema.NewLinkageEvidence(d, clusters)
+		cols, err := schema.NewColumns(context.Background(), d, profiles)
+		if err != nil {
+			return nil, nil, err
+		}
+		le, err := schema.NewLinkageEvidence(context.Background(), cols, clusters, 0)
+		if err != nil {
+			return nil, nil, err
+		}
 		withLE, err := schema.Aligner{Evidence: le.Blend, Threshold: 0.5}.Align(profiles)
 		if err != nil {
 			return nil, nil, err

@@ -73,8 +73,8 @@ func e25Blockers() []blocking.RankedBlocker {
 		blocking.RankedKey{Name: "qgram", Key: blocking.QGramKey("title", 3), MaxBlock: 200},
 		blocking.RankedMinHash{Name: "minhash", MinHash: blocking.MinHashLSH{Attrs: []string{"title", "pid"}}},
 		blocking.RankedSortedNeighborhood{
-			Name: "sortedneighborhood",
-			Keys: []blocking.KeyFunc{blocking.AttrExactKey("pid"), blocking.AttrExactKey("title")},
+			Name:   "sortedneighborhood",
+			Keys:   []blocking.KeyFunc{blocking.AttrExactKey("pid"), blocking.AttrExactKey("title")},
 			Window: 5,
 		},
 		blocking.RankedKey{Name: "phonetic", Key: blocking.PhoneticKey("title", "soundex"), MaxBlock: 200},
@@ -91,7 +91,7 @@ func e25Union(records []*data.Record) []data.Pair {
 		blocking.Standard{Key: blocking.QGramKey("title", 3), MaxBlock: 200}.Candidates(records),
 		blocking.MinHashLSH{Attrs: []string{"title", "pid"}}.Candidates(records),
 		blocking.SortedNeighborhood{
-			Keys: []blocking.KeyFunc{blocking.AttrExactKey("pid"), blocking.AttrExactKey("title")},
+			Keys:   []blocking.KeyFunc{blocking.AttrExactKey("pid"), blocking.AttrExactKey("title")},
 			Window: 5,
 		}.Candidates(records),
 		blocking.Standard{Key: blocking.PhoneticKey("title", "soundex"), MaxBlock: 200}.Candidates(records),

@@ -54,7 +54,7 @@ type E24Row struct {
 	BudgetBytes        int64 `json:"budget_bytes"`         // pair-memory budget of the spilled run
 	PeakHeapBytes      int64 `json:"peak_heap_bytes"`      // sampled heap high-water during the spilled run
 
-	SpillRuns     int64 `json:"spill_runs"`      // phase-A run files
+	SpillRuns     int64 `json:"spill_runs"`       // phase-A run files
 	SpillMergeRun int64 `json:"spill_merge_runs"` // phase-C emission runs
 	Merges        int64 `json:"merges"`           // k-way merges performed
 

@@ -303,7 +303,7 @@ func ForEachPair(cfg Config, n int, f func(k, i, j int)) error {
 		return nil
 	}
 	// rowStart(i) = number of pairs whose first element precedes i.
-	rowStart := func(i int) int { return i*(2*n-i-1) / 2 }
+	rowStart := func(i int) int { return i * (2*n - i - 1) / 2 }
 	total := rowStart(n - 1)
 	return ForEach(cfg, total, func(k int) {
 		lo, hi := 0, n-2

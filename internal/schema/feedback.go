@@ -129,3 +129,12 @@ func (fb Feedback) Run(profiles []*Profile, oracle Oracle) (*FeedbackResult, err
 	res.Schema = ms
 	return res, nil
 }
+
+// pairKey orders two source attributes by (source, attribute), the key
+// of an unordered correspondence.
+func pairKey(a, b SourceAttr) [2]SourceAttr {
+	if b.Source < a.Source || (b.Source == a.Source && b.Attr < a.Attr) {
+		a, b = b, a
+	}
+	return [2]SourceAttr{a, b}
+}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/parallel"
 )
 
 // MediatedAttr is one attribute of the mediated (global) schema: a
@@ -50,7 +52,8 @@ type AttrMapping struct {
 // Aligner clusters source-attribute profiles into a mediated schema by
 // greedy agglomerative clustering under a match-evidence function.
 type Aligner struct {
-	// Evidence scores profile pairs; default Combined.
+	// Evidence scores profile pairs; default Combined. It is evaluated
+	// once per unordered profile pair, from Workers goroutines.
 	Evidence MatchEvidence
 	// Threshold: minimum evidence to merge two clusters (average
 	// linkage). Default 0.5.
@@ -58,6 +61,9 @@ type Aligner struct {
 	// Ctx cancels the alignment between matrix rows and agglomeration
 	// rounds; nil never cancels.
 	Ctx context.Context
+	// Workers bounds the goroutines filling the evidence matrix
+	// (0 = NumCPU). The schema is identical for any worker count.
+	Workers int
 }
 
 // Align builds the mediated schema from profiles.
@@ -78,83 +84,23 @@ func (al Aligner) Align(profiles []*Profile) (*MediatedSchema, error) {
 		threshold = 0.5
 	}
 
+	sim, err := evidenceMatrix(ctx, profiles, evidence, al.Workers)
+	if err != nil {
+		return nil, err
+	}
+	ag := newAgglomeration(profiles, sim)
+	if err := ag.run(ctx, threshold); err != nil {
+		return nil, err
+	}
+
 	n := len(profiles)
-	// Pairwise evidence matrix (symmetric).
-	sim := make([][]float64, n)
-	for i := range sim {
-		sim[i] = make([]float64, n)
+	type keyed struct {
+		ma    *MediatedAttr
+		first string // firstMember(ma).String(), the order's tie-break
 	}
-	for i := 0; i < n; i++ {
-		// The evidence matrix and the agglomeration below dominate
-		// alignment wall time, so the row and the round are the
-		// cancellation granularity for this stage.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		for j := i + 1; j < n; j++ {
-			s := evidence(profiles[i], profiles[j])
-			sim[i][j], sim[j][i] = s, s
-		}
-	}
-
-	// Greedy average-linkage agglomeration.
-	clusters := make([][]int, n)
-	for i := range clusters {
-		clusters[i] = []int{i}
-	}
-	active := make([]bool, n)
-	for i := range active {
-		active[i] = true
-	}
-	avgLink := func(a, b []int) float64 {
-		var sum float64
-		cnt := 0
-		for _, i := range a {
-			for _, j := range b {
-				// Attributes of the same source must not merge.
-				if profiles[i].Source == profiles[j].Source {
-					return -1
-				}
-				sum += sim[i][j]
-				cnt++
-			}
-		}
-		if cnt == 0 {
-			return 0
-		}
-		return sum / float64(cnt)
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		bestI, bestJ, bestS := -1, -1, threshold
-		for i := 0; i < n; i++ {
-			if !active[i] {
-				continue
-			}
-			for j := i + 1; j < n; j++ {
-				if !active[j] {
-					continue
-				}
-				if s := avgLink(clusters[i], clusters[j]); s >= bestS {
-					bestI, bestJ, bestS = i, j, s
-				}
-			}
-		}
-		if bestI < 0 {
-			break
-		}
-		clusters[bestI] = append(clusters[bestI], clusters[bestJ]...)
-		active[bestJ] = false
-	}
-
-	ms := &MediatedSchema{Of: map[SourceAttr]int{}}
-	for ci := 0; ci < n; ci++ {
-		if !active[ci] {
-			continue
-		}
-		members := clusters[ci]
+	var attrs []keyed
+	for _, ci := range ag.active {
+		members := ag.clusters[ci]
 		ma := &MediatedAttr{Members: map[SourceAttr]float64{}}
 		// Membership probability: each member's mean evidence toward the
 		// rest of the cluster (1 for singletons).
@@ -164,7 +110,7 @@ func (al Aligner) Align(profiles []*Profile) (*MediatedSchema, error) {
 				var sum float64
 				for _, j := range members {
 					if i != j {
-						sum += sim[i][j]
+						sum += sim[i*n+j]
 					}
 				}
 				p = sum / float64(len(members)-1)
@@ -178,33 +124,163 @@ func (al Aligner) Align(profiles []*Profile) (*MediatedSchema, error) {
 			ma.Members[profiles[i].SourceAttr] = p
 		}
 		ma.Name = clusterName(profiles, members)
-		ms.Attrs = append(ms.Attrs, ma)
+		attrs = append(attrs, keyed{ma, firstMember(ma).String()})
 	}
 	// Deterministic attr order: by name then first member.
-	sort.Slice(ms.Attrs, func(i, j int) bool {
-		if ms.Attrs[i].Name != ms.Attrs[j].Name {
-			return ms.Attrs[i].Name < ms.Attrs[j].Name
+	sort.Slice(attrs, func(i, j int) bool {
+		if attrs[i].ma.Name != attrs[j].ma.Name {
+			return attrs[i].ma.Name < attrs[j].ma.Name
 		}
-		return firstMember(ms.Attrs[i]).String() < firstMember(ms.Attrs[j]).String()
+		return attrs[i].first < attrs[j].first
 	})
-	for idx, ma := range ms.Attrs {
-		for sa := range ma.Members {
+	ms := &MediatedSchema{Of: map[SourceAttr]int{}}
+	for idx, k := range attrs {
+		ms.Attrs = append(ms.Attrs, k.ma)
+		for sa := range k.ma.Members {
 			ms.Of[sa] = idx
 		}
 	}
 	return ms, nil
 }
 
-func firstMember(ma *MediatedAttr) SourceAttr {
-	var keys []string
-	back := map[string]SourceAttr{}
-	for sa := range ma.Members {
-		k := sa.String()
-		keys = append(keys, k)
-		back[k] = sa
+// evidenceMatrix evaluates evidence once per unordered profile pair into
+// a symmetric row-major n×n matrix. Rows are independent, so they are
+// filled in parallel; a row is the cancellation granularity.
+func evidenceMatrix(ctx context.Context, profiles []*Profile, evidence MatchEvidence, workers int) ([]float64, error) {
+	n := len(profiles)
+	sim := make([]float64, n*n)
+	err := parallel.ForEach(parallel.Config{Workers: workers, Ctx: ctx}, n, func(i int) {
+		if ctx.Err() != nil {
+			return
+		}
+		for j := i + 1; j < n; j++ {
+			s := evidence(profiles[i], profiles[j])
+			sim[i*n+j], sim[j*n+i] = s, s
+		}
+	})
+	if err == nil {
+		// Rows skipped above leave ForEach nothing to report.
+		err = ctx.Err()
 	}
-	sort.Strings(keys)
-	return back[keys[0]]
+	if err != nil {
+		return nil, err
+	}
+	return sim, nil
+}
+
+// agglomeration is greedy average-linkage clustering over an evidence
+// matrix with a cached linkage matrix: link holds avgLink for every live
+// cluster pair, a round reads it to find the pair to merge, and only the
+// merged cluster's row is recomputed. Each entry is always the value of
+// one whole avgLink call over the current member lists, in the same
+// summation order a full rescan would use, so every comparison a round
+// makes is bit for bit the one the rescan makes.
+type agglomeration struct {
+	n        int
+	sim      []float64 // n×n evidence
+	source   []uint32  // dense source index per profile
+	clusters [][]int   // member profile indexes per cluster slot
+	active   []int     // live cluster slots, ascending
+	link     []float64 // n×n; link[i*n+j] = avgLink(i, j) for live i < j
+	evals    int       // avgLink evaluations so far
+}
+
+func newAgglomeration(profiles []*Profile, sim []float64) *agglomeration {
+	n := len(profiles)
+	ag := &agglomeration{
+		n:        n,
+		sim:      sim,
+		source:   make([]uint32, n),
+		clusters: make([][]int, n),
+		active:   make([]int, n),
+		link:     make([]float64, n*n),
+	}
+	sources := map[string]uint32{}
+	for i, p := range profiles {
+		id, ok := sources[p.Source]
+		if !ok {
+			id = uint32(len(sources))
+			sources[p.Source] = id
+		}
+		ag.source[i] = id
+		ag.clusters[i] = []int{i}
+		ag.active[i] = i
+	}
+	return ag
+}
+
+// avgLink is the mean evidence between the members of clusters a and b,
+// -1 when they hold attributes of one source (which must not merge).
+func (ag *agglomeration) avgLink(a, b int) float64 {
+	ag.evals++
+	var sum float64
+	cnt := 0
+	for _, i := range ag.clusters[a] {
+		row := ag.sim[i*ag.n : (i+1)*ag.n]
+		for _, j := range ag.clusters[b] {
+			if ag.source[i] == ag.source[j] {
+				return -1
+			}
+			sum += row[j]
+			cnt++
+		}
+	}
+	if cnt == 0 {
+		return 0
+	}
+	return sum / float64(cnt)
+}
+
+// run merges until no live pair reaches threshold. Among maximal pairs
+// the last in (i, j) scan order wins, as `>=` decides.
+func (ag *agglomeration) run(ctx context.Context, threshold float64) error {
+	n := ag.n
+	for ai, i := range ag.active {
+		for _, j := range ag.active[ai+1:] {
+			ag.link[i*n+j] = ag.avgLink(i, j)
+		}
+	}
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		bestI, bestJ, bestS := -1, -1, threshold
+		for ai, i := range ag.active {
+			row := ag.link[i*n : (i+1)*n]
+			for _, j := range ag.active[ai+1:] {
+				if s := row[j]; s >= bestS {
+					bestI, bestJ, bestS = i, j, s
+				}
+			}
+		}
+		if bestI < 0 {
+			return nil
+		}
+		ag.clusters[bestI] = append(ag.clusters[bestI], ag.clusters[bestJ]...)
+		at := sort.SearchInts(ag.active, bestJ)
+		ag.active = append(ag.active[:at], ag.active[at+1:]...)
+		for _, k := range ag.active {
+			switch {
+			case k < bestI:
+				ag.link[k*n+bestI] = ag.avgLink(k, bestI)
+			case k > bestI:
+				ag.link[bestI*n+k] = ag.avgLink(bestI, k)
+			}
+		}
+	}
+}
+
+// firstMember returns the member whose "source/attr" rendering sorts
+// first.
+func firstMember(ma *MediatedAttr) SourceAttr {
+	var first SourceAttr
+	var key string
+	for sa := range ma.Members {
+		if k := sa.String(); key == "" || k < key {
+			first, key = sa, k
+		}
+	}
+	return first
 }
 
 // clusterName picks the most frequent attribute name among members,

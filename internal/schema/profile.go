@@ -46,11 +46,14 @@ func (p *Profile) NumStd() float64 {
 	return math.Sqrt(p.NumM2 / float64(p.NumCount-1))
 }
 
+// valueKinds is DominantKind's fixed iteration order: on a tie the
+// earlier kind wins.
+var valueKinds = [...]data.ValueKind{data.KindString, data.KindNumber, data.KindBool, data.KindTime}
+
 // DominantKind returns the most frequent value kind.
 func (p *Profile) DominantKind() data.ValueKind {
 	best, bestN := data.KindNull, -1
-	// Deterministic: iterate kinds in fixed order.
-	for _, k := range []data.ValueKind{data.KindString, data.KindNumber, data.KindBool, data.KindTime} {
+	for _, k := range valueKinds {
 		if n := p.Kinds[k]; n > bestN {
 			best, bestN = k, n
 		}
@@ -62,10 +65,11 @@ func (p *Profile) DominantKind() data.ValueKind {
 func (p *Profile) observe(v data.Value) {
 	p.Count++
 	p.Kinds[v.Kind]++
+	key := v.Key()
 	if len(p.Values) < p.maxValues {
-		p.Values[v.Key()]++
-	} else if _, seen := p.Values[v.Key()]; seen {
-		p.Values[v.Key()]++
+		p.Values[key]++
+	} else if _, seen := p.Values[key]; seen {
+		p.Values[key]++
 	}
 	switch v.Kind {
 	case data.KindNumber:

@@ -29,7 +29,7 @@ func TestNormalizerPreservesRecords(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		nd := NewNormalizer(ms, nil).ApplyAll(d)
+		nd := NewNormalizer(ms, nil).ApplyAll(testColumns(t, d))
 		if nd.NumRecords() != d.NumRecords() || nd.NumSources() != d.NumSources() {
 			return false
 		}
@@ -81,7 +81,7 @@ func TestEvidenceFunctionsBounded(t *testing.T) {
 	web := propWeb(5)
 	d := web.Dataset
 	profiles := Profiler{}.Build(d)
-	le := NewLinkageEvidence(d, d.GroundTruthClusters())
+	le := testEvidence(t, d, d.GroundTruthClusters())
 	evidences := map[string]MatchEvidence{
 		"name":      NameSimilarity,
 		"value":     ValueOverlap,
@@ -110,12 +110,12 @@ func TestEvidenceFunctionsBounded(t *testing.T) {
 func TestTransformsHaveInverses(t *testing.T) {
 	d, clusters := alignedSample(t)
 	profiles := Profiler{}.Build(d)
-	le := NewLinkageEvidence(d, clusters)
+	le := testEvidence(t, d, clusters)
 	ms, err := (Aligner{Evidence: le.Blend, Threshold: 0.45}).Align(profiles)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := DiscoverTransforms(d, clusters, ms, 3)
+	ts := testTransforms(t, d, clusters, ms, 3)
 	index := map[[2]SourceAttr]float64{}
 	for _, tr := range ts {
 		index[[2]SourceAttr{tr.From, tr.To}] = tr.Scale

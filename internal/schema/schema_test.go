@@ -166,7 +166,7 @@ func TestAlignEmptyErrors(t *testing.T) {
 func TestLinkageEvidenceRescuesUnitShiftedPair(t *testing.T) {
 	d, clusters := alignedSample(t)
 	profiles := Profiler{}.Build(d)
-	le := NewLinkageEvidence(d, clusters)
+	le := testEvidence(t, d, clusters)
 	ms, err := Aligner{Evidence: le.Blend, Threshold: 0.45}.Align(profiles)
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestLinkageEvidenceRescuesUnitShiftedPair(t *testing.T) {
 func TestMappingProbabilities(t *testing.T) {
 	d, clusters := alignedSample(t)
 	profiles := Profiler{}.Build(d)
-	le := NewLinkageEvidence(d, clusters)
+	le := testEvidence(t, d, clusters)
 	ms, err := Aligner{Evidence: le.Blend, Threshold: 0.45}.Align(profiles)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +205,7 @@ func TestDiscoverTransforms(t *testing.T) {
 	profiles := Profiler{}.Build(d)
 	// Force weight attrs into one cluster via linkage+name evidence
 	// with a permissive threshold on name similarity only for the test.
-	le := NewLinkageEvidence(d, clusters)
+	le := testEvidence(t, d, clusters)
 	ms, err := Aligner{Evidence: func(a, b *Profile) float64 {
 		if a.Source == b.Source {
 			return 0
@@ -218,7 +218,7 @@ func TestDiscoverTransforms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := DiscoverTransforms(d, clusters, ms, 3)
+	ts := testTransforms(t, d, clusters, ms, 3)
 	// Expect s1/weight → s2/item weight with scale 0.001 and inverse.
 	var fwd, rev *Transform
 	for i := range ts {
@@ -242,7 +242,7 @@ func TestDiscoverTransforms(t *testing.T) {
 
 	// Normalizer brings both sources into the same units and names.
 	norm := NewNormalizer(ms, ts)
-	nd := norm.ApplyAll(d)
+	nd := norm.ApplyAll(testColumns(t, d))
 	a0, b0 := nd.Record("a0"), nd.Record("b0")
 	attrs := map[string]bool{}
 	for _, at := range a0.Attrs() {

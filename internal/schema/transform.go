@@ -16,64 +16,62 @@ type Transform struct {
 	Support  int // co-linked record pairs the estimate is based on
 }
 
-// DiscoverTransforms inspects co-linked record pairs and, for every
-// cross-source numeric attribute pair within the same mediated
+// DiscoverTransforms inspects co-linked record pairs of the view and,
+// for every cross-source numeric attribute pair within the same mediated
 // attribute, estimates the multiplicative unit conversion as the median
 // value ratio. Pairs with a stable ratio far from 1 are unit
 // conversions; ratio ≈ 1 confirms same units. minSupport defaults to 3.
-func DiscoverTransforms(d *data.Dataset, clusters data.Clustering, ms *MediatedSchema, minSupport int) []Transform {
-	// A background context never cancels, so the error is impossible.
-	out, _ := DiscoverTransformsCtx(context.Background(), d, clusters, ms, minSupport)
-	return out
-}
-
-// DiscoverTransformsCtx is DiscoverTransforms under a context:
-// cancellation is observed between entity clusters.
-func DiscoverTransformsCtx(ctx context.Context, d *data.Dataset, clusters data.Clustering, ms *MediatedSchema, minSupport int) ([]Transform, error) {
+// Cancellation is observed between entity clusters.
+func DiscoverTransforms(ctx context.Context, c *Columns, clusters data.Clustering, ms *MediatedSchema, minSupport int) ([]Transform, error) {
 	if minSupport <= 0 {
 		minSupport = 3
 	}
-	// One ratio per (pair, entity cluster): see NewLinkageEvidence for
-	// why per-record-pair samples would overweight popular entities.
-	ratios := map[[2]SourceAttr]map[int]float64{}
+	n := uint32(len(c.attrs))
+	mediated := make([]int32, n) // by dense ID: index into ms.Attrs, -1 if unmapped
+	for id, sa := range c.attrs {
+		mediated[id] = -1
+		if idx, ok := ms.Of[sa]; ok {
+			mediated[id] = int32(idx)
+		}
+	}
+	// One ratio per (ordered pair, entity cluster): see NewLinkageEvidence
+	// for why per-record-pair samples would overweight popular entities.
+	ratios := newRatioTable(len(c.attrs) * len(c.attrs))
+	// Each member's mapped non-zero numbers, extracted once per cluster
+	// rather than once per record pair.
+	type number struct {
+		attr     uint32
+		mediated int32
+		num      float64
+	}
+	var (
+		rows []int32
+		nums []number
+		off  []int // member i's numbers are nums[off[i]:off[i+1]]
+	)
 	for ci, cl := range clusters {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		for i := 0; i < len(cl); i++ {
-			for j := 0; j < len(cl); j++ {
-				if i == j {
+		rows = c.clusterRows(cl, rows[:0])
+		nums, off = nums[:0], append(off[:0], 0)
+		for _, r := range rows {
+			for _, ce := range c.row(r) {
+				if data.ValueKind(ce.kind) == data.KindNumber && ce.num != 0 && mediated[ce.attr] >= 0 {
+					nums = append(nums, number{ce.attr, mediated[ce.attr], ce.num})
+				}
+			}
+			off = append(off, len(nums))
+		}
+		for i, ra := range rows {
+			for j, rb := range rows {
+				if i == j || c.recs[ra].SourceID == c.recs[rb].SourceID {
 					continue
 				}
-				ra, rb := d.Record(cl[i]), d.Record(cl[j])
-				if ra == nil || rb == nil || ra.SourceID == rb.SourceID {
-					continue
-				}
-				for _, aa := range ra.Attrs() {
-					va := ra.Fields[aa]
-					if va.Kind != data.KindNumber || va.Num == 0 {
-						continue
-					}
-					saA := SourceAttr{ra.SourceID, aa}
-					idxA, okA := ms.Of[saA]
-					if !okA {
-						continue
-					}
-					for _, ab := range rb.Attrs() {
-						vb := rb.Fields[ab]
-						if vb.Kind != data.KindNumber || vb.Num == 0 {
-							continue
-						}
-						saB := SourceAttr{rb.SourceID, ab}
-						if idxB, okB := ms.Of[saB]; !okB || idxB != idxA {
-							continue
-						}
-						k := [2]SourceAttr{saA, saB}
-						if ratios[k] == nil {
-							ratios[k] = map[int]float64{}
-						}
-						if _, seen := ratios[k][ci]; !seen {
-							ratios[k][ci] = vb.Num / va.Num
+				for _, a := range nums[off[i]:off[i+1]] {
+					for _, b := range nums[off[j]:off[j+1]] {
+						if a.mediated == b.mediated {
+							ratios.add(a.attr*n+b.attr, ci, b.num/a.num, math.MaxInt)
 						}
 					}
 				}
@@ -81,13 +79,10 @@ func DiscoverTransformsCtx(ctx context.Context, d *data.Dataset, clusters data.C
 		}
 	}
 	var out []Transform
-	for k, byCluster := range ratios {
-		if len(byCluster) < minSupport {
+	for s, pair := range ratios.pairs {
+		rs := ratios.lists[s]
+		if len(rs) < minSupport {
 			continue
-		}
-		rs := make([]float64, 0, len(byCluster))
-		for _, r := range byCluster {
-			rs = append(rs, r)
 		}
 		sort.Float64s(rs)
 		med := rs[len(rs)/2]
@@ -97,7 +92,7 @@ func DiscoverTransformsCtx(ctx context.Context, d *data.Dataset, clusters data.C
 		if med <= 0 || mad/math.Abs(med) > 0.1 {
 			continue
 		}
-		out = append(out, Transform{From: k[0], To: k[1], Scale: med, Support: len(rs)})
+		out = append(out, Transform{From: c.attrs[pair/n], To: c.attrs[pair%n], Scale: med, Support: len(rs)})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].From != out[j].From {
@@ -120,20 +115,18 @@ func medianAbsDev(rs []float64, med float64) float64 {
 // Normalizer rewrites records into the mediated schema: local attribute
 // names become mediated names, and numeric values are rescaled into the
 // cluster's canonical units (the units of the cluster's reference
-// attribute — the member with the largest support).
+// attribute — its lexicographically first member).
 type Normalizer struct {
 	ms    *MediatedSchema
 	scale map[SourceAttr]float64 // multiplicative factor into canonical units
 }
 
-// NewNormalizer picks, per mediated attribute, the reference member (the
-// one with the most co-linked ratio support toward others, falling back
-// to the lexicographically first member) and inverts the discovered
-// transforms to rescale every member into the reference's units.
+// NewNormalizer takes, per mediated attribute, the lexicographically
+// first member as the reference and keeps the discovered transforms
+// that lead into it, so every member that has one is rescaled into the
+// reference's units.
 func NewNormalizer(ms *MediatedSchema, transforms []Transform) *Normalizer {
 	n := &Normalizer{ms: ms, scale: map[SourceAttr]float64{}}
-	// Reference member per cluster: lexicographically first (stable and
-	// simple; transforms make the choice immaterial).
 	refs := make([]SourceAttr, len(ms.Attrs))
 	for i, ma := range ms.Attrs {
 		refs[i] = firstMember(ma)
@@ -152,38 +145,38 @@ func NewNormalizer(ms *MediatedSchema, transforms []Transform) *Normalizer {
 	return n
 }
 
-// Apply rewrites one record into the mediated schema. Unmapped
-// attributes (including skip attributes like title/pid) pass through
-// unchanged.
-func (n *Normalizer) Apply(r *data.Record) *data.Record {
-	out := data.NewRecord(r.ID, r.SourceID)
-	out.EntityID = r.EntityID
-	for _, a := range r.Attrs() {
-		v := r.Fields[a]
-		sa := SourceAttr{r.SourceID, a}
-		idx, ok := n.ms.Of[sa]
-		if !ok {
-			out.Set(a, v)
-			continue
+// ApplyAll rewrites the view's dataset into the mediated schema,
+// preserving sources, record identity and order. Unmapped attributes
+// (including skip attributes like title/pid) pass through unchanged;
+// when two fields of a record land on one name, the later in attribute
+// order wins.
+func (n *Normalizer) ApplyAll(c *Columns) *data.Dataset {
+	// Target name and scale by dense ID: one lookup per attribute, not
+	// per field.
+	name := make([]string, len(c.attrs))
+	scale := make([]float64, len(c.attrs))
+	for id, sa := range c.attrs {
+		name[id] = sa.Attr
+		if idx, ok := n.ms.Of[sa]; ok {
+			name[id] = n.ms.Attrs[idx].Name
+			scale[id] = n.scale[sa]
 		}
-		if v.Kind == data.KindNumber {
-			if s, ok := n.scale[sa]; ok && s != 0 {
-				v = data.Number(v.Num * s)
-			}
-		}
-		out.Set(n.ms.Attrs[idx].Name, v)
 	}
-	return out
-}
-
-// ApplyAll rewrites a whole dataset, preserving sources.
-func (n *Normalizer) ApplyAll(d *data.Dataset) *data.Dataset {
 	out := data.NewDataset()
-	for _, s := range d.Sources() {
+	for _, s := range c.d.Sources() {
 		_ = out.AddSource(s)
 	}
-	for _, r := range d.Records() {
-		if err := out.AddRecord(n.Apply(r)); err != nil {
+	for row, r := range c.recs {
+		nr := &data.Record{ID: r.ID, SourceID: r.SourceID, EntityID: r.EntityID,
+			Fields: make(map[string]data.Value, len(r.Fields))}
+		for _, ce := range c.row(int32(row)) {
+			v := c.field(int32(row), ce)
+			if s := scale[ce.attr]; s != 0 && v.Kind == data.KindNumber {
+				v = data.Number(v.Num * s)
+			}
+			nr.Set(name[ce.attr], v)
+		}
+		if err := out.AddRecord(nr); err != nil {
 			// IDs are preserved from a valid dataset, so this cannot
 			// happen; guard loudly in case of misuse.
 			panic(err)

@@ -6,9 +6,9 @@ import "time"
 type breakerState int
 
 const (
-	breakerClosed breakerState = iota // normal operation
-	breakerOpen                       // rejecting calls until cooldown
-	breakerHalfOpen                   // one probe allowed through
+	breakerClosed   breakerState = iota // normal operation
+	breakerOpen                         // rejecting calls until cooldown
+	breakerHalfOpen                     // one probe allowed through
 )
 
 // breaker trips after a run of consecutive failures and rejects
