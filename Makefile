@@ -31,7 +31,9 @@ bench:
 
 # Chaos gate under the race detector: the fault-injection sweep (E23),
 # then kill-mid-compaction at workers {1,2,8} with byte-identity of the
-# restored state, backup-file recovery and the codec corruption sweep.
+# restored state, backup-file recovery, the codec corruption sweep, and
+# the linker's op-sequence corpus against its full-rebuild oracle with
+# the retraction cost curve.
 chaos:
 	$(GO) run -race ./cmd/bdibench -exp E23
-	$(GO) test -race -run 'TestStreamKillMidCompactionChaos|TestStreamStateBackupRecovery|TestStreamStateDecodeRobust|FuzzStreamStateDecode' ./internal/core/...
+	$(GO) test -race -run 'TestStreamKillMidCompactionChaos|TestStreamStateBackupRecovery|TestStreamStateDecodeRobust|FuzzStreamStateDecode|FuzzIncrementalOps|TestDeleteCostIndependentOfCorpus' ./internal/core/... ./internal/linkage/...

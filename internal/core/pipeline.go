@@ -552,11 +552,11 @@ func (p *Pipeline) swooshCluster(ctx context.Context, d *data.Dataset, records [
 			}
 		}
 	}
-	var out data.Clustering
+	out := data.Clustering{}
 	for _, set := range uf.Sets() {
 		out = append(out, set)
 	}
-	return out.Normalize(), nil
+	return out, nil
 }
 
 func (p *Pipeline) buildMatcher(d *data.Dataset, candidates func() []data.Pair, sp *obs.Span) (linkage.Matcher, error) {

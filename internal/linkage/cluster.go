@@ -27,11 +27,11 @@ func (ConnectedComponents) Cluster(ids []string, edges []data.ScoredPair) data.C
 	for _, e := range edges {
 		uf.Union(e.A, e.B)
 	}
-	var out data.Clustering
+	out := data.Clustering{}
 	for _, set := range uf.Sets() {
 		out = append(out, set)
 	}
-	return out.Normalize()
+	return out
 }
 
 // Center clustering (Haveliwala et al.): process edges in descending

@@ -13,8 +13,8 @@ import (
 // batch linkage on every snapshot. New records are compared only
 // against records sharing a blocking key (an inverted index is
 // maintained online) and merged into existing clusters via union-find.
-// Cost per insert is proportional to the record's block sizes, not to
-// the corpus.
+// Cost per insert is proportional to the record's block sizes and cost
+// per delete to the size of the record's component, not to the corpus.
 //
 // Deletion is tombstoning: the dead record leaves the dataset and the
 // partition immediately (its component is reclustered), but its posting
@@ -104,22 +104,30 @@ func (inc *Incremental) Insert(src *data.Source, r *data.Record) ([]string, erro
 	var matched []string
 	for _, k := range dedupeKeys(inc.Key(r)) {
 		ids := inc.index[k]
-		live := ids
-		if inc.deadRefs > 0 {
-			live = make([]string, 0, len(ids))
+		// The stop-token gate counts live entries only, so match
+		// decisions do not depend on whether a compaction has already
+		// swept this list. The count stops once it is past the gate: a
+		// stop-token's list is never read to its end.
+		live := len(ids)
+		if live > inc.MaxBlock && inc.deadRefs > 0 {
+			live = 0
 			for _, id := range ids {
 				if _, gone := inc.dead[id]; !gone {
-					live = append(live, id)
+					if live++; live > inc.MaxBlock {
+						break
+					}
 				}
 			}
 		}
-		// The stop-token gate counts live entries only, so match
-		// decisions do not depend on whether a compaction has already
-		// swept this list.
-		if inc.MaxBlock <= 0 || len(live) <= inc.MaxBlock {
-			for _, other := range live {
+		if inc.MaxBlock <= 0 || live <= inc.MaxBlock {
+			for _, other := range ids {
 				if seen[other] {
 					continue
+				}
+				if inc.deadRefs > 0 {
+					if _, gone := inc.dead[other]; gone {
+						continue
+					}
 				}
 				seen[other] = true
 				inc.comparisons++
@@ -167,44 +175,22 @@ func (inc *Incremental) Delete(id string) bool {
 	return true
 }
 
-// recluster rebuilds the union-find partition without id: every other
-// component carries over verbatim; the members of id's component are
-// re-linked by exhaustive pairwise matching in sorted order, so records
-// that were only transitively connected through the deleted record
-// split apart. Deterministic: Sets() and the pair order are canonical.
+// recluster takes id out of the partition: its component is dissolved
+// into singletons and re-linked by exhaustive pairwise matching in
+// sorted order, so records that were only transitively connected
+// through the deleted record split apart. No other component is read.
+// Deterministic: the members come back sorted, so the pair order — and
+// with it the comparison count — depends on the component alone.
 func (inc *Incremental) recluster(id string) {
-	rebuilt := NewUnionFind()
-	for _, set := range inc.uf.Sets() {
-		idx := -1
-		for i, m := range set {
-			if m == id {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			rebuilt.Add(set[0])
-			for i := 1; i < len(set); i++ {
-				rebuilt.Union(set[0], set[i])
-			}
-			continue
-		}
-		rest := make([]string, 0, len(set)-1)
-		rest = append(rest, set[:idx]...)
-		rest = append(rest, set[idx+1:]...)
-		for _, m := range rest {
-			rebuilt.Add(m)
-		}
-		for i := 0; i < len(rest); i++ {
-			for j := i + 1; j < len(rest); j++ {
-				inc.comparisons++
-				if _, ok := inc.Matcher.Match(inc.dataset.Record(rest[i]), inc.dataset.Record(rest[j])); ok {
-					rebuilt.Union(rest[i], rest[j])
-				}
+	rest := inc.uf.remove(id)
+	for i := 0; i < len(rest); i++ {
+		for j := i + 1; j < len(rest); j++ {
+			inc.comparisons++
+			if _, ok := inc.Matcher.Match(inc.dataset.Record(rest[i]), inc.dataset.Record(rest[j])); ok {
+				inc.uf.Union(rest[i], rest[j])
 			}
 		}
 	}
-	inc.uf = rebuilt
 }
 
 // exhume removes the stale posting slots of a tombstoned ID (first
@@ -274,11 +260,11 @@ func (inc *Incremental) GarbageRatio() float64 {
 
 // Clusters returns the current clustering.
 func (inc *Incremental) Clusters() data.Clustering {
-	var out data.Clustering
+	out := data.Clustering{}
 	for _, set := range inc.uf.Sets() {
 		out = append(out, set)
 	}
-	return out.Normalize()
+	return out
 }
 
 // Len returns the number of inserted records.
@@ -314,17 +300,11 @@ type IncrementalState struct {
 // the posting lists and partition are copied, so later Inserts don't
 // bleed into a taken snapshot.
 func (inc *Incremental) State() *IncrementalState {
-	// Sets orders sets by their union-find root — an artifact of union
-	// order that differs between equivalent forests — so the partition
-	// is re-sorted by first member (members are already sorted) to make
-	// equal partitions encode identically.
-	partition := inc.uf.Sets()
-	sort.Slice(partition, func(i, j int) bool { return partition[i][0] < partition[j][0] })
 	st := &IncrementalState{
 		Sources:     inc.dataset.Sources(),
 		Records:     inc.dataset.Records(),
 		Postings:    make(map[string][]string, len(inc.index)),
-		Partition:   partition,
+		Partition:   inc.uf.Sets(),
 		Comparisons: inc.comparisons,
 		Tombstones:  make(map[string][]string, len(inc.dead)),
 	}
@@ -357,13 +337,29 @@ func FromState(st *IncrementalState, key func(r *data.Record) []string, m Matche
 		inc.uf.Add(r.ID)
 		inc.n++
 	}
+	// A posting entry or partition member that is not a restored record
+	// would reach Matcher.Match as a nil record on a later probe or
+	// recluster, so a state naming one is refused here.
 	for k, ids := range st.Postings {
+		for _, id := range ids {
+			if _, dead := st.Tombstones[id]; !dead && inc.dataset.Record(id) == nil {
+				return nil, fmt.Errorf("linkage: restore postings: %q under key %q is neither a record nor a tombstone", id, k)
+			}
+		}
 		inc.index[k] = append([]string(nil), ids...)
 		inc.postRefs += len(ids)
 	}
+	placed := make(map[string]bool, len(st.Records))
 	for _, set := range st.Partition {
-		for i := 1; i < len(set); i++ {
-			inc.uf.Union(set[0], set[i])
+		for _, m := range set {
+			if inc.dataset.Record(m) == nil {
+				return nil, fmt.Errorf("linkage: restore partition: member %q is not a record", m)
+			}
+			if placed[m] {
+				return nil, fmt.Errorf("linkage: restore partition: %q is listed twice", m)
+			}
+			placed[m] = true
+			inc.uf.Union(set[0], m)
 		}
 	}
 	for id, keys := range st.Tombstones {

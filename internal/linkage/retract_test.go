@@ -267,3 +267,151 @@ func TestIncrementalStateRoundTripWithTombstones(t *testing.T) {
 		t.Errorf("clusters diverged after compaction:\n%s\n%s", a, b)
 	}
 }
+
+// TestFromStateRejectsGhosts hand-builds states that name an ID which is
+// not a restored record. Each used to load: the ghost then sat in
+// Clusters(), and the first Delete in its component, or the first
+// Insert sharing its posting key, handed Matcher.Match a nil record.
+func TestFromStateRejectsGhosts(t *testing.T) {
+	valid := func() *IncrementalState {
+		return &IncrementalState{
+			Sources: []*data.Source{{ID: "s"}},
+			Records: []*data.Record{
+				retractRecord("a", "acme rocket skate"),
+				retractRecord("b", "acme rocket skate pro"),
+			},
+			Postings: map[string][]string{
+				"acme": {"a", "gone", "b"}, "rocket": {"a", "b"}, "skate": {"a", "b"}, "pro": {"b"},
+			},
+			Partition:  [][]string{{"a", "b"}},
+			Tombstones: map[string][]string{"gone": {"acme"}},
+		}
+	}
+	inc, err := FromState(valid(), TitleTokenKey, incMatcher())
+	if err != nil {
+		t.Fatalf("a state whose every ID is a record or a tombstone must load: %v", err)
+	}
+	if got := fmt.Sprint(inc.Clusters()); got != "[[a b]]" || inc.Len() != 2 || inc.Tombstones() != 1 {
+		t.Fatalf("restored clusters %s, len %d, tombstones %d", got, inc.Len(), inc.Tombstones())
+	}
+	for name, corrupt := range map[string]func(*IncrementalState){
+		"partition member that is not a record": func(st *IncrementalState) {
+			st.Partition = [][]string{{"a", "b", "ghost"}}
+		},
+		"partition set of a tombstoned ID": func(st *IncrementalState) {
+			st.Partition = append(st.Partition, []string{"gone"})
+		},
+		"ID in two partition sets": func(st *IncrementalState) {
+			st.Partition = [][]string{{"a", "b"}, {"b"}}
+		},
+		"ID twice in one partition set": func(st *IncrementalState) {
+			st.Partition = [][]string{{"a", "a", "b"}}
+		},
+		"posting entry neither live nor tombstoned": func(st *IncrementalState) {
+			st.Postings["rocket"] = []string{"a", "ghost", "b"}
+		},
+	} {
+		st := valid()
+		corrupt(st)
+		if _, err := FromState(st, TitleTokenKey, incMatcher()); err == nil {
+			t.Errorf("%s: FromState accepted it", name)
+		}
+	}
+}
+
+// deleteCostCorpus builds a linker holding one five-record component —
+// the titles share four of five tokens, so every pair links — beside
+// `singletons` records that share no token with anything.
+func deleteCostCorpus(tb testing.TB, singletons int) (inc *Incremental, src *data.Source, member *data.Record) {
+	tb.Helper()
+	inc = NewIncremental(TitleTokenKey, incMatcher())
+	src = &data.Source{ID: "s"}
+	insert := func(r *data.Record) {
+		if _, err := inc.Insert(src, r); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i := 0; i < singletons; i++ {
+		insert(retractRecord(fmt.Sprintf("solo%05d", i), fmt.Sprintf("only%d item%d", i, i)))
+	}
+	for i := 0; i < 5; i++ {
+		member = retractRecord(fmt.Sprintf("m%d", i), fmt.Sprintf("acme rocket skate turbo v%d", i))
+		insert(member)
+	}
+	if got := len(inc.Clusters()); got != singletons+1 {
+		tb.Fatalf("%d clusters, want %d singletons and one component", got, singletons)
+	}
+	return inc, src, member
+}
+
+// TestDeleteCostIndependentOfCorpus pins the shape of a retraction's
+// cost by counting: deleting and re-inserting one member of a
+// five-record component allocates the same and walks the same forest
+// slots whether 2,000 or 20,000 unrelated records sit beside it, and
+// endless churn reuses forest slots instead of growing the arrays.
+func TestDeleteCostIndependentOfCorpus(t *testing.T) {
+	measure := func(singletons int) (allocs float64, visits int) {
+		inc, src, member := deleteCostCorpus(t, singletons)
+		cycle := func() {
+			if !inc.Delete(member.ID) {
+				t.Fatal("delete failed")
+			}
+			if m, err := inc.Insert(src, member); err != nil || len(m) != 4 {
+				t.Fatalf("reinsert matched %v, %v", m, err)
+			}
+		}
+		before := inc.uf.visits
+		cycle()
+		visits = inc.uf.visits - before
+		return testing.AllocsPerRun(20, cycle), visits
+	}
+	allocs2k, visits2k := measure(2000)
+	allocs20k, visits20k := measure(20000)
+	t.Logf("delete + reinsert: %.0f allocs, %d slot visits beside 2k records; %.0f and %d beside 20k",
+		allocs2k, visits2k, allocs20k, visits20k)
+	if visits2k != 5 || visits20k != 5 {
+		t.Errorf("slot visits %d beside 2k records and %d beside 20k, want the component's 5 at both", visits2k, visits20k)
+	}
+	if d := allocs20k - allocs2k; d < -2 || d > 2 {
+		t.Errorf("allocations %.0f beside 2k records, %.0f beside 20k: the cost follows the corpus", allocs2k, allocs20k)
+	}
+
+	inc, src, _ := deleteCostCorpus(t, 95)
+	for i := 0; i < 10000; i++ {
+		r := retractRecord(fmt.Sprintf("churn%d", i), fmt.Sprintf("brief%d visit%d", i, i))
+		if _, err := inc.Insert(src, r); err != nil {
+			t.Fatal(err)
+		}
+		if !inc.Delete(r.ID) {
+			t.Fatal("delete failed")
+		}
+	}
+	if got := len(inc.uf.ids); got > 101 {
+		t.Errorf("forest arrays hold %d slots after 10,000 insert/delete cycles over 100 records, want at most 101", got)
+	}
+	if inc.uf.Len() != 100 {
+		t.Errorf("forest tracks %d IDs, want the 100 live records", inc.uf.Len())
+	}
+}
+
+// BenchmarkIncrementalDelete times the same delete + reinsert cycle.
+// What still separates 2k from 20k is data.Dataset.RemoveRecord, which
+// finds the ID in its insertion-order slice by scanning.
+func BenchmarkIncrementalDelete(b *testing.B) {
+	for _, size := range []struct {
+		name       string
+		singletons int
+	}{{"2k", 2000}, {"20k", 20000}} {
+		b.Run(size.name, func(b *testing.B) {
+			inc, src, member := deleteCostCorpus(b, size.singletons)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				inc.Delete(member.ID)
+				if _, err := inc.Insert(src, member); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -2,6 +2,8 @@ package linkage
 
 import (
 	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -51,41 +53,111 @@ func TestUnionFindIdempotentUnion(t *testing.T) {
 	}
 }
 
+// ringOf walks the member ring from id's slot.
+func ringOf(uf *UnionFind, id string) []string {
+	s := uf.slot[id]
+	out := []string{uf.ids[s]}
+	for m := uf.next[s]; m != s; m = uf.next[m] {
+		out = append(out, uf.ids[m])
+	}
+	sort.Strings(out)
+	return out
+}
+
 func TestUnionFindEquivalenceProperties(t *testing.T) {
-	// Property: after a random union sequence, Same is an equivalence
-	// relation consistent with Sets().
+	// Property: under a random sequence of unions, adds and removals the
+	// forest agrees with a naive id → label model — Same is the
+	// equivalence relation Sets() shows, every member's ring is exactly
+	// its set, Len counts live IDs only, and an ID that takes over a
+	// removed ID's slot starts alone. ID 0 is the empty string.
+	name := func(i int) string {
+		if i == 0 {
+			return ""
+		}
+		return fmt.Sprintf("n%d", i)
+	}
 	f := func(ops []uint16) bool {
 		uf := NewUnionFind()
-		n := 12
-		for _, op := range ops {
-			a := fmt.Sprintf("n%d", int(op)%n)
-			b := fmt.Sprintf("n%d", int(op>>4)%n)
-			uf.Union(a, b)
+		label, fresh, peak := map[string]int{}, 0, 0
+		add := func(id string) {
+			uf.Add(id)
+			if _, ok := label[id]; !ok {
+				fresh++
+				label[id] = fresh
+			}
 		}
-		sets := uf.Sets()
-		// Every pair within a set must be Same; across sets must not.
-		for i, s1 := range sets {
-			for _, a := range s1 {
-				for _, b := range s1 {
-					if !uf.Same(a, b) {
-						return false
+		for _, op := range ops {
+			a, b := name(int(op)%12), name(int(op>>4)%12)
+			switch (op >> 8) % 4 {
+			case 0, 1:
+				add(a)
+				add(b)
+				uf.Union(a, b)
+				for id, l := range label {
+					if l == label[b] && id != b {
+						label[id] = label[a]
 					}
 				}
-				for j, s2 := range sets {
-					if i == j {
-						continue
-					}
-					for _, b := range s2 {
-						if uf.Same(a, b) {
-							return false
+				label[b] = label[a]
+			case 2:
+				add(a)
+			case 3:
+				var want []string
+				if la, live := label[a]; live {
+					for id, l := range label {
+						if l == la && id != a {
+							want = append(want, id)
 						}
+					}
+				}
+				sort.Strings(want)
+				for _, id := range want {
+					fresh++
+					label[id] = fresh
+				}
+				delete(label, a)
+				if got := uf.remove(a); !reflect.DeepEqual(got, want) {
+					t.Logf("remove(%q) dissolved %q, the model %q", a, got, want)
+					return false
+				}
+			}
+			if len(label) > peak {
+				peak = len(label)
+			}
+			if uf.Len() != len(label) || len(uf.ids) > peak {
+				t.Logf("Len %d over %d slots for %d live IDs (peak %d)", uf.Len(), len(uf.ids), len(label), peak)
+				return false
+			}
+			groups := map[int][]string{}
+			for id, l := range label {
+				groups[l] = append(groups[l], id)
+			}
+			want := make([][]string, 0, len(groups))
+			for _, g := range groups {
+				sort.Strings(g)
+				want = append(want, g)
+			}
+			sort.Slice(want, func(i, j int) bool { return want[i][0] < want[j][0] })
+			if got := uf.Sets(); !reflect.DeepEqual(got, want) {
+				t.Logf("Sets %q, the model %q", got, want)
+				return false
+			}
+			for a, la := range label {
+				if ring := ringOf(uf, a); !reflect.DeepEqual(ring, groups[la]) {
+					t.Logf("ring of %q is %q, its set %q", a, ring, groups[la])
+					return false
+				}
+				for b, lb := range label {
+					if uf.Same(a, b) != (la == lb) {
+						t.Logf("Same(%q, %q) = %v", a, b, la != lb)
+						return false
 					}
 				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
