@@ -31,9 +31,10 @@ bench:
 
 # Chaos gate under the race detector: the fault-injection sweep (E23),
 # then kill-mid-compaction at workers {1,2,8} with byte-identity of the
-# restored state, backup-file recovery, the codec corruption sweep, and
-# the linker's op-sequence corpus against its full-rebuild oracle with
-# the retraction cost curve.
+# restored state, backup-file recovery, the codec corruption sweep, the
+# linker's op-sequence corpus against its full-rebuild oracle with the
+# retraction cost curve, and the HTTP edge: the handler fuzz corpus and
+# Close racing Publish and reads.
 chaos:
 	$(GO) run -race ./cmd/bdibench -exp E23
-	$(GO) test -race -run 'TestStreamKillMidCompactionChaos|TestStreamStateBackupRecovery|TestStreamStateDecodeRobust|FuzzStreamStateDecode|FuzzIncrementalOps|TestDeleteCostIndependentOfCorpus' ./internal/core/... ./internal/linkage/...
+	$(GO) test -race -run 'TestStreamKillMidCompactionChaos|TestStreamStateBackupRecovery|TestStreamStateDecodeRobust|FuzzStreamStateDecode|FuzzIncrementalOps|TestDeleteCostIndependentOfCorpus|FuzzHandlers|TestShutdownDuringPublish' ./internal/core/... ./internal/linkage/... ./internal/serve/...

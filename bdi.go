@@ -27,6 +27,8 @@
 package bdi
 
 import (
+	"context"
+
 	"repro/internal/blocking"
 	"repro/internal/core"
 	"repro/internal/data"
@@ -167,9 +169,12 @@ var NewMetrics = obs.NewRegistry
 // NewPipeline builds a pipeline, resolving config defaults.
 func NewPipeline(cfg PipelineConfig) *Pipeline { return core.New(cfg) }
 
-// BuildFuser resolves a fusion method by name: "vote", "truthfinder",
-// "accu", "popaccu" or "accucopy".
-var BuildFuser = core.BuildFuser
+// BuildFuser resolves a fusion method by name — "vote", "truthfinder",
+// "accu", "popaccu", "accucopy" or "numeric" — with the default worker
+// pool, no metrics and no cancellation.
+func BuildFuser(name string) (Fuser, error) {
+	return core.BuildFuser(context.Background(), name, 0, nil)
+}
 
 // Resilient ingestion re-exports. Sources flow into the pipeline
 // through an Ingestor, which retries transient failures with jittered

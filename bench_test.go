@@ -4,250 +4,82 @@ import (
 	"context"
 	"math"
 	"sort"
+	"strconv"
 	"testing"
 
 	"repro/internal/experiments"
 )
 
-// One benchmark per experiment in DESIGN.md's index. Each iteration
-// regenerates the experiment's workload and recomputes its table, so
-// ns/op measures the full cost of reproducing that result. Key quality
-// figures are attached as custom metrics so `go test -bench` output
-// doubles as a results summary.
-
-func benchExperiment(b *testing.B, id string, metric func() (string, float64)) {
-	b.Helper()
+// BenchmarkExperiment has one sub-benchmark per experiment E1–E22 of
+// DESIGN.md's index. Each iteration regenerates the experiment's
+// workload and recomputes its table, so ns/op measures the full cost of
+// reproducing that result; its key quality figures are attached as
+// custom metrics so `go test -bench Experiment` output doubles as a
+// results summary.
+func BenchmarkExperiment(b *testing.B) {
 	r := experiments.Runner{Seed: 42}
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Run(id); err != nil {
+	for _, e := range experimentFigures {
+		b.Run(e.id, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := r.Run(e.id); err != nil {
+					b.Fatal(err)
+				}
+			}
+			e.report(b)
+		})
+	}
+}
+
+// figure names one quality figure of an experiment's structured result.
+type figure[R any] struct {
+	name string
+	pick func(R) float64
+}
+
+func fig[R any](name string, pick func(R) float64) figure[R] { return figure[R]{name, pick} }
+
+// figures runs an experiment once more and reports the given figures
+// of its result as custom metrics.
+func figures[R any](run func(seed int64) (*experiments.Table, R, error), figs ...figure[R]) func(*testing.B) {
+	return func(b *testing.B) {
+		_, res, err := run(42)
+		if err != nil {
 			b.Fatal(err)
+		}
+		for _, f := range figs {
+			b.ReportMetric(f.pick(res), f.name)
 		}
 	}
-	if metric != nil {
-		name, v := metric()
-		b.ReportMetric(v, name)
-	}
 }
 
-func BenchmarkE1FusionUnderCopying(b *testing.B) {
-	benchExperiment(b, "E1", func() (string, float64) {
-		_, res, err := experiments.E1(42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return "accucopy@heavy", res.Accuracy[1.0]["accucopy"]
-	})
-}
-
-func BenchmarkE2Convergence(b *testing.B) {
-	benchExperiment(b, "E2", func() (string, float64) {
-		_, res, err := experiments.E2(42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return "final-accuracy", res.Accuracy[len(res.Accuracy)-1]
-	})
-}
-
-func BenchmarkE3Blocking(b *testing.B) {
-	benchExperiment(b, "E3", func() (string, float64) {
-		_, res, err := experiments.E3(42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return "token-PC", res.Quality["token(title)"].PairCompleteness
-	})
-}
-
-func BenchmarkE4MetaBlocking(b *testing.B) {
-	benchExperiment(b, "E4", func() (string, float64) {
-		_, res, err := experiments.E4(42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return "ecbs+wep-PC", res.Meta["ecbs+wep"].PairCompleteness
-	})
-}
-
-func BenchmarkE5Matchers(b *testing.B) {
-	benchExperiment(b, "E5", func() (string, float64) {
-		_, res, err := experiments.E5(42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return "rule-F1@dirt1", res.F1[1]["rule(id)"]
-	})
-}
-
-func BenchmarkE6Clustering(b *testing.B) {
-	benchExperiment(b, "E6", func() (string, float64) {
-		_, res, err := experiments.E6(42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return "correlation-F1", res.PRF["correlation"].F1
-	})
-}
-
-func BenchmarkE7Incremental(b *testing.B) {
-	benchExperiment(b, "E7", func() (string, float64) {
-		_, res, err := experiments.E7(42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return "incremental-F1", res.FinalIncrementalF1
-	})
-}
-
-func BenchmarkE8SchemaAlignment(b *testing.B) {
-	benchExperiment(b, "E8", func() (string, float64) {
-		_, res, err := experiments.E8(42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return "align-F1@max-sources", res.LinkageF1[len(res.LinkageF1)-1]
-	})
-}
-
-func BenchmarkE9ScaleOut(b *testing.B) {
-	benchExperiment(b, "E9", func() (string, float64) {
-		_, res, err := experiments.E9(42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Speedup[len(res.Speedup)-1], "cache-speedup")
-		return "pairs/sec@max-workers", res.Throughput[len(res.Throughput)-1]
-	})
-}
-
-func BenchmarkE10LessIsMore(b *testing.B) {
-	benchExperiment(b, "E10", func() (string, float64) {
-		_, res, err := experiments.E10(42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return "greedy-accuracy", res.Greedy.Quality
-	})
-}
-
-func BenchmarkE11DomainStudy(b *testing.B) {
-	benchExperiment(b, "E11", func() (string, float64) {
-		_, res, err := experiments.E11(42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return "accucopy@stock", res.Accuracy["stock-like (heavy copying)"]["accucopy"]
-	})
-}
-
-func BenchmarkE12Temporal(b *testing.B) {
-	benchExperiment(b, "E12", func() (string, float64) {
-		_, res, err := experiments.E12(42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return "temporal-F1@evolving", res.EvolvingTemporalF1
-	})
-}
-
-func BenchmarkE13EndToEnd(b *testing.B) {
-	benchExperiment(b, "E13", func() (string, float64) {
-		_, res, err := experiments.E13(42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return "linkage-F1", res.LinkageF1
-	})
-}
-
-func BenchmarkE14OrderAblation(b *testing.B) {
-	benchExperiment(b, "E14", func() (string, float64) {
-		_, res, err := experiments.E14(42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return "linkage-first-align-F1", res.LinkageFirstAlignF1
-	})
-}
-
-func BenchmarkE15OnlineFusion(b *testing.B) {
-	benchExperiment(b, "E15", func() (string, float64) {
-		_, res, err := experiments.E15(42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return "mean-probes", res.MeanProbes
-	})
-}
-
-func BenchmarkE16PayAsYouGo(b *testing.B) {
-	benchExperiment(b, "E16", func() (string, float64) {
-		_, res, err := experiments.E16(42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return "F1@60q", res.F1[len(res.F1)-1]
-	})
-}
-
-func BenchmarkE17Ablations(b *testing.B) {
-	benchExperiment(b, "E17", func() (string, float64) {
-		_, res, err := experiments.E17(42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return "bootstrap-gain", res.FuseBootstrap - res.FuseNoBootstrap
-	})
-}
-
-func BenchmarkE18LSH(b *testing.B) {
-	benchExperiment(b, "E18", func() (string, float64) {
-		_, res, err := experiments.E18(42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return "lsh16x2-PC", res.Quality["minhash(16x2)"].PairCompleteness
-	})
-}
-
-func BenchmarkE19Deception(b *testing.B) {
-	benchExperiment(b, "E19", func() (string, float64) {
-		_, res, err := experiments.E19(42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return "accucopy@8liars", res.Accuracy[8]["accucopy"]
-	})
-}
-
-func BenchmarkE20ProgressiveER(b *testing.B) {
-	benchExperiment(b, "E20", func() (string, float64) {
-		_, res, err := experiments.E20(42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return "recall@10%budget", res.Progressive[2]
-	})
-}
-
-func BenchmarkE21Discovery(b *testing.B) {
-	benchExperiment(b, "E21", func() (string, float64) {
-		_, res, err := experiments.E21(42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return "final-recall", res.Recall[len(res.Recall)-1]
-	})
-}
-
-func BenchmarkE22WrapperInduction(b *testing.B) {
-	benchExperiment(b, "E22", func() (string, float64) {
-		_, res, err := experiments.E22(42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return "reinduced-recall", res.ReinducedRecall
-	})
+var experimentFigures = []struct {
+	id     string
+	report func(*testing.B)
+}{
+	{"E1", figures(experiments.E1, fig("accucopy@heavy", func(r *experiments.E1Result) float64 { return r.Accuracy[1.0]["accucopy"] }))},
+	{"E2", figures(experiments.E2, fig("final-accuracy", func(r *experiments.E2Result) float64 { return r.Accuracy[len(r.Accuracy)-1] }))},
+	{"E3", figures(experiments.E3, fig("token-PC", func(r *experiments.E3Result) float64 { return r.Quality["token(title)"].PairCompleteness }))},
+	{"E4", figures(experiments.E4, fig("ecbs+wep-PC", func(r *experiments.E4Result) float64 { return r.Meta["ecbs+wep"].PairCompleteness }))},
+	{"E5", figures(experiments.E5, fig("rule-F1@dirt1", func(r *experiments.E5Result) float64 { return r.F1[1]["rule(id)"] }))},
+	{"E6", figures(experiments.E6, fig("correlation-F1", func(r *experiments.E6Result) float64 { return r.PRF["correlation"].F1 }))},
+	{"E7", figures(experiments.E7, fig("incremental-F1", func(r *experiments.E7Result) float64 { return r.FinalIncrementalF1 }))},
+	{"E8", figures(experiments.E8, fig("align-F1@max-sources", func(r *experiments.E8Result) float64 { return r.LinkageF1[len(r.LinkageF1)-1] }))},
+	{"E9", figures(experiments.E9,
+		fig("cache-speedup", func(r *experiments.E9Result) float64 { return r.Speedup[len(r.Speedup)-1] }),
+		fig("pairs/sec@max-workers", func(r *experiments.E9Result) float64 { return r.Throughput[len(r.Throughput)-1] }))},
+	{"E10", figures(experiments.E10, fig("greedy-accuracy", func(r *experiments.E10Result) float64 { return r.Greedy.Quality }))},
+	{"E11", figures(experiments.E11, fig("accucopy@stock", func(r *experiments.E11Result) float64 { return r.Accuracy["stock-like (heavy copying)"]["accucopy"] }))},
+	{"E12", figures(experiments.E12, fig("temporal-F1@evolving", func(r *experiments.E12Result) float64 { return r.EvolvingTemporalF1 }))},
+	{"E13", figures(experiments.E13, fig("linkage-F1", func(r *experiments.E13Result) float64 { return r.LinkageF1 }))},
+	{"E14", figures(experiments.E14, fig("linkage-first-align-F1", func(r *experiments.E14Result) float64 { return r.LinkageFirstAlignF1 }))},
+	{"E15", figures(experiments.E15, fig("mean-probes", func(r *experiments.E15Result) float64 { return r.MeanProbes }))},
+	{"E16", figures(experiments.E16, fig("F1@60q", func(r *experiments.E16Result) float64 { return r.F1[len(r.F1)-1] }))},
+	{"E17", figures(experiments.E17, fig("bootstrap-gain", func(r *experiments.E17Result) float64 { return r.FuseBootstrap - r.FuseNoBootstrap }))},
+	{"E18", figures(experiments.E18, fig("lsh16x2-PC", func(r *experiments.E18Result) float64 { return r.Quality["minhash(16x2)"].PairCompleteness }))},
+	{"E19", figures(experiments.E19, fig("accucopy@8liars", func(r *experiments.E19Result) float64 { return r.Accuracy[8]["accucopy"] }))},
+	{"E20", figures(experiments.E20, fig("recall@10%budget", func(r *experiments.E20Result) float64 { return r.Progressive[2] }))},
+	{"E21", figures(experiments.E21, fig("final-recall", func(r *experiments.E21Result) float64 { return r.Recall[len(r.Recall)-1] }))},
+	{"E22", figures(experiments.E22, fig("reinduced-recall", func(r *experiments.E22Result) float64 { return r.ReinducedRecall }))},
 }
 
 // Micro-benchmarks for the primitives the pipeline spends its time in.
@@ -301,30 +133,11 @@ func BenchmarkMatchPairsUncached(b *testing.B) {
 	benchMatch(b, NoIndexMatcher(ThresholdMatcher{Comparator: matchBenchComparator(), Threshold: 0.6}), nil)
 }
 
-// BenchmarkMatchPairsObsDisabled is the cached workload with a nil
-// registry — since the one matching door always takes a registry, the
-// same call as BenchmarkMatchPairsCached. It stays as the named
-// zero-overhead row BenchmarkMatchPairsObsEnabled is read against.
-func BenchmarkMatchPairsObsDisabled(b *testing.B) {
-	benchMatch(b, ThresholdMatcher{Comparator: matchBenchComparator(), Threshold: 0.6}, nil)
-}
-
-// BenchmarkMatchPairsObsEnabled is the same workload with a live
-// registry attached, to price the enabled instrumentation.
+// BenchmarkMatchPairsObsEnabled is the cached workload with a live
+// registry attached: read against BenchmarkMatchPairsCached, it prices
+// the enabled instrumentation.
 func BenchmarkMatchPairsObsEnabled(b *testing.B) {
 	benchMatch(b, ThresholdMatcher{Comparator: matchBenchComparator(), Threshold: 0.6}, NewMetrics())
-}
-
-func BenchmarkPipelineEndToEnd(b *testing.B) {
-	world := NewWorld(WorldConfig{Seed: 1, NumEntities: 60})
-	web := BuildWeb(world, SourceConfig{Seed: 2, NumSources: 12, DirtLevel: 1})
-	p := NewPipeline(PipelineConfig{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Run(web.Dataset); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkGenerateWeb(b *testing.B) {
@@ -627,23 +440,9 @@ func BenchmarkIncrementalInsert(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := records[i%len(records)].Clone()
-		r.ID = r.ID + "-" + itoa(i)
+		r.ID = r.ID + "-" + strconv.Itoa(i)
 		if _, err := linker.Insert(web.Dataset.Source(r.SourceID), r); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	pos := len(buf)
-	for i > 0 {
-		pos--
-		buf[pos] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(buf[pos:])
 }

@@ -49,8 +49,9 @@ func main() {
 // run owns the whole lifecycle, so deferred cleanup (the debug server)
 // executes on error paths too.
 func run() error {
+	all := experiments.All()
 	var (
-		exp        = flag.String("exp", "all", "experiment ID (E1..E24) or 'all'")
+		exp        = flag.String("exp", "all", fmt.Sprintf("experiment ID (%s..%s) or 'all'", all[0], all[len(all)-1]))
 		seed       = flag.Int64("seed", 42, "workload seed")
 		metrics    = flag.Bool("metrics", false, "print a per-experiment metrics block")
 		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
@@ -85,7 +86,7 @@ func run() error {
 	}
 
 	runner := experiments.Runner{Seed: *seed}
-	ids := experiments.All()
+	ids := all
 	if *exp != "all" {
 		ids = strings.Split(strings.ToUpper(*exp), ",")
 	}

@@ -49,8 +49,8 @@ func run() error {
 		in          = flag.String("in", "-", "input dataset (JSON; - for stdin)")
 		csvIn       = flag.Bool("csv", false, "input is CSV instead of JSON")
 		order       = flag.String("order", "linkage-first", "stage order: linkage-first or schema-first")
-		fuser       = flag.String("fuser", "vote", "fusion method: vote, truthfinder, accu, popaccu, accucopy")
-		clusterer   = flag.String("clusterer", "components", "clustering: components, center, merge, correlation")
+		fuser       = flag.String("fuser", "vote", "fusion method: "+strings.Join(core.FuserNames(), ", "))
+		clusterer   = flag.String("clusterer", "components", "clustering: components, center, merge, correlation, swoosh")
 		meta        = flag.Bool("metablock", false, "apply meta-blocking")
 		rankFusion  = flag.Bool("rank-fusion", false, "fuse token/q-gram/minhash/sorted-neighborhood/phonetic blockers with reciprocal-rank fusion")
 		rrfK        = flag.Float64("rrf-k", 0, "reciprocal-rank-fusion constant (0 = default 60)")

@@ -72,7 +72,7 @@ func run() error {
 		queue       = flag.Int("queue", 2, "reindex queue depth (extra requests get 429)")
 		threshold   = flag.Float64("threshold", 0.6, "resolve match threshold")
 		maxLimit    = flag.Int("max-limit", 100, "cap on limit/k query parameters")
-		fuser       = flag.String("fuser", "vote", "fusion method: vote, truthfinder, accu, popaccu, accucopy")
+		fuser       = flag.String("fuser", "vote", "fusion method: "+strings.Join(core.FuserNames(), ", "))
 		order       = flag.String("order", "linkage-first", "stage order: linkage-first or schema-first")
 		workers     = flag.Int("workers", 0, "pipeline worker goroutines (0 = NumCPU)")
 		loadtest    = flag.String("loadtest", "", "run a load test instead of serving: comma-separated NxM levels, e.g. 1x50,8x50,64x50")

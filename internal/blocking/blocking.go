@@ -99,15 +99,6 @@ func (b Blocks) Pairs() []data.Pair {
 	return pairs
 }
 
-// EmitPairs streams the deduplicated candidate pairs to emit in Pairs
-// order without materialising the pair slice, stopping early when emit
-// returns false.
-func (b Blocks) EmitPairs(emit func(data.Pair) bool) {
-	x := b.Index()
-	x.EmitPairs(emit)
-	x.sink.must()
-}
-
 // Comparisons counts the total pairwise comparisons implied by the
 // blocks, counting duplicates across blocks (the meta-blocking cost
 // measure).

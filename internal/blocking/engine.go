@@ -136,7 +136,9 @@ type Opts struct {
 	// held in RAM during candidate generation. A pass whose raw pair
 	// codes would exceed it spills sorted runs of (code, position)
 	// entries to temp files and streams the deduplicated result back
-	// through a k-way loser-tree merge.
+	// through a k-way loser-tree merge. It bounds pair codes only: the
+	// records, the ID interning tables and the block index stay
+	// resident, as do the caller's feature index and matched edges.
 	PairMemBudget int64
 	// SpillDir is the directory for spill runs ("" = os.TempDir()).
 	SpillDir string
@@ -336,9 +338,6 @@ func (b Blocks) Index() *Indexed {
 
 // NumBlocks returns the number of blocks.
 func (x *Indexed) NumBlocks() int { return len(x.keys) }
-
-// NumRecords returns the size of the interned ID table.
-func (x *Indexed) NumRecords() int { return len(x.ids) }
 
 // Comparisons counts the total pairwise comparisons implied by the
 // blocks, duplicates across blocks included (the meta-blocking cost

@@ -6,9 +6,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -18,7 +21,6 @@ import (
 	"repro/internal/linkage"
 	"repro/internal/obs"
 	"repro/internal/schema"
-	"repro/internal/similarity"
 )
 
 // Order selects the pipeline stage ordering.
@@ -109,8 +111,9 @@ type Config struct {
 	// means literally 0.
 	AlignThreshold float64
 
-	// Fusion: "vote" (default), "weighted", "truthfinder", "accu",
-	// "popaccu", "accucopy".
+	// Fusion, one of FuserNames: "vote" (default), "truthfinder", "accu",
+	// "popaccu", "accucopy", or "numeric" — sequential, it takes no
+	// workers, context or registry.
 	Fuser string
 
 	// Workers bounds every parallel stage (blocking, matching, fusion);
@@ -128,7 +131,10 @@ type Config struct {
 	// blocking holds in RAM. A pass whose raw pair codes exceed it
 	// spills sorted runs to SpillDir and streams the deduplicated
 	// candidates into matching through bounded batches instead of
-	// materialising them. Output is identical either way.
+	// materialising them. Output is identical either way. It bounds
+	// nothing else: the dataset, feature index, interning tables and
+	// edge list stay resident (link_scale's ≈ 440 MB live heap sits
+	// beside a 4.9 MB pair budget).
 	PairMemBudget int64
 
 	// SpillDir is the directory for blocking spill runs ("" =
@@ -154,27 +160,11 @@ func (c *Config) defaults() {
 	if c.MaxBlock <= 0 {
 		c.MaxBlock = 100
 	}
-	if c.IdentifierAttrs == nil {
-		c.IdentifierAttrs = []string{"pid"}
-	}
-	if len(c.MatchAttrs) == 0 {
-		c.MatchAttrs = []string{"title"}
-	}
-	switch c.MatchThreshold {
-	case 0:
-		c.MatchThreshold = 0.6
-	case ZeroThreshold:
-		c.MatchThreshold = 0
-	}
+	ruleDefaults(&c.IdentifierAttrs, &c.MatchAttrs, &c.MatchThreshold)
 	if c.Clusterer == "" {
 		c.Clusterer = "components"
 	}
-	switch c.AlignThreshold {
-	case 0:
-		c.AlignThreshold = 0.5
-	case ZeroThreshold:
-		c.AlignThreshold = 0
-	}
+	c.AlignThreshold = resolveThreshold(c.AlignThreshold, 0.5)
 	if c.Fuser == "" {
 		c.Fuser = "vote"
 	}
@@ -234,14 +224,14 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("%w %q (want components, center, merge, correlation or swoosh)", ErrUnknownClusterer, c.Clusterer)
 	}
-	if _, err := BuildFuser(c.Fuser); err != nil {
+	if _, err := BuildFuser(context.Background(), c.Fuser, 0, nil); err != nil {
 		return err
 	}
-	if t := c.MatchThreshold; t != ZeroThreshold && (t < 0 || t > 1) {
-		return fmt.Errorf("core: match threshold %f out of [0,1]", t)
+	if err := checkThreshold("match", c.MatchThreshold); err != nil {
+		return err
 	}
-	if t := c.AlignThreshold; t != ZeroThreshold && (t < 0 || t > 1) {
-		return fmt.Errorf("core: align threshold %f out of [0,1]", t)
+	if err := checkThreshold("align", c.AlignThreshold); err != nil {
+		return err
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("core: negative shard count %d", c.Shards)
@@ -290,11 +280,10 @@ func (p *Pipeline) RunCtx(ctx context.Context, d *data.Dataset) (*Report, error)
 	// StageTime derivation below never depends on observability being on.
 	root := p.reg().StartSpan("pipeline")
 	var err error
-	switch p.cfg.Order {
-	case SchemaFirst:
-		rep, err = p.runSchemaFirst(ctx, d, rep, root)
-	default:
-		rep, err = p.runLinkageFirst(ctx, d, rep, root)
+	for _, st := range p.stages(d, rep, root) {
+		if err = p.runStage(ctx, st); err != nil {
+			break
+		}
 	}
 	root.End()
 	if err != nil {
@@ -306,70 +295,49 @@ func (p *Pipeline) RunCtx(ctx context.Context, d *data.Dataset) (*Report, error)
 	return rep, nil
 }
 
-// stageCtx derives the per-stage context: the run context, further
-// bounded by StageTimeout when configured. The returned cancel must be
-// called when the stage ends to release the timer.
-func (p *Pipeline) stageCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if p.cfg.StageTimeout > 0 {
-		return context.WithTimeout(ctx, p.cfg.StageTimeout)
-	}
-	return context.WithCancel(ctx)
+// stage is one top-level stage: the name its span, StageTime key and
+// error wrapping carry, and its body.
+type stage struct {
+	name string
+	run  func(context.Context) error
 }
 
-// runStage runs one top-level stage under its derived context, mapping
-// a stage-deadline overrun back to context.DeadlineExceeded even when
-// the stage surfaced it through a wrapped parallel error.
-func (p *Pipeline) runStage(ctx context.Context, name string, f func(context.Context) error) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("core: %s stage: %w", name, err)
+// stages is the ordered stage list of the configured Order. The bodies
+// read rep when they run, so a stage sees what the ones before it left.
+func (p *Pipeline) stages(d *data.Dataset, rep *Report, root *obs.Span) []stage {
+	fuse := stage{"fusion", func(ctx context.Context) error { return p.fuseStage(ctx, rep, root) }}
+	if p.cfg.Order == SchemaFirst {
+		return []stage{
+			// Align with name+instance evidence only (no clusters yet),
+			// then link over the normalised dataset.
+			{"alignment", func(ctx context.Context) error { return p.alignStage(ctx, d, rep, nil, root) }},
+			{"linkage", func(ctx context.Context) error { return p.linkStage(ctx, rep.Normalized, rep, root) }},
+			fuse,
+		}
 	}
-	sctx, cancel := p.stageCtx(ctx)
-	defer cancel()
-	if err := f(sctx); err != nil {
-		return fmt.Errorf("core: %s stage: %w", name, err)
+	return []stage{
+		{"linkage", func(ctx context.Context) error { return p.linkStage(ctx, d, rep, root) }},
+		{"alignment", func(ctx context.Context) error { return p.alignStage(ctx, d, rep, rep.Clusters, root) }},
+		fuse,
+	}
+}
+
+// runStage runs one stage under the run context, further bounded by
+// StageTimeout when configured; a stage error keeps its cause (%w), so
+// an overrun satisfies errors.Is(err, context.DeadlineExceeded).
+func (p *Pipeline) runStage(ctx context.Context, st stage) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("core: %s stage: %w", st.name, err)
+	}
+	if p.cfg.StageTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, p.cfg.StageTimeout)
+		defer cancel()
+	}
+	if err := st.run(ctx); err != nil {
+		return fmt.Errorf("core: %s stage: %w", st.name, err)
 	}
 	return nil
-}
-
-func (p *Pipeline) runLinkageFirst(ctx context.Context, d *data.Dataset, rep *Report, root *obs.Span) (*Report, error) {
-	if err := p.runStage(ctx, "linkage", func(sctx context.Context) error {
-		return p.linkStage(sctx, d, rep, root)
-	}); err != nil {
-		return nil, err
-	}
-	if err := p.runStage(ctx, "alignment", func(sctx context.Context) error {
-		return p.alignStage(sctx, d, rep, rep.Clusters, root)
-	}); err != nil {
-		return nil, err
-	}
-	if err := p.runStage(ctx, "fusion", func(sctx context.Context) error {
-		return p.fuseStage(sctx, rep, root)
-	}); err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
-
-func (p *Pipeline) runSchemaFirst(ctx context.Context, d *data.Dataset, rep *Report, root *obs.Span) (*Report, error) {
-	// Align with name+instance evidence only (no clusters yet).
-	if err := p.runStage(ctx, "alignment", func(sctx context.Context) error {
-		return p.alignStage(sctx, d, rep, nil, root)
-	}); err != nil {
-		return nil, err
-	}
-	// Link over the normalised dataset.
-	if err := p.runStage(ctx, "linkage", func(sctx context.Context) error {
-		return p.linkStage(sctx, rep.Normalized, rep, root)
-	}); err != nil {
-		return nil, err
-	}
-	// Rebuild claims with the final clusters.
-	if err := p.runStage(ctx, "fusion", func(sctx context.Context) error {
-		return p.fuseStage(sctx, rep, root)
-	}); err != nil {
-		return nil, err
-	}
-	return rep, nil
 }
 
 // linkStage: blocking → matching → clustering. Candidates stay packed
@@ -454,18 +422,17 @@ func (p *Pipeline) linkStage(ctx context.Context, d *data.Dataset, rep *Report, 
 	sp.End()
 
 	sp = root.Child("clustering")
+	ids := make([]string, len(records))
+	for i, r := range records {
+		ids[i] = r.ID
+	}
 	if p.cfg.Clusterer == "swoosh" {
-		clusters, err := p.swooshCluster(ctx, d, records, rep.Matched, matcher)
+		rep.Clusters, err = p.swooshCluster(ctx, d, ids, rep.Matched, matcher)
 		if err != nil {
 			sp.End()
 			return err
 		}
-		rep.Clusters = clusters
 	} else {
-		var ids []string
-		for _, r := range records {
-			ids = append(ids, r.ID)
-		}
 		rep.Clusters = p.buildClusterer().Cluster(ids, rep.Matched)
 	}
 	sp.End()
@@ -515,12 +482,8 @@ func (p *Pipeline) rankedBlockers() []blocking.RankedBlocker {
 // match graph (the candidate groups), so merged evidence can recruit
 // records the pairwise matcher missed, without paying O(n²) over the
 // whole corpus.
-func (p *Pipeline) swooshCluster(ctx context.Context, d *data.Dataset, records []*data.Record,
+func (p *Pipeline) swooshCluster(ctx context.Context, d *data.Dataset, ids []string,
 	matched []data.ScoredPair, matcher linkage.Matcher) (data.Clustering, error) {
-	var ids []string
-	for _, r := range records {
-		ids = append(ids, r.ID)
-	}
 	coarse := (linkage.ConnectedComponents{}).Cluster(ids, matched)
 	uf := linkage.NewUnionFind()
 	for _, id := range ids {
@@ -559,64 +522,32 @@ func (p *Pipeline) swooshCluster(ctx context.Context, d *data.Dataset, records [
 	return out, nil
 }
 
+// buildMatcher is the default rule, or — under Config.FellegiSunter — a
+// model trained on the candidates behind the same identifier
+// short-circuit.
 func (p *Pipeline) buildMatcher(d *data.Dataset, candidates func() []data.Pair, sp *obs.Span) (linkage.Matcher, error) {
-	attrs := append([]string(nil), p.cfg.MatchAttrs...)
+	attrs := p.cfg.MatchAttrs
 	if p.cfg.FellegiSunter {
 		// A probabilistic matcher needs several comparison fields to
 		// separate the classes; widen with the most frequent attributes
 		// (the ones many sources kept under their canonical names).
-		attrs = append(attrs, topAttrs(d, 5, attrs)...)
+		attrs = append(slices.Clone(attrs), topAttrs(d, 5, attrs)...)
 	}
-	fields := make([]similarity.FieldWeight, 0, len(attrs))
-	for _, a := range attrs {
-		w := 1.0
-		if a == "title" {
-			w = 2
-		}
-		fields = append(fields, similarity.FieldWeight{Attr: a, Weight: w, Metric: similarity.Jaccard})
+	rule := defaultRule(p.cfg.IdentifierAttrs, attrs, p.cfg.MatchThreshold)
+	rule.Comparator.AttachObs(p.reg())
+	if !p.cfg.FellegiSunter {
+		return rule, nil
 	}
-	cmp := similarity.NewRecordComparator(fields...)
-	cmp.AttachObs(p.reg())
-	if p.cfg.FellegiSunter {
-		fs := linkage.NewFellegiSunter(cmp)
-		fs.Threshold = 0.9
-		fs.AgreeAt = 0.7
-		train := sp.Child("train")
-		err := fs.Train(d, candidates(), 15)
-		train.End()
-		if err != nil {
-			return nil, fmt.Errorf("core: training matcher: %w", err)
-		}
-		return &fsWithIdentifier{fs: fs, exact: p.cfg.IdentifierAttrs}, nil
+	fs := linkage.NewFellegiSunter(rule.Comparator)
+	fs.Threshold = 0.9
+	fs.AgreeAt = 0.7
+	train := sp.Child("train")
+	err := fs.Train(d, candidates(), 15)
+	train.End()
+	if err != nil {
+		return nil, fmt.Errorf("core: training matcher: %w", err)
 	}
-	return linkage.RuleMatcher{
-		Exact:      p.cfg.IdentifierAttrs,
-		Comparator: cmp,
-		Threshold:  p.cfg.MatchThreshold,
-	}, nil
-}
-
-// fsWithIdentifier short-circuits identifier equality ahead of the
-// probabilistic model, mirroring RuleMatcher's behaviour.
-type fsWithIdentifier struct {
-	fs    *linkage.FellegiSunter
-	exact []string
-}
-
-// PrepareIndexIDs implements linkage.IDIndexPreparer.
-func (m *fsWithIdentifier) PrepareIndexIDs(d *data.Dataset, ids []string) {
-	m.fs.PrepareIndexIDs(d, ids)
-}
-
-// Match implements linkage.Matcher.
-func (m *fsWithIdentifier) Match(a, b *data.Record) (float64, bool) {
-	for _, attr := range m.exact {
-		va, vb := a.Get(attr), b.Get(attr)
-		if !va.IsNull() && !vb.IsNull() && va.Key() == vb.Key() {
-			return 1, true
-		}
-	}
-	return m.fs.Match(a, b)
+	return linkage.IdentifierFirst{Exact: rule.Exact, Matcher: fs}, nil
 }
 
 func (p *Pipeline) buildClusterer() linkage.Clusterer {
@@ -702,7 +633,7 @@ func (p *Pipeline) fuseStage(ctx context.Context, rep *Report, root *obs.Span) e
 	attrs = dedupeStrings(attrs)
 	rep.Claims = data.ClaimsFromClusters(rep.Normalized, rep.Clusters, attrs)
 	sub.End()
-	fuser, err := BuildFuserCtx(ctx, p.cfg.Fuser, p.cfg.Workers, p.reg())
+	fuser, err := BuildFuser(ctx, p.cfg.Fuser, p.cfg.Workers, p.reg())
 	if err != nil {
 		return err
 	}
@@ -714,43 +645,39 @@ func (p *Pipeline) fuseStage(ctx context.Context, rep *Report, root *obs.Span) e
 	return nil
 }
 
-// BuildFuser resolves a fuser by name with the default worker pool.
-func BuildFuser(name string) (fusion.Fuser, error) {
-	return BuildFuserWith(name, 0)
-}
-
-// BuildFuserWith resolves a fuser by name with an explicit worker
-// bound (0 = NumCPU). Fusion output is identical for any worker count.
-func BuildFuserWith(name string, workers int) (fusion.Fuser, error) {
-	return BuildFuserObs(name, workers, nil)
-}
-
-// BuildFuserObs is BuildFuserWith with an attached metrics registry:
-// the fuser records "fusion." index sizes and EM convergence metrics.
-func BuildFuserObs(name string, workers int, reg *obs.Registry) (fusion.Fuser, error) {
-	return BuildFuserCtx(nil, name, workers, reg)
-}
-
-// BuildFuserCtx is BuildFuserObs with a cancellation context wired into
-// the fuser's parallel passes (nil never cancels). Unknown names return
-// an error wrapping ErrUnknownFuser.
-func BuildFuserCtx(ctx context.Context, name string, workers int, reg *obs.Registry) (fusion.Fuser, error) {
-	switch name {
-	case "", "vote":
-		return fusion.MajorityVote{Workers: workers, Obs: reg, Ctx: ctx}, nil
-	case "truthfinder":
-		return fusion.TruthFinder{Workers: workers, Obs: reg, Ctx: ctx}, nil
-	case "accu":
-		return fusion.ACCU{Workers: workers, Obs: reg, Ctx: ctx}, nil
-	case "popaccu":
-		return fusion.ACCU{Popularity: true, Workers: workers, Obs: reg, Ctx: ctx}, nil
-	case "accucopy":
-		return fusion.ACCUCOPY{Accu: fusion.ACCU{Workers: workers, Obs: reg, Ctx: ctx}}, nil
-	case "numeric":
-		return fusion.NumericFusion{}, nil
-	default:
-		return nil, fmt.Errorf("%w %q", ErrUnknownFuser, name)
+// fusers is the one name → fuser table, built for a worker bound, a
+// registry and a context: Validate, the ErrUnknownFuser message, the
+// commands' -fuser help and the docs read its names through FuserNames.
+func fusers(ctx context.Context, workers int, reg *obs.Registry) map[string]fusion.Fuser {
+	accu := fusion.ACCU{Workers: workers, Obs: reg, Ctx: ctx}
+	return map[string]fusion.Fuser{
+		"vote":        fusion.MajorityVote{Workers: workers, Obs: reg, Ctx: ctx},
+		"truthfinder": fusion.TruthFinder{Workers: workers, Obs: reg, Ctx: ctx},
+		"accu":        accu,
+		"popaccu":     fusion.ACCU{Popularity: true, Workers: workers, Obs: reg, Ctx: ctx},
+		"accucopy":    fusion.ACCUCOPY{Accu: accu},
+		// Sequential: NumericFusion has no worker pool, context or metrics.
+		"numeric": fusion.NumericFusion{},
 	}
+}
+
+// FuserNames lists the names BuildFuser resolves, sorted.
+func FuserNames() []string { return sortedKeys(fusers(context.Background(), 0, nil)) }
+
+// BuildFuser resolves a fuser by name ("" = "vote"): workers bounds its
+// pool (0 = NumCPU; output is identical for any value), reg receives
+// its "fusion." index sizes and EM convergence metrics, ctx cancels its
+// parallel passes; nil reg and nil ctx switch those off. Unknown names
+// return an error wrapping ErrUnknownFuser.
+func BuildFuser(ctx context.Context, name string, workers int, reg *obs.Registry) (fusion.Fuser, error) {
+	if name == "" {
+		name = "vote"
+	}
+	f, ok := fusers(ctx, workers, reg)[name]
+	if !ok {
+		return nil, fmt.Errorf("%w %q (want %s)", ErrUnknownFuser, name, strings.Join(FuserNames(), ", "))
+	}
+	return f, nil
 }
 
 // topAttrs returns the k most frequent attributes in the dataset,
@@ -761,17 +688,10 @@ func topAttrs(d *data.Dataset, k int, exclude []string) []string {
 		skip[a] = true
 	}
 	counts := d.Attributes()
-	// Sort by count desc, name asc for determinism.
-	for i := 1; i < len(counts); i++ {
-		for j := i; j > 0; j-- {
-			a, b := counts[j-1], counts[j]
-			if b.Count > a.Count || (b.Count == a.Count && b.Attr < a.Attr) {
-				counts[j-1], counts[j] = b, a
-			} else {
-				break
-			}
-		}
-	}
+	// Count descending, name ascending for determinism.
+	slices.SortFunc(counts, func(a, b data.AttrCount) int {
+		return cmp.Or(cmp.Compare(b.Count, a.Count), cmp.Compare(a.Attr, b.Attr))
+	})
 	var out []string
 	for _, ac := range counts {
 		if skip[ac.Attr] {

@@ -84,7 +84,7 @@ func TestRunCtxNilIsBackground(t *testing.T) {
 }
 
 func TestSentinelErrors(t *testing.T) {
-	if _, err := BuildFuser("bogus"); !errors.Is(err, ErrUnknownFuser) {
+	if _, err := BuildFuser(nil, "bogus", 0, nil); !errors.Is(err, ErrUnknownFuser) {
 		t.Errorf("BuildFuser(bogus) = %v, want ErrUnknownFuser", err)
 	}
 	if err := (Config{Clusterer: "bogus"}).Validate(); !errors.Is(err, ErrUnknownClusterer) {

@@ -191,7 +191,7 @@ func TestPipelineFuserVariants(t *testing.T) {
 			t.Errorf("%s: no fused values", f)
 		}
 	}
-	if _, err := BuildFuser("bogus"); err == nil {
+	if _, err := BuildFuser(nil, "bogus", 0, nil); err == nil {
 		t.Error("unknown fuser must error")
 	}
 }

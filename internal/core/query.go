@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/data"
 )
@@ -100,13 +99,4 @@ func (r *Report) Search(query string, limit int) ([]Hit, error) {
 		return nil, err
 	}
 	return s.Search(query, limit)
-}
-
-func sortedAttrs(m map[string]data.Value) []string {
-	out := make([]string, 0, len(m))
-	for a := range m {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -81,7 +81,7 @@ func BuildSnapshot(r *Report) (*Snapshot, error) {
 		if e.Title != "" {
 			p.Set("title", data.String(e.Title))
 		}
-		for _, attr := range sortedAttrs(e.Values) {
+		for _, attr := range sortedKeys(e.Values) {
 			v := e.Values[attr]
 			if v.Kind == data.KindString {
 				s.indexWords(i, v.Str)
@@ -94,17 +94,11 @@ func BuildSnapshot(r *Report) (*Snapshot, error) {
 		}
 		s.pseudo[i] = p
 	}
-	// The resolution comparator mirrors the pipeline matcher's shape:
-	// title double-weighted, every fused attribute contributing, word
-	// Jaccard throughout. The feature index over the pseudo-records
-	// precomputes the entity-side token sets.
-	fields := []similarity.FieldWeight{{Attr: "title", Weight: 2, Metric: similarity.Jaccard}}
-	for _, attr := range sortedKeySet(attrSet) {
-		if attr != "title" {
-			fields = append(fields, similarity.FieldWeight{Attr: attr, Weight: 1, Metric: similarity.Jaccard})
-		}
-	}
-	s.cmp = similarity.NewRecordComparator(fields...)
+	// The resolution comparator is the pipeline rule's, over the title
+	// and every fused attribute. The feature index over the
+	// pseudo-records precomputes the entity-side token sets.
+	attrSet["title"] = true
+	s.cmp = ruleComparator(sortedKeys(attrSet))
 	s.cmp.AttachIndex(similarity.BuildFeatureIndex(s.pseudo, s.cmp))
 	return s, nil
 }
@@ -365,7 +359,9 @@ func (s *Snapshot) Resolve(rec *data.Record, k int) ([]Hit, error) {
 	return hits, nil
 }
 
-func sortedKeySet(m map[string]bool) []string {
+// sortedKeys returns m's keys in ascending order: the one way core
+// walks a map when the order can reach an output.
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

@@ -25,7 +25,7 @@ func legacySearch(t *testing.T, rep *Report, query string, limit int) []Hit {
 	hits := make([]Hit, 0, len(ents))
 	for _, e := range ents {
 		text := e.Title
-		for _, attr := range sortedAttrs(e.Values) {
+		for _, attr := range sortedKeys(e.Values) {
 			if v := e.Values[attr]; v.Kind == data.KindString {
 				text += " " + v.Str
 			}
@@ -297,7 +297,7 @@ func TestSnapshotResolveExactValue(t *testing.T) {
 	var val data.Value
 	var target *Entity
 	for _, e := range snap.Entities() {
-		for _, a := range sortedAttrs(e.Values) {
+		for _, a := range sortedKeys(e.Values) {
 			if v := e.Values[a]; v.Kind == data.KindNumber {
 				attr, val, target = a, v, e
 				break

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 	"time"
 
@@ -10,7 +11,6 @@ import (
 	"repro/internal/fusion"
 	"repro/internal/linkage"
 	"repro/internal/obs"
-	"repro/internal/similarity"
 	"repro/internal/source"
 	"repro/internal/tokenize"
 )
@@ -23,12 +23,11 @@ import (
 type StreamConfig struct {
 	// Stream shape (see source.StreamConfig).
 	EpochSize int // records per source per epoch; default 100
-	Buffer    int // bounded epoch buffer; default 4
 	Retries   int // refetch budget per poll; default 8, negative = none
 
-	// Incremental linkage. Defaults mirror the batch pipeline's:
-	// identifier equality short-circuits, otherwise a weighted Jaccard
-	// over the match attributes against MatchThreshold.
+	// Incremental linkage: the batch pipeline's default rule with the
+	// batch defaults (identifier equality short-circuits, otherwise a
+	// weighted Jaccard over the match attributes against MatchThreshold).
 	IdentifierAttrs []string // exact-match attributes; nil = {"pid"}
 	MatchAttrs      []string // comparator attributes; empty = {"title"}
 	MatchThreshold  float64  // 0 = default 0.6, ZeroThreshold = literally 0
@@ -73,21 +72,7 @@ func (c *StreamConfig) defaults() {
 	if c.EpochSize <= 0 {
 		c.EpochSize = 100
 	}
-	if c.Buffer <= 0 {
-		c.Buffer = 4
-	}
-	if c.IdentifierAttrs == nil {
-		c.IdentifierAttrs = []string{"pid"}
-	}
-	if len(c.MatchAttrs) == 0 {
-		c.MatchAttrs = []string{"title"}
-	}
-	switch c.MatchThreshold {
-	case 0:
-		c.MatchThreshold = 0.6
-	case ZeroThreshold:
-		c.MatchThreshold = 0
-	}
+	ruleDefaults(&c.IdentifierAttrs, &c.MatchAttrs, &c.MatchThreshold)
 	if c.MaxBlock == 0 {
 		c.MaxBlock = 64
 	}
@@ -101,8 +86,8 @@ func (c *StreamConfig) defaults() {
 
 // Validate rejects unusable configurations.
 func (c StreamConfig) Validate() error {
-	if t := c.MatchThreshold; t != ZeroThreshold && (t < 0 || t > 1) {
-		return fmt.Errorf("core: stream match threshold %v outside [0,1]", t)
+	if err := checkThreshold("stream match", c.MatchThreshold); err != nil {
+		return err
 	}
 	if c.FusionN < 0 {
 		return fmt.Errorf("core: stream fusion N %v is negative", c.FusionN)
@@ -159,7 +144,7 @@ func NewStream(cfg StreamConfig, publish func(*Snapshot)) (*Stream, error) {
 	s := &Stream{
 		cfg:     cfg,
 		keyFn:   streamKeyFunc(cfg.MatchAttrs, cfg.IdentifierAttrs),
-		matcher: streamMatcher(cfg),
+		matcher: defaultRule(cfg.IdentifierAttrs, cfg.MatchAttrs, cfg.MatchThreshold),
 		publish: publish,
 		acc:     map[string]float64{},
 		cursors: map[string]int{},
@@ -168,25 +153,6 @@ func NewStream(cfg StreamConfig, publish func(*Snapshot)) (*Stream, error) {
 	s.inc = linkage.NewIncremental(s.keyFn, s.matcher)
 	s.inc.MaxBlock = cfg.MaxBlock
 	return s, nil
-}
-
-// streamMatcher mirrors the batch pipeline's default rule matcher:
-// identifier equality short-circuits, otherwise weighted Jaccard over
-// the match attributes (title weighted up, like buildMatcher).
-func streamMatcher(cfg StreamConfig) linkage.Matcher {
-	fields := make([]similarity.FieldWeight, 0, len(cfg.MatchAttrs))
-	for _, a := range cfg.MatchAttrs {
-		w := 1.0
-		if a == "title" {
-			w = 2
-		}
-		fields = append(fields, similarity.FieldWeight{Attr: a, Weight: w, Metric: similarity.Jaccard})
-	}
-	return linkage.RuleMatcher{
-		Exact:      cfg.IdentifierAttrs,
-		Comparator: similarity.NewRecordComparator(fields...),
-		Threshold:  cfg.MatchThreshold,
-	}
 }
 
 // streamKeyFunc is the online blocking key: sorted distinct tokens of
@@ -446,7 +412,6 @@ func (s *Stream) RunDeltas(ctx context.Context, fleet []source.DeltaSource, tota
 func (s *Stream) streamerConfig(totals map[string]int) source.StreamConfig {
 	return source.StreamConfig{
 		EpochSize: s.cfg.EpochSize,
-		Buffer:    s.cfg.Buffer,
 		Retries:   s.cfg.Retries,
 		Totals:    totals,
 		Cursors:   s.Cursors(),
@@ -556,19 +521,7 @@ func (s *Stream) Clusters() data.Clustering { return s.inc.Clusters() }
 func (s *Stream) Dataset() *data.Dataset { return s.inc.Dataset() }
 
 // Cursors returns a copy of the per-source resume positions.
-func (s *Stream) Cursors() map[string]int {
-	out := make(map[string]int, len(s.cursors))
-	for id, c := range s.cursors {
-		out[id] = c
-	}
-	return out
-}
+func (s *Stream) Cursors() map[string]int { return maps.Clone(s.cursors) }
 
 // Accuracy returns a copy of the current per-source accuracy estimates.
-func (s *Stream) Accuracy() map[string]float64 {
-	out := make(map[string]float64, len(s.acc))
-	for id, a := range s.acc {
-		out[id] = a
-	}
-	return out
-}
+func (s *Stream) Accuracy() map[string]float64 { return maps.Clone(s.acc) }

@@ -36,11 +36,11 @@ func streamFingerprint(t *testing.T, s *Stream) string {
 		s.Epoch(), s.Ingested(), s.Publishes(), s.Comparisons())
 	fmt.Fprintf(&b, "clusters=%v\n", s.Clusters())
 	cursors := s.Cursors()
-	for _, id := range sortedKeysInt(cursors) {
+	for _, id := range sortedKeys(cursors) {
 		fmt.Fprintf(&b, "cursor %s=%d\n", id, cursors[id])
 	}
 	acc := s.Accuracy()
-	for _, id := range sortedKeysFloat(acc) {
+	for _, id := range sortedKeys(acc) {
 		fmt.Fprintf(&b, "acc %s=%.17g\n", id, acc[id])
 	}
 	snap, err := s.Rebuild(context.Background())

@@ -9,7 +9,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"repro/internal/data"
@@ -176,12 +175,12 @@ func (s *Stream) encodeState() []byte {
 	b = binary.AppendUvarint(b, uint64(s.publishes))
 
 	b = binary.AppendUvarint(b, uint64(len(s.cursors)))
-	for _, id := range sortedKeysInt(s.cursors) {
+	for _, id := range sortedKeys(s.cursors) {
 		b = appendString(b, id)
 		b = binary.AppendUvarint(b, uint64(s.cursors[id]))
 	}
 	b = binary.AppendUvarint(b, uint64(len(s.acc)))
-	for _, id := range sortedKeysFloat(s.acc) {
+	for _, id := range sortedKeys(s.acc) {
 		b = appendString(b, id)
 		b = appendFloat(b, s.acc[id])
 	}
@@ -210,7 +209,7 @@ func (s *Stream) encodeState() []byte {
 		}
 	}
 	b = binary.AppendUvarint(b, uint64(len(st.Postings)))
-	for _, k := range sortedKeysSlice(st.Postings) {
+	for _, k := range sortedKeys(st.Postings) {
 		b = appendString(b, k)
 		ids := st.Postings[k]
 		b = binary.AppendUvarint(b, uint64(len(ids)))
@@ -231,7 +230,7 @@ func (s *Stream) encodeState() []byte {
 	// ID with its posting keys in stored — death — order).
 	b = binary.AppendUvarint(b, uint64(s.deleted))
 	b = binary.AppendUvarint(b, uint64(len(st.Tombstones)))
-	for _, id := range sortedKeysSlice(st.Tombstones) {
+	for _, id := range sortedKeys(st.Tombstones) {
 		b = appendString(b, id)
 		keys := st.Tombstones[id]
 		b = binary.AppendUvarint(b, uint64(len(keys)))
@@ -466,31 +465,4 @@ func (d *stateDecoder) value() data.Value {
 		d.fail(fmt.Sprintf("unknown value kind %d", kind))
 		return data.Value{}
 	}
-}
-
-func sortedKeysInt(m map[string]int) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedKeysFloat(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedKeysSlice(m map[string][]string) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -27,12 +27,12 @@ func encodeStateV1(s *Stream) []byte {
 	b = binary.AppendUvarint(b, uint64(s.publishes))
 
 	b = binary.AppendUvarint(b, uint64(len(s.cursors)))
-	for _, id := range sortedKeysInt(s.cursors) {
+	for _, id := range sortedKeys(s.cursors) {
 		b = appendString(b, id)
 		b = binary.AppendUvarint(b, uint64(s.cursors[id]))
 	}
 	b = binary.AppendUvarint(b, uint64(len(s.acc)))
-	for _, id := range sortedKeysFloat(s.acc) {
+	for _, id := range sortedKeys(s.acc) {
 		b = appendString(b, id)
 		b = appendFloat(b, s.acc[id])
 	}
@@ -61,7 +61,7 @@ func encodeStateV1(s *Stream) []byte {
 		}
 	}
 	b = binary.AppendUvarint(b, uint64(len(st.Postings)))
-	for _, k := range sortedKeysSlice(st.Postings) {
+	for _, k := range sortedKeys(st.Postings) {
 		b = appendString(b, k)
 		ids := st.Postings[k]
 		b = binary.AppendUvarint(b, uint64(len(ids)))

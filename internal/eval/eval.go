@@ -163,11 +163,3 @@ func VariationOfInformation(a, b data.Clustering) float64 {
 	}
 	return vi
 }
-
-// Accuracy is a generic proportion-correct helper defining 0/0 as 0.
-func Accuracy(correct, total int) float64 {
-	if total == 0 {
-		return 0
-	}
-	return float64(correct) / float64(total)
-}

@@ -1,5 +1,5 @@
 // Package experiments implements the reproduction harness: one function
-// per experiment in DESIGN.md's index (E1–E24), each generating its
+// per experiment in DESIGN.md's index (E1–E28), each generating its
 // workload, running the systems under test and returning a printable
 // table plus structured results that the test suite asserts shape
 // properties on. cmd/bdibench and the root-level benchmarks are thin

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -213,11 +214,11 @@ func E13(seed int64) (*Table, *E13Result, error) {
 		LinkageF1:  eval.Clusters(rep.Clusters, web.Dataset.GroundTruthClusters()).F1,
 		FusedItems: len(rep.Fusion.Values),
 	}
-	fuserSeq, err := core.BuildFuserWith("accucopy", 1)
+	fuserSeq, err := core.BuildFuser(context.Background(), "accucopy", 1, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	fuserPar, err := core.BuildFuserWith("accucopy", 0)
+	fuserPar, err := core.BuildFuser(context.Background(), "accucopy", 0, nil)
 	if err != nil {
 		return nil, nil, err
 	}

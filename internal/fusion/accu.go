@@ -3,7 +3,6 @@ package fusion
 import (
 	"context"
 	"math"
-	"sort"
 
 	"repro/internal/data"
 	"repro/internal/obs"
@@ -253,39 +252,6 @@ func (a ACCU) FuseTrace(cs *data.ClaimSet) ([]*Result, error) {
 		return nil, err
 	}
 	return trace, nil
-}
-
-// softmax normalises a score map into a probability map, accumulating
-// the normalizer in sorted key order so the result is bit-deterministic
-// (Go map iteration order is randomised). The engine path uses
-// softmaxRange over the interned layout; this helper remains for
-// reference implementations in tests.
-func softmax(scores map[string]float64) map[string]float64 {
-	if len(scores) == 0 {
-		return scores
-	}
-	keys := make([]string, 0, len(scores))
-	for k := range scores {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	maxS := math.Inf(-1)
-	for _, k := range keys {
-		if s := scores[k]; s > maxS {
-			maxS = s
-		}
-	}
-	out := make(map[string]float64, len(scores))
-	var z float64
-	for _, k := range keys {
-		e := math.Exp(scores[k] - maxS)
-		out[k] = e
-		z += e
-	}
-	for _, k := range keys {
-		out[k] /= z
-	}
-	return out
 }
 
 func clampF(x, lo, hi float64) float64 {

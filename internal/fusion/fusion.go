@@ -5,10 +5,14 @@
 // fuser — the method family of Dong, Berti-Équille & Srivastava that
 // the Big Data Integration tutorial surveys.
 //
-// Every fuser runs on the interned claimIndex (engine.go): source IDs,
-// items and value keys are interned to dense uint32 ranks, the
+// MajorityVote, WeightedVote, TruthFinder, ACCU/POPACCU, ACCUCOPY and
+// the copy detector run on the interned claimIndex (engine.go): source
+// IDs, items and value keys are interned to dense uint32 ranks, the
 // iterative state lives in flat slices, and all float accumulations
-// walk fixed slice orders, so each fuser is bit-deterministic and
+// walk fixed slice orders. Two fusers are not on the index: Online
+// keeps per-source claim maps (it needs "a source's last claim on an
+// item wins", which the index does not record) and NumericFusion is a
+// sequential per-item pass. Every fuser is bit-deterministic and
 // produces identical output for any worker count.
 package fusion
 
@@ -37,29 +41,6 @@ type Result struct {
 type Fuser interface {
 	Fuse(cs *data.ClaimSet) (*Result, error)
 	Name() string
-}
-
-// voteCounts tallies, per item, the supporting sources of each distinct
-// value key. The canonical value for a key is the first one observed.
-// The engine path replaces this with the claimIndex layout; the tally
-// remains as the reference implementation tests pin against.
-type voteCounts struct {
-	values   map[string]data.Value
-	sources  map[string][]string
-	keyOrder []string
-}
-
-func tally(claims []data.Claim) *voteCounts {
-	vc := &voteCounts{values: map[string]data.Value{}, sources: map[string][]string{}}
-	for _, c := range claims {
-		k := c.Value.Key()
-		if _, seen := vc.values[k]; !seen {
-			vc.values[k] = c.Value
-			vc.keyOrder = append(vc.keyOrder, k)
-		}
-		vc.sources[k] = append(vc.sources[k], c.Source)
-	}
-	return vc
 }
 
 // MajorityVote picks the most-claimed value per item, breaking ties by
@@ -163,6 +144,3 @@ func weightedVote(cs *data.ClaimSet, cfg parallel.Config, weight func(string) fl
 	}
 	return res, nil
 }
-
-// TruthToResult is a helper for tests: extract only the fused values.
-func TruthToResult(r *Result) map[data.Item]data.Value { return r.Values }

@@ -218,7 +218,7 @@ func (o Online) FuseWithPrefix(cs *data.ClaimSet, k int) (*Result, error) {
 			sub.SetTruth(it, v)
 		}
 	}
-	return WeightedVote{Weights: weightsFor(o, order[:k]), Workers: o.Workers}.Fuse(sub)
+	return WeightedVote{Weights: weightsFor(o, order[:k]), Workers: o.Workers, Ctx: o.Ctx}.Fuse(sub)
 }
 
 func weightsFor(o Online, sources []string) map[string]float64 {

@@ -1,6 +1,8 @@
 package fusion
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -90,6 +92,24 @@ func TestOnlineEmptyAndName(t *testing.T) {
 	}
 	if on.Name() != "online" {
 		t.Error("name")
+	}
+}
+
+// TestOnlineCancelled pins that every Online entry point honours Ctx —
+// FuseWithPrefix used to drop it on the way to its WeightedVote, so a
+// cancelled prefix sweep ran to completion.
+func TestOnlineCancelled(t *testing.T) {
+	cw := onlineWorld(6)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	on := Online{Accuracy: cw.TrueAccuracy, Workers: 2, Ctx: ctx}
+	_, fuseErr := on.Fuse(cw.Claims)
+	_, onlineErr := on.FuseOnline(cw.Claims)
+	_, prefixErr := on.FuseWithPrefix(cw.Claims, 5)
+	for name, err := range map[string]error{"Fuse": fuseErr, "FuseOnline": onlineErr, "FuseWithPrefix": prefixErr} {
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s under a cancelled context = %v, want context.Canceled", name, err)
+		}
 	}
 }
 

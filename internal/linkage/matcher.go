@@ -89,13 +89,22 @@ type RuleMatcher struct {
 	Threshold  float64
 }
 
-// Match implements Matcher.
-func (m RuleMatcher) Match(a, b *data.Record) (float64, bool) {
-	for _, attr := range m.Exact {
+// identifierHit reports whether any of the exact attributes agrees on
+// non-null normalised values.
+func identifierHit(exact []string, a, b *data.Record) bool {
+	for _, attr := range exact {
 		va, vb := a.Get(attr), b.Get(attr)
 		if !va.IsNull() && !vb.IsNull() && va.Key() == vb.Key() {
-			return 1, true
+			return true
 		}
+	}
+	return false
+}
+
+// Match implements Matcher.
+func (m RuleMatcher) Match(a, b *data.Record) (float64, bool) {
+	if identifierHit(m.Exact, a, b) {
+		return 1, true
 	}
 	if m.Comparator == nil {
 		return 0, false
@@ -107,4 +116,27 @@ func (m RuleMatcher) Match(a, b *data.Record) (float64, bool) {
 // PrepareIndexIDs implements IDIndexPreparer.
 func (m RuleMatcher) PrepareIndexIDs(d *data.Dataset, ids []string) {
 	PrepareComparatorIndexIDs(m.Comparator, d, ids)
+}
+
+// IdentifierFirst puts RuleMatcher's identifier short-circuit ahead of
+// another matcher: a pair agreeing on any Exact attribute matches with
+// score 1, every other pair is Matcher's decision.
+type IdentifierFirst struct {
+	Exact   []string
+	Matcher Matcher
+}
+
+// Match implements Matcher.
+func (m IdentifierFirst) Match(a, b *data.Record) (float64, bool) {
+	if identifierHit(m.Exact, a, b) {
+		return 1, true
+	}
+	return m.Matcher.Match(a, b)
+}
+
+// PrepareIndexIDs implements IDIndexPreparer when Matcher does.
+func (m IdentifierFirst) PrepareIndexIDs(d *data.Dataset, ids []string) {
+	if p, ok := m.Matcher.(IDIndexPreparer); ok {
+		p.PrepareIndexIDs(d, ids)
+	}
 }

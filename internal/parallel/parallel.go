@@ -1,13 +1,11 @@
-// Package parallel is a small, deterministic map/shuffle/reduce
-// framework over goroutines — the stand-in for the MapReduce clusters
-// used by the scale experiments the Big Data Integration tutorial
-// surveys. It exercises the same logical structure (partitioning,
-// key-grouped shuffle, reduce skew) on shared memory.
+// Package parallel is the deterministic fan-out substrate every
+// parallel stage runs on: an index loop (ForEach, ForEachPair,
+// MapSlice) and a shard planner with an ordered reduce (WeightedRanges,
+// ReduceShards) over a bounded goroutine pool.
 //
 // Every entry point is generic and allocation-conscious: no values are
-// boxed through interface{}, work is handed out in dynamic chunks so
-// skewed item costs cannot strand a worker, and the reduce phase runs
-// on a bounded pool (never one goroutine per key). All results are
+// boxed through interface{}, and work is handed out in dynamic chunks
+// so skewed item costs cannot strand a worker. All results are
 // deterministic: identical output for any worker count.
 //
 // Entry points return an error instead of crashing: a panic inside a
@@ -17,10 +15,8 @@
 package parallel
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -82,10 +78,10 @@ func runChunk(f func(i int), start, end int) (err error) {
 	return nil
 }
 
-// Must unwraps a (value, error) result from Run or MapSlice on
-// infallible paths: callers that configure no Ctx and trust f not to
-// panic keep their value-only call chains, and an unexpected error
-// escalates to a panic instead of being silently dropped.
+// Must unwraps a (value, error) result on infallible paths: callers
+// that configure no Ctx and trust f not to panic keep their value-only
+// call chains, and an unexpected error escalates to a panic instead of
+// being silently dropped.
 func Must[T any](v T, err error) T {
 	if err != nil {
 		panic(err)
@@ -93,99 +89,11 @@ func Must[T any](v T, err error) T {
 	return v
 }
 
-// Must0 is Must for the error-only entry points (ForEach, ForEachPair).
-func Must0(err error) {
-	if err != nil {
-		panic(err)
-	}
-}
-
-// Run executes a full map→shuffle→reduce job over items and returns the
-// reducer outputs. The map function emits (key, value) pairs; the
-// reduce function sees one key with all its values. Output order is
-// deterministic regardless of worker count: reduce keys are processed
-// in sorted order, outputs are concatenated in that order, and within a
-// key, values appear in input order (stable shuffle). The reduce phase
-// runs on the same bounded worker pool as the map phase — key
-// cardinality never translates into goroutine count. A worker panic or
-// a Config.Ctx cancellation aborts the job and is returned as the
-// error; the partial output is discarded.
-func Run[I any, K cmp.Ordered, V, O any](cfg Config, items []I, m func(item I, emit func(K, V)), r func(key K, values []V, emit func(O))) ([]O, error) {
-	grouped, err := mapAndShuffle(cfg, items, m)
-	if err != nil {
-		return nil, err
-	}
-
-	keys := make([]K, 0, len(grouped))
-	for k := range grouped {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-
-	// Reduce on the bounded pool, preserving key order in the output.
-	// Dynamic chunking absorbs reduce skew (hot keys with many values).
-	outs := make([][]O, len(keys))
-	if err := ForEach(cfg, len(keys), func(i int) {
-		k := keys[i]
-		r(k, grouped[k], func(o O) { outs[i] = append(outs[i], o) })
-	}); err != nil {
-		return nil, err
-	}
-
-	total := 0
-	for _, o := range outs {
-		total += len(o)
-	}
-	flat := make([]O, 0, total)
-	for _, o := range outs {
-		flat = append(flat, o...)
-	}
-	return flat, nil
-}
-
-// mapAndShuffle runs the map phase over items with the configured
-// worker count and groups emissions by key. Emissions are buffered per
-// input index, so grouping order depends only on input order, never on
-// worker scheduling.
-func mapAndShuffle[I any, K cmp.Ordered, V any](cfg Config, items []I, m func(item I, emit func(K, V))) (map[K][]V, error) {
-	type emission struct {
-		k K
-		v V
-	}
-	emissionsPer := make([][]emission, len(items))
-	if err := ForEach(cfg, len(items), func(i int) {
-		m(items[i], func(k K, v V) {
-			emissionsPer[i] = append(emissionsPer[i], emission{k: k, v: v})
-		})
-	}); err != nil {
-		return nil, err
-	}
-
-	grouped := map[K][]V{}
-	for _, ems := range emissionsPer {
-		for _, e := range ems {
-			grouped[e.k] = append(grouped[e.k], e.v)
-		}
-	}
-	return grouped, nil
-}
-
-// Partition assigns a key to one of n buckets by FNV hash — the
-// hash-partitioner used when fanning records out to blocking workers.
-func Partition(key string, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(key))
-	return int(h.Sum32() % uint32(n))
-}
-
 // ForEach applies f to every index in [0,n) using the configured number
 // of workers, blocking until done. Work is handed out in dynamically
 // sized chunks from a shared counter, so skewed per-index costs (large
-// blocks, hot reduce keys) rebalance across workers instead of
-// stranding one on a static range. Each index is visited exactly once;
+// blocks) rebalance across workers instead of stranding one on a
+// static range. Each index is visited exactly once;
 // callers writing results by index get deterministic output for any
 // worker count.
 //
@@ -405,31 +313,4 @@ func MapSlice[I, O any](cfg Config, in []I, f func(item I) O) ([]O, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// Errgroup runs fns concurrently and returns the first error. A panic
-// inside a task is recovered into a *PanicError rather than crashing
-// the process.
-func Errgroup(fns ...func() error) error {
-	errs := make([]error, len(fns))
-	var wg sync.WaitGroup
-	for i, fn := range fns {
-		wg.Add(1)
-		go func(i int, fn func() error) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[i] = &PanicError{Value: r, Stack: debug.Stack()}
-				}
-			}()
-			errs[i] = fn()
-		}(i, fn)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("parallel: task %d: %w", i, err)
-		}
-	}
-	return nil
 }

@@ -3,184 +3,14 @@ package parallel
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 	"time"
 )
-
-func wordCount(docs []string, workers int) map[string]int {
-	out := Must(Run(Config{Workers: workers}, docs,
-		func(doc string, emit func(string, int)) {
-			for _, w := range strings.Fields(doc) {
-				emit(w, 1)
-			}
-		},
-		func(key string, values []int, emit func([2]any)) {
-			emit([2]any{key, len(values)})
-		}))
-	counts := map[string]int{}
-	for _, o := range out {
-		counts[o[0].(string)] = o[1].(int)
-	}
-	return counts
-}
-
-func TestRunWordCount(t *testing.T) {
-	docs := []string{"a b a", "b c", "a"}
-	got := wordCount(docs, 4)
-	want := map[string]int{"a": 3, "b": 2, "c": 1}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("got %v, want %v", got, want)
-	}
-}
-
-func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
-	docs := []string{"x y z", "x x", "y", "z z z", "w x y z"}
-	base := wordCount(docs, 1)
-	for _, w := range []int{2, 3, 8} {
-		if got := wordCount(docs, w); !reflect.DeepEqual(got, base) {
-			t.Errorf("workers=%d got %v, want %v", w, got, base)
-		}
-	}
-}
-
-// TestRunByteIdenticalOnSeededCorpus is the determinism regression
-// test: a seeded high-cardinality workload must render byte-identically
-// for workers ∈ {1, 4, NumCPU} — output order included, not just
-// grouped content.
-func TestRunByteIdenticalOnSeededCorpus(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	docs := make([]string, 500)
-	for i := range docs {
-		var b strings.Builder
-		for j := 0; j < 1+rng.Intn(8); j++ {
-			fmt.Fprintf(&b, "tok%03d ", rng.Intn(400))
-		}
-		docs[i] = b.String()
-	}
-	render := func(workers int) string {
-		out := Must(Run(Config{Workers: workers}, docs,
-			func(doc string, emit func(string, int)) {
-				for _, w := range strings.Fields(doc) {
-					emit(w, len(w))
-				}
-			},
-			func(key string, values []int, emit func(string)) {
-				sum := 0
-				for _, v := range values {
-					sum += v
-				}
-				emit(fmt.Sprintf("%s=%d/%d", key, len(values), sum))
-			}))
-		return strings.Join(out, ";")
-	}
-	base := render(1)
-	for _, w := range []int{4, runtime.NumCPU()} {
-		if got := render(w); got != base {
-			t.Errorf("workers=%d output differs from single-worker run", w)
-		}
-	}
-}
-
-// TestRunValuesInInputOrder pins the stable-shuffle guarantee: within a
-// key, values arrive at the reducer in input order.
-func TestRunValuesInInputOrder(t *testing.T) {
-	items := make([]int, 64)
-	for i := range items {
-		items[i] = i
-	}
-	out := Must(Run(Config{Workers: 8}, items,
-		func(i int, emit func(string, int)) { emit("k", i) },
-		func(key string, values []int, emit func([]int)) { emit(values) }))
-	if len(out) != 1 {
-		t.Fatalf("want 1 output, got %d", len(out))
-	}
-	if !reflect.DeepEqual(out[0], items) {
-		t.Errorf("values not in input order: %v", out[0])
-	}
-}
-
-func TestRunOutputOrderSorted(t *testing.T) {
-	out := Must(Run(Config{Workers: 4}, []string{"b", "a", "c"},
-		func(item string, emit func(string, string)) { emit(item, item) },
-		func(key string, values []string, emit func(string)) { emit(key) }))
-	if !reflect.DeepEqual(out, []string{"a", "b", "c"}) {
-		t.Errorf("reduce output order = %v, want sorted keys", out)
-	}
-}
-
-func TestRunIntKeys(t *testing.T) {
-	out := Must(Run(Config{Workers: 4}, []int{5, 3, 5, 1},
-		func(item int, emit func(int, int)) { emit(item, 1) },
-		func(key int, values []int, emit func(int)) { emit(key * len(values)) }))
-	if !reflect.DeepEqual(out, []int{1, 3, 10}) {
-		t.Errorf("int-keyed run = %v, want [1 3 10]", out)
-	}
-}
-
-func TestRunEmptyInput(t *testing.T) {
-	out, err := Run(Config{}, nil,
-		func(item string, emit func(string, int)) { t.Fatal("map called on empty input") },
-		func(key string, values []int, emit func(int)) { t.Fatal("reduce called") })
-	if err != nil {
-		t.Fatalf("empty input errored: %v", err)
-	}
-	if len(out) != 0 {
-		t.Errorf("want empty output, got %v", out)
-	}
-}
-
-// TestRunBoundedReduceGoroutines pins the satellite fix: reducing many
-// keys must not spawn a goroutine per key.
-func TestRunBoundedReduceGoroutines(t *testing.T) {
-	items := make([]int, 20000)
-	for i := range items {
-		items[i] = i
-	}
-	before := runtime.NumGoroutine()
-	var peak atomic.Int64
-	Must(Run(Config{Workers: 4}, items,
-		func(i int, emit func(int, int)) { emit(i, i) }, // 20k distinct keys
-		func(key int, values []int, emit func(int)) {
-			if g := int64(runtime.NumGoroutine()); g > peak.Load() {
-				peak.Store(g)
-			}
-			emit(key)
-		}))
-	if p := peak.Load(); p > int64(before+16) {
-		t.Errorf("reduce phase reached %d goroutines (started at %d); want a bounded pool", p, before)
-	}
-}
-
-func TestPartitionStableAndBounded(t *testing.T) {
-	f := func(key string, n uint8) bool {
-		buckets := int(n%16) + 1
-		p := Partition(key, buckets)
-		return p >= 0 && p < buckets && p == Partition(key, buckets)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-	if Partition("anything", 1) != 0 || Partition("anything", 0) != 0 {
-		t.Error("degenerate bucket counts must map to 0")
-	}
-}
-
-func TestPartitionSpreads(t *testing.T) {
-	seen := map[int]bool{}
-	for i := 0; i < 200; i++ {
-		seen[Partition(strings.Repeat("k", i+1), 8)] = true
-	}
-	if len(seen) < 6 {
-		t.Errorf("partition used only %d of 8 buckets", len(seen))
-	}
-}
 
 func TestForEachCoversAll(t *testing.T) {
 	var n int64
@@ -217,13 +47,15 @@ func TestForEachDeterministicByIndex(t *testing.T) {
 	}
 	run := func(workers int) []int {
 		out := make([]int, n)
-		Must0(ForEach(Config{Workers: workers}, n, func(i int) {
+		if err := ForEach(Config{Workers: workers}, n, func(i int) {
 			acc := i
 			for j := 0; j < cost[i]; j++ {
 				acc = acc*31 + j
 			}
 			out[i] = acc
-		}))
+		}); err != nil {
+			t.Fatal(err)
+		}
 		return out
 	}
 	base := run(1)
@@ -236,7 +68,9 @@ func TestForEachDeterministicByIndex(t *testing.T) {
 
 func TestForEachSingleWorker(t *testing.T) {
 	order := []int{}
-	Must0(ForEach(Config{Workers: 1}, 5, func(i int) { order = append(order, i) }))
+	if err := ForEach(Config{Workers: 1}, 5, func(i int) { order = append(order, i) }); err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(order, []int{0, 1, 2, 3, 4}) {
 		t.Errorf("single worker must run in order, got %v", order)
 	}
@@ -254,36 +88,6 @@ func TestMapSlice(t *testing.T) {
 	}
 }
 
-func TestErrgroup(t *testing.T) {
-	sentinel := errors.New("boom")
-	err := Errgroup(
-		func() error { return nil },
-		func() error { return sentinel },
-	)
-	if !errors.Is(err, sentinel) {
-		t.Errorf("want wrapped sentinel, got %v", err)
-	}
-	if err := Errgroup(func() error { return nil }); err != nil {
-		t.Errorf("all-nil must return nil, got %v", err)
-	}
-}
-
-// TestErrgroupPanic pins that a panicking task surfaces as a
-// *PanicError instead of crashing the process.
-func TestErrgroupPanic(t *testing.T) {
-	err := Errgroup(
-		func() error { return nil },
-		func() error { panic("task exploded") },
-	)
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("want *PanicError, got %v", err)
-	}
-	if pe.Value != "task exploded" {
-		t.Errorf("panic value = %v", pe.Value)
-	}
-}
-
 // TestForEachPair checks the triangular decode: every unordered pair
 // (i, j), i < j, is visited exactly once, k is its lexicographic rank,
 // and the visit set is identical for any worker count.
@@ -296,13 +100,15 @@ func TestForEachPair(t *testing.T) {
 			}
 			got := make([][2]int, total)
 			seen := make([]bool, total)
-			Must0(ForEachPair(Config{Workers: w}, n, func(k, i, j int) {
+			if err := ForEachPair(Config{Workers: w}, n, func(k, i, j int) {
 				if seen[k] {
 					t.Fatalf("n=%d workers=%d: slot %d visited twice", n, w, k)
 				}
 				seen[k] = true
 				got[k] = [2]int{i, j}
-			}))
+			}); err != nil {
+				t.Fatal(err)
+			}
 			k := 0
 			for i := 0; i < n; i++ {
 				for j := i + 1; j < n; j++ {
@@ -341,29 +147,6 @@ func TestForEachPanicReturnsError(t *testing.T) {
 		if !strings.Contains(pe.Error(), "poisoned record") {
 			t.Errorf("workers=%d: Error() = %q", w, pe.Error())
 		}
-	}
-}
-
-// TestRunPanicReturnsError pins crash safety through the full
-// map/shuffle/reduce job: panics in either phase become errors.
-func TestRunPanicReturnsError(t *testing.T) {
-	_, err := Run(Config{Workers: 4}, []int{1, 2, 3},
-		func(i int, emit func(int, int)) {
-			if i == 2 {
-				panic("map panic")
-			}
-			emit(i, i)
-		},
-		func(k int, vs []int, emit func(int)) { emit(k) })
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("map-phase panic: want *PanicError, got %v", err)
-	}
-	_, err = Run(Config{Workers: 4}, []int{1, 2, 3},
-		func(i int, emit func(int, int)) { emit(i, i) },
-		func(k int, vs []int, emit func(int)) { panic("reduce panic") })
-	if !errors.As(err, &pe) {
-		t.Fatalf("reduce-phase panic: want *PanicError, got %v", err)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 	"repro/internal/obs"
 )
 
-func testReport(t *testing.T) *core.Report {
+func testReport(t testing.TB) *core.Report {
 	t.Helper()
 	w := datagen.NewWorld(datagen.WorldConfig{Seed: 71, NumEntities: 40})
 	web := datagen.BuildWeb(w, datagen.SourceConfig{

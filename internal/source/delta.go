@@ -133,20 +133,6 @@ func NewDeltaWatch(src DeltaSource, total, epochSize, retries int) *DeltaWatch {
 	return newWatch(src.Meta(), src.FetchDeltas, total, epochSize, retries)
 }
 
-// DeltaTotals maps each source ID to its declared log length —
-// the Totals analogue for delta fleets built from in-memory logs.
-func DeltaTotals(sources []DeltaSource) (map[string]int, error) {
-	out := make(map[string]int, len(sources))
-	for _, s := range sources {
-		st, ok := s.(*DeltaStatic)
-		if !ok {
-			return nil, fmt.Errorf("source: no declared log length for delta source %q", s.Meta().ID)
-		}
-		out[st.Src.ID] = len(st.Log)
-	}
-	return out, nil
-}
-
 // DeltaStreamer is the fleet streamer over change-log sources,
 // delivering DeltaEpochs.
 type DeltaStreamer = streamer[DeltaEpoch]

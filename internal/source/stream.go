@@ -152,9 +152,6 @@ type StreamConfig struct {
 	// EpochSize is the records delivered per source per epoch.
 	// Default 100.
 	EpochSize int
-	// Buffer bounds the epoch channel between the producer and the
-	// consumer — backpressure, not unbounded queueing. Default 4.
-	Buffer int
 	// Retries is the refetch budget per poll (on top of the first
 	// attempt); transient faults and truncations consume it. Default 8;
 	// negative means none.
@@ -171,6 +168,11 @@ type StreamConfig struct {
 	// continues its epoch numbering). Default 0.
 	StartSeq int
 }
+
+// epochBuffer bounds the epoch channel between the producer and the
+// consumer: a few epochs of read-ahead, then backpressure — never
+// unbounded queueing.
+const epochBuffer = 4
 
 // streamer drives a fleet of watches concurrently with the consumer:
 // one producer goroutine polls every live watch once per epoch, bundles
@@ -203,9 +205,6 @@ func startFleet[S interface{ Meta() *data.Source }, T, E any](ctx context.Contex
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Buffer <= 0 {
-		cfg.Buffer = 4
-	}
 	watches := make([]*watch[T], 0, len(sorted))
 	for _, s := range sorted {
 		id := s.Meta().ID
@@ -225,7 +224,7 @@ func startFleet[S interface{ Meta() *data.Source }, T, E any](ctx context.Contex
 	}
 
 	ctx, cancel := context.WithCancel(ctx)
-	ch := make(chan E, cfg.Buffer)
+	ch := make(chan E, epochBuffer)
 	str := &streamer[E]{C: ch, cancel: cancel, done: make(chan struct{})}
 	go func() {
 		defer close(str.done)

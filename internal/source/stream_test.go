@@ -275,7 +275,7 @@ func testFleetKind[S interface{ Meta() *data.Source }, T, E any](t *testing.T, k
 
 	t.Run("cancel mid-send", func(t *testing.T) {
 		cctx, cancel := context.WithCancel(ctx)
-		str, err := k.start(cctx, fleet, StreamConfig{EpochSize: 1, Buffer: 1})
+		str, err := k.start(cctx, fleet, StreamConfig{EpochSize: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
