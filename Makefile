@@ -33,8 +33,11 @@ bench:
 # then kill-mid-compaction at workers {1,2,8} with byte-identity of the
 # restored state, backup-file recovery, the codec corruption sweep, the
 # linker's op-sequence corpus against its full-rebuild oracle with the
-# retraction cost curve, and the HTTP edge: the handler fuzz corpus and
-# Close racing Publish and reads.
+# retraction cost curve, the stream's op-sequence corpus against the
+# from-scratch publish with the publish cost curve and readers racing
+# later publishes, the online kernel against its dense reference, and
+# the HTTP edge: the handler fuzz corpus and Close racing Publish and
+# reads.
 chaos:
 	$(GO) run -race ./cmd/bdibench -exp E23
-	$(GO) test -race -run 'TestStreamKillMidCompactionChaos|TestStreamStateBackupRecovery|TestStreamStateDecodeRobust|FuzzStreamStateDecode|FuzzIncrementalOps|TestDeleteCostIndependentOfCorpus|FuzzHandlers|TestShutdownDuringPublish' ./internal/core/... ./internal/linkage/... ./internal/serve/...
+	$(GO) test -race -run 'TestStreamKillMidCompactionChaos|TestStreamStateBackupRecovery|TestStreamStateDecodeRobust|FuzzStreamStateDecode|FuzzIncrementalOps|TestDeleteCostIndependentOfCorpus|FuzzHandlers|TestShutdownDuringPublish|FuzzStreamOps|TestPublishCostFollowsDirtySet|TestSnapshotsShareNoMutableState|TestOnlineKernelMatchesReference' ./internal/core/... ./internal/linkage/... ./internal/serve/... ./internal/fusion/...

@@ -11,13 +11,13 @@ import (
 )
 
 // Serving snapshot: the read-optimized, immutable view of a completed
-// pipeline run. A Snapshot materialises every integrated entity ONCE,
-// builds an inverted token index over titles and fused string values
-// for keyword search, and a title/value feature index for record
-// resolution — after which every read (Entity, Search, Similar,
-// Resolve) is lock-free and safe for unbounded concurrency. This is
-// the structure a long-lived service (cmd/bdiserve) swaps atomically
-// when a background rebuild completes.
+// pipeline run. A Snapshot materialises every integrated entity ONCE
+// and builds an inverted token index over titles and fused string
+// values for keyword search and an exact value index plus one
+// pseudo-record per entity for record resolution — after which every
+// read (Entity, Search, Similar, Resolve) is lock-free and safe for
+// unbounded concurrency. This is the structure a long-lived service
+// (cmd/bdiserve) swaps atomically when a background rebuild completes.
 
 // ErrNoSuchEntity is returned by Snapshot lookups for IDs the snapshot
 // does not contain (including non-canonical spellings like "e01").
@@ -34,95 +34,206 @@ type Snapshot struct {
 	entities []*Entity
 	byID     map[string]int
 
-	// Inverted keyword index: tokenIDs interns every distinct word of
-	// every entity's title + fused string values; postings[tok] lists
-	// the entities containing that word in ascending index order;
-	// entTokens[i] holds entity i's distinct token IDs (its length is
-	// the |E| in the overlap/Jaccard blend Search computes).
-	tokenIDs  map[string]uint32
-	postings  [][]int32
+	// Inverted keyword index over every distinct word of every entity's
+	// title + fused string values; entTokens[i] holds entity i's distinct
+	// token IDs (its length is the |E| in the overlap/Jaccard blend
+	// Search computes).
+	words     inverted
 	entTokens [][]uint32
 
 	// Resolution index: one pseudo-record per entity (title + fused
-	// values) scored by a weighted per-field comparator with a
-	// prebuilt feature index, plus an exact value-key index so
-	// identifier-style equality always surfaces its entity as a
-	// candidate even when text overlap is zero.
-	pseudo   []*data.Record
-	cmp      *similarity.RecordComparator
-	valueIdx map[string][]int32
+	// values) scored by a weighted per-field comparator, plus an exact
+	// index over "attr\x00value-key" so identifier-style equality always
+	// surfaces its entity as a candidate even when text overlap is zero.
+	// The comparator carries no feature index: the query record of a
+	// Resolve is never in one, so Compare could not use it.
+	pseudo []*data.Record
+	cmp    *similarity.RecordComparator
+	values inverted
+}
+
+// inverted maps a string to the entities that carry it, ascending.
+type inverted struct {
+	ids      map[string]uint32
+	postings [][]int32
+}
+
+func (ix *inverted) lookup(s string) []int32 {
+	if id, ok := ix.ids[s]; ok {
+		return ix.postings[id]
+	}
+	return nil
+}
+
+// invertedBuilder collects an inverted index entity by entity: strings
+// are interned in first-encounter order and every occurrence noted, so
+// finish can cut all posting lists out of one array.
+type invertedBuilder struct {
+	ids   map[string]uint32
+	count []int32  // occurrences per interned string
+	refs  []uint32 // the interned string of every occurrence, in add order
+	ends  []int32  // refs[ends[i-1]:ends[i]] are entity i's occurrences
+}
+
+// add notes one occurrence for the entity being added. An entity must
+// not add the same string twice.
+func (b *invertedBuilder) add(s string) {
+	id, ok := b.ids[s]
+	if !ok {
+		id = uint32(len(b.count))
+		b.ids[s] = id
+		b.count = append(b.count, 0)
+	}
+	b.count[id]++
+	b.refs = append(b.refs, id)
+}
+
+// endEntity closes the entity whose occurrences were just added.
+func (b *invertedBuilder) endEntity() { b.ends = append(b.ends, int32(len(b.refs))) }
+
+// entity returns entity i's interned strings in add order.
+func (b *invertedBuilder) entity(i int) []uint32 {
+	from := int32(0)
+	if i > 0 {
+		from = b.ends[i-1]
+	}
+	return b.refs[from:b.ends[i]:b.ends[i]]
+}
+
+func (b *invertedBuilder) finish() inverted {
+	postings := make([][]int32, len(b.count))
+	backing := make([]int32, len(b.refs))
+	for id, n := range b.count {
+		postings[id], backing = backing[:0:n], backing[n:]
+	}
+	for i := range b.ends {
+		for _, id := range b.entity(i) {
+			postings[id] = append(postings[id], int32(i))
+		}
+	}
+	return inverted{ids: b.ids, postings: postings}
+}
+
+// entityDoc is the part of an entity's index entry that depends on
+// nothing but its title and fused values — not on its position among the
+// entities nor on any other entity — so a Stream can keep it for as long
+// as those do not change. It is immutable once built: snapshots share it.
+type entityDoc struct {
+	values map[string]data.Value // the fused values (Entity.Values)
+	attrs  []string              // their attributes, sorted
+	// words holds the distinct normalised words of the title and of every
+	// fused string value (in attribute order), in first-encounter order.
+	words []string
+	keys  []string // "attr\x00value-key" of every fused value
+	// pseudo stands in for the entity in the resolve comparator: the
+	// title plus every fused attribute but "title".
+	pseudo *data.Record
+}
+
+// newEntityDoc builds the doc of an entity with the given title and
+// fused values. seen is scratch, empty on entry and on return.
+func newEntityDoc(title string, values map[string]data.Value, seen map[string]struct{}) *entityDoc {
+	doc := &entityDoc{
+		values: values,
+		attrs:  sortedKeys(values),
+		keys:   make([]string, 0, len(values)),
+		pseudo: data.NewRecord("", "__snapshot__"),
+	}
+	addWords := func(text string) {
+		for _, w := range tokenize.Words(text) {
+			if _, dup := seen[w]; !dup {
+				seen[w] = struct{}{}
+				doc.words = append(doc.words, w)
+			}
+		}
+	}
+	addWords(title)
+	if title != "" {
+		doc.pseudo.Set("title", data.String(title))
+	}
+	for _, attr := range doc.attrs {
+		v := values[attr]
+		if v.Kind == data.KindString {
+			addWords(v.Str)
+		}
+		if attr != "title" {
+			doc.pseudo.Set(attr, v)
+		}
+		doc.keys = append(doc.keys, attr+"\x00"+v.Key())
+	}
+	clear(seen)
+	return doc
+}
+
+// indexer assembles a Snapshot from entities and their docs, added in
+// entity order — the one way a snapshot is built, whether the docs were
+// made on the spot (BuildSnapshot) or kept from an earlier publish
+// (Stream).
+type indexer struct {
+	snap          *Snapshot
+	words, values invertedBuilder
+	attrs         map[string]struct{}
+}
+
+func newIndexer(entities int) *indexer {
+	return &indexer{
+		snap: &Snapshot{
+			entities: make([]*Entity, 0, entities),
+			byID:     make(map[string]int, entities),
+			pseudo:   make([]*data.Record, 0, entities),
+		},
+		words:  invertedBuilder{ids: map[string]uint32{}},
+		values: invertedBuilder{ids: map[string]uint32{}},
+		attrs:  map[string]struct{}{"title": {}},
+	}
+}
+
+func (ix *indexer) add(e *Entity, doc *entityDoc) {
+	s := ix.snap
+	s.byID[e.ID] = len(s.entities)
+	s.entities = append(s.entities, e)
+	s.pseudo = append(s.pseudo, doc.pseudo)
+	for _, w := range doc.words {
+		ix.words.add(w)
+	}
+	ix.words.endEntity()
+	for _, k := range doc.keys {
+		ix.values.add(k)
+	}
+	ix.values.endEntity()
+	for _, a := range doc.attrs {
+		ix.attrs[a] = struct{}{}
+	}
+}
+
+// snapshot finishes the build. The resolution comparator is the
+// pipeline rule's, over the title and every fused attribute.
+func (ix *indexer) snapshot() *Snapshot {
+	s := ix.snap
+	s.words, s.values = ix.words.finish(), ix.values.finish()
+	s.entTokens = make([][]uint32, len(s.entities))
+	for i := range s.entTokens {
+		s.entTokens[i] = ix.words.entity(i)
+	}
+	s.cmp = ruleComparator(sortedKeys(ix.attrs))
+	return s
 }
 
 // BuildSnapshot materialises the serving snapshot for a completed
 // report: every entity with its fused values, the inverted keyword
-// index and the resolution feature index are built here, once, so the
-// read methods never materialise anything per query.
+// index and the resolution index are built here, once, so the read
+// methods never materialise anything per query.
 func BuildSnapshot(r *Report) (*Snapshot, error) {
 	ents, err := materializeEntities(r)
 	if err != nil {
 		return nil, err
 	}
-	s := &Snapshot{
-		entities:  ents,
-		byID:      make(map[string]int, len(ents)),
-		tokenIDs:  map[string]uint32{},
-		entTokens: make([][]uint32, len(ents)),
-		pseudo:    make([]*data.Record, len(ents)),
-		valueIdx:  map[string][]int32{},
+	ix := newIndexer(len(ents))
+	seen := map[string]struct{}{}
+	for _, e := range ents {
+		ix.add(e, newEntityDoc(e.Title, e.Values, seen))
 	}
-	attrSet := map[string]bool{}
-	for i, e := range ents {
-		s.byID[e.ID] = i
-		// Index the entity's searchable text: distinct words of the
-		// title plus every fused string value, interned in
-		// first-encounter order so the build is deterministic.
-		s.indexWords(i, e.Title)
-		p := data.NewRecord(e.ID, "__snapshot__")
-		if e.Title != "" {
-			p.Set("title", data.String(e.Title))
-		}
-		for _, attr := range sortedKeys(e.Values) {
-			v := e.Values[attr]
-			if v.Kind == data.KindString {
-				s.indexWords(i, v.Str)
-			}
-			if attr != "title" {
-				p.Set(attr, v)
-			}
-			attrSet[attr] = true
-			s.valueIdx[attr+"\x00"+v.Key()] = append(s.valueIdx[attr+"\x00"+v.Key()], int32(i))
-		}
-		s.pseudo[i] = p
-	}
-	// The resolution comparator is the pipeline rule's, over the title
-	// and every fused attribute. The feature index over the
-	// pseudo-records precomputes the entity-side token sets.
-	attrSet["title"] = true
-	s.cmp = ruleComparator(sortedKeys(attrSet))
-	s.cmp.AttachIndex(similarity.BuildFeatureIndex(s.pseudo, s.cmp))
-	return s, nil
-}
-
-// indexWords interns the distinct normalised words of text, appends
-// entity ent to each new word's posting list and records the token on
-// the entity's own token list, skipping words already indexed for this
-// entity. A word is "already indexed" exactly when the tail of the
-// word's posting list is ent — entities are indexed in ascending
-// order, so no per-entity seen-set is needed.
-func (s *Snapshot) indexWords(ent int, text string) {
-	for _, w := range tokenize.Words(text) {
-		id, ok := s.tokenIDs[w]
-		if !ok {
-			id = uint32(len(s.postings))
-			s.tokenIDs[w] = id
-			s.postings = append(s.postings, nil)
-		}
-		if pl := s.postings[id]; len(pl) > 0 && pl[len(pl)-1] == int32(ent) {
-			continue
-		}
-		s.postings[id] = append(s.postings[id], int32(ent))
-		s.entTokens[ent] = append(s.entTokens[ent], id)
-	}
+	return ix.snapshot(), nil
 }
 
 // materializeEntities builds the entity list from the raw report — the
@@ -205,7 +316,7 @@ func (s *Snapshot) Search(query string, limit int) ([]Hit, error) {
 	qset := tokenize.WordSet(qNorm)
 	toks := make([]uint32, 0, len(qset))
 	for w := range qset {
-		if id, ok := s.tokenIDs[w]; ok {
+		if id, ok := s.words.ids[w]; ok {
 			toks = append(toks, id)
 		}
 	}
@@ -240,7 +351,7 @@ func (s *Snapshot) probe(toks []uint32, nq, exclude, limit int) []Hit {
 	}
 	counts := make(map[int32]int, 64)
 	for _, tok := range toks {
-		for _, e := range s.postings[tok] {
+		for _, e := range s.words.postings[tok] {
 			counts[e]++
 		}
 	}
@@ -317,13 +428,13 @@ func (s *Snapshot) Resolve(rec *data.Record, k int) ([]Hit, error) {
 				qset[w] = true
 			}
 		}
-		for _, e := range s.valueIdx[attr+"\x00"+v.Key()] {
+		for _, e := range s.values.lookup(attr + "\x00" + v.Key()) {
 			cand[e] = true
 		}
 	}
 	toks := make([]uint32, 0, len(qset))
 	for w := range qset {
-		if id, ok := s.tokenIDs[w]; ok {
+		if id, ok := s.words.ids[w]; ok {
 			toks = append(toks, id)
 		}
 	}

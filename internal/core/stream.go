@@ -124,6 +124,17 @@ type Stream struct {
 	acc     map[string]float64
 	cursors map[string]int
 
+	// The publish cache (view.go), all derived and never persisted: one
+	// view per cluster in partition order, the source table their
+	// evidence refers to (ev.Sources with its index srcIDs), and buffers
+	// a publish reuses — the views' evidence laid end to end, the
+	// kernel's verdicts on it, and newEntityDoc's word set.
+	views  []*clusterView
+	srcIDs map[string]int32
+	ev     fusion.Evidence
+	fused  []fusion.Fused
+	seen   map[string]struct{}
+
 	epoch       int // completed epochs (also the next epoch's sequence)
 	ingested    int64
 	deleted     int64
@@ -148,6 +159,8 @@ func NewStream(cfg StreamConfig, publish func(*Snapshot)) (*Stream, error) {
 		publish: publish,
 		acc:     map[string]float64{},
 		cursors: map[string]int{},
+		srcIDs:  map[string]int32{},
+		seen:    map[string]struct{}{},
 		lastPub: time.Now(),
 	}
 	s.inc = linkage.NewIncremental(s.keyFn, s.matcher)
@@ -299,36 +312,12 @@ func (s *Stream) shouldPublish() bool {
 	return time.Since(s.lastPub) >= s.cfg.Staleness
 }
 
-// buildView materializes the current integrated view: claims from the
-// current clusters over every observed attribute, fused by
-// fusion.Online under the current accuracy estimates, packaged as a
-// serving snapshot.
-func (s *Stream) buildView(ctx context.Context) (*Snapshot, *fusion.OnlineResult, *data.ClaimSet, error) {
-	d := s.inc.Dataset()
-	clusters := s.inc.Clusters()
-	attrs := make([]string, 0, 8)
-	for _, ac := range d.Attributes() {
-		attrs = append(attrs, ac.Attr)
-	}
-	sort.Strings(attrs)
-	claims := data.ClaimsFromClusters(d, clusters, attrs)
-	onl := fusion.Online{Accuracy: s.acc, N: s.cfg.FusionN, Workers: s.cfg.Workers, Ctx: ctx}
-	res, err := onl.FuseOnline(claims)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	snap, err := BuildSnapshot(&Report{Normalized: d, Clusters: clusters, Fusion: &res.Result})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return snap, res, claims, nil
-}
-
-// Rebuild builds the current serving snapshot without publishing it or
-// touching any stream state — the side-effect-free read used to seed a
-// server after a restore.
+// Rebuild builds the current serving snapshot without publishing it —
+// the read used to seed a server after a restore. It may warm the
+// derived publish cache (the cluster views) but touches no persisted
+// state: accuracy estimates, counters and cursors are as before.
 func (s *Stream) Rebuild(ctx context.Context) (*Snapshot, error) {
-	snap, _, _, err := s.buildView(ctx)
+	snap, _, err := s.buildView(ctx, false)
 	return snap, err
 }
 
@@ -338,45 +327,22 @@ func (s *Stream) Rebuild(ctx context.Context) (*Snapshot, error) {
 func (s *Stream) Publish(ctx context.Context) (*Snapshot, error) {
 	reg := s.reg()
 	t0 := time.Now()
-	snap, res, claims, err := s.buildView(ctx)
+	snap, st, err := s.buildView(ctx, true)
 	if err != nil {
 		return nil, err
 	}
-	s.updateAccuracy(claims, res)
 	if s.publish != nil {
 		s.publish(snap)
 	}
 	s.publishes++
 	s.dirty = false
 	s.lastPub = time.Now()
+	st.report(reg)
 	reg.Counter("stream.publishes").Inc()
 	reg.Timer("stream.republish_time").Observe(time.Since(t0))
 	reg.Gauge("stream.staleness_seconds").Set(0)
 	reg.Gauge("stream.entities").Set(float64(snap.Len()))
 	return snap, nil
-}
-
-// updateAccuracy folds the fused outcome back into the per-source
-// accuracy estimates: Laplace-smoothed agreement with the published
-// values. The estimates steer fusion.Online's probe order on the next
-// publish — the online analogue of ACCU's accuracy iteration.
-func (s *Stream) updateAccuracy(cs *data.ClaimSet, res *fusion.OnlineResult) {
-	for _, src := range cs.Sources() {
-		agree, total := 0, 0
-		for _, c := range cs.SourceClaims(src) {
-			v, ok := res.Values[c.Item]
-			if !ok {
-				continue
-			}
-			total++
-			if v.Key() == c.Value.Key() {
-				agree++
-			}
-		}
-		if total > 0 {
-			s.acc[src] = (float64(agree) + 1) / (float64(total) + 2)
-		}
-	}
 }
 
 // Run drains the fleet as a stream: watch → epoch batches → incremental

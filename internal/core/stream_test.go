@@ -266,21 +266,68 @@ func BenchmarkStreamApplyEpoch(b *testing.B) {
 	}
 }
 
-func BenchmarkStreamPublish(b *testing.B) {
-	d := streamTestWeb(21, 200, 12)
-	fleet := source.FromDataset(d)
+// drainedStream is a stream that has drained d and published once, at
+// the drain's end.
+func drainedStream(tb testing.TB, d *data.Dataset) *Stream {
+	tb.Helper()
 	s, err := NewStream(StreamConfig{EpochSize: 100, PublishEvery: 1 << 30}, nil)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	if err := s.Run(context.Background(), fleet, source.Totals(d)); err != nil {
-		b.Fatal(err)
+	if err := s.Run(context.Background(), source.FromDataset(d), source.Totals(d)); err != nil {
+		tb.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Publish(context.Background()); err != nil {
+	return s
+}
+
+// BenchmarkStreamPublish times a publish of one drained web three ways:
+// full is the cold build (no cluster view cached, as after a restore),
+// unchanged a warm publish with no delta since the last, and dirty1pct a
+// warm publish after upserts into 1 % of the clusters.
+func BenchmarkStreamPublish(b *testing.B) {
+	d := streamTestWeb(21, 1000, 20)
+	ctx := context.Background()
+	publish := func(b *testing.B, s *Stream) {
+		if _, err := s.Publish(ctx); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.Run("full", func(b *testing.B) {
+		s := drainedStream(b, d)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.views = nil
+			publish(b, s)
+		}
+	})
+	b.Run("unchanged", func(b *testing.B) {
+		s := drainedStream(b, d)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			publish(b, s)
+		}
+	})
+	b.Run("dirty1pct", func(b *testing.B) {
+		s := drainedStream(b, d)
+		metas := fleetMetas(source.FromDataset(d))
+		clusters := s.Clusters()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			var ep source.DeltaEpoch
+			ep.Seq = s.Epoch()
+			for k := 0; k < len(clusters)/100; k++ {
+				old := s.Dataset().Record(clusters[(i+k*100)%len(clusters)][0])
+				ep.Deltas = append(ep.Deltas, source.Upsert(old.Clone()))
+			}
+			if err := s.ApplyDeltas(metas, ep); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			publish(b, s)
+		}
+	})
 }

@@ -1,0 +1,299 @@
+package core
+
+import (
+	"cmp"
+	"context"
+	"slices"
+	"sort"
+	"strconv"
+	"strings"
+	"time"
+
+	"repro/internal/data"
+	"repro/internal/fusion"
+	"repro/internal/obs"
+)
+
+// Cluster-local publish. Nothing a cluster contributes to a published
+// view depends on its position or on any other cluster, except its
+// entity number and the global source weights — so the Stream keeps,
+// per live cluster, a clusterView holding everything else, and a publish
+// reads records only for the clusters that changed since the last one.
+// What stays proportional to the corpus is one validation pass over the
+// partition, the per-item fuse (the weights move with every publish) and
+// the assembly of the index from the cached parts.
+//
+// The views are derived state: they are never persisted, a restored
+// stream starts without any, and building with none cached (NewStream,
+// LoadStream) is the full build through this same code.
+
+// clusterView is one cluster's position-independent share of a publish.
+type clusterView struct {
+	// recs are the member records in the partition's canonical (sorted
+	// ID) order. The view is current while the cluster consists of
+	// exactly these: records are never mutated after insert — an upsert
+	// installs a new pointer — so nothing else can invalidate it.
+	recs []*data.Record
+
+	// The entity header, shared by every snapshot published from the view.
+	records []string // member IDs
+	sources []string // their distinct sources, sorted
+	title   string   // the longest member title
+
+	// The evidence: item j is attribute attrs[j] of the entity, its
+	// claims the members' non-null values in member order (ev.Src holds
+	// Stream source IDs). rep is parallel to the claims: the index in
+	// recs of the first member claiming this item with this very Value,
+	// so two claims spell their value alike iff their reps are equal.
+	attrs []string
+	ev    fusion.Evidence
+	rep   []int32
+
+	// doc is the entity's index entry under the fused values it was built
+	// for: winner[j] is the rep of the claim that spelled item j's, -1
+	// for none. It is rebuilt, never changed, when a winner moves.
+	winner []int32
+	doc    *entityDoc
+}
+
+// current reports whether the cluster cl still consists of the view's
+// records.
+func (v *clusterView) current(d *data.Dataset, cl data.Cluster) bool {
+	if len(cl) != len(v.recs) {
+		return false
+	}
+	for i, id := range cl {
+		if d.Record(id) != v.recs[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// newClusterView reads a cluster's records into a view.
+func (s *Stream) newClusterView(recs []*data.Record) *clusterView {
+	v := &clusterView{recs: recs, records: make([]string, len(recs))}
+	type claim struct {
+		attr   string
+		member int32
+	}
+	var claims []claim
+	for m, r := range recs {
+		v.records[m] = r.ID
+		if !slices.Contains(v.sources, r.SourceID) {
+			v.sources = append(v.sources, r.SourceID)
+		}
+		if t := r.Get("title"); !t.IsNull() && len(t.Str) > len(v.title) {
+			v.title = t.Str
+		}
+		for a, val := range r.Fields {
+			if !val.IsNull() {
+				claims = append(claims, claim{a, int32(m)})
+			}
+		}
+	}
+	sort.Strings(v.sources)
+	slices.SortFunc(claims, func(a, b claim) int {
+		if c := strings.Compare(a.attr, b.attr); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.member, b.member)
+	})
+
+	var ev fusion.Evidence
+	var srcs, rep []int32
+	var keys []string
+	var spelt []int // the item's claims that introduced a spelling
+	for lo := 0; lo < len(claims); {
+		attr, base := claims[lo].attr, len(rep)
+		srcs, keys, spelt = srcs[:0], keys[:0], spelt[:0]
+		for ; lo < len(claims) && claims[lo].attr == attr; lo++ {
+			m := claims[lo].member
+			val := recs[m].Fields[attr]
+			srcs = append(srcs, s.sourceID(recs[m].SourceID))
+			keys = append(keys, val.Key())
+			// Same key and == together mean the same spelling: == alone
+			// takes 0 for -0, the key alone one instant for another zone's.
+			first := m
+			for _, c := range spelt {
+				if r := rep[base+c]; keys[c] == keys[len(keys)-1] && recs[r].Fields[attr] == val {
+					first = r
+					break
+				}
+			}
+			if first == m {
+				spelt = append(spelt, len(keys)-1)
+			}
+			rep = append(rep, first)
+		}
+		v.attrs = append(v.attrs, attr)
+		ev.AddItem(srcs, keys)
+	}
+	// The view outlives this build by many publishes: keep exact copies.
+	v.attrs, v.rep = slices.Clone(v.attrs), slices.Clone(rep)
+	v.ev = fusion.Evidence{Start: slices.Clone(ev.Start), Src: slices.Clone(ev.Src), Val: slices.Clone(ev.Val)}
+	v.winner = make([]int32, len(v.attrs))
+	return v
+}
+
+// sourceID interns a source name into the table the views' evidence
+// refers to.
+func (s *Stream) sourceID(name string) int32 {
+	id, ok := s.srcIDs[name]
+	if !ok {
+		id = int32(len(s.ev.Sources))
+		s.srcIDs[name] = id
+		s.ev.Sources = append(s.ev.Sources, name)
+	}
+	return id
+}
+
+// refreshViews brings the view list in line with the partition: a
+// cluster whose view is current keeps it, any other gets a new one, and
+// views of clusters that no longer exist are dropped. Both the old list
+// and the partition are ordered by first member, so one merge pairs
+// them up.
+func (s *Stream) refreshViews(clusters data.Clustering, st *publishStats) {
+	d := s.inc.Dataset()
+	prev, next := s.views, make([]*clusterView, len(clusters))
+	p := 0
+	for ci, cl := range clusters {
+		for p < len(prev) && prev[p].records[0] < cl[0] {
+			p++
+		}
+		if p < len(prev) && prev[p].records[0] == cl[0] && prev[p].current(d, cl) {
+			next[ci] = prev[p]
+			st.reused++
+			continue
+		}
+		recs := make([]*data.Record, len(cl))
+		for i, id := range cl {
+			recs[i] = d.Record(id)
+		}
+		next[ci] = s.newClusterView(recs)
+		st.rebuilt++
+	}
+	s.views = next
+}
+
+// publishStats is what one buildView did, for the stream.publish.*
+// metrics.
+type publishStats struct {
+	views, fuse, feedback, snapshot time.Duration
+	reused, rebuilt, docs           int
+}
+
+func (st publishStats) report(reg *obs.Registry) {
+	reg.Timer("stream.publish.views").Observe(st.views)
+	reg.Timer("stream.publish.fuse").Observe(st.fuse)
+	reg.Timer("stream.publish.feedback").Observe(st.feedback)
+	reg.Timer("stream.publish.snapshot").Observe(st.snapshot)
+	reg.Counter("stream.views_reused").Add(int64(st.reused))
+	reg.Counter("stream.views_rebuilt").Add(int64(st.rebuilt))
+	reg.Counter("stream.docs_rebuilt").Add(int64(st.docs))
+}
+
+// buildView materializes the current integrated view in four steps, each
+// timed into the returned stats: the cluster views are brought up to
+// date, every item is fused by the online kernel under the current
+// accuracy estimates, the outcome is fed back into those estimates (when
+// feedback is set — a publish, not a Rebuild), and a serving snapshot is
+// assembled from the views' cached docs.
+func (s *Stream) buildView(ctx context.Context, feedback bool) (*Snapshot, publishStats, error) {
+	var st publishStats
+	t0 := time.Now()
+	s.refreshViews(s.inc.Clusters(), &st)
+	t1 := time.Now()
+	st.views = t1.Sub(t0)
+
+	// The views' evidence laid end to end is the claim set: the items
+	// data.ClaimsFromClusters would collect, each with its claims in the
+	// same order.
+	s.ev.Reset()
+	for _, v := range s.views {
+		s.ev.Append(&v.ev)
+	}
+	onl := fusion.Online{Accuracy: s.acc, N: s.cfg.FusionN, Workers: s.cfg.Workers, Ctx: ctx}
+	_, fused, err := onl.FuseFlat(&s.ev, s.fused)
+	if err != nil {
+		return nil, st, err
+	}
+	s.fused = fused
+	t2 := time.Now()
+	st.fuse = t2.Sub(t1)
+
+	if feedback {
+		s.updateAccuracy()
+	}
+	t3 := time.Now()
+	st.feedback = t3.Sub(t2)
+
+	snap := s.assemble(&st)
+	st.snapshot = time.Since(t3)
+	return snap, st, nil
+}
+
+// assemble builds the snapshot of the fused views. Every entity gets a
+// new header — its number and confidences are this publish's — over the
+// view's immutable parts; a view's doc is rebuilt only if one of its
+// items was won by a different spelling than the doc was built for.
+func (s *Stream) assemble(st *publishStats) *Snapshot {
+	ix := newIndexer(len(s.views))
+	item, claim := 0, int32(0) // where the view's items and claims start in s.fused and s.ev
+	for i, v := range s.views {
+		stale := v.doc == nil
+		conf := make(map[string]float64, len(v.attrs))
+		for j, attr := range v.attrs {
+			w := int32(-1)
+			if f := s.fused[item+j]; f.Val >= 0 {
+				w = v.rep[f.Last-claim]
+				conf[attr] = f.Conf
+			}
+			if v.winner[j] != w {
+				v.winner[j], stale = w, true
+			}
+		}
+		if stale {
+			values := make(map[string]data.Value, len(v.attrs))
+			for j, attr := range v.attrs {
+				if w := v.winner[j]; w >= 0 {
+					values[attr] = v.recs[w].Fields[attr]
+				}
+			}
+			v.doc = newEntityDoc(v.title, values, s.seen)
+			st.docs++
+		}
+		ix.add(&Entity{
+			ID: "e" + strconv.Itoa(i), Records: v.records, Sources: v.sources,
+			Title: v.title, Values: v.doc.values, Confidence: conf,
+		}, v.doc)
+		item, claim = item+len(v.attrs), claim+int32(len(v.rep))
+	}
+	return ix.snapshot()
+}
+
+// updateAccuracy folds the fused outcome back into the per-source
+// accuracy estimates: Laplace-smoothed agreement with the published
+// values over every claim, duplicates included, of every item that has
+// one. The estimates steer the online kernel's probe order on the next
+// publish — the online analogue of ACCU's accuracy iteration.
+func (s *Stream) updateAccuracy() {
+	ev := &s.ev
+	agree, total := make([]int, len(ev.Sources)), make([]int, len(ev.Sources))
+	for i, f := range s.fused {
+		if f.Val < 0 {
+			continue
+		}
+		for c := ev.Start[i]; c < ev.Start[i+1]; c++ {
+			total[ev.Src[c]]++
+			if ev.Val[c] == f.Val {
+				agree[ev.Src[c]]++
+			}
+		}
+	}
+	for src, n := range total {
+		if n > 0 {
+			s.acc[ev.Sources[src]] = (float64(agree[src]) + 1) / (float64(n) + 2)
+		}
+	}
+}

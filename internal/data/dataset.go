@@ -8,20 +8,40 @@ import (
 // Dataset is the unit of work for the pipeline: a set of sources and the
 // records they contribute, with fast lookup indexes. A Dataset is built
 // once and treated as immutable by pipeline stages; incremental
-// operation appends via AddRecord/AddSource.
+// operation appends via AddRecord/AddSource and retracts via
+// RemoveRecord.
 type Dataset struct {
 	sources map[string]*Source
-	records map[string]*Record
-	bySrc   map[string][]string // source ID → record IDs, insertion order
-	order   []string            // record IDs in insertion order
+	records map[string]recordEntry
+	bySrc   map[string]*idList // source ID → its record IDs
+	order   idList             // every record ID
+	// visits counts the list slots RemoveRecord read or wrote, squeezes
+	// included (see SlotVisits).
+	visits int
+}
+
+// recordEntry is a record with its slots in the two insertion-order
+// lists, so removing it finds them without a scan.
+type recordEntry struct {
+	rec       *Record
+	at, srcAt int32 // positions in order and in bySrc[rec.SourceID]
+}
+
+// idList is a list of record IDs in insertion order. A removed ID's
+// slot is blanked ("" is no record's ID) rather than closed up, and the
+// blanks are squeezed out once they outnumber the IDs — so a removal
+// costs O(1) amortised and the order of the survivors never changes.
+type idList struct {
+	ids    []string
+	blanks int
 }
 
 // NewDataset returns an empty dataset.
 func NewDataset() *Dataset {
 	return &Dataset{
 		sources: map[string]*Source{},
-		records: map[string]*Record{},
-		bySrc:   map[string][]string{},
+		records: map[string]recordEntry{},
+		bySrc:   map[string]*idList{},
 	}
 }
 
@@ -47,38 +67,72 @@ func (d *Dataset) AddRecord(r *Record) error {
 	if _, dup := d.records[r.ID]; dup {
 		return fmt.Errorf("data: duplicate record ID %q", r.ID)
 	}
-	d.records[r.ID] = r
-	d.bySrc[r.SourceID] = append(d.bySrc[r.SourceID], r.ID)
-	d.order = append(d.order, r.ID)
+	src := d.bySrc[r.SourceID]
+	if src == nil {
+		src = &idList{}
+		d.bySrc[r.SourceID] = src
+	}
+	d.records[r.ID] = recordEntry{rec: r, at: int32(len(d.order.ids)), srcAt: int32(len(src.ids))}
+	src.ids = append(src.ids, r.ID)
+	d.order.ids = append(d.order.ids, r.ID)
 	return nil
 }
 
 // RemoveRecord deletes a record by ID; it reports whether it was present.
 func (d *Dataset) RemoveRecord(id string) bool {
-	r, ok := d.records[id]
+	e, ok := d.records[id]
 	if !ok {
 		return false
 	}
 	delete(d.records, id)
-	d.bySrc[r.SourceID] = deleteString(d.bySrc[r.SourceID], id)
-	d.order = deleteString(d.order, id)
+	d.blank(&d.order, e.at, func(e *recordEntry, at int32) { e.at = at })
+	d.blank(d.bySrc[e.rec.SourceID], e.srcAt, func(e *recordEntry, at int32) { e.srcAt = at })
 	return true
 }
 
-func deleteString(s []string, v string) []string {
-	for i, x := range s {
-		if x == v {
-			return append(s[:i], s[i+1:]...)
+// blank empties slot at of l. Once blanks outnumber IDs the list is
+// squeezed in place and every survivor's new slot recorded through set.
+func (d *Dataset) blank(l *idList, at int32, set func(*recordEntry, int32)) {
+	l.ids[at] = ""
+	l.blanks++
+	d.visits++
+	if 2*l.blanks <= len(l.ids) {
+		return
+	}
+	d.visits += len(l.ids)
+	kept := l.ids[:0]
+	for _, id := range l.ids {
+		if id == "" {
+			continue
+		}
+		e := d.records[id]
+		set(&e, int32(len(kept)))
+		d.records[id] = e
+		kept = append(kept, id)
+	}
+	clear(l.ids[len(kept):]) // let the squeezed-out tail's strings go
+	l.ids, l.blanks = kept, 0
+}
+
+// SlotVisits reports how many insertion-order list slots RemoveRecord
+// has read or written so far — a cost counter for tests pinning that a
+// removal does not scan the corpus.
+func (d *Dataset) SlotVisits() int { return d.visits }
+
+// each calls f on every listed record in insertion order.
+func (d *Dataset) each(l *idList, f func(*Record)) {
+	for _, id := range l.ids {
+		if id != "" {
+			f(d.records[id].rec)
 		}
 	}
-	return s
 }
 
 // Source returns the source with the given ID, or nil.
 func (d *Dataset) Source(id string) *Source { return d.sources[id] }
 
 // Record returns the record with the given ID, or nil.
-func (d *Dataset) Record(id string) *Record { return d.records[id] }
+func (d *Dataset) Record(id string) *Record { return d.records[id].rec }
 
 // NumSources returns the number of registered sources.
 func (d *Dataset) NumSources() int { return len(d.sources) }
@@ -98,20 +152,19 @@ func (d *Dataset) Sources() []*Source {
 
 // Records returns all records in insertion order.
 func (d *Dataset) Records() []*Record {
-	out := make([]*Record, 0, len(d.order))
-	for _, id := range d.order {
-		out = append(out, d.records[id])
-	}
+	out := make([]*Record, 0, len(d.records))
+	d.each(&d.order, func(r *Record) { out = append(out, r) })
 	return out
 }
 
 // SourceRecords returns the records of one source in insertion order.
 func (d *Dataset) SourceRecords(sourceID string) []*Record {
-	ids := d.bySrc[sourceID]
-	out := make([]*Record, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, d.records[id])
+	l := d.bySrc[sourceID]
+	if l == nil {
+		return []*Record{}
 	}
+	out := make([]*Record, 0, len(l.ids)-l.blanks)
+	d.each(l, func(r *Record) { out = append(out, r) })
 	return out
 }
 
@@ -119,11 +172,11 @@ func (d *Dataset) SourceRecords(sourceID string) []*Record {
 // sorted, with its occurrence count.
 func (d *Dataset) Attributes() []AttrCount {
 	counts := map[string]int{}
-	for _, id := range d.order {
-		for a := range d.records[id].Fields {
+	d.each(&d.order, func(r *Record) {
+		for a := range r.Fields {
 			counts[a]++
 		}
-	}
+	})
 	out := make([]AttrCount, 0, len(counts))
 	for a, n := range counts {
 		out = append(out, AttrCount{Attr: a, Count: n})
@@ -142,13 +195,11 @@ type AttrCount struct {
 // Records with empty EntityID are skipped. Used only by evaluation.
 func (d *Dataset) GroundTruthClusters() Clustering {
 	byEnt := map[string][]string{}
-	for _, id := range d.order {
-		r := d.records[id]
-		if r.EntityID == "" {
-			continue
+	d.each(&d.order, func(r *Record) {
+		if r.EntityID != "" {
+			byEnt[r.EntityID] = append(byEnt[r.EntityID], r.ID)
 		}
-		byEnt[r.EntityID] = append(byEnt[r.EntityID], id)
-	}
+	})
 	out := make(Clustering, 0, len(byEnt))
 	for _, ids := range byEnt {
 		out = append(out, ids)

@@ -2,6 +2,9 @@ package data
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -76,6 +79,83 @@ func TestDatasetRemoveRecord(t *testing.T) {
 		if r.ID == "r1" {
 			t.Error("r1 still indexed under s1")
 		}
+	}
+}
+
+// TestDatasetRemoveKeepsOrderWithoutScan drives a seeded mix of adds and
+// removals against the obvious model — two slices closed up on every
+// removal — and pins what the blanked-slot lists promise: the same
+// insertion order from every reader, lists no longer than twice what is
+// live, and a removal cost that does not grow with the dataset.
+func TestDatasetRemoveKeepsOrderWithoutScan(t *testing.T) {
+	d := NewDataset()
+	sources := []string{"s0", "s1", "s2"}
+	for _, s := range sources {
+		if err := d.AddSource(&Source{ID: s}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var order []string
+	bySrc := map[string][]string{}
+	drop := func(l []string, id string) []string {
+		i := slices.Index(l, id)
+		return append(l[:i], l[i+1:]...)
+	}
+	ids := func(rs []*Record) []string {
+		out := []string{}
+		for _, r := range rs {
+			out = append(out, r.ID)
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(5))
+	removals := 0
+	for step := 0; step < 6000; step++ {
+		if len(order) == 0 || rng.Intn(100) < 55 {
+			// IDs come back: a removed record re-added goes to the end.
+			id, src := fmt.Sprintf("r%d", rng.Intn(400)), sources[rng.Intn(len(sources))]
+			if d.Record(id) != nil {
+				continue
+			}
+			if err := d.AddRecord(NewRecord(id, src).Set("a"+src, Number(1))); err != nil {
+				t.Fatal(err)
+			}
+			order, bySrc[src] = append(order, id), append(bySrc[src], id)
+		} else {
+			id := order[rng.Intn(len(order))]
+			src := d.Record(id).SourceID
+			if !d.RemoveRecord(id) || d.RemoveRecord(id) {
+				t.Fatalf("step %d: removing %s twice reported (false, _) or (_, true)", step, id)
+			}
+			order, bySrc[src] = drop(order, id), drop(bySrc[src], id)
+			removals++
+		}
+		if step%50 != 0 {
+			continue
+		}
+		if got := ids(d.Records()); !slices.Equal(got, order) {
+			t.Fatalf("step %d: Records() = %v, want %v", step, got, order)
+		}
+		attrs := 0
+		for _, s := range sources {
+			if got := ids(d.SourceRecords(s)); !slices.Equal(got, append([]string{}, bySrc[s]...)) {
+				t.Fatalf("step %d: SourceRecords(%s) = %v, want %v", step, s, got, bySrc[s])
+			}
+			if len(bySrc[s]) > 0 {
+				attrs++
+			}
+		}
+		if got := len(d.Attributes()); got != attrs {
+			t.Fatalf("step %d: %d attributes, want %d", step, got, attrs)
+		}
+		if len(d.order.ids) > 2*len(order)+1 {
+			t.Fatalf("step %d: order list holds %d slots for %d records", step, len(d.order.ids), len(order))
+		}
+	}
+	// Two blanked slots a removal, plus squeezes that each pay for
+	// themselves out of the removals since the last one.
+	if d.SlotVisits() > 8*removals {
+		t.Errorf("%d slot visits for %d removals", d.SlotVisits(), removals)
 	}
 }
 

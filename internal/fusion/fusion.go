@@ -9,11 +9,13 @@
 // the copy detector run on the interned claimIndex (engine.go): source
 // IDs, items and value keys are interned to dense uint32 ranks, the
 // iterative state lives in flat slices, and all float accumulations
-// walk fixed slice orders. Two fusers are not on the index: Online
-// keeps per-source claim maps (it needs "a source's last claim on an
-// item wins", which the index does not record) and NumericFusion is a
-// sequential per-item pass. Every fuser is bit-deterministic and
-// produces identical output for any worker count.
+// walk fixed slice orders. Two fusers are not on the index: Online has
+// a flat layout of its own (Evidence, online.go: claims in insertion
+// order, because "a source's last claim on an item wins", which the
+// index does not record) shared with core.Stream, which keeps its
+// claims in that form, and NumericFusion is a sequential per-item pass.
+// Every fuser is bit-deterministic and produces identical output for
+// any worker count.
 package fusion
 
 import (

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/data"
@@ -83,107 +84,309 @@ func (o Online) weightOf(src string) float64 {
 	return math.Log(n * a / (1 - a))
 }
 
-// FuseOnline runs the full online protocol and reports probe counts.
-// Items are probed independently, so the per-item loop fans out on the
-// worker pool; each item writes only its own slot and the result maps
-// assemble sequentially in item order.
+// Evidence is a claim set laid out flat for the online kernel: no item
+// key, no value string, two integers per claim. FuseOnline lays a
+// data.ClaimSet out as one; a caller that keeps its claims in this form
+// (core.Stream's cluster views) hands it to FuseFlat directly.
+type Evidence struct {
+	// Sources names the claiming sources; names are distinct. A source
+	// no claim refers to is not probed.
+	Sources []string
+	// Start delimits the items: item i's claims sit at positions
+	// Start[i] .. Start[i+1]-1 of Src and Val, in claim-insertion order.
+	// It is empty or one longer than the item count.
+	Start []int32
+	// Src is each claim's source, an index into Sources; Val is the
+	// claimed value as its rank among the item's distinct values sorted
+	// by Value.Key().
+	Src, Val []int32
+
+	distinct []string // AddItem's scratch
+}
+
+// Items returns the number of items laid out.
+func (ev *Evidence) Items() int { return max(0, len(ev.Start)-1) }
+
+// Reset empties the evidence, keeping its buffers and source table.
+func (ev *Evidence) Reset() {
+	ev.Start, ev.Src, ev.Val = ev.Start[:0], ev.Src[:0], ev.Val[:0]
+}
+
+// AddItem appends one item from its claims in insertion order: claim c
+// is source srcs[c] claiming the value whose Value.Key() is keys[c].
+func (ev *Evidence) AddItem(srcs []int32, keys []string) {
+	if len(ev.Start) == 0 {
+		ev.Start = append(ev.Start, 0)
+	}
+	ev.distinct = append(ev.distinct[:0], keys...)
+	sort.Strings(ev.distinct)
+	ev.distinct = slices.Compact(ev.distinct)
+	ev.Src = append(ev.Src, srcs...)
+	for _, k := range keys {
+		ev.Val = append(ev.Val, int32(sort.SearchStrings(ev.distinct, k)))
+	}
+	ev.Start = append(ev.Start, int32(len(ev.Src)))
+}
+
+// Append appends every item of other, whose claims name their sources by
+// ev's table.
+func (ev *Evidence) Append(other *Evidence) {
+	if len(ev.Start) == 0 {
+		ev.Start = append(ev.Start, 0)
+	}
+	base := int32(len(ev.Src))
+	ev.Src = append(ev.Src, other.Src...)
+	ev.Val = append(ev.Val, other.Val...)
+	for _, end := range other.Start[min(1, len(other.Start)):] {
+		ev.Start = append(ev.Start, base+end)
+	}
+}
+
+// Fused is the online kernel's verdict on one item.
+type Fused struct {
+	// Conf is the winner's share of the exponentiated scores.
+	Conf float64
+	// Val is the winning value's rank, -1 when nothing was claimed.
+	Val int32
+	// Last is the position of the claim that spells the winner: the
+	// last consulted claimant of it. Two Values can share a Key() (one
+	// instant in two time zones), so which claim is reported matters.
+	Last int32
+	// Probes counts the sources consulted before finalising.
+	Probes int32
+}
+
+// FuseOnline runs the full online protocol and reports probe counts:
+// it lays the claim set out flat, runs the kernel and fills the maps.
 func (o Online) FuseOnline(cs *data.ClaimSet) (*OnlineResult, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	order := append([]string(nil), cs.Sources()...)
-	sort.Slice(order, func(i, j int) bool {
-		wi, wj := o.weightOf(order[i]), o.weightOf(order[j])
-		if wi != wj {
-			return wi > wj
-		}
-		return order[i] < order[j]
-	})
-
-	// Per-source claim lookup (read-only once built).
-	claimOf := map[string]map[data.Item]data.Value{}
-	for _, s := range order {
-		m := map[data.Item]data.Value{}
-		for _, c := range cs.SourceClaims(s) {
-			m[c.Item] = c.Value
-		}
-		claimOf[s] = m
+	items := cs.Items()
+	ev := &Evidence{Sources: cs.Sources()}
+	srcID := make(map[string]int32, len(ev.Sources))
+	for i, s := range ev.Sources {
+		srcID[s] = int32(i)
 	}
-	// Remaining-influence suffix sums: absRemaining[i] = sum of |weight|
-	// over order[i:]. A not-yet-probed source with weight w can move the
-	// lead-vs-rival gap by at most |w|: a positive-weight source can add
-	// w to a rival, and a negative-weight source can *subtract* |w| from
-	// the leader by claiming it. Summing signed weights here (the old
-	// bound) let a negative-weight tail shrink the bar below zero and
-	// finalise answers those very sources would have overturned.
-	absRemaining := make([]float64, len(order)+1)
-	for i := len(order) - 1; i >= 0; i-- {
-		absRemaining[i] = absRemaining[i+1] + math.Abs(o.weightOf(order[i]))
+	values := make([]data.Value, 0, cs.Len())
+	var srcs []int32
+	var keys []string
+	for _, it := range items {
+		srcs, keys = srcs[:0], keys[:0]
+		for _, c := range cs.ItemClaims(it) {
+			srcs = append(srcs, srcID[c.Source])
+			keys = append(keys, c.Value.Key())
+			values = append(values, c.Value)
+		}
+		ev.AddItem(srcs, keys)
 	}
-
+	order, fused, err := o.FuseFlat(ev, nil)
+	if err != nil {
+		return nil, err
+	}
 	res := &OnlineResult{
 		Result: Result{
-			Values:         map[data.Item]data.Value{},
-			Confidence:     map[data.Item]float64{},
-			SourceAccuracy: map[string]float64{},
+			Values:         make(map[data.Item]data.Value, len(items)),
+			Confidence:     make(map[data.Item]float64, len(items)),
+			SourceAccuracy: make(map[string]float64, len(order)),
+			Iterations:     1,
 		},
-		Probes: map[data.Item]int{},
+		Probes: make(map[data.Item]int, len(items)),
 		Order:  order,
 	}
 	for _, s := range order {
 		res.SourceAccuracy[s] = clampF(accOrDefault(o.Accuracy, s), 0.05, 0.95)
 	}
+	for i, it := range items {
+		if f := fused[i]; f.Val >= 0 {
+			res.Values[it] = values[f.Last]
+			res.Probes[it] = int(f.Probes)
+			res.Confidence[it] = f.Conf
+		}
+	}
+	return res, nil
+}
 
-	items := cs.Items()
-	type probed struct {
-		value  data.Value
-		conf   float64
-		probes int
-		found  bool
+// probeTable is what the per-item protocol reads besides the item's own
+// claims: the probe order and what is left of it after each position.
+type probeTable struct {
+	rank   []int32   // Evidence source → position in the probe order
+	weight []float64 // by position
+	// absRemaining[i] is the sum of |weight| over positions i and later.
+	// A source not yet probed with weight w can move the lead-vs-rival
+	// gap by at most |w|: a positive weight can go to a rival, a negative
+	// one can be taken from the leader by claiming it. (Signed sums let a
+	// negative tail shrink the bar below zero and finalise answers those
+	// very sources would have overturned.) It never increases with i.
+	absRemaining []float64
+}
+
+// itemBlock is how many items one parallel task fuses: enough to spread
+// the cost of the task's scratch buffers, few enough to balance workers.
+const itemBlock = 256
+
+// FuseFlat is the online kernel: the probe protocol over flat evidence.
+// Sources are ordered by weight descending, name ascending; an item
+// visits only its own claimants, in that order — a source's last claim
+// on the item is the one that counts — and is finalised at the first
+// probe position after which the leader cannot be overtaken. It returns
+// the probe order and one verdict per item, written into out when that
+// has the capacity. Items are independent, so they fan out on the worker
+// pool a block at a time; the output is identical for any worker count.
+func (o Online) FuseFlat(ev *Evidence, out []Fused) ([]string, []Fused, error) {
+	if err := o.validate(); err != nil {
+		return nil, nil, err
 	}
-	outs := make([]probed, len(items))
-	if err := parallel.ForEach(parallel.Config{Workers: o.Workers, Ctx: o.Ctx}, len(items), func(idx int) {
-		it := items[idx]
-		scores := map[string]float64{}
-		values := map[string]data.Value{}
-		probes := 0
-		for i, s := range order {
-			// Probes counts sources *consulted*, whether or not they hold
-			// a claim for this item: an item that never terminates early
-			// reports len(order), not its last claiming source's index.
-			probes = i + 1
-			if v, ok := claimOf[s][it]; ok {
-				k := v.Key()
-				scores[k] += o.weightOf(s)
-				values[k] = v
-			}
-			// Early termination: the leader cannot be overtaken even in
-			// the worst case over the remaining sources. The rival score
-			// floors at 0 because an as-yet-unclaimed value starts there,
-			// and remaining influence is the absolute-weight suffix sum
-			// (see absRemaining above).
-			lead, second := topTwo(scores)
-			if lead != "" && scores[lead]-math.Max(second, 0) > absRemaining[i+1] {
-				outs[idx] = probed{value: values[lead], conf: confidenceOf(scores, lead), probes: probes, found: true}
-				return
-			}
-		}
-		if lead, _ := topTwo(scores); lead != "" {
-			outs[idx] = probed{value: values[lead], conf: confidenceOf(scores, lead), probes: probes, found: true}
-		}
-	}); err != nil {
-		return nil, err
+	claims := make([]bool, len(ev.Sources))
+	for _, s := range ev.Src {
+		claims[s] = true
 	}
-	for idx, it := range items {
-		if !outs[idx].found {
+	type probe struct {
+		src    int
+		weight float64
+	}
+	var probes []probe
+	for s, ok := range claims {
+		if ok {
+			probes = append(probes, probe{src: s, weight: o.weightOf(ev.Sources[s])})
+		}
+	}
+	sort.Slice(probes, func(i, j int) bool {
+		if probes[i].weight != probes[j].weight {
+			return probes[i].weight > probes[j].weight
+		}
+		return ev.Sources[probes[i].src] < ev.Sources[probes[j].src]
+	})
+	var order []string
+	pt := &probeTable{
+		rank:         make([]int32, len(ev.Sources)),
+		weight:       make([]float64, len(probes)),
+		absRemaining: make([]float64, len(probes)+1),
+	}
+	for i, p := range probes {
+		order = append(order, ev.Sources[p.src])
+		pt.rank[p.src] = int32(i)
+		pt.weight[i] = p.weight
+	}
+	for i := len(probes) - 1; i >= 0; i-- {
+		pt.absRemaining[i] = pt.absRemaining[i+1] + math.Abs(pt.weight[i])
+	}
+
+	n := ev.Items()
+	if cap(out) < n {
+		out = make([]Fused, n)
+	}
+	out = out[:n]
+	err := parallel.ForEach(parallel.Config{Workers: o.Workers, Ctx: o.Ctx}, (n+itemBlock-1)/itemBlock, func(b int) {
+		var sc itemScratch
+		for i := b * itemBlock; i < min(n, (b+1)*itemBlock); i++ {
+			out[i] = pt.fuseItem(ev, i, &sc)
+		}
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return order, out, nil
+}
+
+// itemScratch is one task's reusable per-item state.
+type itemScratch struct {
+	claimants []uint64  // probe position <<32 | claim position
+	score     []float64 // by value rank
+	last      []int32   // by value rank: its last consulted claim, -1 while it has none
+}
+
+// fuseItem runs the protocol for item i. Between two of the item's
+// claimants the scores do not move while the bar absRemaining only
+// falls, so the termination test is made once per gap, against the
+// gap's lowest bar, and only a gap that passes is searched for the
+// probe position that finalised.
+func (pt *probeTable) fuseItem(ev *Evidence, i int, sc *itemScratch) Fused {
+	lo, hi := ev.Start[i], ev.Start[i+1]
+	sc.claimants = sc.claimants[:0]
+	nv := 0
+	for c := lo; c < hi; c++ {
+		sc.claimants = append(sc.claimants, uint64(pt.rank[ev.Src[c]])<<32|uint64(c))
+		nv = max(nv, int(ev.Val[c])+1)
+	}
+	slices.Sort(sc.claimants)
+	sc.score, sc.last = sc.score[:0], sc.last[:0]
+	for v := 0; v < nv; v++ {
+		sc.score, sc.last = append(sc.score, 0), append(sc.last, -1)
+	}
+	all := int32(len(pt.weight))
+	for j, packed := range sc.claimants {
+		pos, next := int32(packed>>32), all
+		if j+1 < len(sc.claimants) {
+			next = int32(sc.claimants[j+1] >> 32)
+		}
+		if next == pos {
+			continue // an earlier claim of a source that claims again
+		}
+		c := int32(uint32(packed))
+		sc.score[ev.Val[c]] += pt.weight[pos]
+		sc.last[ev.Val[c]] = c
+		// The rival floors at 0: a value nobody has claimed yet starts there.
+		lead, second := sc.topTwo()
+		if lead < 0 {
 			continue
 		}
-		res.Values[it] = outs[idx].value
-		res.Probes[it] = outs[idx].probes
-		res.Confidence[it] = outs[idx].conf
+		if gap := sc.score[lead] - math.Max(second, 0); gap > pt.absRemaining[next] {
+			for !(gap > pt.absRemaining[pos+1]) {
+				pos++
+			}
+			return Fused{Conf: sc.confidence(lead), Val: int32(lead), Last: sc.last[lead], Probes: pos + 1}
+		}
 	}
-	res.Iterations = 1
-	return res, nil
+	// Never finalised early: every source was consulted, whether or not
+	// it holds a claim on this item.
+	if lead, _ := sc.topTwo(); lead >= 0 {
+		return Fused{Conf: sc.confidence(lead), Val: int32(lead), Last: sc.last[lead], Probes: all}
+	}
+	return Fused{Val: -1, Last: -1}
+}
+
+// topTwo returns the leading value rank (-1 when no value has a claim
+// yet) and the runner-up's score. Ranks follow the sorted keys, so
+// walking them in order with a strict > gives a tie to the lowest key.
+func (sc *itemScratch) topTwo() (lead int, second float64) {
+	best := math.Inf(-1)
+	lead = -1
+	for v, s := range sc.score {
+		if sc.last[v] < 0 {
+			continue
+		}
+		if s > best {
+			second = best
+			best, lead = s, v
+		} else if s > second {
+			second = s
+		}
+	}
+	if math.IsInf(second, -1) {
+		second = 0
+	}
+	return lead, second
+}
+
+// confidence normalises the leader's exponentiated score over the
+// claimed values, accumulating in rank — sorted key — order.
+func (sc *itemScratch) confidence(lead int) float64 {
+	var z, l float64
+	for v, s := range sc.score {
+		if sc.last[v] < 0 {
+			continue
+		}
+		e := math.Exp(s)
+		z += e
+		if v == lead {
+			l = e
+		}
+	}
+	if z == 0 {
+		return 0
+	}
+	return l / z
 }
 
 // FuseWithPrefix fuses consulting only the first k sources of the
@@ -234,52 +437,4 @@ func accOrDefault(m map[string]float64, s string) float64 {
 		return v
 	}
 	return 0.7
-}
-
-// topTwo returns the leading value key and the runner-up's score.
-func topTwo(scores map[string]float64) (lead string, second float64) {
-	best := math.Inf(-1)
-	second = 0
-	keys := make([]string, 0, len(scores))
-	for k := range scores {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		s := scores[k]
-		if s > best {
-			second = best
-			best, lead = s, k
-		} else if s > second {
-			second = s
-		}
-	}
-	if math.IsInf(second, -1) {
-		second = 0
-	}
-	return lead, second
-}
-
-// confidenceOf normalises the leader's exponentiated score. The
-// normalizer accumulates in sorted key order — like softmax, this was a
-// map-iteration accumulation whose low bits depended on Go's randomised
-// map order.
-func confidenceOf(scores map[string]float64, lead string) float64 {
-	keys := make([]string, 0, len(scores))
-	for k := range scores {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var z, l float64
-	for _, k := range keys {
-		e := math.Exp(scores[k])
-		z += e
-		if k == lead {
-			l = e
-		}
-	}
-	if z == 0 {
-		return 0
-	}
-	return l / z
 }

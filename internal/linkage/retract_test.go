@@ -346,11 +346,12 @@ func deleteCostCorpus(tb testing.TB, singletons int) (inc *Incremental, src *dat
 
 // TestDeleteCostIndependentOfCorpus pins the shape of a retraction's
 // cost by counting: deleting and re-inserting one member of a
-// five-record component allocates the same and walks the same forest
-// slots whether 2,000 or 20,000 unrelated records sit beside it, and
-// endless churn reuses forest slots instead of growing the arrays.
+// five-record component allocates the same, walks the same forest slots
+// and touches the same two dataset list slots whether 2,000 or 20,000
+// unrelated records sit beside it, and endless churn reuses forest slots
+// instead of growing the arrays.
 func TestDeleteCostIndependentOfCorpus(t *testing.T) {
-	measure := func(singletons int) (allocs float64, visits int) {
+	measure := func(singletons int) (allocs float64, visits, listVisits int) {
 		inc, src, member := deleteCostCorpus(t, singletons)
 		cycle := func() {
 			if !inc.Delete(member.ID) {
@@ -360,17 +361,20 @@ func TestDeleteCostIndependentOfCorpus(t *testing.T) {
 				t.Fatalf("reinsert matched %v, %v", m, err)
 			}
 		}
-		before := inc.uf.visits
+		before, listBefore := inc.uf.visits, inc.dataset.SlotVisits()
 		cycle()
-		visits = inc.uf.visits - before
-		return testing.AllocsPerRun(20, cycle), visits
+		visits, listVisits = inc.uf.visits-before, inc.dataset.SlotVisits()-listBefore
+		return testing.AllocsPerRun(20, cycle), visits, listVisits
 	}
-	allocs2k, visits2k := measure(2000)
-	allocs20k, visits20k := measure(20000)
-	t.Logf("delete + reinsert: %.0f allocs, %d slot visits beside 2k records; %.0f and %d beside 20k",
-		allocs2k, visits2k, allocs20k, visits20k)
+	allocs2k, visits2k, list2k := measure(2000)
+	allocs20k, visits20k, list20k := measure(20000)
+	t.Logf("delete + reinsert: %.0f allocs, %d forest and %d dataset slot visits beside 2k records; %.0f, %d and %d beside 20k",
+		allocs2k, visits2k, list2k, allocs20k, visits20k, list20k)
 	if visits2k != 5 || visits20k != 5 {
 		t.Errorf("slot visits %d beside 2k records and %d beside 20k, want the component's 5 at both", visits2k, visits20k)
+	}
+	if list2k != 2 || list20k != 2 {
+		t.Errorf("dataset list visits %d beside 2k records and %d beside 20k, want the record's own 2 slots at both", list2k, list20k)
 	}
 	if d := allocs20k - allocs2k; d < -2 || d > 2 {
 		t.Errorf("allocations %.0f beside 2k records, %.0f beside 20k: the cost follows the corpus", allocs2k, allocs20k)
@@ -395,8 +399,6 @@ func TestDeleteCostIndependentOfCorpus(t *testing.T) {
 }
 
 // BenchmarkIncrementalDelete times the same delete + reinsert cycle.
-// What still separates 2k from 20k is data.Dataset.RemoveRecord, which
-// finds the ID in its insertion-order slice by scanning.
 func BenchmarkIncrementalDelete(b *testing.B) {
 	for _, size := range []struct {
 		name       string

@@ -73,6 +73,10 @@ func TestNilHandlesZeroAlloc(t *testing.T) {
 		d.Observe(3)
 		tm.Observe(time.Millisecond)
 		_ = OrDefault(nil)
+		// Handles resolved by name on every call, as Stream.Publish does
+		// for its stream.publish.* breakdown.
+		r.Timer("stream.publish.fuse").Observe(time.Millisecond)
+		r.Counter("stream.views_rebuilt").Add(3)
 	})
 	if allocs != 0 {
 		t.Fatalf("nil-handle hot path allocates %v times per run, want 0", allocs)
