@@ -70,16 +70,14 @@ type (
 	SortedNeighborhood = blocking.SortedNeighborhood
 	// MetaBlocker prunes a redundancy-positive block collection.
 	MetaBlocker = blocking.MetaBlocker
-	// Blocks is the map form of a block collection.
-	Blocks = blocking.Blocks
 	// BlockingEngine interns record IDs once for several blocking
 	// passes over the same records.
 	BlockingEngine = blocking.Engine
 	// BlockingOpts configures NewBlockingEngine (workers, shards,
 	// pair-memory budget, metrics, cancellation).
 	BlockingOpts = blocking.Opts
-	// IndexedBlocks is the interned, rank-based block collection the
-	// parallel engine produces.
+	// IndexedBlocks is the block collection an engine pass produces:
+	// records grouped by blocking key, interned to dense ranks.
 	IndexedBlocks = blocking.Indexed
 	// CandidateSet is a deduplicated candidate collection packed as
 	// uint64 rank codes; it streams into MatchStream without a pair
@@ -106,8 +104,6 @@ var (
 	PrefixBlockingKey = blocking.AttrPrefixKey
 	// QGramBlockingKey blocks on padded q-grams.
 	QGramBlockingKey = blocking.QGramKey
-	// BuildBlocks groups records by blocking key.
-	BuildBlocks = blocking.BuildBlocks
 	// NewBlockingEngine interns record IDs for sharded block building;
 	// errors along the derived chain stick to the engine (read Err).
 	NewBlockingEngine = blocking.NewEngineOpts
@@ -116,8 +112,8 @@ var (
 	UnionCandidateSets = blocking.UnionCandidates
 )
 
-// BuildIndexedBlocks builds an interned block collection across the
-// given number of workers (0 = NumCPU) — the one-shot engine form. It
+// BuildIndexedBlocks groups records by blocking key across the given
+// number of workers (0 = NumCPU) — the one-shot engine form. It
 // has no error return: a nil key or a panicking key function panics
 // here; use NewBlockingEngine and its Err to handle them.
 func BuildIndexedBlocks(records []*Record, key KeyFunc, workers int) *IndexedBlocks {

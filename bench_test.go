@@ -2,8 +2,6 @@ package bdi
 
 import (
 	"context"
-	"math"
-	"sort"
 	"strconv"
 	"testing"
 
@@ -172,18 +170,8 @@ func BenchmarkLevenshteinTitle(b *testing.B) {
 	}
 }
 
-func BenchmarkTokenBlocking(b *testing.B) {
-	world := NewWorld(WorldConfig{Seed: 3, NumEntities: 150})
-	web := BuildWeb(world, SourceConfig{Seed: 4, NumSources: 15, DirtLevel: 1})
-	records := web.Dataset.Records()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BuildBlocks(records, TokenBlockingKey("title")).Pairs()
-	}
-}
-
-// blockingBenchWorkload is the E3-style dirty web the blocking-engine
-// benchmarks run over.
+// blockingBenchWorkload is the E3-style dirty web the blocking
+// benchmark runs over.
 func blockingBenchWorkload() []*Record {
 	world := NewWorld(WorldConfig{Seed: 3, NumEntities: 400, Categories: []string{"camera"}})
 	web := BuildWeb(world, SourceConfig{
@@ -194,174 +182,42 @@ func blockingBenchWorkload() []*Record {
 	return web.Dataset.Records()
 }
 
-// legacyBuildBlocks is the pre-engine sequential implementation (fresh
-// dedup map per record) kept inline as the benchmark baseline.
-func legacyBuildBlocks(records []*Record, key KeyFunc) Blocks {
-	b := Blocks{}
-	for _, r := range records {
-		seen := map[string]bool{}
-		for _, k := range key(r) {
-			if k == "" || seen[k] {
-				continue
-			}
-			seen[k] = true
-			b[k] = append(b[k], r.ID)
-		}
-	}
-	return b
-}
-
-// legacyPairs is the pre-engine map[Pair]bool dedup kept inline as the
-// benchmark baseline.
-func legacyPairs(blocks Blocks) []Pair {
-	seen := map[Pair]bool{}
-	var out []Pair
-	for _, k := range blocks.SortedKeys() {
-		ids := blocks[k]
-		for i := 0; i < len(ids); i++ {
-			for j := i + 1; j < len(ids); j++ {
-				p := NewPair(ids[i], ids[j])
-				if !seen[p] {
-					seen[p] = true
-					out = append(out, p)
-				}
-			}
-		}
-	}
-	return out
-}
-
-// BenchmarkBuildBlocks compares block building: the legacy per-record-
-// map loop, the engine at one worker, and the engine at NumCPU.
-func BenchmarkBuildBlocks(b *testing.B) {
+// BenchmarkBlocking times the three steps of the blocking engine over
+// token blocking on titles — block building, candidate expansion +
+// dedup on packed pair codes, ECBS+WEP meta-blocking — at one worker and
+// at NumCPU. Their output against the sequential forms is pinned by
+// internal/blocking's TestEngine*MatchesSeed.
+func BenchmarkBlocking(b *testing.B) {
 	records := blockingBenchWorkload()
 	key := TokenBlockingKey("title")
-	b.Run("legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			legacyBuildBlocks(records, key)
+	for _, w := range []struct {
+		name    string
+		workers int
+	}{{"1", 1}, {"ncpu", 0}} {
+		eng := NewBlockingEngine(records, BlockingOpts{Workers: w.workers})
+		idx := eng.Blocks(key).Purge(200)
+		mb := MetaBlocker{Weight: ECBSWeight, Prune: WEPPrune, Workers: w.workers}
+		for _, step := range []struct {
+			name string
+			run  func() int
+		}{
+			{"blocks", func() int { return BuildIndexedBlocks(records, key, w.workers).NumBlocks() }},
+			{"pairs", func() int { return idx.CandidateSet().Len() }},
+			{"meta", func() int { return mb.Pruned(idx).Len() }},
+		} {
+			b.Run(step.name+"/workers-"+w.name, func(b *testing.B) {
+				b.ReportAllocs()
+				n := 0
+				for i := 0; i < b.N; i++ {
+					n = step.run()
+				}
+				b.ReportMetric(float64(n), "out/op")
+			})
 		}
-	})
-	b.Run("engine-1", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			BuildIndexedBlocks(records, key, 1)
-		}
-	})
-	b.Run("engine-ncpu", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			BuildIndexedBlocks(records, key, 0)
-		}
-	})
-}
-
-// BenchmarkBlocksPairs compares candidate expansion + dedup: the legacy
-// map[Pair]bool path against the packed pair-code sort/compact path.
-func BenchmarkBlocksPairs(b *testing.B) {
-	records := blockingBenchWorkload()
-	idx := BuildIndexedBlocks(records, TokenBlockingKey("title"), 0).Purge(200)
-	blocks := idx.Blocks()
-	n := 0
-	b.Run("legacy-map", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			n = len(legacyPairs(blocks))
-		}
-		b.ReportMetric(float64(n), "pairs/batch")
-	})
-	b.Run("packed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			n = idx.CandidateSet().Len()
-		}
-		b.ReportMetric(float64(n), "pairs/batch")
-	})
-}
-
-// legacyMetaCandidates is the pre-engine ECBS+WEP meta-blocking (maps
-// keyed by pair and record ID) kept inline as the benchmark baseline.
-func legacyMetaCandidates(blocks Blocks) []Pair {
-	blockOf := map[string][]string{}
-	for _, k := range blocks.SortedKeys() {
-		for _, id := range blocks[k] {
-			blockOf[id] = append(blockOf[id], k)
+		if err := eng.Err(); err != nil {
+			b.Fatal(err)
 		}
 	}
-	common := map[Pair]int{}
-	for _, k := range blocks.SortedKeys() {
-		ids := blocks[k]
-		for i := 0; i < len(ids); i++ {
-			for j := i + 1; j < len(ids); j++ {
-				common[NewPair(ids[i], ids[j])]++
-			}
-		}
-	}
-	type edge struct {
-		p Pair
-		w float64
-	}
-	nBlocks := float64(len(blocks))
-	edges := make([]edge, 0, len(common))
-	for p, c := range common {
-		w := float64(c) *
-			math.Log(nBlocks/float64(len(blockOf[p.A]))) *
-			math.Log(nBlocks/float64(len(blockOf[p.B])))
-		edges = append(edges, edge{p: p, w: w})
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].w != edges[j].w {
-			return edges[i].w > edges[j].w
-		}
-		if edges[i].p.A != edges[j].p.A {
-			return edges[i].p.A < edges[j].p.A
-		}
-		return edges[i].p.B < edges[j].p.B
-	})
-	if len(edges) == 0 {
-		return nil
-	}
-	var sum float64
-	for _, e := range edges {
-		sum += e.w
-	}
-	mean := sum / float64(len(edges))
-	var out []Pair
-	for _, e := range edges {
-		if e.w > mean {
-			out = append(out, e.p)
-		}
-	}
-	return out
-}
-
-// BenchmarkMetaBlocking compares ECBS+WEP meta-blocking: the legacy
-// map-of-pairs graph against the interned kernel, sequential and
-// parallel.
-func BenchmarkMetaBlocking(b *testing.B) {
-	records := blockingBenchWorkload()
-	idx := BuildIndexedBlocks(records, TokenBlockingKey("title"), 0).Purge(200)
-	blocks := idx.Blocks()
-	b.Run("legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			legacyMetaCandidates(blocks)
-		}
-	})
-	b.Run("engine-1", func(b *testing.B) {
-		mb := MetaBlocker{Weight: ECBSWeight, Prune: WEPPrune, Workers: 1}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			mb.Pruned(idx)
-		}
-	})
-	b.Run("engine-ncpu", func(b *testing.B) {
-		mb := MetaBlocker{Weight: ECBSWeight, Prune: WEPPrune}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			mb.Pruned(idx)
-		}
-	})
 }
 
 // BenchmarkACCUFuse times the full ACCU EM on an E2-style workload

@@ -57,7 +57,7 @@ func run() error {
 		cmpBudget   = flag.Int("comparison-budget", 0, "cap matcher comparisons; consumes the candidate stream front-first (0 = unlimited)")
 		fs          = flag.Bool("fellegi-sunter", false, "use the probabilistic matcher")
 		workers     = flag.Int("workers", 0, "worker goroutines per stage (0 = NumCPU)")
-		shards      = flag.Int("shards", 0, "blocking data shards (0 = one per worker)")
+		shards      = flag.Int("shards", 0, "partitions blocking's block building and RRF accumulation (0 = one per worker) and spill-run generation (0 = one); never changes output, no effect on an in-memory pair sweep")
 		pairBudget  = flag.String("pair-mem-budget", "", "blocking pair-memory budget, e.g. 256mb (empty = unlimited; excess spills to disk)")
 		spillDir    = flag.String("spill-dir", "", "directory for blocking spill runs (empty = system temp)")
 		timeout     = flag.Duration("timeout", 0, "overall deadline for ingestion + pipeline (0 = none)")

@@ -41,15 +41,15 @@ func ExampleRuleMatcher() {
 }
 
 // Token blocking groups records sharing title words.
-func ExampleBuildBlocks() {
+func ExampleBuildIndexedBlocks() {
 	records := []*bdi.Record{
 		bdi.NewRecord("r1", "s").Set("title", bdi.StringValue("acme rocket")),
 		bdi.NewRecord("r2", "s").Set("title", bdi.StringValue("acme skate")),
 		bdi.NewRecord("r3", "s").Set("title", bdi.StringValue("zenix blender")),
 	}
-	blocks := bdi.BuildBlocks(records, bdi.TokenBlockingKey("title"))
-	fmt.Println(len(blocks["acme"]), len(blocks["zenix"]))
-	// Output: 2 1
+	blocks := bdi.BuildIndexedBlocks(records, bdi.TokenBlockingKey("title"), 0)
+	fmt.Println(blocks.NumBlocks(), blocks.Pairs())
+	// Output: 5 [{r1 r2}]
 }
 
 // Incremental linkage over a stream of records.

@@ -87,7 +87,7 @@ func main() {
 	records := d.Records()
 
 	// --- Blocking: token blocking on titles plus identifier blocking.
-	blocks := bdi.BuildBlocks(records, bdi.TokenBlockingKey("title"))
+	blocks := bdi.BuildIndexedBlocks(records, bdi.TokenBlockingKey("title"), 0)
 	candidates := blocks.Pairs()
 	candidates = append(candidates,
 		bdi.StandardBlocking{Key: bdi.ExactBlockingKey("pid")}.Candidates(records)...)

@@ -6,8 +6,6 @@
 package blocking
 
 import (
-	"sort"
-
 	"repro/internal/data"
 	"repro/internal/tokenize"
 )
@@ -22,28 +20,15 @@ type Blocker interface {
 	Candidates(records []*data.Record) []data.Pair
 }
 
-// Blocks groups record IDs by blocking key. Exposed for meta-blocking,
-// which consumes blocks rather than pairs.
-type Blocks map[string][]string
-
-// BuildBlocks applies key to every record and groups IDs by key. Within
-// a block, IDs appear in input order. Records yielding no keys are
-// unblocked (they generate no candidates). This is the sequential
-// path; Engine.Blocks shards the key extraction across workers with
-// byte-identical output.
-func BuildBlocks(records []*data.Record, key KeyFunc) Blocks {
-	b := Blocks{}
-	var ks keySet
-	for _, r := range records {
-		ks.reset()
-		for _, k := range key(r) {
-			if k == "" || !ks.add(k) {
-				continue
-			}
-			b[k] = append(b[k], r.ID)
-		}
-	}
-	return b
+// candidates is the one door behind every Blocker.Candidates: it runs
+// pass over a fresh engine and materialises the pairs. Blocker has no
+// error return, so this is where an error stuck to the engine is
+// re-raised.
+func candidates(records []*data.Record, workers int, pass func(e *Engine) *CandidateSet) []data.Pair {
+	e := NewEngineOpts(records, Opts{Workers: workers})
+	pairs := pass(e).Pairs()
+	e.sink.must()
+	return pairs
 }
 
 // smallKeys is the per-record key count up to which keySet dedupes by
@@ -87,58 +72,6 @@ func (s *keySet) add(k string) bool {
 	return true
 }
 
-// Pairs expands blocks into deduplicated candidate pairs. Dedup runs
-// on packed uint64 pair codes (sorted + compacted, no per-pair heap
-// allocation); the output order — first occurrence over sorted keys,
-// in-block input order — is byte-identical to the historical
-// map[data.Pair]bool implementation.
-func (b Blocks) Pairs() []data.Pair {
-	x := b.Index()
-	pairs := x.Pairs()
-	x.sink.must()
-	return pairs
-}
-
-// Comparisons counts the total pairwise comparisons implied by the
-// blocks, counting duplicates across blocks (the meta-blocking cost
-// measure).
-func (b Blocks) Comparisons() int {
-	n := 0
-	for _, ids := range b {
-		n += len(ids) * (len(ids) - 1) / 2
-	}
-	return n
-}
-
-// Purge removes blocks larger than maxSize — the standard block-purging
-// heuristic that drops high-frequency, low-information keys (e.g. the
-// block for brand "acme"). It returns the purged copy.
-func (b Blocks) Purge(maxSize int) Blocks {
-	if maxSize <= 0 {
-		return b
-	}
-	out := Blocks{}
-	for k, ids := range b {
-		if len(ids) <= maxSize {
-			out[k] = ids
-		}
-	}
-	return out
-}
-
-// SortedKeys returns the block keys in ascending order — the canonical
-// block enumeration order every pair-emission path uses.
-func (b Blocks) SortedKeys() []string { return b.sortedKeys() }
-
-func (b Blocks) sortedKeys() []string {
-	keys := make([]string, 0, len(b))
-	for k := range b {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // Standard is classic key blocking: records sharing any key are
 // candidates.
 type Standard struct {
@@ -150,14 +83,12 @@ type Standard struct {
 	Workers int
 }
 
-// Candidates implements Blocker through the interned parallel engine;
-// the candidate list is byte-identical to the sequential
-// BuildBlocks/Purge/Pairs path at any worker count.
+// Candidates implements Blocker: first occurrence over the sorted
+// keys, in-block input order, identical at any worker count.
 func (s Standard) Candidates(records []*data.Record) []data.Pair {
-	eng := NewEngineOpts(records, Opts{Workers: s.Workers})
-	pairs := eng.Blocks(s.Key).Purge(s.MaxBlock).Pairs()
-	eng.sink.must()
-	return pairs
+	return candidates(records, s.Workers, func(e *Engine) *CandidateSet {
+		return e.Blocks(s.Key).Purge(s.MaxBlock).CandidateSet()
+	})
 }
 
 // AttrPrefixKey blocks on the first n runes of the normalised attribute

@@ -31,11 +31,16 @@ func pairSet(ps []data.Pair) map[data.Pair]bool {
 	return m
 }
 
+// buildBlocks is the one-shot engine form the tests start from.
+func buildBlocks(records []*data.Record, key KeyFunc) *Indexed {
+	return NewEngineOpts(records, Opts{}).Blocks(key)
+}
+
 func TestBuildBlocksAndPairs(t *testing.T) {
-	blocks := BuildBlocks(sampleRecords(), AttrPrefixKey("title", 3))
+	blocks := buildBlocks(sampleRecords(), AttrPrefixKey("title", 3))
 	// canon×2 ("can"), nikon×2 ("nik"), sony×1 ("son").
-	if len(blocks) != 3 {
-		t.Fatalf("blocks = %d, want 3", len(blocks))
+	if blocks.NumBlocks() != 3 {
+		t.Fatalf("blocks = %d, want 3", blocks.NumBlocks())
 	}
 	pairs := blocks.Pairs()
 	want := []data.Pair{data.NewPair("r1", "r2"), data.NewPair("r3", "r4")}
@@ -50,7 +55,7 @@ func TestBuildBlocksAndPairs(t *testing.T) {
 
 func TestPairsDeduplicatesAcrossBlocks(t *testing.T) {
 	// Token blocking puts (r1,r2) in both "canon" and "eos" blocks.
-	blocks := BuildBlocks(sampleRecords(), TokenKey("title"))
+	blocks := buildBlocks(sampleRecords(), TokenKey("title"))
 	pairs := blocks.Pairs()
 	seen := map[data.Pair]int{}
 	for _, p := range pairs {
@@ -69,12 +74,12 @@ func TestPurge(t *testing.T) {
 	for i := range recs {
 		recs[i] = rec(fmt.Sprintf("r%02d", i), "common brand")
 	}
-	blocks := BuildBlocks(recs, TokenKey("title"))
+	blocks := buildBlocks(recs, TokenKey("title"))
 	purged := blocks.Purge(5)
-	if len(purged) != 0 {
-		t.Errorf("oversized blocks must be purged, got %d blocks", len(purged))
+	if purged.NumBlocks() != 0 {
+		t.Errorf("oversized blocks must be purged, got %d blocks", purged.NumBlocks())
 	}
-	if got := blocks.Purge(0); len(got) != len(blocks) {
+	if got := blocks.Purge(0); got.NumBlocks() != blocks.NumBlocks() {
 		t.Error("maxSize<=0 must be a no-op")
 	}
 }

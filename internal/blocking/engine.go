@@ -46,12 +46,11 @@ func (s *errSink) check(err error) bool {
 
 func (s *errSink) failed() bool { return s.err != nil }
 
-// must re-raises a recorded error at an API boundary that has no error
-// return (the Blocker interface, map-form Blocks). Those boundaries run
-// without a context, so what reaches them is a programming fault (a
-// nil key, a recovered worker panic) or, for a budgeted Progressive, a
-// spill I/O failure — callers that must handle those use the engine and
-// its Err directly.
+// must re-raises a recorded error at the one API boundary that has no
+// error return, the Blocker interface (see candidates). It runs without
+// a context or a pair budget, so what reaches it is a programming fault
+// (a nil key, a recovered worker panic) — callers that must handle
+// those use the engine and its Err directly.
 func (s *errSink) must() {
 	if s.err != nil {
 		panic(s.err)
@@ -120,17 +119,16 @@ func dedupCodesStable(codes []uint64) []uint64 {
 }
 
 // Opts configures an engine beyond the worker count: the shard count
-// for block building and pair generation, and the pair-memory budget
-// past which pair generation spills sorted runs to temp files. Every
-// combination produces byte-identical candidate output; the knobs only
-// trade memory and parallelism.
+// for block building, rank fusion and spill-run generation, and the
+// pair-memory budget past which pair generation spills sorted runs to
+// temp files. Every combination produces byte-identical candidate
+// output; the knobs only trade memory and parallelism.
 type Opts struct {
 	// Workers bounds the parallel passes (0 = NumCPU).
 	Workers int
-	// Shards splits block building and pair generation into this many
-	// data shards (<= 1 means one shard per worker for block building
-	// and unsharded pair generation). The shard plan depends only on
-	// the data and this count, never on Workers.
+	// Shards partitions block building and RRF accumulation (0 = one
+	// per worker) and spill-run generation (0 = one); it never changes
+	// output and has no effect on an in-memory pair sweep.
 	Shards int
 	// PairMemBudget, when > 0, bounds the bytes of packed pair codes
 	// held in RAM during candidate generation. A pass whose raw pair
@@ -158,17 +156,17 @@ type Engine struct {
 	rk     *ranker
 	ranks  []uint32 // record position → rank
 	sink   *errSink // first error of the engine and everything derived from it
-	shards int      // pair-generation shard count (<=1 = unsharded)
+	shards int      // Opts.Shards
 	budget int64    // pair-memory budget in bytes (0 = unlimited)
 	dir    string   // spill directory ("" = os.TempDir())
 }
 
 // NewEngineOpts interns the record IDs once (in parallel) and returns
-// an engine bound to the records: sharded block building and pair
-// generation, an optional pair-memory budget with disk spill, metrics
-// and cancellation. The engine and every Indexed/CandidateSet derived
-// from it record "blocking." counters (blocks built/purged, raw vs
-// emitted pairs, dedup ratio) into Opts.Obs.
+// an engine bound to the records: sharded block building, pair
+// generation under an optional pair-memory budget with disk spill,
+// metrics and cancellation. The engine and every Indexed/CandidateSet
+// derived from it record "blocking." counters (blocks built/purged, raw
+// vs emitted pairs, dedup ratio) into Opts.Obs.
 //
 // Nothing derived from the engine returns an error or panics on one:
 // any error (cancellation, worker panic, nil key) sticks to the engine,
@@ -200,45 +198,45 @@ func NewEngineOpts(records []*data.Record, o Opts) *Engine {
 // derived from it.
 func (e *Engine) Err() error { return e.sink.err }
 
-// empty returns the poisoned/empty index carrying the engine's
-// configuration, the return value of every failed derivation.
-func (e *Engine) empty() *Indexed {
-	return &Indexed{cfg: e.cfg, sink: e.sink, ids: e.rk.ids, shards: e.shards, budget: e.budget, dir: e.dir}
+// set wraps codes (deduplicated, in emission order) as a candidate set
+// over the engine's ID table; set(nil) is the empty result of every
+// failed derivation.
+func (e *Engine) set(codes []uint64) *CandidateSet {
+	return &CandidateSet{ids: e.rk.ids, codes: codes, sink: e.sink}
+}
+
+// partitions resolves the shard count of the two passes whose
+// partition never shows in their output, block building and RRF
+// accumulation: Opts.Shards when > 1, else one per worker.
+func (e *Engine) partitions() int {
+	if e.shards > 1 {
+		return e.shards
+	}
+	if e.cfg.Workers > 0 {
+		return e.cfg.Workers
+	}
+	return runtime.NumCPU()
 }
 
 // Blocks applies key to every record — the expensive tokenisation runs
 // sharded over contiguous input ranges — and merges the shard maps
-// deterministically into an interned block collection. Concatenating a
-// key's shard rows in shard order preserves record input order within
-// every block; keys are sorted, exactly matching the sequential
-// BuildBlocks semantics, so the result is byte-identical for any
-// worker or shard count. The shard count defaults to the worker count;
-// Opts.Shards fixes it independently of the pool size.
+// deterministically into an interned block collection. Within a block,
+// ranks appear in record input order (concatenating a key's shard rows
+// in shard order preserves it); keys are sorted; empty and repeated
+// keys of one record are dropped and a record yielding no key is
+// unblocked — byte-identical for any worker or shard count.
 func (e *Engine) Blocks(key KeyFunc) *Indexed {
 	if e.sink.failed() {
-		return e.empty()
+		return &Indexed{eng: e}
 	}
 	if key == nil {
 		e.sink.check(fmt.Errorf("blocking: engine pass: %w", ErrNilKey))
-		return e.empty()
+		return &Indexed{eng: e}
 	}
 	n := len(e.recs)
-	w := e.cfg.Workers
-	if w <= 0 {
-		w = runtime.NumCPU()
-	}
-	s := e.shards
-	if s <= 1 {
-		s = w
-	}
-	if s > n {
-		s = n
-	}
-	if s < 1 {
-		s = 1
-	}
+	s := max(min(e.partitions(), n), 1)
 	shards := make([]map[string][]uint32, s)
-	err := parallel.ForEach(parallel.Config{Workers: w, Ctx: e.cfg.Ctx}, s, func(si int) {
+	err := parallel.ForEach(parallel.Config{Workers: e.cfg.Workers, Ctx: e.cfg.Ctx}, s, func(si int) {
 		lo, hi := n*si/s, n*(si+1)/s
 		m := make(map[string][]uint32)
 		var ks keySet
@@ -254,7 +252,7 @@ func (e *Engine) Blocks(key KeyFunc) *Indexed {
 		shards[si] = m
 	})
 	if e.sink.check(err) {
-		return e.empty()
+		return &Indexed{eng: e}
 	}
 	total := 0
 	for _, m := range shards {
@@ -287,53 +285,21 @@ func (e *Engine) Blocks(key KeyFunc) *Indexed {
 			rows[i] = row
 		})
 		if e.sink.check(err) {
-			return e.empty()
+			return &Indexed{eng: e}
 		}
 	}
 	e.cfg.Obs.Counter("blocking.blocks_built").Add(int64(len(keys)))
-	x := e.empty()
-	x.keys, x.rows = keys, rows
-	return x
+	return &Indexed{eng: e, keys: keys, rows: rows}
 }
 
-// Indexed is the interned form of a block collection: record IDs are
-// dense lexicographic ranks, block keys are sorted, and each row holds
-// the member ranks in record input order.
+// Indexed is the block collection of one engine pass, the package's
+// one block form: record IDs are the engine's dense lexicographic
+// ranks, block keys are sorted, and each row holds the member ranks in
+// record input order.
 type Indexed struct {
-	cfg    parallel.Config
-	sink   *errSink   // shared with the engine (standalone indexes own theirs)
-	ids    []string   // rank → record ID, sorted ascending
-	keys   []string   // sorted block keys
-	rows   [][]uint32 // rows[i] = member ranks of keys[i], input order
-	shards int        // pair-generation shard count (<=1 = unsharded)
-	budget int64      // pair-memory budget in bytes (0 = unlimited)
-	dir    string     // spill directory ("" = os.TempDir())
-}
-
-// Index interns a map-form block collection. Within-block order is
-// preserved; keys are sorted once (meta-blocking reuses this ordering
-// instead of re-sorting the key set per pass).
-func (b Blocks) Index() *Indexed {
-	keys := b.sortedKeys()
-	total := 0
-	for _, ids := range b {
-		total += len(ids)
-	}
-	all := make([]string, 0, total)
-	for _, ids := range b {
-		all = append(all, ids...)
-	}
-	rk := newRanker(all)
-	x := &Indexed{sink: &errSink{}, ids: rk.ids, keys: keys, rows: make([][]uint32, len(keys))}
-	for i, k := range keys {
-		src := b[k]
-		row := make([]uint32, len(src))
-		for j, id := range src {
-			row[j] = rk.rank(id)
-		}
-		x.rows[i] = row
-	}
-	return x
+	eng  *Engine
+	keys []string   // sorted block keys
+	rows [][]uint32 // rows[i] = member ranks of keys[i], input order
 }
 
 // NumBlocks returns the number of blocks.
@@ -350,58 +316,50 @@ func (x *Indexed) Comparisons() int {
 	return n
 }
 
-// Purge drops blocks larger than maxSize, sharing the ID table with
-// the receiver. maxSize <= 0 is a no-op.
+// Purge drops blocks larger than maxSize — the standard block-purging
+// heuristic that drops high-frequency, low-information keys (e.g. the
+// block for brand "acme"). maxSize <= 0 is a no-op.
 func (x *Indexed) Purge(maxSize int) *Indexed {
 	if maxSize <= 0 {
 		return x
 	}
-	out := &Indexed{cfg: x.cfg, sink: x.sink, ids: x.ids, shards: x.shards, budget: x.budget, dir: x.dir}
+	out := &Indexed{eng: x.eng}
 	for i, row := range x.rows {
 		if len(row) <= maxSize {
 			out.keys = append(out.keys, x.keys[i])
 			out.rows = append(out.rows, row)
 		}
 	}
-	x.cfg.Obs.Counter("blocking.blocks_purged").Add(int64(len(x.keys) - len(out.keys)))
+	x.eng.cfg.Obs.Counter("blocking.blocks_purged").Add(int64(len(x.keys) - len(out.keys)))
 	return out
 }
 
-// Blocks materialises the map form of the collection.
-func (x *Indexed) Blocks() Blocks {
-	b := make(Blocks, len(x.keys))
-	for i, k := range x.keys {
-		ids := make([]string, len(x.rows[i]))
-		for j, r := range x.rows[i] {
-			ids[j] = x.ids[r]
-		}
-		b[k] = ids
-	}
-	return b
-}
-
-// pairOffsets prefix-sums the per-block pair counts: offs[i] is the
-// raw emission position of block i's first pair in the sequential
-// order (sorted keys, in-block input order). The offsets are the shard
-// plan for pair generation and the position tags that keep sharded and
-// spilled dedup byte-identical to the in-memory sweep.
-func (x *Indexed) pairOffsets() []int {
-	offs := make([]int, len(x.rows)+1)
-	for i, row := range x.rows {
+// pairOffsets prefix-sums the per-row pair counts: offs[i] is the raw
+// emission position of row i's first pair in the sequential order (row
+// by row, in-row input order). The offsets place the in-memory sweep's
+// parallel fill, and they are the shard plan and the position tags that
+// keep spilled dedup byte-identical to it.
+func pairOffsets(rows [][]uint32) []int {
+	offs := make([]int, len(rows)+1)
+	for i, row := range rows {
 		offs[i+1] = offs[i] + len(row)*(len(row)-1)/2
 	}
 	return offs
 }
 
-// rawCodes packs every in-block pair into one flat code slice in the
-// sequential emission order (sorted keys, in-block input order),
-// duplicates across blocks retained. Per-block offsets are prefix-
+// sweep is the one in-memory pair sweep, shared by every technique
+// that pairs up the members of a row (blocks, LSH buckets, canopies):
+// every in-row pair as a packed code, row by row in in-row input
+// order, deduplicated to first emission. Per-row offsets are prefix-
 // summed so the fill parallelises with deterministic placement.
-func (x *Indexed) rawCodes() []uint64 {
-	offs := x.pairOffsets()
-	codes := make([]uint64, offs[len(x.rows)])
-	err := parallel.ForEach(x.cfg, len(x.rows), func(i int) {
-		row := x.rows[i]
+func (e *Engine) sweep(rows [][]uint32) []uint64 {
+	if e.sink.failed() {
+		return nil
+	}
+	offs := pairOffsets(rows)
+	codes := make([]uint64, offs[len(rows)])
+	err := parallel.ForEach(e.cfg, len(rows), func(i int) {
+		row := rows[i]
 		w := offs[i]
 		for a := 0; a < len(row); a++ {
 			for b := a + 1; b < len(row); b++ {
@@ -410,54 +368,49 @@ func (x *Indexed) rawCodes() []uint64 {
 			}
 		}
 	})
-	if x.sink.check(err) {
+	if e.sink.check(err) {
 		return nil
 	}
-	return codes
+	return dedupCodesStable(codes)
 }
 
 // CandidateSet expands the blocks into the deduplicated packed
-// candidate collection, in the exact order Blocks.Pairs emits. Three
-// execution strategies produce that byte-identical order: the plain
-// in-memory sweep, the sharded in-memory path (Opts.Shards > 1), and —
-// when the raw pair codes would exceed Opts.PairMemBudget — external
-// generation that spills sorted runs to temp files and streams the
-// deduplicated result through k-way loser-tree merges. Spill-backed
-// sets must be released with Close.
+// candidate collection: first occurrence over the blocks in order,
+// in-block input order. Two strategies produce that byte-identical
+// order, chosen by the one thing the code can observe — the raw pair
+// bytes against Opts.PairMemBudget: the in-memory sweep, or, past the
+// budget, external generation that spills sorted runs to temp files
+// and streams the deduplicated result through k-way loser-tree merges.
+// Spill-backed sets must be released with Close.
 func (x *Indexed) CandidateSet() *CandidateSet {
-	cs := &CandidateSet{ids: x.ids, sink: x.sink}
-	if x.sink.failed() {
-		return cs
+	e := x.eng
+	if e.sink.failed() {
+		return e.set(nil)
 	}
-	offs := x.pairOffsets()
-	nraw := offs[len(x.rows)]
-	switch {
-	case x.budget > 0 && int64(nraw)*8 > x.budget:
-		cs = x.spillCandidates(offs)
-	case x.shards > 1:
-		cs.codes = x.shardedCodes(offs)
-	default:
-		cs.codes = dedupCodesStable(x.rawCodes())
+	nraw := x.Comparisons()
+	var cs *CandidateSet
+	if e.budget > 0 && int64(nraw)*8 > e.budget {
+		cs = x.spillCandidates()
+	} else {
+		cs = e.set(e.sweep(x.rows))
 	}
-	if x.sink.failed() {
-		return &CandidateSet{ids: x.ids, sink: x.sink}
+	if e.sink.failed() {
+		return e.set(nil)
 	}
-	if reg := x.cfg.Obs; reg != nil {
-		rawC := reg.Counter("blocking.pairs_raw")
-		rawC.Add(int64(nraw))
-		emitC := reg.Counter("blocking.pairs_emitted")
-		emitC.Add(int64(cs.Len()))
-		// Cumulative ratio across all passes on this registry, so the
-		// gauge stays meaningful when a pipeline unions several blockers.
-		if tot := rawC.Value(); tot > 0 {
-			reg.Gauge("blocking.dedup_ratio").Set(float64(emitC.Value()) / float64(tot))
-		}
+	reg := e.cfg.Obs
+	rawC := reg.Counter("blocking.pairs_raw")
+	rawC.Add(int64(nraw))
+	emitC := reg.Counter("blocking.pairs_emitted")
+	emitC.Add(int64(cs.Len()))
+	// Cumulative ratio across all passes on this registry, so the
+	// gauge stays meaningful when a pipeline unions several blockers.
+	if tot := rawC.Value(); tot > 0 {
+		reg.Gauge("blocking.dedup_ratio").Set(float64(emitC.Value()) / float64(tot))
 	}
 	return cs
 }
 
-// Pairs expands the blocks into deduplicated candidate pairs,
-// byte-identical to the sequential map-based implementation.
+// Pairs expands the blocks into deduplicated candidate pairs.
 func (x *Indexed) Pairs() []data.Pair { return x.CandidateSet().Pairs() }
 
 // EmitPairs streams the deduplicated pairs to emit in Pairs order,

@@ -17,8 +17,47 @@ import (
 // engine's output to be byte-identical to these at every worker count.
 // ---------------------------------------------------------------------
 
-func refBuildBlocks(records []*data.Record, key KeyFunc) Blocks {
-	b := Blocks{}
+// refBlocks is the sequential map form of a block collection: record
+// IDs grouped by key, in input order within a block.
+type refBlocks map[string][]string
+
+func (b refBlocks) purge(maxSize int) refBlocks {
+	if maxSize <= 0 {
+		return b
+	}
+	out := refBlocks{}
+	for k, ids := range b {
+		if len(ids) <= maxSize {
+			out[k] = ids
+		}
+	}
+	return out
+}
+
+func (b refBlocks) sortedKeys() []string {
+	keys := make([]string, 0, len(b))
+	for k := range b {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// blocksOf materialises the map form of an interned collection.
+func blocksOf(x *Indexed) refBlocks {
+	b := make(refBlocks, len(x.keys))
+	for i, k := range x.keys {
+		ids := make([]string, len(x.rows[i]))
+		for j, r := range x.rows[i] {
+			ids[j] = x.eng.rk.ids[r]
+		}
+		b[k] = ids
+	}
+	return b
+}
+
+func refBuildBlocks(records []*data.Record, key KeyFunc) refBlocks {
+	b := refBlocks{}
 	for _, r := range records {
 		seen := map[string]bool{}
 		for _, k := range key(r) {
@@ -32,7 +71,7 @@ func refBuildBlocks(records []*data.Record, key KeyFunc) Blocks {
 	return b
 }
 
-func refPairs(b Blocks) []data.Pair {
+func refPairs(b refBlocks) []data.Pair {
 	seen := map[data.Pair]bool{}
 	keys := b.sortedKeys()
 	var out []data.Pair
@@ -52,7 +91,7 @@ func refPairs(b Blocks) []data.Pair {
 }
 
 func refStandard(records []*data.Record, key KeyFunc, maxBlock int) []data.Pair {
-	return refPairs(refBuildBlocks(records, key).Purge(maxBlock))
+	return refPairs(refBuildBlocks(records, key).purge(maxBlock))
 }
 
 type refEdge struct {
@@ -60,7 +99,7 @@ type refEdge struct {
 	w float64
 }
 
-func refMetaCandidates(mb MetaBlocker, blocks Blocks) []data.Pair {
+func refMetaCandidates(mb MetaBlocker, blocks refBlocks) []data.Pair {
 	blockOf := map[string][]string{}
 	for _, k := range blocks.sortedKeys() {
 		for _, id := range blocks[k] {
@@ -365,7 +404,7 @@ func TestEngineBlocksMatchSeedBlocks(t *testing.T) {
 	key := TokenKey("title")
 	want := refBuildBlocks(recs, key)
 	for _, w := range workerCounts {
-		got := NewEngineOpts(recs, Opts{Workers: w}).Blocks(key).Blocks()
+		got := blocksOf(NewEngineOpts(recs, Opts{Workers: w}).Blocks(key))
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d blocks, want %d", w, len(got), len(want))
 		}
@@ -385,20 +424,17 @@ func TestEngineBlocksMatchSeedBlocks(t *testing.T) {
 
 func TestEngineMetaBlockingMatchesSeed(t *testing.T) {
 	recs := detRecords(250)
-	blocks := refBuildBlocks(recs, TokenKey("title")).Purge(60)
+	blocks := refBuildBlocks(recs, TokenKey("title")).purge(60)
 	for _, weight := range []WeightScheme{CBS, ECBS, JS} {
 		for _, prune := range []PruneScheme{WEP, CEP, WNP} {
 			want := refMetaCandidates(MetaBlocker{Weight: weight, Prune: prune}, blocks)
 			for _, w := range workerCounts {
 				mb := MetaBlocker{Weight: weight, Prune: prune, Workers: w}
-				got := mb.Candidates(blocks)
-				samePairs(t, fmt.Sprintf("weight=%d prune=%d workers=%d", weight, prune, w), want, got)
-
-				// The interned fast path over an engine-built collection
-				// (whose ID table spans all records) must agree too.
+				// The engine-built collection's ID table spans all
+				// records, not only the blocked ones.
 				idx := NewEngineOpts(recs, Opts{Workers: w}).Blocks(TokenKey("title")).Purge(60)
-				got2 := mb.Pruned(idx).Pairs()
-				samePairs(t, fmt.Sprintf("pruned weight=%d prune=%d workers=%d", weight, prune, w), want, got2)
+				got := mb.Pruned(idx).Pairs()
+				samePairs(t, fmt.Sprintf("weight=%d prune=%d workers=%d", weight, prune, w), want, got)
 			}
 		}
 	}
@@ -422,7 +458,7 @@ func TestEngineProgressiveMatchesSeed(t *testing.T) {
 	for _, max := range []int{0, 30} {
 		want := refProgressiveStream(recs, key, max)
 		for _, w := range workerCounts {
-			got := Progressive{Key: key, MaxBlock: max, Workers: w}.Stream(recs)
+			got := Progressive{Key: key, MaxBlock: max, Workers: w}.Candidates(recs)
 			samePairs(t, fmt.Sprintf("max=%d workers=%d", max, w), want, got)
 		}
 	}

@@ -45,9 +45,10 @@ func SelectKey(records []*data.Record, truth []data.Pair, candidates []KeyCandid
 	}
 	total := len(records) * (len(records) - 1) / 2
 
+	eng := NewEngineOpts(records, Opts{})
 	scores := make([]KeyScore, 0, len(candidates))
 	for _, cand := range candidates {
-		pairs := BuildBlocks(records, cand.Key).Purge(cand.MaxBlock).Pairs()
+		pairs := eng.Blocks(cand.Key).Purge(cand.MaxBlock).Pairs()
 		hit := 0
 		for _, p := range pairs {
 			if truthSet[p] {
@@ -64,6 +65,9 @@ func SelectKey(records []*data.Record, truth []data.Pair, candidates []KeyCandid
 				(ks.PairCompleteness + ks.ReductionRatio)
 		}
 		scores = append(scores, ks)
+	}
+	if err := eng.Err(); err != nil {
+		return nil, "", fmt.Errorf("blocking: key selection: %w", err)
 	}
 	sort.Slice(scores, func(i, j int) bool {
 		if scores[i].Score != scores[j].Score {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/data"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 )
@@ -54,7 +53,7 @@ const (
 	WNP
 )
 
-// MetaBlocker prunes a block collection into candidate pairs.
+// MetaBlocker prunes a block collection into candidate pairs (Pruned).
 type MetaBlocker struct {
 	Weight WeightScheme
 	Prune  PruneScheme
@@ -71,26 +70,18 @@ type iedge struct {
 	w    float64
 }
 
-// Candidates builds the blocking graph from blocks and returns the
-// pairs surviving pruning.
-func (mb MetaBlocker) Candidates(blocks Blocks) []data.Pair {
-	x := blocks.Index()
-	pairs := mb.Pruned(x).Pairs()
-	x.sink.must()
-	return pairs
-}
-
-// Pruned is Candidates on the interned representation, returning the
-// surviving pairs as a packed candidate set in pruning order.
+// Pruned builds the blocking graph from the blocks and returns the
+// pairs surviving pruning as a packed candidate set in pruning order.
 // Pruning inherits x's context and error sink: a cancellation or
 // worker panic sticks to the engine and Pruned returns an empty
 // candidate set; the caller reads Engine.Err afterwards.
 func (mb MetaBlocker) Pruned(x *Indexed) *CandidateSet {
-	if x.sink.failed() {
-		return &CandidateSet{ids: x.ids}
+	e := x.eng
+	if e.sink.failed() {
+		return e.set(nil)
 	}
-	cfg := parallel.Config{Workers: mb.Workers, Obs: obs.OrDefault(mb.Obs), Ctx: x.cfg.Ctx}
-	n := len(x.ids)
+	cfg := parallel.Config{Workers: mb.Workers, Obs: obs.OrDefault(mb.Obs), Ctx: e.cfg.Ctx}
+	n := len(e.rk.ids)
 
 	// Per-record sorted block-ID sets, filled from one flat buffer.
 	// Scanning blocks in ascending index order makes each set sorted by
@@ -159,8 +150,8 @@ func (mb MetaBlocker) Pruned(x *Indexed) *CandidateSet {
 		}
 		perRec[ri] = edges
 	})
-	if x.sink.check(err) {
-		return &CandidateSet{ids: x.ids}
+	if e.sink.check(err) {
+		return e.set(nil)
 	}
 	total := 0
 	for _, es := range perRec {
@@ -207,13 +198,13 @@ func (mb MetaBlocker) Pruned(x *Indexed) *CandidateSet {
 	reg.Counter("blocking.meta_edges").Add(int64(len(edges)))
 	reg.Counter("blocking.meta_kept").Add(int64(len(kept)))
 	if len(kept) == 0 {
-		return &CandidateSet{ids: x.ids}
+		return e.set(nil)
 	}
 	codes := make([]uint64, len(kept))
-	for i, e := range kept {
-		codes[i] = e.code
+	for i, ed := range kept {
+		codes[i] = ed.code
 	}
-	return &CandidateSet{ids: x.ids, codes: codes}
+	return e.set(codes)
 }
 
 // weight computes the edge weight from the common-block count and the

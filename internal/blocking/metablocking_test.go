@@ -9,7 +9,7 @@ import (
 
 // noisyBlocks builds a token-blocking collection where true pairs share
 // many blocks and noise pairs share only one.
-func noisyBlocks() (Blocks, []data.Pair) {
+func noisyBlocks() (*Indexed, []data.Pair) {
 	recs := []*data.Record{
 		rec("a1", "acme rocket skate deluxe"),
 		rec("a2", "acme rocket skate deluxe kit"),
@@ -19,7 +19,7 @@ func noisyBlocks() (Blocks, []data.Pair) {
 		rec("n1", "acme zenix catalog"),
 	}
 	truth := []data.Pair{data.NewPair("a1", "a2"), data.NewPair("b1", "b2")}
-	return BuildBlocks(recs, TokenKey("title")), truth
+	return buildBlocks(recs, TokenKey("title")), truth
 }
 
 func TestMetaBlockingReducesComparisons(t *testing.T) {
@@ -27,7 +27,7 @@ func TestMetaBlockingReducesComparisons(t *testing.T) {
 	base := blocks.Pairs()
 	for _, scheme := range []WeightScheme{CBS, ECBS, JS} {
 		mb := MetaBlocker{Weight: scheme, Prune: WEP}
-		pruned := mb.Candidates(blocks)
+		pruned := mb.Pruned(blocks).Pairs()
 		if len(pruned) >= len(base) {
 			t.Errorf("scheme %v: pruned %d >= base %d", scheme, len(pruned), len(base))
 		}
@@ -43,9 +43,9 @@ func TestMetaBlockingReducesComparisons(t *testing.T) {
 func TestMetaBlockingCEPRespectsBudget(t *testing.T) {
 	blocks, _ := noisyBlocks()
 	mb := MetaBlocker{Weight: CBS, Prune: CEP}
-	pruned := mb.Candidates(blocks)
+	pruned := mb.Pruned(blocks).Pairs()
 	budget := 0
-	for _, ids := range blocks {
+	for _, ids := range blocks.rows {
 		budget += len(ids)
 	}
 	budget /= 2
@@ -59,7 +59,7 @@ func TestMetaBlockingCEPRespectsBudget(t *testing.T) {
 
 func TestMetaBlockingWNPKeepsLocalBest(t *testing.T) {
 	blocks, truth := noisyBlocks()
-	pruned := MetaBlocker{Weight: JS, Prune: WNP}.Candidates(blocks)
+	pruned := MetaBlocker{Weight: JS, Prune: WNP}.Pruned(blocks).Pairs()
 	got := pairSet(pruned)
 	for _, p := range truth {
 		if !got[p] {
@@ -70,7 +70,7 @@ func TestMetaBlockingWNPKeepsLocalBest(t *testing.T) {
 
 func TestMetaBlockingEmpty(t *testing.T) {
 	for _, prune := range []PruneScheme{WEP, CEP, WNP} {
-		if got := (MetaBlocker{Prune: prune}).Candidates(Blocks{}); len(got) != 0 {
+		if got := (MetaBlocker{Prune: prune}).Pruned(buildBlocks(nil, TokenKey("title"))).Pairs(); len(got) != 0 {
 			t.Errorf("empty blocks must yield nothing, got %v", got)
 		}
 	}
@@ -79,8 +79,8 @@ func TestMetaBlockingEmpty(t *testing.T) {
 func TestMetaBlockingDeterministic(t *testing.T) {
 	blocks, _ := noisyBlocks()
 	mb := MetaBlocker{Weight: ECBS, Prune: CEP}
-	a := mb.Candidates(blocks)
-	b := mb.Candidates(blocks)
+	a := mb.Pruned(blocks).Pairs()
+	b := mb.Pruned(blocks).Pairs()
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}
@@ -104,9 +104,9 @@ func TestMetaBlockingAtScaleBeatsTokenBlocking(t *testing.T) {
 		recs = append(recs, rec(a, t1), rec(b, t2))
 		truth = append(truth, data.NewPair(a, b))
 	}
-	blocks := BuildBlocks(recs, TokenKey("title"))
+	blocks := buildBlocks(recs, TokenKey("title"))
 	base := blocks.Pairs()
-	pruned := MetaBlocker{Weight: ECBS, Prune: WEP}.Candidates(blocks)
+	pruned := MetaBlocker{Weight: ECBS, Prune: WEP}.Pruned(blocks).Pairs()
 	if len(pruned) >= len(base)/2 {
 		t.Errorf("meta-blocking kept %d of %d pairs, want < half", len(pruned), len(base))
 	}

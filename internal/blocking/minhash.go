@@ -78,44 +78,49 @@ func (m MinHashLSH) signature(r *data.Record, attrs []string, n int) []uint64 {
 	return sig
 }
 
-// Candidates implements Blocker. Signatures are computed across
-// workers; buckets are expanded in sorted band-hash order with packed
-// pair-code dedup, so — unlike the historical map-iteration version —
-// the output order is canonical and identical for any worker count.
-func (m MinHashLSH) Candidates(records []*data.Record) []data.Pair {
+// buckets is the front half of MinHash-LSH, shared by both emission
+// orders: signatures computed on the engine's pool, records grouped by
+// band hash in input order. It returns the colliding buckets (two or
+// more members) in ascending band-hash order — a canonical order,
+// identical for any worker count.
+func (m MinHashLSH) buckets(e *Engine) [][]uint32 {
 	attrs, bands, rows := m.params()
 	n := bands * rows
-	eng := NewEngineOpts(records, Opts{Workers: m.Workers})
-	eng.sink.must()
-	sigs := parallel.Must(parallel.MapSlice(eng.cfg, records, func(r *data.Record) []uint64 {
+	sigs, err := parallel.MapSlice(e.cfg, e.recs, func(r *data.Record) []uint64 {
 		return m.signature(r, attrs, n)
-	}))
-	buckets := map[uint64][]uint32{} // band-hash → record ranks, input order
-	for i := range records {
-		sig := sigs[i]
+	})
+	if e.sink.check(err) {
+		return nil
+	}
+	byHash := map[uint64][]uint32{} // band hash → record ranks, input order
+	for i, sig := range sigs {
 		if sig == nil {
 			continue
 		}
 		for b := 0; b < bands; b++ {
-			key := bandHash(b, sig[b*rows:(b+1)*rows])
-			buckets[key] = append(buckets[key], eng.ranks[i])
+			h := bandHash(b, sig[b*rows:(b+1)*rows])
+			byHash[h] = append(byHash[h], e.ranks[i])
 		}
 	}
-	keys := make([]uint64, 0, len(buckets))
-	for k := range buckets {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	var codes []uint64
-	for _, k := range keys {
-		ids := buckets[k]
-		for i := 0; i < len(ids); i++ {
-			for j := i + 1; j < len(ids); j++ {
-				codes = append(codes, pairCode(ids[i], ids[j]))
-			}
+	hashes := make([]uint64, 0, len(byHash))
+	for h, members := range byHash {
+		if len(members) >= 2 {
+			hashes = append(hashes, h)
 		}
 	}
-	return (&CandidateSet{ids: eng.rk.ids, codes: dedupCodesStable(codes)}).Pairs()
+	slices.Sort(hashes)
+	out := make([][]uint32, len(hashes))
+	for i, h := range hashes {
+		out[i] = byHash[h]
+	}
+	return out
+}
+
+// Candidates implements Blocker: buckets pair up in band-hash order.
+func (m MinHashLSH) Candidates(records []*data.Record) []data.Pair {
+	return candidates(records, m.Workers, func(e *Engine) *CandidateSet {
+		return e.set(e.sweep(m.buckets(e)))
+	})
 }
 
 // EstimateJaccard estimates the Jaccard similarity of two records'

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/data"
-	"repro/internal/obs"
 )
 
 // Progressive blocking for budget-limited (anytime) entity resolution:
@@ -16,7 +15,10 @@ import (
 // literature: pairs from *smaller* blocks first (rare keys are more
 // discriminative), and within a block in insertion order; pairs
 // co-occurring in several blocks are promoted by their best (smallest)
-// block.
+// block. It is the Blocker door onto the engine chain
+// Blocks(Key).Purge(MaxBlock).ProgressiveOrder(): to keep the stream on
+// disk under a pair-memory budget, build that chain over an engine with
+// Opts.PairMemBudget and consume its CandidateSet.
 type Progressive struct {
 	Key KeyFunc
 	// MaxBlock skips blocks larger than this entirely (0 = no limit).
@@ -24,17 +26,14 @@ type Progressive struct {
 	// Workers bounds the block-building workers (0 = NumCPU). Output
 	// is identical for any value.
 	Workers int
-	// Shards fixes the pair-generation shard count (see Opts.Shards).
-	Shards int
-	// PairMemBudget, when > 0, bounds the bytes of packed pair codes
-	// held in RAM: a stream whose raw codes would exceed it spills
-	// sorted runs to disk and StreamSet returns a spill-backed set
-	// (see Opts.PairMemBudget).
-	PairMemBudget int64
-	// SpillDir is the directory for spill runs ("" = os.TempDir()).
-	SpillDir string
-	// Obs records "blocking." metrics (nil falls back to obs.Default).
-	Obs *obs.Registry
+}
+
+// Candidates implements Blocker: the full stream in progressive order,
+// deduplicated to first emission.
+func (p Progressive) Candidates(records []*data.Record) []data.Pair {
+	return candidates(records, p.Workers, func(e *Engine) *CandidateSet {
+		return e.Blocks(p.Key).Purge(p.MaxBlock).ProgressiveOrder().CandidateSet()
+	})
 }
 
 // ProgressiveOrder reorders the collection's blocks into progressive
@@ -44,10 +43,9 @@ type Progressive struct {
 // feed key-ordered consumers like meta-blocking. Because candidate
 // generation dedups to first emission, CandidateSet on the result
 // yields the progressive candidate stream through whichever strategy
-// the budget selects (in-memory, sharded, or spilled) — all
-// byte-identical.
+// the budget selects (in-memory or spilled) — both byte-identical.
 func (x *Indexed) ProgressiveOrder() *Indexed {
-	if x.sink.failed() {
+	if x.eng.sink.failed() {
 		return x
 	}
 	order := make([]int, 0, len(x.rows))
@@ -65,54 +63,12 @@ func (x *Indexed) ProgressiveOrder() *Indexed {
 		}
 		return 1
 	})
-	out := &Indexed{cfg: x.cfg, sink: x.sink, ids: x.ids, shards: x.shards, budget: x.budget, dir: x.dir}
-	out.keys = make([]string, len(order))
-	out.rows = make([][]uint32, len(order))
+	out := &Indexed{eng: x.eng, keys: make([]string, len(order)), rows: make([][]uint32, len(order))}
 	for i, bi := range order {
 		out.keys[i] = x.keys[bi]
 		out.rows[i] = x.rows[bi]
 	}
 	return out
-}
-
-// StreamSet builds the progressive candidate stream as a packed
-// candidate set: blocks ordered smallest-first (ties by key),
-// deduplicated to first emission. Under PairMemBudget the set is
-// spill-backed — pair state lives in sorted disk runs, EmitPairs
-// replays the identical order, and the caller must Close it — so
-// progressive ordering works at scales where the materialized stream
-// would not fit in RAM. There is no error return: a failure to build
-// the set (nil key, spill I/O) panics; use the engine directly and read
-// its Err when errors must be handled.
-func (p Progressive) StreamSet(records []*data.Record) *CandidateSet {
-	e := NewEngineOpts(records, Opts{
-		Workers:       p.Workers,
-		Shards:        p.Shards,
-		PairMemBudget: p.PairMemBudget,
-		SpillDir:      p.SpillDir,
-		Obs:           p.Obs,
-	})
-	cs := e.Blocks(p.Key).Purge(p.MaxBlock).ProgressiveOrder().CandidateSet()
-	e.sink.must()
-	return cs
-}
-
-// Stream returns candidate pairs in progressive order, deduplicated.
-// Blocks are built by the interned parallel engine; dedup runs on
-// packed pair codes preserving the emission order. The pair slice is
-// materialized by construction — set PairMemBudget and use StreamSet
-// to keep the stream on disk instead.
-func (p Progressive) Stream(records []*data.Record) []data.Pair {
-	cs := p.StreamSet(records)
-	defer cs.Close()
-	pairs := cs.Pairs()
-	cs.sink.must()
-	return pairs
-}
-
-// Candidates implements Blocker (the full stream).
-func (p Progressive) Candidates(records []*data.Record) []data.Pair {
-	return p.Stream(records)
 }
 
 // RecallCurve measures, for each budget (number of comparisons), the

@@ -16,7 +16,7 @@ func TestProgressiveOrdersSmallBlocksFirst(t *testing.T) {
 		rec("p3", "common other1"),
 		rec("p4", "common other2"),
 	}
-	ordered := Progressive{Key: TokenKey("title")}.Stream(recs)
+	ordered := Progressive{Key: TokenKey("title")}.Candidates(recs)
 	if len(ordered) == 0 {
 		t.Fatal("no pairs")
 	}
@@ -37,7 +37,7 @@ func TestProgressiveMaxBlock(t *testing.T) {
 	recs := []*data.Record{
 		rec("q1", "shared"), rec("q2", "shared"), rec("q3", "shared"), rec("q4", "shared"),
 	}
-	if got := (Progressive{Key: TokenKey("title"), MaxBlock: 3}).Stream(recs); len(got) != 0 {
+	if got := (Progressive{Key: TokenKey("title"), MaxBlock: 3}).Candidates(recs); len(got) != 0 {
 		t.Errorf("oversized block must be skipped, got %v", got)
 	}
 }
@@ -71,7 +71,7 @@ func TestProgressiveBeatsRandomOrderOnBudget(t *testing.T) {
 	truth := web.Dataset.GroundTruthClusters().Pairs()
 
 	prog := Progressive{Key: TokenKey("title"), MaxBlock: 200}
-	ordered := prog.Stream(records)
+	ordered := prog.Candidates(records)
 	shuffled := append([]data.Pair(nil), ordered...)
 	rand.New(rand.NewSource(7)).Shuffle(len(shuffled), func(i, j int) {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
@@ -138,11 +138,11 @@ func TestProgressiveMaxBlockBoundaryKeepsExactLimit(t *testing.T) {
 		rec("q1", "shared"), rec("q2", "shared"), rec("q3", "shared"),
 	}
 	// A block exactly at the limit survives; one past it is purged.
-	if got := (Progressive{Key: TokenKey("title"), MaxBlock: 3}).Stream(recs); len(got) != 3 {
+	if got := (Progressive{Key: TokenKey("title"), MaxBlock: 3}).Candidates(recs); len(got) != 3 {
 		t.Errorf("block exactly at MaxBlock must be kept, got %d pairs", len(got))
 	}
 	recs = append(recs, rec("q4", "shared"))
-	if got := (Progressive{Key: TokenKey("title"), MaxBlock: 3}).Stream(recs); len(got) != 0 {
+	if got := (Progressive{Key: TokenKey("title"), MaxBlock: 3}).Candidates(recs); len(got) != 0 {
 		t.Errorf("block one past MaxBlock must be purged, got %d pairs", len(got))
 	}
 }
@@ -153,16 +153,16 @@ func TestProgressiveStreamSpillsUnderPairBudget(t *testing.T) {
 		Seed: 104, NumSources: 10, DirtLevel: 1, HeadFraction: 0.4, TailCoverage: 0.3,
 	})
 	records := web.Dataset.Records()
-	want := Progressive{Key: TokenKey("title"), MaxBlock: 200}.Stream(records)
+	want := Progressive{Key: TokenKey("title"), MaxBlock: 200}.Candidates(records)
 	if len(want) == 0 {
 		t.Fatal("no pairs")
 	}
 
-	budgeted := Progressive{
-		Key: TokenKey("title"), MaxBlock: 200,
-		PairMemBudget: 1, SpillDir: t.TempDir(),
+	budgeted := NewEngineOpts(records, Opts{PairMemBudget: 1, SpillDir: t.TempDir()})
+	cs := budgeted.Blocks(TokenKey("title")).Purge(200).ProgressiveOrder().CandidateSet()
+	if err := budgeted.Err(); err != nil {
+		t.Fatal(err)
 	}
-	cs := budgeted.StreamSet(records)
 	if !cs.Spilled() {
 		t.Fatal("a 1-byte pair budget must spill the progressive stream")
 	}
@@ -181,9 +181,5 @@ func TestProgressiveStreamSpillsUnderPairBudget(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("spilled order diverged at %d: %v vs %v", i, got[i], want[i])
 		}
-	}
-	// Stream itself routes through the same spill-aware path.
-	if streamed := budgeted.Stream(records); len(streamed) != len(want) {
-		t.Fatalf("budgeted Stream returned %d pairs, want %d", len(streamed), len(want))
 	}
 }

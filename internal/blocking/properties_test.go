@@ -1,6 +1,7 @@
 package blocking
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -76,11 +77,11 @@ func TestSortedNeighborhoodWindowMonotone(t *testing.T) {
 // blocks, and purged blocks are a subset.
 func TestPurgeMonotone(t *testing.T) {
 	records := propRecords(13, 40)
-	blocks := BuildBlocks(records, TokenKey("title"))
+	blocks := buildBlocks(records, TokenKey("title"))
 	f := func(a, b uint8) bool {
 		lo, hi := int(a%20)+1, int(a%20)+1+int(b%20)
-		pl := blocks.Purge(lo)
-		ph := blocks.Purge(hi)
+		pl := blocksOf(blocks.Purge(lo))
+		ph := blocksOf(blocks.Purge(hi))
 		if len(pl) > len(ph) {
 			return false
 		}
@@ -100,7 +101,7 @@ func TestPurgeMonotone(t *testing.T) {
 // stream contains exactly the standard candidate set, reordered.
 func TestProgressiveStreamIsPermutationOfCandidates(t *testing.T) {
 	records := propRecords(17, 30)
-	prog := Progressive{Key: TokenKey("title")}.Stream(records)
+	prog := Progressive{Key: TokenKey("title")}.Candidates(records)
 	std := Standard{Key: TokenKey("title")}.Candidates(records)
 	if len(prog) != len(std) {
 		t.Fatalf("stream %d pairs vs standard %d", len(prog), len(std))
@@ -117,14 +118,90 @@ func TestProgressiveStreamIsPermutationOfCandidates(t *testing.T) {
 // candidates are a subset of the raw block pairs.
 func TestMetaBlockingOutputSubset(t *testing.T) {
 	records := propRecords(19, 30)
-	blocks := BuildBlocks(records, TokenKey("title"))
+	blocks := buildBlocks(records, TokenKey("title"))
 	raw := pairSet(blocks.Pairs())
 	for _, weight := range []WeightScheme{CBS, ECBS, JS} {
 		for _, prune := range []PruneScheme{WEP, CEP, WNP} {
-			got := MetaBlocker{Weight: weight, Prune: prune}.Candidates(blocks)
+			got := MetaBlocker{Weight: weight, Prune: prune}.Pruned(blocks).Pairs()
 			for _, p := range got {
 				if !raw[p] {
 					t.Fatalf("%v/%v emitted pair %v outside raw candidates", weight, prune, p)
+				}
+			}
+		}
+	}
+}
+
+// TestTechniqueOrdersCoverTheSameSet: a technique's two emission orders
+// share one front half, so the pair set of Candidates equals the pair
+// set of its Ranked stream, and both are free of duplicates and self
+// pairs — for sorted neighbourhood, MinHash-LSH and a key blocker, on
+// two dirty webs at every worker count.
+func TestTechniqueOrdersCoverTheSameSet(t *testing.T) {
+	type technique struct {
+		name    string
+		blocker func(workers int) Blocker
+		ranked  RankedBlocker
+	}
+	var techniques []technique
+	snKeys := []KeyFunc{AttrExactKey("title"), AttrPrefixKey("title", 3)}
+	for _, keys := range [][]KeyFunc{snKeys[:1], snKeys} {
+		for _, window := range []int{2, 5, 9} {
+			techniques = append(techniques, technique{
+				fmt.Sprintf("sn passes=%d window=%d", len(keys), window),
+				func(w int) Blocker { return SortedNeighborhood{Keys: keys, Window: window, Workers: w} },
+				RankedSortedNeighborhood{Keys: keys, Window: window},
+			})
+		}
+	}
+	for _, shape := range [][2]int{{8, 4}, {16, 2}} {
+		m := MinHashLSH{Bands: shape[0], Rows: shape[1], Seed: 3}
+		techniques = append(techniques, technique{
+			fmt.Sprintf("minhash %dx%d", shape[0], shape[1]),
+			func(w int) Blocker { mw := m; mw.Workers = w; return mw },
+			RankedMinHash{MinHash: m},
+		})
+	}
+	techniques = append(techniques, technique{
+		"token key",
+		func(w int) Blocker { return Standard{Key: TokenKey("title"), MaxBlock: 20, Workers: w} },
+		RankedKey{Key: TokenKey("title"), MaxBlock: 20},
+	})
+
+	distinct := func(name string, pairs []data.Pair) map[data.Pair]bool {
+		set := map[data.Pair]bool{}
+		for _, p := range pairs {
+			if p.A == p.B {
+				t.Fatalf("%s: self pair %v", name, p)
+			}
+			if set[p] {
+				t.Fatalf("%s: duplicate pair %v", name, p)
+			}
+			set[p] = true
+		}
+		return set
+	}
+	for _, seed := range []int64{23, 29} {
+		records := propRecords(seed, 30)
+		for _, tq := range techniques {
+			for _, w := range workerCounts {
+				name := fmt.Sprintf("seed=%d %s workers=%d", seed, tq.name, w)
+				cands := distinct(name+" candidates", tq.blocker(w).Candidates(records))
+				e := NewEngineOpts(records, Opts{Workers: w})
+				ranked := distinct(name+" ranked", e.RankedPairs(tq.ranked.Ranked(e)))
+				if err := e.Err(); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if len(cands) == 0 {
+					t.Fatalf("%s: no candidates", name)
+				}
+				if len(cands) != len(ranked) {
+					t.Fatalf("%s: %d candidates, %d ranked", name, len(cands), len(ranked))
+				}
+				for p := range cands {
+					if !ranked[p] {
+						t.Fatalf("%s: candidate %v missing from the ranked stream", name, p)
+					}
 				}
 			}
 		}

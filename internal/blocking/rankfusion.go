@@ -19,12 +19,13 @@ package blocking
 // per-code contributions always sum in stream-index order, so the
 // floating-point result is independent of the worker and shard count)
 // followed by a deterministic k-way sorted merge, the same shape as
-// the sharded pair generator. The fused stream is byte-identical for
+// the spilling pair generator. The fused stream is byte-identical for
 // any Workers/Shards combination, and spills to disk run files when it
 // exceeds the engine's PairMemBudget, so downstream matching streams
 // it in bounded batches exactly like a spilled blocking pass.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"os"
@@ -59,7 +60,7 @@ type RankedBlocker interface {
 // order — the single-blocker baseline an evaluation compares the fused
 // ordering against.
 func (e *Engine) RankedPairs(s RankedStream) []data.Pair {
-	return (&CandidateSet{ids: e.rk.ids, codes: s.Codes}).Pairs()
+	return e.set(s.Codes).Pairs()
 }
 
 // RankedKey ranks a key blocker's candidates progressively: blocks are
@@ -75,7 +76,9 @@ type RankedKey struct {
 // Ranked implements RankedBlocker.
 func (r RankedKey) Ranked(e *Engine) RankedStream {
 	x := e.Blocks(r.Key).Purge(r.MaxBlock).ProgressiveOrder()
-	return RankedStream{Name: r.Name, Codes: x.inMemoryCodes()}
+	// Always in RAM, whatever the engine's pair-memory budget: a ranked
+	// stream is a kernel input, not a long-lived candidate set.
+	return RankedStream{Name: r.Name, Codes: e.sweep(x.rows)}
 }
 
 // RankedSortedNeighborhood ranks the sorted-neighbourhood blocker by
@@ -92,44 +95,13 @@ type RankedSortedNeighborhood struct {
 
 // Ranked implements RankedBlocker.
 func (r RankedSortedNeighborhood) Ranked(e *Engine) RankedStream {
-	w := r.Window
-	if w < 2 {
-		w = 5
-	}
-	type entry struct {
-		k    string
-		rank uint32
-	}
-	passes := make([][]entry, len(r.Keys))
-	for pi, key := range r.Keys {
-		keyed, err := parallel.MapSlice(e.cfg, e.recs, func(rec *data.Record) []string { return key(rec) })
-		if e.sink.check(err) {
-			return RankedStream{Name: r.Name}
-		}
-		entries := make([]entry, 0, len(e.recs))
-		for i := range e.recs {
-			ks := keyed[i]
-			if len(ks) == 0 || ks[0] == "" {
-				continue
-			}
-			entries = append(entries, entry{k: ks[0], rank: e.ranks[i]})
-		}
-		slices.SortFunc(entries, func(a, b entry) int {
-			if a.k != b.k {
-				if a.k < b.k {
-					return -1
-				}
-				return 1
-			}
-			return int(int64(a.rank) - int64(b.rank))
-		})
-		passes[pi] = entries
-	}
+	passes := e.snPasses(r.Keys)
+	w := snWindow(r.Window)
 	var codes []uint64
 	for d := 1; d < w; d++ {
-		for _, entries := range passes {
-			for i := 0; i+d < len(entries); i++ {
-				codes = append(codes, pairCode(entries[i].rank, entries[i+d].rank))
+		for _, ranks := range passes {
+			for i := 0; i+d < len(ranks); i++ {
+				codes = append(codes, pairCode(ranks[i], ranks[i+d]))
 			}
 		}
 	}
@@ -147,53 +119,9 @@ type RankedMinHash struct {
 
 // Ranked implements RankedBlocker.
 func (r RankedMinHash) Ranked(e *Engine) RankedStream {
-	attrs, bands, rows := r.MinHash.params()
-	n := bands * rows
-	sigs, err := parallel.MapSlice(e.cfg, e.recs, func(rec *data.Record) []uint64 {
-		return r.MinHash.signature(rec, attrs, n)
-	})
-	if e.sink.check(err) {
-		return RankedStream{Name: r.Name}
-	}
-	buckets := map[uint64][]uint32{}
-	for i := range e.recs {
-		sig := sigs[i]
-		if sig == nil {
-			continue
-		}
-		for b := 0; b < bands; b++ {
-			key := bandHash(b, sig[b*rows:(b+1)*rows])
-			buckets[key] = append(buckets[key], e.ranks[i])
-		}
-	}
-	keys := make([]uint64, 0, len(buckets))
-	for k, ids := range buckets {
-		if len(ids) >= 2 {
-			keys = append(keys, k)
-		}
-	}
-	slices.SortFunc(keys, func(a, b uint64) int {
-		if la, lb := len(buckets[a]), len(buckets[b]); la != lb {
-			return la - lb
-		}
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		}
-		return 0
-	})
-	var codes []uint64
-	for _, k := range keys {
-		ids := buckets[k]
-		for i := 0; i < len(ids); i++ {
-			for j := i + 1; j < len(ids); j++ {
-				codes = append(codes, pairCode(ids[i], ids[j]))
-			}
-		}
-	}
-	return RankedStream{Name: r.Name, Codes: dedupCodesStable(codes)}
+	buckets := r.MinHash.buckets(e) // in hash order, so a stable sort ties by hash
+	slices.SortStableFunc(buckets, func(a, b []uint32) int { return len(a) - len(b) })
+	return RankedStream{Name: r.Name, Codes: e.sweep(buckets)}
 }
 
 // fusedKey packs an RRF score into a sort key that ascends as the
@@ -202,14 +130,14 @@ func (r RankedMinHash) Ranked(e *Engine) RankedStream {
 // sums of positive terms, never zero, negative or NaN.
 func fusedKey(score float64) uint64 { return ^math.Float64bits(score) }
 
-// peLessKeyCode orders fused entries by (packed score key, code) —
+// byKeyCode orders fused entries by (packed score key, code) —
 // descending score, ties by ascending code. Codes are unique across
 // entries, so the order is total.
-func peLessKeyCode(a, b pe) bool {
-	if a.pos != b.pos {
-		return a.pos < b.pos
+func byKeyCode(a, b pe) int {
+	if c := cmp.Compare(a.pos, b.pos); c != 0 {
+		return c
 	}
-	return a.code < b.code
+	return cmp.Compare(a.code, b.code)
 }
 
 // FuseRanked runs every producer over the engine — all streams share
@@ -238,11 +166,11 @@ func (e *Engine) FuseStreams(k float64, streams ...RankedStream) *CandidateSet {
 		k = DefaultRRFK
 	}
 	if e.sink.failed() {
-		return &CandidateSet{ids: e.rk.ids, sink: e.sink}
+		return e.set(nil)
 	}
 	fused := e.fuseRRF(k, streams)
 	if e.sink.failed() {
-		return &CandidateSet{ids: e.rk.ids, sink: e.sink}
+		return e.set(nil)
 	}
 	reg := e.cfg.Obs
 	reg.Counter("blocking.rrf_streams").Add(int64(len(streams)))
@@ -254,7 +182,7 @@ func (e *Engine) FuseStreams(k float64, streams ...RankedStream) *CandidateSet {
 	for i, f := range fused {
 		codes[i] = f.code
 	}
-	return &CandidateSet{ids: e.rk.ids, codes: codes, sink: e.sink}
+	return e.set(codes)
 }
 
 // fuseRRF is the parallel rank-space RRF kernel. It returns the fused
@@ -273,15 +201,7 @@ func (e *Engine) fuseRRF(k float64, streams []RankedStream) []pe {
 		for i, c := range codes {
 			es[i] = pe{code: c, pos: uint64(i)}
 		}
-		slices.SortFunc(es, func(a, b pe) int {
-			switch {
-			case peLessCode(a, b):
-				return -1
-			case peLessCode(b, a):
-				return 1
-			}
-			return 0
-		})
+		slices.SortFunc(es, byCode)
 		ents[s] = es
 	})
 	if e.sink.check(err) {
@@ -312,12 +232,7 @@ func (e *Engine) fuseRRF(k float64, streams []RankedStream) []pe {
 		}
 		cum[len(cum)-1]++
 	}
-	shards := e.shards
-	if shards <= 1 {
-		shards = e.cfg.Workers
-	}
-	ranges := parallel.WeightedRanges(cum, max(shards, 1))
-	e.cfg.Obs.Gauge("blocking.rrf_shards").Set(float64(len(ranges)))
+	ranges := parallel.WeightedRanges(cum, e.partitions())
 	// Per-shard accumulation: walk each stream's sorted entries in
 	// lockstep with the shard's distinct-code range, then sort the
 	// shard's scored entries into fused order.
@@ -327,13 +242,7 @@ func (e *Engine) fuseRRF(k float64, streams []RankedStream) []pe {
 		ptrs := make([]int, len(ents))
 		for s, es := range ents {
 			ptrs[s], _ = slices.BinarySearchFunc(es, distinct[lo], func(en pe, c uint64) int {
-				switch {
-				case en.code < c:
-					return -1
-				case en.code > c:
-					return 1
-				}
-				return 0
+				return cmp.Compare(en.code, c)
 			})
 		}
 		out := make([]pe, 0, hi-lo)
@@ -350,13 +259,7 @@ func (e *Engine) fuseRRF(k float64, streams []RankedStream) []pe {
 			}
 			out = append(out, pe{code: code, pos: fusedKey(score)})
 		}
-		slices.SortFunc(out, func(a, b pe) int {
-			switch {
-			case peLessKeyCode(a, b):
-				return -1
-			}
-			return 1
-		})
+		slices.SortFunc(out, byKeyCode)
 		per[si] = out
 	})
 	if e.sink.check(err) {
@@ -369,7 +272,7 @@ func (e *Engine) fuseRRF(k float64, streams []RankedStream) []pe {
 		sources[i] = &sliceSource{ents: es}
 	}
 	fused := make([]pe, 0, len(distinct))
-	err = mergePE(sources, peLessKeyCode, func(en pe) error {
+	err = mergePE(sources, byKeyCode, func(en pe) error {
 		fused = append(fused, pe{code: en.code, pos: uint64(len(fused))})
 		return nil
 	})
@@ -388,82 +291,33 @@ func (e *Engine) spillFused(fused []pe) *CandidateSet {
 	reg := e.cfg.Obs
 	dir, err := os.MkdirTemp(e.dir, "bdi-rrf-*")
 	if e.sink.check(err) {
-		return &CandidateSet{ids: e.rk.ids, sink: e.sink}
+		return e.set(nil)
 	}
 	fail := func(err error) *CandidateSet {
 		os.RemoveAll(dir)
 		e.sink.check(err)
-		return &CandidateSet{ids: e.rk.ids, sink: e.sink}
+		return e.set(nil)
 	}
 	ss := &spillSet{dir: dir, reg: reg, n: len(fused)}
 	ss.refs.Store(1)
-	var written int64
 	capE := runCap(e.budget, 1)
-	for seq, lo := 0, 0; lo < len(fused); seq++ {
-		hi := min(lo+capE, len(fused))
-		w, werr := createRun(dir, fmt.Sprintf("c-%05d.run", seq))
-		if werr != nil {
-			return fail(werr)
+	for lo := 0; lo < len(fused); lo += capE {
+		path, err := writeRun(dir, fmt.Sprintf("c-%05d.run", len(ss.emitRuns)), fused[lo:min(lo+capE, len(fused))])
+		if err != nil {
+			return fail(err)
 		}
-		for _, en := range fused[lo:hi] {
-			if werr := w.write(en); werr != nil {
-				w.close()
-				return fail(werr)
-			}
-		}
-		if werr := w.close(); werr != nil {
-			return fail(werr)
-		}
-		ss.emitRuns = append(ss.emitRuns, w.path)
-		written += w.n
-		lo = hi
+		ss.emitRuns = append(ss.emitRuns, path)
 	}
-	byCode := slices.Clone(fused)
-	slices.SortFunc(byCode, func(a, b pe) int {
-		switch {
-		case peLessCode(a, b):
-			return -1
-		case peLessCode(b, a):
-			return 1
-		}
-		return 0
-	})
-	bw, err := createRun(dir, "bycode.run")
+	byCodeEnts := slices.Clone(fused)
+	slices.SortFunc(byCodeEnts, byCode)
+	path, err := writeRun(dir, "bycode.run", byCodeEnts)
 	if err != nil {
 		return fail(err)
 	}
-	for _, en := range byCode {
-		if err := bw.write(en); err != nil {
-			bw.close()
-			return fail(err)
-		}
-	}
-	if err := bw.close(); err != nil {
-		return fail(err)
-	}
-	ss.byCode = bw.path
+	ss.byCode = []string{path}
 	reg.Counter("blocking.rrf_spilled").Add(int64(len(fused)))
 	reg.Counter("blocking.spill_runs").Add(int64(len(ss.emitRuns)))
-	reg.Counter("blocking.spill_bytes").Add((written + bw.n) * peSize)
+	reg.Counter("blocking.spill_bytes").Add(2 * int64(len(fused)) * peSize)
 	reg.Counter("blocking.spill_merge_runs").Add(int64(len(ss.emitRuns)))
 	return &CandidateSet{ids: e.rk.ids, ext: ss, sink: e.sink}
-}
-
-// inMemoryCodes expands the collection's deduplicated codes in
-// emission order, always in RAM regardless of the engine's pair-memory
-// budget — ranked streams are kernel inputs, not long-lived candidate
-// sets, so they bypass the spill path.
-func (x *Indexed) inMemoryCodes() []uint64 {
-	if x.sink.failed() {
-		return nil
-	}
-	offs := x.pairOffsets()
-	if x.shards > 1 {
-		return x.shardedCodes(offs)
-	}
-	raw := x.rawCodes()
-	if x.sink.failed() {
-		return nil
-	}
-	return dedupCodesStable(raw)
 }

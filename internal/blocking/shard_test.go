@@ -4,9 +4,12 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/datagen"
 	"repro/internal/obs"
 )
 
@@ -39,6 +42,34 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 					samePairs(t, fmt.Sprintf("%s max=%d workers=%d shards=%d", name, max, w, s), want, got)
 				}
 			}
+		}
+	}
+}
+
+// TestShardsDoNotChangeInMemoryCost: with no pair budget the shard
+// count selects nothing — CandidateSet runs the one in-memory sweep, so
+// it returns the same codes and allocates the same bytes at any Shards.
+func TestShardsDoNotChangeInMemoryCost(t *testing.T) {
+	recs := datagen.ScaleRecords(datagen.ScaleConfig{Seed: 42, NumRecords: 20_000})
+	sweep := func(shards int) (codes []uint64, allocated uint64) {
+		idx := NewEngineOpts(recs, Opts{Workers: 2, Shards: shards}).Blocks(TokenKey("title")).Purge(8)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		cs := idx.CandidateSet()
+		runtime.ReadMemStats(&after)
+		return cs.codes, after.TotalAlloc - before.TotalAlloc
+	}
+	want, base := sweep(0)
+	if len(want) == 0 {
+		t.Fatal("no candidates")
+	}
+	for _, shards := range []int{4, 16} {
+		got, allocated := sweep(shards)
+		if !slices.Equal(got, want) {
+			t.Fatalf("shards=%d: codes differ from shards=0", shards)
+		}
+		if float64(allocated) > 1.1*float64(base) {
+			t.Fatalf("shards=%d: CandidateSet allocated %d B, %d B at shards=0", shards, allocated, base)
 		}
 	}
 }

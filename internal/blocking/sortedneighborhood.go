@@ -1,7 +1,8 @@
 package blocking
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/data"
 	"repro/internal/parallel"
@@ -21,45 +22,66 @@ type SortedNeighborhood struct {
 	Workers int
 }
 
-// Candidates implements Blocker.
-func (sn SortedNeighborhood) Candidates(records []*data.Record) []data.Pair {
-	w := sn.Window
+// snWindow resolves a configured window size.
+func snWindow(w int) int {
 	if w < 2 {
-		w = 5
+		return 5
 	}
-	cfg := parallel.Config{Workers: sn.Workers}
-	eng := NewEngineOpts(records, Opts{Workers: sn.Workers})
-	eng.sink.must()
-	var codes []uint64
-	for _, key := range sn.Keys {
-		type entry struct {
-			k    string
-			rank uint32
+	return w
+}
+
+// snPasses is the front half of sorted neighbourhood, shared by both
+// emission orders: one pass per key, each the ranks of the keyed
+// records sorted by (key, rank) — rank order is ID order. Keys are
+// extracted on the engine's pool; records yielding no key are skipped.
+func (e *Engine) snPasses(keys []KeyFunc) [][]uint32 {
+	type entry struct {
+		k    string
+		rank uint32
+	}
+	passes := make([][]uint32, 0, len(keys))
+	for _, key := range keys {
+		keyed, err := parallel.MapSlice(e.cfg, e.recs, func(r *data.Record) []string { return key(r) })
+		if e.sink.check(err) {
+			return nil
 		}
-		keyed := parallel.Must(parallel.MapSlice(cfg, records, func(r *data.Record) []string { return key(r) }))
-		entries := make([]entry, 0, len(records))
-		for i := range records {
-			ks := keyed[i]
+		entries := make([]entry, 0, len(e.recs))
+		for i, ks := range keyed {
 			if len(ks) == 0 || ks[0] == "" {
 				continue
 			}
-			entries = append(entries, entry{k: ks[0], rank: eng.ranks[i]})
+			entries = append(entries, entry{k: ks[0], rank: e.ranks[i]})
 		}
-		// Rank order is ID order, so the (key, id) sort of the
-		// sequential implementation is exactly this.
-		sort.Slice(entries, func(i, j int) bool {
-			if entries[i].k != entries[j].k {
-				return entries[i].k < entries[j].k
+		slices.SortFunc(entries, func(a, b entry) int {
+			if c := cmp.Compare(a.k, b.k); c != 0 {
+				return c
 			}
-			return entries[i].rank < entries[j].rank
+			return cmp.Compare(a.rank, b.rank)
 		})
-		for i := range entries {
-			for j := i + 1; j < len(entries) && j < i+w; j++ {
-				codes = append(codes, pairCode(entries[i].rank, entries[j].rank))
+		ranks := make([]uint32, len(entries))
+		for i, en := range entries {
+			ranks[i] = en.rank
+		}
+		passes = append(passes, ranks)
+	}
+	return passes
+}
+
+// Candidates implements Blocker: pass by pass, each record paired with
+// the Window-1 records sorted after it.
+func (sn SortedNeighborhood) Candidates(records []*data.Record) []data.Pair {
+	return candidates(records, sn.Workers, func(e *Engine) *CandidateSet {
+		w := snWindow(sn.Window)
+		var codes []uint64
+		for _, ranks := range e.snPasses(sn.Keys) {
+			for i := range ranks {
+				for j := i + 1; j < len(ranks) && j < i+w; j++ {
+					codes = append(codes, pairCode(ranks[i], ranks[j]))
+				}
 			}
 		}
-	}
-	return (&CandidateSet{ids: eng.rk.ids, codes: dedupCodesStable(codes)}).Pairs()
+		return e.set(dedupCodesStable(codes))
+	})
 }
 
 // Canopy implements canopy clustering with a cheap similarity: records
@@ -67,8 +89,8 @@ func (sn SortedNeighborhood) Candidates(records []*data.Record) []data.Pair {
 // are candidates. Loose < Tight thresholds follow McCallum et al.:
 // records within Loose of a centre join its canopy (and may join
 // others); records within Tight are removed from further consideration
-// as centres. The greedy sweep is inherently sequential; only the pair
-// dedup runs on packed codes.
+// as centres. The greedy sweep is inherently sequential; the canopies
+// then pair up through the engine's pair sweep like blocks do.
 type Canopy struct {
 	Sim   func(a, b *data.Record) float64
 	Loose float64 // canopy-membership threshold (lower)
@@ -77,33 +99,28 @@ type Canopy struct {
 
 // Candidates implements Blocker.
 func (c Canopy) Candidates(records []*data.Record) []data.Pair {
-	eng := NewEngineOpts(records, Opts{Workers: 1})
-	eng.sink.must()
-	rank := make(map[string]uint32, len(records))
-	for i, r := range records {
-		rank[r.ID] = eng.ranks[i]
-	}
-	remaining := append([]*data.Record(nil), records...)
-	var codes []uint64
-	for len(remaining) > 0 {
-		center := remaining[0]
-		canopy := []*data.Record{center}
-		var next []*data.Record
-		for _, r := range remaining[1:] {
-			s := c.Sim(center, r)
-			if s >= c.Loose {
-				canopy = append(canopy, r)
-			}
-			if s < c.Tight {
-				next = append(next, r)
-			}
+	return candidates(records, 1, func(e *Engine) *CandidateSet {
+		remaining := make([]int, len(records)) // record positions still eligible
+		for i := range remaining {
+			remaining[i] = i
 		}
-		remaining = next
-		for i := 0; i < len(canopy); i++ {
-			for j := i + 1; j < len(canopy); j++ {
-				codes = append(codes, pairCode(rank[canopy[i].ID], rank[canopy[j].ID]))
+		var canopies [][]uint32
+		for len(remaining) > 0 {
+			center := remaining[0]
+			canopy := []uint32{e.ranks[center]}
+			var next []int
+			for _, i := range remaining[1:] {
+				s := c.Sim(records[center], records[i])
+				if s >= c.Loose {
+					canopy = append(canopy, e.ranks[i])
+				}
+				if s < c.Tight {
+					next = append(next, i)
+				}
 			}
+			remaining = next
+			canopies = append(canopies, canopy)
 		}
-	}
-	return (&CandidateSet{ids: eng.rk.ids, codes: dedupCodesStable(codes)}).Pairs()
+		return e.set(e.sweep(canopies))
+	})
 }

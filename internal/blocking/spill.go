@@ -10,19 +10,20 @@ package blocking
 //            duplicate codes, and write the buffer as one run file.
 //   phase B  one k-way loser-tree merge of all runs by (code, pos):
 //            the first entry of each code is its global first
-//            occurrence. Unique entries stream into a by-code file
-//            (sorted membership stream for unions) and into bounded
-//            buffers re-sorted by position and written as emission
-//            runs.
+//            occurrence. Unique entries fill a bounded buffer that is
+//            written as the next by-code chunk (sorted membership
+//            stream for unions) and, re-sorted by position, as one
+//            emission run.
 //   phase C  on every EmitPairs, a k-way merge of the emission runs
 //            by position replays the deduplicated codes in the exact
 //            first-seen order of the in-memory sweep.
 //
-// The result is byte-identical to the unsharded in-memory path; only
-// the peak memory differs.
+// The result is byte-identical to the in-memory sweep; only the peak
+// memory differs.
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -35,6 +36,39 @@ import (
 	"repro/internal/obs"
 	"repro/internal/parallel"
 )
+
+// pe is one raw pair emission: the packed pair code plus its global
+// position in the sequential emission order (sorted keys, in-block
+// input order). The position makes stable dedup mergeable: the global
+// first occurrence of a code is simply its minimum position.
+type pe struct{ code, pos uint64 }
+
+// byCode orders entries by (code, pos) — the sort and merge key for
+// dedup, where the first entry of a code run is its first global
+// occurrence.
+func byCode(a, b pe) int {
+	if c := cmp.Compare(a.code, b.code); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.pos, b.pos)
+}
+
+// byPos orders entries by position — the sort and merge key for
+// restoring emission order (positions are globally unique).
+func byPos(a, b pe) int { return cmp.Compare(a.pos, b.pos) }
+
+// sortCompactEntries sorts entries by (code, pos) and keeps only the
+// first entry of each code — its minimum position — in place.
+func sortCompactEntries(ents []pe) []pe {
+	slices.SortFunc(ents, byCode)
+	out := ents[:0]
+	for i, e := range ents {
+		if i == 0 || e.code != ents[i-1].code {
+			out = append(out, e)
+		}
+	}
+	return out
+}
 
 // peSize is the on-disk size of one (code, position) entry.
 const peSize = 16
@@ -85,17 +119,17 @@ type loserTree struct {
 	head []pe
 	ok   []bool
 	node []int // node[j], j>=1: loser parked at internal node j; node[0]: winner
-	less func(a, b pe) bool
+	ord  func(a, b pe) int
 }
 
-func newLoserTree(src []peSource, less func(a, b pe) bool) (*loserTree, error) {
+func newLoserTree(src []peSource, ord func(a, b pe) int) (*loserTree, error) {
 	k := len(src)
 	t := &loserTree{
 		src:  src,
 		head: make([]pe, k),
 		ok:   make([]bool, k),
 		node: make([]int, max(k, 1)),
-		less: less,
+		ord:  ord,
 	}
 	for i := range src {
 		if err := t.load(i); err != nil {
@@ -124,10 +158,9 @@ func (t *loserTree) beats(a, b int) bool {
 		return false
 	case !t.ok[b]:
 		return true
-	case t.less(t.head[a], t.head[b]):
-		return true
-	case t.less(t.head[b], t.head[a]):
-		return false
+	}
+	if c := t.ord(t.head[a], t.head[b]); c != 0 {
+		return c < 0
 	}
 	return a < b
 }
@@ -189,10 +222,10 @@ func (t *loserTree) advance(i int) error {
 	return nil
 }
 
-// mergePE streams the k-way merge of sorted sources to emit in
-// nondecreasing less order.
-func mergePE(src []peSource, less func(a, b pe) bool, emit func(pe) error) error {
-	t, err := newLoserTree(src, less)
+// mergePE streams the k-way merge of ord-sorted sources to emit in
+// nondecreasing ord order.
+func mergePE(src []peSource, ord func(a, b pe) int, emit func(pe) error) error {
+	t, err := newLoserTree(src, ord)
 	if err != nil {
 		return err
 	}
@@ -210,39 +243,33 @@ func mergePE(src []peSource, less func(a, b pe) bool, emit func(pe) error) error
 	}
 }
 
-// runWriter writes fixed-width little-endian entries to one run file.
-type runWriter struct {
-	path string
-	f    *os.File
-	bw   *bufio.Writer
-	n    int64 // entries written
-}
-
-func createRun(dir, name string) (*runWriter, error) {
+// writeRun writes ents, in order, as the run file dir/name of
+// fixed-width little-endian entries and returns its path.
+func writeRun(dir, name string, ents []pe) (string, error) {
 	path := filepath.Join(dir, name)
 	f, err := os.Create(path)
 	if err != nil {
-		return nil, fmt.Errorf("blocking: create spill run: %w", err)
+		return "", fmt.Errorf("blocking: create spill run: %w", err)
 	}
-	return &runWriter{path: path, f: f, bw: bufio.NewWriterSize(f, 1<<18)}, nil
-}
-
-func (w *runWriter) write(e pe) error {
+	bw := bufio.NewWriterSize(f, 1<<18)
 	var b [peSize]byte
-	binary.LittleEndian.PutUint64(b[:8], e.code)
-	binary.LittleEndian.PutUint64(b[8:], e.pos)
-	w.n++
-	_, err := w.bw.Write(b[:])
-	return err
-}
-
-func (w *runWriter) close() error {
-	ferr := w.bw.Flush()
-	cerr := w.f.Close()
-	if ferr != nil {
-		return ferr
+	for _, e := range ents {
+		binary.LittleEndian.PutUint64(b[:8], e.code)
+		binary.LittleEndian.PutUint64(b[8:], e.pos)
+		if _, err = bw.Write(b[:]); err != nil {
+			break
+		}
 	}
-	return cerr
+	if err == nil {
+		err = bw.Flush()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return "", fmt.Errorf("blocking: write spill run: %w", err)
+	}
+	return path, nil
 }
 
 // runReader streams one run file back as a peSource.
@@ -307,7 +334,7 @@ var errStopEmit = errors.New("blocking: emission stopped")
 // counted so unions can share it; the last release removes it.
 type spillSet struct {
 	dir      string
-	byCode   string   // unique (code, pos) entries sorted by code
+	byCode   []string // unique (code, pos) entries sorted by code, as consecutive chunks
 	emitRuns []string // each sorted by position; k-way merged on emit
 	n        int      // unique codes
 	refs     atomic.Int32
@@ -339,7 +366,7 @@ func (s *spillSet) emit(f func(code uint64) bool) error {
 	for i, r := range rs {
 		src[i] = r
 	}
-	err = mergePE(src, peLessPos, func(e pe) error {
+	err = mergePE(src, byPos, func(e pe) error {
 		if !f(e.code) {
 			return errStopEmit
 		}
@@ -355,99 +382,102 @@ func (s *spillSet) emit(f func(code uint64) bool) error {
 // slice, calling mark for every probe code present in the set. One
 // sequential read, no probe-sized state beyond the caller's.
 func (s *spillSet) filterSorted(sorted []uint64, mark func(code uint64)) error {
-	if len(sorted) == 0 {
-		return nil
-	}
-	r, err := openRun(s.byCode)
+	rs, err := openRuns(s.byCode)
 	if err != nil {
 		return err
 	}
-	defer r.close()
+	defer closeRuns(rs)
 	i := 0
-	for {
-		e, ok, err := r.next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		for i < len(sorted) && sorted[i] < e.code {
-			i++
-		}
-		if i == len(sorted) {
-			return nil
-		}
-		if sorted[i] == e.code {
-			mark(e.code)
-			i++
+	for _, r := range rs { // consecutive chunks of one ascending stream
+		for i < len(sorted) {
+			e, ok, err := r.next()
+			if err != nil {
+				return err
+			}
+			if !ok {
+				break
+			}
+			for i < len(sorted) && sorted[i] < e.code {
+				i++
+			}
+			if i < len(sorted) && sorted[i] == e.code {
+				mark(e.code)
+				i++
+			}
 		}
 	}
+	return nil
 }
 
 // spillShard is phase A for one shard: expand blocks [rng[0], rng[1])
-// through a capEnts-entry buffer, writing each full (sorted, locally
-// deduplicated) buffer as one run file. Returns the run paths in
-// generation order and the entry count written.
+// in raw emission order (offs supplies each block's global starting
+// position) through a capEnts-entry buffer, writing each full (sorted,
+// locally deduplicated) buffer as one run file. Returns the run paths
+// in generation order and the entry count written.
 func (x *Indexed) spillShard(shard int, rng [2]int, offs []int, dir string, capEnts int) (paths []string, written int64, err error) {
+	flush := func(buf []pe) error {
+		if len(buf) == 0 {
+			return nil
+		}
+		ents := sortCompactEntries(buf)
+		path, err := writeRun(dir, fmt.Sprintf("a-%03d-%05d.run", shard, len(paths)), ents)
+		if err != nil {
+			return err
+		}
+		paths = append(paths, path)
+		written += int64(len(ents))
+		return nil
+	}
 	buf := make([]pe, 0, capEnts)
-	seq := 0
-	flush := func(b []pe) ([]pe, error) {
-		if len(b) == 0 {
-			return b, nil
-		}
-		ents := sortCompactEntries(b)
-		w, werr := createRun(dir, fmt.Sprintf("a-%03d-%05d.run", shard, seq))
-		if werr != nil {
-			return b, werr
-		}
-		seq++
-		for _, e := range ents {
-			if werr := w.write(e); werr != nil {
-				w.close()
-				return b, werr
+	for b := rng[0]; b < rng[1]; b++ {
+		row := x.rows[b]
+		pos := uint64(offs[b])
+		for i := 0; i < len(row); i++ {
+			for j := i + 1; j < len(row); j++ {
+				buf = append(buf, pe{code: pairCode(row[i], row[j]), pos: pos})
+				pos++
+				if len(buf) == cap(buf) {
+					if err := flush(buf); err != nil {
+						return paths, written, err
+					}
+					buf = buf[:0]
+				}
 			}
 		}
-		if werr := w.close(); werr != nil {
-			return b, werr
-		}
-		paths = append(paths, w.path)
-		written += w.n
-		return b[:0], nil
 	}
-	buf, err = x.appendBlockEntries(rng[0], rng[1], offs, buf, flush)
-	if err == nil {
-		_, err = flush(buf)
-	}
+	err = flush(buf)
 	return paths, written, err
 }
 
 // spillCandidates is the external strategy behind CandidateSet: pair
 // state on disk, ~budget bytes in RAM, byte-identical output.
-func (x *Indexed) spillCandidates(offs []int) *CandidateSet {
-	reg := x.cfg.Obs
+func (x *Indexed) spillCandidates() *CandidateSet {
+	e := x.eng
+	reg := e.cfg.Obs
+	offs := pairOffsets(x.rows)
 	nraw := offs[len(x.rows)]
-	dir, err := os.MkdirTemp(x.dir, "bdi-spill-*")
-	if x.sink.check(err) {
-		return &CandidateSet{ids: x.ids}
+	dir, err := os.MkdirTemp(e.dir, "bdi-spill-*")
+	if e.sink.check(err) {
+		return e.set(nil)
 	}
 	fail := func(err error) *CandidateSet {
 		os.RemoveAll(dir)
-		x.sink.check(err)
-		return &CandidateSet{ids: x.ids}
+		e.sink.check(err)
+		return e.set(nil)
 	}
 
-	// Phase A: parallel sharded run generation. The budget is split
-	// across shards because their buffers coexist.
-	ranges := x.shardPlan(offs, x.shards)
+	// Phase A: parallel run generation over contiguous block ranges of
+	// roughly equal pair weight, one per configured shard. The budget is
+	// split across shards because their buffers coexist.
+	ranges := parallel.WeightedRanges(offs, max(e.shards, 1))
 	type shardOut struct {
 		paths   []string
 		written int64
 		err     error
 	}
 	outs := make([]shardOut, len(ranges))
-	capA := runCap(x.budget, len(ranges))
-	ferr := parallel.ForEach(x.cfg, len(ranges), func(s int) {
+	capA := runCap(e.budget, len(ranges))
+	ferr := parallel.ForEach(e.cfg, len(ranges), func(s int) {
 		o := &outs[s]
 		o.paths, o.written, o.err = x.spillShard(s, ranges[s], offs, dir, capA)
 	})
@@ -469,8 +499,10 @@ func (x *Indexed) spillCandidates(offs []int) *CandidateSet {
 
 	// Phase B: one k-way merge by (code, pos) deduplicates globally —
 	// the first entry of a code run carries its minimum position, i.e.
-	// its global first occurrence. Unique entries stream into the
-	// by-code membership file and into position-sorted emission runs.
+	// its global first occurrence. Unique entries collect in a bounded
+	// buffer; each full buffer is written twice, as the next chunk of
+	// the by-code membership stream and, re-sorted by position, as one
+	// emission run.
 	ss := &spillSet{dir: dir, reg: reg}
 	ss.refs.Store(1)
 	rs, err := openRuns(runs)
@@ -482,61 +514,42 @@ func (x *Indexed) spillCandidates(offs []int) *CandidateSet {
 		src[i] = r
 	}
 	reg.Counter("blocking.spill_merges").Add(1)
-	bw, err := createRun(dir, "bycode.run")
-	if err != nil {
-		closeRuns(rs)
-		return fail(err)
-	}
-	cbuf := make([]pe, 0, runCap(x.budget, 1))
-	cseq := 0
+	cbuf := make([]pe, 0, runCap(e.budget, 1))
 	flushC := func() error {
 		if len(cbuf) == 0 {
 			return nil
 		}
-		slices.SortFunc(cbuf, func(a, b pe) int {
-			if peLessPos(a, b) {
-				return -1
-			}
-			return 1
-		})
-		w, err := createRun(dir, fmt.Sprintf("c-%05d.run", cseq))
+		seq := len(ss.emitRuns)
+		path, err := writeRun(dir, fmt.Sprintf("b-%05d.run", seq), cbuf)
 		if err != nil {
 			return err
 		}
-		cseq++
-		for _, e := range cbuf {
-			if err := w.write(e); err != nil {
-				w.close()
-				return err
-			}
-		}
-		if err := w.close(); err != nil {
+		ss.byCode = append(ss.byCode, path)
+		slices.SortFunc(cbuf, byPos)
+		if path, err = writeRun(dir, fmt.Sprintf("c-%05d.run", seq), cbuf); err != nil {
 			return err
 		}
-		ss.emitRuns = append(ss.emitRuns, w.path)
+		ss.emitRuns = append(ss.emitRuns, path)
 		cbuf = cbuf[:0]
 		return nil
 	}
-	ctx := x.cfg.Ctx
+	ctx := e.cfg.Ctx
 	seen := 0
 	var last uint64
 	have := false
-	err = mergePE(src, peLessCode, func(e pe) error {
+	err = mergePE(src, byCode, func(en pe) error {
 		seen++
 		if ctx != nil && seen&0xffff == 0 {
 			if cerr := ctx.Err(); cerr != nil {
 				return cerr
 			}
 		}
-		if have && e.code == last {
+		if have && en.code == last {
 			return nil
 		}
-		last, have = e.code, true
+		last, have = en.code, true
 		ss.n++
-		if err := bw.write(e); err != nil {
-			return err
-		}
-		cbuf = append(cbuf, e)
+		cbuf = append(cbuf, en)
 		if len(cbuf) == cap(cbuf) {
 			return flushC()
 		}
@@ -546,9 +559,6 @@ func (x *Indexed) spillCandidates(offs []int) *CandidateSet {
 	if err == nil {
 		err = flushC()
 	}
-	if cerr := bw.close(); err == nil {
-		err = cerr
-	}
 	if err != nil {
 		return fail(err)
 	}
@@ -557,8 +567,7 @@ func (x *Indexed) spillCandidates(offs []int) *CandidateSet {
 	for _, p := range runs {
 		os.Remove(p)
 	}
-	ss.byCode = bw.path
-	reg.Counter("blocking.spill_bytes").Add((bw.n + int64(ss.n)) * peSize)
+	reg.Counter("blocking.spill_bytes").Add(2 * int64(ss.n) * peSize)
 	reg.Counter("blocking.spill_merge_runs").Add(int64(len(ss.emitRuns)))
-	return &CandidateSet{ids: x.ids, ext: ss, sink: x.sink}
+	return &CandidateSet{ids: e.rk.ids, ext: ss, sink: e.sink}
 }

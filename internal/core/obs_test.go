@@ -30,33 +30,46 @@ func runWithMetrics(t *testing.T, workers int, mutate func(*Config)) (text strin
 
 // TestPipelineMetricsDeterministic pins the observability acceptance
 // criterion: the stable snapshot — text and JSON — is byte-identical
-// for workers ∈ {1, 2, 8} and covers all four stages.
+// for workers ∈ {1, 2, 8} and covers all four stages, on the default
+// blocking path and through rank fusion (whose accumulation partition
+// follows the worker count and must not show).
 func TestPipelineMetricsDeterministic(t *testing.T) {
-	baseText, baseJSON := runWithMetrics(t, 1, nil)
-	for _, want := range []string{
-		"blocking.candidates", "blocking.blocks_built", "blocking.pairs_emitted",
-		"matching.comparisons", "matching.matched", "matching.cached_compares",
-		"clustering.clusters",
-		"alignment.mediated_attrs",
-		"fusion.items", "fusion.em_iterations",
-		"pipeline",
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+		want   []string
+	}{
+		{"default", nil, []string{"blocking.pairs_emitted"}},
+		{"rank-fusion", func(c *Config) { c.RankFusion = true }, []string{"blocking.rrf_candidates"}},
 	} {
-		if !strings.Contains(baseText, want) {
-			t.Errorf("stable snapshot missing %q:\n%s", want, baseText)
-		}
-	}
-	if strings.Contains(baseText, "parallel.") {
-		t.Errorf("stable snapshot leaked worker-dependent metrics:\n%s", baseText)
-	}
-	for _, workers := range []int{2, 8} {
-		text, js := runWithMetrics(t, workers, nil)
-		if text != baseText {
-			t.Errorf("workers=%d: stable text differs from workers=1:\n--- w=1\n%s\n--- w=%d\n%s",
-				workers, baseText, workers, text)
-		}
-		if string(js) != string(baseJSON) {
-			t.Errorf("workers=%d: stable JSON differs from workers=1", workers)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			baseText, baseJSON := runWithMetrics(t, 1, tc.mutate)
+			for _, want := range append([]string{
+				"blocking.candidates", "blocking.blocks_built",
+				"matching.comparisons", "matching.matched", "matching.cached_compares",
+				"clustering.clusters",
+				"alignment.mediated_attrs",
+				"fusion.items", "fusion.em_iterations",
+				"pipeline",
+			}, tc.want...) {
+				if !strings.Contains(baseText, want) {
+					t.Errorf("stable snapshot missing %q:\n%s", want, baseText)
+				}
+			}
+			if strings.Contains(baseText, "parallel.") {
+				t.Errorf("stable snapshot leaked worker-dependent metrics:\n%s", baseText)
+			}
+			for _, workers := range []int{2, 8} {
+				text, js := runWithMetrics(t, workers, tc.mutate)
+				if text != baseText {
+					t.Errorf("workers=%d: stable text differs from workers=1:\n--- w=1\n%s\n--- w=%d\n%s",
+						workers, baseText, workers, text)
+				}
+				if string(js) != string(baseJSON) {
+					t.Errorf("workers=%d: stable JSON differs from workers=1", workers)
+				}
+			}
+		})
 	}
 }
 

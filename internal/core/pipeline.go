@@ -121,10 +121,9 @@ type Config struct {
 	// value.
 	Workers int
 
-	// Shards splits blocking's block building and pair generation into
-	// this many data shards (0 or 1 = one shard per worker for block
-	// building, unsharded pair generation). The shard plan depends only
-	// on the data and this count, so output is identical for any value.
+	// Shards partitions blocking's block building and RRF accumulation
+	// (0 = one per worker) and spill-run generation (0 = one); it never
+	// changes output and has no effect on an in-memory pair sweep.
 	Shards int
 
 	// PairMemBudget, when > 0, bounds the bytes of packed pair codes

@@ -128,7 +128,8 @@ func E4(seed int64) (*Table, *E4Result, error) {
 	truth := web.Dataset.GroundTruthClusters().Pairs()
 	n := len(records)
 
-	blocks := blocking.BuildBlocks(records, blocking.TokenKey("title"))
+	eng := blocking.NewEngineOpts(records, blocking.Opts{})
+	blocks := eng.Blocks(blocking.TokenKey("title"))
 	base := eval.Blocking(blocks.Pairs(), truth, n)
 	res := &E4Result{
 		BaselineComparisons: blocks.Comparisons(),
@@ -147,11 +148,14 @@ func E4(seed int64) (*Table, *E4Result, error) {
 	for _, wn := range []string{"cbs", "ecbs", "js"} {
 		for _, pn := range []string{"wep", "cep", "wnp"} {
 			mb := blocking.MetaBlocker{Weight: weights[wn], Prune: prunes[pn]}
-			q := eval.Blocking(mb.Candidates(blocks), truth, n)
+			q := eval.Blocking(mb.Pruned(blocks).Pairs(), truth, n)
 			key := wn + "+" + pn
 			res.Meta[key] = q
 			tab.Rows = append(tab.Rows, []string{key, d1(q.Candidates), f4(q.PairCompleteness), f4(q.PairQuality)})
 		}
+	}
+	if err := eng.Err(); err != nil {
+		return nil, nil, err
 	}
 	tab.Notes = "meta-blocking should cut candidates sharply while keeping most pair completeness"
 	return tab, res, nil

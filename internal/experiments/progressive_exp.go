@@ -24,7 +24,7 @@ func E20(seed int64) (*Table, *E20Result, error) {
 	truth := web.Dataset.GroundTruthClusters().Pairs()
 
 	prog := blocking.Progressive{Key: blocking.TokenKey("title"), MaxBlock: 200}
-	ordered := prog.Stream(records)
+	ordered := prog.Candidates(records)
 	shuffled := append([]data.Pair(nil), ordered...)
 	rand.New(rand.NewSource(seed)).Shuffle(len(shuffled), func(i, j int) {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
