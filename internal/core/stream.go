@@ -125,13 +125,13 @@ type Stream struct {
 	cursors map[string]int
 
 	// The publish cache (view.go), all derived and never persisted: one
-	// view per cluster in partition order, the source table their
-	// evidence refers to (ev.Sources with its index srcIDs), and buffers
-	// a publish reuses — the views' evidence laid end to end, the
-	// kernel's verdicts on it, and newEntityDoc's word set.
+	// view per cluster in partition order, the source table their claim
+	// fragments refer to (items.Sources with its index srcIDs), and
+	// buffers a publish reuses — the fragments laid end to end, the
+	// kernel's verdicts on them, and newEntityDoc's word set.
 	views  []*clusterView
 	srcIDs map[string]int32
-	ev     fusion.Evidence
+	items  data.ItemView
 	fused  []fusion.Fused
 	seen   map[string]struct{}
 

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/data"
@@ -40,13 +38,15 @@ type clusterView struct {
 	sources []string // their distinct sources, sorted
 	title   string   // the longest member title
 
-	// The evidence: item j is attribute attrs[j] of the entity, its
-	// claims the members' non-null values in member order (ev.Src holds
-	// Stream source IDs). rep is parallel to the claims: the index in
-	// recs of the first member claiming this item with this very Value,
-	// so two claims spell their value alike iff their reps are equal.
+	// The cluster's fragment of the claim table, item by item: what
+	// data.ClaimsFromClusters writes for the cluster alone over its
+	// members' attributes, seen through ClaimSet.ByItem, with items.Src
+	// holding Stream source IDs. Item j is attribute attrs[j] of the
+	// entity. rep is parallel to the claims: the index in recs of the
+	// first member claiming this item with this very Value, so two claims
+	// spell their value alike iff their reps are equal.
 	attrs []string
-	ev    fusion.Evidence
+	items data.ItemView
 	rep   []int32
 
 	// doc is the entity's index entry under the fused values it was built
@@ -71,13 +71,8 @@ func (v *clusterView) current(d *data.Dataset, cl data.Cluster) bool {
 }
 
 // newClusterView reads a cluster's records into a view.
-func (s *Stream) newClusterView(recs []*data.Record) *clusterView {
+func (s *Stream) newClusterView(d *data.Dataset, cl data.Cluster, recs []*data.Record) *clusterView {
 	v := &clusterView{recs: recs, records: make([]string, len(recs))}
-	type claim struct {
-		attr   string
-		member int32
-	}
-	var claims []claim
 	for m, r := range recs {
 		v.records[m] = r.ID
 		if !slices.Contains(v.sources, r.SourceID) {
@@ -87,51 +82,45 @@ func (s *Stream) newClusterView(recs []*data.Record) *clusterView {
 			v.title = t.Str
 		}
 		for a, val := range r.Fields {
-			if !val.IsNull() {
-				claims = append(claims, claim{a, int32(m)})
+			if !val.IsNull() && !slices.Contains(v.attrs, a) {
+				v.attrs = append(v.attrs, a)
 			}
 		}
 	}
 	sort.Strings(v.sources)
-	slices.SortFunc(claims, func(a, b claim) int {
-		if c := strings.Compare(a.attr, b.attr); c != 0 {
-			return c
+	sort.Strings(v.attrs)
+	claims := data.ClaimsFromClusters(d, data.Clustering{cl}, v.attrs)
+	// ClaimsFromClusters writes member by member, attribute by attribute.
+	var member []int32
+	for m, r := range recs {
+		for _, a := range v.attrs {
+			if r.Has(a) {
+				member = append(member, int32(m))
+			}
 		}
-		return cmp.Compare(a.member, b.member)
-	})
-
-	var ev fusion.Evidence
-	var srcs, rep []int32
-	var keys []string
-	var spelt []int // the item's claims that introduced a spelling
-	for lo := 0; lo < len(claims); {
-		attr, base := claims[lo].attr, len(rep)
-		srcs, keys, spelt = srcs[:0], keys[:0], spelt[:0]
-		for ; lo < len(claims) && claims[lo].attr == attr; lo++ {
-			m := claims[lo].member
-			val := recs[m].Fields[attr]
-			srcs = append(srcs, s.sourceID(recs[m].SourceID))
-			keys = append(keys, val.Key())
-			// Same key and == together mean the same spelling: == alone
-			// takes 0 for -0, the key alone one instant for another zone's.
-			first := m
-			for _, c := range spelt {
-				if r := rep[base+c]; keys[c] == keys[len(keys)-1] && recs[r].Fields[attr] == val {
-					first = r
+	}
+	items := claims.Columns().Items
+	view, claim := claims.ByItem()
+	v.rep = make([]int32, len(claim))
+	for i, it := range items {
+		v.attrs[i] = it.Attr
+		for p := view.Start[i]; p < view.Start[i+1]; p++ {
+			// Same key (rank) and == together mean the same spelling: ==
+			// alone takes 0 for -0, the key alone one instant for another
+			// zone's.
+			m := member[claim[p]]
+			v.rep[p] = m
+			for q := view.Start[i]; q < p; q++ {
+				if r := v.rep[q]; view.Val[q] == view.Val[p] && recs[r].Fields[it.Attr] == recs[m].Fields[it.Attr] {
+					v.rep[p] = r
 					break
 				}
 			}
-			if first == m {
-				spelt = append(spelt, len(keys)-1)
-			}
-			rep = append(rep, first)
+			view.Src[p] = s.sourceID(view.Sources[view.Src[p]])
 		}
-		v.attrs = append(v.attrs, attr)
-		ev.AddItem(srcs, keys)
 	}
-	// The view outlives this build by many publishes: keep exact copies.
-	v.attrs, v.rep = slices.Clone(v.attrs), slices.Clone(rep)
-	v.ev = fusion.Evidence{Start: slices.Clone(ev.Start), Src: slices.Clone(ev.Src), Val: slices.Clone(ev.Val)}
+	view.Sources = nil
+	v.items = view
 	v.winner = make([]int32, len(v.attrs))
 	return v
 }
@@ -141,9 +130,9 @@ func (s *Stream) newClusterView(recs []*data.Record) *clusterView {
 func (s *Stream) sourceID(name string) int32 {
 	id, ok := s.srcIDs[name]
 	if !ok {
-		id = int32(len(s.ev.Sources))
+		id = int32(len(s.items.Sources))
 		s.srcIDs[name] = id
-		s.ev.Sources = append(s.ev.Sources, name)
+		s.items.Sources = append(s.items.Sources, name)
 	}
 	return id
 }
@@ -170,7 +159,7 @@ func (s *Stream) refreshViews(clusters data.Clustering, st *publishStats) {
 		for i, id := range cl {
 			recs[i] = d.Record(id)
 		}
-		next[ci] = s.newClusterView(recs)
+		next[ci] = s.newClusterView(d, cl, recs)
 		st.rebuilt++
 	}
 	s.views = next
@@ -206,15 +195,15 @@ func (s *Stream) buildView(ctx context.Context, feedback bool) (*Snapshot, publi
 	t1 := time.Now()
 	st.views = t1.Sub(t0)
 
-	// The views' evidence laid end to end is the claim set: the items
-	// data.ClaimsFromClusters would collect, each with its claims in the
-	// same order.
-	s.ev.Reset()
+	// The views' fragments laid end to end are the claim set's item view:
+	// the items data.ClaimsFromClusters would collect, each with its
+	// claims in the same order.
+	s.items.Start, s.items.Src, s.items.Val = append(s.items.Start[:0], 0), s.items.Src[:0], s.items.Val[:0]
 	for _, v := range s.views {
-		s.ev.Append(&v.ev)
+		s.items.Append(&v.items)
 	}
 	onl := fusion.Online{Accuracy: s.acc, N: s.cfg.FusionN, Workers: s.cfg.Workers, Ctx: ctx}
-	_, fused, err := onl.FuseFlat(&s.ev, s.fused)
+	_, fused, err := onl.FuseFlat(&s.items, s.fused)
 	if err != nil {
 		return nil, st, err
 	}
@@ -239,7 +228,7 @@ func (s *Stream) buildView(ctx context.Context, feedback bool) (*Snapshot, publi
 // items was won by a different spelling than the doc was built for.
 func (s *Stream) assemble(st *publishStats) *Snapshot {
 	ix := newIndexer(len(s.views))
-	item, claim := 0, int32(0) // where the view's items and claims start in s.fused and s.ev
+	item, claim := 0, int32(0) // where the view's items and claims start in s.fused and s.items
 	for i, v := range s.views {
 		stale := v.doc == nil
 		conf := make(map[string]float64, len(v.attrs))
@@ -278,22 +267,22 @@ func (s *Stream) assemble(st *publishStats) *Snapshot {
 // one. The estimates steer the online kernel's probe order on the next
 // publish — the online analogue of ACCU's accuracy iteration.
 func (s *Stream) updateAccuracy() {
-	ev := &s.ev
-	agree, total := make([]int, len(ev.Sources)), make([]int, len(ev.Sources))
+	iv := &s.items
+	agree, total := make([]int, len(iv.Sources)), make([]int, len(iv.Sources))
 	for i, f := range s.fused {
 		if f.Val < 0 {
 			continue
 		}
-		for c := ev.Start[i]; c < ev.Start[i+1]; c++ {
-			total[ev.Src[c]]++
-			if ev.Val[c] == f.Val {
-				agree[ev.Src[c]]++
+		for c := iv.Start[i]; c < iv.Start[i+1]; c++ {
+			total[iv.Src[c]]++
+			if iv.Val[c] == f.Val {
+				agree[iv.Src[c]]++
 			}
 		}
 	}
 	for src, n := range total {
 		if n > 0 {
-			s.acc[ev.Sources[src]] = (float64(agree[src]) + 1) / (float64(n) + 2)
+			s.acc[iv.Sources[src]] = (float64(agree[src]) + 1) / (float64(n) + 2)
 		}
 	}
 }

@@ -127,14 +127,20 @@ type Cluster []string
 type Clustering []Cluster
 
 // Normalize sorts members within each cluster and clusters by first
-// member, yielding a canonical form for comparison and display.
+// member, yielding a canonical form for comparison and display. The
+// copies share one backing array, capped per cluster.
 func (c Clustering) Normalize() Clustering {
-	out := make(Clustering, 0, len(c))
+	n := 0
+	for _, cl := range c {
+		n += len(cl)
+	}
+	out, ids := make(Clustering, 0, len(c)), make([]string, 0, n)
 	for _, cl := range c {
 		if len(cl) == 0 {
 			continue
 		}
-		cp := append(Cluster(nil), cl...)
+		ids = append(ids, cl...)
+		cp := Cluster(ids[len(ids)-len(cl) : len(ids) : len(ids)])
 		sort.Strings(cp)
 		out = append(out, cp)
 	}

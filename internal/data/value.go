@@ -11,6 +11,7 @@
 package data
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strconv"
@@ -133,19 +134,48 @@ func (v Value) String() string {
 // Key renders the value as a canonical, kind-prefixed string usable as a
 // map key. Distinct values of different kinds never collide.
 func (v Value) Key() string {
+	if v.Kind == KindString {
+		return "s:" + v.Str
+	}
+	var buf [48]byte
+	return string(v.appendKey(buf[:0]))
+}
+
+// SameKey reports whether v and w have the same Key, without a string:
+// numbers are compared as numbers with their sign, for a Key tells -0
+// from 0 and renders every other float64 apart.
+func (v Value) SameKey(w Value) bool {
+	if v.Kind == KindNumber && w.Kind == KindNumber {
+		return v.Num == w.Num && math.Signbit(v.Num) == math.Signbit(w.Num) || v.Num != v.Num && w.Num != w.Num
+	}
+	return compareKeys(v, w) == 0
+}
+
+// compareKeys orders two values as their Keys order, rendering the keys
+// into stack buffers; two strings compare in place.
+func compareKeys(v, w Value) int {
+	if v.Kind == KindString && w.Kind == KindString {
+		return strings.Compare(v.Str, w.Str)
+	}
+	var a, b [48]byte
+	return bytes.Compare(v.appendKey(a[:0]), w.appendKey(b[:0]))
+}
+
+// appendKey appends the bytes of Key to dst.
+func (v Value) appendKey(dst []byte) []byte {
 	switch v.Kind {
 	case KindNull:
-		return "∅"
+		return append(dst, "∅"...)
 	case KindString:
-		return "s:" + v.Str
+		return append(append(dst, "s:"...), v.Str...)
 	case KindNumber:
-		return "n:" + strconv.FormatFloat(v.Num, 'g', -1, 64)
+		return strconv.AppendFloat(append(dst, "n:"...), v.Num, 'g', -1, 64)
 	case KindBool:
-		return "b:" + strconv.FormatBool(v.Bool)
+		return strconv.AppendBool(append(dst, "b:"...), v.Bool)
 	case KindTime:
-		return "t:" + v.Time.UTC().Format(time.RFC3339Nano)
+		return v.Time.UTC().AppendFormat(append(dst, "t:"...), time.RFC3339Nano)
 	}
-	return "?"
+	return append(dst, '?')
 }
 
 // Parse converts a raw string to the most specific Value it can:

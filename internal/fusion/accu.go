@@ -2,6 +2,7 @@ package fusion
 
 import (
 	"context"
+	"fmt"
 	"math"
 
 	"repro/internal/data"
@@ -17,13 +18,15 @@ import (
 // of their claims; iterate to a fixpoint. POPACCU replaces the uniform
 // false-value assumption with the observed value popularity.
 //
-// The EM runs on the interned claimIndex: the E-step parallelises over
+// The EM runs on the claimIndex: the E-step parallelises over
 // items (each writes its own posterior range), the M-step over sources
 // (each writes its own accuracy slot), and every float accumulation
 // walks a fixed slice order, so results are bit-identical for any
 // worker count.
 type ACCU struct {
-	// N is the assumed number of false values per item. Default 10.
+	// N is the assumed number of false values per item, under the rule
+	// Online follows: only 0 means unset (the default 10), any positive
+	// value — N = 1 included — is honoured, and a negative N is an error.
 	N float64
 	// InitialAccuracy for all sources. Default 0.8.
 	InitialAccuracy float64
@@ -48,11 +51,6 @@ type ACCU struct {
 	// SimInfluence (ρ, default 0.5) scales the boost.
 	Similarity   func(a, b data.Value) float64
 	SimInfluence float64
-
-	// copyDiscount, when set by ACCUCOPY, down-weights dependent votes:
-	// it maps (item, value key, source) to the source's independence
-	// probability in [0,1].
-	copyDiscount func(it data.Item, valueKey, source string) float64
 }
 
 // Name implements Fuser.
@@ -66,42 +64,61 @@ func (a ACCU) Name() string {
 	return "accu"
 }
 
-// accuParams resolves defaults.
+// checkN is the one rule for the N of the ACCU weight model, shared by
+// ACCU and Online: only 0 means unset and takes the default 10; any
+// positive value is honoured as given; a negative N has no
+// interpretation (the log argument n·a/(1-a) would flip sign).
+func checkN(who string, n float64) (float64, error) {
+	switch {
+	case n < 0:
+		return 0, fmt.Errorf("fusion: %s N = %v is negative (0 means the default 10)", who, n)
+	case n == 0:
+		return 10, nil
+	}
+	return n, nil
+}
+
+// params resolves defaults.
 func (a ACCU) params() (n, acc0 float64, maxIter int, eps float64) {
-	n = a.N
-	if n <= 1 {
-		n = 10
+	n, _ = checkN(a.Name(), a.N)
+	return n, probOr(a.InitialAccuracy, 0.8), orDefault(a.MaxIterations, 20), orDefault(a.Epsilon, 1e-4)
+}
+
+// orDefault returns x when it is positive, def otherwise.
+func orDefault[T int | float64](x, def T) T {
+	if x > 0 {
+		return x
 	}
-	acc0 = a.InitialAccuracy
-	if acc0 <= 0 || acc0 >= 1 {
-		acc0 = 0.8
+	return def
+}
+
+// probOr returns p when it lies strictly between 0 and 1, def otherwise.
+func probOr(p, def float64) float64 {
+	if p > 0 && p < 1 {
+		return p
 	}
-	maxIter = a.MaxIterations
-	if maxIter <= 0 {
-		maxIter = 20
-	}
-	eps = a.Epsilon
-	if eps <= 0 {
-		eps = 1e-4
-	}
-	return
+	return def
 }
 
 // Fuse implements Fuser.
 func (a ACCU) Fuse(cs *data.ClaimSet) (*Result, error) {
-	ci, err := buildIndex(cs, parallel.Config{Workers: a.Workers, Obs: a.Obs, Ctx: a.Ctx})
-	if err != nil {
-		return nil, err
-	}
-	return a.fuseOn(ci, nil)
+	return a.fuseOn(a.index(cs), nil, nil)
+}
+
+func (a ACCU) index(cs *data.ClaimSet) *claimIndex {
+	return buildIndex(cs, parallel.Config{Workers: a.Workers, Obs: a.Obs, Ctx: a.Ctx})
 }
 
 // fuseOn runs the EM over a prebuilt index (ACCUCOPY reuses one index
-// across its outer passes). When snap is non-nil it receives a Result
-// snapshot after every iteration — the FuseTrace hook.
-func (a ACCU) fuseOn(ci *claimIndex, snap func(*Result)) (*Result, error) {
+// across its outer passes). disc, when set by ACCUCOPY, holds per
+// support entry the claimant's independence probability in [0,1], which
+// scales its vote. When snap is non-nil it receives a Result snapshot
+// after every iteration — the FuseTrace hook.
+func (a ACCU) fuseOn(ci *claimIndex, disc []float64, snap func(*Result)) (*Result, error) {
 	n, acc0, maxIter, eps := a.params()
-	cfg := ci.cfg
+	if _, err := checkN(a.Name(), a.N); err != nil {
+		return nil, err
+	}
 	reg := obs.OrDefault(a.Obs)
 
 	acc := make([]float64, len(ci.sources))
@@ -109,30 +126,9 @@ func (a ACCU) fuseOn(ci *claimIndex, snap func(*Result)) (*Result, error) {
 		acc[s] = acc0
 	}
 
-	// Copy discounts are constant across iterations (they depend only on
-	// the claim set and the detector's last pass), so resolve the
-	// closure once into a slice aligned with the support lists.
-	var disc []float64
-	if a.copyDiscount != nil {
-		disc = make([]float64, len(ci.supSrc))
-		if err := parallel.ForEach(cfg, ci.numValues(), func(v int) {
-			it := ci.items[ci.valItem[v]]
-			k := ci.valKeys[v]
-			for e := ci.supOff[v]; e < ci.supOff[v+1]; e++ {
-				disc[e] = a.copyDiscount(it, k, ci.sources[ci.supSrc[e]])
-			}
-		}); err != nil {
-			return nil, err
-		}
-	}
-
-	rho := a.SimInfluence
-	if rho <= 0 {
-		rho = 0.5
-	}
-
+	rho := orDefault(a.SimInfluence, 0.5)
 	const minAcc, maxAcc = 0.01, 0.99
-	nv := ci.numValues()
+	nv := len(ci.valVals)
 	scores := make([]float64, nv)
 	post := make([]float64, nv)
 	var adj []float64
@@ -140,7 +136,6 @@ func (a ACCU) fuseOn(ci *claimIndex, snap func(*Result)) (*Result, error) {
 		adj = make([]float64, nv)
 	}
 	clamped := make([]float64, len(ci.sources))
-	delta := make([]float64, len(ci.sources))
 
 	iters := 0
 	for iter := 0; iter < maxIter; iter++ {
@@ -150,7 +145,7 @@ func (a ACCU) fuseOn(ci *claimIndex, snap func(*Result)) (*Result, error) {
 		for s := range acc {
 			clamped[s] = clampF(acc[s], minAcc, maxAcc)
 		}
-		if err := parallel.ForEach(cfg, len(ci.items), func(i int) {
+		if err := parallel.ForEach(ci.cfg, len(ci.items), func(i int) {
 			lo, hi := ci.valOff[i], ci.valOff[i+1]
 			effN := n
 			if a.Popularity {
@@ -195,35 +190,11 @@ func (a ACCU) fuseOn(ci *claimIndex, snap func(*Result)) (*Result, error) {
 		}); err != nil {
 			return nil, err
 		}
-		// M: accuracies from posteriors. Sources are independent; each
-		// writes only its own slot, summing its claims' posteriors in
-		// claim insertion order.
-		if err := parallel.ForEach(cfg, len(ci.sources), func(s int) {
-			lo, hi := ci.srcOff[s], ci.srcOff[s+1]
-			if lo == hi {
-				delta[s] = 0
-				return
-			}
-			var sum float64
-			for c := lo; c < hi; c++ {
-				sum += post[ci.srcVal[c]]
-			}
-			next := clampF(sum/float64(hi-lo), minAcc, maxAcc)
-			delta[s] = math.Abs(next - acc[s])
-			acc[s] = next
-		}); err != nil {
+		// M: accuracies from posteriors.
+		maxDelta, err := ci.mStep(reg, post, acc, minAcc, maxAcc)
+		if err != nil {
 			return nil, err
 		}
-		maxDelta := 0.0
-		for _, d := range delta {
-			if d > maxDelta {
-				maxDelta = d
-			}
-		}
-		// The delta reduction runs sequentially on the driver goroutine,
-		// so the Dist's running sum is bit-deterministic.
-		reg.Dist("fusion.em_delta").Observe(maxDelta)
-		reg.Gauge("fusion.em_final_delta").Set(maxDelta)
 		if snap != nil {
 			snap(ci.buildResult(post, ci.accuracyMap(acc), iters))
 		}
@@ -243,12 +214,8 @@ func (a ACCU) fuseOn(ci *claimIndex, snap func(*Result)) (*Result, error) {
 // O(items) per iteration — not the quadratic re-run-per-prefix the
 // first implementation paid.
 func (a ACCU) FuseTrace(cs *data.ClaimSet) ([]*Result, error) {
-	ci, err := buildIndex(cs, parallel.Config{Workers: a.Workers, Obs: a.Obs, Ctx: a.Ctx})
-	if err != nil {
-		return nil, err
-	}
 	var trace []*Result
-	if _, err := a.fuseOn(ci, func(r *Result) { trace = append(trace, r) }); err != nil {
+	if _, err := a.fuseOn(a.index(cs), nil, func(r *Result) { trace = append(trace, r) }); err != nil {
 		return nil, err
 	}
 	return trace, nil

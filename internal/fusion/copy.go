@@ -1,8 +1,10 @@
 package fusion
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/data"
@@ -38,23 +40,11 @@ type CopyDetector struct {
 }
 
 func (cd CopyDetector) params() (alpha, c, n float64, minOv int) {
-	alpha = cd.Alpha
-	if alpha <= 0 || alpha >= 1 {
-		alpha = 0.1
-	}
-	c = cd.C
-	if c <= 0 || c >= 1 {
-		c = 0.8
-	}
 	n = cd.N
 	if n <= 1 {
 		n = 10
 	}
-	minOv = cd.MinOverlap
-	if minOv <= 0 {
-		minOv = 5
-	}
-	return
+	return probOr(cd.Alpha, 0.1), probOr(cd.C, 0.8), n, orDefault(cd.MinOverlap, 5)
 }
 
 // SourcePair is an unordered pair of source IDs (A < B).
@@ -77,47 +67,44 @@ const (
 // Detect returns the posterior copy probability per overlapping source
 // pair, given the current fused truth estimate and source accuracies.
 // The O(S²·overlap) pair loop runs on parallel.ForEachPair over the
-// interned index; per-pair agreement counts are integers, so the
-// posteriors are deterministic for any worker count.
+// claimIndex; per-pair agreement counts are integers, so the posteriors
+// are deterministic for any worker count.
 func (cd CopyDetector) Detect(cs *data.ClaimSet, truth *Result, accuracy map[string]float64) map[SourcePair]float64 {
-	ci := parallel.Must(buildIndex(cs, parallel.Config{Workers: cd.Workers}))
-	return parallel.Must(cd.detectOn(ci, truth, accuracy))
+	return parallel.Must(cd.detectOn(buildIndex(cs, parallel.Config{Workers: cd.Workers}), truth, accuracy))
 }
 
 // srcClaim is one deduplicated claim of a source: the item rank and the
 // global value index claimed.
 type srcClaim struct{ item, val uint32 }
 
-func (cd CopyDetector) detectOn(ci *claimIndex, truth *Result, accuracy map[string]float64) (map[SourcePair]float64, error) {
-	alpha, c, n, minOv := cd.params()
-	cfg := ci.cfg
-	nSrc := len(ci.sources)
-
-	// Interned truth per item. A map-based claim lookup kept only the
-	// last claim a source made about an item; the sorted lists below
-	// preserve that by keeping the last entry of each item run.
-	truthIdx := make([]uint32, len(ci.items))
-	if err := parallel.ForEach(cfg, len(ci.items), func(i int) {
-		truthIdx[i] = noTruth
-		if cd.IgnoreTruth || truth == nil {
-			return
+// truthIndex resolves a truth estimate per item rank: the global value
+// index of the item's value keyed like it, truthUnclaimed when no claim
+// is, or noTruth when the item has no estimate (or truth is nil).
+func (ci *claimIndex) truthIndex(truth *Result) []uint32 {
+	idx := make([]uint32, len(ci.items))
+	for i, it := range ci.items {
+		idx[i] = noTruth
+		if truth == nil {
+			continue
 		}
-		tv, ok := truth.Values[ci.items[i]]
-		if !ok {
-			return
+		if tv, ok := truth.Values[it]; ok {
+			idx[i] = truthUnclaimed
+			for v := ci.valOff[i]; v < ci.valOff[i+1]; v++ {
+				if ci.valVals[v].SameKey(tv) {
+					idx[i] = uint32(v)
+				}
+			}
 		}
-		if v, found := ci.findVal(uint32(i), tv.Key()); found {
-			truthIdx[i] = v
-		} else {
-			truthIdx[i] = truthUnclaimed
-		}
-	}); err != nil {
-		return nil, err
 	}
+	return idx
+}
 
-	// Per-source claim lists sorted by item, last claim wins.
-	lists := make([][]srcClaim, nSrc)
-	if err := parallel.ForEach(cfg, nSrc, func(s int) {
+// lastClaims lists each source's claims sorted by item, keeping only the
+// last claim a source makes about an item ("a source's last claim
+// wins").
+func (ci *claimIndex) lastClaims() ([][]srcClaim, error) {
+	lists := make([][]srcClaim, len(ci.sources))
+	return lists, parallel.ForEach(ci.cfg, len(ci.sources), func(s int) {
 		lo, hi := ci.srcOff[s], ci.srcOff[s+1]
 		lst := make([]srcClaim, 0, hi-lo)
 		for c := lo; c < hi; c++ {
@@ -133,7 +120,19 @@ func (cd CopyDetector) detectOn(ci *claimIndex, truth *Result, accuracy map[stri
 			ded = append(ded, sc)
 		}
 		lists[s] = ded
-	}); err != nil {
+	})
+}
+
+func (cd CopyDetector) detectOn(ci *claimIndex, truth *Result, accuracy map[string]float64) (map[SourcePair]float64, error) {
+	alpha, c, n, minOv := cd.params()
+	cfg := ci.cfg
+	nSrc := len(ci.sources)
+	if cd.IgnoreTruth {
+		truth = nil
+	}
+	truthIdx := ci.truthIndex(truth)
+	lists, err := ci.lastClaims()
+	if err != nil {
 		return nil, err
 	}
 
@@ -221,7 +220,7 @@ func defaultAcc(accuracy map[string]float64, s string) float64 {
 
 // ACCUCOPY interleaves ACCU fusion with copy detection: fuse, detect
 // copying from agreement-on-false-values, down-weight dependent votes,
-// and re-fuse — the full AccuCopy loop. The claim set is interned once
+// and re-fuse — the full AccuCopy loop. The claim set is laid out once
 // and the same index backs every fuse and detect pass.
 type ACCUCOPY struct {
 	Accu     ACCU
@@ -240,28 +239,17 @@ type ACCUCOPY struct {
 func (ACCUCOPY) Name() string { return "accucopy" }
 
 // Fuse implements Fuser.
-func (ac ACCUCOPY) Fuse(cs *data.ClaimSet) (*Result, error) {
-	ci, err := buildIndex(cs, parallel.Config{Workers: ac.Accu.Workers, Obs: ac.Accu.Obs, Ctx: ac.Accu.Ctx})
-	if err != nil {
-		return nil, err
-	}
-	res, _, err := ac.fuse(ci)
-	return res, err
-}
+func (ac ACCUCOPY) Fuse(cs *data.ClaimSet) (*Result, error) { return ac.fuse(ac.Accu.index(cs)) }
 
-func (ac ACCUCOPY) fuse(ci *claimIndex) (*Result, map[SourcePair]float64, error) {
-	outer := ac.OuterIterations
-	if outer <= 0 {
-		outer = 3
-	}
+func (ac ACCUCOPY) fuse(ci *claimIndex) (*Result, error) {
+	outer := orDefault(ac.OuterIterations, 3)
 	_, c, _, _ := ac.Detector.params()
 
 	accu := ac.Accu
-	res, err := accu.fuseOn(ci, nil)
+	res, err := accu.fuseOn(ci, nil, nil)
 	if err != nil {
-		return nil, nil, fmt.Errorf("fusion: accucopy initial pass: %w", err)
+		return nil, fmt.Errorf("fusion: accucopy initial pass: %w", err)
 	}
-	var copies map[SourcePair]float64
 	for iter := 0; iter < outer; iter++ {
 		// The first detection pass uses uniform prior accuracies: when
 		// a colluding bloc dominates the consensus, accuracy estimates
@@ -278,101 +266,70 @@ func (ac ACCUCOPY) fuse(ci *claimIndex) (*Result, map[SourcePair]float64, error)
 			}
 			det.IgnoreTruth = true
 		}
-		copies, err = det.detectOn(ci, res, accIn)
+		copies, err := det.detectOn(ci, res, accIn)
 		if err != nil {
-			return nil, nil, fmt.Errorf("fusion: accucopy detect pass %d: %w", iter+1, err)
+			return nil, fmt.Errorf("fusion: accucopy detect pass %d: %w", iter+1, err)
 		}
-		discounts, err := buildDiscounts(ci, copies, res.SourceAccuracy, c)
+		disc, err := buildDiscounts(ci, copies, res.SourceAccuracy, c)
 		if err != nil {
-			return nil, nil, fmt.Errorf("fusion: accucopy discount pass %d: %w", iter+1, err)
+			return nil, fmt.Errorf("fusion: accucopy discount pass %d: %w", iter+1, err)
 		}
-		withDiscount := accu
-		withDiscount.copyDiscount = func(it data.Item, valueKey, source string) float64 {
-			if d, ok := discounts[discountKey{it, valueKey, source}]; ok {
-				return d
-			}
-			return 1
-		}
-		res, err = withDiscount.fuseOn(ci, nil)
+		res, err = accu.fuseOn(ci, disc, nil)
 		if err != nil {
-			return nil, nil, fmt.Errorf("fusion: accucopy pass %d: %w", iter+1, err)
+			return nil, fmt.Errorf("fusion: accucopy pass %d: %w", iter+1, err)
 		}
 	}
 	res.Iterations = outer
-	return res, copies, nil
+	return res, nil
 }
 
 // CopyProbabilities runs the full loop and returns the final pairwise
 // copy posteriors alongside the fused result.
 func (ac ACCUCOPY) CopyProbabilities(cs *data.ClaimSet) (*Result, map[SourcePair]float64, error) {
-	ci, err := buildIndex(cs, parallel.Config{Workers: ac.Accu.Workers, Obs: ac.Accu.Obs, Ctx: ac.Accu.Ctx})
-	if err != nil {
-		return nil, nil, err
-	}
-	res, _, err := ac.fuse(ci)
+	ci := ac.Accu.index(cs)
+	res, err := ac.fuse(ci)
 	if err != nil {
 		return nil, nil, err
 	}
 	copies, err := ac.Detector.detectOn(ci, res, res.SourceAccuracy)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, copies, nil
+	return res, copies, err
 }
 
-type discountKey struct {
-	it       data.Item
-	valueKey string
-	source   string
-}
-
-// buildDiscounts computes, per (item, value, source), the probability
-// that the source's claim is independent: among the claimants of the
-// same value, ordered by descending accuracy (the presumed copy
-// direction), each source's vote is discounted by the probability that
-// it copied from any preceding claimant. Per-item entries compute in
-// parallel; the map assembles sequentially in item order.
+// buildDiscounts computes, per support entry, the probability that the
+// claimant's vote is independent: among the claimants of the same value,
+// ordered by descending accuracy (the presumed copy direction), each
+// vote is discounted by the probability that its source copied from any
+// preceding claimant. The result is aligned with ci.supSrc; values
+// compute in parallel, each writing only its own entries.
 func buildDiscounts(ci *claimIndex, copies map[SourcePair]float64,
-	accuracy map[string]float64, copyRate float64) (map[discountKey]float64, error) {
-	type entry struct {
-		key discountKey
-		d   float64
+	accuracy map[string]float64, copyRate float64) ([]float64, error) {
+	acc := make([]float64, len(ci.sources))
+	for s, name := range ci.sources {
+		acc[s] = defaultAcc(accuracy, name)
 	}
-	perItem := make([][]entry, len(ci.items))
-	if err := parallel.ForEach(ci.cfg, len(ci.items), func(i int) {
-		var ents []entry
-		it := ci.items[i]
-		for v := ci.valOff[i]; v < ci.valOff[i+1]; v++ {
-			k := ci.valKeys[v]
-			claimants := make([]string, 0, ci.supOff[v+1]-ci.supOff[v])
+	disc := make([]float64, len(ci.supSrc))
+	return disc, parallel.ForEach(ci.cfg, len(ci.valVals), func(v int) {
+		claimants := slices.Clone(ci.supSrc[ci.supOff[v]:ci.supOff[v+1]])
+		// Source ranks are in ID order, so they break accuracy ties as IDs would.
+		slices.SortFunc(claimants, func(a, b uint32) int {
+			if acc[a] != acc[b] {
+				return cmp.Compare(acc[b], acc[a])
+			}
+			return cmp.Compare(a, b)
+		})
+		for idx, s := range claimants {
+			indep := 1.0
+			for _, t := range claimants[:idx] {
+				indep *= 1 - copyRate*copies[NewSourcePair(ci.sources[s], ci.sources[t])]
+			}
+			// A source claiming the value twice sorts next to itself and is
+			// no copy of itself, so each of its entries gets the same
+			// discount.
 			for e := ci.supOff[v]; e < ci.supOff[v+1]; e++ {
-				claimants = append(claimants, ci.sources[ci.supSrc[e]])
-			}
-			sort.Slice(claimants, func(a, b int) bool {
-				aa, ab := defaultAcc(accuracy, claimants[a]), defaultAcc(accuracy, claimants[b])
-				if aa != ab {
-					return aa > ab
+				if ci.supSrc[e] == s {
+					disc[e] = indep
 				}
-				return claimants[a] < claimants[b]
-			})
-			for idx, s := range claimants {
-				indep := 1.0
-				for j := 0; j < idx; j++ {
-					p := copies[NewSourcePair(s, claimants[j])]
-					indep *= 1 - copyRate*p
-				}
-				ents = append(ents, entry{key: discountKey{it, k, s}, d: indep})
 			}
 		}
-		perItem[i] = ents
-	}); err != nil {
-		return nil, err
-	}
-	out := map[discountKey]float64{}
-	for _, ents := range perItem {
-		for _, e := range ents {
-			out[e.key] = e.d
-		}
-	}
-	return out, nil
+	})
 }

@@ -1,9 +1,13 @@
 package fusion
 
 import (
-	"sort"
+	"cmp"
+	"math"
+	"slices"
+	"strings"
 
 	"repro/internal/data"
+	"repro/internal/parallel"
 )
 
 // Copy-direction inference: once a pair is believed dependent, decide
@@ -28,38 +32,50 @@ type DirectedCopy struct {
 // InferDirections decides a direction for every source pair whose copy
 // posterior is at least minP. truth supplies the current fused
 // estimates (for accuracy signals); accuracy the per-source estimates.
+// Each source's claims count once per item, its last claim winning.
 func InferDirections(cs *data.ClaimSet, copies map[SourcePair]float64,
 	truth *Result, accuracy map[string]float64, minP float64) []DirectedCopy {
 	if minP <= 0 {
 		minP = 0.5
 	}
-	claimOf := map[string]map[data.Item]string{}
-	for _, s := range cs.Sources() {
-		m := map[data.Item]string{}
-		for _, cl := range cs.SourceClaims(s) {
-			m[cl.Item] = cl.Value.Key()
+	ci := buildIndex(cs, parallel.Config{Workers: 1})
+	lists := parallel.Must(ci.lastClaims())
+	truthIdx := ci.truthIndex(truth)
+	claimsOf := func(src string) []srcClaim {
+		if r, ok := slices.BinarySearch(ci.sources, src); ok {
+			return lists[r]
 		}
-		claimOf[s] = m
+		return nil
 	}
-	correctRate := func(src string, only map[data.Item]bool) float64 {
-		hit, n := 0, 0
-		for it, v := range claimOf[src] {
-			if only != nil && !only[it] {
-				continue
+
+	// side returns how far src's accuracy on the items other also claims
+	// lies from its accuracy on the rest, and how many rest items it has.
+	side := func(src string, l, other []srcClaim) (float64, int) {
+		shared := make([]bool, len(ci.items))
+		for _, sc := range other {
+			shared[sc.item] = true
+		}
+		var hit, n [2]int // on shared items, on its own
+		own := 0
+		for _, sc := range l {
+			k := 0
+			if !shared[sc.item] {
+				k, own = 1, own+1
 			}
-			tv, ok := truth.Values[it]
-			if !ok {
-				continue
-			}
-			n++
-			if tv.Key() == v {
-				hit++
+			if tv := truthIdx[sc.item]; tv != noTruth {
+				n[k]++
+				if tv == sc.val {
+					hit[k]++
+				}
 			}
 		}
-		if n == 0 {
-			return accOrDefault(accuracy, src)
+		rate := func(k int) float64 {
+			if n[k] == 0 {
+				return accOrDefault(accuracy, src)
+			}
+			return float64(hit[k]) / float64(n[k])
 		}
-		return float64(hit) / float64(n)
+		return math.Abs(rate(0) - rate(1)), own
 	}
 
 	var out []DirectedCopy
@@ -67,45 +83,26 @@ func InferDirections(cs *data.ClaimSet, copies map[SourcePair]float64,
 	for p := range copies {
 		pairs = append(pairs, p)
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].A != pairs[j].A {
-			return pairs[i].A < pairs[j].A
-		}
-		return pairs[i].B < pairs[j].B
-	})
+	slices.SortFunc(pairs, func(p, q SourcePair) int { return cmp.Or(strings.Compare(p.A, q.A), strings.Compare(p.B, q.B)) })
 	for _, pair := range pairs {
 		p := copies[pair]
 		if p < minP {
 			continue
 		}
 		a, b := pair.A, pair.B
-		shared := map[data.Item]bool{}
-		onlyA := map[data.Item]bool{}
-		for it := range claimOf[a] {
-			if _, ok := claimOf[b][it]; ok {
-				shared[it] = true
-			} else {
-				onlyA[it] = true
-			}
-		}
-		onlyB := map[data.Item]bool{}
-		for it := range claimOf[b] {
-			if !shared[it] {
-				onlyB[it] = true
-			}
-		}
+		la, lb := claimsOf(a), claimsOf(b)
 		// Consistency discrepancy: |acc(shared) − acc(own)| per side.
 		// The side whose shared-item accuracy diverges from its own-item
 		// accuracy inherited those shared values — the copier.
-		dA := absF(correctRate(a, shared) - correctRate(a, onlyA))
-		dB := absF(correctRate(b, shared) - correctRate(b, onlyB))
+		dA, onlyA := side(a, la, lb)
+		dB, onlyB := side(b, lb, la)
 		discSignal := dA - dB // positive ⇒ a is the copier
 
 		// Subset-coverage signal, only meaningful when one side has
 		// (almost) no independent remainder.
-		covA, covB := float64(len(claimOf[a])), float64(len(claimOf[b]))
+		covA, covB := float64(len(la)), float64(len(lb))
 		covSignal := 0.0
-		if covA+covB > 0 && (len(onlyA) == 0 || len(onlyB) == 0) {
+		if covA+covB > 0 && (onlyA == 0 || onlyB == 0) {
 			covSignal = (covB - covA) / (covA + covB) // positive ⇒ b is the original
 		}
 
@@ -121,11 +118,4 @@ func InferDirections(cs *data.ClaimSet, copies map[SourcePair]float64,
 		})
 	}
 	return out
-}
-
-func absF(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

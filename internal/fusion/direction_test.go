@@ -1,6 +1,7 @@
 package fusion
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/data"
@@ -82,5 +83,44 @@ func TestInferDirectionsCoverageSignal(t *testing.T) {
 	}
 	if directed[0].CoverageSignal <= 0 {
 		t.Errorf("coverage signal = %f, want positive toward orig", directed[0].CoverageSignal)
+	}
+}
+
+// TestInferDirectionsMatchesReference pins the index-based direction
+// inference to the map-based reference on copier worlds, with the copy
+// posteriors and truth of the full AccuCopy loop and with ground truth.
+func TestInferDirectionsMatchesReference(t *testing.T) {
+	for _, seed := range []int64{61, 62} {
+		cw := datagen.BuildClaims(datagen.ClaimConfig{
+			Seed: seed, NumItems: 300, NumValues: 8,
+			NumSources: 6, MinAccuracy: 0.85, MaxAccuracy: 0.95,
+			NumCopiers: 3, CopyRate: 0.9, CopierSpread: 3, Coverage: 0.6,
+			CopierMinAccuracy: 0.45, CopierMaxAccuracy: 0.6,
+		})
+		res, copies, err := (ACCUCOPY{}).CopyProbabilities(cw.Claims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		truth := &Result{Values: map[data.Item]data.Value{}}
+		for _, it := range cw.Items {
+			truth.Values[it], _ = cw.Claims.Truth(it)
+		}
+		for _, tr := range []*Result{res, truth} {
+			want := refInferDirections(cw.Claims, copies, tr, res.SourceAccuracy, 0.3)
+			got := InferDirections(cw.Claims, copies, tr, res.SourceAccuracy, 0.3)
+			if len(want) == 0 || !reflect.DeepEqual(got, want) {
+				t.Errorf("seed %d: directions\n%+v\nwant\n%+v", seed, got, want)
+			}
+		}
+	}
+	cs := detClaims(80, 10, 7) // duplicate claims: a source's last one counts
+	truth, err := ACCU{}.Fuse(cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copies := CopyDetector{}.Detect(cs, truth, truth.SourceAccuracy)
+	want := refInferDirections(cs, copies, truth, truth.SourceAccuracy, 0.01)
+	if got := InferDirections(cs, copies, truth, truth.SourceAccuracy, 0.01); len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("detClaims: directions\n%+v\nwant\n%+v", got, want)
 	}
 }

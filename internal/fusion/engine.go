@@ -2,23 +2,22 @@ package fusion
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/data"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 )
 
-// claimIndex is the interned claim-set representation every fuser runs
-// on — the fusion-stage analogue of blocking.Engine and
-// similarity.FeatureIndex. Items keep their first-appearance order,
-// source IDs are interned to their sorted rank, and each item's
-// distinct value keys are laid out contiguously in sorted-key order, so
-// the EM state (vote scores, posteriors, accuracies) lives in flat
-// slices indexed by dense uint32 ranks instead of map-of-map lookups.
-// Every accumulation an algorithm performs over the index walks a slice
-// whose order is fixed at build time, which is what makes the parallel
-// E/M steps bit-deterministic for any worker count.
+// claimIndex is the claim table laid out for the EM — the fusion-stage
+// analogue of blocking.Engine and similarity.FeatureIndex. Items keep the
+// table's first-appearance order, sources are ranked by ID, and each
+// item's values are laid out contiguously in sorted-key order, so the EM
+// state (vote scores, posteriors, accuracies) lives in flat slices
+// indexed by dense uint32 ranks. Every accumulation an algorithm performs
+// over the index walks a slice whose order is fixed at build time, which
+// is what makes the parallel E/M steps bit-deterministic for any worker
+// count.
 type claimIndex struct {
 	cfg parallel.Config
 
@@ -29,13 +28,12 @@ type claimIndex struct {
 	// range [valOff[i], valOff[i+1]), sorted by value key within the
 	// item. valVals holds the canonical Value (first one claimed).
 	valOff  []int
-	valKeys []string
 	valVals []data.Value
 	valItem []uint32 // global value index → owning item rank
 
 	// Support lists: value v's claiming sources occupy
 	// supSrc[supOff[v]:supOff[v+1]] in claim insertion order (a source
-	// appears once per claim, exactly as the map-based tally did).
+	// appears once per claim).
 	supOff []int
 	supSrc []uint32
 
@@ -46,133 +44,89 @@ type claimIndex struct {
 	srcVal []uint32
 }
 
-// buildIndex interns a claim set. The per-item value tallies build in
-// parallel (each item is independent); the flat layout is concatenated
-// sequentially so offsets are identical for any worker count. The error
-// is a cfg.Ctx cancellation or a recovered worker panic.
-func buildIndex(cs *data.ClaimSet, cfg parallel.Config) (*claimIndex, error) {
-	ci := &claimIndex{cfg: cfg, items: cs.Items(), sources: cs.Sources()}
-
-	srcRank := make(map[string]uint32, len(ci.sources))
-	for r, s := range ci.sources {
+// buildIndex lays the claim table out for the EM. It is integer work
+// over the table's columns: values move to their item's slot plus their
+// key rank, and the support and per-source lists are stable counting
+// sorts of the claims, so insertion order holds within each list by
+// construction. Only ranking the sources compares strings.
+func buildIndex(cs *data.ClaimSet, cfg parallel.Config) *claimIndex {
+	t := cs.Columns()
+	ci := &claimIndex{cfg: cfg, items: t.Items, sources: cs.Sources()}
+	srcRank := make([]uint32, len(t.Sources))
+	for s, name := range t.Sources {
+		r, _ := slices.BinarySearch(ci.sources, name)
 		srcRank[s] = uint32(r)
 	}
-	// Item ranks are resolved once here — never rebuilt per iteration.
-	itemRank := make(map[data.Item]uint32, len(ci.items))
-	for r, it := range ci.items {
-		itemRank[it] = uint32(r)
+
+	// Spellings of one key share its slot; the first claimed is canonical.
+	owner := make([]uint32, len(t.Values))
+	ci.valOff = make([]int, len(t.Items)+1)
+	for c, v := range t.Val {
+		owner[v] = uint32(t.Item[c])
+		ci.valOff[owner[v]+1] = max(ci.valOff[owner[v]+1], int(t.Rank[v])+1)
+	}
+	for i := range t.Items {
+		ci.valOff[i+1] += ci.valOff[i]
+	}
+	nv := ci.valOff[len(t.Items)]
+	ci.valVals, ci.valItem = make([]data.Value, nv), make([]uint32, nv)
+	pos := make([]uint32, len(t.Values)) // table value → global value index
+	for v := len(owner) - 1; v >= 0; v-- {
+		p := ci.valOff[owner[v]] + int(t.Rank[v])
+		pos[v], ci.valVals[p], ci.valItem[p] = uint32(p), t.Values[v], owner[v]
 	}
 
-	type itemCols struct {
-		keys []string
-		vals []data.Value
-		sup  [][]uint32
+	val, src := make([]uint32, len(t.Val)), make([]uint32, len(t.Src))
+	for c := range t.Val {
+		val[c], src[c] = pos[t.Val[c]], srcRank[t.Src[c]]
 	}
-	cols := make([]itemCols, len(ci.items))
-	err := parallel.ForEach(cfg, len(ci.items), func(i int) {
-		claims := cs.ItemClaims(ci.items[i])
-		canon := make(map[string]data.Value, 4)
-		keys := make([]string, 0, 4)
-		for _, cl := range claims {
-			k := cl.Value.Key()
-			if _, seen := canon[k]; !seen {
-				canon[k] = cl.Value
-				keys = append(keys, k)
-			}
-		}
-		sort.Strings(keys)
-		pos := make(map[string]int, len(keys))
-		vals := make([]data.Value, len(keys))
-		for j, k := range keys {
-			pos[k] = j
-			vals[j] = canon[k]
-		}
-		sup := make([][]uint32, len(keys))
-		for _, cl := range claims {
-			j := pos[cl.Value.Key()]
-			sup[j] = append(sup[j], srcRank[cl.Source])
-		}
-		cols[i] = itemCols{keys: keys, vals: vals, sup: sup}
-	})
-	if err != nil {
-		return nil, err
+	var order []int32
+	ci.supOff, order = data.GroupBy(val, nv)
+	ci.supSrc = make([]uint32, len(order))
+	for e, c := range order {
+		ci.supSrc[e] = src[c]
 	}
-
-	nVals, nSup := 0, 0
-	for i := range cols {
-		nVals += len(cols[i].keys)
-		for _, s := range cols[i].sup {
-			nSup += len(s)
-		}
+	ci.srcOff, order = data.GroupBy(src, len(ci.sources))
+	ci.srcVal = make([]uint32, len(order))
+	for e, c := range order {
+		ci.srcVal[e] = val[c]
 	}
-	ci.valOff = make([]int, len(ci.items)+1)
-	ci.valKeys = make([]string, 0, nVals)
-	ci.valVals = make([]data.Value, 0, nVals)
-	ci.valItem = make([]uint32, 0, nVals)
-	ci.supOff = make([]int, 1, nVals+1)
-	ci.supSrc = make([]uint32, 0, nSup)
-	for i := range cols {
-		ci.valOff[i] = len(ci.valKeys)
-		ci.valKeys = append(ci.valKeys, cols[i].keys...)
-		ci.valVals = append(ci.valVals, cols[i].vals...)
-		for range cols[i].keys {
-			ci.valItem = append(ci.valItem, uint32(i))
-		}
-		for _, s := range cols[i].sup {
-			ci.supSrc = append(ci.supSrc, s...)
-			ci.supOff = append(ci.supOff, len(ci.supSrc))
-		}
-	}
-	ci.valOff[len(ci.items)] = len(ci.valKeys)
-
-	// Per-source claim lists: resolve each claim's global value index by
-	// binary search inside its item's sorted key range.
-	srcCols := make([][]uint32, len(ci.sources))
-	if err := parallel.ForEach(cfg, len(ci.sources), func(s int) {
-		claims := cs.SourceClaims(ci.sources[s])
-		lst := make([]uint32, 0, len(claims))
-		for _, cl := range claims {
-			lst = append(lst, ci.valIdx(itemRank[cl.Item], cl.Value.Key()))
-		}
-		srcCols[s] = lst
-	}); err != nil {
-		return nil, err
-	}
-	ci.srcOff = make([]int, len(ci.sources)+1)
-	ci.srcVal = make([]uint32, 0, nSup)
-	for s := range srcCols {
-		ci.srcOff[s] = len(ci.srcVal)
-		ci.srcVal = append(ci.srcVal, srcCols[s]...)
-	}
-	ci.srcOff[len(ci.sources)] = len(ci.srcVal)
 	if reg := obs.OrDefault(cfg.Obs); reg != nil {
 		reg.Counter("fusion.items").Add(int64(len(ci.items)))
 		reg.Counter("fusion.sources").Add(int64(len(ci.sources)))
-		reg.Counter("fusion.values").Add(int64(ci.numValues()))
+		reg.Counter("fusion.values").Add(int64(len(ci.valVals)))
 	}
-	return ci, nil
+	return ci
 }
 
-// valIdx locates the global value index of (item rank, value key); the
-// key must be one of the item's claimed keys.
-func (ci *claimIndex) valIdx(item uint32, key string) uint32 {
-	lo, hi := ci.valOff[item], ci.valOff[item+1]
-	return uint32(lo + sort.SearchStrings(ci.valKeys[lo:hi], key))
-}
-
-// findVal is valIdx for keys that may not be claimed (e.g. an external
-// truth estimate): the second return reports whether the key exists.
-func (ci *claimIndex) findVal(item uint32, key string) (uint32, bool) {
-	lo, hi := ci.valOff[item], ci.valOff[item+1]
-	p := lo + sort.SearchStrings(ci.valKeys[lo:hi], key)
-	if p < hi && ci.valKeys[p] == key {
-		return uint32(p), true
+// mStep re-estimates every source's score as the mean of its claims'
+// value scores, summed in claim insertion order and bounded to [lo, hi];
+// sources are independent, each writing only its own slot. It returns
+// the largest change, reduced on the calling goroutine — so the
+// "fusion.em_delta" Dist's running sum is bit-deterministic — and
+// recorded with the "fusion.em_final_delta" gauge.
+func (ci *claimIndex) mStep(reg *obs.Registry, score, acc []float64, lo, hi float64) (float64, error) {
+	delta := make([]float64, len(acc)+1) // a spare 0: the largest of no change is 0
+	if err := parallel.ForEach(ci.cfg, len(acc), func(s int) {
+		from, to := ci.srcOff[s], ci.srcOff[s+1]
+		if from == to {
+			return
+		}
+		var sum float64
+		for c := from; c < to; c++ {
+			sum += score[ci.srcVal[c]]
+		}
+		next := clampF(sum/float64(to-from), lo, hi)
+		delta[s] = math.Abs(next - acc[s])
+		acc[s] = next
+	}); err != nil {
+		return 0, err
 	}
-	return 0, false
+	maxDelta := slices.Max(delta)
+	reg.Dist("fusion.em_delta").Observe(maxDelta)
+	reg.Gauge("fusion.em_final_delta").Set(maxDelta)
+	return maxDelta, nil
 }
-
-// numValues returns the total distinct (item, value) count.
-func (ci *claimIndex) numValues() int { return len(ci.valKeys) }
 
 // softmaxRange normalises scores[lo:hi] into post[lo:hi]. The
 // normalizer z accumulates in index order — within an item that is
@@ -182,12 +136,7 @@ func softmaxRange(scores, post []float64, lo, hi int) {
 	if lo >= hi {
 		return
 	}
-	maxS := scores[lo]
-	for v := lo + 1; v < hi; v++ {
-		if scores[v] > maxS {
-			maxS = scores[v]
-		}
-	}
+	maxS := slices.Max(scores[lo:hi])
 	var z float64
 	for v := lo; v < hi; v++ {
 		e := math.Exp(scores[v] - maxS)

@@ -149,7 +149,18 @@ func refSimAdjust(a ACCU, vc *voteCounts, scores map[string]float64) map[string]
 	return adj
 }
 
-func refACCU(a ACCU, cs *data.ClaimSet) *Result {
+func refACCU(a ACCU, cs *data.ClaimSet) *Result { return refACCUDiscounted(a, cs, nil) }
+
+// discountKey names one vote in the reference ACCUCOPY's discount map.
+type discountKey struct {
+	it       data.Item
+	valueKey string
+	source   string
+}
+
+// refACCUDiscounted is refACCU with each vote scaled by copyDiscount
+// when that is set — how the reference ACCUCOPY re-fuses.
+func refACCUDiscounted(a ACCU, cs *data.ClaimSet, copyDiscount func(it data.Item, valueKey, source string) float64) *Result {
 	n, acc0, maxIter, eps := a.params()
 	accuracy := map[string]float64{}
 	for _, s := range cs.Sources() {
@@ -185,8 +196,8 @@ func refACCU(a ACCU, cs *data.ClaimSet) *Result {
 				for _, s := range vc.sources[k] {
 					acc := clampF(accuracy[s], minAcc, maxAcc)
 					w := math.Log(effN * acc / (1 - acc))
-					if a.copyDiscount != nil {
-						w *= a.copyDiscount(it, k, s)
+					if copyDiscount != nil {
+						w *= copyDiscount(it, k, s)
 					}
 					sum += w
 				}
@@ -354,14 +365,12 @@ func refACCUCOPY(ac ACCUCOPY, cs *data.ClaimSet) *Result {
 		}
 		copies := refDetect(det, cs, res, accIn)
 		discounts := refBuildDiscounts(cs, copies, res.SourceAccuracy, c)
-		withDiscount := accu
-		withDiscount.copyDiscount = func(it data.Item, valueKey, source string) float64 {
+		res = refACCUDiscounted(accu, cs, func(it data.Item, valueKey, source string) float64 {
 			if d, ok := discounts[discountKey{it, valueKey, source}]; ok {
 				return d
 			}
 			return 1
-		}
-		res = refACCU(withDiscount, cs)
+		})
 	}
 	res.Iterations = outer
 	return res
@@ -620,24 +629,28 @@ func TestEngineWorkerParityOnNearTies(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineVsReference compares the interned flat-slice EM
-// against the pre-engine map-of-maps implementation on the same
-// workload — the sequential win of the rewrite, independent of worker
-// count.
-func BenchmarkEngineVsReference(b *testing.B) {
-	cs := detClaims(2000, 30, 11)
-	b.Run("engine", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := (ACCU{}).Fuse(cs); err != nil {
-				b.Fatal(err)
+// BenchmarkFusionStage times the batch fusion stage layer by layer on a
+// ClaimsFromClusters set from a seeded dirty web of about 5k records:
+// writing the claim table, ACCU over it, and the online kernel over it.
+func BenchmarkFusionStage(b *testing.B) {
+	d, clusters, attrs := dirtyWeb(11, 1220)
+	cs := data.ClaimsFromClusters(d, clusters, attrs)
+	b.Logf("%d records, %d claims, %d items", len(d.Records()), cs.Len(), cs.NumItems())
+	for _, bc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"claims", func() error { data.ClaimsFromClusters(d, clusters, attrs); return nil }},
+		{"accu", func() error { _, err := (ACCU{}).Fuse(cs); return err }},
+		{"online", func() error { _, err := (Online{}).FuseOnline(cs); return err }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := bc.run(); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("reference", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			refACCU(ACCU{}, cs)
-		}
-	})
+		})
+	}
 }

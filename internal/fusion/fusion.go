@@ -5,17 +5,13 @@
 // fuser — the method family of Dong, Berti-Équille & Srivastava that
 // the Big Data Integration tutorial surveys.
 //
-// MajorityVote, WeightedVote, TruthFinder, ACCU/POPACCU, ACCUCOPY and
-// the copy detector run on the interned claimIndex (engine.go): source
-// IDs, items and value keys are interned to dense uint32 ranks, the
-// iterative state lives in flat slices, and all float accumulations
-// walk fixed slice orders. Two fusers are not on the index: Online has
-// a flat layout of its own (Evidence, online.go: claims in insertion
-// order, because "a source's last claim on an item wins", which the
-// index does not record) shared with core.Stream, which keeps its
-// claims in that form, and NumericFusion is a sequential per-item pass.
-// Every fuser is bit-deterministic and produces identical output for
-// any worker count.
+// Every fuser reads one claim layout, the data.ClaimSet table. The batch
+// fusers and the copy detector lay it out for the EM as a claimIndex
+// (engine.go) by integer counting sorts; the online kernel reads its
+// per-item view (data.ItemView), which core.Stream keeps per cluster;
+// NumericFusion reads its columns directly. All float accumulations walk
+// fixed slice orders, so every fuser is bit-deterministic and produces
+// identical output for any worker count.
 package fusion
 
 import (
@@ -62,7 +58,7 @@ func (MajorityVote) Name() string { return "vote" }
 
 // Fuse implements Fuser.
 func (mv MajorityVote) Fuse(cs *data.ClaimSet) (*Result, error) {
-	return weightedVote(cs, parallel.Config{Workers: mv.Workers, Obs: mv.Obs, Ctx: mv.Ctx}, func(string) float64 { return 1 })
+	return WeightedVote{Workers: mv.Workers, Obs: mv.Obs, Ctx: mv.Ctx}.Fuse(cs)
 }
 
 // WeightedVote votes with per-source weights (e.g. externally known
@@ -82,32 +78,23 @@ type WeightedVote struct {
 // Name implements Fuser.
 func (WeightedVote) Name() string { return "weighted-vote" }
 
-// Fuse implements Fuser.
+// Fuse implements Fuser: one voting round on the claimIndex. Weights are
+// resolved once per source rank, items score in parallel (per-key sums
+// in claim insertion order, totals in sorted-key order), and each item
+// writes only its own slots — identical output for any worker count.
 func (wv WeightedVote) Fuse(cs *data.ClaimSet) (*Result, error) {
+	cfg := parallel.Config{Workers: wv.Workers, Obs: wv.Obs, Ctx: wv.Ctx}
+	ci := buildIndex(cs, cfg)
 	def := wv.DefaultWeight
 	if def == 0 {
 		def = 1
 	}
-	return weightedVote(cs, parallel.Config{Workers: wv.Workers, Obs: wv.Obs, Ctx: wv.Ctx}, func(s string) float64 {
-		if w, ok := wv.Weights[s]; ok {
-			return w
-		}
-		return def
-	})
-}
-
-// weightedVote runs one voting round on the interned index: weights are
-// resolved once per source rank, items score in parallel (per-key sums
-// in claim insertion order, totals in sorted-key order), and each item
-// writes only its own slots — identical output for any worker count.
-func weightedVote(cs *data.ClaimSet, cfg parallel.Config, weight func(string) float64) (*Result, error) {
-	ci, err := buildIndex(cs, cfg)
-	if err != nil {
-		return nil, err
-	}
 	w := make([]float64, len(ci.sources))
 	for s, src := range ci.sources {
-		w[s] = weight(src)
+		w[s] = def
+		if x, ok := wv.Weights[src]; ok {
+			w[s] = x
+		}
 	}
 
 	bestV := make([]int, len(ci.items))

@@ -221,6 +221,37 @@ func TestACCUConvergence(t *testing.T) {
 	}
 }
 
+// TestACCUNSemantics pins ACCU's N to Online's rule: only 0 means unset,
+// N = 1 (binary items) is honoured rather than replaced by the default,
+// and a negative N is an error on Fuse, FuseTrace and through ACCUCOPY.
+func TestACCUNSemantics(t *testing.T) {
+	cs := detClaims(60, 12, 42)
+	fuse := func(n float64) *Result {
+		t.Helper()
+		res, err := ACCU{N: n}.Fuse(cs)
+		if err != nil {
+			t.Fatalf("N=%v: %v", n, err)
+		}
+		return res
+	}
+	if diff, same := sameBits(fuse(10), fuse(0)); !same {
+		t.Errorf("N=0 must fuse as the default N=10: %s", diff)
+	}
+	if _, same := sameBits(fuse(10), fuse(1)); same {
+		t.Error("N=1 fuses exactly like N=10: it was replaced by the default")
+	}
+	bad := ACCU{N: -1}
+	if _, err := bad.Fuse(cs); err == nil {
+		t.Error("Fuse accepted N=-1")
+	}
+	if _, err := bad.FuseTrace(cs); err == nil {
+		t.Error("FuseTrace accepted N=-1")
+	}
+	if _, err := (ACCUCOPY{Accu: bad}).Fuse(cs); err == nil {
+		t.Error("ACCUCOPY accepted N=-1")
+	}
+}
+
 func TestPOPACCU(t *testing.T) {
 	cw := datagen.BuildClaims(datagen.ClaimConfig{
 		Seed: 7, NumItems: 300, NumValues: 3, NumSources: 12,

@@ -47,24 +47,29 @@ func (nf NumericFusion) Fuse(cs *data.ClaimSet) (*Result, error) {
 		Iterations: 1,
 	}
 	// Split items by kind; batch the non-numeric ones for the fallback.
+	t := cs.Columns()
+	start, order := data.GroupBy(t.Item, len(t.Items))
 	nonNumeric := data.NewClaimSet()
-	for _, it := range cs.Items() {
-		claims := cs.ItemClaims(it)
-		numeric := 0
+	var xs []weighted
+	for i, it := range t.Items {
+		claims := order[start[i]:start[i+1]]
+		xs = xs[:0]
 		for _, c := range claims {
-			if c.Value.Kind == data.KindNumber {
-				numeric++
+			if v := t.Values[t.Val[c]]; v.Kind == data.KindNumber {
+				w, ok := nf.Weights[t.Sources[t.Src[c]]]
+				if !ok || w <= 0 || nf.method() != "weighted" {
+					w = 1
+				}
+				xs = append(xs, weighted{v: v.Num, w: w})
 			}
 		}
-		if numeric*2 <= len(claims) { // not predominantly numeric
+		if len(xs)*2 <= len(claims) { // not predominantly numeric
 			for _, c := range claims {
-				nonNumeric.Add(c)
+				nonNumeric.Add(data.Claim{Item: it, Source: t.Sources[t.Src[c]], Value: t.Values[t.Val[c]]})
 			}
 			continue
 		}
-		v, conf := nf.fuseNumeric(claims)
-		res.Values[it] = v
-		res.Confidence[it] = conf
+		res.Values[it], res.Confidence[it] = nf.fuseNumeric(xs)
 	}
 	if nonNumeric.Len() > 0 {
 		fb, err := fallback.Fuse(nonNumeric)
@@ -79,26 +84,14 @@ func (nf NumericFusion) Fuse(cs *data.ClaimSet) (*Result, error) {
 	return res, nil
 }
 
-// fuseNumeric estimates the item's value from its numeric claims.
-// Confidence reflects concentration: 1 when all claims agree, decaying
-// with relative spread (median absolute deviation / |estimate|).
-func (nf NumericFusion) fuseNumeric(claims []data.Claim) (data.Value, float64) {
-	type wv struct {
-		v, w float64
-	}
-	var xs []wv
-	for _, c := range claims {
-		if c.Value.Kind != data.KindNumber {
-			continue
-		}
-		w := 1.0
-		if nf.method() == "weighted" {
-			if got, ok := nf.Weights[c.Source]; ok && got > 0 {
-				w = got
-			}
-		}
-		xs = append(xs, wv{v: c.Value.Num, w: w})
-	}
+// weighted is one numeric claim and its weight: its source's under the
+// "weighted" method when positive, else 1.
+type weighted struct{ v, w float64 }
+
+// fuseNumeric estimates an item's value from its numeric claims, which
+// it sorts. Confidence reflects concentration: 1 when all claims agree,
+// decaying with relative spread (median absolute deviation / |estimate|).
+func (nf NumericFusion) fuseNumeric(xs []weighted) (data.Value, float64) {
 	sort.Slice(xs, func(i, j int) bool { return xs[i].v < xs[j].v })
 
 	var est float64

@@ -2,7 +2,6 @@ package fusion
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -22,11 +21,9 @@ type Online struct {
 	// Accuracy estimates per source (e.g. from a prior ACCU run).
 	// Sources absent from the map default to 0.7.
 	Accuracy map[string]float64
-	// N is the assumed number of false values (ACCU vote weighting).
-	// Only N == 0 means "unset" and takes the default 10; any positive
-	// value — including fractional values and N = 1, which reduces the
-	// weight to the plain log-odds ln(a/(1-a)) — is honoured as given.
-	// Negative N is rejected by Fuse/FuseOnline/FuseWithPrefix.
+	// N is the assumed number of false values (ACCU vote weighting),
+	// under ACCU's rule: only 0 means unset (the default 10), and a
+	// negative N is an error. N = 1 gives the plain log-odds ln(a/(1-a)).
 	N float64
 	// Workers bounds the per-item probing worker pool (0 = NumCPU);
 	// output is identical for any value.
@@ -57,14 +54,10 @@ func (o Online) Fuse(cs *data.ClaimSet) (*Result, error) {
 	return &or.Result, nil
 }
 
-// validate rejects unusable configurations. Only N == 0 is "unset";
-// negative N has no interpretation under the ACCU weight model (the
-// log argument n·a/(1-a) would flip sign).
+// validate rejects a negative N (see checkN).
 func (o Online) validate() error {
-	if o.N < 0 {
-		return fmt.Errorf("fusion: online N = %v is negative (0 means the default 10)", o.N)
-	}
-	return nil
+	_, err := checkN("online", o.N)
+	return err
 }
 
 // weightOf is the ACCU log-odds vote weight of a source. Note the
@@ -72,74 +65,9 @@ func (o Online) validate() error {
 // vote counts against its own claim — which is why early termination
 // reasons about absolute remaining weight, not the signed sum.
 func (o Online) weightOf(src string) float64 {
-	n := o.N
-	if n == 0 {
-		n = 10
-	}
-	a := 0.7
-	if v, ok := o.Accuracy[src]; ok {
-		a = v
-	}
-	a = clampF(a, 0.05, 0.95)
+	n, _ := checkN("online", o.N)
+	a := defaultAcc(o.Accuracy, src)
 	return math.Log(n * a / (1 - a))
-}
-
-// Evidence is a claim set laid out flat for the online kernel: no item
-// key, no value string, two integers per claim. FuseOnline lays a
-// data.ClaimSet out as one; a caller that keeps its claims in this form
-// (core.Stream's cluster views) hands it to FuseFlat directly.
-type Evidence struct {
-	// Sources names the claiming sources; names are distinct. A source
-	// no claim refers to is not probed.
-	Sources []string
-	// Start delimits the items: item i's claims sit at positions
-	// Start[i] .. Start[i+1]-1 of Src and Val, in claim-insertion order.
-	// It is empty or one longer than the item count.
-	Start []int32
-	// Src is each claim's source, an index into Sources; Val is the
-	// claimed value as its rank among the item's distinct values sorted
-	// by Value.Key().
-	Src, Val []int32
-
-	distinct []string // AddItem's scratch
-}
-
-// Items returns the number of items laid out.
-func (ev *Evidence) Items() int { return max(0, len(ev.Start)-1) }
-
-// Reset empties the evidence, keeping its buffers and source table.
-func (ev *Evidence) Reset() {
-	ev.Start, ev.Src, ev.Val = ev.Start[:0], ev.Src[:0], ev.Val[:0]
-}
-
-// AddItem appends one item from its claims in insertion order: claim c
-// is source srcs[c] claiming the value whose Value.Key() is keys[c].
-func (ev *Evidence) AddItem(srcs []int32, keys []string) {
-	if len(ev.Start) == 0 {
-		ev.Start = append(ev.Start, 0)
-	}
-	ev.distinct = append(ev.distinct[:0], keys...)
-	sort.Strings(ev.distinct)
-	ev.distinct = slices.Compact(ev.distinct)
-	ev.Src = append(ev.Src, srcs...)
-	for _, k := range keys {
-		ev.Val = append(ev.Val, int32(sort.SearchStrings(ev.distinct, k)))
-	}
-	ev.Start = append(ev.Start, int32(len(ev.Src)))
-}
-
-// Append appends every item of other, whose claims name their sources by
-// ev's table.
-func (ev *Evidence) Append(other *Evidence) {
-	if len(ev.Start) == 0 {
-		ev.Start = append(ev.Start, 0)
-	}
-	base := int32(len(ev.Src))
-	ev.Src = append(ev.Src, other.Src...)
-	ev.Val = append(ev.Val, other.Val...)
-	for _, end := range other.Start[min(1, len(other.Start)):] {
-		ev.Start = append(ev.Start, base+end)
-	}
 }
 
 // Fused is the online kernel's verdict on one item.
@@ -148,7 +76,7 @@ type Fused struct {
 	Conf float64
 	// Val is the winning value's rank, -1 when nothing was claimed.
 	Val int32
-	// Last is the position of the claim that spells the winner: the
+	// Last is the view position of the claim that spells the winner: the
 	// last consulted claimant of it. Two Values can share a Key() (one
 	// instant in two time zones), so which claim is reported matters.
 	Last int32
@@ -157,49 +85,27 @@ type Fused struct {
 }
 
 // FuseOnline runs the full online protocol and reports probe counts:
-// it lays the claim set out flat, runs the kernel and fills the maps.
+// it runs the kernel over the claim table's item view and fills the
+// maps, reporting each winner as its last consulted claimant spelt it.
 func (o Online) FuseOnline(cs *data.ClaimSet) (*OnlineResult, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	items := cs.Items()
-	ev := &Evidence{Sources: cs.Sources()}
-	srcID := make(map[string]int32, len(ev.Sources))
-	for i, s := range ev.Sources {
-		srcID[s] = int32(i)
-	}
-	values := make([]data.Value, 0, cs.Len())
-	var srcs []int32
-	var keys []string
-	for _, it := range items {
-		srcs, keys = srcs[:0], keys[:0]
-		for _, c := range cs.ItemClaims(it) {
-			srcs = append(srcs, srcID[c.Source])
-			keys = append(keys, c.Value.Key())
-			values = append(values, c.Value)
-		}
-		ev.AddItem(srcs, keys)
-	}
-	order, fused, err := o.FuseFlat(ev, nil)
+	view, claim := cs.ByItem()
+	order, fused, err := o.FuseFlat(&view, nil)
 	if err != nil {
 		return nil, err
 	}
-	res := &OnlineResult{
-		Result: Result{
-			Values:         make(map[data.Item]data.Value, len(items)),
-			Confidence:     make(map[data.Item]float64, len(items)),
-			SourceAccuracy: make(map[string]float64, len(order)),
-			Iterations:     1,
-		},
-		Probes: make(map[data.Item]int, len(items)),
-		Order:  order,
-	}
+	t := cs.Columns()
+	res := &OnlineResult{Result: Result{
+		Values:         make(map[data.Item]data.Value, len(t.Items)),
+		Confidence:     make(map[data.Item]float64, len(t.Items)),
+		SourceAccuracy: make(map[string]float64, len(order)),
+		Iterations:     1,
+	}, Probes: make(map[data.Item]int, len(t.Items)), Order: order}
 	for _, s := range order {
-		res.SourceAccuracy[s] = clampF(accOrDefault(o.Accuracy, s), 0.05, 0.95)
+		res.SourceAccuracy[s] = defaultAcc(o.Accuracy, s)
 	}
-	for i, it := range items {
+	for i, it := range t.Items {
 		if f := fused[i]; f.Val >= 0 {
-			res.Values[it] = values[f.Last]
+			res.Values[it] = t.Values[t.Val[claim[f.Last]]]
 			res.Probes[it] = int(f.Probes)
 			res.Confidence[it] = f.Conf
 		}
@@ -210,7 +116,7 @@ func (o Online) FuseOnline(cs *data.ClaimSet) (*OnlineResult, error) {
 // probeTable is what the per-item protocol reads besides the item's own
 // claims: the probe order and what is left of it after each position.
 type probeTable struct {
-	rank   []int32   // Evidence source → position in the probe order
+	rank   []int32   // view source → position in the probe order
 	weight []float64 // by position
 	// absRemaining[i] is the sum of |weight| over positions i and later.
 	// A source not yet probed with weight w can move the lead-vs-rival
@@ -225,20 +131,42 @@ type probeTable struct {
 // the cost of the task's scratch buffers, few enough to balance workers.
 const itemBlock = 256
 
-// FuseFlat is the online kernel: the probe protocol over flat evidence.
-// Sources are ordered by weight descending, name ascending; an item
-// visits only its own claimants, in that order — a source's last claim
-// on the item is the one that counts — and is finalised at the first
-// probe position after which the leader cannot be overtaken. It returns
-// the probe order and one verdict per item, written into out when that
-// has the capacity. Items are independent, so they fan out on the worker
-// pool a block at a time; the output is identical for any worker count.
-func (o Online) FuseFlat(ev *Evidence, out []Fused) ([]string, []Fused, error) {
+// FuseFlat is the online kernel: the probe protocol over a claim table's
+// item view (ClaimSet.ByItem, or such views appended). Sources are
+// ordered by weight descending, name ascending; an item visits only its
+// own claimants, in that order — a source's last claim on the item is
+// the one that counts — and is finalised at the first probe position
+// after which the leader cannot be overtaken. It returns the probe order
+// and one verdict per item, written into out when that has the capacity.
+// Items are independent, so they fan out on the worker pool a block at a
+// time; the output is identical for any worker count.
+func (o Online) FuseFlat(view *data.ItemView, out []Fused) ([]string, []Fused, error) {
 	if err := o.validate(); err != nil {
 		return nil, nil, err
 	}
-	claims := make([]bool, len(ev.Sources))
-	for _, s := range ev.Src {
+	order, pt := o.probeTable(view)
+	n := max(0, len(view.Start)-1)
+	if cap(out) < n {
+		out = make([]Fused, n)
+	}
+	out = out[:n]
+	err := parallel.ForEach(parallel.Config{Workers: o.Workers, Ctx: o.Ctx}, (n+itemBlock-1)/itemBlock, func(b int) {
+		var sc itemScratch
+		for i := b * itemBlock; i < min(n, (b+1)*itemBlock); i++ {
+			out[i] = pt.fuseItem(view, i, &sc)
+		}
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return order, out, nil
+}
+
+// probeTable orders the sources that claim anything in view by weight
+// descending, name ascending.
+func (o Online) probeTable(view *data.ItemView) ([]string, *probeTable) {
+	claims := make([]bool, len(view.Sources))
+	for _, s := range view.Src {
 		claims[s] = true
 	}
 	type probe struct {
@@ -248,45 +176,30 @@ func (o Online) FuseFlat(ev *Evidence, out []Fused) ([]string, []Fused, error) {
 	var probes []probe
 	for s, ok := range claims {
 		if ok {
-			probes = append(probes, probe{src: s, weight: o.weightOf(ev.Sources[s])})
+			probes = append(probes, probe{src: s, weight: o.weightOf(view.Sources[s])})
 		}
 	}
 	sort.Slice(probes, func(i, j int) bool {
 		if probes[i].weight != probes[j].weight {
 			return probes[i].weight > probes[j].weight
 		}
-		return ev.Sources[probes[i].src] < ev.Sources[probes[j].src]
+		return view.Sources[probes[i].src] < view.Sources[probes[j].src]
 	})
 	var order []string
 	pt := &probeTable{
-		rank:         make([]int32, len(ev.Sources)),
+		rank:         make([]int32, len(view.Sources)),
 		weight:       make([]float64, len(probes)),
 		absRemaining: make([]float64, len(probes)+1),
 	}
 	for i, p := range probes {
-		order = append(order, ev.Sources[p.src])
+		order = append(order, view.Sources[p.src])
 		pt.rank[p.src] = int32(i)
 		pt.weight[i] = p.weight
 	}
 	for i := len(probes) - 1; i >= 0; i-- {
 		pt.absRemaining[i] = pt.absRemaining[i+1] + math.Abs(pt.weight[i])
 	}
-
-	n := ev.Items()
-	if cap(out) < n {
-		out = make([]Fused, n)
-	}
-	out = out[:n]
-	err := parallel.ForEach(parallel.Config{Workers: o.Workers, Ctx: o.Ctx}, (n+itemBlock-1)/itemBlock, func(b int) {
-		var sc itemScratch
-		for i := b * itemBlock; i < min(n, (b+1)*itemBlock); i++ {
-			out[i] = pt.fuseItem(ev, i, &sc)
-		}
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return order, out, nil
+	return order, pt
 }
 
 // itemScratch is one task's reusable per-item state.
@@ -301,13 +214,12 @@ type itemScratch struct {
 // falls, so the termination test is made once per gap, against the
 // gap's lowest bar, and only a gap that passes is searched for the
 // probe position that finalised.
-func (pt *probeTable) fuseItem(ev *Evidence, i int, sc *itemScratch) Fused {
-	lo, hi := ev.Start[i], ev.Start[i+1]
+func (pt *probeTable) fuseItem(view *data.ItemView, i int, sc *itemScratch) Fused {
 	sc.claimants = sc.claimants[:0]
 	nv := 0
-	for c := lo; c < hi; c++ {
-		sc.claimants = append(sc.claimants, uint64(pt.rank[ev.Src[c]])<<32|uint64(c))
-		nv = max(nv, int(ev.Val[c])+1)
+	for c := view.Start[i]; c < view.Start[i+1]; c++ {
+		sc.claimants = append(sc.claimants, uint64(pt.rank[view.Src[c]])<<32|uint64(c))
+		nv = max(nv, int(view.Val[c])+1)
 	}
 	slices.Sort(sc.claimants)
 	sc.score, sc.last = sc.score[:0], sc.last[:0]
@@ -324,8 +236,8 @@ func (pt *probeTable) fuseItem(ev *Evidence, i int, sc *itemScratch) Fused {
 			continue // an earlier claim of a source that claims again
 		}
 		c := int32(uint32(packed))
-		sc.score[ev.Val[c]] += pt.weight[pos]
-		sc.last[ev.Val[c]] = c
+		sc.score[view.Val[c]] += pt.weight[pos]
+		sc.last[view.Val[c]] = c
 		// The rival floors at 0: a value nobody has claimed yet starts there.
 		lead, second := sc.topTwo()
 		if lead < 0 {
@@ -390,38 +302,23 @@ func (sc *itemScratch) confidence(lead int) float64 {
 }
 
 // FuseWithPrefix fuses consulting only the first k sources of the
-// accuracy order — the anytime curve's x-axis.
+// accuracy order — the anytime curve's x-axis. It is a weighted vote
+// over the whole set in which the sources past the prefix weigh 0: an
+// exact zero changes no sum, a value none of the prefix claims never
+// beats the initial best of 0, and an item none of them claims gets no
+// value — exactly the vote over the prefix's claims alone.
 func (o Online) FuseWithPrefix(cs *data.ClaimSet, k int) (*Result, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	order := append([]string(nil), cs.Sources()...)
-	sort.Slice(order, func(i, j int) bool {
-		wi, wj := o.weightOf(order[i]), o.weightOf(order[j])
-		if wi != wj {
-			return wi > wj
-		}
-		return order[i] < order[j]
-	})
-	if k > len(order) {
-		k = len(order)
+	view, _ := cs.ByItem()
+	order, _ := o.probeTable(&view)
+	k = min(k, len(order))
+	w := weightsFor(o, order[:k])
+	for _, s := range order[k:] {
+		w[s] = 0
 	}
-	allowed := map[string]bool{}
-	for _, s := range order[:k] {
-		allowed[s] = true
-	}
-	sub := data.NewClaimSet()
-	for _, c := range cs.All() {
-		if allowed[c.Source] {
-			sub.Add(c)
-		}
-	}
-	for _, it := range cs.Items() {
-		if v, ok := cs.Truth(it); ok {
-			sub.SetTruth(it, v)
-		}
-	}
-	return WeightedVote{Weights: weightsFor(o, order[:k]), Workers: o.Workers, Ctx: o.Ctx}.Fuse(sub)
+	return WeightedVote{Weights: w, Workers: o.Workers, Ctx: o.Ctx}.Fuse(cs)
 }
 
 func weightsFor(o Online, sources []string) map[string]float64 {

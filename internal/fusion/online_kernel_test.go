@@ -75,7 +75,15 @@ func agreementFeedback(acc map[string]float64, cs *data.ClaimSet, res *OnlineRes
 // — about two claims an item out of many sources, and a source with two
 // records in one entity claiming its items twice.
 func webClaims(seed int64) *data.ClaimSet {
-	w := datagen.NewWorld(datagen.WorldConfig{Seed: seed, NumEntities: 120})
+	return data.ClaimsFromClusters(dirtyWeb(seed, 120))
+}
+
+// dirtyWeb generates a 20-source dirty web of the given number of
+// entities and clusters its records with pairs of entities folded
+// together, so sources conflict and claim twice as they do under
+// imperfect linkage.
+func dirtyWeb(seed int64, entities int) (*data.Dataset, data.Clustering, []string) {
+	w := datagen.NewWorld(datagen.WorldConfig{Seed: seed, NumEntities: entities})
 	d := datagen.BuildWeb(w, datagen.SourceConfig{
 		Seed: seed + 1, NumSources: 20, DirtLevel: 1, IdentifierRate: 0.9,
 		Heterogeneity: 0.5, HeadFraction: 0.4, TailCoverage: 0.3,
@@ -84,8 +92,6 @@ func webClaims(seed int64) *data.ClaimSet {
 	for _, ac := range d.Attributes() {
 		attrs = append(attrs, ac.Attr)
 	}
-	// Halving the entity IDs folds pairs of entities together, so sources
-	// conflict and claim twice as they do under imperfect linkage.
 	byEnt := map[string][]string{}
 	for _, r := range d.Records() {
 		k := r.EntityID[:len(r.EntityID)-1]
@@ -95,7 +101,7 @@ func webClaims(seed int64) *data.ClaimSet {
 	for _, ids := range byEnt {
 		clusters = append(clusters, ids)
 	}
-	return data.ClaimsFromClusters(d, clusters, attrs)
+	return d, clusters, attrs
 }
 
 func TestOnlineKernelMatchesReference(t *testing.T) {

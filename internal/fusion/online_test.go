@@ -167,6 +167,39 @@ func TestOnlineNSemantics(t *testing.T) {
 	}
 }
 
+// TestFuseWithPrefixMatchesSubset pins the zero-weight prefix vote to
+// the vote over a copy of the prefix's claims, for every prefix length,
+// on the LCG workload and on an E15-shaped claim world.
+func TestFuseWithPrefixMatchesSubset(t *testing.T) {
+	e15 := datagen.BuildClaims(datagen.ClaimConfig{
+		Seed: 42, NumItems: 250, NumValues: 5,
+		NumSources: 16, MinAccuracy: 0.4, MaxAccuracy: 0.95,
+	})
+	for name, in := range map[string]struct {
+		cs  *data.ClaimSet
+		acc map[string]float64
+	}{
+		"det": {detClaims(60, 12, 42), map[string]float64{"s00": 0.9, "s03": 0.02, "s05": 0.6}},
+		"e15": {e15.Claims, e15.TrueAccuracy},
+	} {
+		for k := 0; k <= len(in.cs.Sources())+1; k++ {
+			want, err := refFuseWithPrefix(Online{Accuracy: in.acc, Workers: 1}, in.cs, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range workerCounts {
+				got, err := Online{Accuracy: in.acc, Workers: w}.FuseWithPrefix(in.cs, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if diff, ok := sameBits(want, got); !ok {
+					t.Errorf("%s k=%d workers=%d: %s", name, k, w, diff)
+				}
+			}
+		}
+	}
+}
+
 // TestOnlineProbesCountConsulted pins the probe statistic: an item that
 // never early-terminates reports the number of sources consulted
 // (len(order)), even when trailing sources hold no claim for it.

@@ -10,6 +10,7 @@ import (
 
 // Map-based reference pieces the engine replaced (claimIndex layout,
 // softmaxRange); engine_test.go's reference fusers are built on them.
+// Also the reference forms of FuseOnline and FuseWithPrefix.
 
 // voteCounts tallies, per item, the supporting sources of each distinct
 // value key. The canonical value for a key is the first one observed.
@@ -212,4 +213,144 @@ func confidenceOf(scores map[string]float64, lead string) float64 {
 		return 0
 	}
 	return l / z
+}
+
+// refFuseWithPrefix is FuseWithPrefix as it was before the prefix became
+// zero weights: the consulted sources' claims, plus truth, copied into a
+// new claim set and voted on alone.
+func refFuseWithPrefix(o Online, cs *data.ClaimSet, k int) (*Result, error) {
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
+	order := append([]string(nil), cs.Sources()...)
+	sort.Slice(order, func(i, j int) bool {
+		wi, wj := o.weightOf(order[i]), o.weightOf(order[j])
+		if wi != wj {
+			return wi > wj
+		}
+		return order[i] < order[j]
+	})
+	if k > len(order) {
+		k = len(order)
+	}
+	allowed := map[string]bool{}
+	for _, s := range order[:k] {
+		allowed[s] = true
+	}
+	sub := data.NewClaimSet()
+	for _, c := range cs.All() {
+		if allowed[c.Source] {
+			sub.Add(c)
+		}
+	}
+	for _, it := range cs.Items() {
+		if v, ok := cs.Truth(it); ok {
+			sub.SetTruth(it, v)
+		}
+	}
+	return WeightedVote{Weights: weightsFor(o, order[:k]), Workers: o.Workers, Ctx: o.Ctx}.Fuse(sub)
+}
+
+// refInferDirections is InferDirections as it was on per-source claim
+// maps (the last claim on an item wins), kept as its oracle.
+func refInferDirections(cs *data.ClaimSet, copies map[SourcePair]float64,
+	truth *Result, accuracy map[string]float64, minP float64) []DirectedCopy {
+	if minP <= 0 {
+		minP = 0.5
+	}
+	claimOf := map[string]map[data.Item]string{}
+	for _, s := range cs.Sources() {
+		m := map[data.Item]string{}
+		for _, cl := range cs.SourceClaims(s) {
+			m[cl.Item] = cl.Value.Key()
+		}
+		claimOf[s] = m
+	}
+	correctRate := func(src string, only map[data.Item]bool) float64 {
+		hit, n := 0, 0
+		for it, v := range claimOf[src] {
+			if only != nil && !only[it] {
+				continue
+			}
+			tv, ok := truth.Values[it]
+			if !ok {
+				continue
+			}
+			n++
+			if tv.Key() == v {
+				hit++
+			}
+		}
+		if n == 0 {
+			return accOrDefault(accuracy, src)
+		}
+		return float64(hit) / float64(n)
+	}
+
+	var out []DirectedCopy
+	pairs := make([]SourcePair, 0, len(copies))
+	for p := range copies {
+		pairs = append(pairs, p)
+	}
+	sort.Slice(pairs, func(i, j int) bool {
+		if pairs[i].A != pairs[j].A {
+			return pairs[i].A < pairs[j].A
+		}
+		return pairs[i].B < pairs[j].B
+	})
+	for _, pair := range pairs {
+		p := copies[pair]
+		if p < minP {
+			continue
+		}
+		a, b := pair.A, pair.B
+		shared := map[data.Item]bool{}
+		onlyA := map[data.Item]bool{}
+		for it := range claimOf[a] {
+			if _, ok := claimOf[b][it]; ok {
+				shared[it] = true
+			} else {
+				onlyA[it] = true
+			}
+		}
+		onlyB := map[data.Item]bool{}
+		for it := range claimOf[b] {
+			if !shared[it] {
+				onlyB[it] = true
+			}
+		}
+		// Consistency discrepancy: |acc(shared) − acc(own)| per side.
+		// The side whose shared-item accuracy diverges from its own-item
+		// accuracy inherited those shared values — the copier.
+		dA := absF(correctRate(a, shared) - correctRate(a, onlyA))
+		dB := absF(correctRate(b, shared) - correctRate(b, onlyB))
+		discSignal := dA - dB // positive ⇒ a is the copier
+
+		// Subset-coverage signal, only meaningful when one side has
+		// (almost) no independent remainder.
+		covA, covB := float64(len(claimOf[a])), float64(len(claimOf[b]))
+		covSignal := 0.0
+		if covA+covB > 0 && (len(onlyA) == 0 || len(onlyB) == 0) {
+			covSignal = (covB - covA) / (covA + covB) // positive ⇒ b is the original
+		}
+
+		// Positive combined ⇒ a is the copier.
+		combined := discSignal + covSignal
+		from, to := a, b
+		if combined < 0 {
+			from, to = b, a
+		}
+		out = append(out, DirectedCopy{
+			From: from, To: to, P: p,
+			CoverageSignal: covSignal, DiscrepancySignal: discSignal,
+		})
+	}
+	return out
+}
+
+func absF(x float64) float64 {
+	if x < 0 {
+		return -x
+	}
+	return x
 }

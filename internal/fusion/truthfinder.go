@@ -13,7 +13,7 @@ import (
 // source's trustworthiness is the average confidence of the values it
 // claims; a value's confidence aggregates the trust of its claimants
 // through a log-odds combination. Iterate until source trust
-// stabilises. Runs on the interned claimIndex with the same
+// stabilises. Runs on the claimIndex with the same
 // parallel-E/parallel-M layout as ACCU.
 type TruthFinder struct {
 	// Gamma dampens the confidence logistic. Default 0.3.
@@ -39,28 +39,10 @@ func (TruthFinder) Name() string { return "truthfinder" }
 
 // Fuse implements Fuser.
 func (tf TruthFinder) Fuse(cs *data.ClaimSet) (*Result, error) {
-	gamma := tf.Gamma
-	if gamma <= 0 {
-		gamma = 0.3
-	}
-	trust0 := tf.InitialTrust
-	if trust0 <= 0 || trust0 >= 1 {
-		trust0 = 0.8
-	}
-	maxIter := tf.MaxIterations
-	if maxIter <= 0 {
-		maxIter = 20
-	}
-	eps := tf.Epsilon
-	if eps <= 0 {
-		eps = 1e-4
-	}
+	gamma, trust0 := orDefault(tf.Gamma, 0.3), probOr(tf.InitialTrust, 0.8)
+	maxIter, eps := orDefault(tf.MaxIterations, 20), orDefault(tf.Epsilon, 1e-4)
 
-	ci, err := buildIndex(cs, parallel.Config{Workers: tf.Workers, Obs: tf.Obs, Ctx: tf.Ctx})
-	if err != nil {
-		return nil, err
-	}
-	cfg := ci.cfg
+	ci := buildIndex(cs, parallel.Config{Workers: tf.Workers, Obs: tf.Obs, Ctx: tf.Ctx})
 	reg := obs.OrDefault(tf.Obs)
 
 	trust := make([]float64, len(ci.sources))
@@ -69,51 +51,26 @@ func (tf TruthFinder) Fuse(cs *data.ClaimSet) (*Result, error) {
 	}
 
 	const maxTrust = 0.999999
-	conf := make([]float64, ci.numValues())
-	delta := make([]float64, len(ci.sources))
+	conf := make([]float64, len(ci.valVals))
 	iters := 0
 	for iter := 0; iter < maxIter; iter++ {
 		iters = iter + 1
 		// Value confidences from source trust: each value sums its
 		// claimants' tau in claim insertion order.
-		if err := parallel.ForEach(cfg, ci.numValues(), func(v int) {
+		if err := parallel.ForEach(ci.cfg, len(ci.valVals), func(v int) {
 			var sigma float64
 			for e := ci.supOff[v]; e < ci.supOff[v+1]; e++ {
-				t := trust[ci.supSrc[e]]
-				if t > maxTrust {
-					t = maxTrust
-				}
-				sigma += -math.Log(1 - t) // tau(s)
+				sigma += -math.Log(1 - min(trust[ci.supSrc[e]], maxTrust)) // tau(s)
 			}
 			conf[v] = 1 / (1 + math.Exp(-gamma*sigma))
 		}); err != nil {
 			return nil, err
 		}
 		// Source trust from value confidences.
-		if err := parallel.ForEach(cfg, len(ci.sources), func(s int) {
-			lo, hi := ci.srcOff[s], ci.srcOff[s+1]
-			if lo == hi {
-				delta[s] = 0
-				return
-			}
-			var sum float64
-			for c := lo; c < hi; c++ {
-				sum += conf[ci.srcVal[c]]
-			}
-			next := sum / float64(hi-lo)
-			delta[s] = math.Abs(next - trust[s])
-			trust[s] = next
-		}); err != nil {
+		maxDelta, err := ci.mStep(reg, conf, trust, math.Inf(-1), math.Inf(1))
+		if err != nil {
 			return nil, err
 		}
-		maxDelta := 0.0
-		for _, d := range delta {
-			if d > maxDelta {
-				maxDelta = d
-			}
-		}
-		reg.Dist("fusion.em_delta").Observe(maxDelta)
-		reg.Gauge("fusion.em_final_delta").Set(maxDelta)
 		if maxDelta < eps {
 			break
 		}
