@@ -35,9 +35,10 @@ bench:
 # linker's op-sequence corpus against its full-rebuild oracle with the
 # retraction cost curve, the stream's op-sequence corpus against the
 # from-scratch publish with the publish cost curve and readers racing
-# later publishes, the online kernel against its dense reference, every
+# later publishes, concurrent queries on two snapshots sharing no pooled
+# scratch, the online kernel against its dense reference, every
 # fuser's output bits on three claim-set shapes, and the HTTP edge: the
 # handler fuzz corpus and Close racing Publish and reads.
 chaos:
 	$(GO) run -race ./cmd/bdibench -exp E23
-	$(GO) test -race -run 'TestStreamKillMidCompactionChaos|TestStreamStateBackupRecovery|TestStreamStateDecodeRobust|FuzzStreamStateDecode|FuzzIncrementalOps|TestDeleteCostIndependentOfCorpus|FuzzHandlers|TestShutdownDuringPublish|FuzzStreamOps|TestPublishCostFollowsDirtySet|TestSnapshotsShareNoMutableState|TestOnlineKernelMatchesReference|TestFusersKeepParentBits' ./internal/core/... ./internal/linkage/... ./internal/serve/... ./internal/fusion/...
+	$(GO) test -race -run 'TestStreamKillMidCompactionChaos|TestStreamStateBackupRecovery|TestStreamStateDecodeRobust|FuzzStreamStateDecode|FuzzIncrementalOps|TestDeleteCostIndependentOfCorpus|FuzzHandlers|TestShutdownDuringPublish|FuzzStreamOps|TestPublishCostFollowsDirtySet|TestSnapshotsShareNoMutableState|TestQueryScratchIsolated|TestOnlineKernelMatchesReference|TestFusersKeepParentBits' ./internal/core/... ./internal/linkage/... ./internal/serve/... ./internal/fusion/...

@@ -42,10 +42,10 @@ func (r *Report) Snapshot() (*Snapshot, error) {
 	return r.snap, r.snapErr
 }
 
-// Entities returns every integrated entity from the report, ordered by
-// entity ID. The result is the snapshot's shared, immutable entity
-// list — materialised once per report, not per call — so callers must
-// treat entities as read-only.
+// Entities returns every integrated entity from the report in entity
+// index order (e0, e1, …, e10, …), not byte-wise ID order. The result is
+// the snapshot's shared, immutable entity list — materialised once per
+// report, not per call — so callers must treat entities as read-only.
 func (r *Report) Entities() ([]*Entity, error) {
 	s, err := r.Snapshot()
 	if err != nil {
@@ -88,7 +88,8 @@ type Hit struct {
 
 // Search ranks integrated entities against a keyword query by blended
 // overlap/Jaccard similarity between the query and each entity's title
-// plus fused string values, returning up to limit hits with score > 0.
+// plus fused string values, returning up to limit hits with score > 0,
+// ties broken by byte-wise Entity.ID ascending (see Snapshot.Search).
 // limit 0 applies the default DefaultSearchLimit; negative limits
 // return a validation error. Repeated searches share the memoized
 // snapshot, so the warm path is an index probe with no per-query

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/data"
@@ -96,5 +98,283 @@ func TestIndexerMatchesReference(t *testing.T) {
 		if !reflect.DeepEqual(snap.pseudo[i], want) {
 			t.Fatalf("entity %d pseudo-record %v, want %v", i, snap.pseudo[i], want)
 		}
+	}
+}
+
+// referenceProbe is the map-and-sort probe Snapshot.probe replaced, kept
+// as the oracle for the pooled kernel: postings are accumulated into a
+// map, every touched entity is scored and the whole hit list is sorted
+// by score descending, then byte-wise Entity.ID ascending.
+func referenceProbe(s *Snapshot, toks []uint32, nq, exclude, limit int) []Hit {
+	if nq == 0 {
+		return nil
+	}
+	counts := make(map[int32]int, 64)
+	for _, tok := range toks {
+		for _, e := range s.words.postings[tok] {
+			counts[e]++
+		}
+	}
+	touched := make([]int32, 0, len(counts))
+	for e := range counts {
+		touched = append(touched, e)
+	}
+	sort.Slice(touched, func(i, j int) bool { return touched[i] < touched[j] })
+	hits := make([]Hit, 0, len(touched))
+	for _, e := range touched {
+		if int(e) == exclude {
+			continue
+		}
+		inter := counts[e]
+		ne := len(s.entTokens[e])
+		m := nq
+		if ne < m {
+			m = ne
+		}
+		overlap := float64(inter) / float64(m)
+		jaccard := float64(inter) / float64(nq+ne-inter)
+		if sc := 0.7*overlap + 0.3*jaccard; sc > 0 {
+			hits = append(hits, Hit{Entity: s.entities[e], Score: sc})
+		}
+	}
+	sortReferenceHits(hits)
+	if len(hits) > limit {
+		hits = hits[:limit]
+	}
+	return hits
+}
+
+func sortReferenceHits(hits []Hit) {
+	sort.Slice(hits, func(i, j int) bool {
+		if hits[i].Score != hits[j].Score {
+			return hits[i].Score > hits[j].Score
+		}
+		return hits[i].Entity.ID < hits[j].Entity.ID
+	})
+}
+
+// referenceQueryTokens is the query side of the legacy Search: the
+// distinct words through a map, the known ones looked up one by one.
+func referenceQueryTokens(s *Snapshot, qset map[string]bool) []uint32 {
+	toks := make([]uint32, 0, len(qset))
+	for w := range qset {
+		if id, ok := s.words.ids[w]; ok {
+			toks = append(toks, id)
+		}
+	}
+	return toks
+}
+
+func referenceSearch(s *Snapshot, query string, limit int) []Hit {
+	qset := tokenize.WordSet(tokenize.Normalize(query))
+	return referenceProbe(s, referenceQueryTokens(s, qset), len(qset), -1, limit)
+}
+
+func referenceSimilar(s *Snapshot, self, k int) []Hit {
+	toks := s.entTokens[self]
+	return referenceProbe(s, toks, len(toks), self, k)
+}
+
+// referenceResolve is the legacy Resolve body: candidates deduped in
+// maps, the keyword shortlist mapped back through byID, every candidate
+// scored and the whole list sorted.
+func referenceResolve(s *Snapshot, rec *data.Record, k int) []Hit {
+	qset := map[string]bool{}
+	cand := map[int32]bool{}
+	for _, attr := range rec.Attrs() {
+		v := rec.Get(attr)
+		if v.Kind == data.KindString {
+			for _, w := range tokenize.Words(v.Str) {
+				qset[w] = true
+			}
+		}
+		for _, e := range s.values.lookup(attr + "\x00" + v.Key()) {
+			cand[e] = true
+		}
+	}
+	shortlist := 4 * k
+	if shortlist < 32 {
+		shortlist = 32
+	}
+	for _, h := range referenceProbe(s, referenceQueryTokens(s, qset), len(qset), -1, shortlist) {
+		cand[int32(s.byID[h.Entity.ID])] = true
+	}
+	hits := make([]Hit, 0, len(cand))
+	for e := range cand {
+		if sc := s.cmp.Compare(rec, s.pseudo[e]); sc > 0 {
+			hits = append(hits, Hit{Entity: s.entities[e], Score: sc})
+		}
+	}
+	sortReferenceHits(hits)
+	if len(hits) > k {
+		hits = hits[:k]
+	}
+	return hits
+}
+
+// bruteForce scores every entity but exclude against the distinct query
+// token set by direct set intersection, with no index at all.
+func bruteForce(s *Snapshot, qtoks map[uint32]bool, nq, exclude, limit int) []Hit {
+	if nq == 0 {
+		return nil
+	}
+	var hits []Hit
+	for i, toks := range s.entTokens {
+		inter := 0
+		for _, tok := range toks {
+			if qtoks[tok] {
+				inter++
+			}
+		}
+		if i == exclude || inter == 0 {
+			continue
+		}
+		ne := len(toks)
+		overlap := float64(inter) / float64(min(nq, ne))
+		jaccard := float64(inter) / float64(nq+ne-inter)
+		hits = append(hits, Hit{Entity: s.entities[i], Score: 0.7*overlap + 0.3*jaccard})
+	}
+	sortReferenceHits(hits)
+	return hits[:min(limit, len(hits))]
+}
+
+func bruteSearch(s *Snapshot, query string, limit int) []Hit {
+	qset := tokenize.WordSet(tokenize.Normalize(query))
+	qtoks := map[uint32]bool{}
+	for _, tok := range referenceQueryTokens(s, qset) {
+		qtoks[tok] = true
+	}
+	return bruteForce(s, qtoks, len(qset), -1, limit)
+}
+
+func bruteSimilar(s *Snapshot, self, k int) []Hit {
+	qtoks := map[uint32]bool{}
+	for _, tok := range s.entTokens[self] {
+		qtoks[tok] = true
+	}
+	return bruteForce(s, qtoks, len(qtoks), self, k)
+}
+
+// tieSnapshot builds a snapshot of n entities drawn from four title
+// shapes and two years, so whole classes of entities share a score and
+// the byte-wise Entity.ID tie-break ("e10" < "e2") decides every cut.
+func tieSnapshot(n int) *Snapshot {
+	titles := []string{"alpha beta", "alpha beta gamma", "alpha gamma", "beta"}
+	ix := newIndexer(n)
+	seen := map[string]struct{}{}
+	for i := 0; i < n; i++ {
+		title := titles[i%len(titles)]
+		values := map[string]data.Value{
+			"brand": data.String("acme"),
+			"year":  data.Number(float64(2020 + i%2)),
+		}
+		e := &Entity{ID: fmt.Sprintf("e%d", i), Title: title, Values: values}
+		ix.add(e, newEntityDoc(title, values, seen))
+	}
+	return ix.snapshot()
+}
+
+// queryCase is one read of a snapshot and its reference answer.
+type queryCase struct {
+	name string
+	run  func() ([]Hit, error)
+	want []Hit
+}
+
+// kernelCases lists the queries the kernel is checked on for snap: the
+// given keyword queries, Similar on every entity and Resolve on the given
+// records, each at every limit, with the reference answer attached.
+// Search and Similar must also agree with the brute-force scan.
+func kernelCases(t *testing.T, snap *Snapshot, queries []string, recs []*data.Record) []queryCase {
+	t.Helper()
+	var cases []queryCase
+	for _, limit := range []int{1, 3, 10, 1000} {
+		for _, q := range queries {
+			want := referenceSearch(snap, q, limit)
+			if d := sameHits(bruteSearch(snap, q, limit), want); d != nil {
+				t.Fatalf("brute-force Search(%q, %d) disagrees with the reference: %s", q, limit, d)
+			}
+			cases = append(cases, queryCase{fmt.Sprintf("Search(%q, %d)", q, limit),
+				func() ([]Hit, error) { return snap.Search(q, limit) }, want})
+		}
+		for i, e := range snap.Entities() {
+			want := referenceSimilar(snap, i, limit)
+			if d := sameHits(bruteSimilar(snap, i, limit), want); d != nil {
+				t.Fatalf("brute-force Similar(%s, %d) disagrees with the reference: %s", e.ID, limit, d)
+			}
+			cases = append(cases, queryCase{fmt.Sprintf("Similar(%s, %d)", e.ID, limit),
+				func() ([]Hit, error) { return snap.Similar(e.ID, limit) }, want})
+		}
+		for _, rec := range recs {
+			cases = append(cases, queryCase{fmt.Sprintf("Resolve(%v, %d)", rec.Fields, limit),
+				func() ([]Hit, error) { return snap.Resolve(rec, limit) }, referenceResolve(snap, rec, limit)})
+		}
+	}
+	return cases
+}
+
+// reportKernelCases is kernelCases over the test report's snapshot:
+// known, partly known and wholly unknown keyword queries, every fifth
+// title, and records resolving by title, by an exact numeric value and
+// by nothing.
+func reportKernelCases(t *testing.T, snap *Snapshot) []queryCase {
+	queries := []string{"camera", "nova", "pro 4", "camera zzz", "zzz nothing", "qqq"}
+	var recs []*data.Record
+	for i, e := range snap.Entities() {
+		if i%5 != 0 || e.Title == "" {
+			continue
+		}
+		queries = append(queries, e.Title)
+		recs = append(recs, data.NewRecord("q", "client").Set("title", data.String(e.Title)))
+		for _, a := range sortedKeys(e.Values) {
+			if v := e.Values[a]; v.Kind == data.KindNumber {
+				recs = append(recs, data.NewRecord("q", "client").Set(a, v))
+				break
+			}
+		}
+	}
+	recs = append(recs, data.NewRecord("q", "client").Set("title", data.String("zzz nothing")))
+	return kernelCases(t, snap, queries, recs)
+}
+
+// tieKernelCases is kernelCases over a tie-heavy snapshot.
+func tieKernelCases(t *testing.T, snap *Snapshot) []queryCase {
+	queries := []string{"alpha", "beta", "alpha beta", "gamma beta", "alpha zzz", "zzz"}
+	recs := []*data.Record{
+		data.NewRecord("q", "client").Set("title", data.String("alpha beta")),
+		data.NewRecord("q", "client").Set("title", data.String("beta")).Set("brand", data.String("acme")),
+		data.NewRecord("q", "client").Set("year", data.Number(2021)),
+		data.NewRecord("q", "client").Set("title", data.String("zzz")),
+	}
+	return kernelCases(t, snap, queries, recs)
+}
+
+// TestQueryKernelMatchesReference pins Search, Similar and Resolve hit
+// for hit — entity ID and score bits — to the map-and-sort reference
+// and, for Search and Similar, to a brute-force scan of every entity:
+// at limits 1, 3, 10 and 1000, with Similar excluding itself, on
+// queries with no known word, and on a web where ties decide the cut.
+func TestQueryKernelMatchesReference(t *testing.T) {
+	snap, err := testReport(t).Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ties := tieSnapshot(37)
+	cases := append(reportKernelCases(t, snap), tieKernelCases(t, ties)...)
+	for _, c := range cases {
+		got, err := c.run()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if d := sameHits(got, c.want); d != nil {
+			t.Fatalf("%s: %s", c.name, d)
+		}
+	}
+	// The tie web must really be decided by the tie-break: "alpha"
+	// scores every even entity alike, and the byte-wise order puts e10
+	// and e12 before e2.
+	hits, _ := ties.Search("alpha", 3)
+	if ids := []string{hits[0].Entity.ID, hits[1].Entity.ID, hits[2].Entity.ID}; hits[0].Score != hits[2].Score || ids[1] != "e10" || ids[2] != "e12" {
+		t.Errorf("tie web top 3 for alpha = %v, want equal scores cut by byte-wise ID", ids)
 	}
 }

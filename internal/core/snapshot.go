@@ -3,7 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/data"
 	"repro/internal/similarity"
@@ -50,6 +52,44 @@ type Snapshot struct {
 	pseudo []*data.Record
 	cmp    *similarity.RecordComparator
 	values inverted
+
+	// scratch pools the per-query *queryScratch. It starts empty: a
+	// snapshot that is never queried never allocates one.
+	scratch sync.Pool
+}
+
+// queryScratch is one query's working memory, reused across queries on
+// the same snapshot. counts is dense over the entities and all zero
+// between queries; touched lists the entities whose count a query made
+// non-zero, so handing the scratch back costs O(touched), not O(|E|).
+type queryScratch struct {
+	counts  []int32
+	touched []int32
+	toks    []uint32
+	top     []scored
+}
+
+// scored is one ranked candidate: an entity index and its score.
+type scored struct {
+	score float64
+	e     int32
+}
+
+// getScratch takes a clean scratch from the pool, allocating one sized
+// to the snapshot when the pool is empty.
+func (s *Snapshot) getScratch() *queryScratch {
+	if sc, ok := s.scratch.Get().(*queryScratch); ok {
+		return sc
+	}
+	return &queryScratch{counts: make([]int32, len(s.entities))}
+}
+
+// mark notes entity e as touched and counts one more hit for it.
+func (sc *queryScratch) mark(e int32) {
+	if sc.counts[e] == 0 {
+		sc.touched = append(sc.touched, e)
+	}
+	sc.counts[e]++
 }
 
 // inverted maps a string to the entities that carry it, ascending.
@@ -283,8 +323,9 @@ func materializeEntities(r *Report) ([]*Entity, error) {
 // Len returns the number of integrated entities.
 func (s *Snapshot) Len() int { return len(s.entities) }
 
-// Entities returns every integrated entity ordered by entity ID. The
-// slice and the entities are shared, immutable views — callers must
+// Entities returns every integrated entity in entity index order (e0,
+// e1, …, e10, …: numeric, not the byte-wise ID order ranked hits tie on).
+// The slice and the entities are shared, immutable views — callers must
 // not modify them.
 func (s *Snapshot) Entities() []*Entity { return s.entities }
 
@@ -301,9 +342,11 @@ func (s *Snapshot) Entity(id string) (*Entity, bool) {
 // Search ranks integrated entities against a keyword query by the
 // blended overlap/Jaccard similarity between the query's words and
 // each entity's title plus fused string values, returning up to limit
-// hits with score > 0. limit 0 means DefaultSearchLimit; negative
-// limits are a validation error. The whole operation is an index
-// probe: no entity is materialised or re-tokenised per call.
+// hits with score > 0, sorted by score descending and then byte-wise
+// Entity.ID ascending ("e10" before "e2"). limit 0 means
+// DefaultSearchLimit; negative limits are a validation error. The whole
+// operation is an index probe: no entity is materialised or re-tokenised
+// per call, and its allocations do not grow with the entities touched.
 func (s *Snapshot) Search(query string, limit int) ([]Hit, error) {
 	limit, err := searchLimit(limit)
 	if err != nil {
@@ -313,14 +356,11 @@ func (s *Snapshot) Search(query string, limit int) ([]Hit, error) {
 	if qNorm == "" {
 		return nil, fmt.Errorf("core: empty query")
 	}
-	qset := tokenize.WordSet(qNorm)
-	toks := make([]uint32, 0, len(qset))
-	for w := range qset {
-		if id, ok := s.words.ids[w]; ok {
-			toks = append(toks, id)
-		}
-	}
-	return s.probe(toks, len(qset), -1, limit), nil
+	sc := s.getScratch()
+	nq := s.queryTokens(sc, tokenize.Words(qNorm))
+	hits := s.hits(s.probe(sc, sc.toks, nq, -1, limit))
+	s.scratch.Put(sc)
+	return hits, nil
 }
 
 // Similar returns the k entities most similar to the given entity,
@@ -337,35 +377,53 @@ func (s *Snapshot) Similar(id string, k int) ([]Hit, error) {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchEntity, id)
 	}
 	toks := s.entTokens[self]
-	return s.probe(toks, len(toks), self, k), nil
+	sc := s.getScratch()
+	hits := s.hits(s.probe(sc, toks, len(toks), self, k))
+	s.scratch.Put(sc)
+	return hits, nil
 }
 
-// probe accumulates posting-list hits for the given token IDs and
-// blends overlap and Jaccard exactly as the legacy per-query scan did:
-// score = 0.7·|Q∩E|/min(|Q|,|E|) + 0.3·|Q∩E|/|Q∪E| with |Q| = nq
-// distinct query words. exclude ≥ 0 drops that entity (Similar's
-// self). Hits are sorted by score descending, entity ID ascending.
-func (s *Snapshot) probe(toks []uint32, nq, exclude, limit int) []Hit {
-	if nq == 0 {
-		return nil
-	}
-	counts := make(map[int32]int, 64)
-	for _, tok := range toks {
-		for _, e := range s.words.postings[tok] {
-			counts[e]++
+// queryTokens sorts words in place, sets sc.toks to the index IDs of its
+// distinct words the index knows and returns how many distinct words it
+// has, known or not: the |Q| of the score blend.
+func (s *Snapshot) queryTokens(sc *queryScratch, words []string) int {
+	slices.Sort(words)
+	words = slices.Compact(words)
+	sc.toks = sc.toks[:0]
+	for _, w := range words {
+		if id, ok := s.words.ids[w]; ok {
+			sc.toks = append(sc.toks, id)
 		}
 	}
-	touched := make([]int32, 0, len(counts))
-	for e := range counts {
-		touched = append(touched, e)
+	return len(words)
+}
+
+// probe ranks the entities sharing a token with the query: toks are the
+// index IDs of its distinct known words and nq counts its distinct words,
+// known or not. Postings are counted into the dense sc.counts and every
+// touched entity is scored exactly as the legacy per-query scan did:
+// score = 0.7·|Q∩E|/min(|Q|,|E|) + 0.3·|Q∩E|/|Q∪E| with |Q| = nq.
+// exclude ≥ 0 drops that entity (Similar's self). Only the best limit
+// survive a bounded heap, and only they are sorted: by score descending,
+// then byte-wise Entity.ID ascending. The result lives in sc.top; the
+// counts are zero again on return. probe allocates nothing once the
+// scratch has grown to the query's size.
+func (s *Snapshot) probe(sc *queryScratch, toks []uint32, nq, exclude, limit int) []scored {
+	sc.top = sc.top[:0]
+	if nq == 0 {
+		return sc.top
 	}
-	sort.Slice(touched, func(i, j int) bool { return touched[i] < touched[j] })
-	hits := make([]Hit, 0, len(touched))
-	for _, e := range touched {
+	for _, tok := range toks {
+		for _, e := range s.words.postings[tok] {
+			sc.mark(e)
+		}
+	}
+	for _, e := range sc.touched {
+		inter := int(sc.counts[e])
+		sc.counts[e] = 0
 		if int(e) == exclude {
 			continue
 		}
-		inter := counts[e]
 		ne := len(s.entTokens[e])
 		m := nq
 		if ne < m {
@@ -373,20 +431,82 @@ func (s *Snapshot) probe(toks []uint32, nq, exclude, limit int) []Hit {
 		}
 		overlap := float64(inter) / float64(m)
 		jaccard := float64(inter) / float64(nq+ne-inter)
-		if sc := 0.7*overlap + 0.3*jaccard; sc > 0 {
-			hits = append(hits, Hit{Entity: s.entities[e], Score: sc})
+		if score := 0.7*overlap + 0.3*jaccard; score > 0 {
+			s.keep(sc, scored{score: score, e: e}, limit)
 		}
 	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score > hits[j].Score
-		}
-		return hits[i].Entity.ID < hits[j].Entity.ID
-	})
-	if len(hits) > limit {
-		hits = hits[:limit]
+	sc.touched = sc.touched[:0]
+	return s.ranked(sc.top)
+}
+
+// worse reports whether a ranks below b: a lower score, or the same
+// score and a byte-wise greater Entity.ID.
+func (s *Snapshot) worse(a, b scored) bool {
+	if a.score != b.score {
+		return a.score < b.score
 	}
-	return hits
+	return s.entities[a.e].ID > s.entities[b.e].ID
+}
+
+// keep offers c to sc.top, a heap of the best limit candidates so far
+// whose root is the worst of them.
+func (s *Snapshot) keep(sc *queryScratch, c scored, limit int) {
+	h := sc.top
+	if len(h) == limit {
+		if !s.worse(h[0], c) {
+			return
+		}
+		h[0] = c
+		s.siftDown(h, 0)
+		return
+	}
+	h = append(h, c)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !s.worse(h[i], h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	sc.top = h
+}
+
+// siftDown restores the heap property below h[i].
+func (s *Snapshot) siftDown(h []scored, i int) {
+	for {
+		w := i
+		if l := 2*i + 1; l < len(h) && s.worse(h[l], h[w]) {
+			w = l
+		}
+		if r := 2*i + 2; r < len(h) && s.worse(h[r], h[w]) {
+			w = r
+		}
+		if w == i {
+			return
+		}
+		h[i], h[w] = h[w], h[i]
+		i = w
+	}
+}
+
+// ranked heap-sorts h in place, best first: each step moves the root —
+// the worst left — behind the shrinking heap.
+func (s *Snapshot) ranked(h []scored) []scored {
+	for n := len(h) - 1; n > 0; n-- {
+		h[0], h[n] = h[n], h[0]
+		s.siftDown(h[:n], 0)
+	}
+	return h
+}
+
+// hits materialises ranked candidates as the API's hits.
+func (s *Snapshot) hits(top []scored) []Hit {
+	out := make([]Hit, len(top))
+	for i, c := range top {
+		out[i] = Hit{Entity: s.entities[c.e], Score: c.score}
+	}
+	return out
 }
 
 // searchLimit resolves the shared limit contract: 0 means the default,
@@ -408,8 +528,8 @@ func searchLimit(limit int) (int, error) {
 // exact value-key equality on any attribute (so identifier matches
 // surface even with zero text overlap). Each candidate is then scored
 // by the snapshot's weighted per-field comparator, and the top k are
-// returned sorted by score descending, entity ID ascending. k 0 means
-// DefaultSearchLimit; negative k is a validation error.
+// returned sorted by score descending, byte-wise entity ID ascending.
+// k 0 means DefaultSearchLimit; negative k is a validation error.
 func (s *Snapshot) Resolve(rec *data.Record, k int) ([]Hit, error) {
 	k, err := searchLimit(k)
 	if err != nil {
@@ -418,55 +538,37 @@ func (s *Snapshot) Resolve(rec *data.Record, k int) ([]Hit, error) {
 	if rec == nil || len(rec.Fields) == 0 {
 		return nil, fmt.Errorf("core: empty record")
 	}
-	// Text probe: distinct words across every string value.
-	qset := map[string]bool{}
-	cand := map[int32]bool{}
-	for _, attr := range rec.Attrs() {
-		v := rec.Get(attr)
-		if v.Kind == data.KindString {
-			for _, w := range tokenize.Words(v.Str) {
-				qset[w] = true
-			}
-		}
-		for _, e := range s.values.lookup(attr + "\x00" + v.Key()) {
-			cand[e] = true
+	// Text probe: the words of every string value.
+	attrs := rec.Attrs()
+	var words []string
+	for _, attr := range attrs {
+		if v := rec.Get(attr); v.Kind == data.KindString {
+			words = append(words, tokenize.Words(v.Str)...)
 		}
 	}
-	toks := make([]uint32, 0, len(qset))
-	for w := range qset {
-		if id, ok := s.words.ids[w]; ok {
-			toks = append(toks, id)
-		}
-	}
+	sc := s.getScratch()
+	nq := s.queryTokens(sc, words)
 	// A shortlist bounded well above k keeps the comparator pass cheap
-	// while leaving room for the exact-value candidates to rerank.
-	shortlist := 4 * k
-	if shortlist < 32 {
-		shortlist = 32
+	// while leaving room for the exact-value candidates to rerank. The
+	// candidates are deduped by marking them in the scratch.
+	for _, c := range s.probe(sc, sc.toks, nq, -1, max(4*k, 32)) {
+		sc.mark(c.e)
 	}
-	for _, h := range s.probe(toks, len(qset), -1, shortlist) {
-		cand[int32(s.byID[h.Entity.ID])] = true
-	}
-	ordered := make([]int32, 0, len(cand))
-	for e := range cand {
-		ordered = append(ordered, e)
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i] < ordered[j] })
-	hits := make([]Hit, 0, len(ordered))
-	for _, e := range ordered {
-		if sc := s.cmp.Compare(rec, s.pseudo[e]); sc > 0 {
-			hits = append(hits, Hit{Entity: s.entities[e], Score: sc})
+	for _, attr := range attrs {
+		for _, e := range s.values.lookup(attr + "\x00" + rec.Get(attr).Key()) {
+			sc.mark(e)
 		}
 	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score > hits[j].Score
+	sc.top = sc.top[:0]
+	for _, e := range sc.touched {
+		sc.counts[e] = 0
+		if score := s.cmp.Compare(rec, s.pseudo[e]); score > 0 {
+			s.keep(sc, scored{score: score, e: e}, k)
 		}
-		return hits[i].Entity.ID < hits[j].Entity.ID
-	})
-	if len(hits) > k {
-		hits = hits[:k]
 	}
+	sc.touched = sc.touched[:0]
+	hits := s.hits(s.ranked(sc.top))
+	s.scratch.Put(sc)
 	return hits, nil
 }
 

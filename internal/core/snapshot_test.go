@@ -2,12 +2,21 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/data"
 	"repro/internal/datagen"
 	"repro/internal/similarity"
+	"repro/internal/tokenize"
 )
+
+// raceEnabled reports a -race build, where sync.Pool drops a share of
+// what it is handed and allocation counts of pooled paths vary.
+var raceEnabled bool
 
 // legacySearch is the pre-snapshot reference implementation: it
 // re-materialises every entity and re-tokenises its text per query,
@@ -332,21 +341,40 @@ func benchWeb() *datagen.Web {
 	})
 }
 
+// BenchmarkSearchWarm times the three ranked reads on a warm snapshot:
+// search and resolve by an entity's title, similar by its ID.
 func BenchmarkSearchWarm(b *testing.B) {
 	web := benchWeb()
 	rep, err := New(Config{}).Run(web.Dataset)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := rep.Search("camera pro", 10); err != nil {
+	snap, err := rep.Snapshot()
+	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := rep.Search("camera pro", 10); err != nil {
-			b.Fatal(err)
-		}
+	target := snap.Entities()[0]
+	rec := data.NewRecord("q", "client").Set("title", data.String(target.Title))
+	for _, bc := range []struct {
+		name string
+		read func() ([]Hit, error)
+	}{
+		{"search", func() ([]Hit, error) { return rep.Search("camera pro", 10) }},
+		{"similar", func() ([]Hit, error) { return snap.Similar(target.ID, 10) }},
+		{"resolve", func() ([]Hit, error) { return snap.Resolve(rec, 10) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			if _, err := bc.read(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := bc.read(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -371,5 +399,156 @@ func BenchmarkSearchColdRebuild(b *testing.B) {
 		if _, err := fresh.Search("camera pro", 10); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// renderReads answers every case and renders the answers as text, failing
+// the test if a pooled scratch is handed back dirty: any non-zero count,
+// a touched entity left over or counts sized for another snapshot.
+func renderReads(t *testing.T, snap *Snapshot, cases []queryCase) string {
+	var b strings.Builder
+	for _, c := range cases {
+		hits, err := c.run()
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			return ""
+		}
+		fmt.Fprintf(&b, "%s:", c.name)
+		for _, h := range hits {
+			fmt.Fprintf(&b, " %s %x", h.Entity.ID, math.Float64bits(h.Score))
+		}
+		b.WriteByte('\n')
+		if sc, ok := snap.scratch.Get().(*queryScratch); ok {
+			if err := scratchClean(snap, sc); err != nil {
+				t.Errorf("after %s: %v", c.name, err)
+			}
+			snap.scratch.Put(sc)
+		}
+	}
+	return b.String()
+}
+
+func scratchClean(snap *Snapshot, sc *queryScratch) error {
+	if len(sc.counts) != snap.Len() {
+		return fmt.Errorf("pooled counts sized %d for a snapshot of %d", len(sc.counts), snap.Len())
+	}
+	if len(sc.touched) != 0 {
+		return fmt.Errorf("pooled scratch still lists %d touched entities", len(sc.touched))
+	}
+	for e, n := range sc.counts {
+		if n != 0 {
+			return fmt.Errorf("pooled count of entity %d is %d", e, n)
+		}
+	}
+	return nil
+}
+
+// TestQueryScratchIsolated hammers two snapshots of different sizes from
+// several goroutines at once: every answer must equal the serial one,
+// and every scratch in either pool must be clean after every call. Run
+// under -race it also pins that no two queries share a scratch.
+func TestQueryScratchIsolated(t *testing.T) {
+	big, err := testReport(t).Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := tieSnapshot(23)
+	if big.Len() == small.Len() {
+		t.Fatalf("both snapshots hold %d entities; the test needs two sizes", big.Len())
+	}
+	bigCases, smallCases := reportKernelCases(t, big), tieKernelCases(t, small)
+	wantBig, wantSmall := renderReads(t, big, bigCases), renderReads(t, small, smallCases)
+	var wg sync.WaitGroup
+	for r := 0; r < 6; r++ {
+		snap, cases, want := big, bigCases, wantBig
+		if r%2 == 1 {
+			snap, cases, want = small, smallCases, wantSmall
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for pass := 0; pass < 3; pass++ {
+				if got := renderReads(t, snap, cases); got != want {
+					t.Errorf("concurrent answers on the %d-entity snapshot differ from the serial ones", snap.Len())
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestQueryAllocsFlat pins that a warm query's allocations do not grow
+// with the entities it touches: Search costs the same for a word one
+// entity carries as for words most entities carry, Similar the same for
+// an entity with few neighbours as for one with many, and the probe
+// itself allocates nothing.
+func TestQueryAllocsFlat(t *testing.T) {
+	snap, err := testReport(t).Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The rarest and the most frequent words of the index.
+	byFreq := make([]string, 0, len(snap.words.ids))
+	for w := range snap.words.ids {
+		byFreq = append(byFreq, w)
+	}
+	postings := func(w string) int { return len(snap.words.lookup(w)) }
+	sort.Slice(byFreq, func(i, j int) bool {
+		if pi, pj := postings(byFreq[i]), postings(byFreq[j]); pi != pj {
+			return pi < pj
+		}
+		return byFreq[i] < byFreq[j]
+	})
+	rare, common := byFreq[0], strings.Join(byFreq[len(byFreq)-3:], " ")
+	if postings(rare) != 1 {
+		t.Fatalf("rarest word %q is carried by %d entities, want 1", rare, postings(rare))
+	}
+	sc := snap.getScratch()
+	nq := snap.queryTokens(sc, tokenize.Words(common))
+	toks := append([]uint32(nil), sc.toks...)
+	snap.probe(sc, toks, nq, -1, 10)
+	touched := map[int32]bool{}
+	for _, tok := range toks {
+		for _, e := range snap.words.postings[tok] {
+			touched[e] = true
+		}
+	}
+	if 2*len(touched) <= snap.Len() {
+		t.Fatalf("%q touches %d of %d entities, want most", common, len(touched), snap.Len())
+	}
+	if allocs := testing.AllocsPerRun(100, func() { snap.probe(sc, toks, nq, -1, 10) }); allocs != 0 {
+		t.Errorf("warm probe allocates %v objects per call, want 0", allocs)
+	}
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop scratch at random")
+	}
+	allocs := func(read func() ([]Hit, error)) float64 {
+		return testing.AllocsPerRun(100, func() {
+			if _, err := read(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one := allocs(func() ([]Hit, error) { return snap.Search(rare, 10) })
+	most := allocs(func() ([]Hit, error) { return snap.Search(common, 10) })
+	if one != most {
+		t.Errorf("Search allocates %v objects for a one-hit query, %v for %q", one, most, common)
+	}
+	// Similar on the entities with the fewest and the most tokens.
+	lo, hi := 0, 0
+	for i, toks := range snap.entTokens {
+		if len(toks) < len(snap.entTokens[lo]) {
+			lo = i
+		}
+		if len(toks) > len(snap.entTokens[hi]) {
+			hi = i
+		}
+	}
+	few := allocs(func() ([]Hit, error) { return snap.Similar(snap.entities[lo].ID, 10) })
+	many := allocs(func() ([]Hit, error) { return snap.Similar(snap.entities[hi].ID, 10) })
+	if few != many || many > 1 {
+		t.Errorf("Similar allocates %v objects for %s, %v for %s; want the same, at most the hit slice",
+			few, snap.entities[lo].ID, many, snap.entities[hi].ID)
 	}
 }

@@ -50,8 +50,10 @@ func (w *statusWriter) WriteHeader(code int) {
 }
 
 // instrument wraps a handler with request/error counters and latency
-// timers, per endpoint and in aggregate.
+// timers, per endpoint and in aggregate. The metric names are built
+// here, once per endpoint, not per request.
 func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
+	requests, errs, latency := "serve."+name+".requests", "serve."+name+".errors", "serve."+name+".latency"
 	return func(w http.ResponseWriter, r *http.Request) {
 		reg := s.reg()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
@@ -59,12 +61,12 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 		h(sw, r)
 		d := time.Since(t0)
 		reg.Counter("serve.requests").Inc()
-		reg.Counter("serve." + name + ".requests").Inc()
+		reg.Counter(requests).Inc()
 		if sw.code >= 400 {
-			reg.Counter("serve." + name + ".errors").Inc()
+			reg.Counter(errs).Inc()
 		}
 		reg.Timer("serve.latency").Observe(d)
-		reg.Timer("serve." + name + ".latency").Observe(d)
+		reg.Timer(latency).Observe(d)
 	}
 }
 
@@ -132,6 +134,28 @@ func hitsJSON(hits []core.Hit) []HitJSON {
 	return out
 }
 
+// The read responses are typed structs whose fields are declared in
+// sorted key order, so they encode to the same bytes the equivalent
+// map[string]any would.
+type (
+	searchResponse struct {
+		Hits  []HitJSON `json:"hits"`
+		Query string    `json:"query"`
+	}
+	similarResponse struct {
+		Hits []HitJSON `json:"hits"`
+		ID   string    `json:"id"`
+	}
+	// resolveResponse carries best and score only when there is a
+	// candidate; candidate scores are always positive.
+	resolveResponse struct {
+		Best       *EntityJSON `json:"best,omitempty"`
+		Candidates []HitJSON   `json:"candidates"`
+		Match      bool        `json:"match"`
+		Score      float64     `json:"score,omitempty"`
+	}
+)
+
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	snap := s.Snapshot()
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -186,7 +210,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"query": q, "hits": hitsJSON(hits)})
+	writeJSON(w, http.StatusOK, searchResponse{Hits: hitsJSON(hits), Query: q})
 }
 
 // resolveRequest is the /resolve body: raw attribute values (parsed
@@ -228,14 +252,11 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	resp := map[string]any{
-		"match":      false,
-		"candidates": hitsJSON(hits),
-	}
+	resp := resolveResponse{Candidates: hitsJSON(hits)}
 	if len(hits) > 0 {
-		resp["best"] = entityJSON(hits[0].Entity)
-		resp["score"] = hits[0].Score
-		resp["match"] = hits[0].Score >= s.cfg.MatchThreshold
+		best := entityJSON(hits[0].Entity)
+		resp.Best, resp.Score = &best, hits[0].Score
+		resp.Match = hits[0].Score >= s.cfg.MatchThreshold
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -256,7 +277,7 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"id": id, "hits": hitsJSON(hits)})
+	writeJSON(w, http.StatusOK, similarResponse{Hits: hitsJSON(hits), ID: id})
 }
 
 func (s *Server) handleReindex(w http.ResponseWriter, r *http.Request) {
