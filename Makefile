@@ -37,8 +37,11 @@ bench:
 # from-scratch publish with the publish cost curve and readers racing
 # later publishes, concurrent queries on two snapshots sharing no pooled
 # scratch, the online kernel against its dense reference, every
-# fuser's output bits on three claim-set shapes, and the HTTP edge: the
-# handler fuzz corpus and Close racing Publish and reads.
+# fuser's output bits on three claim-set shapes, the HTTP edge: the
+# handler fuzz corpus and Close racing Publish and reads, and spill
+# hygiene: a cancelled spill, Indexed.Pairs on a budgeted engine, and
+# budgeted pipeline runs on every candidate path leave no spill
+# directory behind.
 chaos:
 	$(GO) run -race ./cmd/bdibench -exp E23
-	$(GO) test -race -run 'TestStreamKillMidCompactionChaos|TestStreamStateBackupRecovery|TestStreamStateDecodeRobust|FuzzStreamStateDecode|FuzzIncrementalOps|TestDeleteCostIndependentOfCorpus|FuzzHandlers|TestShutdownDuringPublish|FuzzStreamOps|TestPublishCostFollowsDirtySet|TestSnapshotsShareNoMutableState|TestQueryScratchIsolated|TestOnlineKernelMatchesReference|TestFusersKeepParentBits' ./internal/core/... ./internal/linkage/... ./internal/serve/... ./internal/fusion/...
+	$(GO) test -race -run 'TestStreamKillMidCompactionChaos|TestStreamStateBackupRecovery|TestStreamStateDecodeRobust|FuzzStreamStateDecode|FuzzIncrementalOps|TestDeleteCostIndependentOfCorpus|FuzzHandlers|TestShutdownDuringPublish|FuzzStreamOps|TestPublishCostFollowsDirtySet|TestSnapshotsShareNoMutableState|TestQueryScratchIsolated|TestOnlineKernelMatchesReference|TestFusersKeepParentBits|TestSpillCancellation|TestIndexedPairsLeaveNoSpill|TestPipelineShardedSpilledIdentical' ./internal/core/... ./internal/linkage/... ./internal/serve/... ./internal/fusion/... ./internal/blocking/...

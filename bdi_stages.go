@@ -4,12 +4,10 @@ import (
 	"repro/internal/blocking"
 	"repro/internal/core"
 	"repro/internal/discovery"
-	"repro/internal/extract"
 	"repro/internal/fusion"
 	"repro/internal/linkage"
 	"repro/internal/schema"
 	"repro/internal/similarity"
-	"repro/internal/sourcesel"
 	"repro/internal/temporal"
 	"repro/internal/tokenize"
 )
@@ -107,9 +105,6 @@ var (
 	// NewBlockingEngine interns record IDs for sharded block building;
 	// errors along the derived chain stick to the engine (read Err).
 	NewBlockingEngine = blocking.NewEngineOpts
-	// UnionCandidateSets unions packed candidate sets, deduplicating
-	// while preserving first-seen order.
-	UnionCandidateSets = blocking.UnionCandidates
 )
 
 // BuildIndexedBlocks groups records by blocking key across the given
@@ -233,27 +228,6 @@ type (
 // InferCopyDirections decides who copies whom among dependent pairs.
 var InferCopyDirections = fusion.InferDirections
 
-// Source selection ("less is more").
-type (
-	// GainPoint is one step of the marginal-gain curve.
-	GainPoint = sourcesel.GainPoint
-	// GreedySelection selects sources by marginal fusion-quality gain.
-	GreedySelection = sourcesel.Greedy
-	// Selection is a greedy selection result.
-	Selection = sourcesel.Selection
-)
-
-var (
-	// FusionAccuracyQuality builds a truth-sample quality function.
-	FusionAccuracyQuality = sourcesel.FusionAccuracyQuality
-	// SourceGainCurve integrates sources in order, measuring quality.
-	SourceGainCurve = sourcesel.GainCurve
-	// RestrictClaims filters a claim set to allowed sources.
-	RestrictClaims = sourcesel.Restrict
-	// SourcesByEstimatedAccuracy orders sources best-first.
-	SourcesByEstimatedAccuracy = sourcesel.ByEstimatedAccuracy
-)
-
 // Temporal linkage.
 type (
 	// TemporalMatcher scores record pairs with time-decayed
@@ -319,23 +293,4 @@ var (
 	BuildSimWeb = discovery.BuildSimWeb
 	// NewSourceCrawler returns a crawler with standard settings.
 	NewSourceCrawler = discovery.NewCrawler
-)
-
-// Extraction (wrapper induction).
-type (
-	// PageTemplate is one site's page layout.
-	PageTemplate = extract.Template
-	// Page is one rendered product page.
-	Page = extract.Page
-	// Wrapper is an induced extraction rule.
-	Wrapper = extract.Wrapper
-)
-
-var (
-	// NewPageTemplate derives a deterministic template for a site.
-	NewPageTemplate = extract.NewTemplate
-	// InduceWrapper learns a wrapper from a site's pages.
-	InduceWrapper = extract.Induce
-	// ExtractionQuality scores extracted records against originals.
-	ExtractionQuality = extract.ExtractionQuality
 )

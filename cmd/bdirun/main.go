@@ -222,13 +222,8 @@ func run() error {
 		SpillDir:         *spillDir,
 		Obs:              reg,
 	}
-	switch *order {
-	case "linkage-first":
-		cfg.Order = core.LinkageFirst
-	case "schema-first":
-		cfg.Order = core.SchemaFirst
-	default:
-		return fmt.Errorf("unknown -order %q (want linkage-first or schema-first)", *order)
+	if cfg.Order, err = core.ParseOrder(*order); err != nil {
+		return fmt.Errorf("-order: %w", err)
 	}
 	rep, err := core.New(cfg).RunCtx(ctx, d)
 	if err != nil {

@@ -98,13 +98,8 @@ func run() error {
 	}
 
 	cfg := core.Config{Fuser: *fuser, Workers: *workers, Obs: reg}
-	switch *order {
-	case "linkage-first":
-		cfg.Order = core.LinkageFirst
-	case "schema-first":
-		cfg.Order = core.SchemaFirst
-	default:
-		return fmt.Errorf("unknown -order %q (want linkage-first or schema-first)", *order)
+	if cfg.Order, err = core.ParseOrder(*order); err != nil {
+		return fmt.Errorf("-order: %w", err)
 	}
 
 	srvCfg := serve.Config{

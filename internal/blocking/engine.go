@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"runtime"
 	"slices"
 
@@ -148,8 +149,8 @@ type Opts struct {
 }
 
 // Engine shares one record-ID interning across several blocking passes
-// over the same records, so the resulting candidate sets live in one
-// rank space and can be unioned on packed codes.
+// over the same records, so their block collections live in one rank
+// space and can be concatenated into one candidate pass.
 type Engine struct {
 	cfg    parallel.Config
 	recs   []*data.Record
@@ -334,6 +335,30 @@ func (x *Indexed) Purge(maxSize int) *Indexed {
 	return out
 }
 
+// Concat joins block collections of this engine into one collection
+// for pair emission only: the blocks of xs[0], then those of xs[1], and
+// so on. Its keys are no longer sorted (as after ProgressiveOrder), so
+// it must not feed key-ordered consumers like meta-blocking. Because
+// candidate generation dedups to first emission, CandidateSet on the
+// result is the append-and-dedup union of the collections' candidate
+// sets, produced by one pass — in memory or spilled, as the budget
+// selects. A collection of another engine poisons this one.
+func (e *Engine) Concat(xs ...*Indexed) *Indexed {
+	out := &Indexed{eng: e}
+	if e.sink.failed() {
+		return out
+	}
+	for _, x := range xs {
+		if x.eng != e {
+			e.sink.check(errors.New("blocking: Concat of a collection from another engine"))
+			return &Indexed{eng: e}
+		}
+		out.keys = append(out.keys, x.keys...)
+		out.rows = append(out.rows, x.rows...)
+	}
+	return out
+}
+
 // pairOffsets prefix-sums the per-row pair counts: offs[i] is the raw
 // emission position of row i's first pair in the sequential order (row
 // by row, in-row input order). The offsets place the in-memory sweep's
@@ -402,8 +427,7 @@ func (x *Indexed) CandidateSet() *CandidateSet {
 	rawC.Add(int64(nraw))
 	emitC := reg.Counter("blocking.pairs_emitted")
 	emitC.Add(int64(cs.Len()))
-	// Cumulative ratio across all passes on this registry, so the
-	// gauge stays meaningful when a pipeline unions several blockers.
+	// Cumulative ratio across all passes on this registry.
 	if tot := rawC.Value(); tot > 0 {
 		reg.Gauge("blocking.dedup_ratio").Set(float64(emitC.Value()) / float64(tot))
 	}
@@ -411,11 +435,19 @@ func (x *Indexed) CandidateSet() *CandidateSet {
 }
 
 // Pairs expands the blocks into deduplicated candidate pairs.
-func (x *Indexed) Pairs() []data.Pair { return x.CandidateSet().Pairs() }
+func (x *Indexed) Pairs() []data.Pair {
+	cs := x.CandidateSet()
+	defer cs.Close()
+	return cs.Pairs()
+}
 
 // EmitPairs streams the deduplicated pairs to emit in Pairs order,
 // stopping early when emit returns false.
-func (x *Indexed) EmitPairs(emit func(data.Pair) bool) { x.CandidateSet().EmitPairs(emit) }
+func (x *Indexed) EmitPairs(emit func(data.Pair) bool) {
+	cs := x.CandidateSet()
+	defer cs.Close()
+	cs.EmitPairs(emit)
+}
 
 // CandidateSet is a deduplicated candidate-pair collection packed as
 // uint64 rank codes over a shared ID table. It supports random access
@@ -425,20 +457,18 @@ func (x *Indexed) EmitPairs(emit func(data.Pair) bool) { x.CandidateSet().EmitPa
 // A set built under a pair-memory budget is spill-backed: its codes
 // live in sorted run files on disk (ext != nil) and only stream
 // through EmitPairs/emitCodes; random access via Pair is unavailable
-// and Close must be called to release the run files. The codes slice
-// then holds the in-memory tail a union appended after the spilled
-// stream.
+// and Close must be called to remove the set's run directory.
 type CandidateSet struct {
 	ids   []string
-	codes []uint64  // deduplicated pair codes, first-emission order
-	ext   *spillSet // non-nil: codes stream from disk, c.codes is the union tail
-	sink  *errSink  // error sink for streaming reads; nil only on in-memory unions
+	codes []uint64  // deduplicated pair codes, first-emission order (in-memory sets)
+	ext   *spillSet // non-nil: the codes stream from disk instead
+	sink  *errSink  // error sink for streaming reads (nil on unions, which never stream)
 }
 
 // Len returns the number of candidate pairs.
 func (c *CandidateSet) Len() int {
 	if c.ext != nil {
-		return c.ext.n + len(c.codes)
+		return c.ext.n
 	}
 	return len(c.codes)
 }
@@ -448,14 +478,13 @@ func (c *CandidateSet) Len() int {
 // a streaming matcher) and release them with Close.
 func (c *CandidateSet) Spilled() bool { return c.ext != nil }
 
-// Close releases the spill run files of a spill-backed set (shared
-// files are reference-counted across unions). In-memory sets need no
-// Close; calling it is a no-op.
+// Close removes the run directory of a spill-backed set, which owns it
+// alone. In-memory sets need no Close; calling it is a no-op.
 func (c *CandidateSet) Close() error {
 	if c.ext == nil {
 		return nil
 	}
-	return c.ext.release()
+	return os.RemoveAll(c.ext.dir)
 }
 
 // decode unpacks a code into its pair. The high word holds the smaller
@@ -473,21 +502,12 @@ func (c *CandidateSet) Pair(i int) data.Pair {
 	return c.decode(c.codes[i])
 }
 
-// emitCodes streams the packed codes in emission order: the spilled
-// stream (when present) followed by the in-memory tail.
+// emitCodes streams the packed codes in emission order, from disk when
+// the set is spilled.
 func (c *CandidateSet) emitCodes(emit func(code uint64) bool) {
 	if c.ext != nil {
-		stop := false
-		err := c.ext.emit(func(code uint64) bool {
-			if !emit(code) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		if c.sink.check(err) || stop {
-			return
-		}
+		c.sink.check(c.ext.emit(emit))
+		return
 	}
 	for _, code := range c.codes {
 		if !emit(code) {
@@ -534,118 +554,43 @@ func (c *CandidateSet) RecordIDs() []string {
 	return out
 }
 
-// UnionCandidates unions candidate sets, deduplicating while
-// preserving first-seen order across the concatenation — the packed
-// equivalent of appending pair slices and deduplicating through a
-// map[data.Pair]bool. Sets built over the same Engine share an ID
-// table and merge on codes; mixed tables fall back to re-ranking.
-//
-// A spilled set in the first position stays on disk: the union keeps
-// its streamed prefix and appends only the genuinely new codes of the
-// later (in-memory) sets as a tail, so unioning identifier blocking
-// into a budgeted token-blocking pass never materialises the spilled
-// stream. A spilled set in any later position must be materialised to
-// preserve first-seen order and loses its disk backing.
+// UnionCandidates concatenates candidate sets of one engine and keeps
+// each pair's first occurrence — the packed equivalent of appending
+// pair slices and deduplicating through a map[data.Pair]bool. Nil and
+// empty operands are skipped. The result is always a new in-memory
+// set: a spilled operand is streamed in, and its caller still owns
+// (and closes) it. Operands from different engines share no rank space
+// and panic. To union the blocks of several passes, Concat them and
+// take one CandidateSet instead.
 func UnionCandidates(sets ...*CandidateSet) *CandidateSet {
-	var nonEmpty []*CandidateSet
-	for _, s := range sets {
-		if s != nil && s.Len() > 0 {
-			nonEmpty = append(nonEmpty, s)
-		}
-	}
-	if len(nonEmpty) == 0 {
-		return &CandidateSet{}
-	}
-	if len(nonEmpty) == 1 {
-		return nonEmpty[0]
-	}
-	shared := true
-	for _, s := range nonEmpty[1:] {
-		if !sameIDs(nonEmpty[0].ids, s.ids) {
-			shared = false
-			break
-		}
-	}
-	if !shared {
-		return rerankUnion(nonEmpty)
-	}
-	if base := nonEmpty[0]; base.ext != nil {
-		return unionOntoSpilled(base, nonEmpty[1:])
-	}
+	u := &CandidateSet{}
 	total := 0
-	for _, s := range nonEmpty {
+	for _, s := range sets {
+		if s == nil || s.Len() == 0 {
+			continue
+		}
+		if u.ids == nil {
+			u.ids = s.ids
+		} else if !sameIDs(u.ids, s.ids) {
+			panic("blocking: union of candidate sets from different engines")
+		}
 		total += s.Len()
 	}
 	codes := make([]uint64, 0, total)
-	for _, s := range nonEmpty {
-		s.emitCodes(func(code uint64) bool {
-			codes = append(codes, code)
-			return true
-		})
-	}
-	return &CandidateSet{ids: nonEmpty[0].ids, codes: dedupCodesStable(codes)}
-}
-
-// unionOntoSpilled unions in-memory sets onto a spill-backed base that
-// leads the concatenation: every base code precedes every later code,
-// so the result is the untouched spilled stream plus a deduplicated
-// in-memory tail of the codes the base does not already contain.
-// Membership is decided by one sorted-merge sweep over the base's
-// by-code spill stream — the tail never needs the spilled codes in RAM.
-func unionOntoSpilled(base *CandidateSet, rest []*CandidateSet) *CandidateSet {
-	total := len(base.codes)
-	for _, s := range rest {
-		total += s.Len()
-	}
-	tail := make([]uint64, 0, total)
-	tail = append(tail, base.codes...)
-	for _, s := range rest {
-		s.emitCodes(func(code uint64) bool {
-			tail = append(tail, code)
-			return true
-		})
-	}
-	tail = dedupCodesStable(tail)
-	sorted := slices.Clone(tail)
-	slices.Sort(sorted)
-	inBase := make(map[uint64]bool, len(sorted))
-	if err := base.ext.filterSorted(sorted, func(code uint64) { inBase[code] = true }); err != nil {
-		base.sink.check(err)
-		return &CandidateSet{ids: base.ids, sink: base.sink}
-	}
-	kept := tail[:0]
-	for _, code := range tail {
-		if !inBase[code] {
-			kept = append(kept, code)
+	for _, s := range sets {
+		if s != nil {
+			s.emitCodes(func(code uint64) bool {
+				codes = append(codes, code)
+				return true
+			})
 		}
 	}
-	return &CandidateSet{ids: base.ids, codes: kept, ext: base.ext.retain(), sink: base.sink}
+	u.codes = dedupCodesStable(codes)
+	return u
 }
 
-// sameIDs reports whether two ID tables are the same slice (the common
-// case: both sets came from one Engine).
+// sameIDs reports whether two ID tables are the same slice (both sets
+// came from one Engine).
 func sameIDs(a, b []string) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
-
-// rerankUnion merges candidate sets with differing ID tables by
-// building a combined ranker and re-encoding every pair.
-func rerankUnion(sets []*CandidateSet) *CandidateSet {
-	var all []string
-	for _, s := range sets {
-		all = append(all, s.ids...)
-	}
-	rk := newRanker(all)
-	total := 0
-	for _, s := range sets {
-		total += s.Len()
-	}
-	codes := make([]uint64, 0, total)
-	for _, s := range sets {
-		s.EmitPairs(func(p data.Pair) bool {
-			codes = append(codes, pairCode(rk.rank(p.A), rk.rank(p.B)))
-			return true
-		})
-	}
-	return &CandidateSet{ids: rk.ids, codes: dedupCodesStable(codes)}
 }

@@ -543,13 +543,16 @@ func refMinHash(m MinHashLSH, records []*data.Record) []data.Pair {
 // Streaming, union and allocation behaviour.
 // ---------------------------------------------------------------------
 
+// TestUnionCandidatesMatchesAppendDedup: the union of a token and an
+// identifier pass, and the one concatenated pass that replaces it in
+// the pipeline — in memory or spilled, at every worker and shard count
+// — equal the seed semantics: append the pair slices, keep first seen.
 func TestUnionCandidatesMatchesAppendDedup(t *testing.T) {
 	recs := detRecords(200)
 	eng := NewEngineOpts(recs, Opts{Workers: 4})
 	token := eng.Blocks(TokenKey("title")).Purge(50).CandidateSet()
 	id := eng.Blocks(AttrExactKey("pid")).CandidateSet()
 
-	// Seed semantics: append the slices, dedup first-seen.
 	var want []data.Pair
 	want = append(want, token.Pairs()...)
 	want = append(want, id.Pairs()...)
@@ -561,22 +564,47 @@ func TestUnionCandidatesMatchesAppendDedup(t *testing.T) {
 			dedup = append(dedup, p)
 		}
 	}
-	samePairs(t, "union shared table", dedup, UnionCandidates(token, id).Pairs())
+	samePairs(t, "union", dedup, UnionCandidates(token, id).Pairs())
 
-	// Mixed ID tables (separate engines) must agree as a set and order.
-	other := NewEngineOpts(recs[:150], Opts{Workers: 2}).Blocks(AttrExactKey("pid")).CandidateSet()
-	var want2 []data.Pair
-	want2 = append(want2, token.Pairs()...)
-	want2 = append(want2, other.Pairs()...)
-	seen2 := map[data.Pair]bool{}
-	dedup2 := want2[:0:0]
-	for _, p := range want2 {
-		if !seen2[p] {
-			seen2[p] = true
-			dedup2 = append(dedup2, p)
+	for _, budget := range []int64{0, 1 << 10} {
+		for _, w := range workerCounts {
+			for _, s := range shardCounts {
+				e := NewEngineOpts(recs, Opts{Workers: w, Shards: s, PairMemBudget: budget, SpillDir: t.TempDir()})
+				cs := e.Concat(e.Blocks(TokenKey("title")).Purge(50), e.Blocks(AttrExactKey("pid"))).CandidateSet()
+				name := fmt.Sprintf("concat budget=%d workers=%d shards=%d", budget, w, s)
+				if cs.Spilled() != (budget > 0) {
+					t.Fatalf("%s: Spilled() = %v", name, cs.Spilled())
+				}
+				samePairs(t, name, dedup, cs.Pairs())
+				if err := cs.Close(); err != nil {
+					t.Fatalf("%s: Close: %v", name, err)
+				}
+			}
 		}
 	}
-	samePairs(t, "union mixed tables", dedup2, UnionCandidates(token, other).Pairs())
+}
+
+// TestCrossEngineOperandsRejected: collections and candidate sets of
+// two engines share no rank space, so Concat poisons the engine and
+// UnionCandidates panics instead of decoding codes against the wrong
+// ID table.
+func TestCrossEngineOperandsRejected(t *testing.T) {
+	recs := detRecords(100)
+	a := NewEngineOpts(recs, Opts{Workers: 2})
+	b := NewEngineOpts(recs[:80], Opts{Workers: 2})
+	if n := a.Concat(a.Blocks(TokenKey("title")), b.Blocks(AttrExactKey("pid"))).NumBlocks(); n != 0 {
+		t.Fatalf("cross-engine Concat kept %d blocks", n)
+	}
+	if a.Err() == nil {
+		t.Fatal("cross-engine Concat left no error on the engine")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("cross-engine union did not panic")
+		}
+	}()
+	c := NewEngineOpts(recs, Opts{Workers: 2})
+	UnionCandidates(c.Blocks(TokenKey("title")).CandidateSet(), b.Blocks(TokenKey("title")).CandidateSet())
 }
 
 func TestEmitPairsOrderAndEarlyStop(t *testing.T) {

@@ -285,39 +285,27 @@ func (e *Engine) fuseRRF(k float64, streams []RankedStream) []pe {
 // spillFused writes a fused stream to disk run files and returns the
 // spill-backed candidate set: emission runs in fused order (each chunk
 // is a contiguous rank range, so the position merge replays the exact
-// fused order) plus the by-code membership stream unions probe. The
-// long-lived set then holds no pair state in RAM.
+// fused order). The long-lived set then holds no pair state in RAM.
 func (e *Engine) spillFused(fused []pe) *CandidateSet {
 	reg := e.cfg.Obs
 	dir, err := os.MkdirTemp(e.dir, "bdi-rrf-*")
 	if e.sink.check(err) {
 		return e.set(nil)
 	}
-	fail := func(err error) *CandidateSet {
-		os.RemoveAll(dir)
-		e.sink.check(err)
-		return e.set(nil)
-	}
 	ss := &spillSet{dir: dir, reg: reg, n: len(fused)}
-	ss.refs.Store(1)
 	capE := runCap(e.budget, 1)
 	for lo := 0; lo < len(fused); lo += capE {
 		path, err := writeRun(dir, fmt.Sprintf("c-%05d.run", len(ss.emitRuns)), fused[lo:min(lo+capE, len(fused))])
 		if err != nil {
-			return fail(err)
+			os.RemoveAll(dir)
+			e.sink.check(err)
+			return e.set(nil)
 		}
 		ss.emitRuns = append(ss.emitRuns, path)
 	}
-	byCodeEnts := slices.Clone(fused)
-	slices.SortFunc(byCodeEnts, byCode)
-	path, err := writeRun(dir, "bycode.run", byCodeEnts)
-	if err != nil {
-		return fail(err)
-	}
-	ss.byCode = []string{path}
 	reg.Counter("blocking.rrf_spilled").Add(int64(len(fused)))
 	reg.Counter("blocking.spill_runs").Add(int64(len(ss.emitRuns)))
-	reg.Counter("blocking.spill_bytes").Add(2 * int64(len(fused)) * peSize)
+	reg.Counter("blocking.spill_bytes").Add(int64(len(fused)) * peSize)
 	reg.Counter("blocking.spill_merge_runs").Add(int64(len(ss.emitRuns)))
 	return &CandidateSet{ids: e.rk.ids, ext: ss, sink: e.sink}
 }

@@ -151,47 +151,33 @@ func TestSpilledRandomAccessPanics(t *testing.T) {
 	cs.Pair(0)
 }
 
-// TestSpilledUnionStaysExternal: unioning in-memory sets onto a spilled
-// base keeps the disk backing, matches the all-in-memory union exactly,
-// and reference-counts the run directory across Closes.
+// TestSpilledUnionStaysExternal: the union of token and identifier
+// blocks, taken as one concatenated pass, spills as one set, matches
+// the in-memory pass byte for byte, and a single Close removes the
+// set's run directory.
 func TestSpilledUnionStaysExternal(t *testing.T) {
 	recs := detRecords(250)
+	pass := func(e *Engine) *CandidateSet {
+		return e.Concat(e.Blocks(TokenKey("title")), e.Blocks(AttrExactKey("pid"))).CandidateSet()
+	}
+	want := pass(NewEngineOpts(recs, Opts{Workers: 2})).Pairs()
+
 	dir := t.TempDir()
-
-	mem := NewEngineOpts(recs, Opts{Workers: 2})
-	memBase := mem.Blocks(TokenKey("title")).CandidateSet()
-	memID := mem.Blocks(AttrExactKey("pid")).CandidateSet()
-	want := UnionCandidates(memBase, memID).Pairs()
-
-	e := NewEngineOpts(recs, Opts{Workers: 2, Shards: 4, PairMemBudget: 1 << 12, SpillDir: dir})
-	base := e.Blocks(TokenKey("title")).CandidateSet()
-	id := e.Blocks(AttrExactKey("pid")).CandidateSet()
-	if !base.Spilled() {
-		t.Fatal("base did not spill")
+	cs := pass(NewEngineOpts(recs, Opts{Workers: 2, Shards: 4, PairMemBudget: 1 << 12, SpillDir: dir}))
+	if !cs.Spilled() {
+		t.Fatal("concatenated pass did not spill")
 	}
-	u := UnionCandidates(base, id)
-	if !u.Spilled() {
-		t.Fatal("union of spilled base lost its disk backing")
-	}
-	samePairs(t, "spilled union", want, u.Pairs())
-
-	// The union retained the base's runs: closing the base must not
-	// break the union, and closing both releases the directory.
-	if err := base.Close(); err != nil {
+	samePairs(t, "spilled concatenated pass", want, cs.Pairs())
+	if err := cs.Close(); err != nil {
 		t.Fatal(err)
 	}
-	samePairs(t, "after base close", want, u.Pairs())
-	if err := u.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(base.ext.dir); !os.IsNotExist(err) {
-		t.Fatalf("run directory survived the last Close: %v", err)
-	}
+	assertEmptyDir(t, dir)
 }
 
 // TestSpilledUnionLaterPosition: a spilled set that is not the first
-// non-empty operand is materialised through its stream — order still
-// matches the in-memory union.
+// non-empty operand is materialised through its stream — the union is
+// in-memory, its order matches the in-memory union, and the spilled
+// operand stays usable for its caller to close.
 func TestSpilledUnionLaterPosition(t *testing.T) {
 	recs := detRecords(250)
 	mem := NewEngineOpts(recs, Opts{Workers: 2})
@@ -203,12 +189,43 @@ func TestSpilledUnionLaterPosition(t *testing.T) {
 	e := NewEngineOpts(recs, Opts{Shards: 4, PairMemBudget: 1 << 12, SpillDir: t.TempDir()})
 	spilled := e.Blocks(TokenKey("title")).CandidateSet()
 	defer spilled.Close()
+	if !spilled.Spilled() {
+		t.Fatal("token set did not spill")
+	}
 	id := e.Blocks(AttrExactKey("pid")).CandidateSet()
 	u := UnionCandidates(id, spilled)
 	if u.Spilled() {
 		t.Fatal("union with a later spilled operand should be in-memory")
 	}
 	samePairs(t, "later-position spilled union", want, u.Pairs())
+	if spilled.Len() == 0 || len(spilled.Pairs()) != spilled.Len() {
+		t.Fatal("spilled operand unusable after the union")
+	}
+}
+
+// TestIndexedPairsLeaveNoSpill: Pairs and EmitPairs on a budgeted
+// engine close the set they build, so no run directory outlives them.
+func TestIndexedPairsLeaveNoSpill(t *testing.T) {
+	recs := detRecords(200)
+	dir := t.TempDir()
+	idx := NewEngineOpts(recs, Opts{PairMemBudget: 1 << 10, SpillDir: dir}).Blocks(TokenKey("title"))
+	if len(idx.Pairs()) == 0 {
+		t.Fatal("fixture produced no pairs")
+	}
+	idx.EmitPairs(func(data.Pair) bool { return false })
+	assertEmptyDir(t, dir)
+}
+
+// assertEmptyDir fails the test when dir holds anything.
+func assertEmptyDir(t *testing.T, dir string) {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 0 {
+		t.Fatalf("%d spill entries left in %s", len(ents), dir)
+	}
 }
 
 // TestSpillObsCounters: spill-run and merge counters are visible in an
@@ -286,11 +303,5 @@ func TestSpillCancellation(t *testing.T) {
 	if cs.Len() != 0 {
 		t.Fatalf("poisoned engine produced %d pairs", cs.Len())
 	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 0 {
-		t.Fatalf("cancelled spill left %d entries in the spill dir", len(ents))
-	}
+	assertEmptyDir(t, dir)
 }

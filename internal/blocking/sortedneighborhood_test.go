@@ -108,7 +108,8 @@ func TestSortedNeighborhoodMultiPassDedups(t *testing.T) {
 
 // TestUnionCandidatesEmptyAndNil: unions over any mix of nil sets,
 // empty sets and zero operands behave like the empty set and stay
-// usable (Len/Pairs/EmitPairs/Close).
+// usable (Len/Pairs/EmitPairs/Close); a spilled operand is materialised
+// into an in-memory union and stays its caller's to close.
 func TestUnionCandidatesEmptyAndNil(t *testing.T) {
 	recs := detRecords(60)
 	full := NewEngineOpts(recs, Opts{Workers: 0}).Blocks(TokenKey("title")).CandidateSet()
@@ -151,4 +152,19 @@ func TestUnionCandidatesEmptyAndNil(t *testing.T) {
 	} {
 		samePairs(t, name, full.Pairs(), got.Pairs())
 	}
+
+	spilled := NewEngineOpts(recs, Opts{PairMemBudget: 1 << 6, SpillDir: t.TempDir()}).Blocks(TokenKey("title")).CandidateSet()
+	defer spilled.Close()
+	if !spilled.Spilled() {
+		t.Fatal("fixture did not spill")
+	}
+	u := UnionCandidates(nil, empty, spilled)
+	if u.Spilled() {
+		t.Fatal("union of a spilled operand is not in memory")
+	}
+	samePairs(t, "nil+empty+spilled", full.Pairs(), u.Pairs())
+	if err := u.Close(); err != nil {
+		t.Fatal(err)
+	}
+	samePairs(t, "spilled operand after union Close", full.Pairs(), spilled.Pairs())
 }

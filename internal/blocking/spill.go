@@ -11,9 +11,8 @@ package blocking
 //   phase B  one k-way loser-tree merge of all runs by (code, pos):
 //            the first entry of each code is its global first
 //            occurrence. Unique entries fill a bounded buffer that is
-//            written as the next by-code chunk (sorted membership
-//            stream for unions) and, re-sorted by position, as one
-//            emission run.
+//            re-sorted by position and written as one emission run —
+//            phase B writes this one stream.
 //   phase C  on every EmitPairs, a k-way merge of the emission runs
 //            by position replays the deduplicated codes in the exact
 //            first-seen order of the in-memory sweep.
@@ -31,7 +30,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -329,28 +327,13 @@ func closeRuns(rs []*runReader) {
 var errStopEmit = errors.New("blocking: emission stopped")
 
 // spillSet is the disk-resident backing of a budgeted candidate set:
-// emission runs replayed by position on every read, plus the by-code
-// stream used for union membership. The run directory is reference-
-// counted so unions can share it; the last release removes it.
+// emission runs replayed by position on every read. The set that holds
+// it owns the run directory alone; CandidateSet.Close removes it.
 type spillSet struct {
 	dir      string
-	byCode   []string // unique (code, pos) entries sorted by code, as consecutive chunks
 	emitRuns []string // each sorted by position; k-way merged on emit
 	n        int      // unique codes
-	refs     atomic.Int32
 	reg      *obs.Registry
-}
-
-func (s *spillSet) retain() *spillSet {
-	s.refs.Add(1)
-	return s
-}
-
-func (s *spillSet) release() error {
-	if s.refs.Add(-1) > 0 {
-		return nil
-	}
-	return os.RemoveAll(s.dir)
 }
 
 // emit replays the deduplicated codes in first-seen order by merging
@@ -376,37 +359,6 @@ func (s *spillSet) emit(f func(code uint64) bool) error {
 		return nil
 	}
 	return err
-}
-
-// filterSorted sweeps the by-code stream against an ascending probe
-// slice, calling mark for every probe code present in the set. One
-// sequential read, no probe-sized state beyond the caller's.
-func (s *spillSet) filterSorted(sorted []uint64, mark func(code uint64)) error {
-	rs, err := openRuns(s.byCode)
-	if err != nil {
-		return err
-	}
-	defer closeRuns(rs)
-	i := 0
-	for _, r := range rs { // consecutive chunks of one ascending stream
-		for i < len(sorted) {
-			e, ok, err := r.next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			for i < len(sorted) && sorted[i] < e.code {
-				i++
-			}
-			if i < len(sorted) && sorted[i] == e.code {
-				mark(e.code)
-				i++
-			}
-		}
-	}
-	return nil
 }
 
 // spillShard is phase A for one shard: expand blocks [rng[0], rng[1])
@@ -500,11 +452,9 @@ func (x *Indexed) spillCandidates() *CandidateSet {
 	// Phase B: one k-way merge by (code, pos) deduplicates globally —
 	// the first entry of a code run carries its minimum position, i.e.
 	// its global first occurrence. Unique entries collect in a bounded
-	// buffer; each full buffer is written twice, as the next chunk of
-	// the by-code membership stream and, re-sorted by position, as one
-	// emission run.
+	// buffer; each full buffer is re-sorted by position and written as
+	// one emission run.
 	ss := &spillSet{dir: dir, reg: reg}
-	ss.refs.Store(1)
 	rs, err := openRuns(runs)
 	if err != nil {
 		return fail(err)
@@ -519,14 +469,9 @@ func (x *Indexed) spillCandidates() *CandidateSet {
 		if len(cbuf) == 0 {
 			return nil
 		}
-		seq := len(ss.emitRuns)
-		path, err := writeRun(dir, fmt.Sprintf("b-%05d.run", seq), cbuf)
-		if err != nil {
-			return err
-		}
-		ss.byCode = append(ss.byCode, path)
 		slices.SortFunc(cbuf, byPos)
-		if path, err = writeRun(dir, fmt.Sprintf("c-%05d.run", seq), cbuf); err != nil {
+		path, err := writeRun(dir, fmt.Sprintf("c-%05d.run", len(ss.emitRuns)), cbuf)
+		if err != nil {
 			return err
 		}
 		ss.emitRuns = append(ss.emitRuns, path)
@@ -562,12 +507,12 @@ func (x *Indexed) spillCandidates() *CandidateSet {
 	if err != nil {
 		return fail(err)
 	}
-	// The phase-A runs are dead once merged; drop them so peak disk is
-	// ~2× the unique pair codes, not raw + unique.
+	// The phase-A runs are dead once merged; drop them so the set keeps
+	// only its unique pair codes on disk, not raw + unique.
 	for _, p := range runs {
 		os.Remove(p)
 	}
-	reg.Counter("blocking.spill_bytes").Add(2 * int64(ss.n) * peSize)
+	reg.Counter("blocking.spill_bytes").Add(int64(ss.n) * peSize)
 	reg.Counter("blocking.spill_merge_runs").Add(int64(len(ss.emitRuns)))
 	return &CandidateSet{ids: e.rk.ids, ext: ss, sink: e.sink}
 }

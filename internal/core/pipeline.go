@@ -48,6 +48,18 @@ func (o Order) String() string {
 	return fmt.Sprintf("order(%d)", int(o))
 }
 
+// ParseOrder is the inverse of Order.String: it resolves
+// "linkage-first" and "schema-first", and any other name returns an
+// error wrapping ErrUnknownOrder.
+func ParseOrder(name string) (Order, error) {
+	for _, o := range []Order{LinkageFirst, SchemaFirst} {
+		if name == o.String() {
+			return o, nil
+		}
+	}
+	return 0, fmt.Errorf("%w %q (want linkage-first or schema-first)", ErrUnknownOrder, name)
+}
+
 // Sentinel errors for constructor-time misconfigurations. Validate and
 // the Build* helpers wrap these with the offending name, so callers can
 // branch with errors.Is while still seeing the typo in the message.
@@ -362,33 +374,25 @@ func (p *Pipeline) linkStage(ctx context.Context, d *data.Dataset, rep *Report, 
 		// ComparisonBudget pays for).
 		cs = eng.FuseRanked(p.cfg.RRFK, p.rankedBlockers()...)
 	} else {
-		idx := eng.Blocks(blocking.TokenKey(p.cfg.BlockAttrs...)).Purge(p.cfg.MaxBlock)
-		var base *blocking.CandidateSet
-		if p.cfg.MetaBlock {
-			base = blocking.MetaBlocker{
-				Weight: blocking.ECBS, Prune: blocking.WEP, Workers: p.cfg.Workers, Obs: reg,
-			}.Pruned(idx)
-		} else {
-			base = idx.CandidateSet()
-		}
 		// Identifier blocking always contributes candidates: records
-		// sharing an identifier must be compared no matter what. It
-		// shares the engine's interning, so the union dedups on packed
-		// codes without leaving rank space.
-		sets := []*blocking.CandidateSet{base}
+		// sharing an identifier must be compared no matter what. Its
+		// blocks follow the purged token blocks in one collection, so a
+		// single pass — in memory or spilled — dedups them together.
+		blocks := []*blocking.Indexed{eng.Blocks(blocking.TokenKey(p.cfg.BlockAttrs...)).Purge(p.cfg.MaxBlock)}
 		for _, attr := range p.cfg.IdentifierAttrs {
-			sets = append(sets, eng.Blocks(blocking.AttrExactKey(attr)).CandidateSet())
+			blocks = append(blocks, eng.Blocks(blocking.AttrExactKey(attr)))
 		}
-		cs = blocking.UnionCandidates(sets...)
-		// The union retains any spill runs it shares with its inputs, so
-		// the inputs release their references now and the union's Close
-		// (deferred to stage end) drops the last one. Close is a no-op on
-		// in-memory sets, and UnionCandidates may return an input
-		// unchanged — that one keeps its reference.
-		for _, s := range sets {
-			if s != cs {
-				s.Close()
-			}
+		if p.cfg.MetaBlock {
+			// Meta-blocking reads the token blocks alone; its pruned set is
+			// in memory, and the union materialises the identifier pass.
+			pruned := blocking.MetaBlocker{
+				Weight: blocking.ECBS, Prune: blocking.WEP, Workers: p.cfg.Workers, Obs: reg,
+			}.Pruned(blocks[0])
+			ids := eng.Concat(blocks[1:]...).CandidateSet()
+			cs = blocking.UnionCandidates(pruned, ids)
+			ids.Close()
+		} else {
+			cs = eng.Concat(blocks...).CandidateSet()
 		}
 	}
 	// Err surfaces any cancellation or worker panic the engine's sink

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -335,6 +336,22 @@ func TestOrderStringUnknown(t *testing.T) {
 	}
 	if got := Order(7).String(); got != "order(7)" {
 		t.Errorf("Order(7) = %q, must not masquerade as a valid ordering", got)
+	}
+}
+
+// TestParseOrderRoundTrip: ParseOrder inverts Order.String on the valid
+// orders and rejects everything else with ErrUnknownOrder.
+func TestParseOrderRoundTrip(t *testing.T) {
+	for _, o := range []Order{LinkageFirst, SchemaFirst} {
+		got, err := ParseOrder(o.String())
+		if err != nil || got != o {
+			t.Errorf("ParseOrder(%q) = %v, %v; want %v", o.String(), got, err, o)
+		}
+	}
+	for _, name := range []string{"", "Linkage-First", "order(7)", Order(7).String(), "schema_first"} {
+		if _, err := ParseOrder(name); !errors.Is(err, ErrUnknownOrder) {
+			t.Errorf("ParseOrder(%q) error = %v, want ErrUnknownOrder", name, err)
+		}
 	}
 }
 

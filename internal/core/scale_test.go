@@ -1,45 +1,67 @@
 package core
 
 import (
+	"fmt"
+	"os"
+	"slices"
 	"testing"
+
+	"repro/internal/obs"
 )
 
-// TestPipelineShardedSpilledIdentical: the scale-out knobs (Shards,
-// PairMemBudget) must not change a single byte of the pipeline output —
-// they only trade memory and parallelism.
+// TestPipelineShardedSpilledIdentical: the scale-out knobs (Workers,
+// Shards, PairMemBudget) must not change a single byte of the pipeline
+// output on any candidate path — one concatenated pass, meta-blocking's
+// union, rank fusion — and a budgeted run leaves its SpillDir empty.
 func TestPipelineShardedSpilledIdentical(t *testing.T) {
 	web := testWeb(t, 1, 0.9)
-	base, err := New(Config{Workers: 2}).Run(web.Dataset)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cfg := range []Config{
-		{Workers: 2, Shards: 4},
-		{Workers: 2, Shards: 16},
-		{Workers: 2, Shards: 4, PairMemBudget: 1 << 10, SpillDir: t.TempDir()},
-		{Workers: 8, Shards: 16, PairMemBudget: 1 << 10, SpillDir: t.TempDir()},
+	for _, mode := range []struct {
+		name   string
+		cfg    Config
+		spills bool // at 1 KiB; meta-blocking's pruned set never spills, its identifier pass is smaller
+	}{
+		{"default", Config{}, true},
+		{"meta", Config{MetaBlock: true}, false},
+		{"rank-fusion", Config{RankFusion: true}, true},
 	} {
-		rep, err := New(cfg).Run(web.Dataset)
+		baseCfg := mode.cfg
+		baseCfg.Workers = 2
+		base, err := New(baseCfg).Run(web.Dataset)
 		if err != nil {
-			t.Fatalf("shards=%d budget=%d: %v", cfg.Shards, cfg.PairMemBudget, err)
+			t.Fatal(err)
 		}
-		if rep.Candidates != base.Candidates {
-			t.Fatalf("shards=%d budget=%d: candidates %d, want %d",
-				cfg.Shards, cfg.PairMemBudget, rep.Candidates, base.Candidates)
-		}
-		if len(rep.Matched) != len(base.Matched) {
-			t.Fatalf("shards=%d budget=%d: %d matches, want %d",
-				cfg.Shards, cfg.PairMemBudget, len(rep.Matched), len(base.Matched))
-		}
-		for i := range base.Matched {
-			if rep.Matched[i] != base.Matched[i] {
-				t.Fatalf("shards=%d budget=%d: match %d = %v, want %v",
-					cfg.Shards, cfg.PairMemBudget, i, rep.Matched[i], base.Matched[i])
+		for _, budget := range []int64{0, 1 << 10} {
+			for _, workers := range []int{1, 2, 8} {
+				for _, shards := range []int{4, 16} {
+					name := fmt.Sprintf("%s budget=%d workers=%d shards=%d", mode.name, budget, workers, shards)
+					cfg := mode.cfg
+					cfg.Workers, cfg.Shards, cfg.PairMemBudget = workers, shards, budget
+					cfg.SpillDir, cfg.Obs = t.TempDir(), obs.NewRegistry()
+					rep, err := New(cfg).Run(web.Dataset)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if rep.Candidates != base.Candidates {
+						t.Fatalf("%s: candidates %d, want %d", name, rep.Candidates, base.Candidates)
+					}
+					if !slices.Equal(rep.Matched, base.Matched) {
+						t.Fatalf("%s: %d matches differ from the unbudgeted run's %d", name, len(rep.Matched), len(base.Matched))
+					}
+					if !slices.EqualFunc(rep.Clusters, base.Clusters, slices.Equal) {
+						t.Fatalf("%s: clusters differ from the unbudgeted run", name)
+					}
+					if spilled := cfg.Obs.Counter("blocking.spill_runs").Value() > 0; spilled != (mode.spills && budget > 0) {
+						t.Fatalf("%s: spilled = %v", name, spilled)
+					}
+					ents, err := os.ReadDir(cfg.SpillDir)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(ents) != 0 {
+						t.Fatalf("%s: %d spill entries left behind", name, len(ents))
+					}
+				}
 			}
-		}
-		if len(rep.Clusters) != len(base.Clusters) {
-			t.Fatalf("shards=%d budget=%d: %d clusters, want %d",
-				cfg.Shards, cfg.PairMemBudget, len(rep.Clusters), len(base.Clusters))
 		}
 	}
 }
