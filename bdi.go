@@ -14,9 +14,8 @@
 //	web := bdi.BuildWeb(world, bdi.SourceConfig{Seed: 2, NumSources: 20})
 //	report, err := bdi.NewPipeline(bdi.PipelineConfig{}).Run(web.Dataset)
 //
-// RunCtx is the context-aware variant: cancellation and deadlines
-// (including PipelineConfig.StageTimeout) stop every stage at its next
-// chunk boundary. Datasets can also be ingested resiliently from a
+// RunCtx is the context-aware variant: cancellation and deadlines stop
+// every stage at its next chunk boundary. Datasets can also be ingested resiliently from a
 // fleet of sources — with retries, circuit breaking and optional
 // deterministic fault injection — via NewIngestor and WrapAllFaults.
 //
@@ -216,15 +215,16 @@ var (
 	WrapAllFaults = faults.WrapAll
 )
 
-// Streaming re-exports — the Velocity path. A Streamer batches a fleet
-// of watchable sources into deterministic epochs; a Stream folds each
-// epoch through incremental linkage and online fusion and republishes
-// the serving Snapshot within a configurable staleness window
-// (ServeServer.Publish is the intended sink). With StreamConfig.
-// StatePath set, the stream persists its full state (cursors, posting
-// lists, union-find partition, fusion accuracy estimates) atomically
-// every epoch, and ResumeStream continues a killed stream
-// byte-identically. cmd/bdirun -stream and cmd/bdiserve -stream are the
+// Streaming re-exports — the Velocity path. Every stream is a change
+// log: a record fleet enters as upsert-only delta sources
+// (AsDeltaSources), a DeltaStreamer batches the fleet into
+// deterministic epochs, and a Stream folds each epoch through
+// incremental linkage and online fusion and republishes the serving
+// Snapshot within a configurable staleness window (ServeServer.Publish
+// is the intended sink). With StreamConfig.StatePath set, the stream
+// persists its full state (cursors, posting lists, union-find
+// partition, fusion accuracy estimates) atomically every epoch, and
+// ResumeStream continues a killed stream byte-identically. cmd/bdirun -stream and cmd/bdiserve -stream are the
 // runnable forms; E27 in cmd/bdibench measures the cost advantage over
 // batch relinking.
 type (
@@ -232,16 +232,8 @@ type (
 	StreamConfig = core.StreamConfig
 	// Stream is the long-lived streaming integration processor.
 	Stream = core.Stream
-	// StreamEpoch is one deterministic batch of arrivals with resume
-	// cursors.
-	StreamEpoch = source.Epoch
 	// StreamerConfig tunes epoch batching over a fleet.
 	StreamerConfig = source.StreamConfig
-	// Streamer drains a fleet as a channel of epochs.
-	Streamer = source.Streamer
-	// StreamWatch polls one source for deterministic cursor windows,
-	// refetching through transient faults and truncations.
-	StreamWatch = source.Watch
 )
 
 var (
@@ -252,12 +244,8 @@ var (
 	// ResumeStream restores from StreamConfig.StatePath when the file
 	// exists and starts fresh otherwise.
 	ResumeStream = core.ResumeStream
-	// NewStreamer starts epoch batching over a fleet.
-	NewStreamer = source.NewStreamer
-	// NewStreamWatch builds a cursor-window watcher over one source.
-	NewStreamWatch = source.NewWatch
 	// SourceTotals reads per-source record counts from a dataset — the
-	// totals a Streamer needs for static fleets.
+	// totals a DeltaStreamer needs for a wrapped record fleet.
 	SourceTotals = source.Totals
 )
 

@@ -141,35 +141,38 @@ func run() error {
 			Workers:      *workers,
 			Obs:          reg,
 		}
+		// Every stream is a change log. A plain run replays the dataset
+		// as upserts; -stream-update-rate/-stream-delete-rate add
+		// synthetic churn (corrupt-then-correct updates, late deletions).
+		var (
+			deltas  []source.DeltaSource
+			totals  map[string]int
+			planned map[string]bool
+		)
 		if *streamUpdate > 0 || *streamDelete > 0 {
-			// Mutable-stream mode: the dataset is replayed as a typed
-			// delta log with synthetic churn (corrupt-then-correct
-			// updates, late deletions); -fault-rate mangles the deltas
-			// (duplicate deletes, delete-before-insert, update storms)
-			// instead of flaking fetches.
-			if err := runDeltaStream(ctx, d, scfg, source.ChurnConfig{
+			// -fault-rate mangles the churned deltas (duplicate deletes,
+			// delete-before-insert, update storms).
+			deltas, totals, planned = churnFleet(d, source.ChurnConfig{
 				Seed:       *faultSeed,
 				UpdateRate: *streamUpdate,
 				DeleteRate: *streamDelete,
-			}, *faultRate, *faultSeed, reg); err != nil {
-				return err
+			}, *faultRate, *faultSeed, reg)
+		} else {
+			if *faultRate > 0 {
+				// The stream path has no drop-a-source fallback — its
+				// resilience is refetch-until-covered — so chaos here is
+				// transient flakes and truncations, not dead sources.
+				fleet = faults.WrapAll(fleet, faults.Config{
+					Seed:             *faultSeed,
+					TransientRate:    *faultRate,
+					TruncateRate:     *faultRate / 2,
+					TruncateFraction: 0.5,
+					Obs:              reg,
+				})
 			}
-			printMetrics(reg, *metrics, *metricsJSON, *metricsFull)
-			return nil
+			deltas, totals = source.AsDeltaSources(fleet), source.Totals(d)
 		}
-		if *faultRate > 0 {
-			// The stream path has no drop-a-source fallback — its
-			// resilience is refetch-until-covered — so chaos here is
-			// transient flakes and truncations, not dead sources.
-			fleet = faults.WrapAll(fleet, faults.Config{
-				Seed:             *faultSeed,
-				TransientRate:    *faultRate,
-				TruncateRate:     *faultRate / 2,
-				TruncateFraction: 0.5,
-				Obs:              reg,
-			})
-		}
-		if err := runStream(ctx, d, fleet, scfg); err != nil {
+		if err := runStream(ctx, d, scfg, deltas, totals, len(planned)); err != nil {
 			return err
 		}
 		printMetrics(reg, *metrics, *metricsJSON, *metricsFull)
@@ -287,43 +290,11 @@ func run() error {
 	return nil
 }
 
-// runStream drives the velocity path: the fleet is replayed as an
-// epoch stream through incremental linkage and online fusion, with the
-// final published view and cumulative costs reported instead of the
-// batch pipeline's stage table.
-func runStream(ctx context.Context, d *data.Dataset, fleet []source.Source, cfg core.StreamConfig) error {
-	var last *core.Snapshot
-	st, err := core.ResumeStream(cfg, func(snap *core.Snapshot) { last = snap })
-	if err != nil {
-		return err
-	}
-	if st.Epoch() > 0 {
-		fmt.Printf("resumed stream state: epoch %d, %d records already ingested\n", st.Epoch(), st.Ingested())
-	}
-	t0 := time.Now()
-	if err := st.Run(ctx, fleet, source.Totals(d)); err != nil {
-		return err
-	}
-	elapsed := time.Since(t0)
-
-	fmt.Printf("stream: %d records in %d epochs (%v)\n", st.Ingested(), st.Epoch(), elapsed.Round(time.Millisecond))
-	fmt.Printf("publishes: %d   comparisons: %d   clusters: %d\n",
-		st.Publishes(), st.Comparisons(), len(st.Clusters()))
-	if last != nil {
-		fmt.Printf("final view: %d entities\n", last.Len())
-	}
-	if truth := d.GroundTruthClusters(); len(truth) > 0 {
-		prf := eval.Clusters(st.Clusters(), truth)
-		fmt.Printf("linkage quality vs ground truth: %s\n", prf)
-	}
-	return nil
-}
-
-// runDeltaStream drives the mutable velocity path: churned delta logs
-// (upserts + deletions) through incremental linkage with retraction,
-// online fusion over live claims only, and optional auto-compaction.
-func runDeltaStream(ctx context.Context, d *data.Dataset, cfg core.StreamConfig,
-	churn source.ChurnConfig, faultRate float64, faultSeed int64, reg *obs.Registry) error {
+// churnFleet replays d as churned delta logs (see source.Churn), with
+// the deltas mangled at faultRate when it is positive. It returns the
+// fleet, its log lengths and the IDs the churn plans to delete.
+func churnFleet(d *data.Dataset, churn source.ChurnConfig, faultRate float64, faultSeed int64,
+	reg *obs.Registry) ([]source.DeltaSource, map[string]int, map[string]bool) {
 	fleet, totals, planned := source.ChurnSources(d, churn)
 	if faultRate > 0 {
 		mcfg := faults.DeltaConfig{
@@ -340,7 +311,17 @@ func runDeltaStream(ctx context.Context, d *data.Dataset, cfg core.StreamConfig,
 		}
 		fleet, totals = faults.WrapDeltasAll(fleet, mcfg), mangled
 	}
+	return fleet, totals, planned
+}
 
+// runStream drives the velocity path: the delta fleet is replayed as an
+// epoch stream through incremental linkage with retraction, online
+// fusion over live claims only and optional auto-compaction, with the
+// final published view and cumulative costs reported instead of the
+// batch pipeline's stage table. planned is how many deletions the
+// churn scheduled.
+func runStream(ctx context.Context, d *data.Dataset, cfg core.StreamConfig,
+	fleet []source.DeltaSource, totals map[string]int, planned int) error {
 	var last *core.Snapshot
 	st, err := core.ResumeStream(cfg, func(snap *core.Snapshot) { last = snap })
 	if err != nil {
@@ -356,7 +337,7 @@ func runDeltaStream(ctx context.Context, d *data.Dataset, cfg core.StreamConfig,
 	elapsed := time.Since(t0)
 
 	fmt.Printf("stream: %d records inserted, %d deleted (%d planned) in %d epochs (%v)\n",
-		st.Ingested(), st.Deleted(), len(planned), st.Epoch(), elapsed.Round(time.Millisecond))
+		st.Ingested(), st.Deleted(), planned, st.Epoch(), elapsed.Round(time.Millisecond))
 	fmt.Printf("publishes: %d   comparisons: %d   clusters: %d   live records: %d\n",
 		st.Publishes(), st.Comparisons(), len(st.Clusters()), st.Dataset().NumRecords())
 	fmt.Printf("tombstones: %d live (garbage ratio %.3f)   compactions: %d\n",

@@ -140,16 +140,10 @@ func run() error {
 			return err
 		}
 		defer srv.Close()
-		streamCtx, streamCancel := context.WithCancel(context.Background())
-		defer streamCancel()
-		go func() {
-			if err := st.Run(streamCtx, source.FromDataset(dataset), source.Totals(dataset)); err != nil {
-				fmt.Fprintln(os.Stderr, "bdiserve: stream:", err)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "bdiserve: stream drained — %d records in %d epochs, %d publishes\n",
-				st.Ingested(), st.Epoch(), st.Publishes())
-		}()
+		// Stopped before the server closes: a shutdown waits out any
+		// in-flight state save instead of abandoning its temp file.
+		streaming := startStream(st, dataset)
+		defer streaming.stop()
 		fmt.Fprintf(os.Stderr, "bdiserve: streaming %d records (epoch %d, staleness %v)\n",
 			dataset.NumRecords(), *streamEpoch, *streamStaleness)
 	} else {
@@ -201,6 +195,46 @@ func run() error {
 		}
 		return nil
 	}
+}
+
+// streamRunner owns the -stream goroutine: stop cancels the stream and
+// returns once the goroutine has exited.
+type streamRunner struct {
+	ctx    context.Context // the stream's; stop cancels it
+	cancel context.CancelFunc
+	done   chan struct{}
+	err    error // valid once done is closed
+}
+
+// startStream drains the dataset's sources through st as upsert-only
+// change logs on a new goroutine, reporting the outcome on stderr.
+func startStream(st *core.Stream, d *data.Dataset) *streamRunner {
+	ctx, cancel := context.WithCancel(context.Background())
+	r := &streamRunner{ctx: ctx, cancel: cancel, done: make(chan struct{})}
+	go func() {
+		defer close(r.done)
+		err := st.RunDeltas(r.ctx, source.AsDeltaSources(source.FromDataset(d)), source.Totals(d))
+		switch {
+		case err == nil:
+			fmt.Fprintf(os.Stderr, "bdiserve: stream drained — %d records in %d epochs, %d publishes\n",
+				st.Ingested(), st.Epoch(), st.Publishes())
+		case r.ctx.Err() != nil && errors.Is(err, context.Canceled):
+			// A requested stop, not a failure.
+			fmt.Fprintf(os.Stderr, "bdiserve: stream stopped at epoch %d\n", st.Epoch())
+		default:
+			r.err = err
+			fmt.Fprintln(os.Stderr, "bdiserve: stream:", err)
+		}
+	}()
+	return r
+}
+
+// stop cancels the stream and waits for its goroutine to exit. It
+// returns the stream's failure: nil after a drain or a requested stop.
+func (r *streamRunner) stop() error {
+	r.cancel()
+	<-r.done
+	return r.err
 }
 
 // newHTTPServer bounds every phase of a connection, so a slow or stalled

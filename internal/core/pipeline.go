@@ -77,14 +77,22 @@ var (
 // (a plain float64 cannot distinguish unset from 0).
 const ZeroThreshold = -1.0
 
+// The pipeline's fixed blocking and alignment settings.
+const (
+	// purgeBound purges token blocks larger than this many records
+	// (rank fusion's key blockers purge at it too).
+	purgeBound = 100
+	// alignThreshold is the schema aligner's attribute-match threshold.
+	alignThreshold = 0.5
+)
+
 // Config controls a pipeline run. The zero value is usable.
 type Config struct {
 	Order Order
 
-	// Blocking.
-	BlockAttrs []string // token-blocking attributes; default {"title"}
-	MaxBlock   int      // purge blocks larger than this; default 100
-	MetaBlock  bool     // apply meta-blocking (ECBS/WEP) after token blocking
+	// Blocking: token blocking on the title, purged at purgeBound, plus
+	// identifier blocking on pid.
+	MetaBlock bool // apply meta-blocking (ECBS/WEP) after token blocking
 
 	// RankFusion replaces single-blocker candidate generation with
 	// rank-fused multi-blocker generation: token, q-gram, MinHash LSH,
@@ -105,11 +113,10 @@ type Config struct {
 	// Report.Comparisons records how many comparisons actually ran.
 	ComparisonBudget int
 
-	// Matching.
-	IdentifierAttrs []string // exact-match attributes; default {"pid"}
-	MatchAttrs      []string // comparator attributes; default {"title"}
-	// MatchThreshold is the match decision threshold in [0,1]; zero
-	// value means the default 0.6, ZeroThreshold means literally 0.
+	// Matching: the default rule (rule.go) on the title, pid equality
+	// short-circuiting it. MatchThreshold is its decision threshold in
+	// [0,1]; zero value means the default 0.6, ZeroThreshold means
+	// literally 0.
 	MatchThreshold float64
 	FellegiSunter  bool // train an FS matcher instead of threshold
 
@@ -118,10 +125,6 @@ type Config struct {
 	// accumulated evidence can link records no pair of originals
 	// matches directly).
 	Clusterer string
-
-	// Schema alignment. Zero value means the default 0.5, ZeroThreshold
-	// means literally 0.
-	AlignThreshold float64
 
 	// Fusion, one of FuserNames: "vote" (default), "truthfinder", "accu",
 	// "popaccu", "accucopy", or "numeric" — sequential, it takes no
@@ -152,12 +155,6 @@ type Config struct {
 	// os.TempDir()).
 	SpillDir string
 
-	// StageTimeout, when positive, bounds each top-level stage (linkage,
-	// alignment, fusion) with its own deadline. A stage that overruns is
-	// cancelled at the next chunk boundary and RunCtx returns an error
-	// satisfying errors.Is(err, context.DeadlineExceeded).
-	StageTimeout time.Duration
-
 	// Obs, when set, records per-stage metrics and the stage span tree
 	// into the registry (falling back to obs.Default() when nil). A nil
 	// registry with no process default disables recording at ~zero cost.
@@ -165,17 +162,10 @@ type Config struct {
 }
 
 func (c *Config) defaults() {
-	if len(c.BlockAttrs) == 0 {
-		c.BlockAttrs = []string{"title"}
-	}
-	if c.MaxBlock <= 0 {
-		c.MaxBlock = 100
-	}
-	ruleDefaults(&c.IdentifierAttrs, &c.MatchAttrs, &c.MatchThreshold)
+	c.MatchThreshold = resolveThreshold(c.MatchThreshold)
 	if c.Clusterer == "" {
 		c.Clusterer = "components"
 	}
-	c.AlignThreshold = resolveThreshold(c.AlignThreshold, 0.5)
 	if c.Fuser == "" {
 		c.Fuser = "vote"
 	}
@@ -241,9 +231,6 @@ func (c Config) Validate() error {
 	if err := checkThreshold("match", c.MatchThreshold); err != nil {
 		return err
 	}
-	if err := checkThreshold("align", c.AlignThreshold); err != nil {
-		return err
-	}
 	if c.Shards < 0 {
 		return fmt.Errorf("core: negative shard count %d", c.Shards)
 	}
@@ -274,8 +261,8 @@ func (p *Pipeline) Run(d *data.Dataset) (*Report, error) {
 
 // RunCtx is Run under a context: cancelling ctx stops the pipeline at
 // the next parallel chunk boundary and returns an error satisfying
-// errors.Is(err, ctx.Err()). Config.StageTimeout additionally bounds
-// each top-level stage with its own deadline.
+// errors.Is(err, ctx.Err()); a stage error keeps its cause (%w) and
+// names the stage.
 func (p *Pipeline) RunCtx(ctx context.Context, d *data.Dataset) (*Report, error) {
 	if err := p.cfg.Validate(); err != nil {
 		return nil, err
@@ -292,7 +279,11 @@ func (p *Pipeline) RunCtx(ctx context.Context, d *data.Dataset) (*Report, error)
 	root := p.reg().StartSpan("pipeline")
 	var err error
 	for _, st := range p.stages(d, rep, root) {
-		if err = p.runStage(ctx, st); err != nil {
+		if err = ctx.Err(); err == nil {
+			err = st.run(ctx)
+		}
+		if err != nil {
+			err = fmt.Errorf("core: %s stage: %w", st.name, err)
 			break
 		}
 	}
@@ -333,24 +324,6 @@ func (p *Pipeline) stages(d *data.Dataset, rep *Report, root *obs.Span) []stage 
 	}
 }
 
-// runStage runs one stage under the run context, further bounded by
-// StageTimeout when configured; a stage error keeps its cause (%w), so
-// an overrun satisfies errors.Is(err, context.DeadlineExceeded).
-func (p *Pipeline) runStage(ctx context.Context, st stage) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("core: %s stage: %w", st.name, err)
-	}
-	if p.cfg.StageTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.cfg.StageTimeout)
-		defer cancel()
-	}
-	if err := st.run(ctx); err != nil {
-		return fmt.Errorf("core: %s stage: %w", st.name, err)
-	}
-	return nil
-}
-
 // linkStage: blocking → matching → clustering. Candidates stay packed
 // inside the blocking engine's CandidateSet all the way to the matcher.
 func (p *Pipeline) linkStage(ctx context.Context, d *data.Dataset, rep *Report, root *obs.Span) error {
@@ -378,21 +351,19 @@ func (p *Pipeline) linkStage(ctx context.Context, d *data.Dataset, rep *Report, 
 		// sharing an identifier must be compared no matter what. Its
 		// blocks follow the purged token blocks in one collection, so a
 		// single pass — in memory or spilled — dedups them together.
-		blocks := []*blocking.Indexed{eng.Blocks(blocking.TokenKey(p.cfg.BlockAttrs...)).Purge(p.cfg.MaxBlock)}
-		for _, attr := range p.cfg.IdentifierAttrs {
-			blocks = append(blocks, eng.Blocks(blocking.AttrExactKey(attr)))
-		}
+		token := eng.Blocks(blocking.TokenKey(titleAttr)).Purge(purgeBound)
+		idBlocks := eng.Blocks(blocking.AttrExactKey(idAttr))
 		if p.cfg.MetaBlock {
 			// Meta-blocking reads the token blocks alone; its pruned set is
 			// in memory, and the union materialises the identifier pass.
 			pruned := blocking.MetaBlocker{
 				Weight: blocking.ECBS, Prune: blocking.WEP, Workers: p.cfg.Workers, Obs: reg,
-			}.Pruned(blocks[0])
-			ids := eng.Concat(blocks[1:]...).CandidateSet()
+			}.Pruned(token)
+			ids := eng.Concat(idBlocks).CandidateSet()
 			cs = blocking.UnionCandidates(pruned, ids)
 			ids.Close()
 		} else {
-			cs = eng.Concat(blocks...).CandidateSet()
+			cs = eng.Concat(token, idBlocks).CandidateSet()
 		}
 	}
 	// Err surfaces any cancellation or worker panic the engine's sink
@@ -452,33 +423,20 @@ func (p *Pipeline) linkStage(ctx context.Context, d *data.Dataset, rep *Report, 
 
 // rankedBlockers assembles the multi-blocker producer set for rank
 // fusion: identifier blocking (the strongest signal, so its streams
-// rank their pairs at the very front), token blocking over the
-// configured attributes, q-gram and phonetic blocking tolerating typos
-// and misspellings, sorted neighbourhood for near-sorted corruption,
-// and MinHash LSH for set similarity without key engineering. Key
-// blockers purge at MaxBlock like the single-blocker path.
+// rank their pairs at the very front), token blocking on the title,
+// q-gram and phonetic blocking tolerating typos and misspellings,
+// sorted neighbourhood for near-sorted corruption, and MinHash LSH for
+// set similarity without key engineering. Key blockers purge at
+// purgeBound like the single-blocker path.
 func (p *Pipeline) rankedBlockers() []blocking.RankedBlocker {
-	var bs []blocking.RankedBlocker
-	for _, attr := range p.cfg.IdentifierAttrs {
-		bs = append(bs, blocking.RankedKey{Name: "id:" + attr, Key: blocking.AttrExactKey(attr)})
+	return []blocking.RankedBlocker{
+		blocking.RankedKey{Name: "id:" + idAttr, Key: blocking.AttrExactKey(idAttr)},
+		blocking.RankedKey{Name: "token", Key: blocking.TokenKey(titleAttr), MaxBlock: purgeBound},
+		blocking.RankedKey{Name: "qgram", Key: blocking.QGramKey(titleAttr, 3), MaxBlock: purgeBound},
+		blocking.RankedKey{Name: "phonetic", Key: blocking.PhoneticKey(titleAttr, "soundex"), MaxBlock: purgeBound},
+		blocking.RankedSortedNeighborhood{Name: "sortedneighborhood", Keys: []blocking.KeyFunc{blocking.AttrExactKey(titleAttr)}, Window: 5},
+		blocking.RankedMinHash{Name: "minhash", MinHash: blocking.MinHashLSH{Attrs: []string{titleAttr}}},
 	}
-	bs = append(bs, blocking.RankedKey{
-		Name: "token", Key: blocking.TokenKey(p.cfg.BlockAttrs...), MaxBlock: p.cfg.MaxBlock,
-	})
-	lead := p.cfg.BlockAttrs[0]
-	bs = append(bs,
-		blocking.RankedKey{Name: "qgram", Key: blocking.QGramKey(lead, 3), MaxBlock: p.cfg.MaxBlock},
-		blocking.RankedKey{Name: "phonetic", Key: blocking.PhoneticKey(lead, "soundex"), MaxBlock: p.cfg.MaxBlock},
-	)
-	var snKeys []blocking.KeyFunc
-	for _, attr := range p.cfg.BlockAttrs {
-		snKeys = append(snKeys, blocking.AttrExactKey(attr))
-	}
-	bs = append(bs,
-		blocking.RankedSortedNeighborhood{Name: "sortedneighborhood", Keys: snKeys, Window: 5},
-		blocking.RankedMinHash{Name: "minhash", MinHash: blocking.MinHashLSH{Attrs: p.cfg.BlockAttrs}},
-	)
-	return bs
 }
 
 // swooshCluster runs R-Swoosh within each connected component of the
@@ -529,14 +487,14 @@ func (p *Pipeline) swooshCluster(ctx context.Context, d *data.Dataset, ids []str
 // model trained on the candidates behind the same identifier
 // short-circuit.
 func (p *Pipeline) buildMatcher(d *data.Dataset, candidates func() []data.Pair, sp *obs.Span) (linkage.Matcher, error) {
-	attrs := p.cfg.MatchAttrs
+	attrs := []string{titleAttr}
 	if p.cfg.FellegiSunter {
 		// A probabilistic matcher needs several comparison fields to
 		// separate the classes; widen with the most frequent attributes
 		// (the ones many sources kept under their canonical names).
-		attrs = append(slices.Clone(attrs), topAttrs(d, 5, attrs)...)
+		attrs = append(attrs, topAttrs(d, 5, attrs)...)
 	}
-	rule := defaultRule(p.cfg.IdentifierAttrs, attrs, p.cfg.MatchThreshold)
+	rule := defaultRule(attrs, p.cfg.MatchThreshold)
 	rule.Comparator.AttachObs(p.reg())
 	if !p.cfg.FellegiSunter {
 		return rule, nil
@@ -609,7 +567,7 @@ func (p *Pipeline) align(ctx context.Context, d *data.Dataset, clusters data.Clu
 	if err != nil {
 		return nil, nil, err
 	}
-	aligner := schema.Aligner{Evidence: cols.Combined, Threshold: p.cfg.AlignThreshold, Ctx: ctx, Workers: p.cfg.Workers}
+	aligner := schema.Aligner{Evidence: cols.Combined, Threshold: alignThreshold, Ctx: ctx, Workers: p.cfg.Workers}
 	if clusters != nil {
 		le, err := schema.NewLinkageEvidence(ctx, cols, clusters, p.cfg.Workers)
 		if err != nil {

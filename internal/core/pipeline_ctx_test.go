@@ -66,14 +66,6 @@ func TestRunCtxCancelMidRun(t *testing.T) {
 	}
 }
 
-func TestRunCtxStageTimeout(t *testing.T) {
-	web := bigWeb(t)
-	_, err := New(Config{Workers: 2, StageTimeout: time.Millisecond}).RunCtx(context.Background(), web.Dataset)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("want context.DeadlineExceeded, got %v", err)
-	}
-}
-
 func TestRunCtxNilIsBackground(t *testing.T) {
 	web := testWeb(t, 1, 0.9)
 	//nolint:staticcheck // the nil-tolerance contract is the point

@@ -287,9 +287,7 @@ func TestConfigValidate(t *testing.T) {
 		{Clusterer: "bogus"},
 		{Fuser: "bogus"},
 		{MatchThreshold: 1.5},
-		{AlignThreshold: 1.7},
 		{MatchThreshold: -0.2},
-		{AlignThreshold: -0.2},
 		{Order: Order(7)},
 	}
 	for i, cfg := range cases {
@@ -300,30 +298,24 @@ func TestConfigValidate(t *testing.T) {
 	if err := (Config{Clusterer: "center", Fuser: "accu"}).Validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
-	if err := (Config{MatchThreshold: ZeroThreshold, AlignThreshold: ZeroThreshold}).Validate(); err != nil {
+	if err := (Config{MatchThreshold: ZeroThreshold}).Validate(); err != nil {
 		t.Errorf("ZeroThreshold rejected: %v", err)
 	}
 }
 
 func TestConfigThresholdSentinel(t *testing.T) {
-	// Zero value resolves to the documented defaults...
-	def := New(Config{}).Config()
-	if def.MatchThreshold != 0.6 || def.AlignThreshold != 0.5 {
-		t.Errorf("zero-value thresholds resolved to %v/%v, want 0.6/0.5",
-			def.MatchThreshold, def.AlignThreshold)
+	// Zero value resolves to the documented default...
+	if def := New(Config{}).Config(); def.MatchThreshold != 0.6 {
+		t.Errorf("zero-value threshold resolved to %v, want 0.6", def.MatchThreshold)
 	}
 	// ...while ZeroThreshold pins a literal 0, which defaults() used to
 	// clobber back to the default.
-	zero := New(Config{MatchThreshold: ZeroThreshold, AlignThreshold: ZeroThreshold}).Config()
-	if zero.MatchThreshold != 0 || zero.AlignThreshold != 0 {
-		t.Errorf("ZeroThreshold resolved to %v/%v, want 0/0",
-			zero.MatchThreshold, zero.AlignThreshold)
+	if zero := New(Config{MatchThreshold: ZeroThreshold}).Config(); zero.MatchThreshold != 0 {
+		t.Errorf("ZeroThreshold resolved to %v, want 0", zero.MatchThreshold)
 	}
 	// Explicit in-range values pass through untouched.
-	set := New(Config{MatchThreshold: 0.72, AlignThreshold: 0.3}).Config()
-	if set.MatchThreshold != 0.72 || set.AlignThreshold != 0.3 {
-		t.Errorf("explicit thresholds resolved to %v/%v, want 0.72/0.3",
-			set.MatchThreshold, set.AlignThreshold)
+	if set := New(Config{MatchThreshold: 0.72}).Config(); set.MatchThreshold != 0.72 {
+		t.Errorf("explicit threshold resolved to %v, want 0.72", set.MatchThreshold)
 	}
 }
 

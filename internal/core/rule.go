@@ -10,6 +10,17 @@ import (
 // The default match rule and its settings, shared by Config (batch) and
 // StreamConfig (stream) so the two paths cannot drift apart.
 
+const (
+	// titleAttr is the attribute the rule compares (and the pipeline
+	// token-blocks on).
+	titleAttr = "title"
+	// idAttr is the identifier attribute whose equality short-circuits
+	// the rule.
+	idAttr = "pid"
+	// defaultMatchThreshold is what a zero MatchThreshold resolves to.
+	defaultMatchThreshold = 0.6
+)
+
 // ruleComparator is the field-weight half of the default rule: word
 // Jaccard on every attribute, title weighted ×2. The snapshot's resolve
 // comparator is built from it too.
@@ -17,7 +28,7 @@ func ruleComparator(attrs []string) *similarity.RecordComparator {
 	fields := make([]similarity.FieldWeight, len(attrs))
 	for i, a := range attrs {
 		fields[i] = similarity.FieldWeight{Attr: a, Weight: 1, Metric: similarity.Jaccard}
-		if a == "title" {
+		if a == titleAttr {
 			fields[i].Weight = 2
 		}
 	}
@@ -26,29 +37,17 @@ func ruleComparator(attrs []string) *similarity.RecordComparator {
 
 // defaultRule is the matcher both paths link by: identifier equality
 // short-circuits, otherwise ruleComparator decides against threshold.
-func defaultRule(ids, attrs []string, threshold float64) linkage.RuleMatcher {
-	return linkage.RuleMatcher{Exact: ids, Comparator: ruleComparator(attrs), Threshold: threshold}
+func defaultRule(attrs []string, threshold float64) linkage.RuleMatcher {
+	return linkage.RuleMatcher{Exact: []string{idAttr}, Comparator: ruleComparator(attrs), Threshold: threshold}
 }
 
-// ruleDefaults resolves the rule's settings in place: nil identifier
-// attributes mean {"pid"}, empty match attributes {"title"}, and the
-// threshold defaults to 0.6.
-func ruleDefaults(ids, attrs *[]string, threshold *float64) {
-	if *ids == nil {
-		*ids = []string{"pid"}
-	}
-	if len(*attrs) == 0 {
-		*attrs = []string{"title"}
-	}
-	*threshold = resolveThreshold(*threshold, 0.6)
-}
-
-// resolveThreshold maps a threshold field to its effective value: the
-// zero value means def, ZeroThreshold means literally 0.
-func resolveThreshold(t, def float64) float64 {
+// resolveThreshold maps a MatchThreshold field to its effective value:
+// the zero value means defaultMatchThreshold, ZeroThreshold means
+// literally 0.
+func resolveThreshold(t float64) float64 {
 	switch t {
 	case 0:
-		return def
+		return defaultMatchThreshold
 	case ZeroThreshold:
 		return 0
 	}

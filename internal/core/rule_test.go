@@ -19,17 +19,16 @@ func TestStreamRuleIsPipelineRule(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		threshold float64
-		attrs     []string
 	}{
-		{"defaults", 0, nil},
-		{"zero threshold", ZeroThreshold, nil},
-		{"explicit", 0.8, []string{"title", "brand"}},
+		{"defaults", 0},
+		{"zero threshold", ZeroThreshold},
+		{"explicit", 0.8},
 	} {
-		batch, err := New(Config{MatchThreshold: tc.threshold, MatchAttrs: tc.attrs}).buildMatcher(nil, nil, nil)
+		batch, err := New(Config{MatchThreshold: tc.threshold}).buildMatcher(nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := NewStream(StreamConfig{MatchThreshold: tc.threshold, MatchAttrs: tc.attrs}, nil)
+		s, err := NewStream(StreamConfig{MatchThreshold: tc.threshold}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,12 +73,9 @@ func TestThresholdVerdictsShared(t *testing.T) {
 		{in: -0.5, bad: true},
 		{in: 1.5, bad: true},
 	} {
-		c, sc := Config{MatchThreshold: tc.in, AlignThreshold: tc.in}, StreamConfig{MatchThreshold: tc.in}
+		c, sc := Config{MatchThreshold: tc.in}, StreamConfig{MatchThreshold: tc.in}
 		if err := c.Validate(); (err != nil) != tc.bad {
 			t.Errorf("Config threshold %v: Validate = %v, want error %v", tc.in, err, tc.bad)
-		}
-		if err := (Config{AlignThreshold: tc.in}).Validate(); (err != nil) != tc.bad {
-			t.Errorf("Config align threshold %v: Validate = %v, want error %v", tc.in, err, tc.bad)
 		}
 		if err := sc.Validate(); (err != nil) != tc.bad {
 			t.Errorf("StreamConfig threshold %v: Validate = %v, want error %v", tc.in, err, tc.bad)
@@ -91,12 +87,6 @@ func TestThresholdVerdictsShared(t *testing.T) {
 		sc.defaults()
 		if c.MatchThreshold != tc.want || sc.MatchThreshold != tc.want {
 			t.Errorf("threshold %v resolves to %v (batch) and %v (stream), want %v", tc.in, c.MatchThreshold, sc.MatchThreshold, tc.want)
-		}
-		if want := resolveThreshold(tc.in, 0.5); c.AlignThreshold != want {
-			t.Errorf("align threshold %v resolves to %v, want %v", tc.in, c.AlignThreshold, want)
-		}
-		if !reflect.DeepEqual(c.IdentifierAttrs, sc.IdentifierAttrs) || !reflect.DeepEqual(c.MatchAttrs, sc.MatchAttrs) {
-			t.Errorf("attribute defaults differ: batch %v/%v, stream %v/%v", c.IdentifierAttrs, c.MatchAttrs, sc.IdentifierAttrs, sc.MatchAttrs)
 		}
 	}
 }

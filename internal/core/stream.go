@@ -21,17 +21,16 @@ import (
 // entities are republished into the serving snapshot without ever
 // re-running the batch pipeline. The zero value is usable.
 type StreamConfig struct {
-	// Stream shape (see source.StreamConfig).
-	EpochSize int // records per source per epoch; default 100
-	Retries   int // refetch budget per poll; default 8, negative = none
+	// EpochSize is the log entries per source per epoch; default 100.
+	// Each poll refetches through transient faults and truncations with
+	// source.StreamConfig's default budget (8 retries).
+	EpochSize int
 
-	// Incremental linkage: the batch pipeline's default rule with the
-	// batch defaults (identifier equality short-circuits, otherwise a
-	// weighted Jaccard over the match attributes against MatchThreshold).
-	IdentifierAttrs []string // exact-match attributes; nil = {"pid"}
-	MatchAttrs      []string // comparator attributes; empty = {"title"}
-	MatchThreshold  float64  // 0 = default 0.6, ZeroThreshold = literally 0
-	MaxBlock        int      // online stop-token bound; 0 = default 64, negative = unlimited
+	// Incremental linkage: the batch pipeline's default rule (pid
+	// equality short-circuits, otherwise a weighted Jaccard over the
+	// title against MatchThreshold).
+	MatchThreshold float64 // 0 = default 0.6, ZeroThreshold = literally 0
+	MaxBlock       int     // online stop-token bound; 0 = default 64, negative = unlimited
 
 	// FusionN is fusion.Online's assumed number of false values
 	// (0 = its default 10).
@@ -72,7 +71,7 @@ func (c *StreamConfig) defaults() {
 	if c.EpochSize <= 0 {
 		c.EpochSize = 100
 	}
-	ruleDefaults(&c.IdentifierAttrs, &c.MatchAttrs, &c.MatchThreshold)
+	c.MatchThreshold = resolveThreshold(c.MatchThreshold)
 	if c.MaxBlock == 0 {
 		c.MaxBlock = 64
 	}
@@ -105,15 +104,15 @@ func (c StreamConfig) Validate() error {
 }
 
 // Stream is the long-lived streaming integration processor. It is not
-// safe for concurrent use; one goroutine owns it (Run is that loop).
-// All state that decides future behaviour — cursors, the incremental
-// linker, the fusion accuracy estimates, the epoch counter — is
-// persisted by Save and restored by LoadStream, so a resumed stream
-// replays byte-identically (under an epoch-driven publish cadence;
-// wall-clock staleness publishing is inherently schedule-dependent).
+// safe for concurrent use; one goroutine owns it (RunDeltas is that
+// loop). All state that decides future behaviour — cursors, the
+// incremental linker, the fusion accuracy estimates, the epoch counter
+// — is persisted by Save and restored by LoadStream, so a resumed
+// stream replays byte-identically (under an epoch-driven publish
+// cadence; wall-clock staleness publishing is inherently
+// schedule-dependent).
 type Stream struct {
 	cfg     StreamConfig
-	keyFn   func(r *data.Record) []string
 	matcher linkage.Matcher
 	inc     *linkage.Incremental
 	publish func(*Snapshot)
@@ -154,8 +153,7 @@ func NewStream(cfg StreamConfig, publish func(*Snapshot)) (*Stream, error) {
 	cfg.defaults()
 	s := &Stream{
 		cfg:     cfg,
-		keyFn:   streamKeyFunc(cfg.MatchAttrs, cfg.IdentifierAttrs),
-		matcher: defaultRule(cfg.IdentifierAttrs, cfg.MatchAttrs, cfg.MatchThreshold),
+		matcher: defaultRule([]string{titleAttr}, cfg.MatchThreshold),
 		publish: publish,
 		acc:     map[string]float64{},
 		cursors: map[string]int{},
@@ -163,47 +161,34 @@ func NewStream(cfg StreamConfig, publish func(*Snapshot)) (*Stream, error) {
 		seen:    map[string]struct{}{},
 		lastPub: time.Now(),
 	}
-	s.inc = linkage.NewIncremental(s.keyFn, s.matcher)
+	s.inc = linkage.NewIncremental(streamKey, s.matcher)
 	s.inc.MaxBlock = cfg.MaxBlock
 	return s, nil
 }
 
-// streamKeyFunc is the online blocking key: sorted distinct tokens of
-// the match attributes (the posting-list probe order must not inherit
-// map iteration order) plus one exact key per present identifier
-// attribute, NUL-prefixed so identifier keys can't collide with word
-// tokens.
-func streamKeyFunc(matchAttrs, idAttrs []string) func(r *data.Record) []string {
-	return func(r *data.Record) []string {
-		set := map[string]bool{}
-		for _, a := range matchAttrs {
-			for w := range tokenize.WordSet(r.Get(a).String()) {
-				set[w] = true
-			}
-		}
-		keys := make([]string, 0, len(set)+len(idAttrs))
-		for w := range set {
-			keys = append(keys, w)
-		}
-		sort.Strings(keys)
-		for _, a := range idAttrs {
-			if v := r.Get(a); !v.IsNull() {
-				keys = append(keys, "\x00"+a+"\x00"+v.Key())
-			}
-		}
-		return keys
+// streamKey is the online blocking key: the sorted distinct title
+// tokens (the posting-list probe order must not inherit map iteration
+// order) plus, when present, one exact identifier key, NUL-prefixed so
+// it can't collide with a word token.
+func streamKey(r *data.Record) []string {
+	words := tokenize.WordSet(r.Get(titleAttr).String())
+	keys := make([]string, 0, len(words)+1)
+	for w := range words {
+		keys = append(keys, w)
 	}
+	sort.Strings(keys)
+	if v := r.Get(idAttr); !v.IsNull() {
+		keys = append(keys, "\x00"+idAttr+"\x00"+v.Key())
+	}
+	return keys
 }
 
 func (s *Stream) reg() *obs.Registry { return obs.OrDefault(s.cfg.Obs) }
 
-// ApplyEpoch folds one epoch of insert-only arrivals into the
-// incremental state — the PR-9 record path, now a thin wrapper over
-// ApplyDeltas with every record lifted to an upsert.
+// ApplyEpoch is ApplyDeltas under its record-stream name, kept only for
+// benchmark/serve_live.go until that file calls ApplyDeltas.
 func (s *Stream) ApplyEpoch(metas map[string]*data.Source, ep source.Epoch) error {
-	return s.ApplyDeltas(metas, source.DeltaEpoch{
-		Seq: ep.Seq, Deltas: source.UpsertLog(ep.Records), Cursors: ep.Cursors,
-	})
+	return s.ApplyDeltas(metas, ep)
 }
 
 // ApplyDeltas folds one epoch of changes into the incremental state:
@@ -345,68 +330,28 @@ func (s *Stream) Publish(ctx context.Context) (*Snapshot, error) {
 	return snap, nil
 }
 
-// Run drains the fleet as a stream: watch → epoch batches → incremental
-// linkage → online fusion → snapshot publishing within the staleness
-// window, persisting state every SaveEvery epochs when StatePath is
-// set. It returns after every source is drained (with a final publish
-// and save) or on the first error.
-func (s *Stream) Run(ctx context.Context, fleet []source.Source, totals map[string]int) error {
-	str, err := source.NewStreamer(ctx, fleet, s.streamerConfig(totals))
-	if err != nil {
-		return err
-	}
-	metas := fleetMetas(fleet)
-	return drain(ctx, s, str, str.C, func(ep source.Epoch) error { return s.ApplyEpoch(metas, ep) })
-}
-
-// RunDeltas drains a mutable fleet: delta watch → epoch batches →
-// upsert/delete application → online fusion → snapshot publishing,
-// with the same persistence and compaction cadence as Run. totals
-// declares each source's canonical log length (mandatory for wrapped
-// sources; see StreamConfig.Totals).
+// RunDeltas drains a fleet as a stream: delta watch → epoch batches →
+// upsert/delete application → online fusion → snapshot publishing
+// within the staleness window, compacting on the garbage trigger and
+// persisting state every SaveEvery epochs when StatePath is set. A
+// record fleet enters through source.AsDeltaSources. totals declares
+// each source's canonical log length (mandatory for wrapped sources;
+// see source.StreamConfig.Totals). It returns after every source is
+// drained (with a final publish and save) or on the first error.
 func (s *Stream) RunDeltas(ctx context.Context, fleet []source.DeltaSource, totals map[string]int) error {
-	str, err := source.NewDeltaStreamer(ctx, fleet, s.streamerConfig(totals))
-	if err != nil {
-		return err
-	}
-	metas := fleetMetas(fleet)
-	return drain(ctx, s, str, str.C, func(ep source.DeltaEpoch) error { return s.ApplyDeltas(metas, ep) })
-}
-
-// streamerConfig positions a fleet streamer at this stream's resume
-// point: its persisted cursors and epoch numbering.
-func (s *Stream) streamerConfig(totals map[string]int) source.StreamConfig {
-	return source.StreamConfig{
+	str, err := source.NewDeltaStreamer(ctx, fleet, source.StreamConfig{
 		EpochSize: s.cfg.EpochSize,
-		Retries:   s.cfg.Retries,
 		Totals:    totals,
 		Cursors:   s.Cursors(),
 		StartSeq:  s.epoch,
+	})
+	if err != nil {
+		return err
 	}
-}
-
-func fleetMetas[S interface{ Meta() *data.Source }](fleet []S) map[string]*data.Source {
-	metas := make(map[string]*data.Source, len(fleet))
-	for _, src := range fleet {
-		metas[src.Meta().ID] = src.Meta()
-	}
-	return metas
-}
-
-// fleetStreamer is what drain needs of either source streamer besides
-// its epoch channel.
-type fleetStreamer interface {
-	Err() error
-	Close()
-}
-
-// drain is the consumer loop Run and RunDeltas share: apply every epoch
-// the streamer delivers, run the per-epoch tail, and on a clean drain
-// publish and persist the final state. It closes the streamer.
-func drain[E any](ctx context.Context, s *Stream, str fleetStreamer, epochs <-chan E, apply func(E) error) error {
 	defer str.Close()
-	for ep := range epochs {
-		if err := apply(ep); err != nil {
+	metas := fleetMetas(fleet)
+	for ep := range str.C {
+		if err := s.ApplyDeltas(metas, ep); err != nil {
 			return err
 		}
 		if err := s.afterEpoch(ctx); err != nil {
@@ -419,8 +364,16 @@ func drain[E any](ctx context.Context, s *Stream, str fleetStreamer, epochs <-ch
 	return s.finish(ctx)
 }
 
-// afterEpoch runs the shared per-epoch tail: publish cadence, garbage
-// trigger, save cadence.
+func fleetMetas(fleet []source.DeltaSource) map[string]*data.Source {
+	metas := make(map[string]*data.Source, len(fleet))
+	for _, src := range fleet {
+		metas[src.Meta().ID] = src.Meta()
+	}
+	return metas
+}
+
+// afterEpoch runs the per-epoch tail: publish cadence, garbage trigger,
+// save cadence.
 func (s *Stream) afterEpoch(ctx context.Context) error {
 	if s.shouldPublish() {
 		if _, err := s.Publish(ctx); err != nil {

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -34,15 +36,9 @@ func TestStreamCrashResumeByteIdentical(t *testing.T) {
 	for _, s := range d.Sources() {
 		metas[s.ID] = s
 	}
-	// Retries sized so a poll failing through the whole budget is
-	// effectively impossible under the 25%/25% fault mix.
-	const retries = 16
-
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			cfg := StreamConfig{
-				EpochSize: 9, PublishEvery: 2, Retries: retries, Workers: workers,
-			}
+			cfg := StreamConfig{EpochSize: 9, PublishEvery: 2, Workers: workers}
 
 			// Uninterrupted baseline, itself streaming through the fault
 			// injector.
@@ -50,13 +46,13 @@ func TestStreamCrashResumeByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fleet := faults.WrapAll(source.FromDataset(d), chaosFaults(7))
-			if err := base.Run(context.Background(), fleet, totals); err != nil {
+			fleet := source.AsDeltaSources(faults.WrapAll(source.FromDataset(d), chaosFaults(7)))
+			if err := base.RunDeltas(context.Background(), fleet, totals); err != nil {
 				t.Fatal(err)
 			}
 			want := streamFingerprint(t, base)
 
-			// Crashing run: drive epochs by hand with Run's exact
+			// Crashing run: drive epochs by hand with RunDeltas' exact
 			// publish/save cadence, then "crash" mid-epoch — half of the
 			// next epoch applied in memory, nothing saved.
 			path := filepath.Join(t.TempDir(), "stream.state")
@@ -66,9 +62,9 @@ func TestStreamCrashResumeByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			str, err := source.NewStreamer(context.Background(),
-				faults.WrapAll(source.FromDataset(d), chaosFaults(7)),
-				source.StreamConfig{EpochSize: ccfg.EpochSize, Retries: retries, Totals: totals})
+			str, err := source.NewDeltaStreamer(context.Background(),
+				source.AsDeltaSources(faults.WrapAll(source.FromDataset(d), chaosFaults(7))),
+				source.StreamConfig{EpochSize: ccfg.EpochSize, Totals: totals})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,13 +73,13 @@ func TestStreamCrashResumeByteIdentical(t *testing.T) {
 			for ep := range str.C {
 				if ep.Seq == crashAfter {
 					torn := ep
-					torn.Records = ep.Records[:len(ep.Records)/2]
-					if err := crashed.ApplyEpoch(metas, torn); err != nil {
+					torn.Deltas = ep.Deltas[:len(ep.Deltas)/2]
+					if err := crashed.ApplyDeltas(metas, torn); err != nil {
 						t.Fatal(err)
 					}
 					break // killed: the torn epoch never reaches the state file
 				}
-				if err := crashed.ApplyEpoch(metas, ep); err != nil {
+				if err := crashed.ApplyDeltas(metas, ep); err != nil {
 					t.Fatal(err)
 				}
 				if crashed.shouldPublish() {
@@ -98,7 +94,7 @@ func TestStreamCrashResumeByteIdentical(t *testing.T) {
 
 			// Restore from the persisted state with a freshly wrapped
 			// fleet (fault schedules restart, content does not) and let
-			// Run finish the stream.
+			// RunDeltas finish the stream.
 			resumed, err := LoadStream(path, ccfg, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -106,8 +102,8 @@ func TestStreamCrashResumeByteIdentical(t *testing.T) {
 			if resumed.Epoch() != crashAfter {
 				t.Fatalf("restored at epoch %d, want %d (torn epoch must not persist)", resumed.Epoch(), crashAfter)
 			}
-			if err := resumed.Run(context.Background(),
-				faults.WrapAll(source.FromDataset(d), chaosFaults(7)), totals); err != nil {
+			if err := resumed.RunDeltas(context.Background(),
+				source.AsDeltaSources(faults.WrapAll(source.FromDataset(d), chaosFaults(7))), totals); err != nil {
 				t.Fatal(err)
 			}
 
@@ -116,4 +112,58 @@ func TestStreamCrashResumeByteIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRecordFleetsKeepParentBits pins the record stream's output through
+// the one delta driver: a clean and a fault-wrapped record fleet,
+// drained by RunDeltas(AsDeltaSources(...)) in two epoch shapes at
+// workers {1, 2, 8}, reproduce the FNV-64 digests of streamFingerprint
+// and of the saved state bytes that were recorded with the record
+// driver (Stream.Run) before record fleets entered as change logs.
+func TestRecordFleetsKeepParentBits(t *testing.T) {
+	d := streamTestWeb(31, 80, 8)
+	for _, tc := range []struct {
+		fleet, shape string
+		cfg          StreamConfig
+		wrap         func([]source.Source) []source.Source
+		want         [2]uint64 // streamFingerprint, state bytes
+	}{
+		{"clean", "9/2", StreamConfig{EpochSize: 9, PublishEvery: 2}, nil, [2]uint64{0x838f211fa2e4eb41, 0x773152a11bdc2945}},
+		{"clean", "25/1", StreamConfig{EpochSize: 25, PublishEvery: 1, SaveEvery: 3}, nil, [2]uint64{0x5f1f4dbd2cd9b879, 0x72fe877319f9fbc3}},
+		{"faulted", "9/2", StreamConfig{EpochSize: 9, PublishEvery: 2}, faultFleet, [2]uint64{0x838f211fa2e4eb41, 0x773152a11bdc2945}},
+		{"faulted", "25/1", StreamConfig{EpochSize: 25, PublishEvery: 1, SaveEvery: 3}, faultFleet, [2]uint64{0x5f1f4dbd2cd9b879, 0x72fe877319f9fbc3}},
+	} {
+		for _, workers := range []int{1, 2, 8} {
+			cfg := tc.cfg
+			cfg.Workers = workers
+			cfg.StatePath = filepath.Join(t.TempDir(), "stream.state")
+			s, err := NewStream(cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fleet := source.FromDataset(d)
+			if tc.wrap != nil {
+				fleet = tc.wrap(fleet)
+			}
+			if err := s.RunDeltas(context.Background(), source.AsDeltaSources(fleet), source.Totals(d)); err != nil {
+				t.Fatal(err)
+			}
+			state, err := os.ReadFile(cfg.StatePath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := [2]uint64{fnv64([]byte(streamFingerprint(t, s))), fnv64(state)}
+			if got != tc.want {
+				t.Errorf("%s fleet, epoch/publish %s, workers=%d: digests %#x, want %#x", tc.fleet, tc.shape, workers, got, tc.want)
+			}
+		}
+	}
+}
+
+func faultFleet(fleet []source.Source) []source.Source { return faults.WrapAll(fleet, chaosFaults(7)) }
+
+func fnv64(b []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
 }

@@ -330,7 +330,7 @@ func (s *Stream) decodeState(buf []byte) error {
 		return fmt.Errorf("%w: %d trailing bytes", ErrBadState, len(d.buf))
 	}
 
-	inc, err := linkage.FromState(st, s.keyFn, s.matcher)
+	inc, err := linkage.FromState(st, streamKey, s.matcher)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrBadState, err)
 	}

@@ -50,7 +50,7 @@ type E27Result struct {
 func E27(seed int64) (*Table, *E27Result, error) {
 	web := dirtyWeb(seed, 500, 20, 1)
 	d := web.Dataset
-	fleet := source.FromDataset(d)
+	fleet := source.AsDeltaSources(source.FromDataset(d))
 	totals := source.Totals(d)
 	metas := map[string]*data.Source{}
 	for _, s := range d.Sources() {
@@ -83,7 +83,7 @@ func E27(seed int64) (*Table, *E27Result, error) {
 		Columns: []string{"corpus", "stream/rec", "batch/rec", "stream cmp"},
 	}
 
-	str, err := source.NewStreamer(context.Background(), fleet, source.StreamConfig{
+	str, err := source.NewDeltaStreamer(context.Background(), fleet, source.StreamConfig{
 		EpochSize: cfg.EpochSize, Totals: totals,
 	})
 	if err != nil {
@@ -92,13 +92,13 @@ func E27(seed int64) (*Table, *E27Result, error) {
 	defer str.Close()
 
 	for ep := range str.C {
-		n := len(ep.Records)
+		n := len(ep.Deltas)
 		if n == 0 {
 			continue
 		}
 		// Stream side: fold the epoch in, republish the view.
 		t0 := time.Now()
-		if err := st.ApplyEpoch(metas, ep); err != nil {
+		if err := st.ApplyDeltas(metas, ep); err != nil {
 			return nil, nil, err
 		}
 		if _, err := st.Publish(context.Background()); err != nil {
@@ -169,7 +169,7 @@ func E27(seed int64) (*Table, *E27Result, error) {
 // e27ResumeIdentical replays the stream with persistence enabled, kills
 // it at the midpoint, restores from the state file and finishes — then
 // compares every observable against the uninterrupted run.
-func e27ResumeIdentical(cfg core.StreamConfig, d *data.Dataset, fleet []source.Source,
+func e27ResumeIdentical(cfg core.StreamConfig, d *data.Dataset, fleet []source.DeltaSource,
 	totals map[string]int, metas map[string]*data.Source, base *core.Stream) (bool, error) {
 	dir, err := os.MkdirTemp("", "e27-state-")
 	if err != nil {
@@ -184,7 +184,7 @@ func e27ResumeIdentical(cfg core.StreamConfig, d *data.Dataset, fleet []source.S
 	if err != nil {
 		return false, err
 	}
-	str, err := source.NewStreamer(context.Background(), fleet, source.StreamConfig{
+	str, err := source.NewDeltaStreamer(context.Background(), fleet, source.StreamConfig{
 		EpochSize: pcfg.EpochSize, Totals: totals,
 	})
 	if err != nil {
@@ -196,7 +196,7 @@ func e27ResumeIdentical(cfg core.StreamConfig, d *data.Dataset, fleet []source.S
 		if ep.Seq == crashAt {
 			break // killed between save points; the state file holds epoch crashAt
 		}
-		if err := crashed.ApplyEpoch(metas, ep); err != nil {
+		if err := crashed.ApplyDeltas(metas, ep); err != nil {
 			return false, err
 		}
 		if _, err := crashed.Publish(context.Background()); err != nil {
@@ -211,7 +211,7 @@ func e27ResumeIdentical(cfg core.StreamConfig, d *data.Dataset, fleet []source.S
 	if err != nil {
 		return false, err
 	}
-	if err := resumed.Run(context.Background(), fleet, totals); err != nil {
+	if err := resumed.RunDeltas(context.Background(), fleet, totals); err != nil {
 		return false, err
 	}
 	a, err := e27Fingerprint(base)

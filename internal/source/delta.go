@@ -56,7 +56,8 @@ type DeltaSource interface {
 }
 
 // DeltaStatic is a DeltaSource over an in-memory log — the adapter for
-// churn workloads and tests. FetchDeltas never fails.
+// churn workloads, lifted static record sources and tests. FetchDeltas
+// never fails.
 type DeltaStatic struct {
 	Src *data.Source
 	Log []Delta
@@ -83,10 +84,18 @@ func UpsertLog(recs []*data.Record) []Delta {
 }
 
 // AsDeltaSource adapts a record Source into a DeltaSource whose log is
-// one upsert per record. Because the mapping is positional, a
-// truncated or faulty record fetch becomes an equally truncated delta
-// log — fault wrappers (faults.Wrap) compose transparently underneath.
-func AsDeltaSource(src Source) DeltaSource { return recordDeltas{src} }
+// one upsert per record — an insert-only change log. A *Static is
+// lifted once into a *DeltaStatic: one shared log, the len(Log) totals
+// fallback, and no allocation per fetch. Any other source is lifted
+// positionally on every fetch, so a truncated or faulty record fetch
+// becomes an equally truncated delta log and fault wrappers
+// (faults.Wrap) compose transparently underneath.
+func AsDeltaSource(src Source) DeltaSource {
+	if st, ok := src.(*Static); ok {
+		return &DeltaStatic{Src: st.Src, Log: UpsertLog(st.Recs)}
+	}
+	return recordDeltas{src}
+}
 
 type recordDeltas struct{ src Source }
 
@@ -107,48 +116,4 @@ func AsDeltaSources(srcs []Source) []DeltaSource {
 		out[i] = AsDeltaSource(s)
 	}
 	return out
-}
-
-// DeltaEpoch is one batch of changes across the watched fleet — the
-// mutable-stream analogue of Epoch.
-type DeltaEpoch struct {
-	// Seq numbers epochs from StreamConfig.StartSeq upward.
-	Seq int
-	// Deltas holds this epoch's changes in delivery order: sources in
-	// ascending ID order, each source's deltas in canonical log order.
-	Deltas []Delta
-	// Cursors snapshots, per source ID, how many of that source's log
-	// entries have been delivered once this epoch is applied.
-	Cursors map[string]int
-}
-
-// DeltaWatch is the watch over a change log: each Poll delivers the
-// next (at most) epochSize deltas of the source's canonical log.
-type DeltaWatch = watch[Delta]
-
-// NewDeltaWatch builds a watch over src delivering epochSize deltas
-// per poll (default 100) with the given refetch budget (default 8;
-// negative means none). total declares the canonical log length.
-func NewDeltaWatch(src DeltaSource, total, epochSize, retries int) *DeltaWatch {
-	return newWatch(src.Meta(), src.FetchDeltas, total, epochSize, retries)
-}
-
-// DeltaStreamer is the fleet streamer over change-log sources,
-// delivering DeltaEpochs.
-type DeltaStreamer = streamer[DeltaEpoch]
-
-// NewDeltaStreamer starts streaming a delta fleet (see startFleet).
-// Sources without a cfg.Totals entry fall back to len(Log) when they
-// are a *DeltaStatic.
-func NewDeltaStreamer(ctx context.Context, sources []DeltaSource, cfg StreamConfig) (*DeltaStreamer, error) {
-	return startFleet(ctx, sources, cfg,
-		func(s DeltaSource) (func(context.Context) ([]Delta, error), int) {
-			if st, ok := s.(*DeltaStatic); ok {
-				return s.FetchDeltas, len(st.Log)
-			}
-			return s.FetchDeltas, -1
-		},
-		func(seq int, deltas []Delta, cursors map[string]int) DeltaEpoch {
-			return DeltaEpoch{Seq: seq, Deltas: deltas, Cursors: cursors}
-		})
 }

@@ -38,6 +38,11 @@ func TestAsDeltaSourceLiftsRecords(t *testing.T) {
 			t.Fatalf("delta %d = %v, want upsert of %s", i, dl, want[i].ID)
 		}
 	}
+	// A *Static is lifted once: polling its log costs no allocation.
+	ctx := context.Background()
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = ds.FetchDeltas(ctx) }); allocs != 0 {
+		t.Errorf("FetchDeltas of a lifted *Static makes %v allocations per call, want 0", allocs)
+	}
 }
 
 func TestChurnLogShape(t *testing.T) {

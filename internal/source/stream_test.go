@@ -51,23 +51,20 @@ type flakyDeltaSource struct{ *flaky[Delta] }
 
 func (f flakyDeltaSource) FetchDeltas(ctx context.Context) ([]Delta, error) { return f.fetch(ctx) }
 
-// fleetKind presents one streamer instantiation to the shared table:
-// the canonical sequences of a test fleet, how to serve one (optionally
-// through faults), how to watch and stream it, and how to read what
-// arrives.
-type fleetKind[S interface{ Meta() *data.Source }, T, E any] struct {
-	seqs   func(d *data.Dataset) map[string][]T // source ID → canonical sequence
-	static func(meta *data.Source, seq []T) S   // the in-memory adapter (total derivable)
-	flaky  func(f *flaky[T]) S
-	watch  func(src S, total, epochSize, retries int) *watch[T]
-	start  func(ctx context.Context, fleet []S, cfg StreamConfig) (*streamer[E], error)
-	open   func(ep E) (seq int, items []T, cursors map[string]int)
-	print  func(items []T) string
+// fleetKind presents one kind of fleet to the shared table: the
+// canonical sequences of a test fleet, how to serve one as a delta
+// source (optionally through faults), and the change log a sequence
+// streams as.
+type fleetKind[T any] struct {
+	seqs   func(d *data.Dataset) map[string][]T         // source ID → canonical sequence
+	static func(meta *data.Source, seq []T) DeltaSource // the in-memory adapter (total derivable)
+	flaky  func(f *flaky[T]) DeltaSource
+	log    func(seq []T) []Delta
 }
 
 func TestFleetStreamers(t *testing.T) {
 	t.Run("records", func(t *testing.T) {
-		testFleetKind(t, fleetKind[Source, *data.Record, Epoch]{
+		testFleetKind(t, fleetKind[*data.Record]{
 			seqs: func(d *data.Dataset) map[string][]*data.Record {
 				out := map[string][]*data.Record{}
 				for _, s := range d.Sources() {
@@ -75,16 +72,15 @@ func TestFleetStreamers(t *testing.T) {
 				}
 				return out
 			},
-			static: func(meta *data.Source, seq []*data.Record) Source { return &Static{Src: meta, Recs: seq} },
-			flaky:  func(f *flaky[*data.Record]) Source { return flakySource{f} },
-			watch:  NewWatch,
-			start:  NewStreamer,
-			open:   func(ep Epoch) (int, []*data.Record, map[string]int) { return ep.Seq, ep.Records, ep.Cursors },
-			print:  func(recs []*data.Record) string { return deltaFingerprint(UpsertLog(recs)) },
+			static: func(meta *data.Source, seq []*data.Record) DeltaSource {
+				return AsDeltaSource(&Static{Src: meta, Recs: seq})
+			},
+			flaky: func(f *flaky[*data.Record]) DeltaSource { return AsDeltaSource(flakySource{f}) },
+			log:   UpsertLog,
 		})
 	})
 	t.Run("deltas", func(t *testing.T) {
-		testFleetKind(t, fleetKind[DeltaSource, Delta, DeltaEpoch]{
+		testFleetKind(t, fleetKind[Delta]{
 			seqs: func(d *data.Dataset) map[string][]Delta {
 				out := map[string][]Delta{}
 				for i, s := range d.Sources() {
@@ -94,38 +90,36 @@ func TestFleetStreamers(t *testing.T) {
 			},
 			static: func(meta *data.Source, seq []Delta) DeltaSource { return &DeltaStatic{Src: meta, Log: seq} },
 			flaky:  func(f *flaky[Delta]) DeltaSource { return flakyDeltaSource{f} },
-			watch:  NewDeltaWatch,
-			start:  NewDeltaStreamer,
-			open:   func(ep DeltaEpoch) (int, []Delta, map[string]int) { return ep.Seq, ep.Deltas, ep.Cursors },
-			print:  deltaFingerprint,
+			log:    func(seq []Delta) []Delta { return seq },
 		})
 	})
 }
 
-// testFleetKind is the shared table: every case runs against both the
-// record and the delta instantiation of the one watch and the one fleet
-// producer.
-func testFleetKind[S interface{ Meta() *data.Source }, T, E any](t *testing.T, k fleetKind[S, T, E]) {
+// testFleetKind is the shared table: every case runs against a record
+// fleet lifted into change logs and a native delta fleet, through the
+// one watch and the one fleet producer.
+func testFleetKind[T any](t *testing.T, k fleetKind[T]) {
 	d := streamWeb(1)
 	seqs := k.seqs(d)
-	var fleet []S
+	var fleet []DeltaSource
 	for _, meta := range d.Sources() {
 		fleet = append(fleet, k.static(meta, seqs[meta.ID]))
 	}
 	meta := d.Sources()[0]
 	seq := seqs[meta.ID]
 	total := len(seq)
+	want := func(seq []T) string { return deltaFingerprint(k.log(seq)) }
 	ctx := context.Background()
 
 	// drain collects a whole stream, failing on a stream error.
-	drain := func(t *testing.T, fleet []S, cfg StreamConfig) []E {
+	drain := func(t *testing.T, fleet []DeltaSource, cfg StreamConfig) []DeltaEpoch {
 		t.Helper()
-		str, err := k.start(ctx, fleet, cfg)
+		str, err := NewDeltaStreamer(ctx, fleet, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer str.Close()
-		var eps []E
+		var eps []DeltaEpoch
 		for ep := range str.C {
 			eps = append(eps, ep)
 		}
@@ -136,8 +130,8 @@ func testFleetKind[S interface{ Meta() *data.Source }, T, E any](t *testing.T, k
 	}
 
 	t.Run("watch delivers the canonical sequence", func(t *testing.T) {
-		w := k.watch(fleet[0], total, 7, 0)
-		var got []T
+		w := newWatch(fleet[0], total, 7, 0)
+		var got []Delta
 		for !w.Done() {
 			batch, err := w.Poll(ctx)
 			if err != nil {
@@ -148,7 +142,7 @@ func testFleetKind[S interface{ Meta() *data.Source }, T, E any](t *testing.T, k
 			}
 			got = append(got, batch...)
 		}
-		if k.print(got) != k.print(seq) {
+		if deltaFingerprint(got) != want(seq) {
 			t.Fatal("delivered sequence differs from the canonical one")
 		}
 		if batch, err := w.Poll(ctx); batch != nil || err != nil {
@@ -159,30 +153,30 @@ func testFleetKind[S interface{ Meta() *data.Source }, T, E any](t *testing.T, k
 	t.Run("watch refetches through faults", func(t *testing.T) {
 		// The epoch covers the whole source, so truncated payloads can
 		// never cover the window and must be refetched.
-		w := k.watch(k.flaky(&flaky[T]{meta: meta, seq: seq, transient: 2, truncated: 2}), total, total, 8)
+		w := newWatch(k.flaky(&flaky[T]{meta: meta, seq: seq, transient: 2, truncated: 2}), total, total, 8)
 		batch, err := w.Poll(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if k.print(batch) != k.print(seq) {
+		if deltaFingerprint(batch) != want(seq) {
 			t.Fatal("faulted delivery diverged from the canonical sequence")
 		}
 		// With the retry budget below the fault count the poll must
 		// fail, classifiably.
-		w = k.watch(k.flaky(&flaky[T]{meta: meta, seq: seq, transient: 5}), total, total, 3)
+		w = newWatch(k.flaky(&flaky[T]{meta: meta, seq: seq, transient: 5}), total, total, 3)
 		if _, err := w.Poll(ctx); !errors.Is(err, ErrTransient) {
 			t.Fatalf("err = %v, want ErrTransient", err)
 		}
 	})
 
 	t.Run("short source", func(t *testing.T) {
-		w := k.watch(k.flaky(&flaky[T]{meta: meta, seq: seq, truncated: 50}), total, total, 3)
+		w := newWatch(k.flaky(&flaky[T]{meta: meta, seq: seq, truncated: 50}), total, total, 3)
 		if _, err := w.Poll(ctx); !errors.Is(err, ErrShortSource) {
 			t.Fatalf("err = %v, want ErrShortSource", err)
 		}
 		// The same through the producer: a source holding fewer items
 		// than its declared total ends the stream with the error.
-		str, err := k.start(ctx, fleet, StreamConfig{Retries: -1, Totals: map[string]int{meta.ID: total + 1}})
+		str, err := NewDeltaStreamer(ctx, fleet, StreamConfig{Retries: -1, Totals: map[string]int{meta.ID: total + 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,20 +189,20 @@ func testFleetKind[S interface{ Meta() *data.Source }, T, E any](t *testing.T, k
 	})
 
 	t.Run("seek clamps and resumes mid-stream", func(t *testing.T) {
-		w := k.watch(fleet[0], total, 5, 0)
+		w := newWatch(fleet[0], total, 5, 0)
 		if _, err := w.Poll(ctx); err != nil {
 			t.Fatal(err)
 		}
 		cursor := w.Cursor()
 		// A fresh watch seeked to the persisted cursor continues the
 		// exact sequence.
-		w2 := k.watch(fleet[0], total, 5, 0)
+		w2 := newWatch(fleet[0], total, 5, 0)
 		w2.Seek(cursor)
 		batch, err := w2.Poll(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if k.print(batch) != k.print(seq[cursor:cursor+len(batch)]) || len(batch) == 0 {
+		if deltaFingerprint(batch) != want(seq[cursor:cursor+len(batch)]) || len(batch) == 0 {
 			t.Fatal("resumed batch differs from the canonical window")
 		}
 		if w2.Seek(-3); w2.Cursor() != 0 {
@@ -224,15 +218,14 @@ func testFleetKind[S interface{ Meta() *data.Source }, T, E any](t *testing.T, k
 		if len(a) == 0 || len(a) != len(b) {
 			t.Fatalf("epoch counts %d vs %d", len(a), len(b))
 		}
-		delivered := map[string][]T{}
+		delivered := map[string][]Delta{}
 		var last map[string]int
 		for i := range a {
-			seqA, itemsA, cursors := k.open(a[i])
-			_, itemsB, _ := k.open(b[i])
-			if seqA != i {
-				t.Errorf("epoch %d has seq %d", i, seqA)
+			itemsA, cursors := a[i].Deltas, a[i].Cursors
+			if a[i].Seq != i {
+				t.Errorf("epoch %d has seq %d", i, a[i].Seq)
 			}
-			if k.print(itemsA) != k.print(itemsB) {
+			if deltaFingerprint(itemsA) != deltaFingerprint(b[i].Deltas) {
 				t.Fatalf("epoch %d differs across runs", i)
 			}
 			// Sources arrive in ascending ID order, each contributing
@@ -244,9 +237,9 @@ func testFleetKind[S interface{ Meta() *data.Source }, T, E any](t *testing.T, k
 			}
 			last = cursors
 		}
-		for id, want := range seqs {
-			if k.print(delivered[id]) != k.print(want) || last[id] != len(want) {
-				t.Errorf("source %s: delivered sequence or final cursor %d differs from canonical (%d items)", id, last[id], len(want))
+		for id, seq := range seqs {
+			if deltaFingerprint(delivered[id]) != want(seq) || last[id] != len(seq) {
+				t.Errorf("source %s: delivered sequence or final cursor %d differs from canonical (%d items)", id, last[id], len(seq))
 			}
 		}
 	})
@@ -259,15 +252,12 @@ func testFleetKind[S interface{ Meta() *data.Source }, T, E any](t *testing.T, k
 		// Resume from the cursors of epoch k-1: the remaining epochs
 		// must be the uninterrupted run's tail, numbering included.
 		at := len(all) / 2
-		_, _, cursors := k.open(all[at-1])
-		resumed := drain(t, fleet, StreamConfig{EpochSize: 4, Cursors: cursors, StartSeq: at})
+		resumed := drain(t, fleet, StreamConfig{EpochSize: 4, Cursors: all[at-1].Cursors, StartSeq: at})
 		if len(resumed) != len(all)-at {
 			t.Fatalf("resumed %d epochs, want %d", len(resumed), len(all)-at)
 		}
 		for i, ep := range resumed {
-			gotSeq, got, _ := k.open(ep)
-			wantSeq, want, _ := k.open(all[at+i])
-			if gotSeq != wantSeq || k.print(got) != k.print(want) {
+			if ep.Seq != all[at+i].Seq || deltaFingerprint(ep.Deltas) != deltaFingerprint(all[at+i].Deltas) {
 				t.Fatalf("resumed epoch %d differs from the uninterrupted run", i)
 			}
 		}
@@ -275,7 +265,7 @@ func testFleetKind[S interface{ Meta() *data.Source }, T, E any](t *testing.T, k
 
 	t.Run("cancel mid-send", func(t *testing.T) {
 		cctx, cancel := context.WithCancel(ctx)
-		str, err := k.start(cctx, fleet, StreamConfig{EpochSize: 1})
+		str, err := NewDeltaStreamer(cctx, fleet, StreamConfig{EpochSize: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,15 +280,15 @@ func testFleetKind[S interface{ Meta() *data.Source }, T, E any](t *testing.T, k
 	})
 
 	t.Run("duplicate IDs", func(t *testing.T) {
-		dup := append(append([]S(nil), fleet...), fleet[0])
-		if _, err := k.start(ctx, dup, StreamConfig{}); err == nil || !strings.Contains(err.Error(), "duplicate") {
+		dup := append(append([]DeltaSource(nil), fleet...), fleet[0])
+		if _, err := NewDeltaStreamer(ctx, dup, StreamConfig{}); err == nil || !strings.Contains(err.Error(), "duplicate") {
 			t.Fatalf("err = %v, want a duplicate-ID rejection", err)
 		}
 	})
 
 	t.Run("unknown totals", func(t *testing.T) {
-		wrapped := []S{k.flaky(&flaky[T]{meta: meta, seq: seq})} // not the static adapter: totals required
-		if _, err := k.start(ctx, wrapped, StreamConfig{}); err == nil || !strings.Contains(err.Error(), "total") {
+		wrapped := []DeltaSource{k.flaky(&flaky[T]{meta: meta, seq: seq})} // not the static adapter: totals required
+		if _, err := NewDeltaStreamer(ctx, wrapped, StreamConfig{}); err == nil || !strings.Contains(err.Error(), "total") {
 			t.Fatalf("err = %v, want a missing-total rejection", err)
 		}
 		if got := drain(t, wrapped, StreamConfig{Totals: map[string]int{meta.ID: total}}); len(got) == 0 {
