@@ -38,11 +38,14 @@ bench:
 # later publishes, concurrent queries on two snapshots sharing no pooled
 # scratch, the online kernel against its dense reference, every
 # fuser's output bits on three claim-set shapes, record fleets keeping
-# their stream and state bits through the delta driver, the HTTP edge:
+# their stream and state bits as upsert logs, a panicking source
+# failing the stream with an error (and, panicking once, draining to
+# the clean output), batch ingest folding the same dataset a stream
+# holds (churned fleets, clean and mangled), the HTTP edge:
 # the handler fuzz corpus and Close racing Publish and reads, bdiserve's
 # stream stop waiting out an in-flight save, and spill hygiene: a
 # cancelled spill, Indexed.Pairs on a budgeted engine, and budgeted
 # pipeline runs on every candidate path leave no spill directory behind.
 chaos:
 	$(GO) run -race ./cmd/bdibench -exp E23
-	$(GO) test -race -run 'TestStreamKillMidCompactionChaos|TestStreamStateBackupRecovery|TestStreamStateDecodeRobust|FuzzStreamStateDecode|FuzzIncrementalOps|TestDeleteCostIndependentOfCorpus|FuzzHandlers|TestShutdownDuringPublish|FuzzStreamOps|TestPublishCostFollowsDirtySet|TestSnapshotsShareNoMutableState|TestQueryScratchIsolated|TestOnlineKernelMatchesReference|TestFusersKeepParentBits|TestRecordFleetsKeepParentBits|TestStreamStopWaitsForSave|TestSpillCancellation|TestIndexedPairsLeaveNoSpill|TestPipelineShardedSpilledIdentical' ./internal/core/... ./internal/linkage/... ./internal/serve/... ./internal/fusion/... ./internal/blocking/... ./cmd/bdiserve/...
+	$(GO) test -race -run 'TestStreamKillMidCompactionChaos|TestStreamStateBackupRecovery|TestStreamStateDecodeRobust|FuzzStreamStateDecode|FuzzIncrementalOps|TestDeleteCostIndependentOfCorpus|FuzzHandlers|TestShutdownDuringPublish|FuzzStreamOps|TestPublishCostFollowsDirtySet|TestSnapshotsShareNoMutableState|TestQueryScratchIsolated|TestOnlineKernelMatchesReference|TestFusersKeepParentBits|TestRecordFleetsKeepParentBits|TestStreamSurvivesPanickingSource|TestStreamPanicOnceDrainsClean|TestIngestMatchesStream|TestStreamStopWaitsForSave|TestSpillCancellation|TestIndexedPairsLeaveNoSpill|TestPipelineShardedSpilledIdentical' ./internal/core/... ./internal/source/... ./internal/linkage/... ./internal/serve/... ./internal/fusion/... ./internal/blocking/... ./cmd/bdiserve/...

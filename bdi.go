@@ -175,19 +175,16 @@ func BuildFuser(name string) (Fuser, error) {
 	return core.BuildFuser(context.Background(), name, 0, nil)
 }
 
-// Resilient ingestion re-exports. Sources flow into the pipeline
-// through an Ingestor, which retries transient failures with jittered
-// backoff, circuit-breaks persistently failing sources and degrades
+// Resilient ingestion re-exports. Every source is a change log
+// (DeltaSource; a static source is one upsert per record). Sources flow
+// into the pipeline through an Ingestor, which retries transient
+// failures with jittered backoff, circuit-breaks persistently failing
+// sources, folds each surviving log into the dataset and degrades
 // gracefully: the pipeline integrates whatever survived, and the
 // IngestReport says exactly what was dropped. The fault injector in
 // internal/source/faults wraps any fleet with a deterministic, seeded
 // fault schedule for chaos testing.
 type (
-	// IngestSource is one fetchable data source (data.Source is the
-	// static metadata; this is the live endpoint).
-	IngestSource = source.Source
-	// StaticSource adapts an in-memory record slice to IngestSource.
-	StaticSource = source.Static
 	// Ingestor fetches a fleet of sources resiliently.
 	Ingestor = source.Ingestor
 	// IngestConfig tunes retries, backoff, circuit breaking and the
@@ -205,9 +202,9 @@ type (
 var (
 	// NewIngestor builds an ingestor, resolving config defaults.
 	NewIngestor = source.NewIngestor
-	// SourcesFromDataset adapts a dataset's sources to a static fleet.
+	// SourcesFromDataset turns a dataset's sources into upsert logs.
 	SourcesFromDataset = source.FromDataset
-	// SourcesFromWeb adapts a generated web to a static fleet.
+	// SourcesFromWeb turns a generated web into upsert logs.
 	SourcesFromWeb = source.FromWeb
 	// WrapFaults wraps one source with a seeded fault injector.
 	WrapFaults = faults.Wrap
@@ -215,18 +212,19 @@ var (
 	WrapAllFaults = faults.WrapAll
 )
 
-// Streaming re-exports — the Velocity path. Every stream is a change
-// log: a record fleet enters as upsert-only delta sources
-// (AsDeltaSources), a DeltaStreamer batches the fleet into
-// deterministic epochs, and a Stream folds each epoch through
-// incremental linkage and online fusion and republishes the serving
-// Snapshot within a configurable staleness window (ServeServer.Publish
-// is the intended sink). With StreamConfig.StatePath set, the stream
-// persists its full state (cursors, posting lists, union-find
-// partition, fusion accuracy estimates) atomically every epoch, and
-// ResumeStream continues a killed stream byte-identically. cmd/bdirun -stream and cmd/bdiserve -stream are the
-// runnable forms; E27 in cmd/bdibench measures the cost advantage over
-// batch relinking.
+// Streaming re-exports — the Velocity path. A stream reads the same
+// change logs the Ingestor folds (SourcesFromDataset for a dataset's
+// upsert logs, ChurnSources for updates and deletes): a DeltaStreamer
+// batches the fleet into deterministic epochs, and a Stream folds each
+// epoch through incremental linkage and online fusion and republishes
+// the serving Snapshot within a configurable staleness window
+// (ServeServer.Publish is the intended sink). With
+// StreamConfig.StatePath set, the stream persists its full state
+// (cursors, posting lists, union-find partition, fusion accuracy
+// estimates) atomically every epoch, and ResumeStream continues a
+// killed stream byte-identically. cmd/bdirun -stream and cmd/bdiserve
+// -stream are the runnable forms; E27 in cmd/bdibench measures the cost
+// advantage over batch relinking.
 type (
 	// StreamConfig tunes the streaming integration processor.
 	StreamConfig = core.StreamConfig
@@ -245,16 +243,17 @@ var (
 	// exists and starts fresh otherwise.
 	ResumeStream = core.ResumeStream
 	// SourceTotals reads per-source record counts from a dataset — the
-	// totals a DeltaStreamer needs for a wrapped record fleet.
+	// log lengths a DeltaStreamer needs for a fault-wrapped
+	// SourcesFromDataset fleet.
 	SourceTotals = source.Totals
 )
 
-// Mutable-stream re-exports — updates and deletions. Sources can emit
-// typed deltas (upsert/delete) instead of bare records; the stream
-// retracts deleted records from posting lists and the partition
-// (deterministic recluster of the affected component), keeps
-// tombstones for crash-safe resume, and compacts its persisted state
-// when the tombstone garbage ratio crosses StreamConfig.CompactRatio.
+// Mutable-stream re-exports — updates and deletions. A source's log
+// carries typed deltas (upsert/delete); the stream retracts deleted
+// records from posting lists and the partition (deterministic
+// recluster of the affected component), keeps tombstones for
+// crash-safe resume, and compacts its persisted state when the
+// tombstone garbage ratio crosses StreamConfig.CompactRatio.
 // cmd/bdirun -stream-update-rate/-stream-delete-rate/-compact are the
 // runnable forms; E28 in cmd/bdibench is the churn evaluation.
 type (
@@ -285,9 +284,6 @@ var (
 	UpsertDelta = source.Upsert
 	// DeletionDelta builds a delete delta for a record ID.
 	DeletionDelta = source.Deletion
-	// AsDeltaSources lifts record sources into upsert-only delta
-	// sources.
-	AsDeltaSources = source.AsDeltaSources
 	// Churn turns a dataset into a churned delta log plus the planned
 	// delete set.
 	Churn = source.Churn

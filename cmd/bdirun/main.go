@@ -129,6 +129,8 @@ func run() error {
 		defer cancel()
 	}
 
+	// Every source is a change log: a plain run replays the dataset as
+	// upserts, for the ingestor and the stream alike.
 	fleet := source.FromDataset(d)
 
 	if *stream {
@@ -141,38 +143,31 @@ func run() error {
 			Workers:      *workers,
 			Obs:          reg,
 		}
-		// Every stream is a change log. A plain run replays the dataset
-		// as upserts; -stream-update-rate/-stream-delete-rate add
-		// synthetic churn (corrupt-then-correct updates, late deletions).
-		var (
-			deltas  []source.DeltaSource
-			totals  map[string]int
-			planned map[string]bool
-		)
+		// -stream-update-rate/-stream-delete-rate add synthetic churn
+		// (corrupt-then-correct updates, late deletions).
+		totals := source.Totals(d)
+		var planned map[string]bool
 		if *streamUpdate > 0 || *streamDelete > 0 {
 			// -fault-rate mangles the churned deltas (duplicate deletes,
 			// delete-before-insert, update storms).
-			deltas, totals, planned = churnFleet(d, source.ChurnConfig{
+			fleet, totals, planned = churnFleet(d, source.ChurnConfig{
 				Seed:       *faultSeed,
 				UpdateRate: *streamUpdate,
 				DeleteRate: *streamDelete,
 			}, *faultRate, *faultSeed, reg)
-		} else {
-			if *faultRate > 0 {
-				// The stream path has no drop-a-source fallback — its
-				// resilience is refetch-until-covered — so chaos here is
-				// transient flakes and truncations, not dead sources.
-				fleet = faults.WrapAll(fleet, faults.Config{
-					Seed:             *faultSeed,
-					TransientRate:    *faultRate,
-					TruncateRate:     *faultRate / 2,
-					TruncateFraction: 0.5,
-					Obs:              reg,
-				})
-			}
-			deltas, totals = source.AsDeltaSources(fleet), source.Totals(d)
+		} else if *faultRate > 0 {
+			// The stream path has no drop-a-source fallback — its
+			// resilience is refetch-until-covered — so chaos here is
+			// transient flakes and truncations, not dead sources.
+			fleet = faults.WrapAll(fleet, faults.Config{
+				Seed:             *faultSeed,
+				TransientRate:    *faultRate,
+				TruncateRate:     *faultRate / 2,
+				TruncateFraction: 0.5,
+				Obs:              reg,
+			})
 		}
-		if err := runStream(ctx, d, scfg, deltas, totals, len(planned)); err != nil {
+		if err := runStream(ctx, d, scfg, fleet, totals, len(planned)); err != nil {
 			return err
 		}
 		printMetrics(reg, *metrics, *metricsJSON, *metricsFull)

@@ -213,7 +213,7 @@ func startStream(st *core.Stream, d *data.Dataset) *streamRunner {
 	r := &streamRunner{ctx: ctx, cancel: cancel, done: make(chan struct{})}
 	go func() {
 		defer close(r.done)
-		err := st.RunDeltas(r.ctx, source.AsDeltaSources(source.FromDataset(d)), source.Totals(d))
+		err := st.RunDeltas(r.ctx, source.FromDataset(d), source.Totals(d))
 		switch {
 		case err == nil:
 			fmt.Fprintf(os.Stderr, "bdiserve: stream drained — %d records in %d epochs, %d publishes\n",

@@ -22,8 +22,8 @@ import (
 // re-running the batch pipeline. The zero value is usable.
 type StreamConfig struct {
 	// EpochSize is the log entries per source per epoch; default 100.
-	// Each poll refetches through transient faults and truncations with
-	// source.StreamConfig's default budget (8 retries).
+	// Each poll refetches through transient faults, fetch panics and
+	// truncations up to 8 times (the watch's fixed budget).
 	EpochSize int
 
 	// Incremental linkage: the batch pipeline's default rule (pid
@@ -334,9 +334,9 @@ func (s *Stream) Publish(ctx context.Context) (*Snapshot, error) {
 // upsert/delete application → online fusion → snapshot publishing
 // within the staleness window, compacting on the garbage trigger and
 // persisting state every SaveEvery epochs when StatePath is set. A
-// record fleet enters through source.AsDeltaSources. totals declares
-// each source's canonical log length (mandatory for wrapped sources;
-// see source.StreamConfig.Totals). It returns after every source is
+// dataset's records enter as source.FromDataset's upsert logs. totals
+// declares each source's canonical log length (mandatory for wrapped
+// sources; see source.StreamConfig.Totals). It returns after every source is
 // drained (with a final publish and save) or on the first error.
 func (s *Stream) RunDeltas(ctx context.Context, fleet []source.DeltaSource, totals map[string]int) error {
 	str, err := source.NewDeltaStreamer(ctx, fleet, source.StreamConfig{

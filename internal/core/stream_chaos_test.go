@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/data"
@@ -46,7 +47,7 @@ func TestStreamCrashResumeByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fleet := source.AsDeltaSources(faults.WrapAll(source.FromDataset(d), chaosFaults(7)))
+			fleet := faults.WrapAll(source.FromDataset(d), chaosFaults(7))
 			if err := base.RunDeltas(context.Background(), fleet, totals); err != nil {
 				t.Fatal(err)
 			}
@@ -63,7 +64,7 @@ func TestStreamCrashResumeByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			str, err := source.NewDeltaStreamer(context.Background(),
-				source.AsDeltaSources(faults.WrapAll(source.FromDataset(d), chaosFaults(7))),
+				faults.WrapAll(source.FromDataset(d), chaosFaults(7)),
 				source.StreamConfig{EpochSize: ccfg.EpochSize, Totals: totals})
 			if err != nil {
 				t.Fatal(err)
@@ -103,7 +104,7 @@ func TestStreamCrashResumeByteIdentical(t *testing.T) {
 				t.Fatalf("restored at epoch %d, want %d (torn epoch must not persist)", resumed.Epoch(), crashAfter)
 			}
 			if err := resumed.RunDeltas(context.Background(),
-				source.AsDeltaSources(faults.WrapAll(source.FromDataset(d), chaosFaults(7))), totals); err != nil {
+				faults.WrapAll(source.FromDataset(d), chaosFaults(7)), totals); err != nil {
 				t.Fatal(err)
 			}
 
@@ -114,18 +115,19 @@ func TestStreamCrashResumeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRecordFleetsKeepParentBits pins the record stream's output through
-// the one delta driver: a clean and a fault-wrapped record fleet,
-// drained by RunDeltas(AsDeltaSources(...)) in two epoch shapes at
-// workers {1, 2, 8}, reproduce the FNV-64 digests of streamFingerprint
-// and of the saved state bytes that were recorded with the record
-// driver (Stream.Run) before record fleets entered as change logs.
+// TestRecordFleetsKeepParentBits pins the record stream's output as
+// change logs: a clean and a fault-wrapped FromDataset fleet (upsert
+// logs, the fault injector rolling per fetch and per upsert), drained
+// by RunDeltas in two epoch shapes at workers {1, 2, 8}, reproduce the
+// FNV-64 digests of streamFingerprint and of the saved state bytes that
+// were recorded with the old record stream (Stream.Run) before record
+// fleets entered as change logs.
 func TestRecordFleetsKeepParentBits(t *testing.T) {
 	d := streamTestWeb(31, 80, 8)
 	for _, tc := range []struct {
 		fleet, shape string
 		cfg          StreamConfig
-		wrap         func([]source.Source) []source.Source
+		wrap         func([]source.DeltaSource) []source.DeltaSource
 		want         [2]uint64 // streamFingerprint, state bytes
 	}{
 		{"clean", "9/2", StreamConfig{EpochSize: 9, PublishEvery: 2}, nil, [2]uint64{0x838f211fa2e4eb41, 0x773152a11bdc2945}},
@@ -145,7 +147,7 @@ func TestRecordFleetsKeepParentBits(t *testing.T) {
 			if tc.wrap != nil {
 				fleet = tc.wrap(fleet)
 			}
-			if err := s.RunDeltas(context.Background(), source.AsDeltaSources(fleet), source.Totals(d)); err != nil {
+			if err := s.RunDeltas(context.Background(), fleet, source.Totals(d)); err != nil {
 				t.Fatal(err)
 			}
 			state, err := os.ReadFile(cfg.StatePath)
@@ -160,7 +162,66 @@ func TestRecordFleetsKeepParentBits(t *testing.T) {
 	}
 }
 
-func faultFleet(fleet []source.Source) []source.Source { return faults.WrapAll(fleet, chaosFaults(7)) }
+// panicky is a misbehaving source adapter: its first panics fetches
+// panic (every fetch when panics is negative), later ones serve the log.
+type panicky struct {
+	*source.DeltaStatic
+	panics int
+}
+
+func (p *panicky) FetchDeltas(ctx context.Context) ([]source.Delta, error) {
+	if p.panics != 0 {
+		p.panics--
+		panic("adapter bug")
+	}
+	return p.DeltaStatic.FetchDeltas(ctx)
+}
+
+// withPanicky replaces the fleet's first source with a panicky one.
+func withPanicky(d *data.Dataset, panics int) []source.DeltaSource {
+	fleet := source.FromDataset(d)
+	fleet[0] = &panicky{DeltaStatic: fleet[0].(*source.DeltaStatic), panics: panics}
+	return fleet
+}
+
+// TestStreamSurvivesPanickingSource: a source that panics on every
+// fetch ends RunDeltas with an error naming the panic once the poll's
+// refetch budget runs out, instead of killing the process from the
+// producer goroutine.
+func TestStreamSurvivesPanickingSource(t *testing.T) {
+	d := streamTestWeb(31, 80, 8)
+	s, err := NewStream(StreamConfig{EpochSize: 9}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = s.RunDeltas(context.Background(), withPanicky(d, -1), source.Totals(d))
+	if err == nil || !strings.Contains(err.Error(), "panic") || !strings.Contains(err.Error(), "adapter bug") {
+		t.Fatalf("RunDeltas err = %v, want the recovered panic", err)
+	}
+}
+
+// TestStreamPanicOnceDrainsClean: a source that panics once and then
+// behaves costs one refetch and drains to the clean fleet's output.
+func TestStreamPanicOnceDrainsClean(t *testing.T) {
+	d := streamTestWeb(31, 80, 8)
+	run := func(fleet []source.DeltaSource) string {
+		s, err := NewStream(StreamConfig{EpochSize: 9, PublishEvery: 2}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RunDeltas(context.Background(), fleet, source.Totals(d)); err != nil {
+			t.Fatal(err)
+		}
+		return streamFingerprint(t, s)
+	}
+	if got, want := run(withPanicky(d, 1)), run(source.FromDataset(d)); got != want {
+		t.Errorf("panic-once fleet diverged from the clean fleet:\n--- clean\n%s--- panic once\n%s", want, got)
+	}
+}
+
+func faultFleet(fleet []source.DeltaSource) []source.DeltaSource {
+	return faults.WrapAll(fleet, chaosFaults(7))
+}
 
 func fnv64(b []byte) uint64 {
 	h := fnv.New64a()

@@ -63,7 +63,7 @@ func streamFingerprint(t *testing.T, s *Stream) string {
 
 func TestStreamPublishesIncrementally(t *testing.T) {
 	d := streamTestWeb(11, 60, 8)
-	fleet := source.AsDeltaSources(source.FromDataset(d))
+	fleet := source.FromDataset(d)
 
 	var published []*Snapshot
 	s, err := NewStream(StreamConfig{EpochSize: 10, PublishEvery: 2},
@@ -104,7 +104,7 @@ func TestStreamPublishesIncrementally(t *testing.T) {
 
 func TestStreamStalenessWindowDrivesPublishing(t *testing.T) {
 	d := streamTestWeb(12, 30, 6)
-	fleet := source.AsDeltaSources(source.FromDataset(d))
+	fleet := source.FromDataset(d)
 
 	// A 1ns window means "publish on every dirty epoch": each applied
 	// epoch exceeds the window by the time the cadence check runs.
@@ -122,7 +122,7 @@ func TestStreamStalenessWindowDrivesPublishing(t *testing.T) {
 
 func TestStreamMatchesBatchEntityCount(t *testing.T) {
 	d := streamTestWeb(13, 50, 8)
-	fleet := source.AsDeltaSources(source.FromDataset(d))
+	fleet := source.FromDataset(d)
 
 	s, err := NewStream(StreamConfig{EpochSize: 25, PublishEvery: 4}, nil)
 	if err != nil {
@@ -147,7 +147,7 @@ func TestStreamMatchesBatchEntityCount(t *testing.T) {
 
 func TestStreamStateRoundTripByteIdentical(t *testing.T) {
 	d := streamTestWeb(14, 40, 6)
-	fleet := source.AsDeltaSources(source.FromDataset(d))
+	fleet := source.FromDataset(d)
 	path := filepath.Join(t.TempDir(), "stream.state")
 
 	cfg := StreamConfig{EpochSize: 7, PublishEvery: 2, StatePath: path}
@@ -179,7 +179,7 @@ func TestStreamStateRoundTripByteIdentical(t *testing.T) {
 
 func TestStreamStateRejectsCorruption(t *testing.T) {
 	d := streamTestWeb(15, 20, 4)
-	fleet := source.AsDeltaSources(source.FromDataset(d))
+	fleet := source.FromDataset(d)
 	path := filepath.Join(t.TempDir(), "stream.state")
 	cfg := StreamConfig{EpochSize: 10, StatePath: path}
 	s, err := NewStream(cfg, nil)
@@ -236,7 +236,7 @@ func TestStreamConfigValidation(t *testing.T) {
 
 func BenchmarkStreamApplyDeltas(b *testing.B) {
 	d := streamTestWeb(20, 200, 12)
-	fleet := source.AsDeltaSources(source.FromDataset(d))
+	fleet := source.FromDataset(d)
 	metas := fleetMetas(fleet)
 	str, err := source.NewDeltaStreamer(context.Background(), fleet, source.StreamConfig{EpochSize: 50})
 	if err != nil {
@@ -271,7 +271,7 @@ func drainedStream(tb testing.TB, d *data.Dataset) *Stream {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if err := s.RunDeltas(context.Background(), source.AsDeltaSources(source.FromDataset(d)), source.Totals(d)); err != nil {
+	if err := s.RunDeltas(context.Background(), source.FromDataset(d), source.Totals(d)); err != nil {
 		tb.Fatal(err)
 	}
 	return s
@@ -308,7 +308,7 @@ func BenchmarkStreamPublish(b *testing.B) {
 	})
 	b.Run("dirty1pct", func(b *testing.B) {
 		s := drainedStream(b, d)
-		metas := fleetMetas(source.AsDeltaSources(source.FromDataset(d)))
+		metas := fleetMetas(source.FromDataset(d))
 		clusters := s.Clusters()
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -91,7 +91,7 @@ func v1FixtureStream(t *testing.T) *Stream {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RunDeltas(context.Background(), source.AsDeltaSources(source.FromDataset(d)), source.Totals(d)); err != nil {
+	if err := s.RunDeltas(context.Background(), source.FromDataset(d), source.Totals(d)); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -192,7 +192,7 @@ func TestV1CommittedFixtureStillLoads(t *testing.T) {
 // and ResumeStream recovers even when the primary vanished entirely.
 func TestStreamStateBackupRecovery(t *testing.T) {
 	d := streamTestWeb(52, 20, 4)
-	fleet := source.AsDeltaSources(source.FromDataset(d))
+	fleet := source.FromDataset(d)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "stream.state")
 	cfg := StreamConfig{EpochSize: 5, PublishEvery: 2, StatePath: path}
@@ -263,7 +263,7 @@ func TestStreamStateDecodeRobust(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RunDeltas(context.Background(), source.AsDeltaSources(source.FromDataset(d)), source.Totals(d)); err != nil {
+	if err := s.RunDeltas(context.Background(), source.FromDataset(d), source.Totals(d)); err != nil {
 		t.Fatal(err)
 	}
 	valid := s.encodeState()
@@ -302,7 +302,7 @@ func FuzzStreamStateDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if err := s.RunDeltas(context.Background(), source.AsDeltaSources(source.FromDataset(d)), source.Totals(d)); err != nil {
+	if err := s.RunDeltas(context.Background(), source.FromDataset(d), source.Totals(d)); err != nil {
 		f.Fatal(err)
 	}
 	valid := s.encodeState()

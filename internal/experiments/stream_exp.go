@@ -50,7 +50,7 @@ type E27Result struct {
 func E27(seed int64) (*Table, *E27Result, error) {
 	web := dirtyWeb(seed, 500, 20, 1)
 	d := web.Dataset
-	fleet := source.AsDeltaSources(source.FromDataset(d))
+	fleet := source.FromDataset(d)
 	totals := source.Totals(d)
 	metas := map[string]*data.Source{}
 	for _, s := range d.Sources() {

@@ -11,24 +11,25 @@ const (
 	breakerHalfOpen                     // one probe allowed through
 )
 
+// Circuit breaking: breakerThreshold consecutive failures trip a
+// source's breaker, and breakerCooldown is the open → half-open delay.
+// Breakers persist across Ingest calls on the same Ingestor, so a
+// source that exhausted its retries once is skipped outright by closely
+// following calls.
+const (
+	breakerThreshold = 3
+	breakerCooldown  = time.Second
+)
+
 // breaker trips after a run of consecutive failures and rejects
 // further calls until a cooldown elapses, then admits a single probe:
 // probe success closes the breaker, probe failure re-opens it for
 // another cooldown. It is not concurrency-safe; the Ingestor confines
 // each breaker to the one goroutine ingesting its source.
 type breaker struct {
-	threshold int           // consecutive failures to trip (>=1)
-	cooldown  time.Duration // open → half-open delay
-	state     breakerState
-	fails     int       // consecutive failures while closed
-	openedAt  time.Time // when the breaker last tripped
-}
-
-func newBreaker(threshold int, cooldown time.Duration) *breaker {
-	if threshold < 1 {
-		threshold = 1
-	}
-	return &breaker{threshold: threshold, cooldown: cooldown}
+	state    breakerState
+	fails    int       // consecutive failures while closed
+	openedAt time.Time // when the breaker last tripped
 }
 
 // allow reports whether a call may proceed now, transitioning
@@ -36,7 +37,7 @@ func newBreaker(threshold int, cooldown time.Duration) *breaker {
 func (b *breaker) allow(now time.Time) bool {
 	switch b.state {
 	case breakerOpen:
-		if now.Sub(b.openedAt) >= b.cooldown {
+		if now.Sub(b.openedAt) >= breakerCooldown {
 			b.state = breakerHalfOpen
 			return true
 		}
@@ -62,20 +63,9 @@ func (b *breaker) failure(now time.Time) {
 		return
 	}
 	b.fails++
-	if b.fails >= b.threshold {
+	if b.fails >= breakerThreshold {
 		b.state = breakerOpen
 		b.openedAt = now
 		b.fails = 0
 	}
-}
-
-// open reports whether the breaker is currently rejecting calls.
-func (b *breaker) open(now time.Time) bool { return !b.allowPeek(now) }
-
-// allowPeek is allow without the open → half-open transition.
-func (b *breaker) allowPeek(now time.Time) bool {
-	if b.state == breakerOpen {
-		return now.Sub(b.openedAt) >= b.cooldown
-	}
-	return true
 }

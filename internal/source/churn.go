@@ -36,7 +36,7 @@ func Churn(recs []*data.Record, cfg ChurnConfig) ([]Delta, map[string]bool) {
 	if n == 0 {
 		return nil, deleted
 	}
-	seed := cfg.Seed ^ int64(fnvChurn(recs[0].SourceID))
+	seed := cfg.Seed ^ int64(hashID(recs[0].SourceID))
 	rng := rand.New(rand.NewSource(seed))
 
 	// extras[i] holds ops scheduled to land after base position i.
@@ -97,7 +97,7 @@ func mangledTitleOf(r *data.Record) string {
 	if len(toks) > 1 {
 		// Drop the token picked by the title's own hash — stable per
 		// record, no RNG stream consumed.
-		drop := int(fnvChurn(r.ID) % uint64(len(toks)))
+		drop := int(hashID(r.ID) % uint64(len(toks)))
 		toks = append(toks[:drop], toks[drop+1:]...)
 		return strings.Join(toks, " ")
 	}
@@ -122,14 +122,4 @@ func ChurnSources(d *data.Dataset, cfg ChurnConfig) ([]DeltaSource, map[string]i
 		}
 	}
 	return fleet, totals, deleted
-}
-
-// fnvChurn is the FNV-1a hash of s (same as the fault injector's).
-func fnvChurn(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

@@ -44,20 +44,23 @@ func Upsert(r *data.Record) Delta { return Delta{Op: OpUpsert, ID: r.ID, Record:
 // Deletion builds a delete delta for id.
 func Deletion(id string) Delta { return Delta{Op: OpDelete, ID: id} }
 
-// DeltaSource is a source whose canonical sequence is a change log
-// rather than a record list. FetchDeltas returns (a possibly truncated
-// prefix of) the log; like Source.Fetch, callers never mutate the
-// returned slice.
+// DeltaSource is one fetchable data source: its canonical sequence is a
+// change log. FetchDeltas returns (a possibly truncated prefix of) the
+// log or an error; implementations should honour ctx cancellation and
+// may classify failures by wrapping ErrTransient or ErrPermanent
+// (unclassified errors are treated as transient).
 type DeltaSource interface {
 	// Meta returns the source's metadata. Cheap and side-effect free.
 	Meta() *data.Source
-	// FetchDeltas returns the source's change log.
+	// FetchDeltas returns the source's change log. Callers never mutate
+	// the returned slice or its records, so implementations may return
+	// shared backing data.
 	FetchDeltas(ctx context.Context) ([]Delta, error)
 }
 
 // DeltaStatic is a DeltaSource over an in-memory log — the adapter for
-// churn workloads, lifted static record sources and tests. FetchDeltas
-// never fails.
+// generated webs, already-loaded datasets, churn workloads and tests.
+// FetchDeltas never fails.
 type DeltaStatic struct {
 	Src *data.Source
 	Log []Delta
@@ -66,7 +69,8 @@ type DeltaStatic struct {
 // Meta implements DeltaSource.
 func (s *DeltaStatic) Meta() *data.Source { return s.Src }
 
-// FetchDeltas implements DeltaSource, returning the shared log as-is.
+// FetchDeltas implements DeltaSource, returning the shared log as-is
+// (no copy), so a fetch allocates nothing.
 func (s *DeltaStatic) FetchDeltas(ctx context.Context) ([]Delta, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -79,41 +83,6 @@ func UpsertLog(recs []*data.Record) []Delta {
 	out := make([]Delta, len(recs))
 	for i, r := range recs {
 		out[i] = Upsert(r)
-	}
-	return out
-}
-
-// AsDeltaSource adapts a record Source into a DeltaSource whose log is
-// one upsert per record — an insert-only change log. A *Static is
-// lifted once into a *DeltaStatic: one shared log, the len(Log) totals
-// fallback, and no allocation per fetch. Any other source is lifted
-// positionally on every fetch, so a truncated or faulty record fetch
-// becomes an equally truncated delta log and fault wrappers
-// (faults.Wrap) compose transparently underneath.
-func AsDeltaSource(src Source) DeltaSource {
-	if st, ok := src.(*Static); ok {
-		return &DeltaStatic{Src: st.Src, Log: UpsertLog(st.Recs)}
-	}
-	return recordDeltas{src}
-}
-
-type recordDeltas struct{ src Source }
-
-func (a recordDeltas) Meta() *data.Source { return a.src.Meta() }
-
-func (a recordDeltas) FetchDeltas(ctx context.Context) ([]Delta, error) {
-	recs, err := a.src.Fetch(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return UpsertLog(recs), nil
-}
-
-// AsDeltaSources adapts a whole record fleet.
-func AsDeltaSources(srcs []Source) []DeltaSource {
-	out := make([]DeltaSource, len(srcs))
-	for i, s := range srcs {
-		out[i] = AsDeltaSource(s)
 	}
 	return out
 }

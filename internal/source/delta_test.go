@@ -20,28 +20,29 @@ func deltaFingerprint(log []Delta) string {
 	return s
 }
 
-func TestAsDeltaSourceLiftsRecords(t *testing.T) {
+// TestFromDatasetFetchesWithoutAllocating pins FromDataset's logs: one
+// upsert per record in the dataset's order, built once, so polling a
+// log costs no allocation.
+func TestFromDatasetFetchesWithoutAllocating(t *testing.T) {
 	d := streamWeb(10)
-	src := FromDataset(d)[0]
-	want := d.SourceRecords(src.Meta().ID)
-
-	ds := AsDeltaSource(src)
-	log, err := ds.FetchDeltas(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(log) != len(want) {
-		t.Fatalf("log length %d, want %d", len(log), len(want))
-	}
-	for i, dl := range log {
-		if dl.Op != OpUpsert || dl.ID != want[i].ID || dl.Record != want[i] {
-			t.Fatalf("delta %d = %v, want upsert of %s", i, dl, want[i].ID)
-		}
-	}
-	// A *Static is lifted once: polling its log costs no allocation.
 	ctx := context.Background()
-	if allocs := testing.AllocsPerRun(100, func() { _, _ = ds.FetchDeltas(ctx) }); allocs != 0 {
-		t.Errorf("FetchDeltas of a lifted *Static makes %v allocations per call, want 0", allocs)
+	for _, src := range FromDataset(d) {
+		want := d.SourceRecords(src.Meta().ID)
+		log, err := src.FetchDeltas(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(log) != len(want) {
+			t.Fatalf("%s: log length %d, want %d", src.Meta().ID, len(log), len(want))
+		}
+		for i, dl := range log {
+			if dl.Op != OpUpsert || dl.ID != want[i].ID || dl.Record != want[i] {
+				t.Fatalf("%s: delta %d = %v, want upsert of %s", src.Meta().ID, i, dl, want[i].ID)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _, _ = src.FetchDeltas(ctx) }); allocs != 0 {
+			t.Errorf("%s: FetchDeltas makes %v allocations per call, want 0", src.Meta().ID, allocs)
+		}
 	}
 }
 

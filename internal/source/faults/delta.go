@@ -51,7 +51,7 @@ func MangleLog(id string, log []source.Delta, cfg DeltaConfig) []source.Delta {
 	if storm < 2 {
 		storm = 3
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed ^ int64(fnv64(id))))
+	rng := rand.New(rand.NewSource(cfg.Seed ^ int64(hashID(id))))
 	reg := obs.OrDefault(cfg.Obs)
 	out := make([]source.Delta, 0, len(log)+len(log)/4)
 	for _, d := range log {

@@ -3,10 +3,10 @@
 // is drawn from a per-source RNG seeded from (Config.Seed, source ID),
 // so a given seed reproduces the exact same fault schedule regardless
 // of worker count or wall-clock timing: transient errors on the same
-// attempts, the same sources dead, the same records truncated or
+// attempts, the same sources dead, the same log entries truncated or
 // corrupted.
 //
-// The injector's RNG state advances with each Fetch, so reproducing a
+// The injector's RNG state advances with each fetch, so reproducing a
 // run means re-wrapping the sources (Wrap/WrapAll) with the same
 // Config, not reusing wrapped sources across runs.
 package faults
@@ -14,6 +14,7 @@ package faults
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"sync"
 	"time"
@@ -34,20 +35,21 @@ type Config struct {
 	// (wrapping source.ErrTransient).
 	TransientRate float64
 	// DeadRate is the per-source probability, decided once at Wrap
-	// time, that the source is permanently dead (every Fetch wraps
+	// time, that the source is permanently dead (every fetch wraps
 	// source.ErrPermanent).
 	DeadRate float64
 	// TruncateRate is the per-fetch probability that a successful
-	// payload is cut to TruncateFraction of its records (default 0.5).
+	// payload is cut to the first TruncateFraction of its log entries
+	// (default 0.5).
 	TruncateRate     float64
 	TruncateFraction float64
-	// CorruptRate is the per-record probability that a delivered
+	// CorruptRate is the per-upsert probability that a delivered
 	// record has one field value mangled. Corruption clones the
 	// record first — the wrapped source's data is never mutated.
 	CorruptRate float64
 	// LatencyRate is the per-fetch probability of sleeping Latency
-	// (default 50ms) before proceeding; the sleep respects ctx, so
-	// per-attempt deadlines convert spikes into timeouts.
+	// (default 50ms) before proceeding; the sleep respects ctx, so a
+	// cancelled run cuts a spike short.
 	LatencyRate float64
 	Latency     time.Duration
 	// Obs counts injected faults under "faults." when set.
@@ -57,7 +59,7 @@ type Config struct {
 // Wrap returns s with cfg's fault mix injected. Whether the source is
 // permanently dead is decided here, so a wrapped fleet has a fixed
 // dead set for the whole run.
-func Wrap(s source.Source, cfg Config) source.Source {
+func Wrap(s source.DeltaSource, cfg Config) source.DeltaSource {
 	if cfg.TruncateFraction <= 0 || cfg.TruncateFraction > 1 {
 		cfg.TruncateFraction = 0.5
 	}
@@ -67,7 +69,7 @@ func Wrap(s source.Source, cfg Config) source.Source {
 	f := &faulty{
 		inner: s,
 		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(cfg.Seed ^ int64(fnv64(s.Meta().ID)))),
+		rng:   rand.New(rand.NewSource(cfg.Seed ^ int64(hashID(s.Meta().ID)))),
 	}
 	f.dead = f.rng.Float64() < cfg.DeadRate
 	if f.dead {
@@ -77,8 +79,8 @@ func Wrap(s source.Source, cfg Config) source.Source {
 }
 
 // WrapAll wraps every source in the fleet with the same config.
-func WrapAll(ss []source.Source, cfg Config) []source.Source {
-	out := make([]source.Source, len(ss))
+func WrapAll(ss []source.DeltaSource, cfg Config) []source.DeltaSource {
+	out := make([]source.DeltaSource, len(ss))
 	for i, s := range ss {
 		out[i] = Wrap(s, cfg)
 	}
@@ -89,7 +91,7 @@ func WrapAll(ss []source.Source, cfg Config) []source.Source {
 // RNG access; fetches of one source are sequential inside the
 // Ingestor's retry loop anyway, so contention is nil.
 type faulty struct {
-	inner source.Source
+	inner source.DeltaSource
 	cfg   Config
 	mu    sync.Mutex
 	rng   *rand.Rand
@@ -97,14 +99,14 @@ type faulty struct {
 	fetch int // fetch counter, for error messages
 }
 
-// Meta implements source.Source.
+// Meta implements source.DeltaSource.
 func (f *faulty) Meta() *data.Source { return f.inner.Meta() }
 
-// Fetch implements source.Source. Fault rolls happen in a fixed order
-// (latency, transient, fetch, truncate, per-record corruption), so the
-// RNG stream — and therefore the schedule — depends only on the seed
-// and the number of prior fetches.
-func (f *faulty) Fetch(ctx context.Context) ([]*data.Record, error) {
+// FetchDeltas implements source.DeltaSource. Fault rolls happen in a
+// fixed order (latency, transient, fetch, truncate, per-upsert
+// corruption), so the RNG stream — and therefore the schedule — depends
+// only on the seed and the number of prior fetches.
+func (f *faulty) FetchDeltas(ctx context.Context) ([]source.Delta, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.fetch++
@@ -123,32 +125,32 @@ func (f *faulty) Fetch(ctx context.Context) ([]*data.Record, error) {
 		reg.Counter("faults.transient").Inc()
 		return nil, fmt.Errorf("faults: %s fetch %d flaked: %w", id, f.fetch, source.ErrTransient)
 	}
-	recs, err := f.inner.Fetch(ctx)
+	log, err := f.inner.FetchDeltas(ctx)
 	if err != nil {
 		return nil, err
 	}
 	if f.cfg.TruncateRate > 0 && f.rng.Float64() < f.cfg.TruncateRate {
 		reg.Counter("faults.truncated").Inc()
-		keep := int(float64(len(recs)) * f.cfg.TruncateFraction)
-		recs = recs[:keep]
+		keep := int(float64(len(log)) * f.cfg.TruncateFraction)
+		log = log[:keep]
 	}
 	if f.cfg.CorruptRate > 0 {
-		out := recs
+		out := log
 		copied := false
-		for i, r := range recs {
-			if f.rng.Float64() >= f.cfg.CorruptRate {
+		for i, d := range log {
+			if d.Op != source.OpUpsert || f.rng.Float64() >= f.cfg.CorruptRate {
 				continue
 			}
 			if !copied {
-				out = append([]*data.Record(nil), recs...)
+				out = append([]source.Delta(nil), log...)
 				copied = true
 			}
-			out[i] = corrupt(r, f.rng)
+			out[i].Record = corrupt(d.Record, f.rng)
 			reg.Counter("faults.corrupted_records").Inc()
 		}
-		recs = out
+		log = out
 	}
-	return recs, nil
+	return log, nil
 }
 
 // corrupt clones r and mangles one field value (chosen from the
@@ -184,12 +186,10 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// fnv64 is the FNV-1a hash of s (mirrors the ingestor's jitter hash).
-func fnv64(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
+// hashID is the 64-bit FNV-1a hash of s, mixed into every per-source
+// seed.
+func hashID(s string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(s))
+	return h.Sum64()
 }

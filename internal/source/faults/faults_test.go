@@ -11,21 +11,21 @@ import (
 	"repro/internal/source/faults"
 )
 
-func staticSource(id string, n int) source.Source {
+func staticSource(id string, n int) *source.DeltaStatic {
 	s := &data.Source{ID: id}
 	recs := make([]*data.Record, 0, n)
 	for i := 0; i < n; i++ {
 		recs = append(recs, data.NewRecord(
 			id+"-r"+string(rune('a'+i)), id).Set("title", data.String("value")))
 	}
-	return &source.Static{Src: s, Recs: recs}
+	return &source.DeltaStatic{Src: s, Log: source.UpsertLog(recs)}
 }
 
 func TestDeadSourceIsPermanent(t *testing.T) {
 	// DeadRate 1 kills every source regardless of seed.
 	f := faults.Wrap(staticSource("s1", 3), faults.Config{Seed: 1, DeadRate: 1})
 	for i := 0; i < 3; i++ {
-		if _, err := f.Fetch(context.Background()); !errors.Is(err, source.ErrPermanent) {
+		if _, err := f.FetchDeltas(context.Background()); !errors.Is(err, source.ErrPermanent) {
 			t.Fatalf("fetch %d: want ErrPermanent, got %v", i, err)
 		}
 	}
@@ -33,36 +33,39 @@ func TestDeadSourceIsPermanent(t *testing.T) {
 
 func TestTransientWrapsSentinel(t *testing.T) {
 	f := faults.Wrap(staticSource("s1", 3), faults.Config{Seed: 1, TransientRate: 1})
-	if _, err := f.Fetch(context.Background()); !errors.Is(err, source.ErrTransient) {
+	if _, err := f.FetchDeltas(context.Background()); !errors.Is(err, source.ErrTransient) {
 		t.Fatalf("want ErrTransient, got %v", err)
 	}
 }
 
 func TestCorruptionClonesRecords(t *testing.T) {
 	inner := staticSource("s1", 4)
-	orig, _ := inner.Fetch(context.Background())
+	orig := inner.Log
 	snapshot := make([]string, len(orig))
-	for i, r := range orig {
-		snapshot[i] = r.String()
+	for i, d := range orig {
+		snapshot[i] = d.Record.String()
 	}
 	f := faults.Wrap(inner, faults.Config{Seed: 1, CorruptRate: 1})
-	recs, err := f.Fetch(context.Background())
+	log, err := f.FetchDeltas(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	mangled := 0
-	for i, r := range recs {
-		if r.String() != snapshot[i] {
+	for i, d := range log {
+		if d.ID != orig[i].ID || d.Op != source.OpUpsert {
+			t.Fatalf("corruption rewrote delta %d to %v %s", i, d.Op, d.ID)
+		}
+		if d.Record.String() != snapshot[i] {
 			mangled++
 		}
 	}
-	if mangled != len(recs) {
-		t.Fatalf("CorruptRate 1 mangled %d/%d records", mangled, len(recs))
+	if mangled != len(log) {
+		t.Fatalf("CorruptRate 1 mangled %d/%d records", mangled, len(log))
 	}
-	// The wrapped source's own records are untouched.
-	for i, r := range orig {
-		if r.String() != snapshot[i] {
-			t.Fatalf("corruption mutated the original record %d: %s", i, r)
+	// The wrapped source's own log and records are untouched.
+	for i, d := range orig {
+		if d.Record.String() != snapshot[i] {
+			t.Fatalf("corruption mutated the original record %d: %s", i, d.Record)
 		}
 	}
 }
@@ -71,12 +74,12 @@ func TestTruncationKeepsPrefix(t *testing.T) {
 	f := faults.Wrap(staticSource("s1", 4), faults.Config{
 		Seed: 1, TruncateRate: 1, TruncateFraction: 0.5,
 	})
-	recs, err := f.Fetch(context.Background())
+	log, err := f.FetchDeltas(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 {
-		t.Fatalf("truncated to %d records, want 2", len(recs))
+	if len(log) != 2 {
+		t.Fatalf("truncated to %d deltas, want 2", len(log))
 	}
 }
 
@@ -87,7 +90,7 @@ func TestLatencySpikeHonoursContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := f.Fetch(ctx)
+	_, err := f.FetchDeltas(ctx)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}
@@ -103,7 +106,7 @@ func TestScheduleDeterminism(t *testing.T) {
 		f := faults.Wrap(staticSource("s1", 4), faults.Config{Seed: seed, TransientRate: 0.5})
 		var out []bool
 		for i := 0; i < 32; i++ {
-			_, err := f.Fetch(context.Background())
+			_, err := f.FetchDeltas(context.Background())
 			out = append(out, err == nil)
 		}
 		return out

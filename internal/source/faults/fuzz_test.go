@@ -51,7 +51,7 @@ func FuzzScheduleDeterminism(f *testing.F) {
 			})
 			out := make([]bool, 0, 32)
 			for i := 0; i < 32; i++ {
-				_, err := fs.Fetch(context.Background())
+				_, err := fs.FetchDeltas(context.Background())
 				out = append(out, err == nil)
 			}
 			return out

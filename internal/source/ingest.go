@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"time"
 
 	"repro/internal/data"
@@ -25,16 +26,6 @@ type IngestConfig struct {
 	// attempt) jitter in [0.5, 1). Defaults 10ms and 500ms.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// SourceTimeout, when positive, bounds each individual fetch
-	// attempt with its own deadline.
-	SourceTimeout time.Duration
-	// BreakerThreshold consecutive failures trip a source's circuit
-	// breaker (default 3); BreakerCooldown is the open → half-open
-	// delay (default 1s). Breakers persist across Ingest calls on the
-	// same Ingestor, so a source that exhausted its retries once is
-	// skipped outright by closely following calls.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// MinSources is the minimum number of sources that must survive
 	// for Ingest to succeed (default 1). Fewer survivors still return
 	// the partial dataset and full report, alongside an error wrapping
@@ -58,12 +49,6 @@ func (c *IngestConfig) defaults() {
 	if c.MaxBackoff <= 0 {
 		c.MaxBackoff = 500 * time.Millisecond
 	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = time.Second
-	}
 	if c.MinSources <= 0 {
 		c.MinSources = 1
 	}
@@ -78,7 +63,8 @@ type Outcome struct {
 	State string
 	// Attempts is the number of fetches issued this call.
 	Attempts int
-	// Records ingested from this source (0 unless ok).
+	// Records left live once this source's log was folded in (0
+	// unless ok).
 	Records int
 	// Err describes the final failure ("" when ok).
 	Err string
@@ -94,7 +80,7 @@ type Report struct {
 	// retrying.
 	Dropped  []string
 	Degraded []string
-	// Records ingested and fetch attempts issued, summed over sources.
+	// Records left live and fetch attempts issued, summed over sources.
 	Records  int
 	Attempts int
 	Outcomes []Outcome
@@ -155,7 +141,7 @@ func backoffDelay(id string, attempt int, base, max time.Duration) time.Duration
 	if d > max {
 		d = max
 	}
-	h := fnv64(id) ^ (uint64(attempt) * 0x9e3779b97f4a7c15)
+	h := hashID(id) ^ (uint64(attempt) * 0x9e3779b97f4a7c15)
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
@@ -163,36 +149,35 @@ func backoffDelay(id string, attempt int, base, max time.Duration) time.Duration
 	return time.Duration(float64(d) * frac)
 }
 
-// fnv64 is the FNV-1a hash of s.
-func fnv64(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
+// hashID is the 64-bit FNV-1a hash of s.
+func hashID(s string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(s))
+	return h.Sum64()
 }
 
-// fetchSafe calls Fetch with panic recovery, so one misbehaving source
-// adapter degrades gracefully instead of killing the whole ingest.
-func fetchSafe(ctx context.Context, s Source) (recs []*data.Record, err error) {
+// fetchSafe calls FetchDeltas with panic recovery, so one misbehaving
+// source adapter is a retryable failure instead of killing the whole
+// ingest or stream.
+func fetchSafe(ctx context.Context, s DeltaSource) (log []Delta, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("source: fetch panic: %v", r)
 		}
 	}()
-	return s.Fetch(ctx)
+	return s.FetchDeltas(ctx)
 }
 
-// Ingest fetches every source (bounded fan-out, sorted-ID order) and
-// assembles the survivors into a dataset. It degrades gracefully:
+// Ingest fetches every source's change log (bounded fan-out, sorted-ID
+// order) and folds the survivors into a dataset. It degrades gracefully:
 // failing sources are retried with capped exponential backoff, then
 // dropped, and the Report says exactly which sources were dropped,
 // skipped or degraded and how many attempts each one cost. The call
 // fails outright only when ctx is cancelled, a source ID is
-// duplicated, or fewer than MinSources sources survive (the latter
-// still returns the partial dataset and report).
-func (ing *Ingestor) Ingest(ctx context.Context, sources []Source) (*data.Dataset, *Report, error) {
+// duplicated, a record ID is claimed by two sources, or fewer than
+// MinSources sources survive (the latter still returns the partial
+// dataset and report).
+func (ing *Ingestor) Ingest(ctx context.Context, sources []DeltaSource) (*data.Dataset, *Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -205,7 +190,7 @@ func (ing *Ingestor) Ingest(ctx context.Context, sources []Source) (*data.Datase
 	for _, s := range sorted {
 		id := s.Meta().ID
 		if ing.breakers[id] == nil {
-			ing.breakers[id] = newBreaker(ing.cfg.BreakerThreshold, ing.cfg.BreakerCooldown)
+			ing.breakers[id] = &breaker{}
 		}
 	}
 
@@ -224,13 +209,20 @@ func (ing *Ingestor) Ingest(ctx context.Context, sources []Source) (*data.Datase
 	rep := &Report{Total: len(sorted)}
 	for i, s := range sorted {
 		r := results[i]
-		rep.Outcomes = append(rep.Outcomes, r.out)
 		rep.Attempts += r.out.Attempts
 		if r.out.Attempts > 1 {
 			reg.Counter("source.retries").Add(int64(r.out.Attempts - 1))
 		}
 		switch r.out.State {
 		case "ok":
+			if err := d.AddSource(s.Meta()); err != nil {
+				return nil, nil, fmt.Errorf("source: ingest: %w", err)
+			}
+			live, err := fold(d, r.out.SourceID, r.log)
+			if err != nil {
+				return nil, nil, fmt.Errorf("source: ingest %s: %w", r.out.SourceID, err)
+			}
+			r.out.Records = live
 			rep.Succeeded++
 			rep.Records += r.out.Records
 			if r.out.Attempts > 1 {
@@ -238,14 +230,6 @@ func (ing *Ingestor) Ingest(ctx context.Context, sources []Source) (*data.Datase
 			}
 			reg.Counter("source.fetch_ok").Inc()
 			reg.Counter("source.records_salvaged").Add(int64(r.out.Records))
-			if err := d.AddSource(s.Meta()); err != nil {
-				return nil, nil, fmt.Errorf("source: ingest: %w", err)
-			}
-			for _, rec := range r.recs {
-				if err := d.AddRecord(rec); err != nil {
-					return nil, nil, fmt.Errorf("source: ingest %s: %w", r.out.SourceID, err)
-				}
-			}
 		case "skipped":
 			rep.Dropped = append(rep.Dropped, r.out.SourceID)
 			reg.Counter("source.breaker_rejections").Inc()
@@ -253,6 +237,7 @@ func (ing *Ingestor) Ingest(ctx context.Context, sources []Source) (*data.Datase
 			rep.Dropped = append(rep.Dropped, r.out.SourceID)
 			reg.Counter("source.fetch_errors").Inc()
 		}
+		rep.Outcomes = append(rep.Outcomes, r.out)
 	}
 	reg.Counter("source.sources_dropped").Add(int64(len(rep.Dropped)))
 	if rep.Succeeded < ing.cfg.MinSources {
@@ -262,14 +247,52 @@ func (ing *Ingestor) Ingest(ctx context.Context, sources []Source) (*data.Datase
 	return d, rep, nil
 }
 
-// fetchResult pairs a source's outcome with its fetched records.
+// fold applies one source's fetched change log to d and returns how
+// many of the source's records are left live. An upsert of an ID this
+// source already holds replaces the record (RemoveRecord + AddRecord
+// moves it to the end, where a stream's dataset keeps it); an upsert of
+// an ID another source holds fails in AddRecord; a delete removes the
+// ID only if this source holds it.
+func fold(d *data.Dataset, src string, log []Delta) (live int, err error) {
+	held := func(id string) bool {
+		r := d.Record(id)
+		return r != nil && r.SourceID == src
+	}
+	for _, dl := range log {
+		switch dl.Op {
+		case OpUpsert:
+			r := dl.Record
+			if r == nil {
+				return 0, fmt.Errorf("upsert of %s carries no record", dl.ID)
+			}
+			if held(r.ID) {
+				d.RemoveRecord(r.ID)
+				live--
+			}
+			if err := d.AddRecord(r); err != nil {
+				return 0, err
+			}
+			live++
+		case OpDelete:
+			if held(dl.ID) {
+				d.RemoveRecord(dl.ID)
+				live--
+			}
+		default:
+			return 0, fmt.Errorf("unknown delta op %v", dl.Op)
+		}
+	}
+	return live, nil
+}
+
+// fetchResult pairs a source's outcome with its fetched log.
 type fetchResult struct {
-	out  Outcome
-	recs []*data.Record
+	out Outcome
+	log []Delta
 }
 
 // ingestOne runs the retry/breaker loop for a single source.
-func (ing *Ingestor) ingestOne(ctx context.Context, id string, src Source, br *breaker) (res fetchResult) {
+func (ing *Ingestor) ingestOne(ctx context.Context, id string, src DeltaSource, br *breaker) (res fetchResult) {
 	res.out = Outcome{SourceID: id}
 	var lastErr error
 	for attempt := 1; attempt <= ing.cfg.Retries+1; attempt++ {
@@ -282,24 +305,18 @@ func (ing *Ingestor) ingestOne(ctx context.Context, id string, src Source, br *b
 			lastErr = ErrBreakerOpen
 			break
 		}
-		fctx, cancel := ctx, context.CancelFunc(func() {})
-		if ing.cfg.SourceTimeout > 0 {
-			fctx, cancel = context.WithTimeout(ctx, ing.cfg.SourceTimeout)
-		}
-		recs, err := fetchSafe(fctx, src)
-		cancel()
+		log, err := fetchSafe(ctx, src)
 		res.out.Attempts++
 		if err == nil {
 			br.success()
 			res.out.State = "ok"
-			res.out.Records = len(recs)
-			res.recs = recs
+			res.log = log
 			return res
 		}
 		br.failure(ing.now())
 		lastErr = err
 		// Permanent failures and run-context cancellation end the loop;
-		// everything else (incl. per-attempt deadline overruns) retries.
+		// everything else retries.
 		if errors.Is(err, ErrPermanent) || ctx.Err() != nil {
 			break
 		}

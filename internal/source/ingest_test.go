@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/datagen"
 	"repro/internal/source"
@@ -191,7 +192,7 @@ func TestIngestCancellation(t *testing.T) {
 
 func TestIngestDuplicateSourceID(t *testing.T) {
 	s := &data.Source{ID: "dup"}
-	fleet := []source.Source{&source.Static{Src: s}, &source.Static{Src: s}}
+	fleet := []source.DeltaSource{&source.DeltaStatic{Src: s}, &source.DeltaStatic{Src: s}}
 	if _, _, err := source.NewIngestor(fastCfg(1)).Ingest(context.Background(), fleet); err == nil {
 		t.Fatal("duplicate source IDs must fail")
 	}
@@ -200,24 +201,24 @@ func TestIngestDuplicateSourceID(t *testing.T) {
 // flaky fails its first n fetches with a transient error.
 type flaky struct {
 	src   *data.Source
-	recs  []*data.Record
+	log   []source.Delta
 	fails int
 	calls int
 }
 
 func (f *flaky) Meta() *data.Source { return f.src }
-func (f *flaky) Fetch(ctx context.Context) ([]*data.Record, error) {
+func (f *flaky) FetchDeltas(ctx context.Context) ([]source.Delta, error) {
 	f.calls++
 	if f.calls <= f.fails {
 		return nil, fmt.Errorf("flaky call %d: %w", f.calls, source.ErrTransient)
 	}
-	return f.recs, nil
+	return f.log, nil
 }
 
 func TestIngestRetriesRecover(t *testing.T) {
 	src := &data.Source{ID: "s1"}
 	rec := data.NewRecord("r1", "s1").Set("title", data.String("x"))
-	fleet := []source.Source{&flaky{src: src, recs: []*data.Record{rec}, fails: 2}}
+	fleet := []source.DeltaSource{&flaky{src: src, log: []source.Delta{source.Upsert(rec)}, fails: 2}}
 	cfg := fastCfg(1)
 	cfg.Retries = 3
 	d, rep, err := source.NewIngestor(cfg).Ingest(context.Background(), fleet)
@@ -239,16 +240,16 @@ func TestIngestRetriesRecover(t *testing.T) {
 type panicking struct{ src *data.Source }
 
 func (p *panicking) Meta() *data.Source { return p.src }
-func (p *panicking) Fetch(ctx context.Context) ([]*data.Record, error) {
+func (p *panicking) FetchDeltas(ctx context.Context) ([]source.Delta, error) {
 	panic("adapter bug")
 }
 
 func TestIngestFetchPanicIsDegradedNotFatal(t *testing.T) {
 	good := &data.Source{ID: "good"}
 	rec := data.NewRecord("g1", "good").Set("title", data.String("ok"))
-	fleet := []source.Source{
+	fleet := []source.DeltaSource{
 		&panicking{src: &data.Source{ID: "bad"}},
-		&source.Static{Src: good, Recs: []*data.Record{rec}},
+		&source.DeltaStatic{Src: good, Log: []source.Delta{source.Upsert(rec)}},
 	}
 	cfg := fastCfg(2)
 	cfg.Retries = 1
@@ -274,18 +275,16 @@ func TestIngestFetchPanicIsDegradedNotFatal(t *testing.T) {
 func TestBreakerOpensAndRecovers(t *testing.T) {
 	src := &data.Source{ID: "s1"}
 	rec := data.NewRecord("r1", "s1").Set("title", data.String("x"))
-	f := &flaky{src: src, recs: []*data.Record{rec}, fails: 3}
+	f := &flaky{src: src, log: []source.Delta{source.Upsert(rec)}, fails: 3}
 
 	cfg := fastCfg(1)
-	cfg.Retries = 2 // 3 attempts per Ingest = BreakerThreshold
-	cfg.BreakerThreshold = 3
-	cfg.BreakerCooldown = time.Minute
+	cfg.Retries = 2 // 3 attempts per Ingest = the breaker's threshold
 	ing := source.NewIngestor(cfg)
 	clock := time.Unix(1000, 0)
 	ing.SetClock(func() time.Time { return clock })
 
 	// First call: three transient failures trip the breaker.
-	_, rep, err := ing.Ingest(context.Background(), []source.Source{f})
+	_, rep, err := ing.Ingest(context.Background(), []source.DeltaSource{f})
 	if err != nil && !errors.Is(err, source.ErrTooFewSources) {
 		t.Fatalf("Ingest: %v", err)
 	}
@@ -295,7 +294,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 
 	// Second call inside the cooldown: skipped, source untouched.
 	calls := f.calls
-	_, rep, err = ing.Ingest(context.Background(), []source.Source{f})
+	_, rep, err = ing.Ingest(context.Background(), []source.DeltaSource{f})
 	if err == nil || !errors.Is(err, source.ErrTooFewSources) {
 		t.Fatalf("skipped fleet should miss MinSources, got %v", err)
 	}
@@ -306,16 +305,127 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 		t.Fatalf("skipped source was fetched anyway (%d → %d calls)", calls, f.calls)
 	}
 
-	// Third call after the cooldown: half-open probe succeeds (the
+	// Third call after the (1 s) cooldown: half-open probe succeeds (the
 	// flake budget is spent), breaker closes, records flow.
 	clock = clock.Add(2 * time.Minute)
-	d, rep, err := ing.Ingest(context.Background(), []source.Source{f})
+	d, rep, err := ing.Ingest(context.Background(), []source.DeltaSource{f})
 	if err != nil {
 		t.Fatalf("post-cooldown Ingest: %v", err)
 	}
 	if rep.Outcomes[0].State != "ok" || d.NumRecords() != 1 {
 		t.Fatalf("post-cooldown outcome = %+v", rep.Outcomes[0])
 	}
+}
+
+// TestIngestFoldsChangeLogs pins the fold: a re-upsert replaces the
+// record and moves it to the end of its source, a delete removes only
+// an ID this source holds, and Outcome.Records counts what is left.
+func TestIngestFoldsChangeLogs(t *testing.T) {
+	rec := func(id, src, title string) *data.Record {
+		return data.NewRecord(id, src).Set("title", data.String(title))
+	}
+	a := &source.DeltaStatic{Src: &data.Source{ID: "a"}, Log: []source.Delta{
+		source.Upsert(rec("a1", "a", "one")),
+		source.Upsert(rec("a2", "a", "two")),
+		source.Upsert(rec("a3", "a", "three")),
+		source.Deletion("b1"), // b's record: not a's to delete
+		source.Upsert(rec("a1", "a", "one, corrected")),
+		source.Deletion("a2"),
+		source.Deletion("a2"),
+	}}
+	b := &source.DeltaStatic{Src: &data.Source{ID: "b"}, Log: []source.Delta{
+		source.Deletion("a1"), // a's record: not b's to delete
+		source.Upsert(rec("b1", "b", "four")),
+	}}
+	d, rep, err := source.NewIngestor(fastCfg(2)).Ingest(context.Background(), []source.DeltaSource{b, a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range d.Records() {
+		got = append(got, r.ID+"="+r.Get("title").Str)
+	}
+	if want := "[a3=three a1=one, corrected b1=four]"; fmt.Sprint(got) != want {
+		t.Fatalf("folded dataset = %v, want %s", got, want)
+	}
+	if rep.Records != 3 || rep.Outcomes[0].Records != 2 || rep.Outcomes[1].Records != 1 {
+		t.Fatalf("live counts: report %d, outcomes %+v", rep.Records, rep.Outcomes)
+	}
+
+	// An upsert of an ID another source holds fails the ingest.
+	thief := &source.DeltaStatic{Src: &data.Source{ID: "c"}, Log: []source.Delta{source.Upsert(rec("a1", "c", "stolen"))}}
+	if _, _, err := source.NewIngestor(fastCfg(1)).Ingest(context.Background(), []source.DeltaSource{a, thief}); err == nil ||
+		!strings.Contains(err.Error(), "duplicate record ID") {
+		t.Fatalf("cross-source upsert: err = %v, want a duplicate-record error", err)
+	}
+}
+
+// TestIngestMatchesStream pins batch/stream parity: Ingest folds a fleet
+// into the same dataset a Stream holds after RunDeltas drains it — the
+// same live IDs, in the same per-source order, with the same field
+// values — for a churned fleet (10 % updates, 5 % deletes), clean and
+// under the delta mangles, at workers {1, 2, 8}. Parity holds because
+// every record ID belongs to one source.
+func TestIngestMatchesStream(t *testing.T) {
+	d := testWeb(t).Dataset
+	ctx := context.Background()
+	clean, totals, deleted := source.ChurnSources(d, source.ChurnConfig{Seed: 3, UpdateRate: 0.1, DeleteRate: 0.05})
+	if len(deleted) == 0 {
+		t.Fatal("churn deleted nothing; test needs a harsher seed")
+	}
+	mcfg := faults.DeltaConfig{Seed: 5, DupDeleteRate: 0.3, EarlyDeleteRate: 0.2, UpdateStormRate: 0.2}
+	mangledTotals := map[string]int{}
+	for _, s := range clean {
+		ds := s.(*source.DeltaStatic)
+		mangledTotals[ds.Src.ID] = faults.MangledTotal(ds.Src.ID, ds.Log, mcfg)
+	}
+	for _, tc := range []struct {
+		name   string
+		fleet  []source.DeltaSource
+		totals map[string]int
+	}{
+		{"clean", clean, totals},
+		{"mangled", faults.WrapDeltasAll(clean, mcfg), mangledTotals},
+	} {
+		for _, workers := range []int{1, 2, 8} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				batch, rep, err := source.NewIngestor(fastCfg(workers)).Ingest(ctx, tc.fleet)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := core.NewStream(core.StreamConfig{EpochSize: 7, Workers: workers}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := st.RunDeltas(ctx, tc.fleet, tc.totals); err != nil {
+					t.Fatal(err)
+				}
+				streamed := st.Dataset()
+				if want := d.NumRecords() - len(deleted); batch.NumRecords() != want || rep.Records != want {
+					t.Fatalf("batch holds %d records (report %d), want %d live", batch.NumRecords(), rep.Records, want)
+				}
+				if streamed.NumRecords() != batch.NumRecords() {
+					t.Fatalf("stream holds %d records, batch %d", streamed.NumRecords(), batch.NumRecords())
+				}
+				for _, s := range batch.Sources() {
+					if got, want := recordsOf(streamed, s.ID), recordsOf(batch, s.ID); got != want {
+						t.Fatalf("source %s differs:\n stream %s\n batch  %s", s.ID, got, want)
+					}
+				}
+			})
+		}
+	}
+}
+
+// recordsOf renders a source's live records, in order, with their
+// field values.
+func recordsOf(d *data.Dataset, src string) string {
+	var b strings.Builder
+	for _, r := range d.SourceRecords(src) {
+		b.WriteString(r.String())
+		b.WriteByte(';')
+	}
+	return b.String()
 }
 
 // TestIngestZeroAllocPerRecord pins the overhead of ingestion vs

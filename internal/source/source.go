@@ -1,12 +1,14 @@
 // Package source models data acquisition as a fleet of independently
 // failing web sources — the operational face of the tutorial's Volume
 // and Velocity discussion. Upstream of the integration pipeline, real
-// source fetches time out, flake, truncate and die; this package wraps
-// each source behind a small Fetch interface and provides a resilient
-// Ingestor (retry with capped exponential backoff, per-source circuit
-// breaking, bounded fan-out, graceful degradation) that assembles
-// whatever survives into a data.Dataset plus an exact Report of what
-// was dropped or degraded.
+// source fetches time out, flake, truncate and die; this package puts
+// each source behind one small interface, DeltaSource, whose fetch
+// returns the source's change log (record upserts and deletions; a
+// static source is one upsert per record). The resilient Ingestor
+// (retry with capped exponential backoff, per-source circuit breaking,
+// bounded fan-out, graceful degradation) folds whatever survives into
+// a data.Dataset plus an exact Report of what was dropped or degraded;
+// the DeltaStreamer delivers the same logs as epochs.
 //
 // Everything is deterministic: sources ingest in sorted-ID order, each
 // source's retry schedule depends only on its ID and attempt number,
@@ -15,7 +17,6 @@
 package source
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -24,8 +25,8 @@ import (
 	"repro/internal/datagen"
 )
 
-// Sentinel errors. Fetch implementations and the fault injector wrap
-// these so the Ingestor (and callers) can classify failures with
+// Sentinel errors. FetchDeltas implementations and the fault injector
+// wrap these so the Ingestor (and callers) can classify failures with
 // errors.Is.
 var (
 	// ErrTransient marks a failure worth retrying (timeouts, flaky
@@ -42,62 +43,29 @@ var (
 	ErrTooFewSources = errors.New("source: too few sources survived ingestion")
 )
 
-// Source is one fetchable data source. Fetch returns the source's
-// records or an error; implementations should honour ctx cancellation
-// and may classify failures by wrapping ErrTransient or ErrPermanent
-// (unclassified errors are treated as transient).
-type Source interface {
-	// Meta returns the source's metadata. It must be cheap and
-	// side-effect free.
-	Meta() *data.Source
-	// Fetch returns the source's records. The Ingestor never mutates
-	// the returned slice or records, so implementations may return
-	// shared backing data.
-	Fetch(ctx context.Context) ([]*data.Record, error)
-}
-
-// Static is a Source over in-memory records — the adapter for
-// generated webs and already-loaded datasets. Fetch never fails.
-type Static struct {
-	Src  *data.Source
-	Recs []*data.Record
-}
-
-// Meta implements Source.
-func (s *Static) Meta() *data.Source { return s.Src }
-
-// Fetch implements Source. The shared record slice is returned as-is
-// (no copy), keeping ingestion allocation-free per record.
-func (s *Static) Fetch(ctx context.Context) ([]*data.Record, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return s.Recs, nil
-}
-
-// FromDataset adapts every source of a dataset into a Static source,
-// sorted by source ID.
-func FromDataset(d *data.Dataset) []Source {
+// FromDataset turns every source of a dataset into a *DeltaStatic
+// upsert log (one upsert per record, in the dataset's order), sorted by
+// source ID.
+func FromDataset(d *data.Dataset) []DeltaSource {
 	srcs := d.Sources() // already sorted by ID
-	out := make([]Source, 0, len(srcs))
+	out := make([]DeltaSource, 0, len(srcs))
 	for _, s := range srcs {
-		out = append(out, &Static{Src: s, Recs: d.SourceRecords(s.ID)})
+		out = append(out, &DeltaStatic{Src: s, Log: UpsertLog(d.SourceRecords(s.ID))})
 	}
 	return out
 }
 
-// FromWeb adapts a generated source web: one Static source per
-// generated source, carrying that source's emitted records.
-func FromWeb(w *datagen.Web) []Source {
+// FromWeb turns a generated source web into one upsert log per
+// generated source.
+func FromWeb(w *datagen.Web) []DeltaSource {
 	return FromDataset(w.Dataset)
 }
 
 // sortSources returns the sources in ascending Meta().ID order,
 // rejecting duplicate IDs (two sources feeding the same ID would make
-// the assembled dataset depend on scheduling). Generic so record and
-// delta fleets share it.
-func sortSources[S interface{ Meta() *data.Source }](sources []S) ([]S, error) {
-	out := append([]S(nil), sources...)
+// the assembled dataset depend on scheduling).
+func sortSources(sources []DeltaSource) ([]DeltaSource, error) {
+	out := append([]DeltaSource(nil), sources...)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Meta().ID < out[j].Meta().ID })
 	for i := 1; i < len(out); i++ {
 		if out[i].Meta().ID == out[i-1].Meta().ID {

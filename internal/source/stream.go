@@ -18,37 +18,35 @@ var ErrShortSource = errors.New("source: fetches never covered the watch cursor 
 // watch turns one source's change log into a deterministic stream
 // cursor over its canonical sequence. Each Poll delivers the next (at
 // most) epochSize deltas. Delivery is schedule-independent even under
-// fault injection — a poll refetches (up to retries times) until the
-// payload covers the target window, so transient errors and truncated
-// fetches delay deltas but never change their content or order. That
-// property is what makes crash/resume replay byte-identical.
+// fault injection — a poll refetches (up to pollRetries times) until
+// the payload covers the target window, so transient errors, panics and
+// truncated fetches delay deltas but never change their content or
+// order. That property is what makes crash/resume replay
+// byte-identical.
 //
 // total declares the length of the canonical log. It must come from
 // the caller (for a fault-wrapped source a truncated fetch is
 // indistinguishable from a genuinely short one); Totals derives it from
 // the backing dataset.
 type watch struct {
-	src     DeltaSource
-	total   int
-	epoch   int
-	retries int
-	cursor  int
+	src    DeltaSource
+	total  int
+	epoch  int
+	cursor int
 }
 
-func newWatch(src DeltaSource, total, epochSize, retries int) *watch {
+// pollRetries is the refetch budget of one poll, on top of its first
+// attempt; transient faults, panics and truncations consume it.
+const pollRetries = 8
+
+func newWatch(src DeltaSource, total, epochSize int) *watch {
 	if epochSize <= 0 {
 		epochSize = 100
-	}
-	if retries == 0 {
-		retries = 8
-	}
-	if retries < 0 {
-		retries = 0
 	}
 	if total < 0 {
 		total = 0
 	}
-	return &watch{src: src, total: total, epoch: epochSize, retries: retries}
+	return &watch{src: src, total: total, epoch: epochSize}
 }
 
 // Cursor reports how many deltas have been delivered so far.
@@ -66,10 +64,11 @@ func (w *watch) Done() bool { return w.cursor >= w.total }
 
 // Poll delivers the next batch: deltas [cursor, min(cursor+epoch,
 // total)) of the canonical log. A drained watch returns (nil, nil).
-// It refetches the log (up to retries extra attempts) until a payload
-// covers the window: transient failures and short (truncated) payloads
-// consume the budget and are then reported wrapping both the last error
-// and ErrShortSource/ErrTransient so callers can classify; permanent
+// It refetches the log (up to pollRetries extra attempts) until a
+// payload covers the window: transient failures, fetch panics
+// (recovered by fetchSafe) and short (truncated) payloads consume the
+// budget and are then reported wrapping both the last error and
+// ErrShortSource/ErrTransient so callers can classify; permanent
 // failures and context cancellation abort immediately. Because a
 // delivered window always comes from a payload that covered it, content
 // and order depend only on the canonical log — never on the fault
@@ -81,11 +80,11 @@ func (w *watch) Poll(ctx context.Context) ([]Delta, error) {
 	id := w.src.Meta().ID
 	target := min(w.cursor+w.epoch, w.total)
 	var lastErr error
-	for attempt := 0; attempt <= w.retries; attempt++ {
+	for attempt := 0; attempt <= pollRetries; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		log, err := w.src.FetchDeltas(ctx)
+		log, err := fetchSafe(ctx, w.src)
 		if err != nil {
 			if errors.Is(err, ErrPermanent) || ctx.Err() != nil {
 				return nil, err
@@ -103,18 +102,15 @@ func (w *watch) Poll(ctx context.Context) ([]Delta, error) {
 		return batch, nil
 	}
 	return nil, fmt.Errorf("source: watch poll on %s exhausted %d attempts: %w",
-		id, w.retries+1, lastErr)
+		id, pollRetries+1, lastErr)
 }
 
 // StreamConfig tunes a DeltaStreamer. The zero value is usable.
 type StreamConfig struct {
 	// EpochSize is the deltas delivered per source per epoch.
-	// Default 100.
+	// Default 100. A poll refetches up to 8 times through transient
+	// faults, fetch panics and truncations.
 	EpochSize int
-	// Retries is the refetch budget per poll (on top of the first
-	// attempt); transient faults and truncations consume it. Default 8;
-	// negative means none.
-	Retries int
 	// Totals declares each source's canonical log length by ID. Sources
 	// without an entry fall back to the length of their static log when
 	// the source is a *DeltaStatic; otherwise the streamer refuses to
@@ -185,7 +181,7 @@ func NewDeltaStreamer(ctx context.Context, sources []DeltaSource, cfg StreamConf
 			}
 			total = len(st.Log)
 		}
-		w := newWatch(s, total, cfg.EpochSize, cfg.Retries)
+		w := newWatch(s, total, cfg.EpochSize)
 		if c, ok := cfg.Cursors[id]; ok {
 			w.Seek(c)
 		}
@@ -247,9 +243,9 @@ func (s *DeltaStreamer) Close() {
 
 // Totals maps each source of a dataset to its record count — the
 // canonical-sequence lengths a streamer needs when the fleet is
-// wrapped (fault injection) and payload lengths can't be trusted. A
-// record fleet's log has one upsert per record, so the counts are its
-// log lengths too.
+// wrapped (fault injection) and payload lengths can't be trusted.
+// FromDataset's logs hold one upsert per record, so the counts are
+// their log lengths.
 func Totals(d *data.Dataset) map[string]int {
 	out := make(map[string]int, d.NumSources())
 	for _, s := range d.Sources() {
@@ -266,8 +262,9 @@ type Epoch = DeltaEpoch
 // benchmark/serve_live.go until that file moves to the delta names.
 type Streamer = DeltaStreamer
 
-// NewStreamer streams a record fleet as the change log it is, kept only
-// for benchmark/serve_live.go until that file calls NewDeltaStreamer.
-func NewStreamer(ctx context.Context, sources []Source, cfg StreamConfig) (*Streamer, error) {
-	return NewDeltaStreamer(ctx, AsDeltaSources(sources), cfg)
+// NewStreamer is NewDeltaStreamer under its record-stream name, kept
+// only for benchmark/serve_live.go until that file calls
+// NewDeltaStreamer.
+func NewStreamer(ctx context.Context, sources []DeltaSource, cfg StreamConfig) (*Streamer, error) {
+	return NewDeltaStreamer(ctx, sources, cfg)
 }

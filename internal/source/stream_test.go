@@ -20,95 +20,47 @@ func streamWeb(seed int64) *data.Dataset {
 }
 
 // flaky fails its first transient fetches with ErrTransient, truncates
-// the next truncated ones to a prefix of the canonical sequence, then
-// behaves. flakySource and flakyDeltaSource wrap it per source kind.
-type flaky[T any] struct {
+// the next truncated ones to a prefix of its log, then behaves.
+type flaky struct {
 	meta      *data.Source
-	seq       []T
+	log       []Delta
 	transient int
 	truncated int
 }
 
-func (f *flaky[T]) Meta() *data.Source { return f.meta }
+func (f *flaky) Meta() *data.Source { return f.meta }
 
-func (f *flaky[T]) fetch(ctx context.Context) ([]T, error) {
+func (f *flaky) FetchDeltas(ctx context.Context) ([]Delta, error) {
 	if f.transient > 0 {
 		f.transient--
 		return nil, ErrTransient
 	}
 	if f.truncated > 0 {
 		f.truncated--
-		return f.seq[:len(f.seq)/2], nil
+		return f.log[:len(f.log)/2], nil
 	}
-	return f.seq, ctx.Err()
+	return f.log, ctx.Err()
 }
 
-type flakySource struct{ *flaky[*data.Record] }
-
-func (f flakySource) Fetch(ctx context.Context) ([]*data.Record, error) { return f.fetch(ctx) }
-
-type flakyDeltaSource struct{ *flaky[Delta] }
-
-func (f flakyDeltaSource) FetchDeltas(ctx context.Context) ([]Delta, error) { return f.fetch(ctx) }
-
-// fleetKind presents one kind of fleet to the shared table: the
-// canonical sequences of a test fleet, how to serve one as a delta
-// source (optionally through faults), and the change log a sequence
-// streams as.
-type fleetKind[T any] struct {
-	seqs   func(d *data.Dataset) map[string][]T         // source ID → canonical sequence
-	static func(meta *data.Source, seq []T) DeltaSource // the in-memory adapter (total derivable)
-	flaky  func(f *flaky[T]) DeltaSource
-	log    func(seq []T) []Delta
-}
-
+// TestFleetStreamers runs every case against two fleets through the one
+// watch and the one fleet producer: a dataset's upsert-only logs
+// ("records") and the same dataset churned with updates and deletes
+// ("deltas").
 func TestFleetStreamers(t *testing.T) {
-	t.Run("records", func(t *testing.T) {
-		testFleetKind(t, fleetKind[*data.Record]{
-			seqs: func(d *data.Dataset) map[string][]*data.Record {
-				out := map[string][]*data.Record{}
-				for _, s := range d.Sources() {
-					out[s.ID] = d.SourceRecords(s.ID)
-				}
-				return out
-			},
-			static: func(meta *data.Source, seq []*data.Record) DeltaSource {
-				return AsDeltaSource(&Static{Src: meta, Recs: seq})
-			},
-			flaky: func(f *flaky[*data.Record]) DeltaSource { return AsDeltaSource(flakySource{f}) },
-			log:   UpsertLog,
-		})
-	})
-	t.Run("deltas", func(t *testing.T) {
-		testFleetKind(t, fleetKind[Delta]{
-			seqs: func(d *data.Dataset) map[string][]Delta {
-				out := map[string][]Delta{}
-				for i, s := range d.Sources() {
-					out[s.ID], _ = Churn(d.SourceRecords(s.ID), ChurnConfig{Seed: int64(i), UpdateRate: 0.2, DeleteRate: 0.1})
-				}
-				return out
-			},
-			static: func(meta *data.Source, seq []Delta) DeltaSource { return &DeltaStatic{Src: meta, Log: seq} },
-			flaky:  func(f *flaky[Delta]) DeltaSource { return flakyDeltaSource{f} },
-			log:    func(seq []Delta) []Delta { return seq },
-		})
-	})
+	d := streamWeb(1)
+	churned, _, _ := ChurnSources(d, ChurnConfig{Seed: 1, UpdateRate: 0.2, DeleteRate: 0.1})
+	t.Run("records", func(t *testing.T) { testFleet(t, FromDataset(d)) })
+	t.Run("deltas", func(t *testing.T) { testFleet(t, churned) })
 }
 
-// testFleetKind is the shared table: every case runs against a record
-// fleet lifted into change logs and a native delta fleet, through the
-// one watch and the one fleet producer.
-func testFleetKind[T any](t *testing.T, k fleetKind[T]) {
-	d := streamWeb(1)
-	seqs := k.seqs(d)
-	var fleet []DeltaSource
-	for _, meta := range d.Sources() {
-		fleet = append(fleet, k.static(meta, seqs[meta.ID]))
+func testFleet(t *testing.T, fleet []DeltaSource) {
+	seqs := map[string][]Delta{} // source ID → canonical log
+	for _, s := range fleet {
+		seqs[s.Meta().ID] = s.(*DeltaStatic).Log
 	}
-	meta := d.Sources()[0]
+	meta := fleet[0].Meta()
 	seq := seqs[meta.ID]
 	total := len(seq)
-	want := func(seq []T) string { return deltaFingerprint(k.log(seq)) }
 	ctx := context.Background()
 
 	// drain collects a whole stream, failing on a stream error.
@@ -130,7 +82,7 @@ func testFleetKind[T any](t *testing.T, k fleetKind[T]) {
 	}
 
 	t.Run("watch delivers the canonical sequence", func(t *testing.T) {
-		w := newWatch(fleet[0], total, 7, 0)
+		w := newWatch(fleet[0], total, 7)
 		var got []Delta
 		for !w.Done() {
 			batch, err := w.Poll(ctx)
@@ -142,7 +94,7 @@ func testFleetKind[T any](t *testing.T, k fleetKind[T]) {
 			}
 			got = append(got, batch...)
 		}
-		if deltaFingerprint(got) != want(seq) {
+		if deltaFingerprint(got) != deltaFingerprint(seq) {
 			t.Fatal("delivered sequence differs from the canonical one")
 		}
 		if batch, err := w.Poll(ctx); batch != nil || err != nil {
@@ -153,30 +105,30 @@ func testFleetKind[T any](t *testing.T, k fleetKind[T]) {
 	t.Run("watch refetches through faults", func(t *testing.T) {
 		// The epoch covers the whole source, so truncated payloads can
 		// never cover the window and must be refetched.
-		w := newWatch(k.flaky(&flaky[T]{meta: meta, seq: seq, transient: 2, truncated: 2}), total, total, 8)
+		w := newWatch(&flaky{meta: meta, log: seq, transient: 2, truncated: 2}, total, total)
 		batch, err := w.Poll(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if deltaFingerprint(batch) != want(seq) {
+		if deltaFingerprint(batch) != deltaFingerprint(seq) {
 			t.Fatal("faulted delivery diverged from the canonical sequence")
 		}
-		// With the retry budget below the fault count the poll must
-		// fail, classifiably.
-		w = newWatch(k.flaky(&flaky[T]{meta: meta, seq: seq, transient: 5}), total, total, 3)
+		// With more faults than the retry budget the poll must fail,
+		// classifiably.
+		w = newWatch(&flaky{meta: meta, log: seq, transient: pollRetries + 1}, total, total)
 		if _, err := w.Poll(ctx); !errors.Is(err, ErrTransient) {
 			t.Fatalf("err = %v, want ErrTransient", err)
 		}
 	})
 
 	t.Run("short source", func(t *testing.T) {
-		w := newWatch(k.flaky(&flaky[T]{meta: meta, seq: seq, truncated: 50}), total, total, 3)
+		w := newWatch(&flaky{meta: meta, log: seq, truncated: 50}, total, total)
 		if _, err := w.Poll(ctx); !errors.Is(err, ErrShortSource) {
 			t.Fatalf("err = %v, want ErrShortSource", err)
 		}
 		// The same through the producer: a source holding fewer items
 		// than its declared total ends the stream with the error.
-		str, err := NewDeltaStreamer(ctx, fleet, StreamConfig{Retries: -1, Totals: map[string]int{meta.ID: total + 1}})
+		str, err := NewDeltaStreamer(ctx, fleet, StreamConfig{Totals: map[string]int{meta.ID: total + 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,20 +141,20 @@ func testFleetKind[T any](t *testing.T, k fleetKind[T]) {
 	})
 
 	t.Run("seek clamps and resumes mid-stream", func(t *testing.T) {
-		w := newWatch(fleet[0], total, 5, 0)
+		w := newWatch(fleet[0], total, 5)
 		if _, err := w.Poll(ctx); err != nil {
 			t.Fatal(err)
 		}
 		cursor := w.Cursor()
 		// A fresh watch seeked to the persisted cursor continues the
 		// exact sequence.
-		w2 := newWatch(fleet[0], total, 5, 0)
+		w2 := newWatch(fleet[0], total, 5)
 		w2.Seek(cursor)
 		batch, err := w2.Poll(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if deltaFingerprint(batch) != want(seq[cursor:cursor+len(batch)]) || len(batch) == 0 {
+		if deltaFingerprint(batch) != deltaFingerprint(seq[cursor:cursor+len(batch)]) || len(batch) == 0 {
 			t.Fatal("resumed batch differs from the canonical window")
 		}
 		if w2.Seek(-3); w2.Cursor() != 0 {
@@ -230,7 +182,8 @@ func testFleetKind[T any](t *testing.T, k fleetKind[T]) {
 			}
 			// Sources arrive in ascending ID order, each contributing
 			// the window its cursor advanced over.
-			for _, m := range d.Sources() {
+			for _, s := range fleet {
+				m := s.Meta()
 				n := cursors[m.ID] - len(delivered[m.ID])
 				delivered[m.ID] = append(delivered[m.ID], itemsA[:n]...)
 				itemsA = itemsA[n:]
@@ -238,7 +191,7 @@ func testFleetKind[T any](t *testing.T, k fleetKind[T]) {
 			last = cursors
 		}
 		for id, seq := range seqs {
-			if deltaFingerprint(delivered[id]) != want(seq) || last[id] != len(seq) {
+			if deltaFingerprint(delivered[id]) != deltaFingerprint(seq) || last[id] != len(seq) {
 				t.Errorf("source %s: delivered sequence or final cursor %d differs from canonical (%d items)", id, last[id], len(seq))
 			}
 		}
@@ -287,7 +240,7 @@ func testFleetKind[T any](t *testing.T, k fleetKind[T]) {
 	})
 
 	t.Run("unknown totals", func(t *testing.T) {
-		wrapped := []DeltaSource{k.flaky(&flaky[T]{meta: meta, seq: seq})} // not the static adapter: totals required
+		wrapped := []DeltaSource{&flaky{meta: meta, log: seq}} // not the static adapter: totals required
 		if _, err := NewDeltaStreamer(ctx, wrapped, StreamConfig{}); err == nil || !strings.Contains(err.Error(), "total") {
 			t.Fatalf("err = %v, want a missing-total rejection", err)
 		}
