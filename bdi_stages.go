@@ -47,11 +47,9 @@ var (
 	Levenshtein = similarity.Levenshtein
 	// TFIDF is corpus-weighted cosine similarity as a Metric.
 	TFIDF = similarity.TFIDF
-	// BuildFeatureIndex precomputes comparison features for a record set.
+	// BuildFeatureIndex precomputes comparison features for a record
+	// set; a nil TF-IDF corpus is built from the records.
 	BuildFeatureIndex = similarity.BuildFeatureIndex
-	// BuildFeatureIndexCorpus is BuildFeatureIndex with an explicit
-	// TF-IDF corpus.
-	BuildFeatureIndexCorpus = similarity.BuildFeatureIndexCorpus
 	// NewCorpus returns an empty TF-IDF corpus.
 	NewCorpus = tokenize.NewCorpus
 )

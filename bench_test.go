@@ -8,22 +8,26 @@ import (
 	"repro/internal/experiments"
 )
 
-// BenchmarkExperiment has one sub-benchmark per experiment E1–E22 of
-// DESIGN.md's index. Each iteration regenerates the experiment's
+// BenchmarkExperiment has one sub-benchmark per entry of the
+// experiments registry (E1–E28 of DESIGN.md's index), each at its
+// committed configuration. Each iteration regenerates the experiment's
 // workload and recomputes its table, so ns/op measures the full cost of
-// reproducing that result; its key quality figures are attached as
-// custom metrics so `go test -bench Experiment` output doubles as a
-// results summary.
+// reproducing that result; where an experiment has key quality figures
+// they are read from the last timed run and attached as custom metrics,
+// so `go test -bench Experiment` output doubles as a results summary.
 func BenchmarkExperiment(b *testing.B) {
-	r := experiments.Runner{Seed: 42}
-	for _, e := range experimentFigures {
-		b.Run(e.id, func(b *testing.B) {
+	for _, e := range experiments.All() {
+		b.Run(e.ID, func(b *testing.B) {
+			var res any
 			for i := 0; i < b.N; i++ {
-				if _, err := r.Run(e.id); err != nil {
+				var err error
+				if _, res, err = e.Run(42, experiments.Opts{}); err != nil {
 					b.Fatal(err)
 				}
 			}
-			e.report(b)
+			if report := experimentFigures[e.ID]; report != nil {
+				report(b, res)
+			}
 		})
 	}
 }
@@ -36,48 +40,45 @@ type figure[R any] struct {
 
 func fig[R any](name string, pick func(R) float64) figure[R] { return figure[R]{name, pick} }
 
-// figures runs an experiment once more and reports the given figures
-// of its result as custom metrics.
-func figures[R any](run func(seed int64) (*experiments.Table, R, error), figs ...figure[R]) func(*testing.B) {
-	return func(b *testing.B) {
-		_, res, err := run(42)
-		if err != nil {
-			b.Fatal(err)
+// figures reports the given figures of an experiment's result as
+// custom metrics.
+func figures[R any](figs ...figure[R]) func(*testing.B, any) {
+	return func(b *testing.B, res any) {
+		r, ok := res.(R)
+		if !ok {
+			b.Fatalf("result is %T, want %T", res, r)
 		}
 		for _, f := range figs {
-			b.ReportMetric(f.pick(res), f.name)
+			b.ReportMetric(f.pick(r), f.name)
 		}
 	}
 }
 
-var experimentFigures = []struct {
-	id     string
-	report func(*testing.B)
-}{
-	{"E1", figures(experiments.E1, fig("accucopy@heavy", func(r *experiments.E1Result) float64 { return r.Accuracy[1.0]["accucopy"] }))},
-	{"E2", figures(experiments.E2, fig("final-accuracy", func(r *experiments.E2Result) float64 { return r.Accuracy[len(r.Accuracy)-1] }))},
-	{"E3", figures(experiments.E3, fig("token-PC", func(r *experiments.E3Result) float64 { return r.Quality["token(title)"].PairCompleteness }))},
-	{"E4", figures(experiments.E4, fig("ecbs+wep-PC", func(r *experiments.E4Result) float64 { return r.Meta["ecbs+wep"].PairCompleteness }))},
-	{"E5", figures(experiments.E5, fig("rule-F1@dirt1", func(r *experiments.E5Result) float64 { return r.F1[1]["rule(id)"] }))},
-	{"E6", figures(experiments.E6, fig("correlation-F1", func(r *experiments.E6Result) float64 { return r.PRF["correlation"].F1 }))},
-	{"E7", figures(experiments.E7, fig("incremental-F1", func(r *experiments.E7Result) float64 { return r.FinalIncrementalF1 }))},
-	{"E8", figures(experiments.E8, fig("align-F1@max-sources", func(r *experiments.E8Result) float64 { return r.LinkageF1[len(r.LinkageF1)-1] }))},
-	{"E9", figures(experiments.E9,
-		fig("cache-speedup", func(r *experiments.E9Result) float64 { return r.Speedup[len(r.Speedup)-1] }),
-		fig("pairs/sec@max-workers", func(r *experiments.E9Result) float64 { return r.Throughput[len(r.Throughput)-1] }))},
-	{"E10", figures(experiments.E10, fig("greedy-accuracy", func(r *experiments.E10Result) float64 { return r.Greedy.Quality }))},
-	{"E11", figures(experiments.E11, fig("accucopy@stock", func(r *experiments.E11Result) float64 { return r.Accuracy["stock-like (heavy copying)"]["accucopy"] }))},
-	{"E12", figures(experiments.E12, fig("temporal-F1@evolving", func(r *experiments.E12Result) float64 { return r.EvolvingTemporalF1 }))},
-	{"E13", figures(experiments.E13, fig("linkage-F1", func(r *experiments.E13Result) float64 { return r.LinkageF1 }))},
-	{"E14", figures(experiments.E14, fig("linkage-first-align-F1", func(r *experiments.E14Result) float64 { return r.LinkageFirstAlignF1 }))},
-	{"E15", figures(experiments.E15, fig("mean-probes", func(r *experiments.E15Result) float64 { return r.MeanProbes }))},
-	{"E16", figures(experiments.E16, fig("F1@60q", func(r *experiments.E16Result) float64 { return r.F1[len(r.F1)-1] }))},
-	{"E17", figures(experiments.E17, fig("bootstrap-gain", func(r *experiments.E17Result) float64 { return r.FuseBootstrap - r.FuseNoBootstrap }))},
-	{"E18", figures(experiments.E18, fig("lsh16x2-PC", func(r *experiments.E18Result) float64 { return r.Quality["minhash(16x2)"].PairCompleteness }))},
-	{"E19", figures(experiments.E19, fig("accucopy@8liars", func(r *experiments.E19Result) float64 { return r.Accuracy[8]["accucopy"] }))},
-	{"E20", figures(experiments.E20, fig("recall@10%budget", func(r *experiments.E20Result) float64 { return r.Progressive[2] }))},
-	{"E21", figures(experiments.E21, fig("final-recall", func(r *experiments.E21Result) float64 { return r.Recall[len(r.Recall)-1] }))},
-	{"E22", figures(experiments.E22, fig("reinduced-recall", func(r *experiments.E22Result) float64 { return r.ReinducedRecall }))},
+// experimentFigures maps an experiment ID to its figures.
+var experimentFigures = map[string]func(*testing.B, any){
+	"E1": figures(fig("accucopy@heavy", func(r *experiments.E1Result) float64 { return r.Accuracy[1.0]["accucopy"] })),
+	"E2": figures(fig("final-accuracy", func(r *experiments.E2Result) float64 { return r.Accuracy[len(r.Accuracy)-1] })),
+	"E3": figures(fig("token-PC", func(r *experiments.E3Result) float64 { return r.Quality["token(title)"].PairCompleteness })),
+	"E4": figures(fig("ecbs+wep-PC", func(r *experiments.E4Result) float64 { return r.Meta["ecbs+wep"].PairCompleteness })),
+	"E5": figures(fig("rule-F1@dirt1", func(r *experiments.E5Result) float64 { return r.F1[1]["rule(id)"] })),
+	"E6": figures(fig("correlation-F1", func(r *experiments.E6Result) float64 { return r.PRF["correlation"].F1 })),
+	"E7": figures(fig("incremental-F1", func(r *experiments.E7Result) float64 { return r.FinalIncrementalF1 })),
+	"E8": figures(fig("align-F1@max-sources", func(r *experiments.E8Result) float64 { return r.LinkageF1[len(r.LinkageF1)-1] })),
+	"E9": figures(fig("cache-speedup", func(r *experiments.E9Result) float64 { return r.Speedup[len(r.Speedup)-1] }),
+		fig("pairs/sec@max-workers", func(r *experiments.E9Result) float64 { return r.Throughput[len(r.Throughput)-1] })),
+	"E10": figures(fig("greedy-accuracy", func(r *experiments.E10Result) float64 { return r.Greedy.Quality })),
+	"E11": figures(fig("accucopy@stock", func(r *experiments.E11Result) float64 { return r.Accuracy["stock-like (heavy copying)"]["accucopy"] })),
+	"E12": figures(fig("temporal-F1@evolving", func(r *experiments.E12Result) float64 { return r.EvolvingTemporalF1 })),
+	"E13": figures(fig("linkage-F1", func(r *experiments.E13Result) float64 { return r.LinkageF1 })),
+	"E14": figures(fig("linkage-first-align-F1", func(r *experiments.E14Result) float64 { return r.LinkageFirstAlignF1 })),
+	"E15": figures(fig("mean-probes", func(r *experiments.E15Result) float64 { return r.MeanProbes })),
+	"E16": figures(fig("F1@60q", func(r *experiments.E16Result) float64 { return r.F1[len(r.F1)-1] })),
+	"E17": figures(fig("bootstrap-gain", func(r *experiments.E17Result) float64 { return r.FuseBootstrap - r.FuseNoBootstrap })),
+	"E18": figures(fig("lsh16x2-PC", func(r *experiments.E18Result) float64 { return r.Quality["minhash(16x2)"].PairCompleteness })),
+	"E19": figures(fig("accucopy@8liars", func(r *experiments.E19Result) float64 { return r.Accuracy[8]["accucopy"] })),
+	"E20": figures(fig("recall@10%budget", func(r *experiments.E20Result) float64 { return r.Progressive[2] })),
+	"E21": figures(fig("final-recall", func(r *experiments.E21Result) float64 { return r.Recall[len(r.Recall)-1] })),
+	"E22": figures(fig("reinduced-recall", func(r *experiments.E22Result) float64 { return r.ReinducedRecall })),
 }
 
 // Micro-benchmarks for the primitives the pipeline spends its time in.

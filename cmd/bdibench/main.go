@@ -1,12 +1,13 @@
 // Command bdibench regenerates the experiment tables indexed in
-// DESIGN.md (E1–E26): fusion under copying, EM convergence, blocking
-// trade-offs, meta-blocking, matcher quality, clustering comparison,
-// incremental linkage, schema alignment, scale-out, source selection,
-// domain regimes, temporal linkage, the end-to-end pipeline, the
-// stage-ordering ablation, the extension features, ingestion under
-// faults, memory-budgeted pair generation at scale, rank-fused
-// progressive candidate generation and concurrent serving latency
-// (E26, the bdiserve load benchmark).
+// DESIGN.md (E1–E28), in the order of the experiments registry: fusion
+// under copying, EM convergence, blocking trade-offs, meta-blocking,
+// matcher quality, clustering comparison, incremental linkage, schema
+// alignment, scale-out, source selection, domain regimes, temporal
+// linkage, the end-to-end pipeline, the stage-ordering ablation, the
+// extension features, ingestion under faults, memory-budgeted pair
+// generation at scale, rank-fused progressive candidate generation,
+// concurrent serving latency (the bdiserve load benchmark), streaming
+// versus batch relinking and update/delete churn.
 //
 // Usage:
 //
@@ -51,7 +52,7 @@ func main() {
 func run() error {
 	all := experiments.All()
 	var (
-		exp        = flag.String("exp", "all", fmt.Sprintf("experiment ID (%s..%s) or 'all'", all[0], all[len(all)-1]))
+		exp        = flag.String("exp", "all", fmt.Sprintf("experiment ID (%s..%s) or 'all'", all[0].ID, all[len(all)-1].ID))
 		seed       = flag.Int64("seed", 42, "workload seed")
 		metrics    = flag.Bool("metrics", false, "print a per-experiment metrics block")
 		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
@@ -64,15 +65,18 @@ func run() error {
 	)
 	flag.Parse()
 
-	e24opts := experiments.E24Opts{Shards: *shards, SpillDir: *spillDir}
+	opts := experiments.Opts{
+		E24: experiments.E24Opts{Shards: *shards, SpillDir: *spillDir},
+		E25: experiments.E25Opts{RRFK: *rrfK},
+	}
 	var err error
-	if e24opts.Sizes, err = parseInts(*e24Sizes); err != nil {
+	if opts.E24.Sizes, err = parseInts(*e24Sizes); err != nil {
 		return fmt.Errorf("-e24-sizes: %w", err)
 	}
-	if e24opts.Workers, err = parseInts(*e24Workers); err != nil {
+	if opts.E24.Workers, err = parseInts(*e24Workers); err != nil {
 		return fmt.Errorf("-e24-workers: %w", err)
 	}
-	if e24opts.PairMemBudget, err = core.ParseByteSize(*pairBudget); err != nil {
+	if opts.E24.PairMemBudget, err = core.ParseByteSize(*pairBudget); err != nil {
 		return fmt.Errorf("-pair-mem-budget: %w", err)
 	}
 
@@ -85,15 +89,17 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "bdibench: debug server on http://%s\n", addr)
 	}
 
-	runner := experiments.Runner{Seed: *seed}
-	ids := all
+	var ids []string
+	for _, e := range all {
+		ids = append(ids, e.ID)
+	}
 	if *exp != "all" {
 		ids = strings.Split(strings.ToUpper(*exp), ",")
 	}
 	failed := 0
 	for _, id := range ids {
 		start := time.Now()
-		// Fresh registry per experiment: the stages pick it up through
+		// Fresh metrics registry per experiment: the stages pick it up through
 		// obs.OrDefault, and the debug server's expvar export always
 		// reflects the experiment currently running.
 		var reg *obs.Registry
@@ -101,18 +107,7 @@ func run() error {
 			reg = obs.NewRegistry()
 			obs.SetDefault(reg)
 		}
-		var tab *experiments.Table
-		switch id {
-		case "E24":
-			// E24 goes through the options-aware entry point so the
-			// scale flags apply.
-			tab, _, err = experiments.E24Scale(*seed, e24opts)
-		case "E25":
-			// E25 likewise, for the -rrf-k knob.
-			tab, _, err = experiments.E25RankFusion(*seed, experiments.E25Opts{RRFK: *rrfK})
-		default:
-			tab, err = runner.Run(id)
-		}
+		tab, _, err := experiments.Run(id, *seed, opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bdibench: %s: %v\n", id, err)
 			failed++

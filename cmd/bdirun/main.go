@@ -167,7 +167,7 @@ func run() error {
 				Obs:              reg,
 			})
 		}
-		if err := runStream(ctx, d, scfg, fleet, totals, len(planned)); err != nil {
+		if err := runStream(ctx, scfg, fleet, totals, len(planned)); err != nil {
 			return err
 		}
 		printMetrics(reg, *metrics, *metricsJSON, *metricsFull)
@@ -315,8 +315,8 @@ func churnFleet(d *data.Dataset, churn source.ChurnConfig, faultRate float64, fa
 // final published view and cumulative costs reported instead of the
 // batch pipeline's stage table. planned is how many deletions the
 // churn scheduled.
-func runStream(ctx context.Context, d *data.Dataset, cfg core.StreamConfig,
-	fleet []source.DeltaSource, totals map[string]int, planned int) error {
+func runStream(ctx context.Context, cfg core.StreamConfig, fleet []source.DeltaSource,
+	totals map[string]int, planned int) error {
 	var last *core.Snapshot
 	st, err := core.ResumeStream(cfg, func(snap *core.Snapshot) { last = snap })
 	if err != nil {
@@ -340,19 +340,7 @@ func runStream(ctx context.Context, d *data.Dataset, cfg core.StreamConfig,
 	if last != nil {
 		fmt.Printf("final view: %d entities\n", last.Len())
 	}
-	if truth := d.GroundTruthClusters(); len(truth) > 0 {
-		live := make(data.Clustering, 0, len(truth))
-		for _, cl := range truth {
-			keep := make([]string, 0, len(cl))
-			for _, id := range cl {
-				if st.Dataset().Record(id) != nil {
-					keep = append(keep, id)
-				}
-			}
-			if len(keep) > 0 {
-				live = append(live, keep)
-			}
-		}
+	if live := st.Dataset().GroundTruthClusters(); len(live) > 0 {
 		fmt.Printf("linkage quality vs live ground truth: %s\n", eval.Clusters(st.Clusters(), live))
 	}
 	return nil

@@ -2,6 +2,7 @@ package blocking
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -205,5 +206,75 @@ func TestTechniqueOrdersCoverTheSameSet(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFuseStreamsAppendNeverDemotes: appending a pair to one more
+// ranked stream only adds to its reciprocal-rank score and leaves every
+// other pair's score alone, so the pair never moves later in the fused
+// order.
+func TestFuseStreamsAppendNeverDemotes(t *testing.T) {
+	records := fusionWorld(t)
+	e := NewEngineOpts(records, Opts{Workers: 0})
+	blockers := fusionBlockers()
+	streams := make([]RankedStream, len(blockers))
+	for i, b := range blockers {
+		streams[i] = b.Ranked(e)
+	}
+	position := func(streams []RankedStream, code uint64) int {
+		p := e.RankedPairs(RankedStream{Codes: []uint64{code}})[0]
+		return slices.Index(e.FuseStreams(DefaultRRFK, streams...).Pairs(), p)
+	}
+	checked := 0
+	for from := range streams {
+		codes := streams[from].Codes
+		for n := 0; n < len(codes); n += len(codes)/6 + 1 { // a sample keeps the fusions few
+			code := codes[n]
+			before := position(streams, code)
+			for to := range streams {
+				if slices.Contains(streams[to].Codes, code) {
+					continue
+				}
+				grown := slices.Clone(streams)
+				grown[to].Codes = append(slices.Clone(streams[to].Codes), code)
+				if after := position(grown, code); after < 0 || after > before {
+					t.Fatalf("appending a pair to stream %s moved it from %d to %d", streams[to].Name, before, after)
+				}
+				checked++
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no stream lacked a sampled pair; the property went unchecked")
+	}
+	if err := e.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRRFNonPositiveKIsDefault: k = 0 and k = -1 fuse to the same
+// bytes as DefaultRRFK, through FuseStreams and FuseRanked alike.
+func TestRRFNonPositiveKIsDefault(t *testing.T) {
+	records := fusionWorld(t)
+	e := NewEngineOpts(records, Opts{Workers: 0})
+	blockers := fusionBlockers()
+	streams := make([]RankedStream, len(blockers))
+	for i, b := range blockers {
+		streams[i] = b.Ranked(e)
+	}
+	want := e.FuseStreams(DefaultRRFK, streams...).Pairs()
+	if len(want) == 0 {
+		t.Fatal("default fusion produced no pairs")
+	}
+	for _, k := range []float64{0, -1} {
+		if got := e.FuseStreams(k, streams...).Pairs(); !slices.Equal(got, want) {
+			t.Errorf("FuseStreams(k=%v) differs from DefaultRRFK", k)
+		}
+		if got := e.FuseRanked(k, blockers...).Pairs(); !slices.Equal(got, want) {
+			t.Errorf("FuseRanked(k=%v) differs from DefaultRRFK", k)
+		}
+	}
+	if err := e.Err(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -149,9 +149,6 @@ func byKeyCode(a, b pe) int {
 // spill-backed (consume with EmitPairs or a streaming matcher and
 // release with Close), exactly like a budgeted blocking pass.
 func (e *Engine) FuseRanked(k float64, blockers ...RankedBlocker) *CandidateSet {
-	if k <= 0 {
-		k = DefaultRRFK
-	}
 	streams := make([]RankedStream, len(blockers))
 	for i, b := range blockers {
 		streams[i] = b.Ranked(e)

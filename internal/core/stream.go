@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"maps"
-	"sort"
 	"time"
 
 	"repro/internal/data"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/linkage"
 	"repro/internal/obs"
 	"repro/internal/source"
-	"repro/internal/tokenize"
 )
 
 // StreamConfig controls a streaming integration run — the Velocity
@@ -166,17 +164,11 @@ func NewStream(cfg StreamConfig, publish func(*Snapshot)) (*Stream, error) {
 	return s, nil
 }
 
-// streamKey is the online blocking key: the sorted distinct title
-// tokens (the posting-list probe order must not inherit map iteration
-// order) plus, when present, one exact identifier key, NUL-prefixed so
-// it can't collide with a word token.
+// streamKey is the online blocking key: linkage.TitleTokenKey's sorted
+// distinct title tokens plus, when present, one exact identifier key,
+// NUL-prefixed so it can't collide with a word token.
 func streamKey(r *data.Record) []string {
-	words := tokenize.WordSet(r.Get(titleAttr).String())
-	keys := make([]string, 0, len(words)+1)
-	for w := range words {
-		keys = append(keys, w)
-	}
-	sort.Strings(keys)
+	keys := linkage.TitleTokenKey(r)
 	if v := r.Get(idAttr); !v.IsNull() {
 		keys = append(keys, "\x00"+idAttr+"\x00"+v.Key())
 	}

@@ -101,21 +101,22 @@ func rotateBackup(path string) {
 // LoadStream restores a stream from a state file written by Save. cfg
 // must describe the same linkage configuration (key attributes,
 // matcher, thresholds) the state was built under — functions can't be
-// serialized, so the codec persists state, not configuration. A
-// corrupt primary falls back to the rotated path+".bak" with a logged
-// warning; only when both are unusable does the load fail.
+// serialized, so the codec persists state, not configuration. A missing
+// or corrupt primary falls back to the rotated path+".bak" with a
+// logged warning; any other read error is returned as is, and when both
+// files are unusable the primary's error is.
 func LoadStream(path string, cfg StreamConfig, publish func(*Snapshot)) (*Stream, error) {
 	s, err := loadStreamFile(path, cfg, publish)
 	if err == nil {
 		return s, nil
 	}
-	if !errors.Is(err, ErrBadState) {
+	if !errors.Is(err, os.ErrNotExist) && !errors.Is(err, ErrBadState) {
 		return nil, err
 	}
 	bak := path + ".bak"
 	s2, err2 := loadStreamFile(bak, cfg, publish)
 	if err2 != nil {
-		return nil, err // report the primary's corruption
+		return nil, err
 	}
 	log.Printf("core: stream state %s unusable (%v); recovered from backup %s", path, err, bak)
 	s2.reg().Counter("stream.state_recoveries").Inc()
@@ -138,28 +139,14 @@ func loadStreamFile(path string, cfg StreamConfig, publish func(*Snapshot)) (*St
 	return s, nil
 }
 
-// ResumeStream restores from cfg.StatePath when a state file exists
-// there (falling back to the .bak on corruption — and when the primary
-// itself is missing but a backup survives, restoring from that) and
-// starts fresh otherwise — the entry point both -stream commands use.
+// ResumeStream restores from cfg.StatePath through LoadStream and
+// starts fresh when neither the state file nor its backup exists — the
+// entry point both -stream commands use.
 func ResumeStream(cfg StreamConfig, publish func(*Snapshot)) (*Stream, error) {
 	if cfg.StatePath != "" {
-		if _, err := os.Stat(cfg.StatePath); err == nil {
-			return LoadStream(cfg.StatePath, cfg, publish)
-		} else if !errors.Is(err, os.ErrNotExist) {
-			return nil, err
-		}
-		bak := cfg.StatePath + ".bak"
-		if _, err := os.Stat(bak); err == nil {
-			s, err := loadStreamFile(bak, cfg, publish)
-			if err == nil {
-				log.Printf("core: stream state %s missing; resumed from backup %s", cfg.StatePath, bak)
-				s.reg().Counter("stream.state_recoveries").Inc()
-				return s, nil
-			}
-			if !errors.Is(err, ErrBadState) {
-				return nil, err
-			}
+		s, err := LoadStream(cfg.StatePath, cfg, publish)
+		if !errors.Is(err, os.ErrNotExist) {
+			return s, err
 		}
 	}
 	return NewStream(cfg, publish)

@@ -229,9 +229,17 @@ func TestStreamStateBackupRecovery(t *testing.T) {
 		t.Errorf("recovered epoch %d, want %d or %d", got, s.Epoch(), s.Epoch()-1)
 	}
 
-	// ResumeStream with the primary gone entirely also recovers.
+	// With the primary gone entirely, LoadStream recovers from the
+	// backup too, and so does ResumeStream.
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
+	}
+	loaded, err := LoadStream(path, cfg, nil)
+	if err != nil {
+		t.Fatalf("load with missing primary and good backup failed: %v", err)
+	}
+	if got := loaded.Epoch(); got != recovered.Epoch() {
+		t.Errorf("load from backup: epoch %d, want %d", got, recovered.Epoch())
 	}
 	resumed, err := ResumeStream(cfg, nil)
 	if err != nil {

@@ -51,7 +51,6 @@ func E28(seed int64) (*Table, *E28Result, error) {
 	for _, s := range d.Sources() {
 		metas[s.ID] = s
 	}
-	truth := d.GroundTruthClusters()
 
 	// MaxBlock is unbounded so both sides compare every co-blocked pair:
 	// the stop-token bound gates on block fill order, which would differ
@@ -89,7 +88,8 @@ func E28(seed int64) (*Table, *E28Result, error) {
 			return nil, nil, err
 		}
 
-		liveTruth := restrictTruth(truth, st.Dataset())
+		// The stream's dataset holds exactly the live records.
+		liveTruth := st.Dataset().GroundTruthClusters()
 		streamF1 := eval.Clusters(st.Clusters(), liveTruth).F1
 		batchF1, err := e28FromScratchF1(cfg, st.Dataset(), metas, liveTruth)
 		if err != nil {
@@ -165,24 +165,6 @@ func E28(seed int64) (*Table, *E28Result, error) {
 		"churn 10%% updates / 5%% deletes over %d records; %d deletes, max F1 gap vs from-scratch %.4f; state %dB uncompacted vs %dB compacted (neutral=%v)",
 		d.NumRecords(), res.Deletes, res.MaxGap, res.UncompactedBytes, res.CompactedBytes, res.CompactionNeutral)
 	return tab, res, nil
-}
-
-// restrictTruth drops dead records from the ground-truth partition so
-// F1 is measured over exactly the live corpus.
-func restrictTruth(truth data.Clustering, live *data.Dataset) data.Clustering {
-	out := make(data.Clustering, 0, len(truth))
-	for _, cl := range truth {
-		keep := make([]string, 0, len(cl))
-		for _, id := range cl {
-			if live.Record(id) != nil {
-				keep = append(keep, id)
-			}
-		}
-		if len(keep) > 0 {
-			out = append(out, keep)
-		}
-	}
-	return out
 }
 
 // e28FromScratchF1 runs a fresh instance of the same incremental engine

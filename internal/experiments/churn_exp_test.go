@@ -3,10 +3,7 @@ package experiments
 import "testing"
 
 func TestE28ChurnStreamMatchesFromScratch(t *testing.T) {
-	tab, res, err := E28(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab, res := run[*E28Result](t, "E28")
 	if len(res.Checkpoints) < 3 {
 		t.Fatalf("%d checkpoints, want ≥3", len(res.Checkpoints))
 	}

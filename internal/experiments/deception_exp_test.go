@@ -3,10 +3,7 @@ package experiments
 import "testing"
 
 func TestE19Deception(t *testing.T) {
-	_, res, err := E19(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := run[*E19Result](t, "E19")
 	clean := res.Accuracy[0]
 	heavy := res.Accuracy[res.Liars[len(res.Liars)-1]]
 	// With no liars everything works.

@@ -3,10 +3,7 @@ package experiments
 import "testing"
 
 func TestE21Discovery(t *testing.T) {
-	_, res, err := E21(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := run[*E21Result](t, "E21")
 	if len(res.Recall) == 0 {
 		t.Fatal("no iterations")
 	}

@@ -2,12 +2,13 @@
 // per experiment in DESIGN.md's index (E1–E28), each generating its
 // workload, running the systems under test and returning a printable
 // table plus structured results that the test suite asserts shape
-// properties on. cmd/bdibench and the root-level benchmarks are thin
-// wrappers over this package.
+// properties on. The registry (All, Run) is the one list of them that
+// cmd/bdibench, the root-level benchmarks and the tests read.
 package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -65,6 +66,59 @@ func (t *Table) String() string {
 		fmt.Fprintf(&b, "note: %s\n", t.Notes)
 	}
 	return b.String()
+}
+
+// Opts carries the experiments' tunable configurations. The zero value
+// runs every experiment at its committed configuration.
+type Opts struct {
+	E24 E24Opts
+	E25 E25Opts
+}
+
+// Experiment is one registry entry: an ID and a run returning the
+// printable table and the experiment's typed result (*E1Result for E1,
+// and so on).
+type Experiment struct {
+	ID  string
+	Run func(seed int64, o Opts) (*Table, any, error)
+}
+
+// entry registers an experiment that has no options.
+func entry[R any](id string, run func(seed int64) (*Table, R, error)) Experiment {
+	return Experiment{ID: id, Run: func(seed int64, _ Opts) (*Table, any, error) { return run(seed) }}
+}
+
+// registry lists the experiments in order. E1–E14 reproduce the
+// surveyed result shapes; E15–E22 cover the extension features and
+// ablations; E23 is the fault-injection chaos sweep; E24 the
+// sharded/spilled blocking scale-out sweep; E25 the rank-fusion
+// recall-vs-comparisons evaluation; E26 the concurrent-serving latency
+// benchmark; E27 the streaming-vs-batch-relink velocity cost
+// comparison; E28 the update/delete churn correctness and
+// bounded-state evaluation.
+var registry = []Experiment{
+	entry("E1", E1), entry("E2", E2), entry("E3", E3), entry("E4", E4),
+	entry("E5", E5), entry("E6", E6), entry("E7", E7), entry("E8", E8),
+	entry("E9", E9), entry("E10", E10), entry("E11", E11), entry("E12", E12),
+	entry("E13", E13), entry("E14", E14), entry("E15", E15), entry("E16", E16),
+	entry("E17", E17), entry("E18", E18), entry("E19", E19), entry("E20", E20),
+	entry("E21", E21), entry("E22", E22), entry("E23", E23),
+	{ID: "E24", Run: func(seed int64, o Opts) (*Table, any, error) { return E24(seed, o.E24) }},
+	{ID: "E25", Run: func(seed int64, o Opts) (*Table, any, error) { return E25(seed, o.E25) }},
+	entry("E26", E26), entry("E27", E27), entry("E28", E28),
+}
+
+// All returns the registry in order.
+func All() []Experiment { return slices.Clone(registry) }
+
+// Run executes the experiment with the given ID.
+func Run(id string, seed int64, o Opts) (*Table, any, error) {
+	for _, e := range registry {
+		if e.ID == id {
+			return e.Run(seed, o)
+		}
+	}
+	return nil, nil, fmt.Errorf("experiments: unknown experiment %q", id)
 }
 
 func f1(x float64) string { return fmt.Sprintf("%.1f", x) }

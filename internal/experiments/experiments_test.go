@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -8,11 +9,38 @@ import (
 
 const seed = 42
 
-func TestE1CopyAwareFusionHolds(t *testing.T) {
-	tab, res, err := E1(seed)
+// run runs one experiment through the registry at its committed
+// configuration; see runOpts.
+func run[R any](t *testing.T, id string) (*Table, R) {
+	t.Helper()
+	return runOpts[R](t, id, Opts{})
+}
+
+// runOpts runs one experiment through the registry and makes the checks
+// every entry owes: no error, a table carrying the entry's ID with at
+// least one row and the ID in its rendering, and a result of the
+// experiment's own type.
+func runOpts[R any](t *testing.T, id string, o Opts) (*Table, R) {
+	t.Helper()
+	tab, res, err := Run(id, seed, o)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", id, err)
 	}
+	if tab.ID != id || len(tab.Rows) == 0 {
+		t.Errorf("%s: table %q has %d rows", id, tab.ID, len(tab.Rows))
+	}
+	if !strings.Contains(tab.String(), id) {
+		t.Errorf("%s: render missing ID", id)
+	}
+	r, ok := res.(R)
+	if !ok {
+		t.Fatalf("%s: result is %T, want %T", id, res, r)
+	}
+	return tab, r
+}
+
+func TestE1CopyAwareFusionHolds(t *testing.T) {
+	tab, res := run[*E1Result](t, "E1")
 	if len(tab.Rows) != len(res.Fracs) {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -37,10 +65,7 @@ func TestE1CopyAwareFusionHolds(t *testing.T) {
 }
 
 func TestE2Converges(t *testing.T) {
-	_, res, err := E2(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := run[*E2Result](t, "E2")
 	if len(res.Accuracy) < 2 || len(res.Accuracy) > 20 {
 		t.Fatalf("iterations = %d", len(res.Accuracy))
 	}
@@ -58,10 +83,7 @@ func TestE2Converges(t *testing.T) {
 }
 
 func TestE3BlockingTradeoffs(t *testing.T) {
-	_, res, err := E3(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := run[*E3Result](t, "E3")
 	q := res.Quality
 	// q-gram and token blocking must recall more than exact blocking.
 	if q["qgram3(title)"].PairCompleteness <= q["exact(title)"].PairCompleteness {
@@ -88,10 +110,7 @@ func TestE3BlockingTradeoffs(t *testing.T) {
 }
 
 func TestE4MetaBlockingCutsComparisons(t *testing.T) {
-	_, res, err := E4(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := run[*E4Result](t, "E4")
 	base := float64(res.BaselineComparisons)
 	for key, q := range res.Meta {
 		if float64(q.Candidates) > 0.6*base {
@@ -105,10 +124,7 @@ func TestE4MetaBlockingCutsComparisons(t *testing.T) {
 }
 
 func TestE5MatchersDegradeWithDirt(t *testing.T) {
-	_, res, err := E5(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := run[*E5Result](t, "E5")
 	// The identifier rule is the most robust matcher at every level.
 	for dirt := 1; dirt <= 3; dirt++ {
 		f1 := res.F1[dirt]
@@ -124,10 +140,7 @@ func TestE5MatchersDegradeWithDirt(t *testing.T) {
 }
 
 func TestE6ClusteringTradeoffs(t *testing.T) {
-	_, res, err := E6(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := run[*E6Result](t, "E6")
 	cc := res.PRF["components"]
 	for _, name := range []string{"center", "correlation"} {
 		if res.PRF[name].Precision < cc.Precision {
@@ -140,10 +153,7 @@ func TestE6ClusteringTradeoffs(t *testing.T) {
 }
 
 func TestE7IncrementalStaysFlat(t *testing.T) {
-	_, res, err := E7(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := run[*E7Result](t, "E7")
 	if len(res.BatchSizes) < 3 {
 		t.Fatalf("batches = %d", len(res.BatchSizes))
 	}
@@ -167,10 +177,7 @@ func TestE7IncrementalStaysFlat(t *testing.T) {
 }
 
 func TestE8LinkageEvidenceHelps(t *testing.T) {
-	_, res, err := E8(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := run[*E8Result](t, "E8")
 	// At the largest source count, linkage-evidence alignment must be at
 	// least as good as name+instance alignment.
 	last := len(res.Sources) - 1
@@ -183,10 +190,7 @@ func TestE8LinkageEvidenceHelps(t *testing.T) {
 }
 
 func TestE9ParallelSpeedsUp(t *testing.T) {
-	_, res, err := E9(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := run[*E9Result](t, "E9")
 	if runtime.NumCPU() >= 4 {
 		// 4 workers must beat 1 worker (generous margin for CI noise).
 		if res.Throughput[2] < res.Throughput[0]*1.2 {
@@ -202,10 +206,7 @@ func TestE9ParallelSpeedsUp(t *testing.T) {
 }
 
 func TestE10LessIsMore(t *testing.T) {
-	_, res, err := E10(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := run[*E10Result](t, "E10")
 	if res.BestEarly <= res.AllQ {
 		t.Errorf("best early accuracy %f must exceed all-sources %f", res.BestEarly, res.AllQ)
 	}
@@ -218,10 +219,7 @@ func TestE10LessIsMore(t *testing.T) {
 }
 
 func TestE11DomainRegimes(t *testing.T) {
-	_, res, err := E11(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := run[*E11Result](t, "E11")
 	spread := func(domain string) float64 {
 		min, max := 2.0, -1.0
 		for _, acc := range res.Accuracy[domain] {
@@ -242,10 +240,7 @@ func TestE11DomainRegimes(t *testing.T) {
 }
 
 func TestE12TemporalShape(t *testing.T) {
-	_, res, err := E12(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := run[*E12Result](t, "E12")
 	if res.EvolvingTemporalF1 <= res.EvolvingStaticF1 {
 		t.Errorf("evolving: temporal %f must beat static %f", res.EvolvingTemporalF1, res.EvolvingStaticF1)
 	}
@@ -255,10 +250,7 @@ func TestE12TemporalShape(t *testing.T) {
 }
 
 func TestE13EndToEnd(t *testing.T) {
-	_, res, err := E13(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := run[*E13Result](t, "E13")
 	if res.LinkageF1 < 0.75 {
 		t.Errorf("end-to-end linkage F1 = %f", res.LinkageF1)
 	}
@@ -268,10 +260,7 @@ func TestE13EndToEnd(t *testing.T) {
 }
 
 func TestE14OrderingAblation(t *testing.T) {
-	_, res, err := E14(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := run[*E14Result](t, "E14")
 	if res.LinkageFirstAlignF1 < res.SchemaFirstAlignF1 {
 		t.Errorf("linkage-first alignment %f must be >= schema-first %f",
 			res.LinkageFirstAlignF1, res.SchemaFirstAlignF1)
@@ -281,26 +270,23 @@ func TestE14OrderingAblation(t *testing.T) {
 	}
 }
 
+// TestRunnerKnowsAllExperiments pins the registry's shape. Every entry
+// but E24 is run by its own TestE* at the registry's options; E24's
+// test runs a smaller sweep, so its committed configuration runs here.
 func TestRunnerKnowsAllExperiments(t *testing.T) {
-	r := Runner{Seed: seed}
-	for _, id := range All() {
-		if id == "E7" || id == "E9" || id == "E13" {
-			continue // timing-heavy; covered by dedicated tests above
-		}
-		tab, err := r.Run(id)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if tab.ID != id || len(tab.Rows) == 0 {
-			t.Errorf("%s: empty table", id)
-		}
-		if !strings.Contains(tab.String(), id) {
-			t.Errorf("%s: render missing ID", id)
+	all := All()
+	if len(all) != 28 {
+		t.Fatalf("%d experiments, want 28", len(all))
+	}
+	for i, e := range all {
+		if want := fmt.Sprintf("E%d", i+1); e.ID != want {
+			t.Errorf("entry %d is %s, want %s", i, e.ID, want)
 		}
 	}
-	if _, err := r.Run("E99"); err == nil {
+	if _, _, err := Run("E99", seed, Opts{}); err == nil {
 		t.Error("unknown experiment must error")
 	}
+	run[*E24Result](t, "E24")
 }
 
 func TestTableRendering(t *testing.T) {

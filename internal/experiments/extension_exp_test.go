@@ -3,10 +3,7 @@ package experiments
 import "testing"
 
 func TestE15OnlineFusion(t *testing.T) {
-	_, res, err := E15(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := run[*E15Result](t, "E15")
 	// The anytime curve improves from its first point to its best.
 	first := res.Accuracy[0]
 	best := first
@@ -29,10 +26,7 @@ func TestE15OnlineFusion(t *testing.T) {
 }
 
 func TestE16PayAsYouGo(t *testing.T) {
-	_, res, err := E16(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := run[*E16Result](t, "E16")
 	// More questions never hurt, and the largest budget beats the
 	// baseline.
 	last := res.F1[len(res.F1)-1]
@@ -47,10 +41,7 @@ func TestE16PayAsYouGo(t *testing.T) {
 }
 
 func TestE17Ablations(t *testing.T) {
-	_, res, err := E17(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := run[*E17Result](t, "E17")
 	if res.AlignFull < res.AlignNoRatio-0.02 {
 		t.Errorf("ratio stability should help on unit-shifted webs: %f vs %f",
 			res.AlignFull, res.AlignNoRatio)
@@ -62,10 +53,7 @@ func TestE17Ablations(t *testing.T) {
 }
 
 func TestE18LSHBlocking(t *testing.T) {
-	_, res, err := E18(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := run[*E18Result](t, "E18")
 	// Lower LSH threshold (more bands, fewer rows) must not lose PC.
 	if res.Quality["minhash(16x2)"].PairCompleteness < res.Quality["minhash(8x4)"].PairCompleteness {
 		t.Error("lower LSH threshold must raise (or keep) pair completeness")

@@ -3,10 +3,7 @@ package experiments
 import "testing"
 
 func TestE22WrapperBrittleness(t *testing.T) {
-	_, res, err := E22(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := run[*E22Result](t, "E22")
 	if res.InducedPrecision < 0.95 || res.InducedRecall < 0.95 {
 		t.Errorf("induced wrapper P=%f R=%f", res.InducedPrecision, res.InducedRecall)
 	}

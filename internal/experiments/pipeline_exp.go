@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"sort"
 	"strings"
 	"time"
@@ -322,94 +321,4 @@ func pipelineComparator() *similarity.RecordComparator {
 		similarity.FieldWeight{Attr: "camera_weight_g", Weight: 1},
 		similarity.FieldWeight{Attr: "camera_price_usd", Weight: 1},
 	)
-}
-
-// Runner maps experiment IDs to their table-producing functions.
-type Runner struct {
-	Seed int64
-}
-
-// Run executes one experiment by ID ("E1".."E14") and returns its table.
-func (r Runner) Run(id string) (*Table, error) {
-	seed := r.Seed
-	if seed == 0 {
-		seed = 42
-	}
-	var tab *Table
-	var err error
-	switch id {
-	case "E1":
-		tab, _, err = E1(seed)
-	case "E2":
-		tab, _, err = E2(seed)
-	case "E3":
-		tab, _, err = E3(seed)
-	case "E4":
-		tab, _, err = E4(seed)
-	case "E5":
-		tab, _, err = E5(seed)
-	case "E6":
-		tab, _, err = E6(seed)
-	case "E7":
-		tab, _, err = E7(seed)
-	case "E8":
-		tab, _, err = E8(seed)
-	case "E9":
-		tab, _, err = E9(seed)
-	case "E10":
-		tab, _, err = E10(seed)
-	case "E11":
-		tab, _, err = E11(seed)
-	case "E12":
-		tab, _, err = E12(seed)
-	case "E13":
-		tab, _, err = E13(seed)
-	case "E14":
-		tab, _, err = E14(seed)
-	case "E15":
-		tab, _, err = E15(seed)
-	case "E16":
-		tab, _, err = E16(seed)
-	case "E17":
-		tab, _, err = E17(seed)
-	case "E18":
-		tab, _, err = E18(seed)
-	case "E19":
-		tab, _, err = E19(seed)
-	case "E20":
-		tab, _, err = E20(seed)
-	case "E21":
-		tab, _, err = E21(seed)
-	case "E22":
-		tab, _, err = E22(seed)
-	case "E23":
-		tab, _, err = E23(seed)
-	case "E24":
-		tab, _, err = E24(seed)
-	case "E25":
-		tab, _, err = E25(seed)
-	case "E26":
-		tab, _, err = E26(seed)
-	case "E27":
-		tab, _, err = E27(seed)
-	case "E28":
-		tab, _, err = E28(seed)
-	default:
-		return nil, fmt.Errorf("experiments: unknown experiment %q", id)
-	}
-	return tab, err
-}
-
-// All lists the experiment IDs in order. E1–E14 reproduce the surveyed
-// result shapes; E15–E24 cover the extension features, ablations and
-// the fault-injection chaos sweep; E24 is the sharded/spilled blocking
-// scale-out sweep; E25 is the rank-fusion recall-vs-comparisons
-// evaluation; E26 is the concurrent-serving latency benchmark; E27
-// is the streaming-vs-batch-relink velocity cost comparison; E28 is
-// the update/delete churn correctness and bounded-state evaluation.
-func All() []string {
-	return []string{
-		"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9",
-		"E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19", "E20", "E21", "E22", "E23", "E24", "E25", "E26", "E27", "E28",
-	}
 }

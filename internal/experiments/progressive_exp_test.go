@@ -3,10 +3,7 @@ package experiments
 import "testing"
 
 func TestE20ProgressiveER(t *testing.T) {
-	_, res, err := E20(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := run[*E20Result](t, "E20")
 	if len(res.Budgets) == 0 || res.TotalPairs == 0 {
 		t.Fatal("empty result")
 	}

@@ -114,12 +114,7 @@ func e25Union(records []*data.Record) []data.Pair {
 // (each in its own best progressive order) and the plain union, at
 // equal comparison budgets; plus byte-identity of the fused stream
 // across workers {1,2,8} × shards {1,4,16} and spilled vs in-memory.
-func E25(seed int64) (*Table, *E25Result, error) {
-	return E25RankFusion(seed, E25Opts{})
-}
-
-// E25RankFusion is E25 with explicit options.
-func E25RankFusion(seed int64, o E25Opts) (*Table, *E25Result, error) {
+func E25(seed int64, o E25Opts) (*Table, *E25Result, error) {
 	o.defaults()
 	web := dirtyWeb(seed, o.Entities, o.Sources, o.Dirt)
 	records := web.Dataset.Records()

@@ -10,10 +10,7 @@ import "testing"
 // the acceptance check. The shape assertions below pin the table and
 // baseline schema BENCH_progressive.json commits.
 func TestE25FusedDominanceShape(t *testing.T) {
-	tab, res, err := E25(42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab, res := run[*E25Result](t, "E25")
 	if !res.Identical || !res.SpillIdentical {
 		t.Fatalf("identity flags = %v/%v, want true/true", res.Identical, res.SpillIdentical)
 	}

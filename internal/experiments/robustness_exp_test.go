@@ -3,10 +3,7 @@ package experiments
 import "testing"
 
 func TestE23IngestionUnderFaults(t *testing.T) {
-	_, res, err := E23(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := run[*E23Result](t, "E23")
 	// The fault-free baseline keeps the whole fleet and integrates well.
 	if res.Survived[0] != res.Total {
 		t.Errorf("fault-free run dropped sources: %d/%d", res.Survived[0], res.Total)

@@ -89,12 +89,7 @@ func pairStreamHash(cs *blocking.CandidateSet) uint64 {
 // via internal/obs. Every budgeted run's candidate stream is checked
 // byte-identical (by stream hash) against the unsharded in-memory
 // engine.
-func E24(seed int64) (*Table, *E24Result, error) {
-	return E24Scale(seed, E24Opts{})
-}
-
-// E24Scale is E24 with explicit sweep options.
-func E24Scale(seed int64, o E24Opts) (*Table, *E24Result, error) {
+func E24(seed int64, o E24Opts) (*Table, *E24Result, error) {
 	o.defaults()
 	key := blocking.TokenKey("title")
 	res := &E24Result{Shards: o.Shards}

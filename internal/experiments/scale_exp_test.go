@@ -3,12 +3,9 @@ package experiments
 import "testing"
 
 func TestE24ScaleShape(t *testing.T) {
-	tab, res, err := E24Scale(seed, E24Opts{
+	tab, res := runOpts[*E24Result](t, "E24", Opts{E24: E24Opts{
 		Sizes: []int{10_000}, Workers: []int{1, 2}, SpillDir: t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}})
 	if len(res.Rows) != 2 || len(tab.Rows) != 2 {
 		t.Fatalf("got %d/%d rows, want 2", len(res.Rows), len(tab.Rows))
 	}

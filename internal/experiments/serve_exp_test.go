@@ -3,10 +3,7 @@ package experiments
 import "testing"
 
 func TestE26Serving(t *testing.T) {
-	tab, res, err := E26(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab, res := run[*E26Result](t, "E26")
 	if len(res.Rows) != 3 {
 		t.Fatalf("%d load levels, want 3", len(res.Rows))
 	}

@@ -3,10 +3,7 @@ package experiments
 import "testing"
 
 func TestE27StreamingBeatsBatchRelink(t *testing.T) {
-	tab, res, err := E27(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab, res := run[*E27Result](t, "E27")
 	if len(res.Checkpoints) < 3 {
 		t.Fatalf("%d checkpoints, want ≥3", len(res.Checkpoints))
 	}

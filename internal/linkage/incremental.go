@@ -69,10 +69,11 @@ func NewIncremental(key func(r *data.Record) []string, m Matcher) *Incremental {
 // TitleTokenKey is the default incremental blocking key: distinct
 // normalised title tokens, in sorted order. Key order is the posting
 // lists' probe order and therefore Insert's match order, so it must
-// not inherit WordSet's random map iteration.
+// not inherit WordSet's random map iteration. The slice has room for
+// one more key, so a caller can extend it without reallocating.
 func TitleTokenKey(r *data.Record) []string {
 	set := tokenize.WordSet(r.Get("title").String())
-	out := make([]string, 0, len(set))
+	out := make([]string, 0, len(set)+1)
 	for w := range set {
 		out = append(out, w)
 	}

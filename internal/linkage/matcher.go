@@ -48,7 +48,7 @@ func PrepareComparatorIndexIDs(c *similarity.RecordComparator, d *data.Dataset, 
 			recs = append(recs, r)
 		}
 	}
-	c.AttachIndex(similarity.BuildFeatureIndex(recs, c))
+	c.AttachIndex(similarity.BuildFeatureIndex(recs, c, nil))
 }
 
 // NoIndex hides a matcher's IDIndexPreparer implementation so matching

@@ -91,18 +91,12 @@ var (
 
 // BuildFeatureIndex tokenizes every record's compared attributes once
 // and returns the resulting index. When the comparator uses the TFIDF
-// metric, a corpus is built from the indexed field values (one document
-// per non-null string value) and frozen; use BuildFeatureIndexCorpus to
-// supply document-frequency statistics from a wider collection.
-func BuildFeatureIndex(records []*data.Record, rc *RecordComparator) *FeatureIndex {
-	return BuildFeatureIndexCorpus(records, rc, nil)
-}
-
-// BuildFeatureIndexCorpus is BuildFeatureIndex with an explicit TF-IDF
-// corpus. The corpus is frozen (see tokenize.Corpus.Freeze) so the
-// cached vectors can be read concurrently. A nil corpus is built from
-// the indexed values when the comparator needs one.
-func BuildFeatureIndexCorpus(records []*data.Record, rc *RecordComparator, corpus *tokenize.Corpus) *FeatureIndex {
+// metric, the vectors are weighted by corpus; a nil corpus is built
+// from the indexed field values (one document per non-null string
+// value). Pass a corpus to take document-frequency statistics from a
+// wider collection. The corpus is frozen (see tokenize.Corpus.Freeze)
+// so the cached vectors can be read concurrently.
+func BuildFeatureIndex(records []*data.Record, rc *RecordComparator, corpus *tokenize.Corpus) *FeatureIndex {
 	idx := &FeatureIndex{
 		fields:   rc.fields,
 		kernels:  make([]kernel, len(rc.fields)),

@@ -62,17 +62,19 @@ func TestCachedCompareMatchesUncached(t *testing.T) {
 	recs := indexWorkload()
 	cached := indexComparator()
 	uncached := indexComparator()
-	cached.AttachIndex(BuildFeatureIndex(recs, cached))
+	cached.AttachIndex(BuildFeatureIndex(recs, cached, nil))
 	for i := 0; i < len(recs); i++ {
 		for j := i; j < len(recs); j++ {
 			a, b := recs[i], recs[j]
 			if got, want := cached.Compare(a, b), uncached.Compare(a, b); got != want {
 				t.Errorf("Compare(%s,%s): cached %v != uncached %v", a.ID, b.ID, got, want)
 			}
-			gs, ws := cached.FieldScores(a, b), uncached.FieldScores(a, b)
+			gs, ws := make([]float64, len(cached.Fields())), make([]float64, len(uncached.Fields()))
+			cached.FieldScoresInto(gs, a, b)
+			uncached.FieldScoresInto(ws, a, b)
 			for k := range gs {
 				if gs[k] != ws[k] {
-					t.Errorf("FieldScores(%s,%s)[%d]: cached %v != uncached %v", a.ID, b.ID, k, gs[k], ws[k])
+					t.Errorf("FieldScoresInto(%s,%s)[%d]: cached %v != uncached %v", a.ID, b.ID, k, gs[k], ws[k])
 				}
 			}
 		}
@@ -101,7 +103,7 @@ func TestCachedSetKernels(t *testing.T) {
 		for pi, p := range pairs {
 			a := data.NewRecord("a", "s").Set("v", data.String(p[0]))
 			b := data.NewRecord("b", "s").Set("v", data.String(p[1]))
-			rc.AttachIndex(BuildFeatureIndex([]*data.Record{a, b}, rc))
+			rc.AttachIndex(BuildFeatureIndex([]*data.Record{a, b}, rc, nil))
 			got := rc.Compare(a, b)
 			want := mt.m(p[0], p[1])
 			if p[0] == "" && p[1] == "" {
@@ -125,7 +127,7 @@ func TestCachedTFIDF(t *testing.T) {
 		}
 	}
 	rc := NewRecordComparator(FieldWeight{Attr: "title", Weight: 1, Metric: TFIDF(corpus)})
-	rc.AttachIndex(BuildFeatureIndexCorpus(recs, rc, corpus))
+	rc.AttachIndex(BuildFeatureIndex(recs, rc, corpus))
 	if !corpus.Frozen() {
 		t.Fatal("index build must freeze the corpus")
 	}
@@ -162,7 +164,7 @@ func TestCachedCompareZeroAllocs(t *testing.T) {
 		FieldWeight{Attr: "brand", Weight: 1, Metric: Dice},
 		FieldWeight{Attr: "price", Weight: 1},
 	)
-	rc.AttachIndex(BuildFeatureIndex([]*data.Record{a, b}, rc))
+	rc.AttachIndex(BuildFeatureIndex([]*data.Record{a, b}, rc, nil))
 	if allocs := testing.AllocsPerRun(200, func() { rc.Compare(a, b) }); allocs != 0 {
 		t.Errorf("cached Compare allocates %v per pair, want 0", allocs)
 	}
@@ -177,7 +179,7 @@ func TestCachedCompareZeroAllocs(t *testing.T) {
 func TestUnindexedRecordsFallBack(t *testing.T) {
 	recs := indexWorkload()
 	rc := indexComparator()
-	rc.AttachIndex(BuildFeatureIndex(recs[:3], rc))
+	rc.AttachIndex(BuildFeatureIndex(recs[:3], rc, nil))
 	fresh := data.NewRecord("fresh", "s2").Set("title", data.String("nova camera pro 300"))
 	want := indexComparator().Compare(recs[0], fresh)
 	if got := rc.Compare(recs[0], fresh); got != want {
@@ -192,7 +194,7 @@ func TestUnindexedRecordsFallBack(t *testing.T) {
 func TestIndexTokensAccessor(t *testing.T) {
 	a := data.NewRecord("a", "s").Set("title", data.String("beta alpha beta"))
 	rc := NewRecordComparator(FieldWeight{Attr: "title", Weight: 1, Metric: Jaccard})
-	idx := BuildFeatureIndex([]*data.Record{a}, rc)
+	idx := BuildFeatureIndex([]*data.Record{a}, rc, nil)
 	toks := idx.Tokens("a", "title")
 	if len(toks) != 2 {
 		t.Fatalf("want 2 distinct tokens, got %v", toks)

@@ -99,7 +99,7 @@ func TFIDFCosine(c *tokenize.Corpus, a, b string) float64 {
 // When the comparator has a FeatureIndex attached, fields using this
 // metric are scored from the index's precomputed interned vectors —
 // weighted by the corpus the index was built with (see
-// BuildFeatureIndexCorpus to control it) — instead of re-vectorising
+// BuildFeatureIndex to control it) — instead of re-vectorising
 // both strings per pair.
 func TFIDF(c *tokenize.Corpus) Metric {
 	return func(a, b string) float64 { return TFIDFCosine(c, a, b) }

@@ -112,7 +112,7 @@ type FieldWeight struct {
 // skipped; fields missing from one contribute the neutral 0.5.
 //
 // Attaching a FeatureIndex (AttachIndex) switches Compare and
-// FieldScores to allocation-free cached kernels for every indexed
+// FieldScoresInto to allocation-free cached kernels for every indexed
 // record pair; unindexed records fall back to the direct path, so a
 // stale or partial index degrades performance, never correctness.
 type RecordComparator struct {
@@ -236,17 +236,10 @@ func (rc *RecordComparator) Compare(a, b *data.Record) float64 {
 	return sum / wsum
 }
 
-// FieldScores returns the per-field similarity vector used by
-// Fellegi-Sunter style matchers: one score per comparator field, with
-// -1 marking fields absent from both records.
-func (rc *RecordComparator) FieldScores(a, b *data.Record) []float64 {
-	out := make([]float64, len(rc.fields))
-	rc.FieldScoresInto(out, a, b)
-	return out
-}
-
-// FieldScoresInto is FieldScores writing into a caller-supplied slice
-// of length len(Fields()), letting hot loops reuse one buffer.
+// FieldScoresInto writes the per-field similarity vector used by
+// Fellegi-Sunter style matchers into out, of length len(Fields()): one
+// score per comparator field, with -1 marking fields absent from both
+// records. Hot loops reuse one buffer across pairs.
 func (rc *RecordComparator) FieldScoresInto(out []float64, a, b *data.Record) {
 	if fa, fb, ok := rc.cachedFeatures(a, b); ok {
 		rc.obsCached.Inc()

@@ -100,7 +100,8 @@ func TestRecordComparatorNoComparableFields(t *testing.T) {
 func TestFieldScores(t *testing.T) {
 	a, b := testRecords()
 	rc := UniformComparator(nil, "brand", "missing", "title")
-	scores := rc.FieldScores(a, b)
+	scores := make([]float64, len(rc.Fields()))
+	rc.FieldScoresInto(scores, a, b)
 	if len(scores) != 3 {
 		t.Fatalf("want 3 scores, got %d", len(scores))
 	}

@@ -29,14 +29,14 @@ type DeltaConfig struct {
 	// must be a no-op).
 	EarlyDeleteRate float64
 	// UpdateStormRate is the per-upsert probability the upsert is
-	// delivered StormSize times in a row (replays must be idempotent).
+	// delivered stormSize times in a row (replays must be idempotent).
 	UpdateStormRate float64
-	// StormSize is the total copies an update storm delivers
-	// (default 3).
-	StormSize int
 	// Obs counts injected mangles under "faults." when set.
 	Obs *obs.Registry
 }
+
+// stormSize is the total copies an update storm delivers.
+const stormSize = 3
 
 // MangleLog applies cfg's mangles to a change log, deterministically
 // per (cfg.Seed, id). It is a pure transform with a fixed RNG budget —
@@ -46,10 +46,6 @@ type DeltaConfig struct {
 func MangleLog(id string, log []source.Delta, cfg DeltaConfig) []source.Delta {
 	if cfg.DupDeleteRate <= 0 && cfg.EarlyDeleteRate <= 0 && cfg.UpdateStormRate <= 0 {
 		return log
-	}
-	storm := cfg.StormSize
-	if storm < 2 {
-		storm = 3
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed ^ int64(hashID(id))))
 	reg := obs.OrDefault(cfg.Obs)
@@ -74,7 +70,7 @@ func MangleLog(id string, log []source.Delta, cfg DeltaConfig) []source.Delta {
 			out = append(out, d)
 			if stormy {
 				reg.Counter("faults.delta_update_storms").Inc()
-				for i := 1; i < storm; i++ {
+				for i := 1; i < stormSize; i++ {
 					out = append(out, d)
 				}
 			}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/datagen"
+	"repro/internal/obs"
 	"repro/internal/source"
 )
 
@@ -82,9 +83,17 @@ func TestMangleLogPrefixProperty(t *testing.T) {
 	srcs := d.Sources()
 	clean, _ := source.Churn(d.SourceRecords(srcs[0].ID),
 		source.ChurnConfig{Seed: 6, UpdateRate: 0.4, DeleteRate: 0.3})
-	cfg := DeltaConfig{Seed: 99, DupDeleteRate: 0.4, EarlyDeleteRate: 0.4, UpdateStormRate: 0.4, StormSize: 4}
+	reg := obs.NewRegistry()
+	cfg := DeltaConfig{Seed: 99, DupDeleteRate: 0.4, EarlyDeleteRate: 0.4, UpdateStormRate: 0.4, Obs: reg}
 
 	full := MangleLog(srcs[0].ID, clean, cfg)
+	// Every update storm delivers 3 copies: 2 beyond the original.
+	storms := reg.Counter("faults.delta_update_storms").Value()
+	injected := reg.Counter("faults.delta_dup_deletes").Value() +
+		reg.Counter("faults.delta_early_deletes").Value() + 2*storms
+	if storms == 0 || int64(len(full)) != int64(len(clean))+injected {
+		t.Fatalf("mangled %d deltas into %d with %d storms; want storms of 3 copies", len(clean), len(full), storms)
+	}
 	for k := 0; k <= len(clean); k++ {
 		part := MangleLog(srcs[0].ID, clean[:k], cfg)
 		if len(part) > len(full) {
