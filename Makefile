@@ -35,9 +35,11 @@ bench:
 # linker's op-sequence corpus against its full-rebuild oracle with the
 # retraction cost curve, the stream's op-sequence corpus against the
 # from-scratch publish with the publish cost curve and readers racing
-# later publishes, concurrent queries on two snapshots sharing no pooled
-# scratch, the online kernel against its dense reference, every
-# fuser's output bits on three claim-set shapes, record fleets keeping
+# later publishes, the stream's token IDs staying stable with readers
+# racing a dictionary fold and reset, concurrent queries on two
+# snapshots sharing no pooled scratch, the online kernel against its
+# dense reference, every fuser's output bits on three claim-set shapes,
+# record fleets keeping
 # their stream and state bits as upsert logs, a panicking source
 # failing the stream with an error (and, panicking once, draining to
 # the clean output), batch ingest folding the same dataset a stream
@@ -48,4 +50,4 @@ bench:
 # pipeline runs on every candidate path leave no spill directory behind.
 chaos:
 	$(GO) run -race ./cmd/bdibench -exp E23
-	$(GO) test -race -run 'TestStreamKillMidCompactionChaos|TestStreamStateBackupRecovery|TestStreamStateDecodeRobust|FuzzStreamStateDecode|FuzzIncrementalOps|TestDeleteCostIndependentOfCorpus|FuzzHandlers|TestShutdownDuringPublish|FuzzStreamOps|TestPublishCostFollowsDirtySet|TestSnapshotsShareNoMutableState|TestQueryScratchIsolated|TestOnlineKernelMatchesReference|TestFusersKeepParentBits|TestRecordFleetsKeepParentBits|TestStreamSurvivesPanickingSource|TestStreamPanicOnceDrainsClean|TestIngestMatchesStream|TestStreamStopWaitsForSave|TestSpillCancellation|TestIndexedPairsLeaveNoSpill|TestPipelineShardedSpilledIdentical' ./internal/core/... ./internal/source/... ./internal/linkage/... ./internal/serve/... ./internal/fusion/... ./internal/blocking/... ./cmd/bdiserve/...
+	$(GO) test -race -run 'TestStreamKillMidCompactionChaos|TestStreamStateBackupRecovery|TestStreamStateDecodeRobust|FuzzStreamStateDecode|FuzzIncrementalOps|TestDeleteCostIndependentOfCorpus|FuzzHandlers|TestShutdownDuringPublish|FuzzStreamOps|TestPublishCostFollowsDirtySet|TestSnapshotsShareNoMutableState|TestStreamTokenIDsStable|TestQueryScratchIsolated|TestOnlineKernelMatchesReference|TestFusersKeepParentBits|TestRecordFleetsKeepParentBits|TestStreamSurvivesPanickingSource|TestStreamPanicOnceDrainsClean|TestIngestMatchesStream|TestStreamStopWaitsForSave|TestSpillCancellation|TestIndexedPairsLeaveNoSpill|TestPipelineShardedSpilledIdentical' ./internal/core/... ./internal/source/... ./internal/linkage/... ./internal/serve/... ./internal/fusion/... ./internal/blocking/... ./cmd/bdiserve/...

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"sort"
 	"testing"
@@ -11,7 +12,7 @@ import (
 )
 
 // referenceIndex is the index build BuildSnapshot did before the shared
-// indexer: one pass over the entities re-tokenising every title and
+// assembly: one pass over the entities re-tokenising every title and
 // fused string value, posting lists grown by append, kept as the oracle
 // for the two-pass assembly from entity docs.
 type referenceIndex struct {
@@ -66,8 +67,8 @@ func TestIndexerMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := buildReferenceIndex(snap.Entities())
-	if !reflect.DeepEqual(snap.words.ids, ref.tokenIDs) {
-		t.Errorf("token IDs differ: %d interned, the reference %d", len(snap.words.ids), len(ref.tokenIDs))
+	if words := snap.words.dict.all(); !reflect.DeepEqual(words, ref.tokenIDs) {
+		t.Errorf("token IDs differ: %d interned, the reference %d", len(words), len(ref.tokenIDs))
 	}
 	if !reflect.DeepEqual(snap.words.postings, ref.postings) {
 		t.Error("posting lists differ from the reference")
@@ -77,8 +78,8 @@ func TestIndexerMatchesReference(t *testing.T) {
 			t.Fatalf("entity %d tokens %v, the reference %v", i, snap.entTokens[i], ref.entTokens[i])
 		}
 	}
-	if len(snap.values.ids) != len(ref.valueIdx) {
-		t.Errorf("%d value keys, the reference %d", len(snap.values.ids), len(ref.valueIdx))
+	if keys := snap.values.dict.all(); len(keys) != len(ref.valueIdx) {
+		t.Errorf("%d value keys, the reference %d", len(keys), len(ref.valueIdx))
 	}
 	for k, want := range ref.valueIdx {
 		if got := snap.values.lookup(k); !reflect.DeepEqual(got, want) {
@@ -99,6 +100,13 @@ func TestIndexerMatchesReference(t *testing.T) {
 			t.Fatalf("entity %d pseudo-record %v, want %v", i, snap.pseudo[i], want)
 		}
 	}
+}
+
+// all returns every string the dictionary knows with its ID.
+func (d *dict) all() map[string]uint32 {
+	out := maps.Clone(d.base)
+	maps.Copy(out, d.top)
+	return out
 }
 
 // referenceProbe is the map-and-sort probe Snapshot.probe replaced, kept
@@ -158,7 +166,7 @@ func sortReferenceHits(hits []Hit) {
 func referenceQueryTokens(s *Snapshot, qset map[string]bool) []uint32 {
 	toks := make([]uint32, 0, len(qset))
 	for w := range qset {
-		if id, ok := s.words.ids[w]; ok {
+		if id, ok := s.words.dict.id(w); ok {
 			toks = append(toks, id)
 		}
 	}
@@ -176,7 +184,7 @@ func referenceSimilar(s *Snapshot, self, k int) []Hit {
 }
 
 // referenceResolve is the legacy Resolve body: candidates deduped in
-// maps, the keyword shortlist mapped back through byID, every candidate
+// maps, the keyword shortlist mapped back through entityIndex, every candidate
 // scored and the whole list sorted.
 func referenceResolve(s *Snapshot, rec *data.Record, k int) []Hit {
 	qset := map[string]bool{}
@@ -197,7 +205,7 @@ func referenceResolve(s *Snapshot, rec *data.Record, k int) []Hit {
 		shortlist = 32
 	}
 	for _, h := range referenceProbe(s, referenceQueryTokens(s, qset), len(qset), -1, shortlist) {
-		cand[int32(s.byID[h.Entity.ID])] = true
+		cand[int32(entityIndex(h.Entity.ID))] = true
 	}
 	hits := make([]Hit, 0, len(cand))
 	for e := range cand {
@@ -260,18 +268,19 @@ func bruteSimilar(s *Snapshot, self, k int) []Hit {
 // the byte-wise Entity.ID tie-break ("e10" < "e2") decides every cut.
 func tieSnapshot(n int) *Snapshot {
 	titles := []string{"alpha beta", "alpha beta gamma", "alpha gamma", "beta"}
-	ix := newIndexer(n)
-	seen := map[string]struct{}{}
+	ents, docs := make([]*Entity, n), make([]*entityDoc, n)
+	words, keys := newDict(), newDict()
 	for i := 0; i < n; i++ {
 		title := titles[i%len(titles)]
 		values := map[string]data.Value{
 			"brand": data.String("acme"),
 			"year":  data.Number(float64(2020 + i%2)),
 		}
-		e := &Entity{ID: fmt.Sprintf("e%d", i), Title: title, Values: values}
-		ix.add(e, newEntityDoc(title, values, seen))
+		ents[i] = &Entity{ID: fmt.Sprintf("e%d", i), Title: title, Values: values}
+		docs[i] = newEntityDoc(title, values, words, keys)
 	}
-	return ix.snapshot()
+	snap, _ := newSnapshot(ents, docs, words, keys)
+	return snap
 }
 
 // queryCase is one read of a snapshot and its reference answer.

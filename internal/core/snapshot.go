@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -34,12 +35,11 @@ const DefaultSearchLimit = 10
 // take locks or mutate state after Build.
 type Snapshot struct {
 	entities []*Entity
-	byID     map[string]int
 
 	// Inverted keyword index over every distinct word of every entity's
-	// title + fused string values; entTokens[i] holds entity i's distinct
-	// token IDs (its length is the |E| in the overlap/Jaccard blend
-	// Search computes).
+	// title + fused string values; entTokens[i] is entity i's doc's word
+	// IDs (its length is the |E| in the overlap/Jaccard blend Search
+	// computes).
 	words     inverted
 	entTokens [][]uint32
 
@@ -92,66 +92,86 @@ func (sc *queryScratch) mark(e int32) {
 	sc.counts[e]++
 }
 
+// dict is an append-only string → ID dictionary snapshots share without
+// seeing a write: base is never written once made, top is copied before
+// the first write after a snapshot took it, and freeze folds top into a
+// new base once it passes an eighth of base. IDs are never reused.
+type dict struct {
+	base, top map[string]uint32
+	n         uint32 // IDs handed out
+	shared    bool   // a snapshot holds top
+}
+
+func newDict() *dict { return &dict{base: map[string]uint32{}, top: map[string]uint32{}} }
+
+func (d *dict) id(s string) (uint32, bool) {
+	id, ok := d.base[s]
+	if !ok {
+		id, ok = d.top[s]
+	}
+	return id, ok
+}
+
+func (d *dict) intern(s string) uint32 {
+	id, ok := d.id(s)
+	if !ok {
+		if d.shared {
+			d.top, d.shared = maps.Clone(d.top), false
+		}
+		id, d.n = d.n, d.n+1
+		d.top[s] = id
+	}
+	return id
+}
+
+// freeze returns the dictionary as a snapshot holds it.
+func (d *dict) freeze() dict {
+	if len(d.top) > len(d.base)/8 {
+		base := maps.Clone(d.base)
+		maps.Copy(base, d.top)
+		d.base, d.top = base, map[string]uint32{}
+	}
+	d.shared = true
+	return *d
+}
+
 // inverted maps a string to the entities that carry it, ascending.
 type inverted struct {
-	ids      map[string]uint32
+	dict     dict
 	postings [][]int32
 }
 
 func (ix *inverted) lookup(s string) []int32 {
-	if id, ok := ix.ids[s]; ok {
+	if id, ok := ix.dict.id(s); ok {
 		return ix.postings[id]
 	}
 	return nil
 }
 
-// invertedBuilder collects an inverted index entity by entity: strings
-// are interned in first-encounter order and every occurrence noted, so
-// finish can cut all posting lists out of one array.
-type invertedBuilder struct {
-	ids   map[string]uint32
-	count []int32  // occurrences per interned string
-	refs  []uint32 // the interned string of every occurrence, in add order
-	ends  []int32  // refs[ends[i-1]:ends[i]] are entity i's occurrences
-}
-
-// add notes one occurrence for the entity being added. An entity must
-// not add the same string twice.
-func (b *invertedBuilder) add(s string) {
-	id, ok := b.ids[s]
-	if !ok {
-		id = uint32(len(b.count))
-		b.ids[s] = id
-		b.count = append(b.count, 0)
+// invert cuts the posting lists of d's IDs out of one array, counting
+// first: lists[e] holds entity e's distinct IDs. It also reports how
+// many IDs no entity carries.
+func invert(d *dict, lists [][]uint32) (ix inverted, dead int) {
+	count, total := make([]int32, d.n), 0
+	for _, l := range lists {
+		for _, id := range l {
+			count[id]++
+		}
+		total += len(l)
 	}
-	b.count[id]++
-	b.refs = append(b.refs, id)
-}
-
-// endEntity closes the entity whose occurrences were just added.
-func (b *invertedBuilder) endEntity() { b.ends = append(b.ends, int32(len(b.refs))) }
-
-// entity returns entity i's interned strings in add order.
-func (b *invertedBuilder) entity(i int) []uint32 {
-	from := int32(0)
-	if i > 0 {
-		from = b.ends[i-1]
-	}
-	return b.refs[from:b.ends[i]:b.ends[i]]
-}
-
-func (b *invertedBuilder) finish() inverted {
-	postings := make([][]int32, len(b.count))
-	backing := make([]int32, len(b.refs))
-	for id, n := range b.count {
+	postings, backing := make([][]int32, d.n), make([]int32, total)
+	for id, n := range count {
+		if n == 0 {
+			dead++
+		}
 		postings[id], backing = backing[:0:n], backing[n:]
 	}
-	for i := range b.ends {
-		for _, id := range b.entity(i) {
-			postings[id] = append(postings[id], int32(i))
+	for e, l := range lists {
+		for _, id := range l {
+			postings[id] = append(postings[id], int32(e))
 		}
 	}
-	return inverted{ids: b.ids, postings: postings}
+	return inverted{dict: d.freeze(), postings: postings}, dead
 }
 
 // entityDoc is the part of an entity's index entry that depends on
@@ -161,29 +181,29 @@ func (b *invertedBuilder) finish() inverted {
 type entityDoc struct {
 	values map[string]data.Value // the fused values (Entity.Values)
 	attrs  []string              // their attributes, sorted
-	// words holds the distinct normalised words of the title and of every
-	// fused string value (in attribute order), in first-encounter order.
-	words []string
-	keys  []string // "attr\x00value-key" of every fused value
+	// words holds the word dictionary IDs of the distinct normalised
+	// words of the title and of every fused string value (in attribute
+	// order), in first-encounter order.
+	words []uint32
+	keys  []uint32 // the value dictionary IDs of "attr\x00value-key" of every fused value
 	// pseudo stands in for the entity in the resolve comparator: the
 	// title plus every fused attribute but "title".
 	pseudo *data.Record
 }
 
 // newEntityDoc builds the doc of an entity with the given title and
-// fused values. seen is scratch, empty on entry and on return.
-func newEntityDoc(title string, values map[string]data.Value, seen map[string]struct{}) *entityDoc {
+// fused values, interning its words and value keys.
+func newEntityDoc(title string, values map[string]data.Value, words, keys *dict) *entityDoc {
 	doc := &entityDoc{
 		values: values,
 		attrs:  sortedKeys(values),
-		keys:   make([]string, 0, len(values)),
+		keys:   make([]uint32, 0, len(values)),
 		pseudo: data.NewRecord("", "__snapshot__"),
 	}
 	addWords := func(text string) {
 		for _, w := range tokenize.Words(text) {
-			if _, dup := seen[w]; !dup {
-				seen[w] = struct{}{}
-				doc.words = append(doc.words, w)
+			if id := words.intern(w); !slices.Contains(doc.words, id) {
+				doc.words = append(doc.words, id)
 			}
 		}
 	}
@@ -199,64 +219,32 @@ func newEntityDoc(title string, values map[string]data.Value, seen map[string]st
 		if attr != "title" {
 			doc.pseudo.Set(attr, v)
 		}
-		doc.keys = append(doc.keys, attr+"\x00"+v.Key())
+		doc.keys = append(doc.keys, keys.intern(attr+"\x00"+v.Key()))
 	}
-	clear(seen)
 	return doc
 }
 
-// indexer assembles a Snapshot from entities and their docs, added in
+// newSnapshot assembles a Snapshot from entities and their docs, in
 // entity order — the one way a snapshot is built, whether the docs were
 // made on the spot (BuildSnapshot) or kept from an earlier publish
-// (Stream).
-type indexer struct {
-	snap          *Snapshot
-	words, values invertedBuilder
-	attrs         map[string]struct{}
-}
-
-func newIndexer(entities int) *indexer {
-	return &indexer{
-		snap: &Snapshot{
-			entities: make([]*Entity, 0, entities),
-			byID:     make(map[string]int, entities),
-			pseudo:   make([]*data.Record, 0, entities),
-		},
-		words:  invertedBuilder{ids: map[string]uint32{}},
-		values: invertedBuilder{ids: map[string]uint32{}},
-		attrs:  map[string]struct{}{"title": {}},
+// (Stream). The docs' IDs come from words and keys. The resolution
+// comparator is the pipeline rule's, over the title and every fused
+// attribute. worn reports that no entity carries most of a dictionary's
+// IDs.
+func newSnapshot(ents []*Entity, docs []*entityDoc, words, keys *dict) (s *Snapshot, worn bool) {
+	s = &Snapshot{entities: ents, entTokens: make([][]uint32, len(docs)), pseudo: make([]*data.Record, len(docs))}
+	keyIDs, attrs := make([][]uint32, len(docs)), map[string]struct{}{"title": {}}
+	for i, doc := range docs {
+		s.entTokens[i], s.pseudo[i], keyIDs[i] = doc.words, doc.pseudo, doc.keys
+		for _, a := range doc.attrs {
+			attrs[a] = struct{}{}
+		}
 	}
-}
-
-func (ix *indexer) add(e *Entity, doc *entityDoc) {
-	s := ix.snap
-	s.byID[e.ID] = len(s.entities)
-	s.entities = append(s.entities, e)
-	s.pseudo = append(s.pseudo, doc.pseudo)
-	for _, w := range doc.words {
-		ix.words.add(w)
-	}
-	ix.words.endEntity()
-	for _, k := range doc.keys {
-		ix.values.add(k)
-	}
-	ix.values.endEntity()
-	for _, a := range doc.attrs {
-		ix.attrs[a] = struct{}{}
-	}
-}
-
-// snapshot finishes the build. The resolution comparator is the
-// pipeline rule's, over the title and every fused attribute.
-func (ix *indexer) snapshot() *Snapshot {
-	s := ix.snap
-	s.words, s.values = ix.words.finish(), ix.values.finish()
-	s.entTokens = make([][]uint32, len(s.entities))
-	for i := range s.entTokens {
-		s.entTokens[i] = ix.words.entity(i)
-	}
-	s.cmp = ruleComparator(sortedKeys(ix.attrs))
-	return s
+	var deadWords, deadKeys int
+	s.words, deadWords = invert(words, s.entTokens)
+	s.values, deadKeys = invert(keys, keyIDs)
+	s.cmp = ruleComparator(sortedKeys(attrs))
+	return s, 2*deadWords > int(words.n) || 2*deadKeys > int(keys.n)
 }
 
 // BuildSnapshot materialises the serving snapshot for a completed
@@ -268,12 +256,12 @@ func BuildSnapshot(r *Report) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := newIndexer(len(ents))
-	seen := map[string]struct{}{}
-	for _, e := range ents {
-		ix.add(e, newEntityDoc(e.Title, e.Values, seen))
+	words, keys, docs := newDict(), newDict(), make([]*entityDoc, len(ents))
+	for i, e := range ents {
+		docs[i] = newEntityDoc(e.Title, e.Values, words, keys)
 	}
-	return ix.snapshot(), nil
+	s, _ := newSnapshot(ents, docs, words, keys)
+	return s, nil
 }
 
 // materializeEntities builds the entity list from the raw report — the
@@ -291,31 +279,27 @@ func materializeEntities(r *Report) ([]*Entity, error) {
 			Values:     map[string]data.Value{},
 			Confidence: map[string]float64{},
 		}
-		srcSet := map[string]bool{}
 		for _, rid := range cl {
 			rec := r.Normalized.Record(rid)
 			if rec == nil {
 				continue
 			}
-			srcSet[rec.SourceID] = true
+			if !slices.Contains(e.Sources, rec.SourceID) {
+				e.Sources = append(e.Sources, rec.SourceID)
+			}
 			if t := rec.Get("title"); !t.IsNull() && len(t.Str) > len(e.Title) {
 				e.Title = t.Str
 			}
-		}
-		for s := range srcSet {
-			e.Sources = append(e.Sources, s)
 		}
 		sort.Strings(e.Sources)
 		out = append(out, e)
 	}
 	// Attach fused values.
 	for it, v := range r.Fusion.Values {
-		idx := entityIndex(it.Entity)
-		if idx < 0 || idx >= len(out) {
-			continue
+		if idx := entityIndex(it.Entity); idx >= 0 && idx < len(out) {
+			out[idx].Values[it.Attr] = v
+			out[idx].Confidence[it.Attr] = r.Fusion.Confidence[it]
 		}
-		out[idx].Values[it.Attr] = v
-		out[idx].Confidence[it.Attr] = r.Fusion.Confidence[it]
 	}
 	return out, nil
 }
@@ -332,11 +316,10 @@ func (s *Snapshot) Entities() []*Entity { return s.entities }
 // Entity looks one entity up by its canonical ID ("e<i>"). The second
 // return is false for unknown or non-canonical IDs.
 func (s *Snapshot) Entity(id string) (*Entity, bool) {
-	i, ok := s.byID[id]
-	if !ok {
-		return nil, false
+	if i := entityIndex(id); i >= 0 && i < len(s.entities) {
+		return s.entities[i], true
 	}
-	return s.entities[i], true
+	return nil, false
 }
 
 // Search ranks integrated entities against a keyword query by the
@@ -372,8 +355,8 @@ func (s *Snapshot) Similar(id string, k int) ([]Hit, error) {
 	if err != nil {
 		return nil, err
 	}
-	self, ok := s.byID[id]
-	if !ok {
+	self := entityIndex(id)
+	if self < 0 || self >= len(s.entities) {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchEntity, id)
 	}
 	toks := s.entTokens[self]
@@ -391,7 +374,7 @@ func (s *Snapshot) queryTokens(sc *queryScratch, words []string) int {
 	words = slices.Compact(words)
 	sc.toks = sc.toks[:0]
 	for _, w := range words {
-		if id, ok := s.words.ids[w]; ok {
+		if id, ok := s.words.dict.id(w); ok {
 			sc.toks = append(sc.toks, id)
 		}
 	}

@@ -489,8 +489,9 @@ func TestQueryAllocsFlat(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The rarest and the most frequent words of the index.
-	byFreq := make([]string, 0, len(snap.words.ids))
-	for w := range snap.words.ids {
+	words := snap.words.dict.all()
+	byFreq := make([]string, 0, len(words))
+	for w := range words {
 		byFreq = append(byFreq, w)
 	}
 	postings := func(w string) int { return len(snap.words.lookup(w)) }

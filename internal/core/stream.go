@@ -123,14 +123,16 @@ type Stream struct {
 
 	// The publish cache (view.go), all derived and never persisted: one
 	// view per cluster in partition order, the source table their claim
-	// fragments refer to (items.Sources with its index srcIDs), and
-	// buffers a publish reuses — the fragments laid end to end, the
-	// kernel's verdicts on them, and newEntityDoc's word set.
-	views  []*clusterView
-	srcIDs map[string]int32
-	items  data.ItemView
-	fused  []fusion.Fused
-	seen   map[string]struct{}
+	// fragments refer to (items.Sources with its index srcIDs), the
+	// dictionaries the views' docs are interned in, the entity IDs so far,
+	// and buffers a publish reuses: the fragments laid end to end and the
+	// kernel's verdicts on them.
+	views       []*clusterView
+	srcIDs      map[string]int32
+	words, keys *dict
+	entityIDs   []string
+	items       data.ItemView
+	fused       []fusion.Fused
 
 	epoch       int // completed epochs (also the next epoch's sequence)
 	ingested    int64
@@ -156,7 +158,8 @@ func NewStream(cfg StreamConfig, publish func(*Snapshot)) (*Stream, error) {
 		acc:     map[string]float64{},
 		cursors: map[string]int{},
 		srcIDs:  map[string]int32{},
-		seen:    map[string]struct{}{},
+		words:   newDict(),
+		keys:    newDict(),
 		lastPub: time.Now(),
 	}
 	s.inc = linkage.NewIncremental(streamKey, s.matcher)

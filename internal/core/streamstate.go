@@ -178,10 +178,7 @@ func (s *Stream) encodeState() []byte {
 		b = appendString(b, src.ID)
 		b = appendString(b, src.Name)
 		b = appendFloat(b, src.TrueAccuracy)
-		b = binary.AppendUvarint(b, uint64(len(src.CopiesFrom)))
-		for _, c := range src.CopiesFrom {
-			b = appendString(b, c)
-		}
+		b = appendStrings(b, src.CopiesFrom)
 	}
 	b = binary.AppendUvarint(b, uint64(len(st.Records)))
 	for _, r := range st.Records {
@@ -197,19 +194,11 @@ func (s *Stream) encodeState() []byte {
 	}
 	b = binary.AppendUvarint(b, uint64(len(st.Postings)))
 	for _, k := range sortedKeys(st.Postings) {
-		b = appendString(b, k)
-		ids := st.Postings[k]
-		b = binary.AppendUvarint(b, uint64(len(ids)))
-		for _, id := range ids {
-			b = appendString(b, id)
-		}
+		b = appendStrings(appendString(b, k), st.Postings[k])
 	}
 	b = binary.AppendUvarint(b, uint64(len(st.Partition)))
 	for _, set := range st.Partition {
-		b = binary.AppendUvarint(b, uint64(len(set)))
-		for _, id := range set {
-			b = appendString(b, id)
-		}
+		b = appendStrings(b, set)
 	}
 	b = binary.AppendUvarint(b, uint64(st.Comparisons))
 
@@ -218,12 +207,7 @@ func (s *Stream) encodeState() []byte {
 	b = binary.AppendUvarint(b, uint64(s.deleted))
 	b = binary.AppendUvarint(b, uint64(len(st.Tombstones)))
 	for _, id := range sortedKeys(st.Tombstones) {
-		b = appendString(b, id)
-		keys := st.Tombstones[id]
-		b = binary.AppendUvarint(b, uint64(len(keys)))
-		for _, k := range keys {
-			b = appendString(b, k)
-		}
+		b = appendStrings(appendString(b, id), st.Tombstones[id])
 	}
 
 	crc := crc32.ChecksumIEEE(b)
@@ -282,19 +266,10 @@ func (s *Stream) decodeState(buf []byte) error {
 		st.Records = append(st.Records, r)
 	}
 	for n := d.uvarint(); n > 0 && d.err == nil; n-- {
-		k := d.string()
-		ids := make([]string, 0, 4)
-		for m := d.uvarint(); m > 0 && d.err == nil; m-- {
-			ids = append(ids, d.string())
-		}
-		st.Postings[k] = ids
+		st.Postings[d.string()] = d.strings()
 	}
 	for n := d.uvarint(); n > 0 && d.err == nil; n-- {
-		set := make([]string, 0, 4)
-		for m := d.uvarint(); m > 0 && d.err == nil; m-- {
-			set = append(set, d.string())
-		}
-		st.Partition = append(st.Partition, set)
+		st.Partition = append(st.Partition, d.strings())
 	}
 	st.Comparisons = int(d.uvarint())
 	st.Tombstones = map[string][]string{}
@@ -302,12 +277,7 @@ func (s *Stream) decodeState(buf []byte) error {
 	if version >= 2 {
 		s.deleted = int64(d.uvarint())
 		for n := d.uvarint(); n > 0 && d.err == nil; n-- {
-			id := d.string()
-			keys := make([]string, 0, 4)
-			for m := d.uvarint(); m > 0 && d.err == nil; m-- {
-				keys = append(keys, d.string())
-			}
-			st.Tombstones[id] = keys
+			st.Tombstones[d.string()] = d.strings()
 		}
 	}
 	if d.err != nil {
@@ -329,6 +299,15 @@ func (s *Stream) decodeState(buf []byte) error {
 func appendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
+}
+
+// appendStrings writes a uvarint count and then each string.
+func appendStrings(b []byte, ss []string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(ss)))
+	for _, s := range ss {
+		b = appendString(b, s)
+	}
+	return b
 }
 
 func appendFloat(b []byte, f float64) []byte {
@@ -406,6 +385,15 @@ func (d *stateDecoder) string() string {
 	s := string(d.buf[:n])
 	d.buf = d.buf[n:]
 	return s
+}
+
+// strings reads what appendStrings wrote.
+func (d *stateDecoder) strings() []string {
+	out := make([]string, 0, 4)
+	for n := d.uvarint(); n > 0 && d.err == nil; n-- {
+		out = append(out, d.string())
+	}
+	return out
 }
 
 func (d *stateDecoder) float() float64 {

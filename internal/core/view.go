@@ -19,7 +19,7 @@ import (
 // reads records only for the clusters that changed since the last one.
 // What stays proportional to the corpus is one validation pass over the
 // partition, the per-item fuse (the weights move with every publish) and
-// the assembly of the index from the cached parts.
+// counting the index's postings out of the docs' cached token IDs.
 //
 // The views are derived state: they are never persisted, a restored
 // stream starts without any, and building with none cached (NewStream,
@@ -142,7 +142,7 @@ func (s *Stream) sourceID(name string) int32 {
 // views of clusters that no longer exist are dropped. Both the old list
 // and the partition are ordered by first member, so one merge pairs
 // them up.
-func (s *Stream) refreshViews(clusters data.Clustering, st *publishStats) {
+func (s *Stream) refreshViews(clusters [][]string, st *publishStats) {
 	d := s.inc.Dataset()
 	prev, next := s.views, make([]*clusterView, len(clusters))
 	p := 0
@@ -191,7 +191,7 @@ func (st publishStats) report(reg *obs.Registry) {
 func (s *Stream) buildView(ctx context.Context, feedback bool) (*Snapshot, publishStats, error) {
 	var st publishStats
 	t0 := time.Now()
-	s.refreshViews(s.inc.Clusters(), &st)
+	s.refreshViews(s.inc.Partition(), &st)
 	t1 := time.Now()
 	st.views = t1.Sub(t0)
 
@@ -226,8 +226,11 @@ func (s *Stream) buildView(ctx context.Context, feedback bool) (*Snapshot, publi
 // new header — its number and confidences are this publish's — over the
 // view's immutable parts; a view's doc is rebuilt only if one of its
 // items was won by a different spelling than the doc was built for.
+// Once no entity carries most of a dictionary's IDs, the stream starts
+// fresh dictionaries and drops the views, so the next publish is a cold
+// one.
 func (s *Stream) assemble(st *publishStats) *Snapshot {
-	ix := newIndexer(len(s.views))
+	ents, docs := make([]*Entity, len(s.views)), make([]*entityDoc, len(s.views))
 	item, claim := 0, int32(0) // where the view's items and claims start in s.fused and s.items
 	for i, v := range s.views {
 		stale := v.doc == nil
@@ -249,16 +252,23 @@ func (s *Stream) assemble(st *publishStats) *Snapshot {
 					values[attr] = v.recs[w].Fields[attr]
 				}
 			}
-			v.doc = newEntityDoc(v.title, values, s.seen)
+			v.doc = newEntityDoc(v.title, values, s.words, s.keys)
 			st.docs++
 		}
-		ix.add(&Entity{
-			ID: "e" + strconv.Itoa(i), Records: v.records, Sources: v.sources,
+		if i == len(s.entityIDs) {
+			s.entityIDs = append(s.entityIDs, "e"+strconv.Itoa(i))
+		}
+		ents[i], docs[i] = &Entity{
+			ID: s.entityIDs[i], Records: v.records, Sources: v.sources,
 			Title: v.title, Values: v.doc.values, Confidence: conf,
-		}, v.doc)
+		}, v.doc
 		item, claim = item+len(v.attrs), claim+int32(len(v.rep))
 	}
-	return ix.snapshot()
+	snap, worn := newSnapshot(ents, docs, s.words, s.keys)
+	if worn {
+		s.words, s.keys, s.views = newDict(), newDict(), nil
+	}
+	return snap
 }
 
 // updateAccuracy folds the fused outcome back into the per-source

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -71,13 +72,14 @@ func clusterSignatures(s *Stream) map[string]bool {
 // TestPublishCostFollowsDirtySet pins the shape of a publish's cost by
 // counting: after deltas that touch a handful of clusters a publish
 // rebuilds exactly the views of the clusters whose membership or records
-// changed — the same number beside 2,000 and 20,000 untouched records —
-// a publish with nothing applied since the last rebuilds none, and a
-// warm no-change publish of a stream_churn-sized view stays under 50,000
-// allocations (the from-scratch publish made 491,000).
+// changed and interns only strings of the docs it rebuilt — the same
+// numbers beside 2,000 and 20,000 untouched records — a publish with
+// nothing applied since the last rebuilds none and interns nothing, and
+// a warm no-change publish of a stream_churn-sized view stays under
+// 50,000 allocations (the from-scratch publish made 491,000).
 func TestPublishCostFollowsDirtySet(t *testing.T) {
 	ctx := context.Background()
-	measure := func(singletons int) (rebuilt, docs int64) {
+	measure := func(singletons int) (rebuilt, docs int64, interned uint32) {
 		s, reg := dirtySetStream(t, singletons)
 		views, rebuiltC, reusedC, docsC := int64(singletons+20), reg.Counter("stream.views_rebuilt"), reg.Counter("stream.views_reused"), reg.Counter("stream.docs_rebuilt")
 		if rebuiltC.Value() != views || reusedC.Value() != 0 || docsC.Value() != views {
@@ -106,22 +108,58 @@ func TestPublishCostFollowsDirtySet(t *testing.T) {
 			t.Fatalf("the deltas changed %d clusters, want a handful", want)
 		}
 		r0, u0, d0 := rebuiltC.Value(), reusedC.Value(), docsC.Value()
+		words, keys := s.words, s.keys
+		w0, k0 := words.n, keys.n
+		kept := map[*entityDoc]bool{}
+		for _, v := range s.views {
+			kept[v.doc] = true
+		}
 		if _, err := s.Publish(ctx); err != nil {
 			t.Fatal(err)
 		}
 		rebuilt, docs = rebuiltC.Value()-r0, docsC.Value()-d0
+		if s.words != words || s.keys != keys {
+			t.Fatal("the publish started fresh dictionaries")
+		}
+		rebuiltWords, rebuiltKeys := map[uint32]bool{}, map[uint32]bool{}
+		for _, v := range s.views {
+			if !kept[v.doc] {
+				for _, id := range v.doc.words {
+					rebuiltWords[id] = true
+				}
+				for _, id := range v.doc.keys {
+					rebuiltKeys[id] = true
+				}
+			}
+		}
+		for id := w0; id < words.n; id++ {
+			if !rebuiltWords[id] {
+				t.Errorf("beside %d records: the publish interned word %d, which no rebuilt doc carries", singletons, id)
+			}
+		}
+		for id := k0; id < keys.n; id++ {
+			if !rebuiltKeys[id] {
+				t.Errorf("beside %d records: the publish interned value key %d, which no rebuilt doc carries", singletons, id)
+			}
+		}
+		interned = words.n - w0 + keys.n - k0
 		if total := int64(len(s.Clusters())); rebuilt != want || reusedC.Value()-u0 != total-want {
 			t.Errorf("beside %d records: publish rebuilt %d views and reused %d, want %d and %d",
 				singletons, rebuilt, reusedC.Value()-u0, want, total-want)
 		}
 
 		r0, u0, d0 = rebuiltC.Value(), reusedC.Value(), docsC.Value()
+		w0, k0 = s.words.n, s.keys.n
 		if _, err := s.Publish(ctx); err != nil {
 			t.Fatal(err)
 		}
 		if r, d, u := rebuiltC.Value()-r0, docsC.Value()-d0, reusedC.Value()-u0; r != 0 || d != 0 || u != int64(len(s.Clusters())) {
 			t.Errorf("beside %d records: a publish with no delta rebuilt %d views and %d docs and reused %d, want 0, 0 and all %d",
 				singletons, r, d, u, len(s.Clusters()))
+		}
+		if s.words != words || s.keys != keys || s.words.n != w0 || s.keys.n != k0 {
+			t.Errorf("beside %d records: a publish with no delta interned %d words and %d value keys, want none",
+				singletons, s.words.n-w0, s.keys.n-k0)
 		}
 		// Rebuild goes through the same views and leaves them current.
 		if _, err := s.Rebuild(ctx); err != nil {
@@ -132,15 +170,15 @@ func TestPublishCostFollowsDirtySet(t *testing.T) {
 				t.Fatal("a view without a doc after Rebuild")
 			}
 		}
-		return rebuilt, docs
+		return rebuilt, docs, interned
 	}
-	rebuilt2k, docs2k := measure(2000)
-	rebuilt20k, docs20k := measure(20000)
-	t.Logf("publish after the same deltas: %d views and %d docs rebuilt beside 2k records, %d and %d beside 20k",
-		rebuilt2k, docs2k, rebuilt20k, docs20k)
-	if rebuilt2k != rebuilt20k || docs2k != docs20k {
-		t.Errorf("rebuilt %d views and %d docs beside 2k records, %d and %d beside 20k: the cost follows the corpus",
-			rebuilt2k, docs2k, rebuilt20k, docs20k)
+	rebuilt2k, docs2k, interned2k := measure(2000)
+	rebuilt20k, docs20k, interned20k := measure(20000)
+	t.Logf("publish after the same deltas: %d views and %d docs rebuilt and %d strings interned beside 2k records, %d, %d and %d beside 20k",
+		rebuilt2k, docs2k, interned2k, rebuilt20k, docs20k, interned20k)
+	if rebuilt2k != rebuilt20k || docs2k != docs20k || interned2k != interned20k {
+		t.Errorf("rebuilt %d views and %d docs and interned %d strings beside 2k records, %d, %d and %d beside 20k: the cost follows the corpus",
+			rebuilt2k, docs2k, interned2k, rebuilt20k, docs20k, interned20k)
 	}
 
 	d := streamTestWeb(21, 1000, 20)
@@ -206,9 +244,11 @@ func renderAnswers(t *testing.T, snap *Snapshot) string {
 
 // TestSnapshotsShareNoMutableState pins that a published snapshot is
 // cut loose from the writer: while the stream applies deltas and
-// publishes five more snapshots out of the same cached cluster views,
-// readers keep getting the first one's answers, bit for bit. Run under
-// -race it also pins that nothing a snapshot holds is written again.
+// publishes five more snapshots out of the same cached cluster views and
+// dictionaries — interning new words and folding the word dictionary's
+// top into a new base on the way — readers keep getting the first one's
+// answers, bit for bit. Run under -race it also pins that nothing a
+// snapshot holds is written again.
 func TestSnapshotsShareNoMutableState(t *testing.T) {
 	ctx := context.Background()
 	d := streamTestWeb(45, 60, 8)
@@ -241,6 +281,7 @@ func TestSnapshotsShareNoMutableState(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := renderAnswers(t, snap)
+	words, n0 := s.words, s.words.n
 
 	const readers = 3
 	var wg sync.WaitGroup
@@ -283,5 +324,128 @@ func TestSnapshotsShareNoMutableState(t *testing.T) {
 	wg.Wait()
 	if got := renderAnswers(t, snap); got != want {
 		t.Error("snapshot answers changed after the later publishes")
+	}
+	if s.words != words || s.words.n <= n0 || mapID(s.words.base) == mapID(snap.words.dict.base) {
+		t.Errorf("the later publishes grew the word dictionary from %d to %d IDs without folding its top, want new words and a fold in the same dictionary",
+			n0, s.words.n)
+	}
+}
+
+// mapID identifies a map, so a test can tell whether two dictionaries
+// hold the same one.
+func mapID(m map[string]uint32) uintptr { return reflect.ValueOf(m).Pointer() }
+
+// TestStreamTokenIDsStable pins the stream's dictionaries over a churned
+// drain: every word and value key keeps one ID in every snapshot that
+// knows it, and the first snapshot answers bit for bit the same — with
+// readers racing the writer — after later publishes fold the word
+// dictionary's top into a new base and after the stream, once no entity
+// carries most IDs, starts fresh dictionaries.
+func TestStreamTokenIDsStable(t *testing.T) {
+	ctx := context.Background()
+	d := streamTestWeb(47, 80, 8)
+	fleet, totals, _ := churnFleet(d, 11)
+	s, err := NewStream(StreamConfig{Workers: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	str, err := source.NewDeltaStreamer(ctx, fleet, source.StreamConfig{EpochSize: 2, Totals: totals})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer str.Close()
+	metas := fleetMetas(fleet)
+	publish := func() *Snapshot {
+		snap, err := s.Publish(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+
+	words, keys := s.words, s.keys
+	wordIDs, keyIDs := map[string]uint32{}, map[string]uint32{}
+	sameIDs := func(kind string, seen map[string]uint32, snapDict dict) {
+		for w, id := range snapDict.all() {
+			if old, ok := seen[w]; ok && old != id {
+				t.Errorf("%s %q has ID %d, %d in an earlier snapshot", kind, w, id, old)
+			}
+			seen[w] = id
+		}
+	}
+	var first *Snapshot
+	var want string
+	const readers = 2
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	stop := sync.OnceFunc(func() { close(done); wg.Wait() })
+	defer stop()
+	publishes := 0
+	for ep := range str.C {
+		if err := s.ApplyDeltas(metas, ep); err != nil {
+			t.Fatal(err)
+		}
+		if ep.Seq%2 != 1 {
+			continue
+		}
+		snap := publish()
+		publishes++
+		sameIDs("word", wordIDs, snap.words.dict)
+		sameIDs("value key", keyIDs, snap.values.dict)
+		if first != nil {
+			continue
+		}
+		first, want = snap, renderAnswers(t, snap)
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					if got := renderAnswers(t, first); got != want {
+						t.Errorf("snapshot answers changed under the writer:\n--- first\n%s--- now\n%s", want, got)
+						return
+					}
+					select {
+					case <-done:
+						return
+					default:
+					}
+				}
+			}()
+		}
+	}
+	if err := str.Err(); err != nil || publishes < 10 {
+		t.Fatalf("%d publishes, %v", publishes, err)
+	}
+	if s.words != words || s.keys != keys {
+		t.Fatal("the drain started fresh dictionaries, want the same ones throughout")
+	}
+	if mapID(s.words.base) == mapID(first.words.dict.base) {
+		t.Error("no publish after the first folded the word dictionary's top")
+	}
+
+	// Every record deleted, no entity carries any ID: the publish starts
+	// fresh dictionaries, and the next one interns into them.
+	var gone []source.Delta
+	for _, r := range s.Dataset().Records() {
+		gone = append(gone, source.Deletion(r.ID))
+	}
+	if err := s.ApplyDeltas(metas, source.DeltaEpoch{Seq: s.Epoch(), Deltas: gone}); err != nil {
+		t.Fatal(err)
+	}
+	publish()
+	if s.words == words || s.keys == keys || s.words.n != 0 || s.keys.n != 0 {
+		t.Fatal("a publish with no entity kept the dictionaries, want fresh ones")
+	}
+	back := source.UpsertLog(d.Records()[:40])
+	if err := s.ApplyDeltas(metas, source.DeltaEpoch{Seq: s.Epoch(), Deltas: back}); err != nil {
+		t.Fatal(err)
+	}
+	if snap := publish(); snap.Len() == 0 || s.words.n == 0 || len(snap.words.dict.all()) != int(s.words.n) {
+		t.Errorf("the publish after the reset indexed %d entities over %d words", snap.Len(), s.words.n)
+	}
+	stop()
+	if got := renderAnswers(t, first); got != want {
+		t.Error("the first snapshot's answers changed after the fold and the reset")
 	}
 }

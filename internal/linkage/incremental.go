@@ -2,6 +2,8 @@ package linkage
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/data"
@@ -35,6 +37,7 @@ type Incremental struct {
 	dataset *data.Dataset
 	index   map[string][]string // key → record IDs (may contain tombstoned IDs)
 	uf      *UnionFind
+	sets    [][]string // uf.Sets() until the next Insert or Delete; nil when stale
 	n       int
 	// comparisons counts pairwise match calls, for the E7 cost metric.
 	comparisons int
@@ -100,6 +103,7 @@ func (inc *Incremental) Insert(src *data.Source, r *data.Record) ([]string, erro
 	}
 	inc.uf.Add(r.ID)
 	inc.n++
+	inc.sets = nil
 
 	seen := map[string]bool{r.ID: true}
 	var matched []string
@@ -184,6 +188,7 @@ func (inc *Incremental) Delete(id string) bool {
 // with it the comparison count — depends on the component alone.
 func (inc *Incremental) recluster(id string) {
 	rest := inc.uf.remove(id)
+	inc.sets = nil
 	for i := 0; i < len(rest); i++ {
 		for j := i + 1; j < len(rest); j++ {
 			inc.comparisons++
@@ -259,13 +264,23 @@ func (inc *Incremental) GarbageRatio() float64 {
 	return float64(inc.deadRefs) / float64(inc.postRefs)
 }
 
-// Clusters returns the current clustering.
+// Clusters returns a copy of the current clustering, the caller's own.
 func (inc *Incremental) Clusters() data.Clustering {
-	out := data.Clustering{}
-	for _, set := range inc.uf.Sets() {
-		out = append(out, set)
+	sets := inc.Partition()
+	flat, out := slices.Concat(sets...), make(data.Clustering, len(sets))
+	for i, set := range sets {
+		out[i], flat = flat[:len(set):len(set)], flat[len(set):]
 	}
 	return out
+}
+
+// Partition returns the current clustering in canonical form, computed
+// once per change and shared: callers must not modify it.
+func (inc *Incremental) Partition() [][]string {
+	if inc.sets == nil {
+		inc.sets = inc.uf.Sets()
+	}
+	return inc.sets
 }
 
 // Len returns the number of inserted records.
@@ -296,24 +311,22 @@ type IncrementalState struct {
 	Tombstones map[string][]string
 }
 
-// State snapshots the linker. The returned state shares the records
-// and sources with the linker (they are never mutated after Insert);
-// the posting lists and partition are copied, so later Inserts don't
-// bleed into a taken snapshot.
+// State snapshots the linker. The returned state shares with the linker
+// the records and sources (never mutated after Insert), the partition
+// and the tombstones' key lists (replaced, never changed, by later
+// calls); the posting lists are copied, so later Inserts don't bleed
+// into a taken snapshot.
 func (inc *Incremental) State() *IncrementalState {
 	st := &IncrementalState{
 		Sources:     inc.dataset.Sources(),
 		Records:     inc.dataset.Records(),
 		Postings:    make(map[string][]string, len(inc.index)),
-		Partition:   inc.uf.Sets(),
+		Partition:   inc.Partition(),
 		Comparisons: inc.comparisons,
-		Tombstones:  make(map[string][]string, len(inc.dead)),
+		Tombstones:  maps.Clone(inc.dead),
 	}
 	for k, ids := range inc.index {
 		st.Postings[k] = append([]string(nil), ids...)
-	}
-	for id, keys := range inc.dead {
-		st.Tombstones[id] = append([]string(nil), keys...)
 	}
 	return st
 }
