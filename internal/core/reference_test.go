@@ -1,13 +1,17 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"maps"
+	"math/rand"
 	"reflect"
 	"sort"
+	"strconv"
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/source"
 	"repro/internal/tokenize"
 )
 
@@ -60,7 +64,8 @@ func buildReferenceIndex(ents []*Entity) *referenceIndex {
 
 // TestIndexerMatchesReference pins the assembled index — token IDs,
 // posting lists, per-entity token lists, the exact-value index and the
-// pseudo-records — to the one-pass reference, entry for entry.
+// per-field word sets Resolve reads — to the one-pass reference, entry
+// for entry.
 func TestIndexerMatchesReference(t *testing.T) {
 	snap, err := testReport(t).Snapshot()
 	if err != nil {
@@ -87,19 +92,47 @@ func TestIndexerMatchesReference(t *testing.T) {
 		}
 	}
 	for i, e := range snap.Entities() {
-		want := data.NewRecord("", "__snapshot__")
-		if e.Title != "" {
-			want.Set("title", data.String(e.Title))
+		doc := snap.docs[i]
+		if want := referenceWordSet(snap, e.Title); !reflect.DeepEqual(append([]uint32{}, doc.title...), want) {
+			t.Fatalf("entity %d title set %v, the reference %v", i, doc.title, want)
 		}
-		for a, v := range e.Values {
-			if a != "title" {
-				want.Set(a, v)
+		for j, a := range doc.attrs {
+			var want []uint32
+			if v := e.Values[a]; v.Kind == data.KindString {
+				want = referenceWordSet(snap, v.Str)
+			}
+			if !reflect.DeepEqual(append([]uint32{}, doc.sets[j]...), append([]uint32{}, want...)) {
+				t.Fatalf("entity %d %s set %v, the reference %v", i, a, doc.sets[j], want)
 			}
 		}
-		if !reflect.DeepEqual(snap.pseudo[i], want) {
-			t.Fatalf("entity %d pseudo-record %v, want %v", i, snap.pseudo[i], want)
+	}
+}
+
+// referenceWordSet is the sorted word IDs of text's distinct words.
+func referenceWordSet(s *Snapshot, text string) []uint32 {
+	ids := []uint32{}
+	for w := range tokenize.WordSet(text) {
+		id, _ := s.words.dict.id(w)
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
+}
+
+// referencePseudo is the record Resolve scored a query against before
+// it read cached word sets: the entity's title plus every fused value
+// but a fused "title".
+func referencePseudo(e *Entity) *data.Record {
+	r := data.NewRecord("", "__snapshot__")
+	if e.Title != "" {
+		r.Set("title", data.String(e.Title))
+	}
+	for a, v := range e.Values {
+		if a != "title" {
+			r.Set(a, v)
 		}
 	}
+	return r
 }
 
 // all returns every string the dictionary knows with its ID.
@@ -184,9 +217,12 @@ func referenceSimilar(s *Snapshot, self, k int) []Hit {
 }
 
 // referenceResolve is the legacy Resolve body: candidates deduped in
-// maps, the keyword shortlist mapped back through entityIndex, every candidate
-// scored and the whole list sorted.
+// maps, the keyword shortlist mapped back through entityIndex, every
+// candidate scored by the pipeline rule's comparator over the
+// snapshot's attributes against its pseudo-record, and the whole list
+// sorted.
 func referenceResolve(s *Snapshot, rec *data.Record, k int) []Hit {
+	cmp := ruleComparator(sortedKeys(s.attrs))
 	qset := map[string]bool{}
 	cand := map[int32]bool{}
 	for _, attr := range rec.Attrs() {
@@ -209,7 +245,7 @@ func referenceResolve(s *Snapshot, rec *data.Record, k int) []Hit {
 	}
 	hits := make([]Hit, 0, len(cand))
 	for e := range cand {
-		if sc := s.cmp.Compare(rec, s.pseudo[e]); sc > 0 {
+		if sc := cmp.Compare(rec, referencePseudo(s.entities[e])); sc > 0 {
 			hits = append(hits, Hit{Entity: s.entities[e], Score: sc})
 		}
 	}
@@ -324,8 +360,8 @@ func kernelCases(t *testing.T, snap *Snapshot, queries []string, recs []*data.Re
 
 // reportKernelCases is kernelCases over the test report's snapshot:
 // known, partly known and wholly unknown keyword queries, every fifth
-// title, and records resolving by title, by an exact numeric value and
-// by nothing.
+// title, and records resolving by title, by an exact numeric value, by
+// nothing and by the mixed records of mixedResolveRecords.
 func reportKernelCases(t *testing.T, snap *Snapshot) []queryCase {
 	queries := []string{"camera", "nova", "pro 4", "camera zzz", "zzz nothing", "qqq"}
 	var recs []*data.Record
@@ -341,9 +377,49 @@ func reportKernelCases(t *testing.T, snap *Snapshot) []queryCase {
 				break
 			}
 		}
+		recs = append(recs, mixedResolveRecords(e)...)
 	}
 	recs = append(recs, data.NewRecord("q", "client").Set("title", data.String("zzz nothing")))
 	return kernelCases(t, snap, queries, recs)
+}
+
+// mixedResolveRecords derives from entity e the records the resolve
+// kernel must score like the comparator: every string field of e at
+// once, with a word no entity carries added to each; the title with a
+// punctuation-only value of a string attribute; a number where e holds
+// a string (for the title, a number its words spell); a string where e
+// holds a number; and the title beside an attribute no entity carries.
+func mixedResolveRecords(e *Entity) []*data.Record {
+	several := data.NewRecord("q", "client").Set("title", data.String(e.Title+" zzzunknown"))
+	punct := data.NewRecord("q", "client").Set("title", data.String(e.Title))
+	numForStr := data.NewRecord("q", "client").Set("title", data.String(e.Title))
+	strForNum := data.NewRecord("q", "client").Set("title", data.String(e.Title))
+	for _, a := range sortedKeys(e.Values) {
+		switch v := e.Values[a]; v.Kind {
+		case data.KindString:
+			several.Set(a, data.String(v.Str+" qqqword"))
+			punct.Set(a, data.String("!?! --"))
+			numForStr.Set(a, data.Number(300))
+		case data.KindNumber:
+			strForNum.Set(a, data.String(v.String()+" units"))
+		}
+	}
+	recs := []*data.Record{several, punct, numForStr, strForNum,
+		data.NewRecord("q", "client").Set("title", data.String(e.Title)).Set("no_entity_has_this", data.String(e.Title))}
+	for _, w := range tokenize.Words(e.Title) {
+		if x, err := strconv.ParseFloat(w, 64); err == nil {
+			// e's string values make the candidates the title is scored on.
+			rec := data.NewRecord("q", "client").Set("title", data.Number(x))
+			for a, v := range e.Values {
+				if a != "title" && v.Kind == data.KindString {
+					rec.Set(a, v)
+				}
+			}
+			recs = append(recs, rec)
+			break
+		}
+	}
+	return recs
 }
 
 // tieKernelCases is kernelCases over a tie-heavy snapshot.
@@ -354,6 +430,62 @@ func tieKernelCases(t *testing.T, snap *Snapshot) []queryCase {
 		data.NewRecord("q", "client").Set("title", data.String("beta")).Set("brand", data.String("acme")),
 		data.NewRecord("q", "client").Set("year", data.Number(2021)),
 		data.NewRecord("q", "client").Set("title", data.String("zzz")),
+		data.NewRecord("q", "client").Set("title", data.String("alpha zzz")).Set("brand", data.String("acme corp")),
+		data.NewRecord("q", "client").Set("title", data.String("!!!")).Set("brand", data.String("...")),
+		data.NewRecord("q", "client").Set("title", data.String("beta")).Set("brand", data.Number(7)),
+		data.NewRecord("q", "client").Set("year", data.String("2021")),
+		data.NewRecord("q", "client").Set("title", data.String("gamma")).Set("color", data.String("red")),
+	}
+	return kernelCases(t, snap, queries, recs)
+}
+
+// churnedSnapshot is the snapshot of a Stream after a churned op
+// sequence: upserts, updates and deletes of the FuzzStreamOps records,
+// publishing every 40 ops, so the final snapshot mixes docs kept from
+// earlier publishes with rebuilt ones.
+func churnedSnapshot(t *testing.T) *Snapshot {
+	s, err := NewStream(StreamConfig{MaxBlock: 6, PublishEvery: 1 << 30}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	var snap *Snapshot
+	for op := 0; op < 600; op++ {
+		id := fmt.Sprintf("r%02d", rng.Intn(fuzzStreamIDs))
+		dl := source.Deletion(id)
+		if rng.Intn(5) != 0 {
+			a, b := byte(rng.Intn(256)), byte(rng.Intn(256))
+			dl = source.Upsert(fuzzStreamRecord(id, a, b))
+		}
+		if err := s.ApplyDeltas(fuzzStreamMetas, source.DeltaEpoch{Seq: s.Epoch(), Deltas: []source.Delta{dl}}); err != nil {
+			t.Fatal(err)
+		}
+		if op%40 == 39 {
+			if snap, err = s.Publish(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return snap
+}
+
+// churnKernelCases is kernelCases over a churned stream's snapshot: its
+// titles as queries, and as records every entity's title with its
+// fused values, spelt as they are and as mixedResolveRecords mixes them.
+func churnKernelCases(t *testing.T, snap *Snapshot) []queryCase {
+	queries := []string{"acme0", "omega1 omega2", "red", "acme zzz"}
+	var recs []*data.Record
+	for _, e := range snap.Entities() {
+		if e.Title == "" {
+			continue
+		}
+		queries = append(queries, e.Title)
+		rec := data.NewRecord("q", "client").Set("title", data.String(e.Title))
+		for a, v := range e.Values {
+			rec.Set(a, v)
+		}
+		recs = append(recs, rec)
+		recs = append(recs, mixedResolveRecords(e)...)
 	}
 	return kernelCases(t, snap, queries, recs)
 }
@@ -362,7 +494,8 @@ func tieKernelCases(t *testing.T, snap *Snapshot) []queryCase {
 // for hit — entity ID and score bits — to the map-and-sort reference
 // and, for Search and Similar, to a brute-force scan of every entity:
 // at limits 1, 3, 10 and 1000, with Similar excluding itself, on
-// queries with no known word, and on a web where ties decide the cut.
+// queries with no known word, on a web where ties decide the cut, and
+// on a churned stream's snapshot.
 func TestQueryKernelMatchesReference(t *testing.T) {
 	snap, err := testReport(t).Snapshot()
 	if err != nil {
@@ -370,6 +503,7 @@ func TestQueryKernelMatchesReference(t *testing.T) {
 	}
 	ties := tieSnapshot(37)
 	cases := append(reportKernelCases(t, snap), tieKernelCases(t, ties)...)
+	cases = append(cases, churnKernelCases(t, churnedSnapshot(t))...)
 	for _, c := range cases {
 		got, err := c.run()
 		if err != nil {

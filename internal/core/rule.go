@@ -22,17 +22,23 @@ const (
 )
 
 // ruleComparator is the field-weight half of the default rule: word
-// Jaccard on every attribute, title weighted ×2. The snapshot's resolve
-// comparator is built from it too.
+// Jaccard on every attribute, weighted by ruleWeight. Snapshot.Resolve
+// scores by the same rule over cached word sets.
 func ruleComparator(attrs []string) *similarity.RecordComparator {
 	fields := make([]similarity.FieldWeight, len(attrs))
 	for i, a := range attrs {
-		fields[i] = similarity.FieldWeight{Attr: a, Weight: 1, Metric: similarity.Jaccard}
-		if a == titleAttr {
-			fields[i].Weight = 2
-		}
+		fields[i] = similarity.FieldWeight{Attr: a, Weight: ruleWeight(a), Metric: similarity.Jaccard}
 	}
 	return similarity.NewRecordComparator(fields...)
+}
+
+// ruleWeight is the default rule's weight of an attribute: the title
+// counts twice.
+func ruleWeight(attr string) float64 {
+	if attr == titleAttr {
+		return 2
+	}
+	return 1
 }
 
 // defaultRule is the matcher both paths link by: identifier equality

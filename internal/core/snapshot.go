@@ -16,9 +16,9 @@ import (
 // Serving snapshot: the read-optimized, immutable view of a completed
 // pipeline run. A Snapshot materialises every integrated entity ONCE
 // and builds an inverted token index over titles and fused string
-// values for keyword search and an exact value index plus one
-// pseudo-record per entity for record resolution — after which every
-// read (Entity, Search, Similar, Resolve) is lock-free and safe for
+// values for keyword search and an exact value index plus per-field
+// word sets per entity for record resolution — after which every read
+// (Entity, Search, Similar, Resolve) is lock-free and safe for
 // unbounded concurrency. This is the structure a long-lived service
 // (cmd/bdiserve) swaps atomically when a background rebuild completes.
 
@@ -43,14 +43,13 @@ type Snapshot struct {
 	words     inverted
 	entTokens [][]uint32
 
-	// Resolution index: one pseudo-record per entity (title + fused
-	// values) scored by a weighted per-field comparator, plus an exact
-	// index over "attr\x00value-key" so identifier-style equality always
+	// Resolution index: every entity's doc, whose per-field word sets
+	// Resolve scores a record against; the attributes the resolve rule
+	// compares (the title and every fused attribute); and an exact index
+	// over "attr\x00value-key" so identifier-style equality always
 	// surfaces its entity as a candidate even when text overlap is zero.
-	// The comparator carries no feature index: the query record of a
-	// Resolve is never in one, so Compare could not use it.
-	pseudo []*data.Record
-	cmp    *similarity.RecordComparator
+	docs   []*entityDoc
+	attrs  map[string]struct{}
 	values inverted
 
 	// scratch pools the per-query *queryScratch. It starts empty: a
@@ -67,6 +66,23 @@ type queryScratch struct {
 	touched []int32
 	toks    []uint32
 	top     []scored
+
+	// Resolve's query: the words of its string values, its compared
+	// fields in attribute order, and the fields' known word IDs.
+	words  []string
+	fields []queryField
+	ids    []uint32
+}
+
+// queryField is one compared field of a Resolve query: its value and
+// the word set of the value (of its rendering when it is not a string),
+// as the IDs in ids[lo:hi] of the words the snapshot knows and the
+// count of all its distinct words.
+type queryField struct {
+	attr   string
+	val    data.Value
+	lo, hi int32
+	words  int32
 }
 
 // scored is one ranked candidate: an entity index and its score.
@@ -186,40 +202,48 @@ type entityDoc struct {
 	// order), in first-encounter order.
 	words []uint32
 	keys  []uint32 // the value dictionary IDs of "attr\x00value-key" of every fused value
-	// pseudo stands in for the entity in the resolve comparator: the
-	// title plus every fused attribute but "title".
-	pseudo *data.Record
+	// title and sets are the sorted distinct word IDs of the title and of
+	// each fused string value, sets parallel to attrs (empty for other
+	// kinds): the word sets Resolve scores a record against.
+	title []uint32
+	sets  [][]uint32
 }
 
 // newEntityDoc builds the doc of an entity with the given title and
-// fused values, interning its words and value keys.
+// fused values, interning its words and value keys. Each text is
+// tokenised once; one array backs every field's word set.
 func newEntityDoc(title string, values map[string]data.Value, words, keys *dict) *entityDoc {
 	doc := &entityDoc{
 		values: values,
 		attrs:  sortedKeys(values),
 		keys:   make([]uint32, 0, len(values)),
-		pseudo: data.NewRecord("", "__snapshot__"),
 	}
-	addWords := func(text string) {
-		for _, w := range tokenize.Words(text) {
-			if id := words.intern(w); !slices.Contains(doc.words, id) {
+	texts := make([][]string, len(doc.attrs)+1)
+	texts[0] = tokenize.Words(title)
+	n := len(texts[0])
+	for i, attr := range doc.attrs {
+		if v := values[attr]; v.Kind == data.KindString {
+			texts[i+1] = tokenize.Words(v.Str)
+			n += len(texts[i+1])
+		}
+	}
+	backing, sets := make([]uint32, 0, n), make([][]uint32, len(texts))
+	for i, text := range texts {
+		lo := len(backing)
+		for _, w := range text {
+			id := words.intern(w)
+			if !slices.Contains(doc.words, id) {
 				doc.words = append(doc.words, id)
 			}
+			backing = append(backing, id)
 		}
+		slices.Sort(backing[lo:])
+		backing = backing[:lo+len(slices.Compact(backing[lo:]))]
+		sets[i] = backing[lo:len(backing):len(backing)]
 	}
-	addWords(title)
-	if title != "" {
-		doc.pseudo.Set("title", data.String(title))
-	}
+	doc.title, doc.sets = sets[0], sets[1:]
 	for _, attr := range doc.attrs {
-		v := values[attr]
-		if v.Kind == data.KindString {
-			addWords(v.Str)
-		}
-		if attr != "title" {
-			doc.pseudo.Set(attr, v)
-		}
-		doc.keys = append(doc.keys, keys.intern(attr+"\x00"+v.Key()))
+		doc.keys = append(doc.keys, keys.intern(attr+"\x00"+values[attr].Key()))
 	}
 	return doc
 }
@@ -227,23 +251,22 @@ func newEntityDoc(title string, values map[string]data.Value, words, keys *dict)
 // newSnapshot assembles a Snapshot from entities and their docs, in
 // entity order — the one way a snapshot is built, whether the docs were
 // made on the spot (BuildSnapshot) or kept from an earlier publish
-// (Stream). The docs' IDs come from words and keys. The resolution
-// comparator is the pipeline rule's, over the title and every fused
-// attribute. worn reports that no entity carries most of a dictionary's
-// IDs.
+// (Stream). The docs' IDs come from words and keys; each doc was built
+// from its entity's Title and Values. Resolve compares the title and
+// every fused attribute. worn reports that no entity carries most of a
+// dictionary's IDs.
 func newSnapshot(ents []*Entity, docs []*entityDoc, words, keys *dict) (s *Snapshot, worn bool) {
-	s = &Snapshot{entities: ents, entTokens: make([][]uint32, len(docs)), pseudo: make([]*data.Record, len(docs))}
-	keyIDs, attrs := make([][]uint32, len(docs)), map[string]struct{}{"title": {}}
+	s = &Snapshot{entities: ents, entTokens: make([][]uint32, len(docs)), docs: docs, attrs: map[string]struct{}{titleAttr: {}}}
+	keyIDs := make([][]uint32, len(docs))
 	for i, doc := range docs {
-		s.entTokens[i], s.pseudo[i], keyIDs[i] = doc.words, doc.pseudo, doc.keys
+		s.entTokens[i], keyIDs[i] = doc.words, doc.keys
 		for _, a := range doc.attrs {
-			attrs[a] = struct{}{}
+			s.attrs[a] = struct{}{}
 		}
 	}
 	var deadWords, deadKeys int
 	s.words, deadWords = invert(words, s.entTokens)
 	s.values, deadKeys = invert(keys, keyIDs)
-	s.cmp = ruleComparator(sortedKeys(attrs))
 	return s, 2*deadWords > int(words.n) || 2*deadKeys > int(keys.n)
 }
 
@@ -510,9 +533,11 @@ func searchLimit(limit int) (int, error) {
 // indexes: the keyword index over the record's string values, and
 // exact value-key equality on any attribute (so identifier matches
 // surface even with zero text overlap). Each candidate is then scored
-// by the snapshot's weighted per-field comparator, and the top k are
-// returned sorted by score descending, byte-wise entity ID ascending.
-// k 0 means DefaultSearchLimit; negative k is a validation error.
+// by the pipeline rule's weighted per-field Jaccard over the title and
+// every fused attribute, and the top k are returned sorted by score
+// descending, byte-wise entity ID ascending. The record is tokenised
+// once; candidates are scored from their docs' cached word sets. k 0
+// means DefaultSearchLimit; negative k is a validation error.
 func (s *Snapshot) Resolve(rec *data.Record, k int) ([]Hit, error) {
 	k, err := searchLimit(k)
 	if err != nil {
@@ -521,16 +546,10 @@ func (s *Snapshot) Resolve(rec *data.Record, k int) ([]Hit, error) {
 	if rec == nil || len(rec.Fields) == 0 {
 		return nil, fmt.Errorf("core: empty record")
 	}
-	// Text probe: the words of every string value.
 	attrs := rec.Attrs()
-	var words []string
-	for _, attr := range attrs {
-		if v := rec.Get(attr); v.Kind == data.KindString {
-			words = append(words, tokenize.Words(v.Str)...)
-		}
-	}
 	sc := s.getScratch()
-	nq := s.queryTokens(sc, words)
+	s.queryFields(sc, rec, attrs)
+	nq := s.queryTokens(sc, sc.words)
 	// A shortlist bounded well above k keeps the comparator pass cheap
 	// while leaving room for the exact-value candidates to rerank. The
 	// candidates are deduped by marking them in the scratch.
@@ -545,14 +564,105 @@ func (s *Snapshot) Resolve(rec *data.Record, k int) ([]Hit, error) {
 	sc.top = sc.top[:0]
 	for _, e := range sc.touched {
 		sc.counts[e] = 0
-		if score := s.cmp.Compare(rec, s.pseudo[e]); score > 0 {
+		if score := s.resolveScore(sc, e); score > 0 {
 			s.keep(sc, scored{score: score, e: e}, k)
 		}
 	}
 	sc.touched = sc.touched[:0]
 	hits := s.hits(s.ranked(sc.top))
+	clear(sc.words)
+	clear(sc.fields)
+	sc.words, sc.fields = sc.words[:0], sc.fields[:0]
 	s.scratch.Put(sc)
 	return hits, nil
+}
+
+// queryFields tokenises a Resolve query once: sc.words collects the
+// words of every string value for the text probe, and sc.fields the
+// word sets of the values of the attributes the snapshot compares.
+func (s *Snapshot) queryFields(sc *queryScratch, rec *data.Record, attrs []string) {
+	sc.ids = sc.ids[:0]
+	for _, attr := range attrs {
+		v := rec.Get(attr)
+		var words []string
+		if v.Kind == data.KindString {
+			words = tokenize.Words(v.Str)
+			sc.words = append(sc.words, words...)
+		}
+		if _, ok := s.attrs[attr]; !ok || v.IsNull() {
+			continue
+		}
+		if v.Kind != data.KindString {
+			words = tokenize.Words(v.String())
+		}
+		slices.Sort(words)
+		words = slices.Compact(words)
+		lo := len(sc.ids)
+		for _, w := range words {
+			if id, ok := s.words.dict.id(w); ok {
+				sc.ids = append(sc.ids, id)
+			}
+		}
+		slices.Sort(sc.ids[lo:])
+		sc.fields = append(sc.fields, queryField{attr: attr, val: v, lo: int32(lo), hi: int32(len(sc.ids)), words: int32(len(words))})
+	}
+}
+
+// resolveScore is what the pipeline rule's comparator over the
+// snapshot's attributes scores the query against entity e's title and
+// fused values, bit for bit: the query's fields and the doc's, both in
+// attribute order, are merged, a field on one side only scores "no
+// evidence", and the terms are added in attribute order. The doc's word
+// sets are read, never rebuilt; only a non-string fused value met by a
+// query value of another kind is rendered, as similarity.Values does.
+func (s *Snapshot) resolveScore(sc *queryScratch, e int32) float64 {
+	doc := s.docs[e]
+	m := resolveMerge{q: sc.fields, ids: sc.ids, doc: doc, title: s.entities[e].Title}
+	// The entity's title takes the title's place among the fused
+	// attributes; a fused "title" value is not compared.
+	at, _ := slices.BinarySearch(doc.attrs, titleAttr)
+	for i := 0; i <= len(doc.attrs); i++ {
+		if i == at && m.title != "" {
+			m.docField(titleAttr, doc.title)
+		}
+		if i < len(doc.attrs) && doc.attrs[i] != titleAttr {
+			m.docField(doc.attrs[i], doc.sets[i])
+		}
+	}
+	for _, f := range m.q {
+		m.avg.AddOneSided(ruleWeight(f.attr))
+	}
+	return m.avg.Score()
+}
+
+// resolveMerge is resolveScore's walk: the query fields not yet merged,
+// the candidate's doc and title, and the running average.
+type resolveMerge struct {
+	avg   similarity.WeightedAverage
+	q     []queryField
+	ids   []uint32
+	doc   *entityDoc
+	title string
+}
+
+// docField adds the doc's field attr, whose words are set, after the
+// query fields that sort before it. The field's value is read only when
+// the query carries the attribute too.
+func (m *resolveMerge) docField(attr string, set []uint32) {
+	for len(m.q) > 0 && m.q[0].attr < attr {
+		m.avg.AddOneSided(ruleWeight(m.q[0].attr))
+		m.q = m.q[1:]
+	}
+	if len(m.q) == 0 || m.q[0].attr != attr {
+		m.avg.AddOneSided(ruleWeight(attr))
+		return
+	}
+	f, v := m.q[0], data.String(m.title)
+	m.q = m.q[1:]
+	if attr != titleAttr {
+		v = m.doc.values[attr]
+	}
+	m.avg.Add(ruleWeight(attr), similarity.JaccardValues(f.val, m.ids[f.lo:f.hi], int(f.words), v, set))
 }
 
 // sortedKeys returns m's keys in ascending order: the one way core

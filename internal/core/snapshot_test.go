@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -378,6 +379,39 @@ func BenchmarkSearchWarm(b *testing.B) {
 	}
 }
 
+// BenchmarkSnapshotResolve times Resolve on a drained stream's snapshot
+// of 1,000 entities, cycling through 64 of them as queries: title, the
+// entity's title alone; record, its title with every fused value.
+func BenchmarkSnapshotResolve(b *testing.B) {
+	snap, err := drainedStream(b, streamTestWeb(21, 1000, 20)).Rebuild(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var titles, records []*data.Record
+	for i := 0; len(titles) < 64; i += 7 {
+		e := snap.Entities()[i%snap.Len()]
+		title := data.NewRecord("q", "client").Set("title", data.String(e.Title))
+		rec := title.Clone()
+		for a, v := range e.Values {
+			rec.Set(a, v)
+		}
+		titles, records = append(titles, title), append(records, rec)
+	}
+	for _, bc := range []struct {
+		name string
+		recs []*data.Record
+	}{{"title", titles}, {"record", records}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := snap.Resolve(bc.recs[i%len(bc.recs)], 10); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSearchColdRebuild is the pre-snapshot behaviour for
 // comparison: a fresh report per iteration pays the full
 // materialisation every query.
@@ -481,7 +515,8 @@ func TestQueryScratchIsolated(t *testing.T) {
 // TestQueryAllocsFlat pins that a warm query's allocations do not grow
 // with the entities it touches: Search costs the same for a word one
 // entity carries as for words most entities carry, Similar the same for
-// an entity with few neighbours as for one with many, and the probe
+// an entity with few neighbours as for one with many, Resolve the same
+// for a record with one candidate as for one with most entities, and the probe
 // itself allocates nothing.
 func TestQueryAllocsFlat(t *testing.T) {
 	snap, err := testReport(t).Snapshot()
@@ -551,5 +586,22 @@ func TestQueryAllocsFlat(t *testing.T) {
 	if few != many || many > 1 {
 		t.Errorf("Similar allocates %v objects for %s, %v for %s; want the same, at most the hit slice",
 			few, snap.entities[lo].ID, many, snap.entities[hi].ID)
+	}
+	// Resolve on two records of one shape: the rarest word has one
+	// candidate, the most frequent words most entities.
+	for _, c := range []struct {
+		word string
+		want func(int) bool
+	}{{rare, func(n int) bool { return n == 1 }}, {common, func(n int) bool { return 2*n > snap.Len() }}} {
+		if n := len(referenceResolve(snap, data.NewRecord("q", "client").Set("title", data.String(c.word)), 1000)); !c.want(n) {
+			t.Fatalf("Resolve(title %q) scores %d candidates", c.word, n)
+		}
+	}
+	resolve := func(word string) float64 {
+		rec := data.NewRecord("q", "client").Set("title", data.String(word)).Set("brand", data.String("acme"))
+		return allocs(func() ([]Hit, error) { return snap.Resolve(rec, 10) })
+	}
+	if one, most := resolve(rare), resolve(common); one != most {
+		t.Errorf("Resolve allocates %v objects for one candidate, %v for %q", one, most, common)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/fusion"
 	"repro/internal/linkage"
 	"repro/internal/obs"
+	"repro/internal/similarity"
 	"repro/internal/source"
 )
 
@@ -151,9 +152,14 @@ func NewStream(cfg StreamConfig, publish func(*Snapshot)) (*Stream, error) {
 		return nil, err
 	}
 	cfg.defaults()
+	// The linker keeps the rule's feature index current (a
+	// linkage.RecordIndexer), so each record's title is tokenized once,
+	// at upsert, and every comparison runs the set kernel over its IDs.
+	rule := defaultRule([]string{titleAttr}, cfg.MatchThreshold)
+	rule.Comparator.AttachIndex(similarity.BuildFeatureIndex(nil, rule.Comparator, nil))
 	s := &Stream{
 		cfg:     cfg,
-		matcher: defaultRule([]string{titleAttr}, cfg.MatchThreshold),
+		matcher: rule,
 		publish: publish,
 		acc:     map[string]float64{},
 		cursors: map[string]int{},

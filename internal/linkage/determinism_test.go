@@ -131,7 +131,7 @@ func TestMatchAttachesIndex(t *testing.T) {
 		t.Fatal("matching did not attach a feature index")
 	}
 	for _, p := range cands[:10] {
-		if !idx.Has(p.A) || !idx.Has(p.B) {
+		if !idx.Has(d.Record(p.A)) || !idx.Has(d.Record(p.B)) {
 			t.Fatalf("index does not cover candidate pair %v", p)
 		}
 	}

@@ -23,6 +23,10 @@ import (
 // entries stay behind as garbage until Compact rewrites the lists —
 // probes skip tombstoned IDs, so match behaviour is identical whether
 // or not a compaction has run.
+//
+// A Matcher that implements RecordIndexer is told of every record as it
+// enters (Insert, FromState) and leaves (Delete), so a feature index
+// attached to its comparator tokenizes each record once.
 type Incremental struct {
 	Key     func(r *data.Record) []string
 	Matcher Matcher
@@ -101,6 +105,9 @@ func (inc *Incremental) Insert(src *data.Source, r *data.Record) ([]string, erro
 	if err := inc.dataset.AddRecord(r); err != nil {
 		return nil, fmt.Errorf("linkage: incremental insert: %w", err)
 	}
+	if ix, ok := inc.Matcher.(RecordIndexer); ok {
+		ix.IndexRecord(r)
+	}
 	inc.uf.Add(r.ID)
 	inc.n++
 	inc.sets = nil
@@ -174,6 +181,9 @@ func (inc *Incremental) Delete(id string) bool {
 	inc.recluster(id)
 	keys := dedupeKeys(inc.Key(r))
 	inc.dataset.RemoveRecord(id)
+	if ix, ok := inc.Matcher.(RecordIndexer); ok {
+		ix.UnindexRecord(id)
+	}
 	inc.n--
 	inc.dead[id] = keys
 	inc.deadRefs += len(keys)
@@ -347,6 +357,9 @@ func FromState(st *IncrementalState, key func(r *data.Record) []string, m Matche
 	for _, r := range st.Records {
 		if err := inc.dataset.AddRecord(r); err != nil {
 			return nil, fmt.Errorf("linkage: restore record: %w", err)
+		}
+		if ix, ok := m.(RecordIndexer); ok {
+			ix.IndexRecord(r)
 		}
 		inc.uf.Add(r.ID)
 		inc.n++

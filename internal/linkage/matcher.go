@@ -21,11 +21,21 @@ type IDIndexPreparer interface {
 	PrepareIndexIDs(d *data.Dataset, ids []string)
 }
 
+// RecordIndexer is implemented by matchers that keep per-record
+// comparison features (a similarity.FeatureIndex) current as an
+// Incremental linker's records come and go, so each record is
+// tokenized once, when it is inserted, however often it is compared.
+type RecordIndexer interface {
+	IndexRecord(r *data.Record)
+	UnindexRecord(id string)
+}
+
 // PrepareComparatorIndexIDs builds a feature index over the given
 // records and attaches it to the comparator. It is a no-op when the
-// comparator is nil or its attached index already covers every ID (so
-// repeated batches over a stable corpus reuse the cache). IDs must be
-// distinct. Not safe to call concurrently with matching.
+// comparator is nil or its attached index already holds every one of
+// the dataset's records (so repeated batches over a stable corpus
+// reuse the cache). IDs must be distinct. Not safe to call
+// concurrently with matching.
 func PrepareComparatorIndexIDs(c *similarity.RecordComparator, d *data.Dataset, ids []string) {
 	if c == nil || len(c.Fields()) == 0 || len(ids) == 0 {
 		return
@@ -33,7 +43,7 @@ func PrepareComparatorIndexIDs(c *similarity.RecordComparator, d *data.Dataset, 
 	if idx := c.Index(); idx != nil {
 		covered := true
 		for _, id := range ids {
-			if !idx.Has(id) {
+			if !idx.Has(d.Record(id)) {
 				covered = false
 				break
 			}
@@ -51,9 +61,25 @@ func PrepareComparatorIndexIDs(c *similarity.RecordComparator, d *data.Dataset, 
 	c.AttachIndex(similarity.BuildFeatureIndex(recs, c, nil))
 }
 
-// NoIndex hides a matcher's IDIndexPreparer implementation so matching
-// evaluates it without building the per-record feature cache — the
-// uncached baseline for benchmarks and ablations.
+// indexRecord adds r to the comparator's attached feature index, if any.
+func indexRecord(c *similarity.RecordComparator, r *data.Record) {
+	if c != nil && c.Index() != nil {
+		c.Index().Add(r)
+	}
+}
+
+// unindexRecord drops id from the comparator's attached feature index,
+// if any.
+func unindexRecord(c *similarity.RecordComparator, id string) {
+	if c != nil && c.Index() != nil {
+		c.Index().Remove(id)
+	}
+}
+
+// NoIndex hides a matcher's IDIndexPreparer and RecordIndexer
+// implementations so matching evaluates it without building or
+// maintaining the per-record feature cache — the uncached baseline for
+// benchmarks and ablations.
 func NoIndex(m Matcher) Matcher { return noIndexMatcher{m: m} }
 
 type noIndexMatcher struct{ m Matcher }
@@ -78,6 +104,12 @@ func (m ThresholdMatcher) PrepareIndexIDs(d *data.Dataset, ids []string) {
 	PrepareComparatorIndexIDs(m.Comparator, d, ids)
 }
 
+// IndexRecord implements RecordIndexer.
+func (m ThresholdMatcher) IndexRecord(r *data.Record) { indexRecord(m.Comparator, r) }
+
+// UnindexRecord implements RecordIndexer.
+func (m ThresholdMatcher) UnindexRecord(id string) { unindexRecord(m.Comparator, id) }
+
 // RuleMatcher matches when a hard rule fires: any of the Exact
 // attributes agree exactly on non-null normalised values (identifier
 // equality), or the weighted comparator exceeds the threshold. It
@@ -94,7 +126,7 @@ type RuleMatcher struct {
 func identifierHit(exact []string, a, b *data.Record) bool {
 	for _, attr := range exact {
 		va, vb := a.Get(attr), b.Get(attr)
-		if !va.IsNull() && !vb.IsNull() && va.Key() == vb.Key() {
+		if !va.IsNull() && !vb.IsNull() && va.SameKey(vb) {
 			return true
 		}
 	}
@@ -118,6 +150,12 @@ func (m RuleMatcher) PrepareIndexIDs(d *data.Dataset, ids []string) {
 	PrepareComparatorIndexIDs(m.Comparator, d, ids)
 }
 
+// IndexRecord implements RecordIndexer.
+func (m RuleMatcher) IndexRecord(r *data.Record) { indexRecord(m.Comparator, r) }
+
+// UnindexRecord implements RecordIndexer.
+func (m RuleMatcher) UnindexRecord(id string) { unindexRecord(m.Comparator, id) }
+
 // IdentifierFirst puts RuleMatcher's identifier short-circuit ahead of
 // another matcher: a pair agreeing on any Exact attribute matches with
 // score 1, every other pair is Matcher's decision.
@@ -138,5 +176,19 @@ func (m IdentifierFirst) Match(a, b *data.Record) (float64, bool) {
 func (m IdentifierFirst) PrepareIndexIDs(d *data.Dataset, ids []string) {
 	if p, ok := m.Matcher.(IDIndexPreparer); ok {
 		p.PrepareIndexIDs(d, ids)
+	}
+}
+
+// IndexRecord implements RecordIndexer when Matcher does.
+func (m IdentifierFirst) IndexRecord(r *data.Record) {
+	if ix, ok := m.Matcher.(RecordIndexer); ok {
+		ix.IndexRecord(r)
+	}
+}
+
+// UnindexRecord implements RecordIndexer when Matcher does.
+func (m IdentifierFirst) UnindexRecord(id string) {
+	if ix, ok := m.Matcher.(RecordIndexer); ok {
+		ix.UnindexRecord(id)
 	}
 }

@@ -3,7 +3,9 @@ package linkage
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
+	"time"
 
 	"repro/internal/data"
 	"repro/internal/datagen"
@@ -184,4 +186,35 @@ func BenchmarkMatchPairs(b *testing.B) {
 		matchAll(b, d, cands, m, 4)
 	}
 	_ = fmt.Sprint(len(cands))
+}
+
+// TestIdentifierHitSameKey pins the identifier short-circuit's
+// allocation-free equality, Value.SameKey, to the Key equality it
+// replaced, on every pair of a table of identifier spellings: strings,
+// 0 and -0, NaN (which data.Number turns into a null, so it is also
+// spelt as a raw number value), one instant in two zones, bools and
+// mixed kinds. A null never hits.
+func TestIdentifierHitSameKey(t *testing.T) {
+	instant := time.Date(2021, 6, 1, 9, 30, 0, 0, time.UTC)
+	values := []data.Value{
+		data.String("AR-300"), data.String("AR-300"), data.String("ar-300"), data.String(""), data.String("12"),
+		data.Number(0), data.Number(math.Copysign(0, -1)), data.Number(math.NaN()),
+		{Kind: data.KindNumber, Num: math.NaN()}, {Kind: data.KindNumber, Num: -math.NaN()},
+		data.Number(12), data.Number(12.5),
+		data.Time(instant), data.Time(instant.In(time.FixedZone("east", 2*3600))), data.Time(instant.Add(time.Hour)),
+		data.Bool(true), data.Bool(false), data.Bool(true),
+	}
+	for i, a := range values {
+		for j, b := range values {
+			if got, want := a.SameKey(b), a.Key() == b.Key(); got != want {
+				t.Errorf("values %d (%s) and %d (%s): SameKey %v, Key equality %v", i, a.Key(), j, b.Key(), got, want)
+			}
+			ra := &data.Record{ID: "a", Fields: map[string]data.Value{"pid": a}}
+			rb := &data.Record{ID: "b", Fields: map[string]data.Value{"pid": b}}
+			want := !a.IsNull() && !b.IsNull() && a.Key() == b.Key()
+			if got := identifierHit([]string{"pid"}, ra, rb); got != want {
+				t.Errorf("values %d (%s) and %d (%s): identifierHit %v, Key equality %v", i, a.Key(), j, b.Key(), got, want)
+			}
+		}
+	}
 }

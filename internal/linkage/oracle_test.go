@@ -2,12 +2,18 @@ package linkage
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/obs"
+	"repro/internal/similarity"
 )
 
 // The op-sequence fuzz target. Two bytes make one op over a pool of 32
@@ -51,6 +57,42 @@ var fuzzTitles = func() []string {
 	return out
 }()
 
+// opLinker is what an op of the fuzz sequence calls on a linker.
+type opLinker interface {
+	Upsert(src *data.Source, r *data.Record) ([]string, bool, error)
+	Insert(src *data.Source, r *data.Record) ([]string, error)
+	Delete(id string) bool
+	Compact() (slots, keys, tombstones int)
+}
+
+// fuzzOp decodes op i of ops (see the table above) and applies it to l,
+// returning what the call returned; rec is the op's record,
+// fuzzRecord(ops, i). The State → FromState op is the caller's: fuzzOp
+// reports it as restore.
+func fuzzOp(l opLinker, src *data.Source, ops []byte, i int, rec *data.Record) (got string, restore bool) {
+	kind, id := ops[i]>>5, fmt.Sprintf("r%02d", ops[i]&(fuzzIDs-1))
+	switch {
+	case kind <= 2:
+		m, u, err := l.Upsert(src, rec)
+		return fmt.Sprint(m, u, err), false
+	case kind == 3:
+		m, err := l.Insert(src, rec)
+		return fmt.Sprint(m, err), false
+	case kind == 6 && ops[i+1]%2 == 0:
+		return fmt.Sprint(l.Compact()), false
+	case kind == 7:
+		return "", true
+	case kind == 6:
+		id = fmt.Sprintf("outsider%d", ops[i+1])
+	}
+	return fmt.Sprint(l.Delete(id)), false
+}
+
+// fuzzRecord is the record op i of ops upserts or inserts.
+func fuzzRecord(ops []byte, i int) *data.Record {
+	return retractRecord(fmt.Sprintf("r%02d", ops[i]&(fuzzIDs-1)), fuzzTitles[int(ops[i+1])%len(fuzzTitles)])
+}
+
 // FuzzIncrementalOps replays an op sequence into the linker and into the
 // parent commit's (reference_test.go) and requires, after every op, the
 // same return values, clustering, comparison count, live and tombstone
@@ -67,31 +109,16 @@ func FuzzIncrementalOps(f *testing.F) {
 		inc.MaxBlock, ref.MaxBlock = fuzzMaxBlock, fuzzMaxBlock
 		for i := 0; i+1 < len(ops); i += 2 {
 			kind, id := ops[i]>>5, fmt.Sprintf("r%02d", ops[i]&(fuzzIDs-1))
-			rec := retractRecord(id, fuzzTitles[int(ops[i+1])%len(fuzzTitles)])
-			var got, want string
-			switch {
-			case kind <= 2:
-				m1, u1, err1 := inc.Upsert(src, rec)
-				m2, u2, err2 := ref.Upsert(src, rec)
-				got, want = fmt.Sprint(m1, u1, err1), fmt.Sprint(m2, u2, err2)
-			case kind == 3:
-				m1, err1 := inc.Insert(src, rec)
-				m2, err2 := ref.Insert(src, rec)
-				got, want = fmt.Sprint(m1, err1), fmt.Sprint(m2, err2)
-			case kind == 6 && ops[i+1]%2 == 0:
-				got, want = fmt.Sprint(inc.Compact()), fmt.Sprint(ref.Compact())
-			case kind == 7:
+			rec := fuzzRecord(ops, i)
+			got, restore := fuzzOp(inc, src, ops, i, rec)
+			want, _ := fuzzOp(ref, src, ops, i, rec)
+			if restore {
 				restored, err := FromState(inc.State(), TitleTokenKey, incMatcher())
 				if err != nil {
 					t.Fatalf("op %d: FromState of the linker's own State: %v", i/2, err)
 				}
 				restored.MaxBlock = fuzzMaxBlock
 				inc = restored
-			default:
-				if kind == 6 {
-					id = fmt.Sprintf("outsider%d", ops[i+1])
-				}
-				got, want = fmt.Sprint(inc.Delete(id)), fmt.Sprint(ref.Delete(id))
 			}
 			if got != want {
 				t.Fatalf("op %d (kind %d, %s): returned %s, the oracle %s", i/2, kind, id, got, want)
@@ -111,4 +138,129 @@ func FuzzIncrementalOps(f *testing.F) {
 			}
 		}
 	})
+}
+
+// scoreLogger is a title matcher that logs every pair it scores, with
+// the score's bits. Embedding keeps ThresholdMatcher's RecordIndexer.
+type scoreLogger struct {
+	ThresholdMatcher
+	log *[]string
+}
+
+func (m scoreLogger) Match(a, b *data.Record) (float64, bool) {
+	s, ok := m.ThresholdMatcher.Match(a, b)
+	*m.log = append(*m.log, fmt.Sprintf("%s~%s:%x", a.ID, b.ID, math.Float64bits(s)))
+	return s, ok
+}
+
+// TestIncrementalIndexMatchesStrings replays the FuzzIncrementalOps
+// corpus twice: through a linker whose matcher keeps an attached
+// feature index current, so every comparison runs the set kernel over
+// IDs interned at insert, and through one with the same matcher behind
+// NoIndex, so every comparison tokenizes both titles. After every op the
+// two return the same values and hold the same partition, Comparisons
+// and State, and every pair either compared scored the same bits both
+// ways. Every live pair also scores the same bits under the maintained
+// index as under BuildFeatureIndex over the live records. Each sequence
+// ends by deleting every ID and upserting two again, so the index, its
+// 24 title tokens now mostly dead, must re-intern; the replay asserts
+// it did.
+func TestIncrementalIndexMatchesStrings(t *testing.T) {
+	files, err := filepath.Glob("testdata/fuzz/FuzzIncrementalOps/*")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("corpus: %v, %d files", err, len(files))
+	}
+	reinterns, reg := 0, obs.NewRegistry()
+	for _, file := range files {
+		ops := readFuzzBytes(t, file)
+		for id := byte(0); id < fuzzIDs; id++ {
+			ops = append(ops, 4<<5|id, 0)
+		}
+		ops = append(ops, 0, 1, 1, 2)
+		src := &data.Source{ID: "s"}
+		var cachedLog, stringLog []string
+		indexed := func() scoreLogger {
+			m := incMatcher().(ThresholdMatcher)
+			m.Comparator.AttachIndex(similarity.BuildFeatureIndex(nil, m.Comparator, nil))
+			m.Comparator.AttachObs(reg)
+			return scoreLogger{m, &cachedLog}
+		}
+		cachedM, stringM := indexed(), NoIndex(scoreLogger{incMatcher().(ThresholdMatcher), &stringLog})
+		cached, plain := NewIncremental(TitleTokenKey, cachedM), NewIncremental(TitleTokenKey, stringM)
+		cached.MaxBlock, plain.MaxBlock = fuzzMaxBlock, fuzzMaxBlock
+		for i := 0; i+1 < len(ops); i += 2 {
+			where := fmt.Sprintf("%s op %d", filepath.Base(file), i/2)
+			idx := cachedM.Comparator.Index()
+			interned := idx.Interned()
+			rec := fuzzRecord(ops, i)
+			got, restore := fuzzOp(cached, src, ops, i, rec)
+			want, _ := fuzzOp(plain, src, ops, i, rec)
+			if restore {
+				cachedM = indexed()
+				if cached, err = FromState(cached.State(), TitleTokenKey, cachedM); err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+				if plain, err = FromState(plain.State(), TitleTokenKey, stringM); err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+				cached.MaxBlock, plain.MaxBlock = fuzzMaxBlock, fuzzMaxBlock
+			} else if idx.Interned() < interned {
+				reinterns++
+			}
+			if got != want {
+				t.Fatalf("%s: the indexed linker returned %s, the string one %s", where, got, want)
+			}
+			if !reflect.DeepEqual(cachedLog, stringLog) {
+				t.Fatalf("%s: scored pairs\n%v\nthe string metric\n%v", where, cachedLog, stringLog)
+			}
+			cachedLog, stringLog = cachedLog[:0], stringLog[:0]
+			if a, b := cached.Clusters(), plain.Clusters(); !reflect.DeepEqual(a, b) {
+				t.Fatalf("%s: clusters\n%v\nthe string metric's\n%v", where, a, b)
+			}
+			if cached.Comparisons() != plain.Comparisons() {
+				t.Fatalf("%s: %d comparisons, the string metric %d", where, cached.Comparisons(), plain.Comparisons())
+			}
+			if a, b := cached.State(), plain.State(); !reflect.DeepEqual(a, b) {
+				t.Fatalf("%s: State\n%+v\nthe string metric's\n%+v", where, a, b)
+			}
+			live := cached.Dataset().Records()
+			if idx := cachedM.Comparator.Index(); idx.Len() != len(live) {
+				t.Fatalf("%s: the index holds %d records, the linker %d", where, idx.Len(), len(live))
+			}
+			built := incMatcher().(ThresholdMatcher).Comparator
+			built.AttachIndex(similarity.BuildFeatureIndex(live, built, nil))
+			for _, a := range live {
+				for _, b := range live {
+					if x, y := cachedM.Comparator.Compare(a, b), built.Compare(a, b); math.Float64bits(x) != math.Float64bits(y) {
+						t.Fatalf("%s: %s~%s scores %v under the maintained index, %v under a built one", where, a.ID, b.ID, x, y)
+					}
+				}
+			}
+		}
+	}
+	if n := reg.Counter("matching.uncached_compares").Value(); n != 0 {
+		t.Errorf("the indexed linker scored %d pairs without its index", n)
+	}
+	if reinterns == 0 {
+		t.Error("the replay never re-interned the index")
+	}
+}
+
+// readFuzzBytes reads a one-value []byte corpus file of the native
+// fuzzing format.
+func readFuzzBytes(t *testing.T, file string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitN(strings.TrimSpace(string(raw)), "\n", 2)
+	if len(lines) != 2 || lines[0] != "go test fuzz v1" || !strings.HasPrefix(lines[1], "[]byte(") || !strings.HasSuffix(lines[1], ")") {
+		t.Fatalf("%s is not a one-value []byte corpus file", file)
+	}
+	s, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", file, err)
+	}
+	return []byte(s)
 }

@@ -1,9 +1,10 @@
 package similarity
 
 import (
+	"cmp"
 	"math"
 	"reflect"
-	"sort"
+	"slices"
 
 	"repro/internal/data"
 	"repro/internal/tokenize"
@@ -19,17 +20,37 @@ import (
 // through allocation-free kernels that linearly merge the sorted ID
 // slices instead of rebuilding hash sets per pair.
 //
-// A FeatureIndex has a build-then-read life-cycle: BuildFeatureIndex
-// constructs it in one goroutine; afterwards it is safe for concurrent
-// readers (the parallel matching workers). Kernel results are exactly
-// equal to the uncached metrics, so attaching an index never changes
-// match decisions for the built-in token metrics.
+// An index is built once (BuildFeatureIndex) or maintained record by
+// record (Add, Remove) — BuildFeatureIndex is Add in a loop. Mutation
+// is single-goroutine; between mutations the index is safe for
+// concurrent readers (the parallel matching workers). Kernel results
+// are exactly equal to the uncached metrics, so attaching an index
+// never changes match decisions for the built-in token metrics.
+//
+// Each entry holds the record it was built from, and the comparator
+// reads an entry only for that very record: a stale entry (an ID whose
+// record has since been replaced) or a foreign record carrying an
+// indexed ID is scored as if no index were attached.
+//
+// Interned IDs are never reused, so a long-lived index accumulates the
+// IDs of tokens no live record carries. The index counts the IDs its
+// live entries hold (Σ); once the interner holds more than 2·Σ IDs,
+// dead ones outnumber live ones and Add renumbers the live IDs into a
+// fresh interner — O(live), amortised over the Σ or more IDs interned
+// since the last renumbering.
 type FeatureIndex struct {
 	fields   []FieldWeight
 	kernels  []kernel
 	interner *tokenize.Interner
 	corpus   *tokenize.Corpus
-	feats    map[string][]fieldFeature
+	feats    map[string]indexedRecord
+	live     int // Σ: token and TF-IDF IDs held by the entries, with repeats
+}
+
+// indexedRecord is one entry: the record and its per-field features.
+type indexedRecord struct {
+	rec *data.Record
+	ff  []fieldFeature
 }
 
 // fieldFeature caches one record's comparison features for one field.
@@ -90,18 +111,21 @@ var (
 )
 
 // BuildFeatureIndex tokenizes every record's compared attributes once
-// and returns the resulting index. When the comparator uses the TFIDF
-// metric, the vectors are weighted by corpus; a nil corpus is built
-// from the indexed field values (one document per non-null string
-// value). Pass a corpus to take document-frequency statistics from a
-// wider collection. The corpus is frozen (see tokenize.Corpus.Freeze)
-// so the cached vectors can be read concurrently.
+// and returns the resulting index; with no records it is an empty
+// index to maintain with Add and Remove. When the comparator uses the
+// TFIDF metric, the vectors are weighted by corpus; a nil corpus is
+// built from the given records' field values (one document per
+// non-null string value). Pass a corpus to take document-frequency
+// statistics from a wider collection. The corpus is frozen (see
+// tokenize.Corpus.Freeze) so the cached vectors can be read
+// concurrently. An index with no corpus scores TFIDF fields through
+// Values.
 func BuildFeatureIndex(records []*data.Record, rc *RecordComparator, corpus *tokenize.Corpus) *FeatureIndex {
 	idx := &FeatureIndex{
 		fields:   rc.fields,
 		kernels:  make([]kernel, len(rc.fields)),
 		interner: tokenize.NewInterner(),
-		feats:    make(map[string][]fieldFeature, len(records)),
+		feats:    make(map[string]indexedRecord, len(records)),
 	}
 	needTFIDF := false
 	for i, f := range rc.fields {
@@ -110,7 +134,7 @@ func BuildFeatureIndex(records []*data.Record, rc *RecordComparator, corpus *tok
 			needTFIDF = true
 		}
 	}
-	if needTFIDF && corpus == nil {
+	if needTFIDF && corpus == nil && len(records) > 0 {
 		corpus = tokenize.NewCorpus()
 		for _, r := range records {
 			if r == nil {
@@ -127,29 +151,86 @@ func BuildFeatureIndex(records []*data.Record, rc *RecordComparator, corpus *tok
 		corpus.Freeze()
 		idx.corpus = corpus
 	}
-
 	for _, r := range records {
-		if r == nil {
-			continue
+		if r != nil {
+			idx.Add(r)
 		}
-		if _, dup := idx.feats[r.ID]; dup {
-			continue
-		}
-		ff := make([]fieldFeature, len(rc.fields))
-		for i, f := range rc.fields {
-			v := r.Get(f.Attr)
-			ff[i].val = v
-			if v.Kind != data.KindString {
-				continue
-			}
-			ff[i].tokens = idx.internTokens(v.Str)
-			if needTFIDF && idx.kernels[i] == kernelTFIDF {
-				ff[i].tfidf = idx.internVector(corpus.Vector(v.Str))
-			}
-		}
-		idx.feats[r.ID] = ff
 	}
 	return idx
+}
+
+// Add computes r's features, replacing any entry for r.ID. Not safe
+// concurrently with any other use of the index.
+func (idx *FeatureIndex) Add(r *data.Record) {
+	idx.Remove(r.ID)
+	ff := make([]fieldFeature, len(idx.fields))
+	for i, f := range idx.fields {
+		v := r.Get(f.Attr)
+		ff[i].val = v
+		if v.Kind != data.KindString {
+			continue
+		}
+		ff[i].tokens = idx.internTokens(v.Str)
+		if idx.kernels[i] == kernelTFIDF && idx.corpus != nil {
+			ff[i].tfidf = idx.internVector(idx.corpus.Vector(v.Str))
+		}
+		idx.live += len(ff[i].tokens) + len(ff[i].tfidf)
+	}
+	idx.feats[r.ID] = indexedRecord{rec: r, ff: ff}
+	if idx.interner.Len() > 2*idx.live {
+		idx.reintern()
+	}
+}
+
+// Remove drops the entry for id, if any. Not safe concurrently with any
+// other use of the index.
+func (idx *FeatureIndex) Remove(id string) {
+	e, ok := idx.feats[id]
+	if !ok {
+		return
+	}
+	for _, f := range e.ff {
+		idx.live -= len(f.tokens) + len(f.tfidf)
+	}
+	delete(idx.feats, id)
+}
+
+// reintern renumbers the IDs the live entries hold into a fresh
+// interner, in ascending order of their old IDs. The renumbering is
+// monotone, so every token set and vector stays sorted and every
+// kernel — the TF-IDF dot product's summation order included — returns
+// the same bits.
+func (idx *FeatureIndex) reintern() {
+	old := idx.interner
+	held := make([]bool, old.Len())
+	for _, e := range idx.feats {
+		for _, f := range e.ff {
+			for _, id := range f.tokens {
+				held[id] = true
+			}
+			for _, w := range f.tfidf {
+				held[w.ID] = true
+			}
+		}
+	}
+	fresh := tokenize.NewInterner()
+	renum := make([]uint32, len(held))
+	for id, ok := range held {
+		if ok {
+			renum[id] = fresh.Intern(old.Token(uint32(id)))
+		}
+	}
+	for _, e := range idx.feats {
+		for _, f := range e.ff {
+			for i, id := range f.tokens {
+				f.tokens[i] = renum[id]
+			}
+			for i, w := range f.tfidf {
+				f.tfidf[i].ID = renum[w.ID]
+			}
+		}
+	}
+	idx.interner = fresh
 }
 
 // internTokens interns the distinct normalised words of s and returns
@@ -163,15 +244,9 @@ func (idx *FeatureIndex) internTokens(s string) []uint32 {
 	for _, w := range words {
 		ids = append(ids, idx.interner.Intern(w))
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	// Dedupe in place: WordSet semantics over sorted IDs.
-	out := ids[:1]
-	for _, id := range ids[1:] {
-		if id != out[len(out)-1] {
-			out = append(out, id)
-		}
-	}
-	return out
+	// WordSet semantics over sorted IDs.
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // internVector converts a term-sorted TF-IDF vector to interned IDs
@@ -184,18 +259,21 @@ func (idx *FeatureIndex) internVector(vec []tokenize.Weight) []WeightedID {
 	for i, w := range vec {
 		out[i] = WeightedID{ID: idx.interner.Intern(w.Term), W: w.W}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b WeightedID) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
-// Has reports whether the index carries features for the record ID.
-func (idx *FeatureIndex) Has(id string) bool {
-	_, ok := idx.feats[id]
-	return ok
+// Has reports whether the index carries features built from r itself.
+func (idx *FeatureIndex) Has(r *data.Record) bool {
+	return r != nil && idx.feats[r.ID].rec == r
 }
 
 // Len returns the number of indexed records.
 func (idx *FeatureIndex) Len() int { return len(idx.feats) }
+
+// Interned returns the number of token IDs the interner holds, live and
+// dead.
+func (idx *FeatureIndex) Interned() int { return idx.interner.Len() }
 
 // Corpus returns the TF-IDF corpus backing the index (nil when no
 // field uses the TFIDF metric and none was supplied).
@@ -203,15 +281,16 @@ func (idx *FeatureIndex) Corpus() *tokenize.Corpus { return idx.corpus }
 
 // Tokens returns the sorted interned token IDs cached for one record's
 // attribute (nil when the record or a string value is absent). Exposed
-// for blocking and diagnostics; the slice must not be mutated.
+// for blocking and diagnostics; the slice must not be mutated, and its
+// IDs hold until the next Add.
 func (idx *FeatureIndex) Tokens(id, attr string) []uint32 {
-	ff, ok := idx.feats[id]
+	e, ok := idx.feats[id]
 	if !ok {
 		return nil
 	}
 	for i, f := range idx.fields {
 		if f.Attr == attr {
-			return ff[i].tokens
+			return e.ff[i].tokens
 		}
 	}
 	return nil
@@ -235,11 +314,12 @@ func intersectSize(a, b []uint32) int {
 	return n
 }
 
-// setKernel scores two sorted token-ID sets with the given set metric.
-// Results are exactly equal to the map-based metrics over the same
-// token sets, including the empty-set conventions.
-func setKernel(k kernel, a, b []uint32) float64 {
-	la, lb := len(a), len(b)
+// setKernel scores two sorted token-ID sets of la and lb distinct
+// tokens with the given set metric; a set may leave out tokens that
+// cannot intersect (la ≥ len(a)). Results are exactly equal to the
+// map-based metrics over the same token sets, including the empty-set
+// conventions.
+func setKernel(k kernel, a []uint32, la int, b []uint32, lb int) float64 {
 	if la == 0 && lb == 0 {
 		return 1
 	}

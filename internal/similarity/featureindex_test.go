@@ -2,10 +2,12 @@ package similarity
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/data"
+	"repro/internal/obs"
 	"repro/internal/tokenize"
 )
 
@@ -185,7 +187,7 @@ func TestUnindexedRecordsFallBack(t *testing.T) {
 	if got := rc.Compare(recs[0], fresh); got != want {
 		t.Errorf("fallback Compare = %v, want %v", got, want)
 	}
-	if !rc.Index().Has(recs[0].ID) || rc.Index().Has("fresh") {
+	if !rc.Index().Has(recs[0]) || rc.Index().Has(fresh) {
 		t.Error("index coverage misreported by Has")
 	}
 }
@@ -209,5 +211,114 @@ func TestIndexTokensAccessor(t *testing.T) {
 	}
 	if idx.Len() != 1 {
 		t.Errorf("Len = %d", idx.Len())
+	}
+}
+
+// TestIndexReadsOnlyItsOwnRecords pins that a cached entry is read only
+// for the record it was built from: after an ID's record is replaced
+// the old entry is never read for the new record, and a foreign record
+// carrying an indexed ID scores as if no index were attached.
+func TestIndexReadsOnlyItsOwnRecords(t *testing.T) {
+	recs := indexWorkload()
+	rc, plain := indexComparator(), indexComparator()
+	reg := obs.NewRegistry()
+	rc.AttachObs(reg)
+	rc.AttachIndex(BuildFeatureIndex(recs, rc, nil))
+	uncached := reg.Counter("matching.uncached_compares")
+
+	// A foreign record under recs[0]'s ID, with another title.
+	foreign := recs[0].Clone().Set("title", data.String("orbit lens kit"))
+	if rc.Index().Has(foreign) {
+		t.Fatal("Has reports a foreign record under an indexed ID")
+	}
+	for _, other := range recs {
+		before := uncached.Value()
+		if got, want := rc.Compare(foreign, other), plain.Compare(foreign, other); got != want {
+			t.Errorf("foreign %s vs %s: %v, uncached %v", foreign.ID, other.ID, got, want)
+		}
+		if uncached.Value() != before+1 {
+			t.Fatalf("foreign %s vs %s was scored from the cache", foreign.ID, other.ID)
+		}
+	}
+	// Replace recs[1] in the index; the stale record is no longer read
+	// from it, the new one is.
+	stale, fresh := recs[1], recs[1].Clone().Set("title", data.String("zenix photon blender"))
+	rc.Index().Add(fresh)
+	for _, other := range recs[2:] {
+		before := uncached.Value()
+		if got, want := rc.Compare(stale, other), plain.Compare(stale, other); got != want {
+			t.Errorf("stale %s vs %s: %v, uncached %v", stale.ID, other.ID, got, want)
+		}
+		if got, want := rc.Compare(fresh, other), plain.Compare(fresh, other); got != want {
+			t.Errorf("fresh %s vs %s: %v, uncached %v", fresh.ID, other.ID, got, want)
+		}
+		if uncached.Value() != before+1 {
+			t.Fatalf("stale %s vs %s was scored from the cache, or fresh was not", stale.ID, other.ID)
+		}
+	}
+}
+
+// TestIndexAddRemoveMatchesBuild drives an index through random Adds —
+// of new records and of replacements under a live ID — and Removes, and
+// after every step requires every pair of live records to score as
+// under BuildFeatureIndex over them: bit for bit on the set and value
+// fields, within the TF-IDF tolerance on a TF-IDF comparator. The
+// titles draw fresh words, so the index re-interns on the way; the test
+// asserts it did.
+func TestIndexAddRemoveMatchesBuild(t *testing.T) {
+	base := indexWorkload()
+	corpus := tokenize.NewCorpus()
+	for _, r := range base {
+		corpus.Add(r.Get("title").String())
+	}
+	tfidf := func() *RecordComparator {
+		return NewRecordComparator(FieldWeight{Attr: "title", Weight: 1, Metric: TFIDF(corpus)})
+	}
+	for _, c := range []struct {
+		name string
+		make func() *RecordComparator
+		tol  float64
+	}{{"sets", indexComparator, 0}, {"tfidf", tfidf, 1e-12}} {
+		rc := c.make()
+		idx := BuildFeatureIndex(nil, rc, corpus)
+		rc.AttachIndex(idx)
+		rng := rand.New(rand.NewSource(3))
+		live := map[string]*data.Record{}
+		reinterns := 0
+		for step := 0; step < 600; step++ {
+			interned := idx.Interned()
+			r := base[rng.Intn(len(base))]
+			if _, ok := live[r.ID]; ok && rng.Intn(3) == 0 {
+				idx.Remove(r.ID)
+				delete(live, r.ID)
+			} else {
+				r = r.Clone().Set("title", data.String(fmt.Sprintf("%s w%d", r.Get("title").String(), step)))
+				idx.Add(r)
+				live[r.ID] = r
+			}
+			if idx.Interned() < interned {
+				reinterns++
+			}
+			var recs []*data.Record
+			for _, r := range live {
+				recs = append(recs, r)
+			}
+			built := c.make()
+			built.AttachIndex(BuildFeatureIndex(recs, built, corpus))
+			if idx.Len() != len(recs) {
+				t.Fatalf("%s step %d: %d entries for %d live records", c.name, step, idx.Len(), len(recs))
+			}
+			for _, a := range recs {
+				for _, b := range recs {
+					got, want := rc.Compare(a, b), built.Compare(a, b)
+					if d := got - want; d > c.tol || d < -c.tol {
+						t.Fatalf("%s step %d: %s~%s scores %v maintained, %v built", c.name, step, a.ID, b.ID, got, want)
+					}
+				}
+			}
+		}
+		if reinterns == 0 {
+			t.Errorf("%s: the index never re-interned", c.name)
+		}
 	}
 }

@@ -58,20 +58,21 @@ func Numeric(a, b, scale float64) float64 {
 	return 1 - rel/scale
 }
 
+// noEvidence is the similarity of a value to a null: no evidence
+// either way.
+const noEvidence = 0.5
+
 // Values compares two typed values. Strings use the supplied metric
 // (JaroWinkler when nil), numbers use Numeric, bools and times use
 // equality, mismatched kinds fall back to comparing string renderings
-// with the metric at half weight, and two nulls are incomparable (0.5,
-// "no evidence").
+// with the metric at half weight, and a null is incomparable with
+// anything (0.5, "no evidence").
 func Values(a, b data.Value, m Metric) float64 {
 	if m == nil {
 		m = JaroWinkler
 	}
-	if a.IsNull() && b.IsNull() {
-		return 0.5
-	}
 	if a.IsNull() || b.IsNull() {
-		return 0.5
+		return noEvidence
 	}
 	if a.Kind != b.Kind {
 		return 0.5 * m(a.String(), b.String())
@@ -100,6 +101,48 @@ func Values(a, b data.Value, m Metric) float64 {
 	return 0
 }
 
+// JaccardValues is Values(a, b, Jaccard) for two non-null values whose
+// word sets come as sorted distinct IDs from one dictionary: aIDs are
+// the IDs of a's words (of its rendering when a is not a string) that
+// the dictionary knows and aWords counts all of them, known or not; an
+// unknown word widens the union but cannot intersect. bIDs are all of
+// b's words. The sets are read only when b is a string; otherwise the
+// result is Values itself, which renders and tokenises b when the kinds
+// differ. The result is bit-identical to Values.
+func JaccardValues(a data.Value, aIDs []uint32, aWords int, b data.Value, bIDs []uint32) float64 {
+	switch {
+	case b.Kind != data.KindString:
+		return Values(a, b, Jaccard)
+	case a.Kind == data.KindString:
+		return setKernel(kernelJaccard, aIDs, aWords, bIDs, len(bIDs))
+	}
+	return 0.5 * setKernel(kernelJaccard, aIDs, aWords, bIDs, len(bIDs))
+}
+
+// WeightedAverage is how a RecordComparator combines field similarities:
+// the weighted mean over the fields either record carries, where a field
+// only one of them carries scores 0.5 (Values' "no evidence"), and 0
+// when neither carries any compared field. Adding the fields in the
+// comparator's field order reproduces Compare bit for bit.
+type WeightedAverage struct{ sum, wsum float64 }
+
+// Add adds a field with the given weight and similarity.
+func (a *WeightedAverage) Add(weight, sim float64) {
+	a.sum += weight * sim
+	a.wsum += weight
+}
+
+// AddOneSided adds a field only one of the two records carries.
+func (a *WeightedAverage) AddOneSided(weight float64) { a.Add(weight, noEvidence) }
+
+// Score returns the weighted mean, 0 when no field was added.
+func (a *WeightedAverage) Score() float64 {
+	if a.wsum == 0 {
+		return 0
+	}
+	return a.sum / a.wsum
+}
+
 // FieldWeight assigns a comparison weight to an attribute.
 type FieldWeight struct {
 	Attr   string
@@ -112,9 +155,10 @@ type FieldWeight struct {
 // skipped; fields missing from one contribute the neutral 0.5.
 //
 // Attaching a FeatureIndex (AttachIndex) switches Compare and
-// FieldScoresInto to allocation-free cached kernels for every indexed
-// record pair; unindexed records fall back to the direct path, so a
-// stale or partial index degrades performance, never correctness.
+// FieldScoresInto to allocation-free cached kernels for every pair of
+// records the index holds; any other record — unindexed, or replaced
+// since its ID was indexed — falls back to the direct path, so a stale
+// or partial index degrades performance, never correctness.
 type RecordComparator struct {
 	fields []FieldWeight
 	idx    *FeatureIndex
@@ -152,8 +196,9 @@ func UniformComparator(m Metric, attrs ...string) *RecordComparator {
 func (rc *RecordComparator) Fields() []FieldWeight { return rc.fields }
 
 // AttachIndex attaches a feature index built from this comparator (see
-// BuildFeatureIndex); nil detaches. Attach before sharing the
-// comparator across matching workers — the workers only read it.
+// BuildFeatureIndex); nil detaches. Attach, and mutate the index, only
+// while no matching worker shares the comparator — the workers only
+// read it.
 func (rc *RecordComparator) AttachIndex(idx *FeatureIndex) { rc.idx = idx }
 
 // Index returns the attached feature index, or nil.
@@ -169,19 +214,17 @@ func (rc *RecordComparator) AttachObs(reg *obs.Registry) {
 }
 
 // cachedFeatures returns both records' cached field features when the
-// attached index covers them.
+// attached index holds entries built from these very records.
 func (rc *RecordComparator) cachedFeatures(a, b *data.Record) (fa, fb []fieldFeature, ok bool) {
 	idx := rc.idx
 	if idx == nil || len(idx.fields) != len(rc.fields) {
 		return nil, nil, false
 	}
-	if fa, ok = idx.feats[a.ID]; !ok {
+	ea, eb := idx.feats[a.ID], idx.feats[b.ID]
+	if ea.rec != a || eb.rec != b {
 		return nil, nil, false
 	}
-	if fb, ok = idx.feats[b.ID]; !ok {
-		return nil, nil, false
-	}
-	return fa, fb, true
+	return ea.ff, eb.ff, true
 }
 
 // fieldSim scores one field from cached features, dispatching to the
@@ -196,7 +239,7 @@ func (rc *RecordComparator) fieldSim(i int, fa, fb []fieldFeature) float64 {
 				return dotKernel(fa[i].tfidf, fb[i].tfidf)
 			}
 		} else {
-			return setKernel(k, fa[i].tokens, fb[i].tokens)
+			return setKernel(k, fa[i].tokens, len(fa[i].tokens), fb[i].tokens, len(fb[i].tokens))
 		}
 	}
 	return Values(va, vb, rc.fields[i].Metric)
@@ -205,35 +248,26 @@ func (rc *RecordComparator) fieldSim(i int, fa, fb []fieldFeature) float64 {
 // Compare returns the weighted-average similarity of two records in
 // [0,1]. With no comparable fields it returns 0.
 func (rc *RecordComparator) Compare(a, b *data.Record) float64 {
+	var avg WeightedAverage
 	if fa, fb, ok := rc.cachedFeatures(a, b); ok {
 		rc.obsCached.Inc()
-		var sum, wsum float64
 		for i, f := range rc.fields {
 			if fa[i].val.IsNull() && fb[i].val.IsNull() {
 				continue
 			}
-			sum += f.Weight * rc.fieldSim(i, fa, fb)
-			wsum += f.Weight
+			avg.Add(f.Weight, rc.fieldSim(i, fa, fb))
 		}
-		if wsum == 0 {
-			return 0
-		}
-		return sum / wsum
+		return avg.Score()
 	}
 	rc.obsUncached.Inc()
-	var sum, wsum float64
 	for _, f := range rc.fields {
 		va, vb := a.Get(f.Attr), b.Get(f.Attr)
 		if va.IsNull() && vb.IsNull() {
 			continue
 		}
-		sum += f.Weight * Values(va, vb, f.Metric)
-		wsum += f.Weight
+		avg.Add(f.Weight, Values(va, vb, f.Metric))
 	}
-	if wsum == 0 {
-		return 0
-	}
-	return sum / wsum
+	return avg.Score()
 }
 
 // FieldScoresInto writes the per-field similarity vector used by
