@@ -31,9 +31,10 @@ bench:
 
 # Chaos gate under the race detector: the fault-injection sweep (E23),
 # then kill-mid-compaction at workers {1,2,8} with byte-identity of the
-# restored state, backup-file recovery, the codec corruption sweep, the
-# linker's op-sequence corpus against its full-rebuild oracle with the
-# retraction cost curve, the same corpus through a linker that keeps a
+# restored state, backup-file recovery, the committed v2 state file
+# loading compacted and draining to the uninterrupted run's output, the
+# codec corruption sweep, the linker's op-sequence corpus against its
+# full-rebuild oracle with the retraction cost curve, the same corpus through a linker that keeps a
 # feature index current against one that tokenizes every comparison
 # (down to a re-intern of the index), the stream's op-sequence corpus against the
 # from-scratch publish with the publish cost curve and readers racing
@@ -52,4 +53,4 @@ bench:
 # pipeline runs on every candidate path leave no spill directory behind.
 chaos:
 	$(GO) run -race ./cmd/bdibench -exp E23
-	$(GO) test -race -run 'TestStreamKillMidCompactionChaos|TestStreamStateBackupRecovery|TestStreamStateDecodeRobust|FuzzStreamStateDecode|FuzzIncrementalOps|TestIncrementalIndexMatchesStrings|TestDeleteCostIndependentOfCorpus|FuzzHandlers|TestShutdownDuringPublish|FuzzStreamOps|TestPublishCostFollowsDirtySet|TestSnapshotsShareNoMutableState|TestStreamTokenIDsStable|TestQueryScratchIsolated|TestOnlineKernelMatchesReference|TestFusersKeepParentBits|TestRecordFleetsKeepParentBits|TestStreamSurvivesPanickingSource|TestStreamPanicOnceDrainsClean|TestIngestMatchesStream|TestStreamStopWaitsForSave|TestSpillCancellation|TestIndexedPairsLeaveNoSpill|TestPipelineShardedSpilledIdentical' ./internal/core/... ./internal/source/... ./internal/linkage/... ./internal/serve/... ./internal/fusion/... ./internal/blocking/... ./cmd/bdiserve/...
+	$(GO) test -race -run 'TestStreamKillMidCompactionChaos|TestStreamStateBackupRecovery|TestV2CommittedFixtureLoadsCompacted|TestStreamStateDecodeRobust|FuzzStreamStateDecode|FuzzIncrementalOps|TestIncrementalIndexMatchesStrings|TestDeleteCostIndependentOfCorpus|FuzzHandlers|TestShutdownDuringPublish|FuzzStreamOps|TestPublishCostFollowsDirtySet|TestSnapshotsShareNoMutableState|TestStreamTokenIDsStable|TestQueryScratchIsolated|TestOnlineKernelMatchesReference|TestFusersKeepParentBits|TestRecordFleetsKeepParentBits|TestStreamSurvivesPanickingSource|TestStreamPanicOnceDrainsClean|TestIngestMatchesStream|TestStreamStopWaitsForSave|TestSpillCancellation|TestIndexedPairsLeaveNoSpill|TestPipelineShardedSpilledIdentical' ./internal/core/... ./internal/source/... ./internal/linkage/... ./internal/serve/... ./internal/fusion/... ./internal/blocking/... ./cmd/bdiserve/...

@@ -251,11 +251,11 @@ var (
 // Mutable-stream re-exports — updates and deletions. A source's log
 // carries typed deltas (upsert/delete); the stream retracts deleted
 // records from posting lists and the partition (deterministic
-// recluster of the affected component), keeps tombstones for
-// crash-safe resume, and compacts its persisted state when the
-// tombstone garbage ratio crosses StreamConfig.CompactRatio.
-// cmd/bdirun -stream-update-rate/-stream-delete-rate/-compact are the
-// runnable forms; E28 in cmd/bdibench is the churn evaluation.
+// recluster of the affected component), leaves tombstoned posting
+// slots that probes skip, and compacts its in-memory posting index when
+// the tombstone garbage ratio crosses StreamConfig.CompactRatio.
+// cmd/bdirun -stream-update-rate/-stream-delete-rate are the runnable
+// forms; E28 in cmd/bdibench is the churn evaluation.
 type (
 	// Delta is one typed stream mutation: an upsert carrying a record,
 	// or a deletion carrying only the record ID.

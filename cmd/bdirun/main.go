@@ -77,17 +77,9 @@ func run() error {
 		streamState   = flag.String("stream-state", "", "stream state file: restored on start, saved at each epoch (empty = no persistence)")
 		streamUpdate  = flag.Float64("stream-update-rate", 0, "with -stream: churn this fraction of records as corrupt-then-correct updates")
 		streamDelete  = flag.Float64("stream-delete-rate", 0, "with -stream: churn this fraction of records as late deletions")
-		streamCompact = flag.Float64("stream-compact-ratio", 0, "with -stream: compact state when tombstone garbage reaches this posting-slot ratio (0 = never)")
-		compactOnce   = flag.Bool("compact", false, "one-shot: compact the -stream-state file in place and exit")
+		streamCompact = flag.Float64("stream-compact-ratio", 0, "with -stream: compact the in-memory posting index when tombstone garbage reaches this posting-slot ratio (0 = never)")
 	)
 	flag.Parse()
-
-	if *compactOnce {
-		if *streamState == "" {
-			return fmt.Errorf("-compact requires -stream-state")
-		}
-		return compactStateFile(*streamState)
-	}
 
 	r := os.Stdin
 	if *in != "-" {
@@ -343,23 +335,6 @@ func runStream(ctx context.Context, cfg core.StreamConfig, fleet []source.DeltaS
 	if live := st.Dataset().GroundTruthClusters(); len(live) > 0 {
 		fmt.Printf("linkage quality vs live ground truth: %s\n", eval.Clusters(st.Clusters(), live))
 	}
-	return nil
-}
-
-// compactStateFile is the -compact one-shot: load a persisted stream
-// state, rewrite its posting lists and partition dropping tombstoned
-// IDs, and save it back atomically (the previous state rotates to .bak).
-func compactStateFile(path string) error {
-	st, err := core.LoadStream(path, core.StreamConfig{StatePath: path}, nil)
-	if err != nil {
-		return err
-	}
-	slots, keys, tombs := st.Compact()
-	if err := st.Save(path); err != nil {
-		return err
-	}
-	fmt.Printf("compacted %s: reclaimed %d posting slots across %d keys, dropped %d tombstones\n",
-		path, slots, keys, tombs)
 	return nil
 }
 

@@ -35,13 +35,13 @@ type StreamConfig struct {
 	// (0 = its default 10).
 	FusionN float64
 
-	// CompactRatio enables automatic state compaction: when the
-	// incremental linker's garbage ratio (posting slots owned by
-	// tombstoned IDs) reaches this threshold after an epoch, the
-	// posting lists are rewritten dropping dead entries before the next
-	// save. 0 disables automatic compaction (Compact can still be
-	// called explicitly); compaction never changes match behaviour,
-	// only the size of the in-memory index and the state file.
+	// CompactRatio enables automatic compaction of the in-memory
+	// posting index: when the incremental linker's garbage ratio
+	// (posting slots owned by tombstoned IDs) reaches this threshold
+	// after an epoch, the posting lists are rewritten dropping dead
+	// entries. 0 disables automatic compaction (Compact can still be
+	// called explicitly); compaction never changes match behaviour or
+	// the state file, only the size of the in-memory posting index.
 	CompactRatio float64
 
 	// Publishing cadence. PublishEvery > 0 republishes every that many
@@ -52,9 +52,9 @@ type StreamConfig struct {
 	PublishEvery int
 
 	// Persistence. StatePath enables snapshot/restore: the stream state
-	// (cursors, dictionaries, posting lists, union-find partition,
-	// fusion accuracy state) is written there atomically every
-	// SaveEvery epochs (default 1) and on drain.
+	// (cursors, sources, records, union-find partition, fusion accuracy
+	// state) is written there atomically every SaveEvery epochs
+	// (default 1) and on drain.
 	StatePath string
 	SaveEvery int
 
@@ -250,10 +250,10 @@ func (s *Stream) ApplyDeltas(metas map[string]*data.Source, ep source.DeltaEpoch
 	return nil
 }
 
-// Compact rewrites the linker's posting lists dropping tombstoned
-// slots. Match behaviour is unchanged (probes already skip the dead);
-// only the in-memory index and the next saved state shrink. It reports
-// the reclaimed posting slots, emptied keys and cleared tombstones.
+// Compact rewrites the linker's in-memory posting index dropping
+// tombstoned slots: match behaviour (probes skip the dead) and the saved
+// state (it holds no postings) are unchanged. It reports the reclaimed
+// posting slots, emptied keys and cleared tombstones.
 func (s *Stream) Compact() (slots, keys, tombstones int) {
 	reg := s.reg()
 	t0 := time.Now()

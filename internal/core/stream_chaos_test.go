@@ -119,9 +119,10 @@ func TestStreamCrashResumeByteIdentical(t *testing.T) {
 // change logs: a clean and a fault-wrapped FromDataset fleet (upsert
 // logs, the fault injector rolling per fetch and per upsert), drained
 // by RunDeltas in two epoch shapes at workers {1, 2, 8}, reproduce the
-// FNV-64 digests of streamFingerprint and of the saved state bytes that
-// were recorded with the old record stream (Stream.Run) before record
-// fleets entered as change logs.
+// FNV-64 digests of streamFingerprint that were recorded with the old
+// record stream (Stream.Run) before record fleets entered as change
+// logs, and of the saved state bytes, re-recorded for the v3 codec
+// (each v2 file the old digests pinned re-saves to them).
 func TestRecordFleetsKeepParentBits(t *testing.T) {
 	d := streamTestWeb(31, 80, 8)
 	for _, tc := range []struct {
@@ -130,10 +131,10 @@ func TestRecordFleetsKeepParentBits(t *testing.T) {
 		wrap         func([]source.DeltaSource) []source.DeltaSource
 		want         [2]uint64 // streamFingerprint, state bytes
 	}{
-		{"clean", "9/2", StreamConfig{EpochSize: 9, PublishEvery: 2}, nil, [2]uint64{0x838f211fa2e4eb41, 0x773152a11bdc2945}},
-		{"clean", "25/1", StreamConfig{EpochSize: 25, PublishEvery: 1, SaveEvery: 3}, nil, [2]uint64{0x5f1f4dbd2cd9b879, 0x72fe877319f9fbc3}},
-		{"faulted", "9/2", StreamConfig{EpochSize: 9, PublishEvery: 2}, faultFleet, [2]uint64{0x838f211fa2e4eb41, 0x773152a11bdc2945}},
-		{"faulted", "25/1", StreamConfig{EpochSize: 25, PublishEvery: 1, SaveEvery: 3}, faultFleet, [2]uint64{0x5f1f4dbd2cd9b879, 0x72fe877319f9fbc3}},
+		{"clean", "9/2", StreamConfig{EpochSize: 9, PublishEvery: 2}, nil, [2]uint64{0x838f211fa2e4eb41, 0x7d96d032647f40c5}},
+		{"clean", "25/1", StreamConfig{EpochSize: 25, PublishEvery: 1, SaveEvery: 3}, nil, [2]uint64{0x5f1f4dbd2cd9b879, 0x94322b55883c7a99}},
+		{"faulted", "9/2", StreamConfig{EpochSize: 9, PublishEvery: 2}, faultFleet, [2]uint64{0x838f211fa2e4eb41, 0x7d96d032647f40c5}},
+		{"faulted", "25/1", StreamConfig{EpochSize: 25, PublishEvery: 1, SaveEvery: 3}, faultFleet, [2]uint64{0x5f1f4dbd2cd9b879, 0x94322b55883c7a99}},
 	} {
 		for _, workers := range []int{1, 2, 8} {
 			cfg := tc.cfg

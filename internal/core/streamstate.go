@@ -18,8 +18,8 @@ import (
 // Stream state codec: a versioned binary format holding everything a
 // resumed stream needs to replay byte-identically — epoch counter,
 // per-source cursors, fusion accuracy estimates, and the incremental
-// linker's dictionaries (sources, records), posting lists (insertion
-// order — the probe order) and union-find partition (canonical form).
+// linker's sources, records (insertion order — the probe order, from
+// which a restore rebuilds the posting lists) and partition (canonical).
 //
 // Layout: 8-byte magic, uvarint version, the sections in fixed order,
 // then a CRC32 (IEEE) of everything before it. Strings are
@@ -30,13 +30,14 @@ import (
 // state file behind — and rotates the previous good state to a .bak
 // the loader falls back to when the primary is corrupt.
 //
-// Version history: v1 (PR 9) ends after the comparisons counter; v2
-// appends a delete counter and a tombstone section (deleted IDs still
-// occupying posting slots, with their keys). Encoding always writes
-// v2; decoding accepts both, giving v1 files an empty tombstone set.
+// Version history: v1 has a posting-list section after the records and
+// ends after the comparisons counter; v2 appends a delete counter and a
+// tombstone section; v3 drops both derived sections. Encoding writes
+// v3; decoding accepts all three, skipping the sections v3 dropped, so
+// an older file restores compacted.
 const (
 	streamStateMagic     = "BDISTATE"
-	streamStateVersion   = 2
+	streamStateVersion   = 3
 	streamStateVersionV1 = 1
 )
 
@@ -192,23 +193,12 @@ func (s *Stream) encodeState() []byte {
 			b = appendValue(b, r.Get(a))
 		}
 	}
-	b = binary.AppendUvarint(b, uint64(len(st.Postings)))
-	for _, k := range sortedKeys(st.Postings) {
-		b = appendStrings(appendString(b, k), st.Postings[k])
-	}
 	b = binary.AppendUvarint(b, uint64(len(st.Partition)))
 	for _, set := range st.Partition {
 		b = appendStrings(b, set)
 	}
 	b = binary.AppendUvarint(b, uint64(st.Comparisons))
-
-	// v2 sections: delete counter, then tombstones sorted by ID (each
-	// ID with its posting keys in stored — death — order).
 	b = binary.AppendUvarint(b, uint64(s.deleted))
-	b = binary.AppendUvarint(b, uint64(len(st.Tombstones)))
-	for _, id := range sortedKeys(st.Tombstones) {
-		b = appendStrings(appendString(b, id), st.Tombstones[id])
-	}
 
 	crc := crc32.ChecksumIEEE(b)
 	return binary.LittleEndian.AppendUint32(b, crc)
@@ -227,7 +217,7 @@ func (s *Stream) decodeState(buf []byte) error {
 	}
 	d := &stateDecoder{buf: payload[len(streamStateMagic):]}
 	version := d.uvarint()
-	if version != streamStateVersion && version != streamStateVersionV1 {
+	if version < streamStateVersionV1 || version > streamStateVersion {
 		return fmt.Errorf("%w: version %d, want ≤%d", ErrBadState, version, streamStateVersion)
 	}
 
@@ -246,7 +236,7 @@ func (s *Stream) decodeState(buf []byte) error {
 		s.acc[id] = d.float()
 	}
 
-	st := &linkage.IncrementalState{Postings: map[string][]string{}}
+	st := &linkage.IncrementalState{}
 	for n := d.uvarint(); n > 0 && d.err == nil; n-- {
 		src := &data.Source{ID: d.string(), Name: d.string(), TrueAccuracy: d.float()}
 		for m := d.uvarint(); m > 0 && d.err == nil; m-- {
@@ -265,20 +255,19 @@ func (s *Stream) decodeState(buf []byte) error {
 		}
 		st.Records = append(st.Records, r)
 	}
-	for n := d.uvarint(); n > 0 && d.err == nil; n-- {
-		st.Postings[d.string()] = d.strings()
+	if version < 3 {
+		d.skipKeyedLists() // postings
 	}
 	for n := d.uvarint(); n > 0 && d.err == nil; n-- {
 		st.Partition = append(st.Partition, d.strings())
 	}
 	st.Comparisons = int(d.uvarint())
-	st.Tombstones = map[string][]string{}
 	s.deleted = 0
 	if version >= 2 {
 		s.deleted = int64(d.uvarint())
-		for n := d.uvarint(); n > 0 && d.err == nil; n-- {
-			st.Tombstones[d.string()] = d.strings()
-		}
+	}
+	if version == 2 {
+		d.skipKeyedLists() // tombstones
 	}
 	if d.err != nil {
 		return fmt.Errorf("%w: %v", ErrBadState, d.err)
@@ -394,6 +383,15 @@ func (d *stateDecoder) strings() []string {
 		out = append(out, d.string())
 	}
 	return out
+}
+
+// skipKeyedLists reads past a section of (string, string list) pairs —
+// the posting and tombstone sections of v1 and v2 files.
+func (d *stateDecoder) skipKeyedLists() {
+	for n := d.uvarint(); n > 0 && d.err == nil; n-- {
+		d.string()
+		d.strings()
+	}
 }
 
 func (d *stateDecoder) float() float64 {

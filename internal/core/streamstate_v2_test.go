@@ -12,11 +12,15 @@ import (
 	"repro/internal/source"
 )
 
-// encodeStateV1 replicates the PR-9 v1 state layout byte for byte:
-// everything encodeState writes up to and including the comparisons
-// counter, under version 1, with no tombstone sections. It exists so
-// the v1-compatibility tests pin the historical format independently
-// of the live encoder.
+// encodeStateV1 replicates the PR-9 v1 state layout byte for byte: the
+// v3 sections up to and including the comparisons counter, under
+// version 1, with a posting-list section between the records and the
+// partition. The linker no longer carries postings, so they are derived
+// here as a restore derives them: each record appended, in record
+// order, to the lists of its streamKey keys (distinct and non-empty) —
+// exact for the insert-only streams v1 held. It exists so the
+// v1-compatibility tests pin the historical format independently of
+// the live encoder.
 func encodeStateV1(s *Stream) []byte {
 	b := make([]byte, 0, 1<<16)
 	b = append(b, streamStateMagic...)
@@ -60,10 +64,16 @@ func encodeStateV1(s *Stream) []byte {
 			b = appendValue(b, r.Get(a))
 		}
 	}
-	b = binary.AppendUvarint(b, uint64(len(st.Postings)))
-	for _, k := range sortedKeys(st.Postings) {
+	postings := map[string][]string{}
+	for _, r := range st.Records {
+		for _, k := range streamKey(r) {
+			postings[k] = append(postings[k], r.ID)
+		}
+	}
+	b = binary.AppendUvarint(b, uint64(len(postings)))
+	for _, k := range sortedKeys(postings) {
 		b = appendString(b, k)
-		ids := st.Postings[k]
+		ids := postings[k]
 		b = binary.AppendUvarint(b, uint64(len(ids)))
 		for _, id := range ids {
 			b = appendString(b, id)
@@ -99,8 +109,8 @@ func v1FixtureStream(t *testing.T) *Stream {
 
 // TestV1StateLoadsThroughV2Codec is the compatibility gate: a v1
 // (pre-tombstone) state file — both freshly encoded and the committed
-// fixture — must load through the v2 codec with an empty tombstone
-// set, behave identically, and round-trip through a v2 save.
+// fixture — must load through the current codec with an empty
+// tombstone set, behave identically, and round-trip through a v3 save.
 func TestV1StateLoadsThroughV2Codec(t *testing.T) {
 	orig := v1FixtureStream(t)
 	cfg := StreamConfig{EpochSize: 7, PublishEvery: 2}
@@ -113,7 +123,7 @@ func TestV1StateLoadsThroughV2Codec(t *testing.T) {
 	}
 	loaded, err := LoadStream(path, cfg, nil)
 	if err != nil {
-		t.Fatalf("v1 state failed to load through v2 codec: %v", err)
+		t.Fatalf("v1 state failed to load through the current codec: %v", err)
 	}
 	if loaded.Tombstones() != 0 || loaded.Deleted() != 0 {
 		t.Errorf("v1 load: tombstones=%d deleted=%d, want 0/0", loaded.Tombstones(), loaded.Deleted())
@@ -122,25 +132,26 @@ func TestV1StateLoadsThroughV2Codec(t *testing.T) {
 		t.Errorf("v1-loaded stream fingerprint differs:\n--- original\n%s--- loaded\n%s", a, b)
 	}
 
-	// Round trip: saving rewrites as v2; the reload is still identical.
-	v2path := filepath.Join(dir, "upgraded.state")
-	if err := loaded.Save(v2path); err != nil {
+	// Round trip: saving rewrites as v3; the reload is still identical.
+	v3path := filepath.Join(dir, "upgraded.state")
+	if err := loaded.Save(v3path); err != nil {
 		t.Fatal(err)
 	}
-	again, err := LoadStream(v2path, cfg, nil)
+	again, err := LoadStream(v3path, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a, b := streamFingerprint(t, orig), streamFingerprint(t, again); a != b {
-		t.Error("v1→v2 round trip changed the stream")
+		t.Error("v1→v3 round trip changed the stream")
 	}
 }
 
 // TestV1CommittedFixtureStillLoads guards old -stream-state files in
 // the wild: the committed v1 fixture must keep loading through every
 // future codec revision, with an empty tombstone set, and survive a
-// save/reload round trip under the current version. (The fixture is
-// self-seeding on first run so it can be committed from a clean tree.)
+// save/reload round trip under the current version; encodeStateV1 must
+// still reproduce it byte for byte. (The fixture is self-seeding on
+// first run so it can be committed from a clean tree.)
 func TestV1CommittedFixtureStillLoads(t *testing.T) {
 	fixture := filepath.Join("testdata", "streamstate_v1.bin")
 	committed, err := os.ReadFile(fixture)
@@ -156,6 +167,9 @@ func TestV1CommittedFixtureStillLoads(t *testing.T) {
 		t.Logf("wrote v1 fixture %s (%d bytes); commit it", fixture, len(committed))
 	} else if err != nil {
 		t.Fatal(err)
+	}
+	if again := encodeStateV1(v1FixtureStream(t)); string(again) != string(committed) {
+		t.Error("encodeStateV1 no longer reproduces the committed v1 fixture")
 	}
 
 	cfg := StreamConfig{EpochSize: 7, PublishEvery: 2}
@@ -174,16 +188,67 @@ func TestV1CommittedFixtureStillLoads(t *testing.T) {
 	if loaded.Epoch() == 0 || loaded.Ingested() == 0 {
 		t.Errorf("fixture load looks empty: epoch=%d ingested=%d", loaded.Epoch(), loaded.Ingested())
 	}
-	v2path := filepath.Join(dir, "upgraded.state")
-	if err := loaded.Save(v2path); err != nil {
+	v3path := filepath.Join(dir, "upgraded.state")
+	if err := loaded.Save(v3path); err != nil {
 		t.Fatal(err)
 	}
-	again, err := LoadStream(v2path, cfg, nil)
+	again, err := LoadStream(v3path, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a, b := streamFingerprint(t, loaded), streamFingerprint(t, again); a != b {
-		t.Error("fixture v1→v2 round trip changed the stream")
+		t.Error("fixture v1→v3 round trip changed the stream")
+	}
+}
+
+// v2Fixture is the churned stream the committed v2 fixture was cut from:
+// testdata/streamstate_v2.bin holds its state after epoch 2, written by
+// the v2 encoder while two deleted records were still tombstoned.
+func v2Fixture() (fleet []source.DeltaSource, totals map[string]int, cfg StreamConfig) {
+	fleet, totals, _ = churnFleet(streamTestWeb(45, 40, 6), 9)
+	return fleet, totals, StreamConfig{EpochSize: 6, PublishEvery: 2}
+}
+
+// TestV2CommittedFixtureLoadsCompacted guards v2 state files: the
+// committed fixture, whose tombstone section is non-empty, loads with
+// no tombstones (the postings are rebuilt from the records) and drains
+// to the uninterrupted run's fingerprint.
+func TestV2CommittedFixtureLoadsCompacted(t *testing.T) {
+	committed, err := os.ReadFile(filepath.Join("testdata", "streamstate_v2.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &stateDecoder{buf: committed[len(streamStateMagic):]}
+	if v := d.uvarint(); v != 2 {
+		t.Fatalf("fixture is version %d, want 2", v)
+	}
+	fleet, totals, cfg := v2Fixture()
+	base, err := NewStream(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := base.RunDeltas(context.Background(), fleet, totals); err != nil {
+		t.Fatal(err)
+	}
+	want := streamFingerprint(t, base)
+
+	path := filepath.Join(t.TempDir(), "stream.state")
+	if err := os.WriteFile(path, committed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadStream(path, cfg, nil)
+	if err != nil {
+		t.Fatalf("committed v2 fixture failed to load: %v", err)
+	}
+	if loaded.Epoch() != 2 || loaded.Deleted() != 2 || loaded.Tombstones() != 0 || loaded.GarbageRatio() != 0 {
+		t.Fatalf("fixture load: epoch=%d deleted=%d tombstones=%d garbage=%v, want 2/2/0/0",
+			loaded.Epoch(), loaded.Deleted(), loaded.Tombstones(), loaded.GarbageRatio())
+	}
+	if err := loaded.RunDeltas(context.Background(), fleet, totals); err != nil {
+		t.Fatal(err)
+	}
+	if got := streamFingerprint(t, loaded); got != want {
+		t.Errorf("resumed v2 fixture differs from the uninterrupted run:\n--- uninterrupted\n%s--- resumed\n%s", want, got)
 	}
 }
 
@@ -302,8 +367,8 @@ func TestStreamStateDecodeRobust(t *testing.T) {
 }
 
 // FuzzStreamStateDecode hammers the codec with arbitrary mutations of
-// valid v1/v2 states: any input must either decode cleanly or return
-// ErrBadState — never panic, never return an unclassified error.
+// valid v1, v2 and v3 states: any input must either decode cleanly or
+// return ErrBadState — never panic, never return an unclassified error.
 func FuzzStreamStateDecode(f *testing.F) {
 	d := streamTestWeb(54, 8, 3)
 	s, err := NewStream(StreamConfig{EpochSize: 5, PublishEvery: 2}, nil)
@@ -313,8 +378,14 @@ func FuzzStreamStateDecode(f *testing.F) {
 	if err := s.RunDeltas(context.Background(), source.FromDataset(d), source.Totals(d)); err != nil {
 		f.Fatal(err)
 	}
+	v2, err := os.ReadFile(filepath.Join("testdata", "streamstate_v2.bin"))
+	if err != nil {
+		f.Fatal(err)
+	}
 	valid := s.encodeState()
 	f.Add(valid)
+	f.Add(encodeStateV1(s))
+	f.Add(v2)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte(streamStateMagic))
 	f.Add([]byte{})

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -21,11 +22,12 @@ type E28Result struct {
 	MaxGap      float64   // max |StreamF1 - BatchF1| over all checkpoints
 	Deletes     int64     // effective deletes applied by the stream
 	// Tombstones live at drain before any compaction ran, and the final
-	// persisted state sizes with and without a compaction trigger. The
-	// with/without runs must agree on every observable (CompactionNeutral).
+	// persisted state size of the runs with and without a compaction
+	// trigger. The two runs must agree on every observable
+	// (CompactionNeutral) and write the same state bytes (StateIdentical).
 	Tombstones        int
-	UncompactedBytes  int64
-	CompactedBytes    int64
+	StateBytes        int64
+	StateIdentical    bool
 	CompactionNeutral bool
 }
 
@@ -36,8 +38,9 @@ type E28Result struct {
 // gap stays within 0.01 at every checkpoint: retraction plus
 // deterministic reclustering keeps the online partition equivalent to
 // one that never saw the dead records. A second pair of runs persists
-// state with and without a compaction trigger: outputs are identical
-// and only the compacted file is bounded by the live corpus.
+// state with and without a compaction trigger: outputs and state files
+// are identical, since the state holds only the live records and
+// compaction shrinks only the in-memory posting index.
 func E28(seed int64) (*Table, *E28Result, error) {
 	web := dirtyWeb(seed, 300, 12, 1)
 	d := web.Dataset
@@ -116,41 +119,38 @@ func E28(seed int64) (*Table, *E28Result, error) {
 	res.Deletes = st.Deleted()
 	res.Tombstones = st.Tombstones()
 
-	// Bounded-state leg: the same churn through two persisted streams,
-	// one never compacting and one with an aggressive garbage trigger.
+	// Compaction leg: the same churn through two persisted streams, one
+	// never compacting and one with an aggressive garbage trigger.
 	dir, err := os.MkdirTemp("", "e28-state-")
 	if err != nil {
 		return nil, nil, err
 	}
 	defer os.RemoveAll(dir)
-	persist := func(ratio float64, name string) (*core.Stream, int64, error) {
+	persist := func(ratio float64, name string) (*core.Stream, []byte, error) {
 		path := filepath.Join(dir, name)
 		pcfg := cfg
 		pcfg.StatePath = path
 		pcfg.CompactRatio = ratio
 		ps, err := core.NewStream(pcfg, nil)
 		if err != nil {
-			return nil, 0, err
+			return nil, nil, err
 		}
 		if err := ps.RunDeltas(context.Background(), fleet, totals); err != nil {
-			return nil, 0, err
+			return nil, nil, err
 		}
-		fi, err := os.Stat(path)
-		if err != nil {
-			return nil, 0, err
-		}
-		return ps, fi.Size(), nil
+		state, err := os.ReadFile(path)
+		return ps, state, err
 	}
-	plain, plainSize, err := persist(0, "plain.state")
+	plain, plainState, err := persist(0, "plain.state")
 	if err != nil {
 		return nil, nil, err
 	}
-	compacted, compactSize, err := persist(0.01, "compact.state")
+	compacted, compactState, err := persist(0.01, "compact.state")
 	if err != nil {
 		return nil, nil, err
 	}
-	res.UncompactedBytes = plainSize
-	res.CompactedBytes = compactSize
+	res.StateBytes = int64(len(plainState))
+	res.StateIdentical = bytes.Equal(plainState, compactState)
 	fa, err := e27Fingerprint(plain)
 	if err != nil {
 		return nil, nil, err
@@ -162,8 +162,8 @@ func E28(seed int64) (*Table, *E28Result, error) {
 	res.CompactionNeutral = fa == fb
 
 	tab.Notes = fmt.Sprintf(
-		"churn 10%% updates / 5%% deletes over %d records; %d deletes, max F1 gap vs from-scratch %.4f; state %dB uncompacted vs %dB compacted (neutral=%v)",
-		d.NumRecords(), res.Deletes, res.MaxGap, res.UncompactedBytes, res.CompactedBytes, res.CompactionNeutral)
+		"churn 10%% updates / 5%% deletes over %d records; %d deletes, max F1 gap vs from-scratch %.4f; state %dB with and without compaction (identical=%v, neutral=%v)",
+		d.NumRecords(), res.Deletes, res.MaxGap, res.StateBytes, res.StateIdentical, res.CompactionNeutral)
 	return tab, res, nil
 }
 

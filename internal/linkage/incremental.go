@@ -2,7 +2,6 @@ package linkage
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 
@@ -50,7 +49,8 @@ type Incremental struct {
 	// occupies — exactly dedupeKeys(Key(r)) at death, since records are
 	// never mutated after insert. Entries leave via Compact or when the
 	// ID is re-inserted (the stale slots are exhumed first, so a revived
-	// record is only ever probed under its current keys).
+	// record is only ever probed under its current keys); a linker
+	// restored by FromState starts with none.
 	dead map[string][]string
 	// postRefs counts every posting-list slot (live + dead); deadRefs
 	// counts the tombstoned ones. Their ratio is the garbage metric
@@ -303,49 +303,42 @@ func (inc *Incremental) Comparisons() int { return inc.comparisons }
 func (inc *Incremental) Dataset() *data.Dataset { return inc.dataset }
 
 // IncrementalState is the serializable core of an incremental linker:
-// everything Insert consults to decide future comparisons. Posting
-// lists and records keep insertion order — the probe order — so a
-// restored linker compares exactly the pairs the original would have,
-// and the partition is stored in Sets' canonical form, so Clusters()
-// of a restored linker is byte-identical to the original's regardless
-// of the union-find's internal tree shape.
+// its primary data, from which everything else Insert consults is
+// derived. Records keep insertion order — the probe order — so the
+// posting lists FromState rebuilds from them hold exactly the live
+// entries of the original's, in the same order, and a restored linker
+// compares exactly the pairs the original would have. The partition is
+// stored in Sets' canonical form, so Clusters() of a restored linker is
+// byte-identical to the original's regardless of the union-find's
+// internal tree shape. Tombstones are not part of the state: a restored
+// linker starts compacted.
 type IncrementalState struct {
 	Sources     []*data.Source
 	Records     []*data.Record // insertion order, live records only
-	Postings    map[string][]string
-	Partition   [][]string // canonical (Sets) form, live records only
+	Partition   [][]string     // canonical (Sets) form, every live record once
 	Comparisons int
-	// Tombstones maps each deleted ID still occupying posting slots to
-	// the keys it occupies. Empty after a compaction (and always empty
-	// in pre-deletion v1 state files).
-	Tombstones map[string][]string
 }
 
 // State snapshots the linker. The returned state shares with the linker
-// the records and sources (never mutated after Insert), the partition
-// and the tombstones' key lists (replaced, never changed, by later
-// calls); the posting lists are copied, so later Inserts don't bleed
-// into a taken snapshot.
+// the records and sources (never mutated after Insert) and the
+// partition (replaced, never changed, by later calls).
 func (inc *Incremental) State() *IncrementalState {
-	st := &IncrementalState{
+	return &IncrementalState{
 		Sources:     inc.dataset.Sources(),
 		Records:     inc.dataset.Records(),
-		Postings:    make(map[string][]string, len(inc.index)),
 		Partition:   inc.Partition(),
 		Comparisons: inc.comparisons,
-		Tombstones:  maps.Clone(inc.dead),
 	}
-	for k, ids := range inc.index {
-		st.Postings[k] = append([]string(nil), ids...)
-	}
-	return st
 }
 
 // FromState rebuilds a linker equivalent to the one State captured,
 // under the given key function and matcher (function values can't be
 // serialized; the caller re-supplies the configuration the state was
 // built under — a different key or matcher silently changes future
-// linkage decisions). MaxBlock is restored to the default; override it
+// linkage decisions). Each record is appended to its posting lists in
+// record order, the append Insert makes without the probe, so the lists
+// are the original's with their tombstoned slots compacted away — which
+// no probe reads. MaxBlock is restored to the default; override it
 // after construction if the original differed.
 func FromState(st *IncrementalState, key func(r *data.Record) []string, m Matcher) (*Incremental, error) {
 	inc := NewIncremental(key, m)
@@ -363,19 +356,16 @@ func FromState(st *IncrementalState, key func(r *data.Record) []string, m Matche
 		}
 		inc.uf.Add(r.ID)
 		inc.n++
-	}
-	// A posting entry or partition member that is not a restored record
-	// would reach Matcher.Match as a nil record on a later probe or
-	// recluster, so a state naming one is refused here.
-	for k, ids := range st.Postings {
-		for _, id := range ids {
-			if _, dead := st.Tombstones[id]; !dead && inc.dataset.Record(id) == nil {
-				return nil, fmt.Errorf("linkage: restore postings: %q under key %q is neither a record nor a tombstone", id, k)
-			}
+		for _, k := range dedupeKeys(key(r)) {
+			inc.index[k] = append(inc.index[k], r.ID)
+			inc.postRefs++
 		}
-		inc.index[k] = append([]string(nil), ids...)
-		inc.postRefs += len(ids)
 	}
+	// A partition member that is not a restored record would reach
+	// Matcher.Match as a nil record on a later recluster, and a record
+	// the partition leaves out would load as a silent singleton; Sets
+	// places every record exactly once, so a state that does not is
+	// refused here.
 	placed := make(map[string]bool, len(st.Records))
 	for _, set := range st.Partition {
 		for _, m := range set {
@@ -389,9 +379,10 @@ func FromState(st *IncrementalState, key func(r *data.Record) []string, m Matche
 			inc.uf.Union(set[0], m)
 		}
 	}
-	for id, keys := range st.Tombstones {
-		inc.dead[id] = append([]string(nil), keys...)
-		inc.deadRefs += len(keys)
+	for _, r := range st.Records {
+		if !placed[r.ID] {
+			return nil, fmt.Errorf("linkage: restore partition: record %q is in no set", r.ID)
+		}
 	}
 	inc.comparisons = st.Comparisons
 	return inc, nil

@@ -96,10 +96,13 @@ func fuzzRecord(ops []byte, i int) *data.Record {
 // FuzzIncrementalOps replays an op sequence into the linker and into the
 // parent commit's (reference_test.go) and requires, after every op, the
 // same return values, clustering, comparison count, live and tombstone
-// counts and the same State. The committed corpus under
-// testdata/fuzz/FuzzIncrementalOps (three sequences of 2,500 ops, drawn
-// from math/rand with seeds 1, 2 and 3) runs on every plain `go test`;
-// `go test -fuzz FuzzIncrementalOps ./internal/linkage` explores.
+// counts, the same State and the same posting lists and tombstones. The
+// restore op rebuilds the postings from the records, with no
+// tombstones, so the oracle models it as a compaction. The committed
+// corpus under testdata/fuzz/FuzzIncrementalOps (three sequences of
+// 2,500 ops, drawn from math/rand with seeds 1, 2 and 3) runs on every
+// plain `go test`; `go test -fuzz FuzzIncrementalOps ./internal/linkage`
+// explores.
 func FuzzIncrementalOps(f *testing.F) {
 	f.Add([]byte{0x00, 0, 0x01, 1, 0x02, 5, 0x81, 0, 0xe0, 0, 0x21, 1, 0xc0, 0, 0x61, 2})
 	f.Fuzz(func(t *testing.T, ops []byte) {
@@ -119,6 +122,7 @@ func FuzzIncrementalOps(f *testing.F) {
 				}
 				restored.MaxBlock = fuzzMaxBlock
 				inc = restored
+				ref.Compact()
 			}
 			if got != want {
 				t.Fatalf("op %d (kind %d, %s): returned %s, the oracle %s", i/2, kind, id, got, want)
@@ -132,6 +136,12 @@ func FuzzIncrementalOps(f *testing.F) {
 			}
 			if a, b := inc.State(), ref.State(); !reflect.DeepEqual(a, b) {
 				t.Fatalf("op %d (kind %d, %s): State\n%+v\nthe oracle's\n%+v", i/2, kind, id, a, b)
+			}
+			if !reflect.DeepEqual(inc.index, ref.index) || !reflect.DeepEqual(inc.dead, ref.dead) {
+				t.Fatalf("op %d (kind %d, %s): postings %v tombstones %v, the oracle's %v %v", i/2, kind, id, inc.index, inc.dead, ref.index, ref.dead)
+			}
+			if inc.postRefs != ref.postRefs || inc.deadRefs != ref.deadRefs {
+				t.Fatalf("op %d (kind %d, %s): posting slots %d live+dead, %d dead, the oracle's %d, %d", i/2, kind, id, inc.postRefs, inc.deadRefs, ref.postRefs, ref.deadRefs)
 			}
 			if inc.uf.Len() != inc.Len() {
 				t.Fatalf("op %d (kind %d, %s): forest tracks %d IDs for %d live records", i/2, kind, id, inc.uf.Len(), inc.Len())

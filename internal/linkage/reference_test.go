@@ -278,19 +278,10 @@ func (inc *refIncremental) Comparisons() int { return inc.comparisons }
 func (inc *refIncremental) State() *IncrementalState {
 	partition := inc.uf.Sets()
 	sort.Slice(partition, func(i, j int) bool { return partition[i][0] < partition[j][0] })
-	st := &IncrementalState{
+	return &IncrementalState{
 		Sources:     inc.dataset.Sources(),
 		Records:     inc.dataset.Records(),
-		Postings:    make(map[string][]string, len(inc.index)),
 		Partition:   partition,
 		Comparisons: inc.comparisons,
-		Tombstones:  make(map[string][]string, len(inc.dead)),
 	}
-	for k, ids := range inc.index {
-		st.Postings[k] = append([]string(nil), ids...)
-	}
-	for id, keys := range inc.dead {
-		st.Tombstones[id] = append([]string(nil), keys...)
-	}
-	return st
 }

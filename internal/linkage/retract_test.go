@@ -2,6 +2,7 @@ package linkage
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/data"
@@ -215,9 +216,10 @@ func TestIncrementalCompactPreservesBehaviour(t *testing.T) {
 }
 
 // TestIncrementalStateRoundTripWithTombstones extends the PR 9
-// round-trip contract to deleted state: tombstones survive State /
-// FromState and a restored linker keeps behaving identically, including
-// through a post-restore compaction.
+// round-trip contract to deleted state: State / FromState drops the
+// tombstones, so the restored linker starts compacted, and it keeps
+// behaving identically to the original — its posting lists are the
+// original's after a compaction.
 func TestIncrementalStateRoundTripWithTombstones(t *testing.T) {
 	src := &data.Source{ID: "s"}
 	orig := NewIncremental(TitleTokenKey, incMatcher())
@@ -234,11 +236,11 @@ func TestIncrementalStateRoundTripWithTombstones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Tombstones() != orig.Tombstones() {
-		t.Fatalf("restored tombstones %d, want %d", restored.Tombstones(), orig.Tombstones())
+	if orig.Tombstones() != 2 {
+		t.Fatalf("original holds %d tombstones, want 2", orig.Tombstones())
 	}
-	if restored.GarbageRatio() != orig.GarbageRatio() {
-		t.Fatalf("restored garbage ratio %v, want %v", restored.GarbageRatio(), orig.GarbageRatio())
+	if restored.Tombstones() != 0 || restored.GarbageRatio() != 0 {
+		t.Fatalf("restored tombstones %d, garbage ratio %v, want 0 and 0", restored.Tombstones(), restored.GarbageRatio())
 	}
 	for i, inc := range []*Incremental{orig, restored} {
 		m, err := inc.Insert(src, retractRecord("probe", "widget mk1 shared"))
@@ -258,20 +260,19 @@ func TestIncrementalStateRoundTripWithTombstones(t *testing.T) {
 		t.Errorf("comparisons %d vs %d", orig.Comparisons(), restored.Comparisons())
 	}
 
-	slots1, _, _ := orig.Compact()
-	slots2, _, _ := restored.Compact()
-	if slots1 != slots2 {
-		t.Errorf("compact reclaimed %d vs %d slots", slots1, slots2)
+	if slots, _, _ := orig.Compact(); slots == 0 {
+		t.Error("the original's compaction reclaimed no slots")
 	}
-	if a, b := fmt.Sprint(orig.Clusters()), fmt.Sprint(restored.Clusters()); a != b {
-		t.Errorf("clusters diverged after compaction:\n%s\n%s", a, b)
+	if !reflect.DeepEqual(orig.index, restored.index) {
+		t.Errorf("restored postings are not the compacted original's:\n%v\n%v", restored.index, orig.index)
 	}
 }
 
-// TestFromStateRejectsGhosts hand-builds states that name an ID which is
-// not a restored record. Each used to load: the ghost then sat in
-// Clusters(), and the first Delete in its component, or the first
-// Insert sharing its posting key, handed Matcher.Match a nil record.
+// TestFromStateRejectsGhosts hand-builds states whose partition does not
+// place every restored record exactly once. A member that is not a
+// record used to load: the ghost then sat in Clusters(), and the first
+// Delete in its component handed Matcher.Match a nil record. A record
+// the partition leaves out used to load as a silent singleton.
 func TestFromStateRejectsGhosts(t *testing.T) {
 	valid := func() *IncrementalState {
 		return &IncrementalState{
@@ -280,25 +281,24 @@ func TestFromStateRejectsGhosts(t *testing.T) {
 				retractRecord("a", "acme rocket skate"),
 				retractRecord("b", "acme rocket skate pro"),
 			},
-			Postings: map[string][]string{
-				"acme": {"a", "gone", "b"}, "rocket": {"a", "b"}, "skate": {"a", "b"}, "pro": {"b"},
-			},
-			Partition:  [][]string{{"a", "b"}},
-			Tombstones: map[string][]string{"gone": {"acme"}},
+			Partition: [][]string{{"a", "b"}},
 		}
 	}
 	inc, err := FromState(valid(), TitleTokenKey, incMatcher())
 	if err != nil {
-		t.Fatalf("a state whose every ID is a record or a tombstone must load: %v", err)
+		t.Fatalf("a state placing every record once must load: %v", err)
 	}
-	if got := fmt.Sprint(inc.Clusters()); got != "[[a b]]" || inc.Len() != 2 || inc.Tombstones() != 1 {
+	if got := fmt.Sprint(inc.Clusters()); got != "[[a b]]" || inc.Len() != 2 || inc.Tombstones() != 0 {
 		t.Fatalf("restored clusters %s, len %d, tombstones %d", got, inc.Len(), inc.Tombstones())
+	}
+	if want := map[string][]string{"acme": {"a", "b"}, "rocket": {"a", "b"}, "skate": {"a", "b"}, "pro": {"b"}}; !reflect.DeepEqual(inc.index, want) {
+		t.Fatalf("restored postings %v, want %v", inc.index, want)
 	}
 	for name, corrupt := range map[string]func(*IncrementalState){
 		"partition member that is not a record": func(st *IncrementalState) {
 			st.Partition = [][]string{{"a", "b", "ghost"}}
 		},
-		"partition set of a tombstoned ID": func(st *IncrementalState) {
+		"partition set of a deleted ID": func(st *IncrementalState) {
 			st.Partition = append(st.Partition, []string{"gone"})
 		},
 		"ID in two partition sets": func(st *IncrementalState) {
@@ -307,8 +307,8 @@ func TestFromStateRejectsGhosts(t *testing.T) {
 		"ID twice in one partition set": func(st *IncrementalState) {
 			st.Partition = [][]string{{"a", "a", "b"}}
 		},
-		"posting entry neither live nor tombstoned": func(st *IncrementalState) {
-			st.Postings["rocket"] = []string{"a", "ghost", "b"}
+		"record in no partition set": func(st *IncrementalState) {
+			st.Partition = [][]string{{"b"}}
 		},
 	} {
 		st := valid()
