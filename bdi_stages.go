@@ -142,16 +142,19 @@ type (
 	// IncrementalLinker links a stream of records online.
 	IncrementalLinker = linkage.Incremental
 	// PairSlice adapts a materialised pair slice to the candidate
-	// stream MatchStream and MatchBudgeted consume.
+	// stream MatchStream and MatchBudgeted consume: it ranks its
+	// distinct IDs and emits each pair as a rank code.
 	PairSlice = linkage.PairSlice
 )
 
 var (
 	// NewFellegiSunter returns an untrained probabilistic matcher.
 	NewFellegiSunter = linkage.NewFellegiSunter
-	// MatchStream scores a candidate stream (a CandidateSet, or a pair
-	// slice through PairSlice) in parallel bounded batches, preparing
-	// the matcher's feature index once; a nil registry records nothing.
+	// MatchStream scores a candidate stream of rank codes (a
+	// CandidateSet, or a pair slice through PairSlice) in parallel
+	// bounded batches, building the matcher's feature index once on the
+	// same workers, and decodes only the accepted pairs; a nil registry
+	// records nothing.
 	MatchStream = linkage.MatchStreamCtx
 	// MatchBudgeted is MatchStream stopping front-first at a
 	// comparison budget (0 = unlimited); it also reports how many

@@ -456,7 +456,7 @@ func (x *Indexed) EmitPairs(emit func(data.Pair) bool) {
 //
 // A set built under a pair-memory budget is spill-backed: its codes
 // live in sorted run files on disk (ext != nil) and only stream
-// through EmitPairs/emitCodes; random access via Pair is unavailable
+// through EmitCodes/EmitPairs; random access via Pair is unavailable
 // and Close must be called to remove the set's run directory.
 type CandidateSet struct {
 	ids   []string
@@ -474,8 +474,8 @@ func (c *CandidateSet) Len() int {
 }
 
 // Spilled reports whether the set streams from disk. Spilled sets do
-// not support random access via Pair; consume them with EmitPairs (or
-// a streaming matcher) and release them with Close.
+// not support random access via Pair; consume them with EmitCodes or
+// EmitPairs and release them with Close.
 func (c *CandidateSet) Spilled() bool { return c.ext != nil }
 
 // Close removes the run directory of a spill-backed set, which owns it
@@ -486,6 +486,11 @@ func (c *CandidateSet) Close() error {
 	}
 	return os.RemoveAll(c.ext.dir)
 }
+
+// IDs returns the engine's rank table: every record ID of the engine,
+// ascending and distinct, so rank r is IDs()[r]. It is a superset of
+// the IDs the candidates reference and must not be mutated.
+func (c *CandidateSet) IDs() []string { return c.ids }
 
 // decode unpacks a code into its pair. The high word holds the smaller
 // rank, so A < B lexicographically without a comparison.
@@ -502,18 +507,22 @@ func (c *CandidateSet) Pair(i int) data.Pair {
 	return c.decode(c.codes[i])
 }
 
-// emitCodes streams the packed codes in emission order, from disk when
-// the set is spilled.
-func (c *CandidateSet) emitCodes(emit func(code uint64) bool) {
+// EmitCodes streams the packed codes in emission order, from disk when
+// the set is spilled, stopping early when emit returns false. A code is
+// rank(A)<<32 | rank(B) over IDs(), with A < B. A spill read error is
+// returned and also recorded on the engine (see Engine.Err).
+func (c *CandidateSet) EmitCodes(emit func(code uint64) bool) error {
 	if c.ext != nil {
-		c.sink.check(c.ext.emit(emit))
-		return
+		err := c.ext.emit(emit)
+		c.sink.check(err)
+		return err
 	}
 	for _, code := range c.codes {
 		if !emit(code) {
-			return
+			return nil
 		}
 	}
+	return nil
 }
 
 // Pairs materialises the full pair slice (nil when empty).
@@ -523,7 +532,7 @@ func (c *CandidateSet) Pairs() []data.Pair {
 		return nil
 	}
 	out := make([]data.Pair, 0, n)
-	c.emitCodes(func(code uint64) bool {
+	c.EmitCodes(func(code uint64) bool {
 		out = append(out, c.decode(code))
 		return true
 	})
@@ -533,25 +542,7 @@ func (c *CandidateSet) Pairs() []data.Pair {
 // EmitPairs streams the candidates to emit in order, stopping early
 // when emit returns false.
 func (c *CandidateSet) EmitPairs(emit func(data.Pair) bool) {
-	c.emitCodes(func(code uint64) bool { return emit(c.decode(code)) })
-}
-
-// RecordIDs returns the distinct record IDs referenced by the
-// candidates, ascending.
-func (c *CandidateSet) RecordIDs() []string {
-	seen := make([]bool, len(c.ids))
-	c.emitCodes(func(code uint64) bool {
-		seen[code>>32] = true
-		seen[code&0xffffffff] = true
-		return true
-	})
-	var out []string
-	for rank, ok := range seen {
-		if ok {
-			out = append(out, c.ids[rank])
-		}
-	}
-	return out
+	c.EmitCodes(func(code uint64) bool { return emit(c.decode(code)) })
 }
 
 // UnionCandidates concatenates candidate sets of one engine and keeps
@@ -579,7 +570,7 @@ func UnionCandidates(sets ...*CandidateSet) *CandidateSet {
 	codes := make([]uint64, 0, total)
 	for _, s := range sets {
 		if s != nil {
-			s.emitCodes(func(code uint64) bool {
+			s.EmitCodes(func(code uint64) bool {
 				codes = append(codes, code)
 				return true
 			})

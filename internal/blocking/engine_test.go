@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -629,26 +630,37 @@ func TestEmitPairsOrderAndEarlyStop(t *testing.T) {
 	}
 }
 
+// TestCandidateSetRecordIDs pins the IDs contract: IDs is the engine's
+// ascending, distinct rank table (a superset of the IDs the pairs
+// reference), and every code EmitCodes streams decodes through it to
+// the pair Pairs lists at the same position.
 func TestCandidateSetRecordIDs(t *testing.T) {
 	recs := detRecords(100)
 	cs := NewEngineOpts(recs, Opts{Workers: 2}).Blocks(AttrExactKey("pid")).CandidateSet()
-	ids := cs.RecordIDs()
-	if !sort.StringsAreSorted(ids) {
-		t.Fatalf("RecordIDs not sorted: %v", ids)
+	ids := cs.IDs()
+	if !sort.StringsAreSorted(ids) || len(slices.Compact(slices.Clone(ids))) != len(ids) {
+		t.Fatalf("IDs not ascending and distinct: %v", ids)
 	}
-	inPairs := map[string]bool{}
-	for i := 0; i < cs.Len(); i++ {
-		p := cs.Pair(i)
-		inPairs[p.A] = true
-		inPairs[p.B] = true
+	if len(ids) != len(recs) {
+		t.Fatalf("IDs has %d ids, the engine %d records", len(ids), len(recs))
 	}
-	if len(ids) != len(inPairs) {
-		t.Fatalf("RecordIDs has %d ids, pairs reference %d", len(ids), len(inPairs))
+	pairs := cs.Pairs()
+	if len(pairs) == 0 {
+		t.Fatal("no candidate pairs")
 	}
-	for _, id := range ids {
-		if !inPairs[id] {
-			t.Fatalf("RecordIDs includes %q which no pair references", id)
+	i := 0
+	if err := cs.EmitCodes(func(code uint64) bool {
+		got := data.Pair{A: ids[code>>32], B: ids[uint32(code)]}
+		if got != pairs[i] {
+			t.Fatalf("code %d decodes to %v, Pairs has %v", i, got, pairs[i])
 		}
+		i++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if i != len(pairs) {
+		t.Fatalf("EmitCodes streamed %d codes, Pairs has %d", i, len(pairs))
 	}
 }
 

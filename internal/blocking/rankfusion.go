@@ -146,7 +146,7 @@ func byKeyCode(a, b pe) int {
 // is ordered by descending RRF score (ties by ascending pair code),
 // deduplicated, and byte-identical for any worker or shard count; when
 // the fused stream would exceed the engine's PairMemBudget it is
-// spill-backed (consume with EmitPairs or a streaming matcher and
+// spill-backed (consume with EmitCodes or a streaming matcher and
 // release with Close), exactly like a budgeted blocking pass.
 func (e *Engine) FuseRanked(k float64, blockers ...RankedBlocker) *CandidateSet {
 	streams := make([]RankedStream, len(blockers))

@@ -252,22 +252,32 @@ func TestSpillObsCounters(t *testing.T) {
 	}
 }
 
-// TestSpilledRecordIDs: RecordIDs streams from disk and matches the
-// in-memory set.
+// TestSpilledRecordIDs: a spilled set has the in-memory set's ID table
+// and streams its codes from disk in the same order.
 func TestSpilledRecordIDs(t *testing.T) {
 	recs := detRecords(150)
-	want := NewEngineOpts(recs, Opts{Workers: 1}).Blocks(TokenKey("title")).CandidateSet().RecordIDs()
+	mem := NewEngineOpts(recs, Opts{Workers: 1}).Blocks(TokenKey("title")).CandidateSet()
 	e := NewEngineOpts(recs, Opts{PairMemBudget: 1 << 10, SpillDir: t.TempDir()})
 	cs := e.Blocks(TokenKey("title")).CandidateSet()
 	defer cs.Close()
-	got := cs.RecordIDs()
-	if len(got) != len(want) {
-		t.Fatalf("got %d ids, want %d", len(got), len(want))
+	if !cs.Spilled() {
+		t.Fatal("set did not spill")
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("id %d = %q, want %q", i, got[i], want[i])
+	if !slices.Equal(cs.IDs(), mem.IDs()) {
+		t.Fatalf("spilled IDs differ from in-memory IDs")
+	}
+	codes := func(c *CandidateSet) []uint64 {
+		var out []uint64
+		if err := c.EmitCodes(func(code uint64) bool {
+			out = append(out, code)
+			return true
+		}); err != nil {
+			t.Fatal(err)
 		}
+		return out
+	}
+	if got, want := codes(cs), codes(mem); len(want) == 0 || !slices.Equal(got, want) {
+		t.Fatalf("spilled codes (%d) differ from in-memory codes (%d)", len(got), len(want))
 	}
 }
 

@@ -13,7 +13,7 @@ package blocking
 //            occurrence. Unique entries fill a bounded buffer that is
 //            re-sorted by position and written as one emission run —
 //            phase B writes this one stream.
-//   phase C  on every EmitPairs, a k-way merge of the emission runs
+//   phase C  on every EmitCodes, a k-way merge of the emission runs
 //            by position replays the deduplicated codes in the exact
 //            first-seen order of the in-memory sweep.
 //
@@ -338,6 +338,8 @@ type spillSet struct {
 
 // emit replays the deduplicated codes in first-seen order by merging
 // the emission runs on position. Returning false from f stops early.
+// Runs that end early — even on an entry boundary, which reads as a
+// clean end of file — are an error.
 func (s *spillSet) emit(f func(code uint64) bool) error {
 	s.reg.Counter("blocking.spill_merges").Add(1)
 	rs, err := openRuns(s.emitRuns)
@@ -349,14 +351,19 @@ func (s *spillSet) emit(f func(code uint64) bool) error {
 	for i, r := range rs {
 		src[i] = r
 	}
+	emitted := 0
 	err = mergePE(src, byPos, func(e pe) error {
 		if !f(e.code) {
 			return errStopEmit
 		}
+		emitted++
 		return nil
 	})
-	if err == errStopEmit {
+	switch {
+	case err == errStopEmit:
 		return nil
+	case err == nil && emitted != s.n:
+		return fmt.Errorf("blocking: read spill run: %d of %d pairs on disk", emitted, s.n)
 	}
 	return err
 }

@@ -325,7 +325,8 @@ func (p *Pipeline) stages(d *data.Dataset, rep *Report, root *obs.Span) []stage 
 }
 
 // linkStage: blocking → matching → clustering. Candidates stay packed
-// inside the blocking engine's CandidateSet all the way to the matcher.
+// as the blocking engine's rank codes all the way through the matcher,
+// which decodes only the accepted pairs.
 func (p *Pipeline) linkStage(ctx context.Context, d *data.Dataset, rep *Report, root *obs.Span) error {
 	reg := p.reg()
 	records := d.Records()
@@ -381,13 +382,15 @@ func (p *Pipeline) linkStage(ctx context.Context, d *data.Dataset, rep *Report, 
 	sp = root.Child("matching")
 	// Only Fellegi–Sunter training needs a pair slice; everything else
 	// consumes the packed set directly.
-	matcher, err := p.buildMatcher(d, cs.Pairs, sp)
+	matcher, err := p.buildMatcher(d, cs, sp)
 	if err != nil {
 		sp.End()
 		return err
 	}
 	// One path for every candidate set: in memory or spilled, budgeted
-	// (ComparisonBudget > 0 stops front-first at the budget) or not.
+	// (ComparisonBudget > 0 stops front-first at the budget) or not. The
+	// matcher reads the set's rank codes, so an error reading a spilled
+	// set fails matching here, not only the engine's Err.
 	rep.Matched, rep.Comparisons, err = linkage.MatchBudgetedCtx(ctx, d, cs, matcher, p.cfg.ComparisonBudget, p.cfg.Workers, reg)
 	if err != nil {
 		sp.End()
@@ -486,7 +489,7 @@ func (p *Pipeline) swooshCluster(ctx context.Context, d *data.Dataset, ids []str
 // buildMatcher is the default rule, or — under Config.FellegiSunter — a
 // model trained on the candidates behind the same identifier
 // short-circuit.
-func (p *Pipeline) buildMatcher(d *data.Dataset, candidates func() []data.Pair, sp *obs.Span) (linkage.Matcher, error) {
+func (p *Pipeline) buildMatcher(d *data.Dataset, cs *blocking.CandidateSet, sp *obs.Span) (linkage.Matcher, error) {
 	attrs := []string{titleAttr}
 	if p.cfg.FellegiSunter {
 		// A probabilistic matcher needs several comparison fields to
@@ -503,7 +506,10 @@ func (p *Pipeline) buildMatcher(d *data.Dataset, candidates func() []data.Pair, 
 	fs.Threshold = 0.9
 	fs.AgreeAt = 0.7
 	train := sp.Child("train")
-	err := fs.Train(d, candidates(), 15)
+	// The index is built once, over the set's whole ID table: training
+	// (over the pairs' IDs) and matching (over the table) both reuse it.
+	fs.PrepareIndexIDs(d, cs.IDs(), p.cfg.Workers)
+	err := fs.Train(d, cs.Pairs(), 15)
 	train.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: training matcher: %w", err)

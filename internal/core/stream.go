@@ -156,7 +156,7 @@ func NewStream(cfg StreamConfig, publish func(*Snapshot)) (*Stream, error) {
 	// linkage.RecordIndexer), so each record's title is tokenized once,
 	// at upsert, and every comparison runs the set kernel over its IDs.
 	rule := defaultRule([]string{titleAttr}, cfg.MatchThreshold)
-	rule.Comparator.AttachIndex(similarity.BuildFeatureIndex(nil, rule.Comparator, nil))
+	rule.Comparator.AttachIndex(similarity.BuildFeatureIndex(nil, rule.Comparator, nil, 1))
 	s := &Stream{
 		cfg:     cfg,
 		matcher: rule,

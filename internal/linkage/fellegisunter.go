@@ -35,8 +35,8 @@ func NewFellegiSunter(c *similarity.RecordComparator) *FellegiSunter {
 // PrepareIndexIDs implements IDIndexPreparer: the comparison-vector
 // path (agreement vectors during EM training and posterior scoring)
 // reads the comparator's cached per-record features.
-func (fs *FellegiSunter) PrepareIndexIDs(d *data.Dataset, ids []string) {
-	PrepareComparatorIndexIDs(fs.Comparator, d, ids)
+func (fs *FellegiSunter) PrepareIndexIDs(d *data.Dataset, ids []string, workers int) {
+	PrepareComparatorIndexIDs(fs.Comparator, d, ids, workers)
 }
 
 // agreementVector binarises the comparator's field scores: 1 = agree,
@@ -75,7 +75,7 @@ func (fs *FellegiSunter) Train(d *data.Dataset, candidates []data.Pair, iteratio
 	if iterations <= 0 {
 		iterations = 20
 	}
-	fs.PrepareIndexIDs(d, PairSlice(candidates).RecordIDs())
+	fs.PrepareIndexIDs(d, PairSlice(candidates).IDs(), 1)
 
 	scratch := make([]float64, k)
 	vectors := make([][]int, 0, len(candidates))

@@ -1,6 +1,8 @@
 package linkage
 
 import (
+	"slices"
+
 	"repro/internal/data"
 	"repro/internal/similarity"
 )
@@ -16,9 +18,10 @@ type Matcher interface {
 // record IDs before a batch of pair evaluations, so every record is
 // tokenized once instead of once per candidate pair and a packed
 // candidate stream never has to materialise pair slices just to warm
-// the cache.
+// the cache. IDs absent from d are skipped; the build tokenises on up
+// to workers goroutines (0 = NumCPU).
 type IDIndexPreparer interface {
-	PrepareIndexIDs(d *data.Dataset, ids []string)
+	PrepareIndexIDs(d *data.Dataset, ids []string, workers int)
 }
 
 // RecordIndexer is implemented by matchers that keep per-record
@@ -31,26 +34,15 @@ type RecordIndexer interface {
 }
 
 // PrepareComparatorIndexIDs builds a feature index over the given
-// records and attaches it to the comparator. It is a no-op when the
-// comparator is nil or its attached index already holds every one of
-// the dataset's records (so repeated batches over a stable corpus
-// reuse the cache). IDs must be distinct. Not safe to call
-// concurrently with matching.
-func PrepareComparatorIndexIDs(c *similarity.RecordComparator, d *data.Dataset, ids []string) {
+// records on up to workers goroutines and attaches it to the
+// comparator. It is a no-op when the comparator is nil or its attached
+// index already holds every one of the records present in the dataset
+// (so repeated batches over a stable corpus reuse the cache; an ID the
+// dataset lacks never forces a rebuild). IDs must be distinct. Not
+// safe to call concurrently with matching.
+func PrepareComparatorIndexIDs(c *similarity.RecordComparator, d *data.Dataset, ids []string, workers int) {
 	if c == nil || len(c.Fields()) == 0 || len(ids) == 0 {
 		return
-	}
-	if idx := c.Index(); idx != nil {
-		covered := true
-		for _, id := range ids {
-			if !idx.Has(d.Record(id)) {
-				covered = false
-				break
-			}
-		}
-		if covered {
-			return
-		}
 	}
 	recs := make([]*data.Record, 0, len(ids))
 	for _, id := range ids {
@@ -58,7 +50,10 @@ func PrepareComparatorIndexIDs(c *similarity.RecordComparator, d *data.Dataset, 
 			recs = append(recs, r)
 		}
 	}
-	c.AttachIndex(similarity.BuildFeatureIndex(recs, c, nil))
+	if idx := c.Index(); idx != nil && !slices.ContainsFunc(recs, func(r *data.Record) bool { return !idx.Has(r) }) {
+		return
+	}
+	c.AttachIndex(similarity.BuildFeatureIndex(recs, c, nil, workers))
 }
 
 // indexRecord adds r to the comparator's attached feature index, if any.
@@ -100,8 +95,8 @@ func (m ThresholdMatcher) Match(a, b *data.Record) (float64, bool) {
 }
 
 // PrepareIndexIDs implements IDIndexPreparer.
-func (m ThresholdMatcher) PrepareIndexIDs(d *data.Dataset, ids []string) {
-	PrepareComparatorIndexIDs(m.Comparator, d, ids)
+func (m ThresholdMatcher) PrepareIndexIDs(d *data.Dataset, ids []string, workers int) {
+	PrepareComparatorIndexIDs(m.Comparator, d, ids, workers)
 }
 
 // IndexRecord implements RecordIndexer.
@@ -146,8 +141,8 @@ func (m RuleMatcher) Match(a, b *data.Record) (float64, bool) {
 }
 
 // PrepareIndexIDs implements IDIndexPreparer.
-func (m RuleMatcher) PrepareIndexIDs(d *data.Dataset, ids []string) {
-	PrepareComparatorIndexIDs(m.Comparator, d, ids)
+func (m RuleMatcher) PrepareIndexIDs(d *data.Dataset, ids []string, workers int) {
+	PrepareComparatorIndexIDs(m.Comparator, d, ids, workers)
 }
 
 // IndexRecord implements RecordIndexer.
@@ -173,9 +168,9 @@ func (m IdentifierFirst) Match(a, b *data.Record) (float64, bool) {
 }
 
 // PrepareIndexIDs implements IDIndexPreparer when Matcher does.
-func (m IdentifierFirst) PrepareIndexIDs(d *data.Dataset, ids []string) {
+func (m IdentifierFirst) PrepareIndexIDs(d *data.Dataset, ids []string, workers int) {
 	if p, ok := m.Matcher.(IDIndexPreparer); ok {
-		p.PrepareIndexIDs(d, ids)
+		p.PrepareIndexIDs(d, ids, workers)
 	}
 }
 

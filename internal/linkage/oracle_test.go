@@ -191,7 +191,7 @@ func TestIncrementalIndexMatchesStrings(t *testing.T) {
 		var cachedLog, stringLog []string
 		indexed := func() scoreLogger {
 			m := incMatcher().(ThresholdMatcher)
-			m.Comparator.AttachIndex(similarity.BuildFeatureIndex(nil, m.Comparator, nil))
+			m.Comparator.AttachIndex(similarity.BuildFeatureIndex(nil, m.Comparator, nil, 1))
 			m.Comparator.AttachObs(reg)
 			return scoreLogger{m, &cachedLog}
 		}
@@ -238,7 +238,7 @@ func TestIncrementalIndexMatchesStrings(t *testing.T) {
 				t.Fatalf("%s: the index holds %d records, the linker %d", where, idx.Len(), len(live))
 			}
 			built := incMatcher().(ThresholdMatcher).Comparator
-			built.AttachIndex(similarity.BuildFeatureIndex(live, built, nil))
+			built.AttachIndex(similarity.BuildFeatureIndex(live, built, nil, 1))
 			for _, a := range live {
 				for _, b := range live {
 					if x, y := cachedM.Comparator.Compare(a, b), built.Compare(a, b); math.Float64bits(x) != math.Float64bits(y) {

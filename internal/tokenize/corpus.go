@@ -65,8 +65,8 @@ type Weight struct {
 }
 
 // Vector computes the L2-normalised TF-IDF vector of text against the
-// corpus, sorted by term for deterministic iteration. Empty text yields
-// a nil vector.
+// corpus, sorted by term. The norm is summed in term order, so equal
+// texts get bit-identical vectors. Empty text yields a nil vector.
 func (c *Corpus) Vector(text string) []Weight {
 	tf := map[string]int{}
 	for _, w := range Words(text) {
@@ -76,10 +76,14 @@ func (c *Corpus) Vector(text string) []Weight {
 		return nil
 	}
 	vec := make([]Weight, 0, len(tf))
+	for term := range tf {
+		vec = append(vec, Weight{Term: term})
+	}
+	sort.Slice(vec, func(i, j int) bool { return vec[i].Term < vec[j].Term })
 	var norm float64
-	for term, n := range tf {
-		w := (1 + math.Log(float64(n))) * c.IDF(term)
-		vec = append(vec, Weight{Term: term, W: w})
+	for i, v := range vec {
+		w := (1 + math.Log(float64(tf[v.Term]))) * c.IDF(v.Term)
+		vec[i].W = w
 		norm += w * w
 	}
 	norm = math.Sqrt(norm)
@@ -88,7 +92,6 @@ func (c *Corpus) Vector(text string) []Weight {
 			vec[i].W /= norm
 		}
 	}
-	sort.Slice(vec, func(i, j int) bool { return vec[i].Term < vec[j].Term })
 	return vec
 }
 

@@ -148,3 +148,22 @@ func TestVectorDeterministicOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestVectorBitStable: a vector's weights do not depend on map order —
+// recomputing one gives the same bits every time.
+func TestVectorBitStable(t *testing.T) {
+	c := NewCorpus()
+	text := "alpha beta gamma delta epsilon zeta eta theta iota kappa lambda mu alpha beta"
+	c.Add(text)
+	c.Add("alpha gamma eta")
+	c.Add("kappa mu")
+	want := c.Vector(text)
+	for i := 0; i < 50; i++ {
+		got := c.Vector(text)
+		for j := range want {
+			if got[j].Term != want[j].Term || math.Float64bits(got[j].W) != math.Float64bits(want[j].W) {
+				t.Fatalf("call %d: weight %d is %v (%s), first call %v (%s)", i, j, got[j].W, got[j].Term, want[j].W, want[j].Term)
+			}
+		}
+	}
+}
