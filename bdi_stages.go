@@ -24,8 +24,10 @@ type (
 	FieldWeight = similarity.FieldWeight
 	// RecordComparator scores record pairs by weighted field similarity.
 	RecordComparator = similarity.RecordComparator
-	// FeatureIndex caches per-record tokenisation and TF-IDF vectors so
-	// batch matching tokenises each record once, not once per pair.
+	// FeatureIndex caches per-record tokenisation for one comparator so
+	// matching tokenises each record once, not once per pair; set
+	// metrics score from the cached token IDs, every other metric
+	// (TFIDF included, against its own corpus) through its function.
 	FeatureIndex = similarity.FeatureIndex
 	// Corpus holds document frequencies for TF-IDF weighting.
 	Corpus = tokenize.Corpus
@@ -47,8 +49,10 @@ var (
 	Levenshtein = similarity.Levenshtein
 	// TFIDF is corpus-weighted cosine similarity as a Metric.
 	TFIDF = similarity.TFIDF
-	// BuildFeatureIndex precomputes comparison features for a record
-	// set; a nil TF-IDF corpus is built from the records.
+	// BuildFeatureIndex(records, comparator, workers) precomputes the
+	// comparator's features for a record set; only that comparator
+	// reads the index. It takes no corpus: a TFIDF field scores
+	// against the corpus its metric was built with.
 	BuildFeatureIndex = similarity.BuildFeatureIndex
 	// NewCorpus returns an empty TF-IDF corpus.
 	NewCorpus = tokenize.NewCorpus
@@ -160,8 +164,9 @@ var (
 	// comparison budget (0 = unlimited); it also reports how many
 	// comparisons ran.
 	MatchBudgeted = linkage.MatchBudgetedCtx
-	// NoIndexMatcher wraps a matcher so matching skips the feature
-	// cache — the uncached baseline for benchmarks and ablations.
+	// NoIndexMatcher hides a matcher's comparator, so neither matching
+	// nor an incremental linker builds or maintains its feature cache —
+	// the uncached baseline for benchmarks and ablations.
 	NoIndexMatcher = linkage.NoIndex
 	// NewIncrementalLinker returns an empty online linker.
 	NewIncrementalLinker = linkage.NewIncremental

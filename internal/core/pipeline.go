@@ -508,7 +508,7 @@ func (p *Pipeline) buildMatcher(d *data.Dataset, cs *blocking.CandidateSet, sp *
 	train := sp.Child("train")
 	// The index is built once, over the set's whole ID table: training
 	// (over the pairs' IDs) and matching (over the table) both reuse it.
-	fs.PrepareIndexIDs(d, cs.IDs(), p.cfg.Workers)
+	linkage.PrepareComparatorIndexIDs(fs.Comparator, d, cs.IDs(), p.cfg.Workers)
 	err := fs.Train(d, cs.Pairs(), 15)
 	train.End()
 	if err != nil {

@@ -152,11 +152,11 @@ func NewStream(cfg StreamConfig, publish func(*Snapshot)) (*Stream, error) {
 		return nil, err
 	}
 	cfg.defaults()
-	// The linker keeps the rule's feature index current (a
-	// linkage.RecordIndexer), so each record's title is tokenized once,
-	// at upsert, and every comparison runs the set kernel over its IDs.
+	// The linker keeps the feature index attached to the rule's
+	// comparator current, so each record's title is tokenized once, at
+	// upsert, and every comparison runs the set kernel over its IDs.
 	rule := defaultRule([]string{titleAttr}, cfg.MatchThreshold)
-	rule.Comparator.AttachIndex(similarity.BuildFeatureIndex(nil, rule.Comparator, nil, 1))
+	rule.Comparator.AttachIndex(similarity.BuildFeatureIndex(nil, rule.Comparator, 1))
 	s := &Stream{
 		cfg:     cfg,
 		matcher: rule,

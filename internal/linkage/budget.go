@@ -170,11 +170,11 @@ func sortScoredCodes(parts [][]scoredCode, ranks int) []scoredCode {
 // progressive matcher; consumed is less than budget only when the
 // stream is shorter. budget <= 0 means unlimited.
 //
-// Matchers implementing IDIndexPreparer get their feature cache warmed
-// on workers goroutines: once over src.IDs() on an unlimited run, per
-// batch over the batch's own record IDs on a budgeted one, so a small
-// budget over a huge stream never tokenises the full corpus. Wrap the
-// matcher in NoIndex to opt out.
+// A matcher that scores through a RecordComparator gets the
+// comparator's feature cache warmed on workers goroutines: once over
+// src.IDs() on an unlimited run, per batch over the batch's own record
+// IDs on a budgeted one, so a small budget over a huge stream never
+// tokenises the full corpus. Wrap the matcher in NoIndex to opt out.
 //
 // The registry records matching.comparisons and matching.matched, and
 // under a budget the recall-at-budget inputs: gauges matching.budget,
@@ -192,10 +192,10 @@ func MatchBudgetedCtx(ctx context.Context, d *data.Dataset, src PairStream, m Ma
 		src = s.ranked() // IDs and EmitCodes share one rank table
 	}
 	ids := src.IDs()
-	warmer, _ := m.(IDIndexPreparer)
+	warmer := comparatorOf(m)
 	warmBatch := warmer != nil && budgeted // warm per batch, not over ids
 	if warmer != nil && !budgeted {
-		warmer.PrepareIndexIDs(d, ids, workers)
+		PrepareComparatorIndexIDs(warmer, d, ids, workers)
 	}
 	// recs[r] is rank r's record (nil when absent from d), resolved
 	// when a batch first references r; stamp[r] is the last batch that
@@ -238,7 +238,7 @@ func MatchBudgetedCtx(ctx context.Context, d *data.Dataset, src PairStream, m Ma
 			for i, r := range ranks {
 				batchIDs[i] = ids[r]
 			}
-			warmer.PrepareIndexIDs(d, batchIDs, workers)
+			PrepareComparatorIndexIDs(warmer, d, batchIDs, workers)
 		}
 		err = parallel.ForEach(cfg, len(batch), func(i int) {
 			a, b := recs[batch[i]>>32], recs[uint32(batch[i])]

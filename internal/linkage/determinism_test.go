@@ -186,25 +186,53 @@ func TestMatchTFIDFEqualsUncached(t *testing.T) {
 	}
 }
 
-// TestMatchAttachesIndex: matching must prepare the comparator index
-// for IDIndexPreparer matchers and reuse a covering index.
+// TestMatchAttachesIndex: matching must attach a covering feature index
+// to the comparator of every matcher that scores through one, and reuse
+// it on a second run; a matcher whose comparator NoIndex hides, even
+// under IdentifierFirst, must leave it without one.
 func TestMatchAttachesIndex(t *testing.T) {
 	d, cands := matchWorkload(t)
-	cmp := workloadComparator()
-	matchAll(t, d, cands, ThresholdMatcher{Comparator: cmp, Threshold: 0.6}, 2)
-	idx := cmp.Index()
-	if idx == nil {
-		t.Fatal("matching did not attach a feature index")
-	}
-	for _, p := range cands[:10] {
-		if !idx.Has(d.Record(p.A)) || !idx.Has(d.Record(p.B)) {
-			t.Fatalf("index does not cover candidate pair %v", p)
+	for _, c := range []struct {
+		name   string
+		make   func(*similarity.RecordComparator) Matcher
+		cached bool
+	}{
+		{"threshold", func(c *similarity.RecordComparator) Matcher { return ThresholdMatcher{Comparator: c, Threshold: 0.6} }, true},
+		{"rule", func(c *similarity.RecordComparator) Matcher { return RuleMatcher{Comparator: c, Threshold: 0.6} }, true},
+		{"fellegi-sunter", func(c *similarity.RecordComparator) Matcher { return NewFellegiSunter(c) }, true},
+		{"identifier-first fellegi-sunter", func(c *similarity.RecordComparator) Matcher {
+			return IdentifierFirst{Exact: []string{"pid"}, Matcher: NewFellegiSunter(c)}
+		}, true},
+		{"no-index rule", func(c *similarity.RecordComparator) Matcher {
+			return NoIndex(RuleMatcher{Comparator: c, Threshold: 0.6})
+		}, false},
+		{"identifier-first no-index rule", func(c *similarity.RecordComparator) Matcher {
+			return IdentifierFirst{Exact: []string{"pid"}, Matcher: NoIndex(RuleMatcher{Comparator: c, Threshold: 0.6})}
+		}, false},
+	} {
+		cmp := workloadComparator()
+		m := c.make(cmp)
+		matchAll(t, d, cands, m, 2)
+		idx := cmp.Index()
+		if !c.cached {
+			if idx != nil {
+				t.Errorf("%s: matching attached a feature index behind NoIndex", c.name)
+			}
+			continue
 		}
-	}
-	// A second batch over the same candidates must reuse the index.
-	matchAll(t, d, cands, ThresholdMatcher{Comparator: cmp, Threshold: 0.6}, 2)
-	if cmp.Index() != idx {
-		t.Error("covering index was rebuilt instead of reused")
+		if idx == nil {
+			t.Fatalf("%s: matching did not attach a feature index", c.name)
+		}
+		for _, p := range cands {
+			if !idx.Has(d.Record(p.A)) || !idx.Has(d.Record(p.B)) {
+				t.Fatalf("%s: index does not cover candidate pair %v", c.name, p)
+			}
+		}
+		// A second run over the same candidates must reuse the index.
+		matchAll(t, d, cands, m, 2)
+		if cmp.Index() != idx {
+			t.Errorf("%s: covering index was rebuilt instead of reused", c.name)
+		}
 	}
 }
 

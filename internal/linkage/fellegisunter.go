@@ -32,12 +32,10 @@ func NewFellegiSunter(c *similarity.RecordComparator) *FellegiSunter {
 	return &FellegiSunter{Comparator: c, AgreeAt: 0.8, Threshold: 0.9}
 }
 
-// PrepareIndexIDs implements IDIndexPreparer: the comparison-vector
-// path (agreement vectors during EM training and posterior scoring)
-// reads the comparator's cached per-record features.
-func (fs *FellegiSunter) PrepareIndexIDs(d *data.Dataset, ids []string, workers int) {
-	PrepareComparatorIndexIDs(fs.Comparator, d, ids, workers)
-}
+// comparator exposes the comparator whose field vectors (agreement
+// vectors during EM training and posterior scoring) read the cached
+// per-record features.
+func (fs *FellegiSunter) comparator() *similarity.RecordComparator { return fs.Comparator }
 
 // agreementVector binarises the comparator's field scores: 1 = agree,
 // 0 = disagree, -1 = not comparable (missing from both). scratch, when
@@ -75,7 +73,7 @@ func (fs *FellegiSunter) Train(d *data.Dataset, candidates []data.Pair, iteratio
 	if iterations <= 0 {
 		iterations = 20
 	}
-	fs.PrepareIndexIDs(d, PairSlice(candidates).IDs(), 1)
+	PrepareComparatorIndexIDs(fs.Comparator, d, PairSlice(candidates).IDs(), 1)
 
 	scratch := make([]float64, k)
 	vectors := make([][]int, 0, len(candidates))

@@ -23,9 +23,9 @@ import (
 // probes skip tombstoned IDs, so match behaviour is identical whether
 // or not a compaction has run.
 //
-// A Matcher that implements RecordIndexer is told of every record as it
-// enters (Insert, FromState) and leaves (Delete), so a feature index
-// attached to its comparator tokenizes each record once.
+// A feature index attached to the Matcher's comparator is told of every
+// record as it enters (Insert, FromState) and leaves (Delete), so it
+// tokenizes each record once.
 type Incremental struct {
 	Key     func(r *data.Record) []string
 	Matcher Matcher
@@ -105,9 +105,7 @@ func (inc *Incremental) Insert(src *data.Source, r *data.Record) ([]string, erro
 	if err := inc.dataset.AddRecord(r); err != nil {
 		return nil, fmt.Errorf("linkage: incremental insert: %w", err)
 	}
-	if ix, ok := inc.Matcher.(RecordIndexer); ok {
-		ix.IndexRecord(r)
-	}
+	indexRecord(comparatorOf(inc.Matcher), r)
 	inc.uf.Add(r.ID)
 	inc.n++
 	inc.sets = nil
@@ -181,9 +179,7 @@ func (inc *Incremental) Delete(id string) bool {
 	inc.recluster(id)
 	keys := dedupeKeys(inc.Key(r))
 	inc.dataset.RemoveRecord(id)
-	if ix, ok := inc.Matcher.(RecordIndexer); ok {
-		ix.UnindexRecord(id)
-	}
+	unindexRecord(comparatorOf(inc.Matcher), id)
 	inc.n--
 	inc.dead[id] = keys
 	inc.deadRefs += len(keys)
@@ -342,6 +338,7 @@ func (inc *Incremental) State() *IncrementalState {
 // after construction if the original differed.
 func FromState(st *IncrementalState, key func(r *data.Record) []string, m Matcher) (*Incremental, error) {
 	inc := NewIncremental(key, m)
+	c := comparatorOf(m)
 	for _, s := range st.Sources {
 		if err := inc.dataset.AddSource(s); err != nil {
 			return nil, fmt.Errorf("linkage: restore source: %w", err)
@@ -351,9 +348,7 @@ func FromState(st *IncrementalState, key func(r *data.Record) []string, m Matche
 		if err := inc.dataset.AddRecord(r); err != nil {
 			return nil, fmt.Errorf("linkage: restore record: %w", err)
 		}
-		if ix, ok := m.(RecordIndexer); ok {
-			ix.IndexRecord(r)
-		}
+		indexRecord(c, r)
 		inc.uf.Add(r.ID)
 		inc.n++
 		for _, k := range dedupeKeys(key(r)) {

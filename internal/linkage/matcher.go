@@ -13,24 +13,22 @@ type Matcher interface {
 	Match(a, b *data.Record) (score float64, match bool)
 }
 
-// IDIndexPreparer is implemented by matchers that can precompute
-// per-record comparison features (a similarity.FeatureIndex) from
-// record IDs before a batch of pair evaluations, so every record is
-// tokenized once instead of once per candidate pair and a packed
-// candidate stream never has to materialise pair slices just to warm
-// the cache. IDs absent from d are skipped; the build tokenises on up
-// to workers goroutines (0 = NumCPU).
-type IDIndexPreparer interface {
-	PrepareIndexIDs(d *data.Dataset, ids []string, workers int)
+// comparing is implemented by matchers that score through a
+// similarity.RecordComparator. The matching loop warms the
+// comparator's feature index before scoring and an Incremental linker
+// keeps it current as records come and go, so each record is tokenized
+// once however often it is compared.
+type comparing interface {
+	comparator() *similarity.RecordComparator
 }
 
-// RecordIndexer is implemented by matchers that keep per-record
-// comparison features (a similarity.FeatureIndex) current as an
-// Incremental linker's records come and go, so each record is
-// tokenized once, when it is inserted, however often it is compared.
-type RecordIndexer interface {
-	IndexRecord(r *data.Record)
-	UnindexRecord(id string)
+// comparatorOf returns m's comparator, or nil when m scores through
+// none (or hides it, as NoIndex does).
+func comparatorOf(m Matcher) *similarity.RecordComparator {
+	if c, ok := m.(comparing); ok {
+		return c.comparator()
+	}
+	return nil
 }
 
 // PrepareComparatorIndexIDs builds a feature index over the given
@@ -53,7 +51,7 @@ func PrepareComparatorIndexIDs(c *similarity.RecordComparator, d *data.Dataset, 
 	if idx := c.Index(); idx != nil && !slices.ContainsFunc(recs, func(r *data.Record) bool { return !idx.Has(r) }) {
 		return
 	}
-	c.AttachIndex(similarity.BuildFeatureIndex(recs, c, nil, workers))
+	c.AttachIndex(similarity.BuildFeatureIndex(recs, c, workers))
 }
 
 // indexRecord adds r to the comparator's attached feature index, if any.
@@ -71,10 +69,9 @@ func unindexRecord(c *similarity.RecordComparator, id string) {
 	}
 }
 
-// NoIndex hides a matcher's IDIndexPreparer and RecordIndexer
-// implementations so matching evaluates it without building or
-// maintaining the per-record feature cache — the uncached baseline for
-// benchmarks and ablations.
+// NoIndex hides a matcher's comparator so matching evaluates it without
+// building or maintaining the per-record feature cache — the uncached
+// baseline for benchmarks and ablations.
 func NoIndex(m Matcher) Matcher { return noIndexMatcher{m: m} }
 
 type noIndexMatcher struct{ m Matcher }
@@ -94,16 +91,8 @@ func (m ThresholdMatcher) Match(a, b *data.Record) (float64, bool) {
 	return s, s >= m.Threshold
 }
 
-// PrepareIndexIDs implements IDIndexPreparer.
-func (m ThresholdMatcher) PrepareIndexIDs(d *data.Dataset, ids []string, workers int) {
-	PrepareComparatorIndexIDs(m.Comparator, d, ids, workers)
-}
-
-// IndexRecord implements RecordIndexer.
-func (m ThresholdMatcher) IndexRecord(r *data.Record) { indexRecord(m.Comparator, r) }
-
-// UnindexRecord implements RecordIndexer.
-func (m ThresholdMatcher) UnindexRecord(id string) { unindexRecord(m.Comparator, id) }
+// comparator implements comparing.
+func (m ThresholdMatcher) comparator() *similarity.RecordComparator { return m.Comparator }
 
 // RuleMatcher matches when a hard rule fires: any of the Exact
 // attributes agree exactly on non-null normalised values (identifier
@@ -140,16 +129,8 @@ func (m RuleMatcher) Match(a, b *data.Record) (float64, bool) {
 	return s, s >= m.Threshold
 }
 
-// PrepareIndexIDs implements IDIndexPreparer.
-func (m RuleMatcher) PrepareIndexIDs(d *data.Dataset, ids []string, workers int) {
-	PrepareComparatorIndexIDs(m.Comparator, d, ids, workers)
-}
-
-// IndexRecord implements RecordIndexer.
-func (m RuleMatcher) IndexRecord(r *data.Record) { indexRecord(m.Comparator, r) }
-
-// UnindexRecord implements RecordIndexer.
-func (m RuleMatcher) UnindexRecord(id string) { unindexRecord(m.Comparator, id) }
+// comparator implements comparing.
+func (m RuleMatcher) comparator() *similarity.RecordComparator { return m.Comparator }
 
 // IdentifierFirst puts RuleMatcher's identifier short-circuit ahead of
 // another matcher: a pair agreeing on any Exact attribute matches with
@@ -167,23 +148,5 @@ func (m IdentifierFirst) Match(a, b *data.Record) (float64, bool) {
 	return m.Matcher.Match(a, b)
 }
 
-// PrepareIndexIDs implements IDIndexPreparer when Matcher does.
-func (m IdentifierFirst) PrepareIndexIDs(d *data.Dataset, ids []string, workers int) {
-	if p, ok := m.Matcher.(IDIndexPreparer); ok {
-		p.PrepareIndexIDs(d, ids, workers)
-	}
-}
-
-// IndexRecord implements RecordIndexer when Matcher does.
-func (m IdentifierFirst) IndexRecord(r *data.Record) {
-	if ix, ok := m.Matcher.(RecordIndexer); ok {
-		ix.IndexRecord(r)
-	}
-}
-
-// UnindexRecord implements RecordIndexer when Matcher does.
-func (m IdentifierFirst) UnindexRecord(id string) {
-	if ix, ok := m.Matcher.(RecordIndexer); ok {
-		ix.UnindexRecord(id)
-	}
-}
+// comparator implements comparing when Matcher does.
+func (m IdentifierFirst) comparator() *similarity.RecordComparator { return comparatorOf(m.Matcher) }

@@ -151,7 +151,8 @@ func FuzzIncrementalOps(f *testing.F) {
 }
 
 // scoreLogger is a title matcher that logs every pair it scores, with
-// the score's bits. Embedding keeps ThresholdMatcher's RecordIndexer.
+// the score's bits. Embedding keeps ThresholdMatcher's comparator
+// visible to the linker.
 type scoreLogger struct {
 	ThresholdMatcher
 	log *[]string
@@ -164,7 +165,8 @@ func (m scoreLogger) Match(a, b *data.Record) (float64, bool) {
 }
 
 // TestIncrementalIndexMatchesStrings replays the FuzzIncrementalOps
-// corpus twice: through a linker whose matcher keeps an attached
+// corpus twice per matcher — a ThresholdMatcher, and the same under
+// IdentifierFirst: through a linker whose matcher keeps an attached
 // feature index current, so every comparison runs the set kernel over
 // IDs interned at insert, and through one with the same matcher behind
 // NoIndex, so every comparison tokenizes both titles. After every op the
@@ -181,68 +183,77 @@ func TestIncrementalIndexMatchesStrings(t *testing.T) {
 		t.Fatalf("corpus: %v, %d files", err, len(files))
 	}
 	reinterns, reg := 0, obs.NewRegistry()
-	for _, file := range files {
-		ops := readFuzzBytes(t, file)
-		for id := byte(0); id < fuzzIDs; id++ {
-			ops = append(ops, 4<<5|id, 0)
-		}
-		ops = append(ops, 0, 1, 1, 2)
-		src := &data.Source{ID: "s"}
-		var cachedLog, stringLog []string
-		indexed := func() scoreLogger {
-			m := incMatcher().(ThresholdMatcher)
-			m.Comparator.AttachIndex(similarity.BuildFeatureIndex(nil, m.Comparator, nil, 1))
-			m.Comparator.AttachObs(reg)
-			return scoreLogger{m, &cachedLog}
-		}
-		cachedM, stringM := indexed(), NoIndex(scoreLogger{incMatcher().(ThresholdMatcher), &stringLog})
-		cached, plain := NewIncremental(TitleTokenKey, cachedM), NewIncremental(TitleTokenKey, stringM)
-		cached.MaxBlock, plain.MaxBlock = fuzzMaxBlock, fuzzMaxBlock
-		for i := 0; i+1 < len(ops); i += 2 {
-			where := fmt.Sprintf("%s op %d", filepath.Base(file), i/2)
-			idx := cachedM.Comparator.Index()
-			interned := idx.Interned()
-			rec := fuzzRecord(ops, i)
-			got, restore := fuzzOp(cached, src, ops, i, rec)
-			want, _ := fuzzOp(plain, src, ops, i, rec)
-			if restore {
-				cachedM = indexed()
-				if cached, err = FromState(cached.State(), TitleTokenKey, cachedM); err != nil {
-					t.Fatalf("%s: %v", where, err)
+	for _, m := range []struct {
+		name string
+		wrap func(Matcher) Matcher
+	}{
+		{"threshold", func(m Matcher) Matcher { return m }},
+		{"identifier-first", func(m Matcher) Matcher { return IdentifierFirst{Exact: []string{"title"}, Matcher: m} }},
+	} {
+		wrap := m.wrap
+		for _, file := range files {
+			ops := readFuzzBytes(t, file)
+			for id := byte(0); id < fuzzIDs; id++ {
+				ops = append(ops, 4<<5|id, 0)
+			}
+			ops = append(ops, 0, 1, 1, 2)
+			src := &data.Source{ID: "s"}
+			var cachedLog, stringLog []string
+			indexed := func() scoreLogger {
+				m := incMatcher().(ThresholdMatcher)
+				m.Comparator.AttachIndex(similarity.BuildFeatureIndex(nil, m.Comparator, 1))
+				m.Comparator.AttachObs(reg)
+				return scoreLogger{m, &cachedLog}
+			}
+			cachedM, stringM := indexed(), NoIndex(wrap(scoreLogger{incMatcher().(ThresholdMatcher), &stringLog}))
+			cached, plain := NewIncremental(TitleTokenKey, wrap(cachedM)), NewIncremental(TitleTokenKey, stringM)
+			cached.MaxBlock, plain.MaxBlock = fuzzMaxBlock, fuzzMaxBlock
+			for i := 0; i+1 < len(ops); i += 2 {
+				where := fmt.Sprintf("%s %s op %d", m.name, filepath.Base(file), i/2)
+				idx := cachedM.Comparator.Index()
+				interned := idx.Interned()
+				rec := fuzzRecord(ops, i)
+				got, restore := fuzzOp(cached, src, ops, i, rec)
+				want, _ := fuzzOp(plain, src, ops, i, rec)
+				if restore {
+					cachedM = indexed()
+					if cached, err = FromState(cached.State(), TitleTokenKey, wrap(cachedM)); err != nil {
+						t.Fatalf("%s: %v", where, err)
+					}
+					if plain, err = FromState(plain.State(), TitleTokenKey, stringM); err != nil {
+						t.Fatalf("%s: %v", where, err)
+					}
+					cached.MaxBlock, plain.MaxBlock = fuzzMaxBlock, fuzzMaxBlock
+				} else if idx.Interned() < interned {
+					reinterns++
 				}
-				if plain, err = FromState(plain.State(), TitleTokenKey, stringM); err != nil {
-					t.Fatalf("%s: %v", where, err)
+				if got != want {
+					t.Fatalf("%s: the indexed linker returned %s, the string one %s", where, got, want)
 				}
-				cached.MaxBlock, plain.MaxBlock = fuzzMaxBlock, fuzzMaxBlock
-			} else if idx.Interned() < interned {
-				reinterns++
-			}
-			if got != want {
-				t.Fatalf("%s: the indexed linker returned %s, the string one %s", where, got, want)
-			}
-			if !reflect.DeepEqual(cachedLog, stringLog) {
-				t.Fatalf("%s: scored pairs\n%v\nthe string metric\n%v", where, cachedLog, stringLog)
-			}
-			cachedLog, stringLog = cachedLog[:0], stringLog[:0]
-			if a, b := cached.Clusters(), plain.Clusters(); !reflect.DeepEqual(a, b) {
-				t.Fatalf("%s: clusters\n%v\nthe string metric's\n%v", where, a, b)
-			}
-			if cached.Comparisons() != plain.Comparisons() {
-				t.Fatalf("%s: %d comparisons, the string metric %d", where, cached.Comparisons(), plain.Comparisons())
-			}
-			if a, b := cached.State(), plain.State(); !reflect.DeepEqual(a, b) {
-				t.Fatalf("%s: State\n%+v\nthe string metric's\n%+v", where, a, b)
-			}
-			live := cached.Dataset().Records()
-			if idx := cachedM.Comparator.Index(); idx.Len() != len(live) {
-				t.Fatalf("%s: the index holds %d records, the linker %d", where, idx.Len(), len(live))
-			}
-			built := incMatcher().(ThresholdMatcher).Comparator
-			built.AttachIndex(similarity.BuildFeatureIndex(live, built, nil, 1))
-			for _, a := range live {
-				for _, b := range live {
-					if x, y := cachedM.Comparator.Compare(a, b), built.Compare(a, b); math.Float64bits(x) != math.Float64bits(y) {
-						t.Fatalf("%s: %s~%s scores %v under the maintained index, %v under a built one", where, a.ID, b.ID, x, y)
+				if !reflect.DeepEqual(cachedLog, stringLog) {
+					t.Fatalf("%s: scored pairs\n%v\nthe string metric\n%v", where, cachedLog, stringLog)
+				}
+				cachedLog, stringLog = cachedLog[:0], stringLog[:0]
+				if a, b := cached.Clusters(), plain.Clusters(); !reflect.DeepEqual(a, b) {
+					t.Fatalf("%s: clusters\n%v\nthe string metric's\n%v", where, a, b)
+				}
+				if cached.Comparisons() != plain.Comparisons() {
+					t.Fatalf("%s: %d comparisons, the string metric %d", where, cached.Comparisons(), plain.Comparisons())
+				}
+				if a, b := cached.State(), plain.State(); !reflect.DeepEqual(a, b) {
+					t.Fatalf("%s: State\n%+v\nthe string metric's\n%+v", where, a, b)
+				}
+				live := cached.Dataset().Records()
+				if idx := cachedM.Comparator.Index(); idx.Len() != len(live) {
+					t.Fatalf("%s: the index holds %d records, the linker %d", where, idx.Len(), len(live))
+				}
+				built := incMatcher().(ThresholdMatcher).Comparator
+				built.AttachIndex(similarity.BuildFeatureIndex(live, built, 1))
+				for _, a := range live {
+					for _, b := range live {
+						if x, y := cachedM.Comparator.Compare(a, b), built.Compare(a, b); math.Float64bits(x) != math.Float64bits(y) {
+							t.Fatalf("%s: %s~%s scores %v under the maintained index, %v under a built one", where, a.ID, b.ID, x, y)
+						}
 					}
 				}
 			}

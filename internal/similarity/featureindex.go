@@ -1,7 +1,6 @@
 package similarity
 
 import (
-	"cmp"
 	"math"
 	"reflect"
 	"slices"
@@ -14,12 +13,12 @@ import (
 // FeatureIndex caches everything pairwise matching needs about a
 // record so each record is tokenized and normalised exactly once, no
 // matter how many candidate pairs it appears in (O(window · #blocks)
-// under blocking). Per compared field it stores the raw value, the
-// sorted slice of interned word-token IDs, and — when the field uses
-// the TF-IDF metric — the precomputed L2-normalised TF-IDF vector.
-// With an index attached, RecordComparator scores token-metric fields
-// through allocation-free kernels that linearly merge the sorted ID
-// slices instead of rebuilding hash sets per pair.
+// under blocking). Per compared field it stores the raw value and the
+// sorted slice of interned word-token IDs. With an index attached,
+// RecordComparator scores set-metric fields through allocation-free
+// kernels that linearly merge the sorted ID slices instead of
+// rebuilding hash sets per pair; every other field scores through
+// Values on the cached value copies.
 //
 // An index is built once (BuildFeatureIndex) or maintained record by
 // record (Add, Remove) — BuildFeatureIndex equals Add in a loop, with
@@ -29,10 +28,12 @@ import (
 // are exactly equal to the uncached metrics, so attaching an index
 // never changes match decisions for the built-in token metrics.
 //
-// Each entry holds the record it was built from, and the comparator
-// reads an entry only for that very record: a stale entry (an ID whose
-// record has since been replaced) or a foreign record carrying an
-// indexed ID is scored as if no index were attached.
+// An index belongs to the comparator that built it, and each entry
+// holds the record it was built from: the comparator reads an entry
+// only for that very record, and only from its own index. A stale
+// entry (an ID whose record has since been replaced), a foreign record
+// carrying an indexed ID, or an index another comparator built is
+// scored as if no index were attached.
 //
 // Interned IDs are never reused, so a long-lived index accumulates the
 // IDs of tokens no live record carries. The index counts the IDs its
@@ -41,12 +42,11 @@ import (
 // fresh interner — O(live), amortised over the Σ or more IDs interned
 // since the last renumbering.
 type FeatureIndex struct {
-	fields   []FieldWeight
+	rc       *RecordComparator // the comparator that built the index
 	kernels  []kernel
 	interner *tokenize.Interner
-	corpus   *tokenize.Corpus
 	feats    map[string]indexedRecord
-	live     int // Σ: token and TF-IDF IDs held by the entries, with repeats
+	live     int // Σ: token IDs held by the entries, with repeats
 }
 
 // indexedRecord is one entry: the record and its per-field features.
@@ -57,15 +57,8 @@ type indexedRecord struct {
 
 // fieldFeature caches one record's comparison features for one field.
 type fieldFeature struct {
-	val    data.Value   // copy of the record's value (null when absent)
-	tokens []uint32     // sorted distinct word-token IDs (string values)
-	tfidf  []WeightedID // L2-normalised TF-IDF vector, sorted by ID
-}
-
-// WeightedID is one component of an interned TF-IDF vector.
-type WeightedID struct {
-	ID uint32
-	W  float64
+	val    data.Value // copy of the record's value (null when absent)
+	tokens []uint32   // sorted distinct word-token IDs (string values)
 }
 
 // kernel identifies the allocation-free scoring routine for a field.
@@ -77,14 +70,15 @@ const (
 	kernelDice
 	kernelOverlap
 	kernelCosine
-	kernelTFIDF
 )
 
 // kernelOf resolves a field metric to its cached kernel by comparing
-// function code pointers against the built-in token metrics. Closures
-// returned by TFIDF share one code pointer regardless of corpus, which
-// is exactly the granularity needed: the kernel recomputes from the
-// index's own vectors.
+// function code pointers against the built-in set metrics; any other
+// metric scores through Values. A metric built as a closure, such as
+// TFIDF(c), could not be told apart this way even with a kernel for
+// it: the Go inliner copies the closure into every call site that
+// builds it, so its code pointer never matches a reference copy's. A
+// TFIDF field therefore scores against the metric's own corpus.
 func kernelOf(m Metric) kernel {
 	if m == nil {
 		return kernelNone
@@ -98,8 +92,6 @@ func kernelOf(m Metric) kernel {
 		return kernelOverlap
 	case cosinePtr:
 		return kernelCosine
-	case tfidfPtr:
-		return kernelTFIDF
 	}
 	return kernelNone
 }
@@ -109,62 +101,33 @@ var (
 	dicePtr    = reflect.ValueOf(Metric(Dice)).Pointer()
 	overlapPtr = reflect.ValueOf(Metric(Overlap)).Pointer()
 	cosinePtr  = reflect.ValueOf(Metric(CosineSet)).Pointer()
-	tfidfPtr   = reflect.ValueOf(TFIDF(nil)).Pointer()
 )
 
 // buildBlock is how many records BuildFeatureIndex tokenises at once.
 const buildBlock = 1 << 12
 
-// BuildFeatureIndex tokenizes every record's compared attributes once
-// and returns the resulting index; with no records it is an empty
-// index to maintain with Add and Remove. When the comparator uses the
-// TFIDF metric, the vectors are weighted by corpus; a nil corpus is
-// built from the given records' field values (one document per
-// non-null string value). Pass a corpus to take document-frequency
-// statistics from a wider collection. The corpus is frozen (see
-// tokenize.Corpus.Freeze) so the cached vectors can be read
-// concurrently. An index with no corpus scores TFIDF fields through
-// Values.
+// BuildFeatureIndex tokenizes every record's attributes that rc
+// compares once and returns the resulting index, which only rc reads;
+// with no records it is an empty index to maintain with Add and Remove.
 //
 // Records are tokenised on up to workers goroutines (0 = NumCPU) in
 // blocks of buildBlock, and the calling goroutine interns each block in
-// record order; so every token ID, set, vector and kernel result equals
-// that of Add called on the records in order.
-func BuildFeatureIndex(records []*data.Record, rc *RecordComparator, corpus *tokenize.Corpus, workers int) *FeatureIndex {
+// record order; so every token ID, set and kernel result equals that of
+// Add called on the records in order.
+func BuildFeatureIndex(records []*data.Record, rc *RecordComparator, workers int) *FeatureIndex {
 	idx := &FeatureIndex{
-		fields:   rc.fields,
+		rc:       rc,
 		kernels:  make([]kernel, len(rc.fields)),
 		interner: tokenize.NewInterner(),
 		feats:    make(map[string]indexedRecord, len(records)),
 	}
-	needTFIDF := false
 	for i, f := range rc.fields {
 		idx.kernels[i] = kernelOf(f.Metric)
-		if idx.kernels[i] == kernelTFIDF {
-			needTFIDF = true
-		}
-	}
-	if needTFIDF && corpus == nil && len(records) > 0 {
-		corpus = tokenize.NewCorpus()
-		for _, r := range records {
-			if r == nil {
-				continue
-			}
-			for _, f := range rc.fields {
-				if v := r.Get(f.Attr); v.Kind == data.KindString {
-					corpus.Add(v.Str)
-				}
-			}
-		}
-	}
-	if corpus != nil {
-		corpus.Freeze()
-		idx.corpus = corpus
 	}
 	// Each block tokenises on the workers, then this goroutine interns it
 	// in record order; one block's tokens are the build's only transient
 	// state.
-	nf := len(idx.fields)
+	nf := len(rc.fields)
 	toks := make([]fieldTokens, min(len(records), buildBlock)*nf)
 	cfg := parallel.Config{Workers: workers}
 	for lo := 0; lo < len(records); lo += buildBlock {
@@ -186,25 +149,20 @@ func BuildFeatureIndex(records []*data.Record, rc *RecordComparator, corpus *tok
 }
 
 // fieldTokens is one field of one record tokenised but not interned:
-// the value, the words of a string value and, for a TF-IDF field, its
-// term-sorted vector.
+// the value and the words of a string value.
 type fieldTokens struct {
 	val   data.Value
 	words []string
-	vec   []tokenize.Weight
 }
 
-// tokenise fills out with r's per-field tokens. It reads only r and
-// the frozen corpus, so records tokenise concurrently.
+// tokenise fills out with r's per-field tokens. It reads only r, so
+// records tokenise concurrently.
 func (idx *FeatureIndex) tokenise(r *data.Record, out []fieldTokens) {
-	for i, f := range idx.fields {
+	for i, f := range idx.rc.fields {
 		v := r.Get(f.Attr)
 		out[i] = fieldTokens{val: v}
 		if v.Kind == data.KindString {
 			out[i].words = tokenize.Words(v.Str)
-			if idx.kernels[i] == kernelTFIDF && idx.corpus != nil {
-				out[i].vec = idx.corpus.Vector(v.Str)
-			}
 		}
 	}
 }
@@ -214,10 +172,10 @@ func (idx *FeatureIndex) tokenise(r *data.Record, out []fieldTokens) {
 func (idx *FeatureIndex) Add(r *data.Record) {
 	var buf [2]fieldTokens // most comparators compare one or two fields
 	toks := buf[:0]
-	if len(idx.fields) <= len(buf) {
-		toks = buf[:len(idx.fields)]
+	if nf := len(idx.rc.fields); nf <= len(buf) {
+		toks = buf[:nf]
 	} else {
-		toks = make([]fieldTokens, len(idx.fields))
+		toks = make([]fieldTokens, nf)
 	}
 	idx.tokenise(r, toks)
 	idx.add(r, toks)
@@ -227,15 +185,14 @@ func (idx *FeatureIndex) Add(r *data.Record) {
 // for r.ID.
 func (idx *FeatureIndex) add(r *data.Record, toks []fieldTokens) {
 	idx.Remove(r.ID)
-	ff := make([]fieldFeature, len(idx.fields))
+	ff := make([]fieldFeature, len(toks))
 	for i, t := range toks {
 		ff[i].val = t.val
 		if t.val.Kind != data.KindString {
 			continue
 		}
 		ff[i].tokens = idx.internWords(t.words)
-		ff[i].tfidf = idx.internVector(t.vec)
-		idx.live += len(ff[i].tokens) + len(ff[i].tfidf)
+		idx.live += len(ff[i].tokens)
 	}
 	idx.feats[r.ID] = indexedRecord{rec: r, ff: ff}
 	if idx.interner.Len() > 2*idx.live {
@@ -251,15 +208,14 @@ func (idx *FeatureIndex) Remove(id string) {
 		return
 	}
 	for _, f := range e.ff {
-		idx.live -= len(f.tokens) + len(f.tfidf)
+		idx.live -= len(f.tokens)
 	}
 	delete(idx.feats, id)
 }
 
 // reintern renumbers the IDs the live entries hold into a fresh
 // interner, in ascending order of their old IDs. The renumbering is
-// monotone, so every token set and vector stays sorted and every
-// kernel — the TF-IDF dot product's summation order included — returns
+// monotone, so every token set stays sorted and every kernel returns
 // the same bits.
 func (idx *FeatureIndex) reintern() {
 	old := idx.interner
@@ -268,9 +224,6 @@ func (idx *FeatureIndex) reintern() {
 		for _, f := range e.ff {
 			for _, id := range f.tokens {
 				held[id] = true
-			}
-			for _, w := range f.tfidf {
-				held[w.ID] = true
 			}
 		}
 	}
@@ -285,9 +238,6 @@ func (idx *FeatureIndex) reintern() {
 		for _, f := range e.ff {
 			for i, id := range f.tokens {
 				f.tokens[i] = renum[id]
-			}
-			for i, w := range f.tfidf {
-				f.tfidf[i].ID = renum[w.ID]
 			}
 		}
 	}
@@ -309,20 +259,6 @@ func (idx *FeatureIndex) internWords(words []string) []uint32 {
 	return slices.Compact(ids)
 }
 
-// internVector converts a term-sorted TF-IDF vector to interned IDs
-// sorted by ID.
-func (idx *FeatureIndex) internVector(vec []tokenize.Weight) []WeightedID {
-	if len(vec) == 0 {
-		return nil
-	}
-	out := make([]WeightedID, len(vec))
-	for i, w := range vec {
-		out[i] = WeightedID{ID: idx.interner.Intern(w.Term), W: w.W}
-	}
-	slices.SortFunc(out, func(a, b WeightedID) int { return cmp.Compare(a.ID, b.ID) })
-	return out
-}
-
 // Has reports whether the index carries features built from r itself.
 func (idx *FeatureIndex) Has(r *data.Record) bool {
 	return r != nil && idx.feats[r.ID].rec == r
@@ -334,27 +270,6 @@ func (idx *FeatureIndex) Len() int { return len(idx.feats) }
 // Interned returns the number of token IDs the interner holds, live and
 // dead.
 func (idx *FeatureIndex) Interned() int { return idx.interner.Len() }
-
-// Corpus returns the TF-IDF corpus backing the index (nil when no
-// field uses the TFIDF metric and none was supplied).
-func (idx *FeatureIndex) Corpus() *tokenize.Corpus { return idx.corpus }
-
-// Tokens returns the sorted interned token IDs cached for one record's
-// attribute (nil when the record or a string value is absent). Exposed
-// for blocking and diagnostics; the slice must not be mutated, and its
-// IDs hold until the next Add.
-func (idx *FeatureIndex) Tokens(id, attr string) []uint32 {
-	e, ok := idx.feats[id]
-	if !ok {
-		return nil
-	}
-	for i, f := range idx.fields {
-		if f.Attr == attr {
-			return e.ff[i].tokens
-		}
-	}
-	return nil
-}
 
 // intersectSize counts common IDs of two sorted slices by linear merge.
 func intersectSize(a, b []uint32) int {
@@ -402,28 +317,4 @@ func setKernel(k kernel, a []uint32, la int, b []uint32, lb int) float64 {
 		return float64(inter) / math.Sqrt(float64(la)*float64(lb))
 	}
 	return 0
-}
-
-// dotKernel computes the clamped inner product of two ID-sorted TF-IDF
-// vectors; two empty vectors are perfectly similar, mirroring
-// TFIDFCosine.
-func dotKernel(a, b []WeightedID) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	var dot float64
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].ID < b[j].ID:
-			i++
-		case a[i].ID > b[j].ID:
-			j++
-		default:
-			dot += a[i].W * b[j].W
-			i++
-			j++
-		}
-	}
-	return clamp01(dot)
 }

@@ -67,7 +67,7 @@ func TestCachedCompareMatchesUncached(t *testing.T) {
 	recs := indexWorkload()
 	cached := indexComparator()
 	uncached := indexComparator()
-	cached.AttachIndex(BuildFeatureIndex(recs, cached, nil, 1))
+	cached.AttachIndex(BuildFeatureIndex(recs, cached, 1))
 	for i := 0; i < len(recs); i++ {
 		for j := i; j < len(recs); j++ {
 			a, b := recs[i], recs[j]
@@ -86,9 +86,28 @@ func TestCachedCompareMatchesUncached(t *testing.T) {
 	}
 }
 
-// TestCachedSetKernels pins each set kernel against its map-based
-// metric directly on the raw strings.
+// TestCachedSetKernels pins which metrics get a kernel — each set
+// metric, as a function value and through Named, and no closure-built
+// metric — and each set kernel against its map-based metric directly on
+// the raw strings. A metric falling back to Values scores the same bits
+// as its kernel would, so only the selection shows which path ran.
 func TestCachedSetKernels(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		m    Metric
+		want kernel
+	}{
+		{"Jaccard", Jaccard, kernelJaccard}, {"Named(jaccard)", Named("jaccard"), kernelJaccard},
+		{"Dice", Dice, kernelDice}, {"Named(dice)", Named("dice"), kernelDice},
+		{"Overlap", Overlap, kernelOverlap}, {"Named(overlap)", Named("overlap"), kernelOverlap},
+		{"CosineSet", CosineSet, kernelCosine}, {"Named(cosine)", Named("cosine"), kernelCosine},
+		{"TFIDF", TFIDF(tokenize.NewCorpus()), kernelNone}, {"Named(qgram3)", Named("qgram3"), kernelNone},
+	} {
+		if got := kernelOf(c.m); got != c.want {
+			t.Errorf("kernelOf(%s) = %d, want %d", c.name, got, c.want)
+		}
+	}
+
 	pairs := [][2]string{
 		{"nova camera pro 300", "nova camera pro 300 deluxe"},
 		{"a b c", "d e f"},
@@ -108,7 +127,7 @@ func TestCachedSetKernels(t *testing.T) {
 		for pi, p := range pairs {
 			a := data.NewRecord("a", "s").Set("v", data.String(p[0]))
 			b := data.NewRecord("b", "s").Set("v", data.String(p[1]))
-			rc.AttachIndex(BuildFeatureIndex([]*data.Record{a, b}, rc, nil, 1))
+			rc.AttachIndex(BuildFeatureIndex([]*data.Record{a, b}, rc, 1))
 			got := rc.Compare(a, b)
 			want := mt.m(p[0], p[1])
 			if p[0] == "" && p[1] == "" {
@@ -121,8 +140,8 @@ func TestCachedSetKernels(t *testing.T) {
 	}
 }
 
-// TestCachedTFIDF verifies the precomputed-vector path against the
-// direct TFIDFCosine computation over the same corpus.
+// TestCachedTFIDF: with an index attached, a TF-IDF field scores
+// exactly TFIDFCosine over the metric's own corpus, bit for bit.
 func TestCachedTFIDF(t *testing.T) {
 	recs := indexWorkload()
 	corpus := tokenize.NewCorpus()
@@ -132,10 +151,9 @@ func TestCachedTFIDF(t *testing.T) {
 		}
 	}
 	rc := NewRecordComparator(FieldWeight{Attr: "title", Weight: 1, Metric: TFIDF(corpus)})
-	rc.AttachIndex(BuildFeatureIndex(recs, rc, corpus, 1))
-	if !corpus.Frozen() {
-		t.Fatal("index build must freeze the corpus")
-	}
+	rc.AttachIndex(BuildFeatureIndex(recs, rc, 1))
+	reg := obs.NewRegistry()
+	rc.AttachObs(reg)
 	for i := 0; i < len(recs); i++ {
 		for j := i; j < len(recs); j++ {
 			a, b := recs[i], recs[j]
@@ -145,10 +163,13 @@ func TestCachedTFIDF(t *testing.T) {
 			}
 			got := rc.Compare(a, b)
 			want := TFIDFCosine(corpus, va.Str, vb.Str)
-			if diff := got - want; diff > 1e-12 || diff < -1e-12 {
+			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Errorf("tfidf(%s,%s): cached %v, direct %v", a.ID, b.ID, got, want)
 			}
 		}
+	}
+	if n := reg.Counter("matching.uncached_compares").Value(); n != 0 {
+		t.Errorf("%d pairs were scored without the index", n)
 	}
 }
 
@@ -169,7 +190,7 @@ func TestCachedCompareZeroAllocs(t *testing.T) {
 		FieldWeight{Attr: "brand", Weight: 1, Metric: Dice},
 		FieldWeight{Attr: "price", Weight: 1},
 	)
-	rc.AttachIndex(BuildFeatureIndex([]*data.Record{a, b}, rc, nil, 1))
+	rc.AttachIndex(BuildFeatureIndex([]*data.Record{a, b}, rc, 1))
 	if allocs := testing.AllocsPerRun(200, func() { rc.Compare(a, b) }); allocs != 0 {
 		t.Errorf("cached Compare allocates %v per pair, want 0", allocs)
 	}
@@ -184,7 +205,7 @@ func TestCachedCompareZeroAllocs(t *testing.T) {
 func TestUnindexedRecordsFallBack(t *testing.T) {
 	recs := indexWorkload()
 	rc := indexComparator()
-	rc.AttachIndex(BuildFeatureIndex(recs[:3], rc, nil, 1))
+	rc.AttachIndex(BuildFeatureIndex(recs[:3], rc, 1))
 	fresh := data.NewRecord("fresh", "s2").Set("title", data.String("nova camera pro 300"))
 	want := indexComparator().Compare(recs[0], fresh)
 	if got := rc.Compare(recs[0], fresh); got != want {
@@ -195,38 +216,18 @@ func TestUnindexedRecordsFallBack(t *testing.T) {
 	}
 }
 
-// TestIndexTokensAccessor sanity-checks the exposed token sets.
-func TestIndexTokensAccessor(t *testing.T) {
-	a := data.NewRecord("a", "s").Set("title", data.String("beta alpha beta"))
-	rc := NewRecordComparator(FieldWeight{Attr: "title", Weight: 1, Metric: Jaccard})
-	idx := BuildFeatureIndex([]*data.Record{a}, rc, nil, 1)
-	toks := idx.Tokens("a", "title")
-	if len(toks) != 2 {
-		t.Fatalf("want 2 distinct tokens, got %v", toks)
-	}
-	for i := 1; i < len(toks); i++ {
-		if toks[i-1] >= toks[i] {
-			t.Errorf("token IDs not strictly sorted: %v", toks)
-		}
-	}
-	if idx.Tokens("a", "missing") != nil || idx.Tokens("zzz", "title") != nil {
-		t.Error("Tokens must return nil for unknown attr/record")
-	}
-	if idx.Len() != 1 {
-		t.Errorf("Len = %d", idx.Len())
-	}
-}
-
 // TestIndexReadsOnlyItsOwnRecords pins that a cached entry is read only
-// for the record it was built from: after an ID's record is replaced
-// the old entry is never read for the new record, and a foreign record
-// carrying an indexed ID scores as if no index were attached.
+// for the record it was built from, and only by the comparator that
+// built the index: after an ID's record is replaced the old entry is
+// never read for the new record, a foreign record carrying an indexed
+// ID scores as if no index were attached, and so does every pair under
+// a comparator given another comparator's index.
 func TestIndexReadsOnlyItsOwnRecords(t *testing.T) {
 	recs := indexWorkload()
 	rc, plain := indexComparator(), indexComparator()
 	reg := obs.NewRegistry()
 	rc.AttachObs(reg)
-	rc.AttachIndex(BuildFeatureIndex(recs, rc, nil, 1))
+	rc.AttachIndex(BuildFeatureIndex(recs, rc, 1))
 	uncached := reg.Counter("matching.uncached_compares")
 
 	// A foreign record under recs[0]'s ID, with another title.
@@ -259,15 +260,30 @@ func TestIndexReadsOnlyItsOwnRecords(t *testing.T) {
 			t.Fatalf("stale %s vs %s was scored from the cache, or fresh was not", stale.ID, other.ID)
 		}
 	}
+	// A one-field brand comparator given a one-field title comparator's
+	// index must not read the title tokens as brands.
+	a := data.NewRecord("a", "s").Set("title", data.String("nova camera")).Set("brand", data.String("nova"))
+	b := data.NewRecord("b", "s").Set("title", data.String("nova camera")).Set("brand", data.String("orbit"))
+	title := NewRecordComparator(FieldWeight{Attr: "title", Weight: 1, Metric: Jaccard})
+	brand := NewRecordComparator(FieldWeight{Attr: "brand", Weight: 1, Metric: Jaccard})
+	want := brand.Compare(a, b)
+	brand.AttachIndex(BuildFeatureIndex([]*data.Record{a, b}, title, 1))
+	brand.AttachObs(reg)
+	before := uncached.Value()
+	if got := brand.Compare(a, b); got != want {
+		t.Errorf("brand under the title comparator's index scores %v, uncached %v", got, want)
+	}
+	if uncached.Value() != before+1 {
+		t.Error("brand was scored from the title comparator's index")
+	}
 }
 
 // TestIndexAddRemoveMatchesBuild drives an index through random Adds —
 // of new records and of replacements under a live ID — and Removes, and
 // after every step requires every pair of live records to score as
-// under BuildFeatureIndex over them: bit for bit on the set and value
-// fields, within the TF-IDF tolerance on a TF-IDF comparator. The
-// titles draw fresh words, so the index re-interns on the way; the test
-// asserts it did.
+// under BuildFeatureIndex over them, bit for bit, on a set-metric and a
+// TF-IDF comparator. The titles draw fresh words, so the index
+// re-interns on the way; the test asserts it did.
 func TestIndexAddRemoveMatchesBuild(t *testing.T) {
 	base := indexWorkload()
 	corpus := tokenize.NewCorpus()
@@ -280,10 +296,9 @@ func TestIndexAddRemoveMatchesBuild(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		make func() *RecordComparator
-		tol  float64
-	}{{"sets", indexComparator, 0}, {"tfidf", tfidf, 1e-12}} {
+	}{{"sets", indexComparator}, {"tfidf", tfidf}} {
 		rc := c.make()
-		idx := BuildFeatureIndex(nil, rc, corpus, 1)
+		idx := BuildFeatureIndex(nil, rc, 1)
 		rc.AttachIndex(idx)
 		rng := rand.New(rand.NewSource(3))
 		live := map[string]*data.Record{}
@@ -307,14 +322,14 @@ func TestIndexAddRemoveMatchesBuild(t *testing.T) {
 				recs = append(recs, r)
 			}
 			built := c.make()
-			built.AttachIndex(BuildFeatureIndex(recs, built, corpus, 1))
+			built.AttachIndex(BuildFeatureIndex(recs, built, 1))
 			if idx.Len() != len(recs) {
 				t.Fatalf("%s step %d: %d entries for %d live records", c.name, step, idx.Len(), len(recs))
 			}
 			for _, a := range recs {
 				for _, b := range recs {
 					got, want := rc.Compare(a, b), built.Compare(a, b)
-					if d := got - want; d > c.tol || d < -c.tol {
+					if math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("%s step %d: %s~%s scores %v maintained, %v built", c.name, step, a.ID, b.ID, got, want)
 					}
 				}
@@ -328,7 +343,7 @@ func TestIndexAddRemoveMatchesBuild(t *testing.T) {
 
 // TestParallelBuildMatchesAddLoop: BuildFeatureIndex at any worker count
 // equals Add over the same records in order — interned IDs, every token
-// set and TF-IDF vector, and Compare bits — on a corpus spanning several
+// set and Compare bits — on a corpus spanning several
 // build blocks, with a repeated ID (the later record replaces the
 // earlier) and nil records, for a set-metric and a TF-IDF comparator.
 func TestParallelBuildMatchesAddLoop(t *testing.T) {
@@ -352,7 +367,7 @@ func TestParallelBuildMatchesAddLoop(t *testing.T) {
 		recs = append(recs, r)
 	}
 	recs = append(recs, nil, data.NewRecord("r00005", "s2").Set("title", data.String("w1 replaced w2")), nil)
-	corpus := tokenize.NewCorpus() // the metric's, for pairs Values scores
+	corpus := tokenize.NewCorpus() // the TF-IDF metric's
 	for _, r := range recs {
 		if r != nil {
 			corpus.Add(r.Get("title").String())
@@ -368,9 +383,8 @@ func TestParallelBuildMatchesAddLoop(t *testing.T) {
 		name string
 		make func() *RecordComparator
 	}{{"sets", sets}, {"tfidf", tfidf}} {
-		ref := BuildFeatureIndex(recs, c.make(), nil, 1) // for the corpus only
 		loopRC := c.make()
-		loop := BuildFeatureIndex(nil, loopRC, ref.Corpus(), 1)
+		loop := BuildFeatureIndex(nil, loopRC, 1)
 		for _, r := range recs {
 			if r != nil {
 				loop.Add(r)
@@ -379,7 +393,7 @@ func TestParallelBuildMatchesAddLoop(t *testing.T) {
 		loopRC.AttachIndex(loop)
 		for _, workers := range []int{1, 2, 8} {
 			builtRC := c.make()
-			built := BuildFeatureIndex(recs, builtRC, nil, workers)
+			built := BuildFeatureIndex(recs, builtRC, workers)
 			builtRC.AttachIndex(built)
 			if built.Interned() != loop.Interned() || built.Len() != loop.Len() {
 				t.Fatalf("%s workers=%d: %d IDs over %d records, the Add loop %d over %d",
@@ -392,10 +406,7 @@ func TestParallelBuildMatchesAddLoop(t *testing.T) {
 				}
 				for i := range want.ff {
 					g, w := got.ff[i], want.ff[i]
-					sameVec := slices.EqualFunc(g.tfidf, w.tfidf, func(a, b WeightedID) bool {
-						return a.ID == b.ID && math.Float64bits(a.W) == math.Float64bits(b.W)
-					})
-					if !g.val.Equal(w.val) || !slices.Equal(g.tokens, w.tokens) || !sameVec {
+					if !g.val.Equal(w.val) || !slices.Equal(g.tokens, w.tokens) {
 						t.Fatalf("%s workers=%d: %s field %d differs from the Add loop", c.name, workers, id, i)
 					}
 				}

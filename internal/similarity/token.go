@@ -96,11 +96,8 @@ func TFIDFCosine(c *tokenize.Corpus, a, b string) float64 {
 }
 
 // TFIDF wraps TFIDFCosine as a field Metric over the supplied corpus.
-// When the comparator has a FeatureIndex attached, fields using this
-// metric are scored from the index's precomputed interned vectors —
-// weighted by the corpus the index was built with (see
-// BuildFeatureIndex to control it) — instead of re-vectorising
-// both strings per pair.
+// A FeatureIndex has no kernel for it (see kernelOf): a cached field
+// scores through Values, against this corpus, exactly as uncached.
 func TFIDF(c *tokenize.Corpus) Metric {
 	return func(a, b string) float64 { return TFIDFCosine(c, a, b) }
 }

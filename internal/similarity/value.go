@@ -157,8 +157,10 @@ type FieldWeight struct {
 // Attaching a FeatureIndex (AttachIndex) switches Compare and
 // FieldScoresInto to allocation-free cached kernels for every pair of
 // records the index holds; any other record — unindexed, or replaced
-// since its ID was indexed — falls back to the direct path, so a stale
-// or partial index degrades performance, never correctness.
+// since its ID was indexed — falls back to the direct path, as does
+// every record when the index was built by another comparator, so a
+// stale, partial or foreign index degrades performance, never
+// correctness.
 type RecordComparator struct {
 	fields []FieldWeight
 	idx    *FeatureIndex
@@ -196,7 +198,8 @@ func UniformComparator(m Metric, attrs ...string) *RecordComparator {
 func (rc *RecordComparator) Fields() []FieldWeight { return rc.fields }
 
 // AttachIndex attaches a feature index built from this comparator (see
-// BuildFeatureIndex); nil detaches. Attach, and mutate the index, only
+// BuildFeatureIndex; an index another comparator built is never read);
+// nil detaches. Attach, and mutate the index, only
 // while no matching worker shares the comparator — the workers only
 // read it.
 func (rc *RecordComparator) AttachIndex(idx *FeatureIndex) { rc.idx = idx }
@@ -214,10 +217,11 @@ func (rc *RecordComparator) AttachObs(reg *obs.Registry) {
 }
 
 // cachedFeatures returns both records' cached field features when the
-// attached index holds entries built from these very records.
+// attached index is rc's own and holds entries built from these very
+// records.
 func (rc *RecordComparator) cachedFeatures(a, b *data.Record) (fa, fb []fieldFeature, ok bool) {
 	idx := rc.idx
-	if idx == nil || len(idx.fields) != len(rc.fields) {
+	if idx == nil || idx.rc != rc {
 		return nil, nil, false
 	}
 	ea, eb := idx.feats[a.ID], idx.feats[b.ID]
@@ -234,13 +238,7 @@ func (rc *RecordComparator) fieldSim(i int, fa, fb []fieldFeature) float64 {
 	va, vb := fa[i].val, fb[i].val
 	if k := rc.idx.kernels[i]; k != kernelNone &&
 		va.Kind == data.KindString && vb.Kind == data.KindString {
-		if k == kernelTFIDF {
-			if rc.idx.corpus != nil {
-				return dotKernel(fa[i].tfidf, fb[i].tfidf)
-			}
-		} else {
-			return setKernel(k, fa[i].tokens, len(fa[i].tokens), fb[i].tokens, len(fb[i].tokens))
-		}
+		return setKernel(k, fa[i].tokens, len(fa[i].tokens), fb[i].tokens, len(fb[i].tokens))
 	}
 	return Values(va, vb, rc.fields[i].Metric)
 }
