@@ -60,7 +60,10 @@ var (
 
 // Blocking.
 type (
-	// Blocker produces candidate pairs from records.
+	// Blocker is a candidate-generation technique (StandardBlocking,
+	// SortedNeighborhood, ...): a value whose Candidates runs it as a
+	// pass over a BlockingEngine, on the engine's workers, registry,
+	// context and error sink.
 	Blocker = blocking.Blocker
 	// KeyFunc derives blocking keys from a record.
 	KeyFunc = blocking.KeyFunc
@@ -68,7 +71,8 @@ type (
 	StandardBlocking = blocking.Standard
 	// SortedNeighborhood is windowed sorted-key blocking.
 	SortedNeighborhood = blocking.SortedNeighborhood
-	// MetaBlocker prunes a redundancy-positive block collection.
+	// MetaBlocker prunes a redundancy-positive block collection on the
+	// collection's engine.
 	MetaBlocker = blocking.MetaBlocker
 	// BlockingEngine interns record IDs once for several blocking
 	// passes over the same records.
@@ -104,23 +108,11 @@ var (
 	PrefixBlockingKey = blocking.AttrPrefixKey
 	// QGramBlockingKey blocks on padded q-grams.
 	QGramBlockingKey = blocking.QGramKey
-	// NewBlockingEngine interns record IDs for sharded block building;
-	// errors along the derived chain stick to the engine (read Err).
+	// NewBlockingEngine interns record IDs for sharded block building
+	// and every technique's pass; errors along the derived chain stick
+	// to the engine (read Err), none panics.
 	NewBlockingEngine = blocking.NewEngineOpts
 )
-
-// BuildIndexedBlocks groups records by blocking key across the given
-// number of workers (0 = NumCPU) — the one-shot engine form. It
-// has no error return: a nil key or a panicking key function panics
-// here; use NewBlockingEngine and its Err to handle them.
-func BuildIndexedBlocks(records []*Record, key KeyFunc, workers int) *IndexedBlocks {
-	eng := blocking.NewEngineOpts(records, blocking.Opts{Workers: workers})
-	idx := eng.Blocks(key)
-	if err := eng.Err(); err != nil {
-		panic(err)
-	}
-	return idx
-}
 
 // Matching and clustering.
 type (

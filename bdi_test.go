@@ -70,8 +70,12 @@ func TestFacadeStageComposition(t *testing.T) {
 	_ = d.AddRecord(NewRecord("r2", "b").Set("title", StringValue("acme rocket skate pro")))
 	_ = d.AddRecord(NewRecord("r3", "b").Set("title", StringValue("zenix blender")))
 
-	cands := StandardBlocking{Key: TokenBlockingKey("title")}.Candidates(d.Records())
-	matched, err := MatchStream(context.Background(), d, PairSlice(cands), ThresholdMatcher{
+	eng := NewBlockingEngine(d.Records(), BlockingOpts{})
+	cands := StandardBlocking{Key: TokenBlockingKey("title")}.Candidates(eng)
+	if err := eng.Err(); err != nil {
+		t.Fatal(err)
+	}
+	matched, err := MatchStream(context.Background(), d, cands, ThresholdMatcher{
 		Comparator: UniformComparator(Jaccard, "title"),
 		Threshold:  0.6,
 	}, 2, nil)

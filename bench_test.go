@@ -93,7 +93,7 @@ func matchBenchWorkload() (d *Dataset, cands []Pair) {
 		HeadFraction: 0.4, TailCoverage: 0.3,
 	})
 	d = web.Dataset
-	cands = StandardBlocking{Key: TokenBlockingKey("title"), MaxBlock: 200}.Candidates(d.Records())
+	cands = NewBlockingEngine(d.Records(), BlockingOpts{}).Blocks(TokenBlockingKey("title")).Purge(200).Pairs()
 	return d, cands
 }
 
@@ -197,12 +197,12 @@ func BenchmarkBlocking(b *testing.B) {
 	}{{"1", 1}, {"ncpu", 0}} {
 		eng := NewBlockingEngine(records, BlockingOpts{Workers: w.workers})
 		idx := eng.Blocks(key).Purge(200)
-		mb := MetaBlocker{Weight: ECBSWeight, Prune: WEPPrune, Workers: w.workers}
+		mb := MetaBlocker{Weight: ECBSWeight, Prune: WEPPrune}
 		for _, step := range []struct {
 			name string
 			run  func() int
 		}{
-			{"blocks", func() int { return BuildIndexedBlocks(records, key, w.workers).NumBlocks() }},
+			{"blocks", func() int { return eng.Blocks(key).NumBlocks() }},
 			{"pairs", func() int { return idx.CandidateSet().Len() }},
 			{"meta", func() int { return mb.Pruned(idx).Len() }},
 		} {

@@ -40,14 +40,20 @@ func ExampleRuleMatcher() {
 	// Output: 1 true
 }
 
-// Token blocking groups records sharing title words.
-func ExampleBuildIndexedBlocks() {
+// Token blocking groups records sharing title words; errors along the
+// engine's chain stick to the engine instead of panicking.
+func ExampleBlockingEngine() {
 	records := []*bdi.Record{
 		bdi.NewRecord("r1", "s").Set("title", bdi.StringValue("acme rocket")),
 		bdi.NewRecord("r2", "s").Set("title", bdi.StringValue("acme skate")),
 		bdi.NewRecord("r3", "s").Set("title", bdi.StringValue("zenix blender")),
 	}
-	blocks := bdi.BuildIndexedBlocks(records, bdi.TokenBlockingKey("title"), 0)
+	eng := bdi.NewBlockingEngine(records, bdi.BlockingOpts{})
+	blocks := eng.Blocks(bdi.TokenBlockingKey("title"))
+	if err := eng.Err(); err != nil {
+		fmt.Println(err)
+		return
+	}
 	fmt.Println(blocks.NumBlocks(), blocks.Pairs())
 	// Output: 5 [{r1 r2}]
 }

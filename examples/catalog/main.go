@@ -86,13 +86,16 @@ func main() {
 	d := buildDataset()
 	records := d.Records()
 
-	// --- Blocking: token blocking on titles plus identifier blocking.
-	blocks := bdi.BuildIndexedBlocks(records, bdi.TokenBlockingKey("title"), 0)
-	candidates := blocks.Pairs()
-	candidates = append(candidates,
-		bdi.StandardBlocking{Key: bdi.ExactBlockingKey("pid")}.Candidates(records)...)
+	// --- Blocking: token blocking on titles plus identifier blocking,
+	//     one engine and one deduplicated candidate set.
+	eng := bdi.NewBlockingEngine(records, bdi.BlockingOpts{})
+	token, pid := eng.Blocks(bdi.TokenBlockingKey("title")), eng.Blocks(bdi.ExactBlockingKey("pid"))
+	candidates := eng.Concat(token, pid).CandidateSet()
+	if err := eng.Err(); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("blocking: %d candidate pairs of %d possible\n",
-		len(candidates), len(records)*(len(records)-1)/2)
+		candidates.Len(), len(records)*(len(records)-1)/2)
 
 	// --- Matching: identifier equality wins outright; otherwise a
 	//     title-similarity threshold.
@@ -101,7 +104,7 @@ func main() {
 		Comparator: bdi.UniformComparator(bdi.Jaccard, "title"),
 		Threshold:  0.55,
 	}
-	matched, err := bdi.MatchStream(context.Background(), d, bdi.PairSlice(candidates), matcher, 2, nil)
+	matched, err := bdi.MatchStream(context.Background(), d, candidates, matcher, 2, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

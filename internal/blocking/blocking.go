@@ -3,6 +3,11 @@
 // dimension of record linkage: standard key blocking, sorted
 // neighbourhood, q-gram blocking, canopy clustering, suffix and token
 // blocking, block purging, and meta-blocking over the blocking graph.
+//
+// Each technique is a value run as a pass over the caller's Engine: the
+// pass takes the engine's workers, metrics registry, context and error
+// sink, so a technique carries no settings of its own beyond its
+// parameters, and an error sticks to the engine instead of panicking.
 package blocking
 
 import (
@@ -14,21 +19,24 @@ import (
 // lands in one block per distinct key.
 type KeyFunc func(r *data.Record) []string
 
-// Blocker produces candidate pairs from a set of records.
+// Blocker is one candidate-generation technique, run as a pass over
+// an engine's records.
 type Blocker interface {
-	// Candidates returns the deduplicated candidate pairs for records.
-	Candidates(records []*data.Record) []data.Pair
+	// Candidates returns the deduplicated candidates in the technique's
+	// standard emission order. An error sticks to e (read e.Err) and
+	// leaves the set empty.
+	Candidates(e *Engine) *CandidateSet
 }
 
-// candidates is the one door behind every Blocker.Candidates: it runs
-// pass over a fresh engine and materialises the pairs. Blocker has no
-// error return, so this is where an error stuck to the engine is
-// re-raised.
-func candidates(records []*data.Record, workers int, pass func(e *Engine) *CandidateSet) []data.Pair {
-	e := NewEngineOpts(records, Opts{Workers: workers})
-	pairs := pass(e).Pairs()
-	e.sink.must()
-	return pairs
+// RankedBlocker is a technique that can also order its candidates
+// most-promising-first — the input of rank fusion (Engine.FuseRanked)
+// and of progressive, budget-limited resolution.
+type RankedBlocker interface {
+	Blocker
+	// Ranked returns the same candidates most-promising-first. The set
+	// is always in memory, whatever the engine's pair-memory budget: it
+	// is a fusion-kernel input, not a long-lived candidate set.
+	Ranked(e *Engine) *CandidateSet
 }
 
 // smallKeys is the per-record key count up to which keySet dedupes by
@@ -78,17 +86,20 @@ type Standard struct {
 	Key KeyFunc
 	// MaxBlock purges blocks above this size when > 0.
 	MaxBlock int
-	// Workers bounds the block-building and pair-expansion workers
-	// (0 = NumCPU). Output is identical for any value.
-	Workers int
 }
 
 // Candidates implements Blocker: first occurrence over the sorted
-// keys, in-block input order, identical at any worker count.
-func (s Standard) Candidates(records []*data.Record) []data.Pair {
-	return candidates(records, s.Workers, func(e *Engine) *CandidateSet {
-		return e.Blocks(s.Key).Purge(s.MaxBlock).CandidateSet()
-	})
+// keys, in-block input order, identical at any worker count. Under the
+// engine's pair-memory budget the set may be spilled (release it with
+// Close).
+func (s Standard) Candidates(e *Engine) *CandidateSet {
+	return e.Blocks(s.Key).Purge(s.MaxBlock).CandidateSet()
+}
+
+// Ranked implements RankedBlocker in progressive order (see
+// Indexed.ProgressiveOrder): pairs of smaller blocks first.
+func (s Standard) Ranked(e *Engine) *CandidateSet {
+	return e.set(e.sweep(e.Blocks(s.Key).Purge(s.MaxBlock).ProgressiveOrder().rows))
 }
 
 // AttrPrefixKey blocks on the first n runes of the normalised attribute

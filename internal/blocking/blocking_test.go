@@ -31,6 +31,29 @@ func pairSet(ps []data.Pair) map[data.Pair]bool {
 	return m
 }
 
+// candidatesOf runs b's Candidates over a fresh engine with o and
+// returns the pairs, failing t on an engine error.
+func candidatesOf(t testing.TB, b Blocker, recs []*data.Record, o Opts) []data.Pair {
+	t.Helper()
+	e := NewEngineOpts(recs, o)
+	pairs := b.Candidates(e).Pairs()
+	if err := e.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return pairs
+}
+
+// rankedOf is candidatesOf for b's Ranked order.
+func rankedOf(t testing.TB, b RankedBlocker, recs []*data.Record, o Opts) []data.Pair {
+	t.Helper()
+	e := NewEngineOpts(recs, o)
+	pairs := b.Ranked(e).Pairs()
+	if err := e.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return pairs
+}
+
 // buildBlocks is the one-shot engine form the tests start from.
 func buildBlocks(records []*data.Record, key KeyFunc) *Indexed {
 	return NewEngineOpts(records, Opts{}).Blocks(key)
@@ -86,7 +109,7 @@ func TestPurge(t *testing.T) {
 
 func TestStandardBlockerMissingValues(t *testing.T) {
 	recs := append(sampleRecords(), data.NewRecord("r6", "s")) // no title
-	pairs := Standard{Key: AttrExactKey("title")}.Candidates(recs)
+	pairs := candidatesOf(t, Standard{Key: AttrExactKey("title")}, recs, Opts{})
 	for _, p := range pairs {
 		if p.A == "r6" || p.B == "r6" {
 			t.Fatal("record without key must generate no candidates")
@@ -99,13 +122,13 @@ func TestSortedNeighborhoodWindow(t *testing.T) {
 		rec("a", "aaa"), rec("b", "aab"), rec("c", "aac"), rec("d", "aad"), rec("e", "aae"),
 	}
 	sn := SortedNeighborhood{Keys: []KeyFunc{AttrExactKey("title")}, Window: 2}
-	pairs := sn.Candidates(recs)
+	pairs := candidatesOf(t, sn, recs, Opts{})
 	// Window 2: only adjacent pairs → 4 pairs.
 	if len(pairs) != 4 {
 		t.Fatalf("window-2 pairs = %d, want 4", len(pairs))
 	}
 	sn.Window = 5
-	if got := len(sn.Candidates(recs)); got != 10 {
+	if got := len(candidatesOf(t, sn, recs, Opts{})); got != 10 {
 		t.Fatalf("window-5 pairs = %d, want all 10", got)
 	}
 }
@@ -122,8 +145,8 @@ func TestSortedNeighborhoodMultiPass(t *testing.T) {
 	lastTok := func(r *data.Record) []string { return []string{tokenLast(r.Get("title").String())} }
 	single := SortedNeighborhood{Keys: []KeyFunc{firstTok}, Window: 2}
 	multi := SortedNeighborhood{Keys: []KeyFunc{firstTok, lastTok}, Window: 2}
-	singleSet := pairSet(single.Candidates(recs))
-	multiSet := pairSet(multi.Candidates(recs))
+	singleSet := pairSet(candidatesOf(t, single, recs, Opts{}))
+	multiSet := pairSet(candidatesOf(t, multi, recs, Opts{}))
 	if len(multiSet) < len(singleSet) {
 		t.Error("multi-pass must not lose candidates")
 	}
@@ -152,11 +175,11 @@ func tokenLast(s string) string {
 
 func TestQGramKeyToleratesTypos(t *testing.T) {
 	recs := []*data.Record{rec("t1", "powershot"), rec("t2", "powershoot")}
-	exact := Standard{Key: AttrExactKey("title")}.Candidates(recs)
+	exact := candidatesOf(t, Standard{Key: AttrExactKey("title")}, recs, Opts{})
 	if len(exact) != 0 {
 		t.Fatal("exact key must miss the typo pair")
 	}
-	qg := Standard{Key: QGramKey("title", 3)}.Candidates(recs)
+	qg := candidatesOf(t, Standard{Key: QGramKey("title", 3)}, recs, Opts{})
 	if !pairSet(qg)[data.NewPair("t1", "t2")] {
 		t.Error("q-gram blocking must catch the typo pair")
 	}
@@ -164,11 +187,11 @@ func TestQGramKeyToleratesTypos(t *testing.T) {
 
 func TestSuffixKey(t *testing.T) {
 	recs := []*data.Record{rec("u1", "xcanon"), rec("u2", "ycanon")}
-	pairs := Standard{Key: SuffixKey("title", 4)}.Candidates(recs)
+	pairs := candidatesOf(t, Standard{Key: SuffixKey("title", 4)}, recs, Opts{})
 	if !pairSet(pairs)[data.NewPair("u1", "u2")] {
 		t.Error("suffix blocking must match on shared suffix")
 	}
-	short := Standard{Key: SuffixKey("title", 40)}.Candidates(recs)
+	short := candidatesOf(t, Standard{Key: SuffixKey("title", 40)}, recs, Opts{})
 	if len(short) != 0 {
 		t.Error("minLen longer than values must yield nothing")
 	}
@@ -179,7 +202,7 @@ func TestCanopy(t *testing.T) {
 		return similarity.Jaccard(a.Get("title").Str, b.Get("title").Str)
 	}
 	recs := sampleRecords()
-	pairs := Canopy{Sim: sim, Loose: 0.3, Tight: 0.8}.Candidates(recs)
+	pairs := candidatesOf(t, Canopy{Sim: sim, Loose: 0.3, Tight: 0.8}, recs, Opts{})
 	got := pairSet(pairs)
 	if !got[data.NewPair("r1", "r2")] || !got[data.NewPair("r3", "r4")] {
 		t.Errorf("canopy missed close pairs: %v", pairs)
@@ -194,7 +217,7 @@ func TestCanopyTerminates(t *testing.T) {
 	// itself is consumed each round, so it must terminate.
 	sim := func(a, b *data.Record) float64 { return 0 }
 	recs := sampleRecords()
-	if pairs := (Canopy{Sim: sim, Loose: 0.9, Tight: 0.99}).Candidates(recs); len(pairs) != 0 {
+	if pairs := candidatesOf(t, Canopy{Sim: sim, Loose: 0.9, Tight: 0.99}, recs, Opts{}); len(pairs) != 0 {
 		t.Errorf("zero-similarity canopy must yield no pairs, got %v", pairs)
 	}
 }
@@ -205,7 +228,7 @@ func TestBlockingInvariantNoSelfPairs(t *testing.T) {
 		for i := range recs {
 			recs[i] = rec(fmt.Sprintf("p%03d", i), fmt.Sprintf("title %d", i%5))
 		}
-		for _, p := range (Standard{Key: TokenKey("title")}).Candidates(recs) {
+		for _, p := range candidatesOf(t, Standard{Key: TokenKey("title")}, recs, Opts{}) {
 			if p.A == p.B || p.A > p.B {
 				return false
 			}

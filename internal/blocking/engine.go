@@ -27,10 +27,11 @@ import (
 var ErrNilKey = errors.New("blocking: nil key function")
 
 // errSink collects the first error raised along an engine's chain of
-// derived operations (Blocks → Purge → CandidateSet → meta-blocking).
-// Those methods return values, not errors — bufio.Writer-style, the
-// chain keeps running as cheap no-ops once poisoned and the caller
-// reads the sticky error from Engine.Err at the end.
+// derived operations (Blocks → Purge → CandidateSet → meta-blocking,
+// and every technique's pass). Those methods return values, not errors
+// — bufio.Writer-style, the chain keeps running as cheap no-ops once
+// poisoned and the caller reads the sticky error from Engine.Err at the
+// end.
 type errSink struct{ err error }
 
 // check records err (the first one sticks) and reports whether there
@@ -46,17 +47,6 @@ func (s *errSink) check(err error) bool {
 }
 
 func (s *errSink) failed() bool { return s.err != nil }
-
-// must re-raises a recorded error at the one API boundary that has no
-// error return, the Blocker interface (see candidates). It runs without
-// a context or a pair budget, so what reaches it is a programming fault
-// (a nil key, a recovered worker panic) — callers that must handle
-// those use the engine and its Err directly.
-func (s *errSink) must() {
-	if s.err != nil {
-		panic(s.err)
-	}
-}
 
 // ranker maps record IDs to dense uint32 ranks in lexicographic order,
 // so rank comparisons agree with data.Pair's canonical ID ordering.
@@ -170,9 +160,10 @@ type Engine struct {
 // vs emitted pairs, dedup ratio) into Opts.Obs.
 //
 // Nothing derived from the engine returns an error or panics on one:
-// any error (cancellation, worker panic, nil key) sticks to the engine,
-// derived operations degrade to cheap no-ops, and the caller reads the
-// first error from Err after the chain.
+// any error (cancellation, worker panic, nil key, a set or collection
+// of another engine) sticks to the engine, derived operations and
+// every technique's pass degrade to cheap no-ops returning empty sets,
+// and the caller reads the first error from Err after the chain.
 func NewEngineOpts(records []*data.Record, o Opts) *Engine {
 	e := &Engine{
 		cfg:    parallel.Config{Workers: o.Workers, Obs: obs.OrDefault(o.Obs), Ctx: o.Ctx},
@@ -200,10 +191,10 @@ func NewEngineOpts(records []*data.Record, o Opts) *Engine {
 func (e *Engine) Err() error { return e.sink.err }
 
 // set wraps codes (deduplicated, in emission order) as a candidate set
-// over the engine's ID table; set(nil) is the empty result of every
-// failed derivation.
+// of the engine; set(nil) is the empty result of every failed
+// derivation.
 func (e *Engine) set(codes []uint64) *CandidateSet {
-	return &CandidateSet{ids: e.rk.ids, codes: codes, sink: e.sink}
+	return &CandidateSet{eng: e, codes: codes}
 }
 
 // partitions resolves the shard count of the two passes whose
@@ -441,28 +432,19 @@ func (x *Indexed) Pairs() []data.Pair {
 	return cs.Pairs()
 }
 
-// EmitPairs streams the deduplicated pairs to emit in Pairs order,
-// stopping early when emit returns false.
-func (x *Indexed) EmitPairs(emit func(data.Pair) bool) {
-	cs := x.CandidateSet()
-	defer cs.Close()
-	cs.EmitPairs(emit)
-}
-
-// CandidateSet is a deduplicated candidate-pair collection packed as
-// uint64 rank codes over a shared ID table. It supports random access
-// (for the parallel matcher) and streaming emission without ever
+// CandidateSet is a deduplicated candidate-pair collection of one
+// engine, packed as uint64 rank codes over the engine's ID table. It
+// streams its codes (for the matcher) or its pairs without ever
 // materialising a []data.Pair.
 //
 // A set built under a pair-memory budget is spill-backed: its codes
-// live in sorted run files on disk (ext != nil) and only stream
-// through EmitCodes/EmitPairs; random access via Pair is unavailable
-// and Close must be called to remove the set's run directory.
+// live in sorted run files on disk (ext != nil) and stream through
+// EmitCodes/EmitPairs like an in-memory set's; Close must be called to
+// remove the set's run directory.
 type CandidateSet struct {
-	ids   []string
+	eng   *Engine
 	codes []uint64  // deduplicated pair codes, first-emission order (in-memory sets)
 	ext   *spillSet // non-nil: the codes stream from disk instead
-	sink  *errSink  // error sink for streaming reads (nil on unions, which never stream)
 }
 
 // Len returns the number of candidate pairs.
@@ -473,9 +455,8 @@ func (c *CandidateSet) Len() int {
 	return len(c.codes)
 }
 
-// Spilled reports whether the set streams from disk. Spilled sets do
-// not support random access via Pair; consume them with EmitCodes or
-// EmitPairs and release them with Close.
+// Spilled reports whether the set streams from disk; release a spilled
+// set with Close.
 func (c *CandidateSet) Spilled() bool { return c.ext != nil }
 
 // Close removes the run directory of a spill-backed set, which owns it
@@ -490,21 +471,13 @@ func (c *CandidateSet) Close() error {
 // IDs returns the engine's rank table: every record ID of the engine,
 // ascending and distinct, so rank r is IDs()[r]. It is a superset of
 // the IDs the candidates reference and must not be mutated.
-func (c *CandidateSet) IDs() []string { return c.ids }
+func (c *CandidateSet) IDs() []string { return c.eng.rk.ids }
 
 // decode unpacks a code into its pair. The high word holds the smaller
 // rank, so A < B lexicographically without a comparison.
 func (c *CandidateSet) decode(code uint64) data.Pair {
-	return data.Pair{A: c.ids[code>>32], B: c.ids[code&0xffffffff]}
-}
-
-// Pair decodes the i-th candidate. Spilled sets have no random access:
-// Pair panics on them — use EmitPairs.
-func (c *CandidateSet) Pair(i int) data.Pair {
-	if c.ext != nil {
-		panic("blocking: random access on a spilled candidate set (use EmitPairs)")
-	}
-	return c.decode(c.codes[i])
+	ids := c.eng.rk.ids
+	return data.Pair{A: ids[code>>32], B: ids[code&0xffffffff]}
 }
 
 // EmitCodes streams the packed codes in emission order, from disk when
@@ -514,7 +487,7 @@ func (c *CandidateSet) Pair(i int) data.Pair {
 func (c *CandidateSet) EmitCodes(emit func(code uint64) bool) error {
 	if c.ext != nil {
 		err := c.ext.emit(emit)
-		c.sink.check(err)
+		c.eng.sink.check(err)
 		return err
 	}
 	for _, code := range c.codes {
@@ -545,27 +518,27 @@ func (c *CandidateSet) EmitPairs(emit func(data.Pair) bool) {
 	c.EmitCodes(func(code uint64) bool { return emit(c.decode(code)) })
 }
 
-// UnionCandidates concatenates candidate sets of one engine and keeps
-// each pair's first occurrence — the packed equivalent of appending
-// pair slices and deduplicating through a map[data.Pair]bool. Nil and
-// empty operands are skipped. The result is always a new in-memory
-// set: a spilled operand is streamed in, and its caller still owns
-// (and closes) it. Operands from different engines share no rank space
-// and panic. To union the blocks of several passes, Concat them and
+// Union concatenates candidate sets of this engine and keeps each
+// pair's first occurrence — the packed equivalent of appending pair
+// slices and deduplicating through a map[data.Pair]bool. Nil operands
+// are skipped. The result is always a new in-memory set: a spilled
+// operand is streamed in, and its caller still owns (and closes) it. A
+// set of another engine shares no rank space and poisons this one, as
+// in Concat. To union the blocks of several passes, Concat them and
 // take one CandidateSet instead.
-func UnionCandidates(sets ...*CandidateSet) *CandidateSet {
-	u := &CandidateSet{}
+func (e *Engine) Union(sets ...*CandidateSet) *CandidateSet {
 	total := 0
 	for _, s := range sets {
-		if s == nil || s.Len() == 0 {
-			continue
+		switch {
+		case s == nil:
+		case s.eng != e:
+			e.sink.check(errors.New("blocking: Union of a candidate set from another engine"))
+		default:
+			total += s.Len()
 		}
-		if u.ids == nil {
-			u.ids = s.ids
-		} else if !sameIDs(u.ids, s.ids) {
-			panic("blocking: union of candidate sets from different engines")
-		}
-		total += s.Len()
+	}
+	if e.sink.failed() {
+		return e.set(nil)
 	}
 	codes := make([]uint64, 0, total)
 	for _, s := range sets {
@@ -576,12 +549,8 @@ func UnionCandidates(sets ...*CandidateSet) *CandidateSet {
 			})
 		}
 	}
-	u.codes = dedupCodesStable(codes)
-	return u
-}
-
-// sameIDs reports whether two ID tables are the same slice (both sets
-// came from one Engine).
-func sameIDs(a, b []string) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+	if e.sink.failed() {
+		return e.set(nil)
+	}
+	return e.set(dedupCodesStable(codes))
 }

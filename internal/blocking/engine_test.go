@@ -1,6 +1,7 @@
 package blocking
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -393,7 +394,7 @@ func TestEngineStandardMatchesSeed(t *testing.T) {
 		for _, max := range []int{0, 40} {
 			want := refStandard(recs, key, max)
 			for _, w := range workerCounts {
-				got := Standard{Key: key, MaxBlock: max, Workers: w}.Candidates(recs)
+				got := candidatesOf(t, Standard{Key: key, MaxBlock: max}, recs, Opts{Workers: w})
 				samePairs(t, fmt.Sprintf("%s max=%d workers=%d", name, max, w), want, got)
 			}
 		}
@@ -430,7 +431,7 @@ func TestEngineMetaBlockingMatchesSeed(t *testing.T) {
 		for _, prune := range []PruneScheme{WEP, CEP, WNP} {
 			want := refMetaCandidates(MetaBlocker{Weight: weight, Prune: prune}, blocks)
 			for _, w := range workerCounts {
-				mb := MetaBlocker{Weight: weight, Prune: prune, Workers: w}
+				mb := MetaBlocker{Weight: weight, Prune: prune}
 				// The engine-built collection's ID table spans all
 				// records, not only the blocked ones.
 				idx := NewEngineOpts(recs, Opts{Workers: w}).Blocks(TokenKey("title")).Purge(60)
@@ -447,7 +448,7 @@ func TestEngineSortedNeighborhoodMatchesSeed(t *testing.T) {
 	for _, window := range []int{0, 3, 7} {
 		want := refSortedNeighborhood(recs, keys, window)
 		for _, w := range workerCounts {
-			got := SortedNeighborhood{Keys: keys, Window: window, Workers: w}.Candidates(recs)
+			got := candidatesOf(t, SortedNeighborhood{Keys: keys, Window: window}, recs, Opts{Workers: w})
 			samePairs(t, fmt.Sprintf("window=%d workers=%d", window, w), want, got)
 		}
 	}
@@ -459,7 +460,7 @@ func TestEngineProgressiveMatchesSeed(t *testing.T) {
 	for _, max := range []int{0, 30} {
 		want := refProgressiveStream(recs, key, max)
 		for _, w := range workerCounts {
-			got := Progressive{Key: key, MaxBlock: max, Workers: w}.Candidates(recs)
+			got := rankedOf(t, Standard{Key: key, MaxBlock: max}, recs, Opts{Workers: w})
 			samePairs(t, fmt.Sprintf("max=%d workers=%d", max, w), want, got)
 		}
 	}
@@ -479,7 +480,7 @@ func TestEngineCanopyMatchesSeed(t *testing.T) {
 	}
 	c := Canopy{Sim: sim, Loose: 0.5, Tight: 0.8}
 	want := refCanopy(c, recs)
-	got := c.Candidates(recs)
+	got := candidatesOf(t, c, recs, Opts{})
 	samePairs(t, "canopy", want, got)
 }
 
@@ -489,10 +490,9 @@ func TestEngineCanopyMatchesSeed(t *testing.T) {
 func TestEngineMinHashCanonicalAndSetMatchesSeed(t *testing.T) {
 	recs := detRecords(250)
 	m := MinHashLSH{Bands: 6, Rows: 3, Seed: 7}
-	base := MinHashLSH{Bands: 6, Rows: 3, Seed: 7, Workers: 1}.Candidates(recs)
+	base := candidatesOf(t, m, recs, Opts{Workers: 1})
 	for _, w := range workerCounts[1:] {
-		m.Workers = w
-		samePairs(t, fmt.Sprintf("minhash workers=%d", w), base, m.Candidates(recs))
+		samePairs(t, fmt.Sprintf("minhash workers=%d", w), base, candidatesOf(t, m, recs, Opts{Workers: w}))
 	}
 	seedSet := pairSet(refMinHash(m, recs))
 	gotSet := pairSet(base)
@@ -565,7 +565,7 @@ func TestUnionCandidatesMatchesAppendDedup(t *testing.T) {
 			dedup = append(dedup, p)
 		}
 	}
-	samePairs(t, "union", dedup, UnionCandidates(token, id).Pairs())
+	samePairs(t, "union", dedup, eng.Union(token, id).Pairs())
 
 	for _, budget := range []int64{0, 1 << 10} {
 		for _, w := range workerCounts {
@@ -585,10 +585,10 @@ func TestUnionCandidatesMatchesAppendDedup(t *testing.T) {
 	}
 }
 
-// TestCrossEngineOperandsRejected: collections and candidate sets of
-// two engines share no rank space, so Concat poisons the engine and
-// UnionCandidates panics instead of decoding codes against the wrong
-// ID table.
+// TestCrossEngineOperandsRejected: collections of two engines share no
+// rank space, so Concat poisons the engine instead of decoding codes
+// against the wrong ID table (Union's foreign-set case is in
+// TestBlockingNeverPanics).
 func TestCrossEngineOperandsRejected(t *testing.T) {
 	recs := detRecords(100)
 	a := NewEngineOpts(recs, Opts{Workers: 2})
@@ -599,21 +599,14 @@ func TestCrossEngineOperandsRejected(t *testing.T) {
 	if a.Err() == nil {
 		t.Fatal("cross-engine Concat left no error on the engine")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("cross-engine union did not panic")
-		}
-	}()
-	c := NewEngineOpts(recs, Opts{Workers: 2})
-	UnionCandidates(c.Blocks(TokenKey("title")).CandidateSet(), b.Blocks(TokenKey("title")).CandidateSet())
 }
 
 func TestEmitPairsOrderAndEarlyStop(t *testing.T) {
 	recs := detRecords(120)
-	idx := NewEngineOpts(recs, Opts{Workers: 2}).Blocks(TokenKey("title")).Purge(40)
-	want := idx.Pairs()
+	cs := NewEngineOpts(recs, Opts{Workers: 2}).Blocks(TokenKey("title")).Purge(40).CandidateSet()
+	want := cs.Pairs()
 	var got []data.Pair
-	idx.EmitPairs(func(p data.Pair) bool {
+	cs.EmitPairs(func(p data.Pair) bool {
 		got = append(got, p)
 		return true
 	})
@@ -621,7 +614,7 @@ func TestEmitPairsOrderAndEarlyStop(t *testing.T) {
 
 	stopAt := len(want) / 2
 	n := 0
-	idx.EmitPairs(func(p data.Pair) bool {
+	cs.EmitPairs(func(p data.Pair) bool {
 		n++
 		return n < stopAt
 	})
@@ -711,5 +704,83 @@ func TestEngineErrWithoutContext(t *testing.T) {
 	// The first error sticks; later passes are no-ops.
 	if n := e.Blocks(TokenKey("title")).NumBlocks(); n != 0 {
 		t.Fatalf("poisoned engine built %d blocks", n)
+	}
+}
+
+// TestBlockingNeverPanics: every pass over an engine — each technique's
+// Candidates and Ranked, FuseRanked, MetaBlocker.Pruned and Union —
+// reports a nil key and a cancelled context through Engine.Err with an
+// empty set instead of panicking, and a foreign set given to Union
+// poisons the engine.
+func TestBlockingNeverPanics(t *testing.T) {
+	recs := detRecords(60)
+	title := TokenKey("title")
+	sim := func(a, b *data.Record) float64 {
+		return float64(len(a.Get("title").String())%3) / 2
+	}
+	// Each pass takes the key under test (nil or title). MinHash-LSH
+	// has no key function: it runs after a block pass on the same key,
+	// so a nil key elsewhere on the engine must still empty its set.
+	passes := []struct {
+		name string
+		run  func(e *Engine, key KeyFunc) *CandidateSet
+	}{
+		{"Standard.Candidates", func(e *Engine, key KeyFunc) *CandidateSet { return Standard{Key: key}.Candidates(e) }},
+		{"Standard.Ranked", func(e *Engine, key KeyFunc) *CandidateSet { return Standard{Key: key}.Ranked(e) }},
+		{"SortedNeighborhood.Candidates", func(e *Engine, key KeyFunc) *CandidateSet {
+			return SortedNeighborhood{Keys: []KeyFunc{title, key}}.Candidates(e)
+		}},
+		{"SortedNeighborhood.Ranked", func(e *Engine, key KeyFunc) *CandidateSet {
+			return SortedNeighborhood{Keys: []KeyFunc{title, key}}.Ranked(e)
+		}},
+		{"MinHashLSH.Candidates", func(e *Engine, key KeyFunc) *CandidateSet {
+			e.Blocks(key)
+			return MinHashLSH{}.Candidates(e)
+		}},
+		{"MinHashLSH.Ranked", func(e *Engine, key KeyFunc) *CandidateSet {
+			e.Blocks(key)
+			return MinHashLSH{}.Ranked(e)
+		}},
+		{"Canopy.Candidates", func(e *Engine, key KeyFunc) *CandidateSet {
+			c := Canopy{Loose: 0.4, Tight: 0.9}
+			if key != nil {
+				c.Sim = sim
+			}
+			return c.Candidates(e)
+		}},
+		{"FuseRanked", func(e *Engine, key KeyFunc) *CandidateSet {
+			return e.FuseRanked(0, MinHashLSH{}, Standard{Key: key})
+		}},
+		{"MetaBlocker.Pruned", func(e *Engine, key KeyFunc) *CandidateSet {
+			return MetaBlocker{}.Pruned(e.Blocks(key))
+		}},
+		{"Engine.Union", func(e *Engine, key KeyFunc) *CandidateSet {
+			return e.Union(e.Blocks(title).CandidateSet(), Standard{Key: key}.Candidates(e))
+		}},
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, p := range passes {
+		e := NewEngineOpts(recs, Opts{})
+		if cs := p.run(e, title); e.Err() != nil || cs.Len() == 0 {
+			t.Fatalf("%s: healthy engine gave %d pairs, Err = %v", p.name, cs.Len(), e.Err())
+		}
+		e = NewEngineOpts(recs, Opts{})
+		if cs := p.run(e, nil); cs.Len() != 0 || !errors.Is(e.Err(), ErrNilKey) {
+			t.Errorf("%s: nil key gave %d pairs, Err = %v; want none and ErrNilKey", p.name, cs.Len(), e.Err())
+		}
+		e = NewEngineOpts(recs, Opts{Ctx: cancelled})
+		if cs := p.run(e, title); cs.Len() != 0 || !errors.Is(e.Err(), context.Canceled) {
+			t.Errorf("%s: cancelled context gave %d pairs, Err = %v; want none and context.Canceled", p.name, cs.Len(), e.Err())
+		}
+	}
+
+	e := NewEngineOpts(recs, Opts{})
+	foreign := NewEngineOpts(recs, Opts{}).Blocks(title).CandidateSet()
+	if cs := e.Union(e.Blocks(title).CandidateSet(), foreign); cs.Len() != 0 || e.Err() == nil {
+		t.Fatalf("Union with a foreign set gave %d pairs, Err = %v; want none and an error", cs.Len(), e.Err())
+	}
+	if n := e.Blocks(title).NumBlocks(); n != 0 {
+		t.Fatalf("engine poisoned by a foreign set still built %d blocks", n)
 	}
 }

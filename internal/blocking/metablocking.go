@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/obs"
 	"repro/internal/parallel"
 )
 
@@ -57,11 +56,6 @@ const (
 type MetaBlocker struct {
 	Weight WeightScheme
 	Prune  PruneScheme
-	// Workers bounds the edge-scoring workers (0 = NumCPU). Output is
-	// identical for any value.
-	Workers int
-	// Obs records "blocking.meta_edges" / "blocking.meta_kept" when set.
-	Obs *obs.Registry
 }
 
 // iedge is a weighted packed record pair.
@@ -72,15 +66,16 @@ type iedge struct {
 
 // Pruned builds the blocking graph from the blocks and returns the
 // pairs surviving pruning as a packed candidate set in pruning order.
-// Pruning inherits x's context and error sink: a cancellation or
-// worker panic sticks to the engine and Pruned returns an empty
-// candidate set; the caller reads Engine.Err afterwards.
+// Pruning runs on x's engine — its workers, its registry (which
+// records "blocking.meta_edges" / "blocking.meta_kept"), its context
+// and its error sink: a cancellation or worker panic sticks to the
+// engine and Pruned returns an empty candidate set; the caller reads
+// Engine.Err afterwards. Output is identical at any worker count.
 func (mb MetaBlocker) Pruned(x *Indexed) *CandidateSet {
 	e := x.eng
 	if e.sink.failed() {
 		return e.set(nil)
 	}
-	cfg := parallel.Config{Workers: mb.Workers, Obs: obs.OrDefault(mb.Obs), Ctx: e.cfg.Ctx}
 	n := len(e.rk.ids)
 
 	// Per-record sorted block-ID sets, filled from one flat buffer.
@@ -115,7 +110,7 @@ func (mb MetaBlocker) Pruned(x *Indexed) *CandidateSet {
 	// linear-merge intersection of the two sorted block-ID sets.
 	nBlocks := float64(len(x.keys))
 	perRec := make([][]iedge, n)
-	err := parallel.ForEach(cfg, n, func(ri int) {
+	err := parallel.ForEach(e.cfg, n, func(ri int) {
 		r := uint32(ri)
 		total := 0
 		for _, b := range recBlocks(r) {
@@ -194,7 +189,7 @@ func (mb MetaBlocker) Pruned(x *Indexed) *CandidateSet {
 	case WNP:
 		kept = pruneWNP(edges, n)
 	}
-	reg := obs.OrDefault(mb.Obs)
+	reg := e.cfg.Obs
 	reg.Counter("blocking.meta_edges").Add(int64(len(edges)))
 	reg.Counter("blocking.meta_kept").Add(int64(len(kept)))
 	if len(kept) == 0 {

@@ -25,9 +25,6 @@ type MinHashLSH struct {
 	Rows  int
 	// Seed varies the hash family.
 	Seed uint64
-	// Workers bounds the signature-computation workers (0 = NumCPU).
-	// Output is identical for any value.
-	Workers int
 }
 
 func (m MinHashLSH) params() (attrs []string, bands, rows int) {
@@ -84,6 +81,9 @@ func (m MinHashLSH) signature(r *data.Record, attrs []string, n int) []uint64 {
 // more members) in ascending band-hash order — a canonical order,
 // identical for any worker count.
 func (m MinHashLSH) buckets(e *Engine) [][]uint32 {
+	if e.sink.failed() {
+		return nil
+	}
 	attrs, bands, rows := m.params()
 	n := bands * rows
 	sigs, err := parallel.MapSlice(e.cfg, e.recs, func(r *data.Record) []uint64 {
@@ -117,10 +117,17 @@ func (m MinHashLSH) buckets(e *Engine) [][]uint32 {
 }
 
 // Candidates implements Blocker: buckets pair up in band-hash order.
-func (m MinHashLSH) Candidates(records []*data.Record) []data.Pair {
-	return candidates(records, m.Workers, func(e *Engine) *CandidateSet {
-		return e.set(e.sweep(m.buckets(e)))
-	})
+func (m MinHashLSH) Candidates(e *Engine) *CandidateSet {
+	return e.set(e.sweep(m.buckets(e)))
+}
+
+// Ranked implements RankedBlocker progressively: buckets are emitted
+// smallest-first (ties by band hash), the same
+// rare-collisions-are-most-promising heuristic Standard.Ranked uses.
+func (m MinHashLSH) Ranked(e *Engine) *CandidateSet {
+	buckets := m.buckets(e) // in hash order, so a stable sort ties by hash
+	slices.SortStableFunc(buckets, func(a, b []uint32) int { return len(a) - len(b) })
+	return e.set(e.sweep(buckets))
 }
 
 // EstimateJaccard estimates the Jaccard similarity of two records'

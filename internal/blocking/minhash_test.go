@@ -17,7 +17,7 @@ func TestMinHashLSHFindsSimilarPairs(t *testing.T) {
 		rec("m4", "unrelated garden hose fitting set"),
 	}
 	lsh := MinHashLSH{Bands: 16, Rows: 2, Seed: 1} // low threshold
-	got := pairSet(lsh.Candidates(recs))
+	got := pairSet(candidatesOf(t, lsh, recs, Opts{}))
 	if !got[data.NewPair("m1", "m2")] {
 		t.Error("near-duplicate titles must collide in some band")
 	}
@@ -29,8 +29,8 @@ func TestMinHashLSHFindsSimilarPairs(t *testing.T) {
 func TestMinHashDeterministic(t *testing.T) {
 	recs := sampleRecords()
 	lsh := MinHashLSH{Seed: 7}
-	a := pairSet(lsh.Candidates(recs))
-	b := pairSet(lsh.Candidates(recs))
+	a := pairSet(candidatesOf(t, lsh, recs, Opts{}))
+	b := pairSet(candidatesOf(t, lsh, recs, Opts{}))
 	if len(a) != len(b) {
 		t.Fatalf("candidate counts differ: %d vs %d", len(a), len(b))
 	}
@@ -68,7 +68,7 @@ func TestMinHashOnGeneratedCorpus(t *testing.T) {
 	records := web.Dataset.Records()
 	truth := web.Dataset.GroundTruthClusters().Pairs()
 	lsh := MinHashLSH{Bands: 12, Rows: 3, Seed: 5}
-	q := eval.Blocking(lsh.Candidates(records), truth, len(records))
+	q := eval.Blocking(candidatesOf(t, lsh, records, Opts{}), truth, len(records))
 	if q.PairCompleteness < 0.8 {
 		t.Errorf("LSH pair completeness = %f, want >= 0.8", q.PairCompleteness)
 	}
@@ -84,7 +84,7 @@ func TestPhoneticKeyBlocksSoundalikes(t *testing.T) {
 		rec("p3", "johnson mixer"),
 	}
 	for _, scheme := range []string{"soundex", "nysiis"} {
-		got := pairSet(Standard{Key: PhoneticKey("title", scheme)}.Candidates(recs))
+		got := pairSet(candidatesOf(t, Standard{Key: PhoneticKey("title", scheme)}, recs, Opts{}))
 		if !got[data.NewPair("p1", "p2")] {
 			t.Errorf("%s: smith/smyth must share a block", scheme)
 		}
@@ -99,6 +99,6 @@ func BenchmarkMinHashLSH(b *testing.B) {
 	lsh := MinHashLSH{Seed: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		lsh.Candidates(recs)
+		candidatesOf(b, lsh, recs, Opts{})
 	}
 }

@@ -7,43 +7,20 @@ import (
 	"repro/internal/data"
 )
 
-// Progressive blocking for budget-limited (anytime) entity resolution:
-// instead of emitting all candidate pairs at once, emit them in
-// decreasing expected-match-likelihood order, so that a resolution run
-// cut off after any comparison budget has found as many true matches
-// as possible. The heuristic ordering follows the progressive-ER
-// literature: pairs from *smaller* blocks first (rare keys are more
-// discriminative), and within a block in insertion order; pairs
-// co-occurring in several blocks are promoted by their best (smallest)
-// block. It is the Blocker door onto the engine chain
-// Blocks(Key).Purge(MaxBlock).ProgressiveOrder(): to keep the stream on
-// disk under a pair-memory budget, build that chain over an engine with
-// Opts.PairMemBudget and consume its CandidateSet.
-type Progressive struct {
-	Key KeyFunc
-	// MaxBlock skips blocks larger than this entirely (0 = no limit).
-	MaxBlock int
-	// Workers bounds the block-building workers (0 = NumCPU). Output
-	// is identical for any value.
-	Workers int
-}
-
-// Candidates implements Blocker: the full stream in progressive order,
-// deduplicated to first emission.
-func (p Progressive) Candidates(records []*data.Record) []data.Pair {
-	return candidates(records, p.Workers, func(e *Engine) *CandidateSet {
-		return e.Blocks(p.Key).Purge(p.MaxBlock).ProgressiveOrder().CandidateSet()
-	})
-}
-
 // ProgressiveOrder reorders the collection's blocks into progressive
-// emission order — smaller blocks first, ties by key — and drops
-// singleton blocks (they emit no pairs). The derived collection is for
-// pair emission only: its keys are no longer sorted, so it must not
+// emission order for budget-limited (anytime) entity resolution: pairs
+// in decreasing expected-match likelihood, so a run cut off after any
+// comparison budget has found as many true matches as possible. The
+// heuristic follows the progressive-ER literature — smaller blocks
+// first (rare keys are more discriminative), ties by key, in-block
+// input order, a pair promoted by its best (smallest) block — and
+// singleton blocks (no pairs) are dropped. The derived collection is
+// for pair emission only: its keys are no longer sorted, so it must not
 // feed key-ordered consumers like meta-blocking. Because candidate
 // generation dedups to first emission, CandidateSet on the result
-// yields the progressive candidate stream through whichever strategy
-// the budget selects (in-memory or spilled) — both byte-identical.
+// yields the progressive stream through whichever strategy the budget
+// selects (in-memory or spilled) — both byte-identical; Standard.Ranked
+// is the same stream, always in memory.
 func (x *Indexed) ProgressiveOrder() *Indexed {
 	if x.eng.sink.failed() {
 		return x

@@ -16,7 +16,7 @@ func TestProgressiveOrdersSmallBlocksFirst(t *testing.T) {
 		rec("p3", "common other1"),
 		rec("p4", "common other2"),
 	}
-	ordered := Progressive{Key: TokenKey("title")}.Candidates(recs)
+	ordered := rankedOf(t, Standard{Key: TokenKey("title")}, recs, Opts{})
 	if len(ordered) == 0 {
 		t.Fatal("no pairs")
 	}
@@ -37,7 +37,7 @@ func TestProgressiveMaxBlock(t *testing.T) {
 	recs := []*data.Record{
 		rec("q1", "shared"), rec("q2", "shared"), rec("q3", "shared"), rec("q4", "shared"),
 	}
-	if got := (Progressive{Key: TokenKey("title"), MaxBlock: 3}).Candidates(recs); len(got) != 0 {
+	if got := rankedOf(t, Standard{Key: TokenKey("title"), MaxBlock: 3}, recs, Opts{}); len(got) != 0 {
 		t.Errorf("oversized block must be skipped, got %v", got)
 	}
 }
@@ -70,8 +70,7 @@ func TestProgressiveBeatsRandomOrderOnBudget(t *testing.T) {
 	records := web.Dataset.Records()
 	truth := web.Dataset.GroundTruthClusters().Pairs()
 
-	prog := Progressive{Key: TokenKey("title"), MaxBlock: 200}
-	ordered := prog.Candidates(records)
+	ordered := rankedOf(t, Standard{Key: TokenKey("title"), MaxBlock: 200}, records, Opts{})
 	shuffled := append([]data.Pair(nil), ordered...)
 	rand.New(rand.NewSource(7)).Shuffle(len(shuffled), func(i, j int) {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
@@ -138,11 +137,11 @@ func TestProgressiveMaxBlockBoundaryKeepsExactLimit(t *testing.T) {
 		rec("q1", "shared"), rec("q2", "shared"), rec("q3", "shared"),
 	}
 	// A block exactly at the limit survives; one past it is purged.
-	if got := (Progressive{Key: TokenKey("title"), MaxBlock: 3}).Candidates(recs); len(got) != 3 {
+	if got := rankedOf(t, Standard{Key: TokenKey("title"), MaxBlock: 3}, recs, Opts{}); len(got) != 3 {
 		t.Errorf("block exactly at MaxBlock must be kept, got %d pairs", len(got))
 	}
 	recs = append(recs, rec("q4", "shared"))
-	if got := (Progressive{Key: TokenKey("title"), MaxBlock: 3}).Candidates(recs); len(got) != 0 {
+	if got := rankedOf(t, Standard{Key: TokenKey("title"), MaxBlock: 3}, recs, Opts{}); len(got) != 0 {
 		t.Errorf("block one past MaxBlock must be purged, got %d pairs", len(got))
 	}
 }
@@ -153,7 +152,7 @@ func TestProgressiveStreamSpillsUnderPairBudget(t *testing.T) {
 		Seed: 104, NumSources: 10, DirtLevel: 1, HeadFraction: 0.4, TailCoverage: 0.3,
 	})
 	records := web.Dataset.Records()
-	want := Progressive{Key: TokenKey("title"), MaxBlock: 200}.Candidates(records)
+	want := rankedOf(t, Standard{Key: TokenKey("title"), MaxBlock: 200}, records, Opts{})
 	if len(want) == 0 {
 		t.Fatal("no pairs")
 	}

@@ -33,11 +33,16 @@ func TestBlockersEmitValidPairs(t *testing.T) {
 		"sn":       SortedNeighborhood{Keys: []KeyFunc{AttrExactKey("title")}, Window: 4},
 		"minhash":  MinHashLSH{Seed: 3},
 		"phonetic": Standard{Key: PhoneticKey("title", "soundex")},
-		"progress": Progressive{Key: TokenKey("title")},
+	}
+	emissions := map[string][]data.Pair{
+		"progress": rankedOf(t, Standard{Key: TokenKey("title")}, records, Opts{}),
 	}
 	for name, b := range blockers {
+		emissions[name] = candidatesOf(t, b, records, Opts{})
+	}
+	for name, pairs := range emissions {
 		seen := map[data.Pair]bool{}
-		for _, p := range b.Candidates(records) {
+		for _, p := range pairs {
 			if p.A >= p.B {
 				t.Fatalf("%s: non-canonical pair %v", name, p)
 			}
@@ -60,8 +65,8 @@ func TestSortedNeighborhoodWindowMonotone(t *testing.T) {
 		win := int(w%6) + 2
 		small := SortedNeighborhood{Keys: []KeyFunc{AttrExactKey("title")}, Window: win}
 		large := SortedNeighborhood{Keys: []KeyFunc{AttrExactKey("title")}, Window: win + 3}
-		smallSet := pairSet(small.Candidates(records))
-		largeSet := pairSet(large.Candidates(records))
+		smallSet := pairSet(candidatesOf(t, small, records, Opts{}))
+		largeSet := pairSet(candidatesOf(t, large, records, Opts{}))
 		for p := range smallSet {
 			if !largeSet[p] {
 				return false
@@ -102,8 +107,8 @@ func TestPurgeMonotone(t *testing.T) {
 // stream contains exactly the standard candidate set, reordered.
 func TestProgressiveStreamIsPermutationOfCandidates(t *testing.T) {
 	records := propRecords(17, 30)
-	prog := Progressive{Key: TokenKey("title")}.Candidates(records)
-	std := Standard{Key: TokenKey("title")}.Candidates(records)
+	prog := rankedOf(t, Standard{Key: TokenKey("title")}, records, Opts{})
+	std := candidatesOf(t, Standard{Key: TokenKey("title")}, records, Opts{})
 	if len(prog) != len(std) {
 		t.Fatalf("stream %d pairs vs standard %d", len(prog), len(std))
 	}
@@ -140,9 +145,8 @@ func TestMetaBlockingOutputSubset(t *testing.T) {
 // two dirty webs at every worker count.
 func TestTechniqueOrdersCoverTheSameSet(t *testing.T) {
 	type technique struct {
-		name    string
-		blocker func(workers int) Blocker
-		ranked  RankedBlocker
+		name string
+		b    RankedBlocker
 	}
 	var techniques []technique
 	snKeys := []KeyFunc{AttrExactKey("title"), AttrPrefixKey("title", 3)}
@@ -150,24 +154,17 @@ func TestTechniqueOrdersCoverTheSameSet(t *testing.T) {
 		for _, window := range []int{2, 5, 9} {
 			techniques = append(techniques, technique{
 				fmt.Sprintf("sn passes=%d window=%d", len(keys), window),
-				func(w int) Blocker { return SortedNeighborhood{Keys: keys, Window: window, Workers: w} },
-				RankedSortedNeighborhood{Keys: keys, Window: window},
+				SortedNeighborhood{Keys: keys, Window: window},
 			})
 		}
 	}
 	for _, shape := range [][2]int{{8, 4}, {16, 2}} {
-		m := MinHashLSH{Bands: shape[0], Rows: shape[1], Seed: 3}
 		techniques = append(techniques, technique{
 			fmt.Sprintf("minhash %dx%d", shape[0], shape[1]),
-			func(w int) Blocker { mw := m; mw.Workers = w; return mw },
-			RankedMinHash{MinHash: m},
+			MinHashLSH{Bands: shape[0], Rows: shape[1], Seed: 3},
 		})
 	}
-	techniques = append(techniques, technique{
-		"token key",
-		func(w int) Blocker { return Standard{Key: TokenKey("title"), MaxBlock: 20, Workers: w} },
-		RankedKey{Key: TokenKey("title"), MaxBlock: 20},
-	})
+	techniques = append(techniques, technique{"token key", Standard{Key: TokenKey("title"), MaxBlock: 20}})
 
 	distinct := func(name string, pairs []data.Pair) map[data.Pair]bool {
 		set := map[data.Pair]bool{}
@@ -187,12 +184,8 @@ func TestTechniqueOrdersCoverTheSameSet(t *testing.T) {
 		for _, tq := range techniques {
 			for _, w := range workerCounts {
 				name := fmt.Sprintf("seed=%d %s workers=%d", seed, tq.name, w)
-				cands := distinct(name+" candidates", tq.blocker(w).Candidates(records))
-				e := NewEngineOpts(records, Opts{Workers: w})
-				ranked := distinct(name+" ranked", e.RankedPairs(tq.ranked.Ranked(e)))
-				if err := e.Err(); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
+				cands := distinct(name+" candidates", candidatesOf(t, tq.b, records, Opts{Workers: w}))
+				ranked := distinct(name+" ranked", rankedOf(t, tq.b, records, Opts{Workers: w}))
 				if len(cands) == 0 {
 					t.Fatalf("%s: no candidates", name)
 				}
@@ -216,29 +209,25 @@ func TestTechniqueOrdersCoverTheSameSet(t *testing.T) {
 func TestFuseStreamsAppendNeverDemotes(t *testing.T) {
 	records := fusionWorld(t)
 	e := NewEngineOpts(records, Opts{Workers: 0})
-	blockers := fusionBlockers()
-	streams := make([]RankedStream, len(blockers))
-	for i, b := range blockers {
-		streams[i] = b.Ranked(e)
-	}
-	position := func(streams []RankedStream, code uint64) int {
-		p := e.RankedPairs(RankedStream{Codes: []uint64{code}})[0]
-		return slices.Index(e.FuseStreams(DefaultRRFK, streams...).Pairs(), p)
+	streams := rankedCodes(e, fusionBlockers())
+	position := func(streams []codeStream, code uint64) int {
+		p := e.set([]uint64{code}).Pairs()[0]
+		return slices.Index(fuseCodes(e, DefaultRRFK, streams).Pairs(), p)
 	}
 	checked := 0
 	for from := range streams {
-		codes := streams[from].Codes
+		codes := streams[from]
 		for n := 0; n < len(codes); n += len(codes)/6 + 1 { // a sample keeps the fusions few
 			code := codes[n]
 			before := position(streams, code)
 			for to := range streams {
-				if slices.Contains(streams[to].Codes, code) {
+				if slices.Contains(streams[to], code) {
 					continue
 				}
 				grown := slices.Clone(streams)
-				grown[to].Codes = append(slices.Clone(streams[to].Codes), code)
+				grown[to] = append(slices.Clone(streams[to]), code)
 				if after := position(grown, code); after < 0 || after > before {
-					t.Fatalf("appending a pair to stream %s moved it from %d to %d", streams[to].Name, before, after)
+					t.Fatalf("appending a pair to stream %d moved it from %d to %d", to, before, after)
 				}
 				checked++
 			}
@@ -253,22 +242,20 @@ func TestFuseStreamsAppendNeverDemotes(t *testing.T) {
 }
 
 // TestRRFNonPositiveKIsDefault: k = 0 and k = -1 fuse to the same
-// bytes as DefaultRRFK, through FuseStreams and FuseRanked alike.
+// bytes as DefaultRRFK, over precomputed streams and live blockers
+// alike.
 func TestRRFNonPositiveKIsDefault(t *testing.T) {
 	records := fusionWorld(t)
 	e := NewEngineOpts(records, Opts{Workers: 0})
 	blockers := fusionBlockers()
-	streams := make([]RankedStream, len(blockers))
-	for i, b := range blockers {
-		streams[i] = b.Ranked(e)
-	}
-	want := e.FuseStreams(DefaultRRFK, streams...).Pairs()
+	streams := rankedCodes(e, blockers)
+	want := fuseCodes(e, DefaultRRFK, streams).Pairs()
 	if len(want) == 0 {
 		t.Fatal("default fusion produced no pairs")
 	}
 	for _, k := range []float64{0, -1} {
-		if got := e.FuseStreams(k, streams...).Pairs(); !slices.Equal(got, want) {
-			t.Errorf("FuseStreams(k=%v) differs from DefaultRRFK", k)
+		if got := fuseCodes(e, k, streams).Pairs(); !slices.Equal(got, want) {
+			t.Errorf("fused streams (k=%v) differ from DefaultRRFK", k)
 		}
 		if got := e.FuseRanked(k, blockers...).Pairs(); !slices.Equal(got, want) {
 			t.Errorf("FuseRanked(k=%v) differs from DefaultRRFK", k)

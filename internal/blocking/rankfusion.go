@@ -31,7 +31,6 @@ import (
 	"os"
 	"slices"
 
-	"repro/internal/data"
 	"repro/internal/parallel"
 )
 
@@ -39,90 +38,6 @@ import (
 // enough that a handful of top ranks don't dominate the sum, small
 // enough that rank order still matters deep into each stream.
 const DefaultRRFK = 60
-
-// RankedStream is one blocker's ranked candidate output over an
-// engine's rank space: Codes[i] is the packed pair code the blocker
-// ranks at position i (rank 0 = most promising). Codes must be
-// deduplicated within the stream; the producers below guarantee it.
-type RankedStream struct {
-	Name  string
-	Codes []uint64
-}
-
-// RankedBlocker produces a ranked candidate stream over a shared
-// engine, so every stream lives in one rank space and the fusion
-// kernel can merge them on packed codes.
-type RankedBlocker interface {
-	Ranked(e *Engine) RankedStream
-}
-
-// RankedPairs decodes a ranked stream into its pair slice in rank
-// order — the single-blocker baseline an evaluation compares the fused
-// ordering against.
-func (e *Engine) RankedPairs(s RankedStream) []data.Pair {
-	return e.set(s.Codes).Pairs()
-}
-
-// RankedKey ranks a key blocker's candidates progressively: blocks are
-// emitted smallest-first (rare keys are most discriminative), so a
-// pair's rank is its position in the progressive emission order.
-type RankedKey struct {
-	Name string
-	Key  KeyFunc
-	// MaxBlock purges blocks above this size when > 0.
-	MaxBlock int
-}
-
-// Ranked implements RankedBlocker.
-func (r RankedKey) Ranked(e *Engine) RankedStream {
-	x := e.Blocks(r.Key).Purge(r.MaxBlock).ProgressiveOrder()
-	// Always in RAM, whatever the engine's pair-memory budget: a ranked
-	// stream is a kernel input, not a long-lived candidate set.
-	return RankedStream{Name: r.Name, Codes: e.sweep(x.rows)}
-}
-
-// RankedSortedNeighborhood ranks the sorted-neighbourhood blocker by
-// window distance: all adjacent pairs (distance 1) across every pass
-// first, then distance 2, and so on — records that sort next to each
-// other are the most promising, widening distances progressively less
-// so.
-type RankedSortedNeighborhood struct {
-	Name string
-	Keys []KeyFunc // one pass per key; each must yield ≤1 key
-	// Window is the sliding window size (≥2); default 5.
-	Window int
-}
-
-// Ranked implements RankedBlocker.
-func (r RankedSortedNeighborhood) Ranked(e *Engine) RankedStream {
-	passes := e.snPasses(r.Keys)
-	w := snWindow(r.Window)
-	var codes []uint64
-	for d := 1; d < w; d++ {
-		for _, ranks := range passes {
-			for i := 0; i+d < len(ranks); i++ {
-				codes = append(codes, pairCode(ranks[i], ranks[i+d]))
-			}
-		}
-	}
-	return RankedStream{Name: r.Name, Codes: dedupCodesStable(codes)}
-}
-
-// RankedMinHash ranks the MinHash-LSH blocker progressively: band
-// buckets are emitted smallest-first (ties broken by bucket hash), the
-// same rare-collisions-are-most-promising heuristic the key blockers
-// use.
-type RankedMinHash struct {
-	Name    string
-	MinHash MinHashLSH
-}
-
-// Ranked implements RankedBlocker.
-func (r RankedMinHash) Ranked(e *Engine) RankedStream {
-	buckets := r.MinHash.buckets(e) // in hash order, so a stable sort ties by hash
-	slices.SortStableFunc(buckets, func(a, b []uint32) int { return len(a) - len(b) })
-	return RankedStream{Name: r.Name, Codes: e.sweep(buckets)}
-}
 
 // fusedKey packs an RRF score into a sort key that ascends as the
 // score descends: positive IEEE-754 doubles order by their bit
@@ -140,30 +55,21 @@ func byKeyCode(a, b pe) int {
 	return cmp.Compare(a.code, b.code)
 }
 
-// FuseRanked runs every producer over the engine — all streams share
-// its interned rank space — and fuses the ranked streams with
-// reciprocal-rank fusion (k <= 0 means DefaultRRFK). The returned set
-// is ordered by descending RRF score (ties by ascending pair code),
+// FuseRanked runs every blocker's Ranked pass over the engine — all
+// streams share its interned rank space — and fuses the ranked streams
+// with reciprocal-rank fusion (k <= 0 means DefaultRRFK). The returned
+// set is ordered by descending RRF score (ties by ascending pair code),
 // deduplicated, and byte-identical for any worker or shard count; when
 // the fused stream would exceed the engine's PairMemBudget it is
 // spill-backed (consume with EmitCodes or a streaming matcher and
 // release with Close), exactly like a budgeted blocking pass.
 func (e *Engine) FuseRanked(k float64, blockers ...RankedBlocker) *CandidateSet {
-	streams := make([]RankedStream, len(blockers))
-	for i, b := range blockers {
-		streams[i] = b.Ranked(e)
-	}
-	return e.FuseStreams(k, streams...)
-}
-
-// FuseStreams is FuseRanked over already-produced ranked streams (all
-// of which must live in this engine's rank space).
-func (e *Engine) FuseStreams(k float64, streams ...RankedStream) *CandidateSet {
 	if k <= 0 {
 		k = DefaultRRFK
 	}
-	if e.sink.failed() {
-		return e.set(nil)
+	streams := make([][]uint64, len(blockers))
+	for i, b := range blockers {
+		streams[i] = b.Ranked(e).codes
 	}
 	fused := e.fuseRRF(k, streams)
 	if e.sink.failed() {
@@ -189,11 +95,11 @@ func (e *Engine) FuseStreams(k float64, streams ...RankedStream) *CandidateSet {
 // one shard, summed in (stream index, ascending rank) order — the
 // floating-point scores, and therefore the fused order, are identical
 // for any worker or shard count.
-func (e *Engine) fuseRRF(k float64, streams []RankedStream) []pe {
+func (e *Engine) fuseRRF(k float64, streams [][]uint64) []pe {
 	// Per-stream code-sorted entries, pos = rank.
 	ents := make([][]pe, len(streams))
 	err := parallel.ForEach(e.cfg, len(streams), func(s int) {
-		codes := streams[s].Codes
+		codes := streams[s]
 		es := make([]pe, len(codes))
 		for i, c := range codes {
 			es[i] = pe{code: c, pos: uint64(i)}
@@ -304,5 +210,5 @@ func (e *Engine) spillFused(fused []pe) *CandidateSet {
 	reg.Counter("blocking.spill_runs").Add(int64(len(ss.emitRuns)))
 	reg.Counter("blocking.spill_bytes").Add(int64(len(fused)) * peSize)
 	reg.Counter("blocking.spill_merge_runs").Add(int64(len(ss.emitRuns)))
-	return &CandidateSet{ids: e.rk.ids, ext: ss, sink: e.sink}
+	return &CandidateSet{eng: e, ext: ss}
 }

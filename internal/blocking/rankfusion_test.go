@@ -48,28 +48,25 @@ func fusionWorld(t *testing.T) []*data.Record {
 
 func fusionBlockers() []RankedBlocker {
 	return []RankedBlocker{
-		RankedKey{Name: "token", Key: TokenKey("title"), MaxBlock: 100},
-		RankedKey{Name: "qgram", Key: QGramKey("title", 3), MaxBlock: 100},
-		RankedMinHash{Name: "minhash", MinHash: MinHashLSH{Attrs: []string{"title", "pid"}}},
-		RankedSortedNeighborhood{
-			Name: "sortedngh",
-			Keys: []KeyFunc{AttrExactKey("pid"), AttrExactKey("title")}, Window: 5,
-		},
+		Standard{Key: TokenKey("title"), MaxBlock: 100},
+		Standard{Key: QGramKey("title", 3), MaxBlock: 100},
+		MinHashLSH{Attrs: []string{"title", "pid"}},
+		SortedNeighborhood{Keys: []KeyFunc{AttrExactKey("pid"), AttrExactKey("title")}, Window: 5},
 	}
 }
 
 func TestRankedStreamsAreDeduplicated(t *testing.T) {
 	records := fusionWorld(t)
 	e := NewEngineOpts(records, Opts{Workers: 0})
-	for _, b := range fusionBlockers() {
+	for i, b := range fusionBlockers() {
 		s := b.Ranked(e)
-		if len(s.Codes) == 0 {
-			t.Fatalf("stream %s is empty", s.Name)
+		if s.Spilled() || s.Len() == 0 {
+			t.Fatalf("stream %d (%T) is spilled or empty", i, b)
 		}
-		seen := make(map[uint64]bool, len(s.Codes))
-		for _, c := range s.Codes {
+		seen := make(map[uint64]bool, len(s.codes))
+		for _, c := range s.codes {
 			if seen[c] {
-				t.Fatalf("stream %s contains duplicate code %d", s.Name, c)
+				t.Fatalf("stream %d (%T) contains duplicate code %d", i, b, c)
 			}
 			seen[c] = true
 		}
@@ -83,14 +80,12 @@ func TestFuseStreamsMatchesSequentialReference(t *testing.T) {
 	records := fusionWorld(t)
 	ref := NewEngineOpts(records, Opts{Workers: 0})
 	blockers := fusionBlockers()
-	streams := make([]RankedStream, len(blockers))
 	codeLists := make([][]uint64, len(blockers))
-	for i, b := range blockers {
-		streams[i] = b.Ranked(ref)
-		codeLists[i] = streams[i].Codes
+	for i, s := range rankedCodes(ref, blockers) {
+		codeLists[i] = s
 	}
 	const k = 60
-	wantPairs := ref.RankedPairs(RankedStream{Codes: FuseRRFCodes(k, codeLists...)})
+	wantPairs := ref.set(FuseRRFCodes(k, codeLists...)).Pairs()
 	if len(wantPairs) == 0 {
 		t.Fatal("reference fusion produced no pairs")
 	}
@@ -150,16 +145,16 @@ func TestFuseStreamsSpillPathReplaysFusedOrder(t *testing.T) {
 func TestFuseStreamsEmptyInputs(t *testing.T) {
 	records := fusionWorld(t)
 	e := NewEngineOpts(records, Opts{Workers: 0})
-	if cs := e.FuseStreams(60); cs.Len() != 0 {
+	if cs := e.FuseRanked(60); cs.Len() != 0 {
 		t.Fatalf("fusing zero streams produced %d pairs", cs.Len())
 	}
-	if cs := e.FuseStreams(60, RankedStream{Name: "empty"}); cs.Len() != 0 {
+	if cs := e.FuseRanked(60, codeStream(nil)); cs.Len() != 0 {
 		t.Fatalf("fusing an empty stream produced %d pairs", cs.Len())
 	}
 	// An empty stream alongside a real one contributes nothing.
-	s := RankedKey{Name: "token", Key: TokenKey("title"), MaxBlock: 100}.Ranked(e)
-	got := e.FuseStreams(60, RankedStream{Name: "empty"}, s).Pairs()
-	want := e.RankedPairs(RankedStream{Codes: FuseRRFCodes(60, nil, s.Codes)})
+	token := Standard{Key: TokenKey("title"), MaxBlock: 100}
+	got := e.FuseRanked(60, codeStream(nil), token).Pairs()
+	want := e.set(FuseRRFCodes(60, nil, token.Ranked(e).codes)).Pairs()
 	if !slices.Equal(got, want) {
 		t.Fatal("empty stream changed the fused order")
 	}

@@ -38,3 +38,29 @@ func FuseRRFCodes(k float64, streams ...[]uint64) []uint64 {
 	})
 	return out
 }
+
+// codeStream is a RankedBlocker over a fixed code list of whichever
+// engine runs it: the test form of a precomputed ranked stream.
+type codeStream []uint64
+
+func (c codeStream) Candidates(e *Engine) *CandidateSet { return e.set(c) }
+func (c codeStream) Ranked(e *Engine) *CandidateSet     { return e.set(c) }
+
+// rankedCodes runs every blocker's Ranked pass over e and returns the
+// code lists.
+func rankedCodes(e *Engine, blockers []RankedBlocker) []codeStream {
+	out := make([]codeStream, len(blockers))
+	for i, b := range blockers {
+		out[i] = b.Ranked(e).codes
+	}
+	return out
+}
+
+// fuseCodes fuses fixed code lists on e.
+func fuseCodes(e *Engine, k float64, streams []codeStream) *CandidateSet {
+	bs := make([]RankedBlocker, len(streams))
+	for i, s := range streams {
+		bs[i] = s
+	}
+	return e.FuseRanked(k, bs...)
+}

@@ -133,24 +133,6 @@ func TestSpilledEmitReplaysAndStopsEarly(t *testing.T) {
 	samePairs(t, "early-stop prefix", first[:5], head)
 }
 
-// TestSpilledRandomAccessPanics pins the documented contract: Pair on a
-// spilled set panics rather than silently misbehaving.
-func TestSpilledRandomAccessPanics(t *testing.T) {
-	recs := detRecords(120)
-	e := NewEngineOpts(recs, Opts{PairMemBudget: 1 << 10, SpillDir: t.TempDir()})
-	cs := e.Blocks(TokenKey("title")).CandidateSet()
-	defer cs.Close()
-	if !cs.Spilled() {
-		t.Fatal("budget did not trigger spill")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Pair on a spilled set did not panic")
-		}
-	}()
-	cs.Pair(0)
-}
-
 // TestSpilledUnionStaysExternal: the union of token and identifier
 // blocks, taken as one concatenated pass, spills as one set, matches
 // the in-memory pass byte for byte, and a single Close removes the
@@ -181,7 +163,7 @@ func TestSpilledUnionStaysExternal(t *testing.T) {
 func TestSpilledUnionLaterPosition(t *testing.T) {
 	recs := detRecords(250)
 	mem := NewEngineOpts(recs, Opts{Workers: 2})
-	want := UnionCandidates(
+	want := mem.Union(
 		mem.Blocks(AttrExactKey("pid")).CandidateSet(),
 		mem.Blocks(TokenKey("title")).CandidateSet(),
 	).Pairs()
@@ -193,7 +175,7 @@ func TestSpilledUnionLaterPosition(t *testing.T) {
 		t.Fatal("token set did not spill")
 	}
 	id := e.Blocks(AttrExactKey("pid")).CandidateSet()
-	u := UnionCandidates(id, spilled)
+	u := e.Union(id, spilled)
 	if u.Spilled() {
 		t.Fatal("union with a later spilled operand should be in-memory")
 	}
@@ -203,8 +185,9 @@ func TestSpilledUnionLaterPosition(t *testing.T) {
 	}
 }
 
-// TestIndexedPairsLeaveNoSpill: Pairs and EmitPairs on a budgeted
-// engine close the set they build, so no run directory outlives them.
+// TestIndexedPairsLeaveNoSpill: Pairs on a budgeted engine closes the
+// set it builds, and a stopped stream's Close removes its set's runs,
+// so no run directory outlives them.
 func TestIndexedPairsLeaveNoSpill(t *testing.T) {
 	recs := detRecords(200)
 	dir := t.TempDir()
@@ -212,7 +195,11 @@ func TestIndexedPairsLeaveNoSpill(t *testing.T) {
 	if len(idx.Pairs()) == 0 {
 		t.Fatal("fixture produced no pairs")
 	}
-	idx.EmitPairs(func(data.Pair) bool { return false })
+	cs := idx.CandidateSet()
+	cs.EmitPairs(func(data.Pair) bool { return false })
+	if err := cs.Close(); err != nil {
+		t.Fatal(err)
+	}
 	assertEmptyDir(t, dir)
 }
 

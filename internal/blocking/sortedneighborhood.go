@@ -2,6 +2,7 @@ package blocking
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 
 	"repro/internal/data"
@@ -10,16 +11,13 @@ import (
 
 // SortedNeighborhood implements the sorted-neighbourhood method: records
 // are sorted by a sorting key and every pair within a sliding window of
-// size Window becomes a candidate. MultiPass runs one pass per key
-// function and unions the candidates, the standard remedy for key
-// corruption. Key extraction runs across workers; window pairs dedup
+// size Window becomes a candidate. Several keys run one pass each and
+// union the candidates, the standard remedy for key corruption. Key
+// extraction runs across the engine's workers; window pairs dedup
 // through packed codes, preserving the sequential emission order.
 type SortedNeighborhood struct {
 	Keys   []KeyFunc // one pass per key; each must yield ≤1 key
 	Window int       // window size (≥2); default 5
-	// Workers bounds the key-extraction workers (0 = NumCPU). Output
-	// is identical for any value.
-	Workers int
 }
 
 // snWindow resolves a configured window size.
@@ -30,17 +28,25 @@ func snWindow(w int) int {
 	return w
 }
 
-// snPasses is the front half of sorted neighbourhood, shared by both
+// passes is the front half of sorted neighbourhood, shared by both
 // emission orders: one pass per key, each the ranks of the keyed
 // records sorted by (key, rank) — rank order is ID order. Keys are
 // extracted on the engine's pool; records yielding no key are skipped.
-func (e *Engine) snPasses(keys []KeyFunc) [][]uint32 {
+// A nil key poisons the engine.
+func (sn SortedNeighborhood) passes(e *Engine) [][]uint32 {
 	type entry struct {
 		k    string
 		rank uint32
 	}
-	passes := make([][]uint32, 0, len(keys))
-	for _, key := range keys {
+	if e.sink.failed() {
+		return nil
+	}
+	passes := make([][]uint32, 0, len(sn.Keys))
+	for _, key := range sn.Keys {
+		if key == nil {
+			e.sink.check(fmt.Errorf("blocking: sorted neighbourhood: %w", ErrNilKey))
+			return nil
+		}
 		keyed, err := parallel.MapSlice(e.cfg, e.recs, func(r *data.Record) []string { return key(r) })
 		if e.sink.check(err) {
 			return nil
@@ -69,19 +75,35 @@ func (e *Engine) snPasses(keys []KeyFunc) [][]uint32 {
 
 // Candidates implements Blocker: pass by pass, each record paired with
 // the Window-1 records sorted after it.
-func (sn SortedNeighborhood) Candidates(records []*data.Record) []data.Pair {
-	return candidates(records, sn.Workers, func(e *Engine) *CandidateSet {
-		w := snWindow(sn.Window)
-		var codes []uint64
-		for _, ranks := range e.snPasses(sn.Keys) {
-			for i := range ranks {
-				for j := i + 1; j < len(ranks) && j < i+w; j++ {
-					codes = append(codes, pairCode(ranks[i], ranks[j]))
-				}
+func (sn SortedNeighborhood) Candidates(e *Engine) *CandidateSet {
+	w := snWindow(sn.Window)
+	var codes []uint64
+	for _, ranks := range sn.passes(e) {
+		for i := range ranks {
+			for j := i + 1; j < len(ranks) && j < i+w; j++ {
+				codes = append(codes, pairCode(ranks[i], ranks[j]))
 			}
 		}
-		return e.set(dedupCodesStable(codes))
-	})
+	}
+	return e.set(dedupCodesStable(codes))
+}
+
+// Ranked implements RankedBlocker by window distance: all adjacent
+// pairs (distance 1) across every pass first, then distance 2, and so
+// on — records that sort next to each other are the most promising,
+// widening distances progressively less so.
+func (sn SortedNeighborhood) Ranked(e *Engine) *CandidateSet {
+	passes := sn.passes(e)
+	w := snWindow(sn.Window)
+	var codes []uint64
+	for d := 1; d < w; d++ {
+		for _, ranks := range passes {
+			for i := 0; i+d < len(ranks); i++ {
+				codes = append(codes, pairCode(ranks[i], ranks[i+d]))
+			}
+		}
+	}
+	return e.set(dedupCodesStable(codes))
 }
 
 // Canopy implements canopy clustering with a cheap similarity: records
@@ -97,20 +119,29 @@ type Canopy struct {
 	Tight float64 // removal threshold (higher)
 }
 
-// Candidates implements Blocker.
-func (c Canopy) Candidates(records []*data.Record) []data.Pair {
-	return candidates(records, 1, func(e *Engine) *CandidateSet {
-		remaining := make([]int, len(records)) // record positions still eligible
+// Candidates implements Blocker. A nil Sim poisons the engine with
+// ErrNilKey; the sweep runs as one task on the engine's pool, so a
+// panicking Sim or a cancelled context sticks to the engine too.
+func (c Canopy) Candidates(e *Engine) *CandidateSet {
+	if e.sink.failed() {
+		return e.set(nil)
+	}
+	if c.Sim == nil {
+		e.sink.check(fmt.Errorf("blocking: canopy: %w", ErrNilKey))
+		return e.set(nil)
+	}
+	var canopies [][]uint32
+	err := parallel.ForEach(e.cfg, 1, func(int) {
+		remaining := make([]int, len(e.recs)) // record positions still eligible
 		for i := range remaining {
 			remaining[i] = i
 		}
-		var canopies [][]uint32
 		for len(remaining) > 0 {
 			center := remaining[0]
 			canopy := []uint32{e.ranks[center]}
 			var next []int
 			for _, i := range remaining[1:] {
-				s := c.Sim(records[center], records[i])
+				s := c.Sim(e.recs[center], e.recs[i])
 				if s >= c.Loose {
 					canopy = append(canopy, e.ranks[i])
 				}
@@ -121,6 +152,9 @@ func (c Canopy) Candidates(records []*data.Record) []data.Pair {
 			remaining = next
 			canopies = append(canopies, canopy)
 		}
-		return e.set(e.sweep(canopies))
 	})
+	if e.sink.check(err) {
+		return e.set(nil)
+	}
+	return e.set(e.sweep(canopies))
 }

@@ -47,7 +47,7 @@ func TestSortedNeighborhoodWindowBoundaries(t *testing.T) {
 	}
 	for _, tc := range cases {
 		sn := SortedNeighborhood{Keys: []KeyFunc{snKey("k")}, Window: tc.window}
-		got := sn.Candidates(recs)
+		got := candidatesOf(t, sn, recs, Opts{})
 		if len(got) != tc.want {
 			t.Errorf("window %d: got %d pairs, want %d", tc.window, len(got), tc.want)
 		}
@@ -59,7 +59,7 @@ func TestSortedNeighborhoodWindowBoundaries(t *testing.T) {
 func TestSortedNeighborhoodWindowTwoAdjacency(t *testing.T) {
 	recs := snRecords(5)
 	sn := SortedNeighborhood{Keys: []KeyFunc{snKey("k")}, Window: 2}
-	got := sn.Candidates(recs)
+	got := candidatesOf(t, sn, recs, Opts{})
 	want := []data.Pair{
 		{A: "r000", B: "r001"}, {A: "r001", B: "r002"},
 		{A: "r002", B: "r003"}, {A: "r003", B: "r004"},
@@ -75,7 +75,7 @@ func TestSortedNeighborhoodSkipsKeylessRecords(t *testing.T) {
 		data.NewRecord("r-nokey", "s"), // no attribute at all
 		data.NewRecord("r-empty", "s").Set("k", data.String("")))
 	sn := SortedNeighborhood{Keys: []KeyFunc{snKey("k")}, Window: 100}
-	got := sn.Candidates(recs)
+	got := candidatesOf(t, sn, recs, Opts{})
 	if want := 4 * 3 / 2; len(got) != want {
 		t.Fatalf("got %d pairs, want %d (keyless records must not pair)", len(got), want)
 	}
@@ -95,13 +95,13 @@ func TestSortedNeighborhoodMultiPassDedups(t *testing.T) {
 	for i, r := range recs {
 		r.Set("rev", data.String(fmt.Sprintf("%03d", len(recs)-i)))
 	}
-	single := SortedNeighborhood{Keys: []KeyFunc{snKey("k")}, Window: 3}.Candidates(recs)
-	multi := SortedNeighborhood{Keys: []KeyFunc{snKey("k"), snKey("rev")}, Window: 3}.Candidates(recs)
+	single := candidatesOf(t, SortedNeighborhood{Keys: []KeyFunc{snKey("k")}, Window: 3}, recs, Opts{})
+	multi := candidatesOf(t, SortedNeighborhood{Keys: []KeyFunc{snKey("k"), snKey("rev")}, Window: 3}, recs, Opts{})
 	if len(multi) != len(single) {
 		t.Fatalf("multi-pass got %d pairs, want %d (dup pairs must dedup)", len(multi), len(single))
 	}
 	for _, w := range workerCounts {
-		got := SortedNeighborhood{Keys: []KeyFunc{snKey("k"), snKey("rev")}, Window: 3, Workers: w}.Candidates(recs)
+		got := candidatesOf(t, SortedNeighborhood{Keys: []KeyFunc{snKey("k"), snKey("rev")}, Window: 3}, recs, Opts{Workers: w})
 		samePairs(t, fmt.Sprintf("workers=%d", w), multi, got)
 	}
 }
@@ -112,11 +112,15 @@ func TestSortedNeighborhoodMultiPassDedups(t *testing.T) {
 // into an in-memory union and stays its caller's to close.
 func TestUnionCandidatesEmptyAndNil(t *testing.T) {
 	recs := detRecords(60)
-	full := NewEngineOpts(recs, Opts{Workers: 0}).Blocks(TokenKey("title")).CandidateSet()
-	if full.Len() == 0 {
-		t.Fatal("fixture produced no pairs")
+	// One engine whose pair budget holds the identifier pass in memory
+	// and spills the token pass.
+	raw := NewEngineOpts(recs, Opts{}).Blocks(AttrExactKey("pid")).Comparisons()
+	e := NewEngineOpts(recs, Opts{PairMemBudget: int64(raw) * 8, SpillDir: t.TempDir()})
+	full := e.Blocks(AttrExactKey("pid")).CandidateSet()
+	if full.Len() == 0 || full.Spilled() {
+		t.Fatal("fixture produced no in-memory pairs")
 	}
-	empty := NewEngineOpts(recs, Opts{Workers: 0}).Blocks(AttrExactKey("missing-attr")).CandidateSet()
+	empty := e.Blocks(AttrExactKey("missing-attr")).CandidateSet()
 	if empty.Len() != 0 {
 		t.Fatal("fixture empty set is not empty")
 	}
@@ -137,34 +141,38 @@ func TestUnionCandidatesEmptyAndNil(t *testing.T) {
 			t.Fatalf("%s: Close: %v", name, err)
 		}
 	}
-	checkEmpty("no operands", UnionCandidates())
-	checkEmpty("single nil", UnionCandidates(nil))
-	checkEmpty("all nil", UnionCandidates(nil, nil, nil))
-	checkEmpty("empty + nil", UnionCandidates(empty, nil, empty))
+	checkEmpty("no operands", e.Union())
+	checkEmpty("single nil", e.Union(nil))
+	checkEmpty("all nil", e.Union(nil, nil, nil))
+	checkEmpty("empty + nil", e.Union(empty, nil, empty))
 
 	// Mixed: nil and empty operands are invisible; the union of a
 	// single real set is that set's pair list.
 	for name, got := range map[string]*CandidateSet{
-		"nil+full":       UnionCandidates(nil, full),
-		"full+nil":       UnionCandidates(full, nil),
-		"empty+full+nil": UnionCandidates(empty, full, nil),
-		"nil+empty+full": UnionCandidates(nil, empty, full),
+		"nil+full":       e.Union(nil, full),
+		"full+nil":       e.Union(full, nil),
+		"empty+full+nil": e.Union(empty, full, nil),
+		"nil+empty+full": e.Union(nil, empty, full),
 	} {
 		samePairs(t, name, full.Pairs(), got.Pairs())
 	}
 
-	spilled := NewEngineOpts(recs, Opts{PairMemBudget: 1 << 6, SpillDir: t.TempDir()}).Blocks(TokenKey("title")).CandidateSet()
+	token := NewEngineOpts(recs, Opts{}).Blocks(TokenKey("title")).Pairs()
+	spilled := e.Blocks(TokenKey("title")).CandidateSet()
 	defer spilled.Close()
 	if !spilled.Spilled() {
 		t.Fatal("fixture did not spill")
 	}
-	u := UnionCandidates(nil, empty, spilled)
+	u := e.Union(nil, empty, spilled)
 	if u.Spilled() {
 		t.Fatal("union of a spilled operand is not in memory")
 	}
-	samePairs(t, "nil+empty+spilled", full.Pairs(), u.Pairs())
+	samePairs(t, "nil+empty+spilled", token, u.Pairs())
 	if err := u.Close(); err != nil {
 		t.Fatal(err)
 	}
-	samePairs(t, "spilled operand after union Close", full.Pairs(), spilled.Pairs())
+	samePairs(t, "spilled operand after union Close", token, spilled.Pairs())
+	if err := e.Err(); err != nil {
+		t.Fatal(err)
+	}
 }

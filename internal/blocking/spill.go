@@ -521,5 +521,5 @@ func (x *Indexed) spillCandidates() *CandidateSet {
 	}
 	reg.Counter("blocking.spill_bytes").Add(int64(ss.n) * peSize)
 	reg.Counter("blocking.spill_merge_runs").Add(int64(len(ss.emitRuns)))
-	return &CandidateSet{ids: e.rk.ids, ext: ss, sink: e.sink}
+	return &CandidateSet{eng: e, ext: ss}
 }

@@ -132,8 +132,8 @@ type Config struct {
 	Fuser string
 
 	// Workers bounds every parallel stage (blocking, matching, fusion);
-	// default NumCPU via parallel pkg. Results are identical for any
-	// value.
+	// 0 means NumCPU and a negative count is a validation error.
+	// Results are identical for any value.
 	Workers int
 
 	// Shards partitions blocking's block building and RRF accumulation
@@ -230,6 +230,9 @@ func (c Config) Validate() error {
 	}
 	if err := checkThreshold("match", c.MatchThreshold); err != nil {
 		return err
+	}
+	if c.Workers < 0 {
+		return fmt.Errorf("core: negative worker count %d", c.Workers)
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("core: negative shard count %d", c.Shards)
@@ -357,11 +360,9 @@ func (p *Pipeline) linkStage(ctx context.Context, d *data.Dataset, rep *Report, 
 		if p.cfg.MetaBlock {
 			// Meta-blocking reads the token blocks alone; its pruned set is
 			// in memory, and the union materialises the identifier pass.
-			pruned := blocking.MetaBlocker{
-				Weight: blocking.ECBS, Prune: blocking.WEP, Workers: p.cfg.Workers, Obs: reg,
-			}.Pruned(token)
-			ids := eng.Concat(idBlocks).CandidateSet()
-			cs = blocking.UnionCandidates(pruned, ids)
+			pruned := blocking.MetaBlocker{Weight: blocking.ECBS, Prune: blocking.WEP}.Pruned(token)
+			ids := idBlocks.CandidateSet()
+			cs = eng.Union(pruned, ids)
 			ids.Close()
 		} else {
 			cs = eng.Concat(token, idBlocks).CandidateSet()
@@ -433,12 +434,12 @@ func (p *Pipeline) linkStage(ctx context.Context, d *data.Dataset, rep *Report, 
 // purgeBound like the single-blocker path.
 func (p *Pipeline) rankedBlockers() []blocking.RankedBlocker {
 	return []blocking.RankedBlocker{
-		blocking.RankedKey{Name: "id:" + idAttr, Key: blocking.AttrExactKey(idAttr)},
-		blocking.RankedKey{Name: "token", Key: blocking.TokenKey(titleAttr), MaxBlock: purgeBound},
-		blocking.RankedKey{Name: "qgram", Key: blocking.QGramKey(titleAttr, 3), MaxBlock: purgeBound},
-		blocking.RankedKey{Name: "phonetic", Key: blocking.PhoneticKey(titleAttr, "soundex"), MaxBlock: purgeBound},
-		blocking.RankedSortedNeighborhood{Name: "sortedneighborhood", Keys: []blocking.KeyFunc{blocking.AttrExactKey(titleAttr)}, Window: 5},
-		blocking.RankedMinHash{Name: "minhash", MinHash: blocking.MinHashLSH{Attrs: []string{titleAttr}}},
+		blocking.Standard{Key: blocking.AttrExactKey(idAttr)},
+		blocking.Standard{Key: blocking.TokenKey(titleAttr), MaxBlock: purgeBound},
+		blocking.Standard{Key: blocking.QGramKey(titleAttr, 3), MaxBlock: purgeBound},
+		blocking.Standard{Key: blocking.PhoneticKey(titleAttr, "soundex"), MaxBlock: purgeBound},
+		blocking.SortedNeighborhood{Keys: []blocking.KeyFunc{blocking.AttrExactKey(titleAttr)}, Window: 5},
+		blocking.MinHashLSH{Attrs: []string{titleAttr}},
 	}
 }
 

@@ -289,6 +289,7 @@ func TestConfigValidate(t *testing.T) {
 		{MatchThreshold: 1.5},
 		{MatchThreshold: -0.2},
 		{Order: Order(7)},
+		{Workers: -1},
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg).Run(web.Dataset); err == nil {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"time"
 
 	"repro/internal/blocking"
@@ -23,6 +24,14 @@ func dirtyWeb(seed int64, entities, sources, dirt int) *datagen.Web {
 		IdentifierRate: 0.9, Heterogeneity: 0.3,
 		HeadFraction: 0.4, TailCoverage: 0.3,
 	})
+}
+
+// pairsOf runs b on a fresh engine over records and returns its
+// candidate pairs, or the engine's error.
+func pairsOf(records []*data.Record, b blocking.Blocker) ([]data.Pair, error) {
+	eng := blocking.NewEngineOpts(records, blocking.Opts{})
+	pairs := b.Candidates(eng).Pairs()
+	return pairs, eng.Err()
 }
 
 // E3Result is the structured output of E3.
@@ -47,26 +56,19 @@ func E3(seed int64) (*Table, *E3Result, error) {
 	truth := web.Dataset.GroundTruthClusters().Pairs()
 	n := len(records)
 
-	title := func(kf blocking.KeyFunc, workers int) blocking.Blocker {
-		return blocking.Standard{Key: kf, MaxBlock: 200, Workers: workers}
-	}
-	sn := func(window, workers int) blocking.Blocker {
-		return blocking.SortedNeighborhood{
-			Keys: []blocking.KeyFunc{blocking.AttrExactKey("title")}, Window: window, Workers: workers,
-		}
-	}
+	title := []blocking.KeyFunc{blocking.AttrExactKey("title")}
 	methods := []struct {
 		name string
-		b    func(workers int) blocking.Blocker
+		b    blocking.Blocker
 	}{
-		{"exact(title)", func(w int) blocking.Blocker { return title(blocking.AttrExactKey("title"), w) }},
-		{"prefix3(title)", func(w int) blocking.Blocker { return title(blocking.AttrPrefixKey("title", 3), w) }},
-		{"prefix5(title)", func(w int) blocking.Blocker { return title(blocking.AttrPrefixKey("title", 5), w) }},
-		{"token(title)", func(w int) blocking.Blocker { return title(blocking.TokenKey("title"), w) }},
-		{"qgram3(title)", func(w int) blocking.Blocker { return title(blocking.QGramKey("title", 3), w) }},
-		{"sn(w=3)", func(w int) blocking.Blocker { return sn(3, w) }},
-		{"sn(w=5)", func(w int) blocking.Blocker { return sn(5, w) }},
-		{"sn(w=9)", func(w int) blocking.Blocker { return sn(9, w) }},
+		{"exact(title)", blocking.Standard{Key: blocking.AttrExactKey("title"), MaxBlock: 200}},
+		{"prefix3(title)", blocking.Standard{Key: blocking.AttrPrefixKey("title", 3), MaxBlock: 200}},
+		{"prefix5(title)", blocking.Standard{Key: blocking.AttrPrefixKey("title", 5), MaxBlock: 200}},
+		{"token(title)", blocking.Standard{Key: blocking.TokenKey("title"), MaxBlock: 200}},
+		{"qgram3(title)", blocking.Standard{Key: blocking.QGramKey("title", 3), MaxBlock: 200}},
+		{"sn(w=3)", blocking.SortedNeighborhood{Keys: title, Window: 3}},
+		{"sn(w=5)", blocking.SortedNeighborhood{Keys: title, Window: 5}},
+		{"sn(w=9)", blocking.SortedNeighborhood{Keys: title, Window: 9}},
 	}
 	res := &E3Result{
 		Quality:       map[string]eval.BlockingQuality{},
@@ -82,25 +84,34 @@ func E3(seed int64) (*Table, *E3Result, error) {
 	// have something to chew on.
 	big := dirtyWeb(seed+5, 500, 20, 1).Dataset.Records()
 	const reps = 3
-	throughput := func(b blocking.Blocker) float64 {
+	// throughput times the whole pass, ID interning included, on a
+	// fresh engine per repetition.
+	throughput := func(b blocking.Blocker, o blocking.Opts) (float64, error) {
 		start := time.Now()
 		c := 0
 		for r := 0; r < reps; r++ {
-			c = len(b.Candidates(big))
+			eng := blocking.NewEngineOpts(big, o)
+			c = b.Candidates(eng).Len()
+			if err := eng.Err(); err != nil {
+				return 0, err
+			}
 		}
 		el := time.Since(start) / reps
 		if el <= 0 {
-			return 0
+			return 0, nil
 		}
-		return float64(c) / el.Seconds()
+		return float64(c) / el.Seconds(), nil
 	}
 	for _, m := range methods {
-		cands := m.b(1).Candidates(records)
+		cands, err := pairsOf(records, m.b)
+		seqT, seqErr := throughput(m.b, blocking.Opts{Workers: 1})
+		parT, parErr := throughput(m.b, blocking.Opts{}) // 0 workers = NumCPU
+		if err := errors.Join(err, seqErr, parErr); err != nil {
+			return nil, nil, err
+		}
 		q := eval.Blocking(cands, truth, n)
 		res.Quality[m.name] = q
 		res.Methods = append(res.Methods, m.name)
-		seqT := throughput(m.b(1))
-		parT := throughput(m.b(0)) // 0 = NumCPU
 		res.SeqThroughput[m.name] = seqT
 		res.ParThroughput[m.name] = parT
 		tab.Rows = append(tab.Rows, []string{
@@ -180,8 +191,12 @@ func E5(seed int64) (*Table, *E5Result, error) {
 		d := web.Dataset
 		records := d.Records()
 		truth := d.GroundTruthClusters().Pairs()
-		cands := blocking.Standard{Key: blocking.TokenKey("title"), MaxBlock: 200}.Candidates(records)
-		cands = append(cands, blocking.Standard{Key: blocking.AttrExactKey("pid")}.Candidates(records)...)
+		eng := blocking.NewEngineOpts(records, blocking.Opts{})
+		cands := eng.Blocks(blocking.TokenKey("title")).Purge(200).Pairs()
+		cands = append(cands, eng.Blocks(blocking.AttrExactKey("pid")).Pairs()...)
+		if err := eng.Err(); err != nil {
+			return nil, nil, err
+		}
 
 		cmp := similarity.NewRecordComparator(
 			similarity.FieldWeight{Attr: "title", Weight: 2, Metric: similarity.Jaccard},
@@ -241,7 +256,10 @@ func E9(seed int64) (*Table, *E9Result, error) {
 	web := dirtyWeb(seed, 300, 20, 1)
 	d := web.Dataset
 	records := d.Records()
-	cands := blocking.Standard{Key: blocking.TokenKey("title"), MaxBlock: 400}.Candidates(records)
+	cands, err := pairsOf(records, blocking.Standard{Key: blocking.TokenKey("title"), MaxBlock: 400})
+	if err != nil {
+		return nil, nil, err
+	}
 	matcher := func() linkage.ThresholdMatcher {
 		return linkage.ThresholdMatcher{
 			Comparator: similarity.UniformComparator(similarity.Jaccard, "title"),

@@ -235,7 +235,11 @@ func E18(seed int64) (*Table, *E18Result, error) {
 		Columns: []string{"method", "candidates", "RR", "PC", "PQ"},
 	}
 	for _, m := range methods {
-		q := eval.Blocking(m.b.Candidates(records), truth, n)
+		cands, err := pairsOf(records, m.b)
+		if err != nil {
+			return nil, nil, err
+		}
+		q := eval.Blocking(cands, truth, n)
 		res.Quality[m.name] = q
 		tab.Rows = append(tab.Rows, []string{m.name, d1(q.Candidates), f4(q.ReductionRatio), f4(q.PairCompleteness), f4(q.PairQuality)})
 	}

@@ -31,7 +31,10 @@ func E6(seed int64) (*Table, *E6Result, error) {
 
 	// A deliberately loose matcher creates the noisy graph clustering
 	// must cope with.
-	cands := blocking.Standard{Key: blocking.TokenKey("title"), MaxBlock: 200}.Candidates(records)
+	cands, err := pairsOf(records, blocking.Standard{Key: blocking.TokenKey("title"), MaxBlock: 200})
+	if err != nil {
+		return nil, nil, err
+	}
 	m := linkage.ThresholdMatcher{
 		Comparator: similarity.UniformComparator(similarity.Jaccard, "title"),
 		Threshold:  0.45,
@@ -131,7 +134,10 @@ func E7(seed int64) (*Table, *E7Result, error) {
 		// Full batch re-linkage over everything seen so far.
 		t0 = time.Now()
 		seen := all[:end]
-		cands := blocking.Standard{Key: blocking.TokenKey("title"), MaxBlock: 200}.Candidates(seen)
+		cands, err := pairsOf(seen, blocking.Standard{Key: blocking.TokenKey("title"), MaxBlock: 200})
+		if err != nil {
+			return nil, nil, err
+		}
 		edges, err := linkage.MatchStreamCtx(context.Background(), d, linkage.PairSlice(cands), matcher, 4, nil)
 		if err != nil {
 			return nil, nil, err
@@ -189,7 +195,10 @@ func E8(seed int64) (*Table, *E8Result, error) {
 		d := web.Dataset
 		// Identifier-based linkage for the evidence.
 		records := d.Records()
-		cands := blocking.Standard{Key: blocking.AttrExactKey("pid")}.Candidates(records)
+		cands, err := pairsOf(records, blocking.Standard{Key: blocking.AttrExactKey("pid")})
+		if err != nil {
+			return nil, nil, err
+		}
 		edges, err := linkage.MatchStreamCtx(context.Background(), d, linkage.PairSlice(cands), linkage.RuleMatcher{Exact: []string{"pid"}}, 4, nil)
 		if err != nil {
 			return nil, nil, err

@@ -23,8 +23,11 @@ func E20(seed int64) (*Table, *E20Result, error) {
 	records := web.Dataset.Records()
 	truth := web.Dataset.GroundTruthClusters().Pairs()
 
-	prog := blocking.Progressive{Key: blocking.TokenKey("title"), MaxBlock: 200}
-	ordered := prog.Candidates(records)
+	eng := blocking.NewEngineOpts(records, blocking.Opts{})
+	ordered := blocking.Standard{Key: blocking.TokenKey("title"), MaxBlock: 200}.Ranked(eng).Pairs()
+	if err := eng.Err(); err != nil {
+		return nil, nil, err
+	}
 	shuffled := append([]data.Pair(nil), ordered...)
 	rand.New(rand.NewSource(seed)).Shuffle(len(shuffled), func(i, j int) {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]

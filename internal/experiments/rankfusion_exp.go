@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/blocking"
-	"repro/internal/data"
 	"repro/internal/obs"
 )
 
@@ -69,45 +68,19 @@ type E25Result struct {
 // similarity, which is exactly the regime rank fusion is for.
 func e25Blockers() []blocking.RankedBlocker {
 	return []blocking.RankedBlocker{
-		blocking.RankedKey{Name: "token", Key: blocking.TokenKey("title"), MaxBlock: 200},
-		blocking.RankedKey{Name: "qgram", Key: blocking.QGramKey("title", 3), MaxBlock: 200},
-		blocking.RankedMinHash{Name: "minhash", MinHash: blocking.MinHashLSH{Attrs: []string{"title", "pid"}}},
-		blocking.RankedSortedNeighborhood{
-			Name:   "sortedneighborhood",
-			Keys:   []blocking.KeyFunc{blocking.AttrExactKey("pid"), blocking.AttrExactKey("title")},
-			Window: 5,
-		},
-		blocking.RankedKey{Name: "phonetic", Key: blocking.PhoneticKey("title", "soundex"), MaxBlock: 200},
-	}
-}
-
-// e25Union is the non-progressive baseline: each blocker's candidates
-// in its standard emission order, concatenated in producer order and
-// deduplicated first-seen — exactly the ordering today's un-fused
-// pipeline union feeds the matcher.
-func e25Union(records []*data.Record) []data.Pair {
-	singles := [][]data.Pair{
-		blocking.Standard{Key: blocking.TokenKey("title"), MaxBlock: 200}.Candidates(records),
-		blocking.Standard{Key: blocking.QGramKey("title", 3), MaxBlock: 200}.Candidates(records),
-		blocking.MinHashLSH{Attrs: []string{"title", "pid"}}.Candidates(records),
+		blocking.Standard{Key: blocking.TokenKey("title"), MaxBlock: 200},
+		blocking.Standard{Key: blocking.QGramKey("title", 3), MaxBlock: 200},
+		blocking.MinHashLSH{Attrs: []string{"title", "pid"}},
 		blocking.SortedNeighborhood{
 			Keys:   []blocking.KeyFunc{blocking.AttrExactKey("pid"), blocking.AttrExactKey("title")},
 			Window: 5,
-		}.Candidates(records),
-		blocking.Standard{Key: blocking.PhoneticKey("title", "soundex"), MaxBlock: 200}.Candidates(records),
+		},
+		blocking.Standard{Key: blocking.PhoneticKey("title", "soundex"), MaxBlock: 200},
 	}
-	seen := map[data.Pair]bool{}
-	var out []data.Pair
-	for _, ps := range singles {
-		for _, p := range ps {
-			if !seen[p] {
-				seen[p] = true
-				out = append(out, p)
-			}
-		}
-	}
-	return out
 }
+
+// e25Names labels e25Blockers, position for position.
+var e25Names = []string{"token", "qgram", "minhash", "sortedneighborhood", "phonetic"}
 
 // E25 — rank-fused candidate generation: recall-vs-comparisons curves
 // for the RRF-fused multi-blocker stream against every single blocker
@@ -121,15 +94,21 @@ func E25(seed int64, o E25Opts) (*Table, *E25Result, error) {
 	truth := web.Dataset.GroundTruthClusters().Pairs()
 	blockers := e25Blockers()
 
-	// Reference run: produce the ranked streams once, fuse, decode.
+	// Reference run: fuse and decode. The plain union is the
+	// non-progressive baseline: each blocker's candidates in its
+	// standard emission order, concatenated in producer order and
+	// deduplicated first-seen — the ordering the un-fused pipeline's
+	// union feeds the matcher. Each single blocker's curve reads its own
+	// ranked stream.
 	eng := blocking.NewEngineOpts(records, blocking.Opts{})
-	streams := make([]blocking.RankedStream, len(blockers))
-	for i, b := range blockers {
-		streams[i] = b.Ranked(eng)
-	}
-	fusedSet := eng.FuseStreams(o.RRFK, streams...)
+	fusedSet := eng.FuseRanked(o.RRFK, blockers...)
 	fused := fusedSet.Pairs()
 	wantHash := pairStreamHash(fusedSet)
+	singles := make([]*blocking.CandidateSet, len(blockers))
+	for i, b := range blockers {
+		singles[i] = b.Candidates(eng)
+	}
+	union := eng.Union(singles...).Pairs()
 
 	res := &E25Result{
 		RRFK:       o.RRFK,
@@ -145,11 +124,13 @@ func E25(seed int64, o E25Opts) (*Table, *E25Result, error) {
 		res.Budgets = append(res.Budgets, b)
 	}
 	res.Fused = blocking.RecallCurve(fused, truth, res.Budgets)
-	res.Union = blocking.RecallCurve(e25Union(records), truth, res.Budgets)
-	for i := range blockers {
-		name := streams[i].Name
-		res.Names = append(res.Names, name)
-		res.Singles[name] = blocking.RecallCurve(eng.RankedPairs(streams[i]), truth, res.Budgets)
+	res.Union = blocking.RecallCurve(union, truth, res.Budgets)
+	for i, b := range blockers {
+		res.Names = append(res.Names, e25Names[i])
+		res.Singles[e25Names[i]] = blocking.RecallCurve(b.Ranked(eng).Pairs(), truth, res.Budgets)
+	}
+	if err := eng.Err(); err != nil {
+		return nil, nil, fmt.Errorf("E25: %w", err)
 	}
 
 	// Dominance: the fused ordering must match or beat every single
@@ -179,6 +160,9 @@ func E25(seed int64, o E25Opts) (*Table, *E25Result, error) {
 		for _, s := range res.IdentityShards {
 			e := blocking.NewEngineOpts(records, blocking.Opts{Workers: w, Shards: s})
 			cs := e.FuseRanked(o.RRFK, blockers...)
+			if err := e.Err(); err != nil {
+				return nil, nil, fmt.Errorf("E25: workers=%d shards=%d: %w", w, s, err)
+			}
 			if pairStreamHash(cs) != wantHash || cs.Len() != len(fused) {
 				return nil, nil, fmt.Errorf("E25: fused stream diverged at workers=%d shards=%d", w, s)
 			}
@@ -192,6 +176,9 @@ func E25(seed int64, o E25Opts) (*Table, *E25Result, error) {
 		Workers: 2, Shards: 4, PairMemBudget: int64(len(fused)), Obs: reg,
 	})
 	spillSet := spillEng.FuseRanked(o.RRFK, blockers...)
+	if err := spillEng.Err(); err != nil {
+		return nil, nil, fmt.Errorf("E25: spilled fusion: %w", err)
+	}
 	if !spillSet.Spilled() {
 		return nil, nil, fmt.Errorf("E25: budget %d never spilled the fused stream", len(fused))
 	}

@@ -111,7 +111,10 @@ func E27(seed int64) (*Table, *E27Result, error) {
 		// fusion and the snapshot over everything seen so far.
 		seen := st.Dataset().Records()
 		t0 = time.Now()
-		cands := blocking.Standard{Key: blocking.TokenKey("title"), MaxBlock: 200}.Candidates(seen)
+		cands, err := pairsOf(seen, blocking.Standard{Key: blocking.TokenKey("title"), MaxBlock: 200})
+		if err != nil {
+			return nil, nil, err
+		}
 		edges, err := linkage.MatchStreamCtx(context.Background(), st.Dataset(), linkage.PairSlice(cands), matcher, 4, nil)
 		if err != nil {
 			return nil, nil, err

@@ -37,7 +37,11 @@ func matchWorkloadN(t testing.TB, entities int) (*data.Dataset, []data.Pair) {
 		HeadFraction: 0.4, TailCoverage: 0.3,
 	})
 	records := web.Dataset.Records()
-	cands := blocking.Standard{Key: blocking.TokenKey("title"), MaxBlock: 200}.Candidates(records)
+	eng := blocking.NewEngineOpts(records, blocking.Opts{})
+	cands := blocking.Standard{Key: blocking.TokenKey("title"), MaxBlock: 200}.Candidates(eng).Pairs()
+	if err := eng.Err(); err != nil {
+		t.Fatal(err)
+	}
 	if len(cands) == 0 {
 		t.Fatal("workload produced no candidate pairs")
 	}
