@@ -45,8 +45,11 @@ import (
 type (
 	// Dataset is a collection of sources and their records.
 	Dataset = data.Dataset
-	// Record is one source's description of one entity.
+	// Record is one source's description of one entity. Its fields are
+	// read through Fields, Get, Has and Attrs and written through Set.
 	Record = data.Record
+	// Field is one attribute → value cell of a Record.
+	Field = data.Field
 	// Source describes one data source.
 	Source = data.Source
 	// Value is a dynamically typed attribute value.
@@ -71,7 +74,7 @@ type (
 var (
 	// NewDataset returns an empty dataset.
 	NewDataset = data.NewDataset
-	// NewRecord allocates a record with an empty field map.
+	// NewRecord allocates a record with no fields; Set adds them.
 	NewRecord = data.NewRecord
 	// NewClaimSet returns an empty claim set.
 	NewClaimSet = data.NewClaimSet

@@ -156,8 +156,8 @@ func TokenKey(attrs ...string) KeyFunc {
 func AllTokensKey() KeyFunc {
 	return func(r *data.Record) []string {
 		var keys []string
-		for _, a := range r.Attrs() {
-			keys = append(keys, tokenize.Words(r.Fields[a].String())...)
+		for _, f := range r.Fields() {
+			keys = append(keys, tokenize.Words(f.Value.String())...)
 		}
 		return keys
 	}

@@ -228,7 +228,7 @@ func fuzzStreamRecord(id string, a, b byte) *data.Record {
 		r.Set("pid", data.String(fmt.Sprintf("p%d", b&3))) // identifier equality links whatever the titles
 	}
 	if b == 0xff {
-		r.Fields = map[string]data.Value{} // a member that claims nothing
+		r = data.NewRecord(r.ID, r.SourceID) // a member that claims nothing
 	}
 	return r
 }

@@ -147,10 +147,3 @@ func TestEntityIndexParsing(t *testing.T) {
 		t.Fatal("unreachable")
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

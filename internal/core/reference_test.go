@@ -351,7 +351,7 @@ func kernelCases(t *testing.T, snap *Snapshot, queries []string, recs []*data.Re
 				func() ([]Hit, error) { return snap.Similar(e.ID, limit) }, want})
 		}
 		for _, rec := range recs {
-			cases = append(cases, queryCase{fmt.Sprintf("Resolve(%v, %d)", rec.Fields, limit),
+			cases = append(cases, queryCase{fmt.Sprintf("Resolve(%v, %d)", rec, limit),
 				func() ([]Hit, error) { return snap.Resolve(rec, limit) }, referenceResolve(snap, rec, limit)})
 		}
 	}

@@ -543,12 +543,11 @@ func (s *Snapshot) Resolve(rec *data.Record, k int) ([]Hit, error) {
 	if err != nil {
 		return nil, err
 	}
-	if rec == nil || len(rec.Fields) == 0 {
+	if rec == nil || len(rec.Fields()) == 0 {
 		return nil, fmt.Errorf("core: empty record")
 	}
-	attrs := rec.Attrs()
 	sc := s.getScratch()
-	s.queryFields(sc, rec, attrs)
+	s.queryFields(sc, rec.Fields())
 	nq := s.queryTokens(sc, sc.words)
 	// A shortlist bounded well above k keeps the comparator pass cheap
 	// while leaving room for the exact-value candidates to rerank. The
@@ -556,8 +555,8 @@ func (s *Snapshot) Resolve(rec *data.Record, k int) ([]Hit, error) {
 	for _, c := range s.probe(sc, sc.toks, nq, -1, max(4*k, 32)) {
 		sc.mark(c.e)
 	}
-	for _, attr := range attrs {
-		for _, e := range s.values.lookup(attr + "\x00" + rec.Get(attr).Key()) {
+	for _, f := range rec.Fields() {
+		for _, e := range s.values.lookup(f.Attr + "\x00" + f.Value.Key()) {
 			sc.mark(e)
 		}
 	}
@@ -580,16 +579,16 @@ func (s *Snapshot) Resolve(rec *data.Record, k int) ([]Hit, error) {
 // queryFields tokenises a Resolve query once: sc.words collects the
 // words of every string value for the text probe, and sc.fields the
 // word sets of the values of the attributes the snapshot compares.
-func (s *Snapshot) queryFields(sc *queryScratch, rec *data.Record, attrs []string) {
+func (s *Snapshot) queryFields(sc *queryScratch, fields []data.Field) {
 	sc.ids = sc.ids[:0]
-	for _, attr := range attrs {
-		v := rec.Get(attr)
+	for _, f := range fields {
+		attr, v := f.Attr, f.Value
 		var words []string
 		if v.Kind == data.KindString {
 			words = tokenize.Words(v.Str)
 			sc.words = append(sc.words, words...)
 		}
-		if _, ok := s.attrs[attr]; !ok || v.IsNull() {
+		if _, ok := s.attrs[attr]; !ok {
 			continue
 		}
 		if v.Kind != data.KindString {

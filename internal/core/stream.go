@@ -142,6 +142,7 @@ type Stream struct {
 	publishes   int64
 	lastPub     time.Time
 	dirty       bool
+	stateLen    int // bytes of the last state encoded or loaded
 }
 
 // NewStream builds a fresh stream processor. publish, when non-nil, is

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/datagen"
+	"repro/internal/obs"
 	"repro/internal/source"
 )
 
@@ -174,6 +175,34 @@ func TestStreamStateRoundTripByteIdentical(t *testing.T) {
 	}
 	if a, b := streamFingerprint(t, s), streamFingerprint(t, restored); a != b {
 		t.Errorf("restored stream fingerprint differs:\n--- original\n%s--- restored\n%s", a, b)
+	}
+}
+
+// TestStreamSaveTimer pins the save metrics: with a registry attached,
+// the stream.save_time timer observes every save the stream.saves
+// counter counts, and with none, reporting a save costs no allocation.
+func TestStreamSaveTimer(t *testing.T) {
+	d := streamTestWeb(16, 20, 4)
+	reg := obs.NewRegistry()
+	path := filepath.Join(t.TempDir(), "stream.state")
+	s, err := NewStream(StreamConfig{EpochSize: 10, StatePath: path, Obs: reg}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunDeltas(context.Background(), source.FromDataset(d), source.Totals(d)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := s.Save(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	saves, timed := reg.Counter("stream.saves").Value(), reg.Timer("stream.save_time").Count()
+	if saves < 3 || timed != saves {
+		t.Errorf("stream.save_time observed %d saves, stream.saves counted %d (want equal, at least 3)", timed, saves)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { reportSave(nil, time.Millisecond, 1<<10) }); allocs != 0 {
+		t.Errorf("reporting a save to a nil registry allocates %v times, want 0", allocs)
 	}
 }
 

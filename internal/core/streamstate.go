@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/linkage"
+	"repro/internal/obs"
 )
 
 // Stream state codec: a versioned binary format holding everything a
@@ -50,6 +52,7 @@ var ErrBadState = errors.New("core: stream state corrupt or incompatible")
 // the primary (falling back to a copy), so there is no instant at
 // which neither a primary nor a backup exists.
 func (s *Stream) Save(path string) error {
+	start := time.Now()
 	buf := s.encodeState()
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, ".bdistate-*")
@@ -76,10 +79,16 @@ func (s *Stream) Save(path string) error {
 		os.Remove(tmp)
 		return fmt.Errorf("core: stream save: %w", err)
 	}
-	reg := s.reg()
-	reg.Counter("stream.saves").Inc()
-	reg.Gauge("stream.state_bytes").Set(float64(len(buf)))
+	reportSave(s.reg(), time.Since(start), len(buf))
 	return nil
+}
+
+// reportSave records one save — its count, wall time and size — in
+// reg; with no registry attached it costs no allocation.
+func reportSave(reg *obs.Registry, took time.Duration, bytes int) {
+	reg.Counter("stream.saves").Inc()
+	reg.Timer("stream.save_time").Observe(took)
+	reg.Gauge("stream.state_bytes").Set(float64(bytes))
 }
 
 // rotateBackup points path+".bak" at the current primary, best-effort:
@@ -137,6 +146,7 @@ func loadStreamFile(path string, cfg StreamConfig, publish func(*Snapshot)) (*St
 	if err := s.decodeState(buf); err != nil {
 		return nil, err
 	}
+	s.stateLen = len(buf)
 	return s, nil
 }
 
@@ -153,8 +163,11 @@ func ResumeStream(cfg StreamConfig, publish func(*Snapshot)) (*Stream, error) {
 	return NewStream(cfg, publish)
 }
 
+// encodeState renders the state into a buffer the size of the previous
+// one (64 KiB before any), so a steady stream's save grows it at most
+// once.
 func (s *Stream) encodeState() []byte {
-	b := make([]byte, 0, 1<<16)
+	b := make([]byte, 0, cmp.Or(s.stateLen, 1<<16))
 	b = append(b, streamStateMagic...)
 	b = binary.AppendUvarint(b, streamStateVersion)
 
@@ -186,11 +199,11 @@ func (s *Stream) encodeState() []byte {
 		b = appendString(b, r.ID)
 		b = appendString(b, r.SourceID)
 		b = appendString(b, r.EntityID)
-		attrs := r.Attrs() // sorted
-		b = binary.AppendUvarint(b, uint64(len(attrs)))
-		for _, a := range attrs {
-			b = appendString(b, a)
-			b = appendValue(b, r.Get(a))
+		fields := r.Fields() // sorted by name
+		b = binary.AppendUvarint(b, uint64(len(fields)))
+		for _, f := range fields {
+			b = appendString(b, f.Attr)
+			b = appendValue(b, f.Value)
 		}
 	}
 	b = binary.AppendUvarint(b, uint64(len(st.Partition)))
@@ -201,7 +214,9 @@ func (s *Stream) encodeState() []byte {
 	b = binary.AppendUvarint(b, uint64(s.deleted))
 
 	crc := crc32.ChecksumIEEE(b)
-	return binary.LittleEndian.AppendUint32(b, crc)
+	b = binary.LittleEndian.AppendUint32(b, crc)
+	s.stateLen = len(b)
+	return b
 }
 
 func (s *Stream) decodeState(buf []byte) error {
@@ -249,7 +264,12 @@ func (s *Stream) decodeState(buf []byte) error {
 		srcID := d.string()
 		r := data.NewRecord(id, srcID)
 		r.EntityID = d.string()
-		for m := d.uvarint(); m > 0 && d.err == nil; m-- {
+		// The cells arrive sorted, so each Set appends. The count is
+		// untrusted: room is reserved only for as many cells as the
+		// remaining bytes can hold (a name length and a kind byte each).
+		m := d.uvarint()
+		r.Grow(int(min(m, uint64(len(d.buf)/2))))
+		for ; m > 0 && d.err == nil; m-- {
 			a := d.string()
 			r.Set(a, d.value())
 		}

@@ -73,6 +73,7 @@ func (v *clusterView) current(d *data.Dataset, cl data.Cluster) bool {
 // newClusterView reads a cluster's records into a view.
 func (s *Stream) newClusterView(d *data.Dataset, cl data.Cluster, recs []*data.Record) *clusterView {
 	v := &clusterView{recs: recs, records: make([]string, len(recs))}
+	cells := 0
 	for m, r := range recs {
 		v.records[m] = r.ID
 		if !slices.Contains(v.sources, r.SourceID) {
@@ -81,24 +82,24 @@ func (s *Stream) newClusterView(d *data.Dataset, cl data.Cluster, recs []*data.R
 		if t := r.Get("title"); !t.IsNull() && len(t.Str) > len(v.title) {
 			v.title = t.Str
 		}
-		for a, val := range r.Fields {
-			if !val.IsNull() && !slices.Contains(v.attrs, a) {
-				v.attrs = append(v.attrs, a)
-			}
-		}
+		cells += len(r.Fields())
 	}
 	sort.Strings(v.sources)
-	sort.Strings(v.attrs)
-	claims := data.ClaimsFromClusters(d, data.Clustering{cl}, v.attrs)
-	// ClaimsFromClusters writes member by member, attribute by attribute.
-	var member []int32
+	// The view's attributes are every name among the members' cells, and
+	// since that is all of them, ClaimsFromClusters claims every cell,
+	// member by member in cell order: claim c is the cell of(c).
+	type cellRef struct{ m, k int32 }
+	of, names := make([]cellRef, 0, cells), make([]string, 0, cells)
 	for m, r := range recs {
-		for _, a := range v.attrs {
-			if r.Has(a) {
-				member = append(member, int32(m))
-			}
+		for k, f := range r.Fields() {
+			of = append(of, cellRef{int32(m), int32(k)})
+			names = append(names, f.Attr)
 		}
 	}
+	slices.Sort(names)
+	v.attrs = slices.Clone(slices.Compact(names))
+	value := func(c int32) data.Value { return recs[of[c].m].Fields()[of[c].k].Value }
+	claims := data.ClaimsFromClusters(d, data.Clustering{cl}, v.attrs)
 	items := claims.Columns().Items
 	view, claim := claims.ByItem()
 	v.rep = make([]int32, len(claim))
@@ -108,11 +109,10 @@ func (s *Stream) newClusterView(d *data.Dataset, cl data.Cluster, recs []*data.R
 			// Same key (rank) and == together mean the same spelling: ==
 			// alone takes 0 for -0, the key alone one instant for another
 			// zone's.
-			m := member[claim[p]]
-			v.rep[p] = m
+			v.rep[p] = of[claim[p]].m
 			for q := view.Start[i]; q < p; q++ {
-				if r := v.rep[q]; view.Val[q] == view.Val[p] && recs[r].Fields[it.Attr] == recs[m].Fields[it.Attr] {
-					v.rep[p] = r
+				if view.Val[q] == view.Val[p] && value(claim[q]) == value(claim[p]) {
+					v.rep[p] = v.rep[q]
 					break
 				}
 			}
@@ -249,7 +249,7 @@ func (s *Stream) assemble(st *publishStats) *Snapshot {
 			values := make(map[string]data.Value, len(v.attrs))
 			for j, attr := range v.attrs {
 				if w := v.winner[j]; w >= 0 {
-					values[attr] = v.recs[w].Fields[attr]
+					values[attr] = v.recs[w].Get(attr)
 				}
 			}
 			v.doc = newEntityDoc(v.title, values, s.words, s.keys)

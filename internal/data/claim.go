@@ -283,29 +283,60 @@ func (cs *ClaimSet) Validate() error {
 // ClaimsFromClusters converts linked records into a claim set: each
 // cluster of the normalized clustering becomes an entity whose ID is its
 // index rendered as "e<i>", and each member, in sorted ID order, claims
-// its non-null value of every attribute in attrs, in attrs order. The
-// claims go straight into the table: a counting pass sizes it, items are
-// interned through a per-cluster attribute table, and a claim's value is
-// found among its item's by SameKey, so no key is rendered but to rank
-// an item's values.
+// its value of every attribute in attrs, in attrs order (a name repeated
+// in attrs is claimed once, at its first place). Each member's cells are
+// walked once: a name → index map built per call finds a cell's place in
+// attrs, and the member's few hits are sorted by it, so the cost follows
+// the claims, not members × attributes. The claims go straight into the
+// table: a counting pass sizes it, items are interned through a
+// per-cluster attribute table, and a claim's value is found among its
+// item's by SameKey, so no key is rendered but to rank an item's values.
 func ClaimsFromClusters(d *Dataset, clusters Clustering, attrs []string) *ClaimSet {
 	norm := clusters.Normalize()
+	index := make(map[string]int32, len(attrs))
+	for a := len(attrs) - 1; a >= 0; a-- {
+		index[attrs[a]] = int32(a)
+	}
+	// recs holds the members end to end (nil for an ID d lacks); at[k]
+	// is the place in attrs of the k-th of their cells, -1 for none.
+	members, cells := 0, 0
+	for _, cl := range norm {
+		members += len(cl)
+	}
+	recs := make([]*Record, 0, members)
+	for _, cl := range norm {
+		for _, id := range cl {
+			r := d.Record(id)
+			recs = append(recs, r)
+			if r != nil {
+				cells += len(r.cells)
+			}
+		}
+	}
+	at := make([]int32, 0, cells)
 	// stamp[a] is 1 + the last cluster with an item for attribute a.
 	stamp, item := make([]int, len(attrs)), make([]int32, len(attrs))
 	nClaims, nItems := 0, 0
+	next := 0
 	for ci, cl := range norm {
-		for _, id := range cl {
-			if r := d.Record(id); r != nil {
-				for a, attr := range attrs {
-					if !r.Get(attr).IsNull() {
-						nClaims++
-						if stamp[a] != ci+1 {
-							stamp[a], nItems = ci+1, nItems+1
-						}
-					}
+		for _, r := range recs[next : next+len(cl)] {
+			if r == nil {
+				continue
+			}
+			for _, f := range r.cells {
+				a, ok := index[f.Attr]
+				if !ok {
+					at = append(at, -1)
+					continue
+				}
+				at = append(at, a)
+				nClaims++
+				if stamp[a] != ci+1 {
+					stamp[a], nItems = ci+1, nItems+1
 				}
 			}
 		}
+		next += len(cl)
 	}
 	// The entity IDs, rendered end to end into one string.
 	names, ends := make([]byte, 0, len(norm)*(1+len(strconv.Itoa(len(norm))))), make([]int, len(norm)+1)
@@ -320,32 +351,41 @@ func ClaimsFromClusters(d *Dataset, clusters Clustering, attrs []string) *ClaimS
 	t.Items, t.Values, t.Rank = make([]Item, 0, nItems), make([]Value, 0, nClaims), make([]int32, 0, nClaims)
 	t.Item, t.Src, t.Val = make([]int32, 0, nClaims), make([]int32, 0, nClaims), make([]int32, 0, nClaims)
 	prev, heads, scratch := make([]int32, 0, nClaims), make([]int32, 0, len(attrs)), []int32(nil)
+	// hits are one member's claimed cells: place in attrs, cell index.
+	type hit struct{ a, k int32 }
+	hits := make([]hit, 0, len(attrs))
 	clear(stamp)
+	next, cell := 0, 0
 	for ci, cl := range norm {
 		base := int32(len(t.Items))
 		heads = heads[:0] // the cluster's items' value chains
-		for _, id := range cl {
-			r := d.Record(id)
+		for _, r := range recs[next : next+len(cl)] {
 			if r == nil {
 				continue
 			}
-			s := int32(-1)
-			for a, attr := range attrs {
-				val := r.Get(attr)
-				if val.IsNull() {
-					continue
+			hits = hits[:0]
+			for k := range r.cells {
+				if a := at[cell+k]; a >= 0 {
+					hits = append(hits, hit{a, int32(k)})
 				}
-				if s < 0 {
-					s = cs.source(r.SourceID)
-				}
+			}
+			cell += len(r.cells)
+			if len(hits) == 0 {
+				continue
+			}
+			slices.SortFunc(hits, func(x, y hit) int { return cmp.Compare(x.a, y.a) })
+			s := cs.source(r.SourceID)
+			for _, h := range hits {
+				a := h.a
 				if stamp[a] != ci+1 {
 					stamp[a], item[a], heads = ci+1, int32(len(t.Items)), append(heads, -1)
-					t.Items = append(t.Items, Item{Entity: entities[ends[ci]:ends[ci+1]], Attr: attr})
+					t.Items = append(t.Items, Item{Entity: entities[ends[ci]:ends[ci+1]], Attr: attrs[a]})
 				}
-				v, _ := cs.valueOf(&heads[item[a]-base], &prev, val)
+				v, _ := cs.valueOf(&heads[item[a]-base], &prev, r.cells[h.k].Value)
 				t.Item, t.Src, t.Val = append(t.Item, item[a]), append(t.Src, s), append(t.Val, v)
 			}
 		}
+		next += len(cl)
 		for _, h := range heads { // the cluster's items are complete
 			scratch = cs.rank(h, prev, scratch)
 		}

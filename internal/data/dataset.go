@@ -173,8 +173,8 @@ func (d *Dataset) SourceRecords(sourceID string) []*Record {
 func (d *Dataset) Attributes() []AttrCount {
 	counts := map[string]int{}
 	d.each(&d.order, func(r *Record) {
-		for a := range r.Fields {
-			counts[a]++
+		for _, f := range r.Fields() {
+			counts[f.Attr]++
 		}
 	})
 	out := make([]AttrCount, 0, len(counts))

@@ -39,9 +39,9 @@ func (d *Dataset) WriteJSON(w io.Writer) error {
 	}
 	for _, r := range d.Records() {
 		jr := jsonRecord{ID: r.ID, SourceID: r.SourceID, EntityID: r.EntityID,
-			Fields: make(map[string]string, len(r.Fields))}
-		for a, v := range r.Fields {
-			jr.Fields[a] = v.String()
+			Fields: make(map[string]string, len(r.Fields()))}
+		for _, f := range r.Fields() {
+			jr.Fields[f.Attr] = f.Value.String()
 		}
 		doc.Records = append(doc.Records, jr)
 	}
@@ -82,8 +82,8 @@ func ReadJSON(r io.Reader) (*Dataset, error) {
 func (d *Dataset) WriteCSV(w io.Writer) error {
 	attrSet := map[string]bool{}
 	for _, r := range d.Records() {
-		for a := range r.Fields {
-			attrSet[a] = true
+		for _, f := range r.Fields() {
+			attrSet[f.Attr] = true
 		}
 	}
 	attrs := make([]string, 0, len(attrSet))

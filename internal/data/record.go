@@ -2,6 +2,7 @@ package data
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -10,72 +11,106 @@ import (
 // attribute → value fields plus provenance. EntityID carries the
 // generator's ground truth when known and is never consulted by the
 // pipeline itself — only by evaluation code.
+//
+// The fields are one slice of cells sorted by attribute name, one cell
+// per name and no null among them, so a one-field record costs its
+// header and one 80-byte cell rather than a hash map's first group.
 type Record struct {
-	ID       string           // globally unique record identifier
-	SourceID string           // owning source
-	EntityID string           // ground-truth entity id ("" if unknown)
-	Fields   map[string]Value // attribute name → value
+	ID       string // globally unique record identifier
+	SourceID string // owning source
+	EntityID string // ground-truth entity id ("" if unknown)
+	cells    []Field
 }
 
-// NewRecord allocates a record with an empty field map.
+// Field is one attribute → value cell of a record.
+type Field struct {
+	Attr  string
+	Value Value
+}
+
+// NewRecord allocates a record with no fields.
 func NewRecord(id, sourceID string) *Record {
-	return &Record{ID: id, SourceID: sourceID, Fields: map[string]Value{}}
+	return &Record{ID: id, SourceID: sourceID}
+}
+
+// find returns the index of attr's cell, or where it would be inserted,
+// and whether it is there.
+func (r *Record) find(attr string) (int, bool) {
+	lo, hi := 0, len(r.cells)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if r.cells[m].Attr < attr {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(r.cells) && r.cells[lo].Attr == attr
 }
 
 // Set stores a field, dropping null values so that "absent" and "null"
 // coincide. It returns the record for chaining.
 func (r *Record) Set(attr string, v Value) *Record {
-	if r.Fields == nil {
-		r.Fields = map[string]Value{}
+	i, ok := r.find(attr)
+	switch {
+	case v.IsNull():
+		if ok {
+			r.cells = slices.Delete(r.cells, i, i+1)
+		}
+	case ok:
+		r.cells[i].Value = v
+	default:
+		r.cells = slices.Insert(r.cells, i, Field{Attr: attr, Value: v})
 	}
-	if v.IsNull() {
-		delete(r.Fields, attr)
-		return r
-	}
-	r.Fields[attr] = v
 	return r
 }
 
+// Grow reserves room for n more fields, so a builder that knows the
+// count sets them without regrowing the slice.
+func (r *Record) Grow(n int) { r.cells = slices.Grow(r.cells, n) }
+
 // Get returns the value of attr, or null if absent.
 func (r *Record) Get(attr string) Value {
-	if r.Fields == nil {
-		return Null()
+	if i, ok := r.find(attr); ok {
+		return r.cells[i].Value
 	}
-	return r.Fields[attr]
+	return Null()
 }
 
 // Has reports whether the record carries a non-null value for attr.
-func (r *Record) Has(attr string) bool { return !r.Get(attr).IsNull() }
+func (r *Record) Has(attr string) bool {
+	_, ok := r.find(attr)
+	return ok
+}
+
+// Fields returns the record's cells in attribute-name order. The slice
+// is the record's own: callers must not modify it.
+func (r *Record) Fields() []Field { return r.cells }
 
 // Attrs returns the record's attribute names in sorted order.
 func (r *Record) Attrs() []string {
-	attrs := make([]string, 0, len(r.Fields))
-	for a := range r.Fields {
-		attrs = append(attrs, a)
+	attrs := make([]string, len(r.cells))
+	for i, f := range r.cells {
+		attrs[i] = f.Attr
 	}
-	sort.Strings(attrs)
 	return attrs
 }
 
 // Clone returns a deep copy of the record.
 func (r *Record) Clone() *Record {
-	c := &Record{ID: r.ID, SourceID: r.SourceID, EntityID: r.EntityID,
-		Fields: make(map[string]Value, len(r.Fields))}
-	for a, v := range r.Fields {
-		c.Fields[a] = v
-	}
-	return c
+	return &Record{ID: r.ID, SourceID: r.SourceID, EntityID: r.EntityID,
+		cells: slices.Clone(r.cells)}
 }
 
 // String renders the record compactly for debugging.
 func (r *Record) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s@%s{", r.ID, r.SourceID)
-	for i, a := range r.Attrs() {
+	for i, f := range r.cells {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		fmt.Fprintf(&b, "%s=%s", a, r.Fields[a])
+		fmt.Fprintf(&b, "%s=%s", f.Attr, f.Value)
 	}
 	b.WriteByte('}')
 	return b.String()

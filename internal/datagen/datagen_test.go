@@ -285,7 +285,8 @@ func driftObserved(tw *TemporalWorld) bool {
 			if !tw.Evolving[r.EntityID] {
 				continue
 			}
-			for a, v := range r.Fields {
+			for _, f := range r.Fields() {
+				a, v := f.Attr, f.Value
 				if a == "epoch" || a == "title" || a == "pid" {
 					continue
 				}

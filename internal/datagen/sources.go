@@ -260,12 +260,13 @@ func observeRecord(r *rand.Rand, recID string, gs *GenSource, e *Entity,
 func copyRecord(r *rand.Rand, recID string, gs *GenSource, orig *data.Record, dirt Dirt) *data.Record {
 	rec := data.NewRecord(recID, gs.ID)
 	rec.EntityID = orig.EntityID
-	for a, v := range orig.Fields {
-		if a == "title" && v.Kind == data.KindString {
-			rec.Set(a, data.String(dirt.PerturbString(r, v.Str)))
+	rec.Grow(len(orig.Fields()))
+	for _, f := range orig.Fields() {
+		if f.Attr == "title" && f.Value.Kind == data.KindString {
+			rec.Set(f.Attr, data.String(dirt.PerturbString(r, f.Value.Str)))
 			continue
 		}
-		rec.Set(a, v)
+		rec.Set(f.Attr, f.Value)
 	}
 	if !gs.PublishID {
 		rec.Set("pid", data.Null())

@@ -242,12 +242,12 @@ func ExtractionQuality(t *Template, originals []*data.Record, extracted []*data.
 			break
 		}
 		got := extracted[i]
-		for _, a := range orig.Attrs() {
-			label := t.LabelOf[a]
+		for _, f := range orig.Fields() {
+			label := t.LabelOf[f.Attr]
 			if label == "" {
-				label = a
+				label = f.Attr
 			}
-			want := orig.Fields[a]
+			want := f.Value
 			gv := got.Get(label)
 			switch {
 			case gv.IsNull():
@@ -260,14 +260,14 @@ func ExtractionQuality(t *Template, originals []*data.Record, extracted []*data.
 			}
 		}
 		// Extracted fields not in the original are spurious.
-		for _, l := range got.Attrs() {
+		for _, g := range got.Fields() {
 			found := false
-			for _, a := range orig.Attrs() {
-				lbl := t.LabelOf[a]
+			for _, f := range orig.Fields() {
+				lbl := t.LabelOf[f.Attr]
 				if lbl == "" {
-					lbl = a
+					lbl = f.Attr
 				}
-				if lbl == l {
+				if lbl == g.Attr {
 					found = true
 					break
 				}

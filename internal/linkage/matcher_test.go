@@ -209,8 +209,8 @@ func TestIdentifierHitSameKey(t *testing.T) {
 			if got, want := a.SameKey(b), a.Key() == b.Key(); got != want {
 				t.Errorf("values %d (%s) and %d (%s): SameKey %v, Key equality %v", i, a.Key(), j, b.Key(), got, want)
 			}
-			ra := &data.Record{ID: "a", Fields: map[string]data.Value{"pid": a}}
-			rb := &data.Record{ID: "b", Fields: map[string]data.Value{"pid": b}}
+			ra := data.NewRecord("a", "").Set("pid", a)
+			rb := data.NewRecord("b", "").Set("pid", b)
 			want := !a.IsNull() && !b.IsNull() && a.Key() == b.Key()
 			if got := identifierHit([]string{"pid"}, ra, rb); got != want {
 				t.Errorf("values %d (%s) and %d (%s): identifierHit %v, Key equality %v", i, a.Key(), j, b.Key(), got, want)

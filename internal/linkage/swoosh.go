@@ -37,9 +37,9 @@ type Swoosh struct {
 // resolution, which is fusion's job downstream).
 func UnionMerge(a, b *data.Record) *data.Record {
 	out := a.Clone()
-	for attr, v := range b.Fields {
-		if !out.Has(attr) {
-			out.Set(attr, v)
+	for _, f := range b.Fields() {
+		if !out.Has(f.Attr) {
+			out.Set(f.Attr, f.Value)
 		}
 	}
 	return out

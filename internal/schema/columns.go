@@ -75,7 +75,7 @@ func NewColumns(ctx context.Context, d *data.Dataset, profiles []*Profile) (*Col
 
 	fields := 0
 	for _, r := range c.recs {
-		fields += len(r.Fields)
+		fields += len(r.Fields())
 	}
 	c.cells = make([]cell, 0, fields)
 	c.off = make([]uint32, 1, len(c.recs)+1)
@@ -87,15 +87,15 @@ func NewColumns(ctx context.Context, d *data.Dataset, profiles []*Profile) (*Col
 			}
 		}
 		c.rows[r.ID] = int32(row)
-		for _, a := range r.Attrs() {
-			sa := SourceAttr{Source: r.SourceID, Attr: a}
+		for _, f := range r.Fields() {
+			sa := SourceAttr{Source: r.SourceID, Attr: f.Attr}
 			id, ok := c.ids[sa]
 			if !ok {
 				id = uint32(len(c.attrs))
 				c.ids[sa] = id
 				c.attrs = append(c.attrs, sa)
 			}
-			v := r.Fields[a]
+			v := f.Value
 			c.cells = append(c.cells, cell{attr: id, kind: uint8(v.Kind), num: v.Num, str: v.Str})
 		}
 		c.off = append(c.off, uint32(len(c.cells)))
@@ -141,12 +141,13 @@ func (c *Columns) cacheCombinedInputs() {
 	}
 }
 
-// row returns one record's cells.
+// row returns one record's cells, which line up one to one with its
+// record's fields.
 func (c *Columns) row(r int32) []cell { return c.cells[c.off[r]:c.off[r+1]] }
 
 // field returns the full value behind a cell.
 func (c *Columns) field(r int32, ce cell) data.Value {
-	return c.recs[r].Fields[c.attrs[ce.attr].Attr]
+	return c.recs[r].Get(c.attrs[ce.attr].Attr)
 }
 
 // clusterRows appends the rows of a cluster's members to buf, skipping

@@ -115,11 +115,11 @@ func (pf Profiler) Build(d *data.Dataset) []*Profile {
 	}
 	byKey := map[SourceAttr]*Profile{}
 	for _, r := range d.Records() {
-		for _, a := range r.Attrs() {
-			if skip[a] {
+		for _, f := range r.Fields() {
+			if skip[f.Attr] {
 				continue
 			}
-			key := SourceAttr{Source: r.SourceID, Attr: a}
+			key := SourceAttr{Source: r.SourceID, Attr: f.Attr}
 			p := byKey[key]
 			if p == nil {
 				p = &Profile{
@@ -131,7 +131,7 @@ func (pf Profiler) Build(d *data.Dataset) []*Profile {
 				}
 				byKey[key] = p
 			}
-			p.observe(r.Fields[a])
+			p.observe(f.Value)
 		}
 	}
 	out := make([]*Profile, 0, len(byKey))

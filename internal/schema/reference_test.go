@@ -107,16 +107,16 @@ func refNewLinkageEvidence(d *data.Dataset, clusters data.Clustering) *refLinkag
 				if ra == nil || rb == nil || ra.SourceID == rb.SourceID {
 					continue
 				}
-				for _, aa := range ra.Attrs() {
+				for _, fa := range ra.Fields() {
+					aa, va := fa.Attr, fa.Value
 					if skip[aa] {
 						continue
 					}
-					va := ra.Fields[aa]
-					for _, ab := range rb.Attrs() {
+					for _, fb := range rb.Fields() {
+						ab, vb := fb.Attr, fb.Value
 						if skip[ab] {
 							continue
 						}
-						vb := rb.Fields[ab]
 						if va.Kind != vb.Kind {
 							continue
 						}
@@ -439,8 +439,8 @@ func refDiscoverTransforms(ctx context.Context, d *data.Dataset, clusters data.C
 				if ra == nil || rb == nil || ra.SourceID == rb.SourceID {
 					continue
 				}
-				for _, aa := range ra.Attrs() {
-					va := ra.Fields[aa]
+				for _, fa := range ra.Fields() {
+					aa, va := fa.Attr, fa.Value
 					if va.Kind != data.KindNumber || va.Num == 0 {
 						continue
 					}
@@ -449,8 +449,8 @@ func refDiscoverTransforms(ctx context.Context, d *data.Dataset, clusters data.C
 					if !okA {
 						continue
 					}
-					for _, ab := range rb.Attrs() {
-						vb := rb.Fields[ab]
+					for _, fb := range rb.Fields() {
+						ab, vb := fb.Attr, fb.Value
 						if vb.Kind != data.KindNumber || vb.Num == 0 {
 							continue
 						}
@@ -539,8 +539,8 @@ func refNewNormalizer(ms *MediatedSchema, transforms []Transform) *refNormalizer
 func (n *refNormalizer) Apply(r *data.Record) *data.Record {
 	out := data.NewRecord(r.ID, r.SourceID)
 	out.EntityID = r.EntityID
-	for _, a := range r.Attrs() {
-		v := r.Fields[a]
+	for _, f := range r.Fields() {
+		a, v := f.Attr, f.Value
 		sa := SourceAttr{r.SourceID, a}
 		idx, ok := n.ms.Of[sa]
 		if !ok {

@@ -255,9 +255,9 @@ func TestDiscoverTransforms(t *testing.T) {
 	}
 	// Weight values must now agree numerically.
 	var wAttr string
-	for _, at := range a0.Attrs() {
-		if a0.Fields[at].Kind == data.KindNumber {
-			wAttr = at
+	for _, f := range a0.Fields() {
+		if f.Value.Kind == data.KindNumber {
+			wAttr = f.Attr
 		}
 	}
 	va, vb := a0.Get(wAttr), b0.Get(wAttr)

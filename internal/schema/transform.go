@@ -167,10 +167,12 @@ func (n *Normalizer) ApplyAll(c *Columns) *data.Dataset {
 		_ = out.AddSource(s)
 	}
 	for row, r := range c.recs {
-		nr := &data.Record{ID: r.ID, SourceID: r.SourceID, EntityID: r.EntityID,
-			Fields: make(map[string]data.Value, len(r.Fields))}
-		for _, ce := range c.row(int32(row)) {
-			v := c.field(int32(row), ce)
+		nr := data.NewRecord(r.ID, r.SourceID)
+		nr.EntityID = r.EntityID
+		nr.Grow(len(r.Fields()))
+		cells := c.row(int32(row))
+		for k, f := range r.Fields() {
+			ce, v := cells[k], f.Value
 			if s := scale[ce.attr]; s != 0 && v.Kind == data.KindNumber {
 				v = data.Number(v.Num * s)
 			}

@@ -156,13 +156,12 @@ func (f *faulty) FetchDeltas(ctx context.Context) ([]source.Delta, error) {
 // corrupt clones r and mangles one field value (chosen from the
 // record's sorted attribute order, so the choice is deterministic).
 func corrupt(r *data.Record, rng *rand.Rand) *data.Record {
-	attrs := r.Attrs()
-	c := r.Clone()
-	if len(attrs) == 0 {
+	c, fields := r.Clone(), r.Fields()
+	if len(fields) == 0 {
 		return c
 	}
-	a := attrs[rng.Intn(len(attrs))]
-	c.Set(a, data.String("‽"+reverse(r.Get(a).String())))
+	f := fields[rng.Intn(len(fields))]
+	c.Set(f.Attr, data.String("‽"+reverse(f.Value.String())))
 	return c
 }
 

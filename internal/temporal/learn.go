@@ -38,11 +38,12 @@ func LearnDecay(d *data.Dataset, clusters data.Clustering, minSupport int) map[s
 				if gap == 0 {
 					continue // same-epoch disagreement is noise, not drift
 				}
-				for _, attr := range ra.Attrs() {
+				for _, f := range ra.Fields() {
+					attr := f.Attr
 					if attr == EpochAttr {
 						continue
 					}
-					va, vb := ra.Fields[attr], rb.Get(attr)
+					va, vb := f.Value, rb.Get(attr)
 					if vb.IsNull() {
 						continue
 					}
