@@ -36,10 +36,14 @@ bench:
 # codec corruption sweep, the linker's op-sequence corpus against its
 # full-rebuild oracle with the retraction cost curve, the same corpus through a linker that keeps a
 # feature index current against one that tokenizes every comparison
-# (down to a re-intern of the index), the stream's op-sequence corpus against the
+# (down to deleting every record), the stream's op-sequence corpus against the
 # from-scratch publish with the publish cost curve and readers racing
 # later publishes, the stream's token IDs staying stable with readers
-# racing a dictionary fold and reset, concurrent queries on two
+# racing a fold of the word dictionary's top and a renumbering of
+# both dictionaries once every record is deleted, the stream's one
+# dictionary growth bound renumbering its word dictionary and the
+# feature index twice under title churn with readers racing the
+# renumbering and every publish equal to the from-scratch one, concurrent queries on two
 # snapshots sharing no pooled scratch, the online kernel against its
 # dense reference, every fuser's output bits on three claim-set shapes,
 # record fleets keeping
@@ -54,4 +58,4 @@ bench:
 # and truncated spill runs fail matching instead of matching a prefix.
 chaos:
 	$(GO) run -race ./cmd/bdibench -exp E23
-	$(GO) test -race -run 'TestStreamKillMidCompactionChaos|TestStreamStateBackupRecovery|TestV2CommittedFixtureLoadsCompacted|TestStreamStateDecodeRobust|FuzzStreamStateDecode|FuzzIncrementalOps|TestIncrementalIndexMatchesStrings|TestDeleteCostIndependentOfCorpus|FuzzHandlers|TestShutdownDuringPublish|FuzzStreamOps|TestPublishCostFollowsDirtySet|TestSnapshotsShareNoMutableState|TestStreamTokenIDsStable|TestQueryScratchIsolated|TestOnlineKernelMatchesReference|TestFusersKeepParentBits|TestRecordFleetsKeepParentBits|TestStreamSurvivesPanickingSource|TestStreamPanicOnceDrainsClean|TestIngestMatchesStream|TestStreamStopWaitsForSave|TestSpillCancellation|TestIndexedPairsLeaveNoSpill|TestPipelineShardedSpilledIdentical|TestMatchFailsOnTruncatedSpill' ./internal/core/... ./internal/source/... ./internal/linkage/... ./internal/serve/... ./internal/fusion/... ./internal/blocking/... ./cmd/bdiserve/...
+	$(GO) test -race -run 'TestStreamKillMidCompactionChaos|TestStreamStateBackupRecovery|TestV2CommittedFixtureLoadsCompacted|TestStreamStateDecodeRobust|FuzzStreamStateDecode|FuzzIncrementalOps|TestIncrementalIndexMatchesStrings|TestDeleteCostIndependentOfCorpus|FuzzHandlers|TestShutdownDuringPublish|FuzzStreamOps|TestPublishCostFollowsDirtySet|TestSnapshotsShareNoMutableState|TestStreamTokenIDsStable|TestStreamDictionaryBound|TestQueryScratchIsolated|TestOnlineKernelMatchesReference|TestFusersKeepParentBits|TestRecordFleetsKeepParentBits|TestStreamSurvivesPanickingSource|TestStreamPanicOnceDrainsClean|TestIngestMatchesStream|TestStreamStopWaitsForSave|TestSpillCancellation|TestIndexedPairsLeaveNoSpill|TestPipelineShardedSpilledIdentical|TestMatchFailsOnTruncatedSpill' ./internal/core/... ./internal/source/... ./internal/linkage/... ./internal/serve/... ./internal/fusion/... ./internal/blocking/... ./cmd/bdiserve/...

@@ -26,8 +26,10 @@ type (
 	RecordComparator = similarity.RecordComparator
 	// FeatureIndex caches per-record tokenisation for one comparator so
 	// matching tokenises each record once, not once per pair; set
-	// metrics score from the cached token IDs, every other metric
+	// metrics score from the cached word IDs, every other metric
 	// (TFIDF included, against its own corpus) through its function.
+	// Its dictionary of word IDs is never renumbered behind the caller:
+	// a long-lived owner, such as the stream, bounds it (Renumber).
 	FeatureIndex = similarity.FeatureIndex
 	// Corpus holds document frequencies for TF-IDF weighting.
 	Corpus = tokenize.Corpus

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"maps"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -72,7 +71,7 @@ func TestIndexerMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := buildReferenceIndex(snap.Entities())
-	if words := snap.words.dict.all(); !reflect.DeepEqual(words, ref.tokenIDs) {
+	if words := dictAll(&snap.words.dict); !reflect.DeepEqual(words, ref.tokenIDs) {
 		t.Errorf("token IDs differ: %d interned, the reference %d", len(words), len(ref.tokenIDs))
 	}
 	if !reflect.DeepEqual(snap.words.postings, ref.postings) {
@@ -83,7 +82,7 @@ func TestIndexerMatchesReference(t *testing.T) {
 			t.Fatalf("entity %d tokens %v, the reference %v", i, snap.entTokens[i], ref.entTokens[i])
 		}
 	}
-	if keys := snap.values.dict.all(); len(keys) != len(ref.valueIdx) {
+	if keys := dictAll(&snap.values.dict); len(keys) != len(ref.valueIdx) {
 		t.Errorf("%d value keys, the reference %d", len(keys), len(ref.valueIdx))
 	}
 	for k, want := range ref.valueIdx {
@@ -111,8 +110,8 @@ func TestIndexerMatchesReference(t *testing.T) {
 // referenceWordSet is the sorted word IDs of text's distinct words.
 func referenceWordSet(s *Snapshot, text string) []uint32 {
 	ids := []uint32{}
-	for w := range tokenize.WordSet(text) {
-		id, _ := s.words.dict.id(w)
+	for _, w := range tokenize.WordSet(text) {
+		id, _ := s.words.dict.ID(w)
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
@@ -135,11 +134,19 @@ func referencePseudo(e *Entity) *data.Record {
 	return r
 }
 
-// all returns every string the dictionary knows with its ID.
-func (d *dict) all() map[string]uint32 {
-	out := maps.Clone(d.base)
-	maps.Copy(out, d.top)
+// dictAll returns every string the dictionary knows with its ID.
+func dictAll(d *tokenize.Dict) map[string]uint32 {
+	out := make(map[string]uint32, d.Len())
+	for id := range d.Len() {
+		out[d.Token(uint32(id))] = uint32(id)
+	}
 	return out
+}
+
+// dictBase identifies a dictionary's base map, so a test can tell
+// whether a fold gave it a new one.
+func dictBase(d *tokenize.Dict) uintptr {
+	return reflect.ValueOf(d).Elem().FieldByName("base").Pointer()
 }
 
 // referenceProbe is the map-and-sort probe Snapshot.probe replaced, kept
@@ -196,10 +203,10 @@ func sortReferenceHits(hits []Hit) {
 
 // referenceQueryTokens is the query side of the legacy Search: the
 // distinct words through a map, the known ones looked up one by one.
-func referenceQueryTokens(s *Snapshot, qset map[string]bool) []uint32 {
+func referenceQueryTokens(s *Snapshot, qset []string) []uint32 {
 	toks := make([]uint32, 0, len(qset))
-	for w := range qset {
-		if id, ok := s.words.dict.id(w); ok {
+	for _, w := range qset {
+		if id, ok := s.words.dict.ID(w); ok {
 			toks = append(toks, id)
 		}
 	}
@@ -240,7 +247,11 @@ func referenceResolve(s *Snapshot, rec *data.Record, k int) []Hit {
 	if shortlist < 32 {
 		shortlist = 32
 	}
-	for _, h := range referenceProbe(s, referenceQueryTokens(s, qset), len(qset), -1, shortlist) {
+	words := make([]string, 0, len(qset))
+	for w := range qset {
+		words = append(words, w)
+	}
+	for _, h := range referenceProbe(s, referenceQueryTokens(s, words), len(qset), -1, shortlist) {
 		cand[int32(entityIndex(h.Entity.ID))] = true
 	}
 	hits := make([]Hit, 0, len(cand))
@@ -305,7 +316,7 @@ func bruteSimilar(s *Snapshot, self, k int) []Hit {
 func tieSnapshot(n int) *Snapshot {
 	titles := []string{"alpha beta", "alpha beta gamma", "alpha gamma", "beta"}
 	ents, docs := make([]*Entity, n), make([]*entityDoc, n)
-	words, keys := newDict(), newDict()
+	words, keys := tokenize.NewDict(), tokenize.NewDict()
 	for i := 0; i < n; i++ {
 		title := titles[i%len(titles)]
 		values := map[string]data.Value{
@@ -313,10 +324,11 @@ func tieSnapshot(n int) *Snapshot {
 			"year":  data.Number(float64(2020 + i%2)),
 		}
 		ents[i] = &Entity{ID: fmt.Sprintf("e%d", i), Title: title, Values: values}
-		docs[i] = newEntityDoc(title, values, words, keys)
+		docs[i] = newEntityDoc(words.InternAll(tokenize.Words(title)), values, func(attr string) []uint32 {
+			return words.InternAll(tokenize.Words(values[attr].Str))
+		}, keys)
 	}
-	snap, _ := newSnapshot(ents, docs, words, keys)
-	return snap
+	return newSnapshot(ents, docs, words, keys)
 }
 
 // queryCase is one read of a snapshot and its reference answer.

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -108,78 +107,31 @@ func (sc *queryScratch) mark(e int32) {
 	sc.counts[e]++
 }
 
-// dict is an append-only string → ID dictionary snapshots share without
-// seeing a write: base is never written once made, top is copied before
-// the first write after a snapshot took it, and freeze folds top into a
-// new base once it passes an eighth of base. IDs are never reused.
-type dict struct {
-	base, top map[string]uint32
-	n         uint32 // IDs handed out
-	shared    bool   // a snapshot holds top
-}
-
-func newDict() *dict { return &dict{base: map[string]uint32{}, top: map[string]uint32{}} }
-
-func (d *dict) id(s string) (uint32, bool) {
-	id, ok := d.base[s]
-	if !ok {
-		id, ok = d.top[s]
-	}
-	return id, ok
-}
-
-func (d *dict) intern(s string) uint32 {
-	id, ok := d.id(s)
-	if !ok {
-		if d.shared {
-			d.top, d.shared = maps.Clone(d.top), false
-		}
-		id, d.n = d.n, d.n+1
-		d.top[s] = id
-	}
-	return id
-}
-
-// freeze returns the dictionary as a snapshot holds it.
-func (d *dict) freeze() dict {
-	if len(d.top) > len(d.base)/8 {
-		base := maps.Clone(d.base)
-		maps.Copy(base, d.top)
-		d.base, d.top = base, map[string]uint32{}
-	}
-	d.shared = true
-	return *d
-}
-
 // inverted maps a string to the entities that carry it, ascending.
 type inverted struct {
-	dict     dict
+	dict     tokenize.Dict
 	postings [][]int32
 }
 
 func (ix *inverted) lookup(s string) []int32 {
-	if id, ok := ix.dict.id(s); ok {
+	if id, ok := ix.dict.ID(s); ok {
 		return ix.postings[id]
 	}
 	return nil
 }
 
 // invert cuts the posting lists of d's IDs out of one array, counting
-// first: lists[e] holds entity e's distinct IDs. It also reports how
-// many IDs no entity carries.
-func invert(d *dict, lists [][]uint32) (ix inverted, dead int) {
-	count, total := make([]int32, d.n), 0
+// first: lists[e] holds entity e's distinct IDs.
+func invert(d *tokenize.Dict, lists [][]uint32) inverted {
+	count, total := make([]int32, d.Len()), 0
 	for _, l := range lists {
 		for _, id := range l {
 			count[id]++
 		}
 		total += len(l)
 	}
-	postings, backing := make([][]int32, d.n), make([]int32, total)
+	postings, backing := make([][]int32, d.Len()), make([]int32, total)
 	for id, n := range count {
-		if n == 0 {
-			dead++
-		}
 		postings[id], backing = backing[:0:n], backing[n:]
 	}
 	for e, l := range lists {
@@ -187,7 +139,19 @@ func invert(d *dict, lists [][]uint32) (ix inverted, dead int) {
 			postings[id] = append(postings[id], int32(e))
 		}
 	}
-	return inverted{dict: d.freeze(), postings: postings}, dead
+	return inverted{dict: d.Freeze(), postings: postings}
+}
+
+// held marks the IDs some entity carries and counts them.
+func (ix *inverted) held() (held []bool, n int) {
+	held = make([]bool, len(ix.postings))
+	for id, p := range ix.postings {
+		if len(p) > 0 {
+			held[id] = true
+			n++
+		}
+	}
+	return held, n
 }
 
 // entityDoc is the part of an entity's index entry that depends on
@@ -204,34 +168,36 @@ type entityDoc struct {
 	keys  []uint32 // the value dictionary IDs of "attr\x00value-key" of every fused value
 	// title and sets are the sorted distinct word IDs of the title and of
 	// each fused string value, sets parallel to attrs (empty for other
-	// kinds): the word sets Resolve scores a record against.
+	// kinds): the word sets Resolve scores a record against. They are the
+	// doc's own copies.
 	title []uint32
 	sets  [][]uint32
 }
 
-// newEntityDoc builds the doc of an entity with the given title and
-// fused values, interning its words and value keys. Each text is
-// tokenised once; one array backs every field's word set.
-func newEntityDoc(title string, values map[string]data.Value, words, keys *dict) *entityDoc {
+// newEntityDoc builds the doc of an entity whose title has the words
+// title and with the given fused values, interning their value keys.
+// title holds word dictionary IDs, possibly repeated, and wordIDs(attr)
+// returns those of the words of the fused string value of attr; each is
+// asked for once, and one array backs every field's word set.
+func newEntityDoc(title []uint32, values map[string]data.Value, wordIDs func(attr string) []uint32, keys *tokenize.Dict) *entityDoc {
 	doc := &entityDoc{
 		values: values,
 		attrs:  sortedKeys(values),
 		keys:   make([]uint32, 0, len(values)),
 	}
-	texts := make([][]string, len(doc.attrs)+1)
-	texts[0] = tokenize.Words(title)
+	texts := make([][]uint32, len(doc.attrs)+1)
+	texts[0] = title
 	n := len(texts[0])
 	for i, attr := range doc.attrs {
-		if v := values[attr]; v.Kind == data.KindString {
-			texts[i+1] = tokenize.Words(v.Str)
+		if values[attr].Kind == data.KindString {
+			texts[i+1] = wordIDs(attr)
 			n += len(texts[i+1])
 		}
 	}
 	backing, sets := make([]uint32, 0, n), make([][]uint32, len(texts))
 	for i, text := range texts {
 		lo := len(backing)
-		for _, w := range text {
-			id := words.intern(w)
+		for _, id := range text {
 			if !slices.Contains(doc.words, id) {
 				doc.words = append(doc.words, id)
 			}
@@ -243,7 +209,7 @@ func newEntityDoc(title string, values map[string]data.Value, words, keys *dict)
 	}
 	doc.title, doc.sets = sets[0], sets[1:]
 	for _, attr := range doc.attrs {
-		doc.keys = append(doc.keys, keys.intern(attr+"\x00"+values[attr].Key()))
+		doc.keys = append(doc.keys, keys.Intern(attr+"\x00"+values[attr].Key()))
 	}
 	return doc
 }
@@ -253,10 +219,9 @@ func newEntityDoc(title string, values map[string]data.Value, words, keys *dict)
 // made on the spot (BuildSnapshot) or kept from an earlier publish
 // (Stream). The docs' IDs come from words and keys; each doc was built
 // from its entity's Title and Values. Resolve compares the title and
-// every fused attribute. worn reports that no entity carries most of a
-// dictionary's IDs.
-func newSnapshot(ents []*Entity, docs []*entityDoc, words, keys *dict) (s *Snapshot, worn bool) {
-	s = &Snapshot{entities: ents, entTokens: make([][]uint32, len(docs)), docs: docs, attrs: map[string]struct{}{titleAttr: {}}}
+// every fused attribute.
+func newSnapshot(ents []*Entity, docs []*entityDoc, words, keys *tokenize.Dict) *Snapshot {
+	s := &Snapshot{entities: ents, entTokens: make([][]uint32, len(docs)), docs: docs, attrs: map[string]struct{}{titleAttr: {}}}
 	keyIDs := make([][]uint32, len(docs))
 	for i, doc := range docs {
 		s.entTokens[i], keyIDs[i] = doc.words, doc.keys
@@ -264,10 +229,8 @@ func newSnapshot(ents []*Entity, docs []*entityDoc, words, keys *dict) (s *Snaps
 			s.attrs[a] = struct{}{}
 		}
 	}
-	var deadWords, deadKeys int
-	s.words, deadWords = invert(words, s.entTokens)
-	s.values, deadKeys = invert(keys, keyIDs)
-	return s, 2*deadWords > int(words.n) || 2*deadKeys > int(keys.n)
+	s.words, s.values = invert(words, s.entTokens), invert(keys, keyIDs)
+	return s
 }
 
 // BuildSnapshot materialises the serving snapshot for a completed
@@ -279,12 +242,13 @@ func BuildSnapshot(r *Report) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	words, keys, docs := newDict(), newDict(), make([]*entityDoc, len(ents))
+	words, keys, docs := tokenize.NewDict(), tokenize.NewDict(), make([]*entityDoc, len(ents))
 	for i, e := range ents {
-		docs[i] = newEntityDoc(e.Title, e.Values, words, keys)
+		docs[i] = newEntityDoc(words.InternAll(tokenize.Words(e.Title)), e.Values, func(attr string) []uint32 {
+			return words.InternAll(tokenize.Words(e.Values[attr].Str))
+		}, keys)
 	}
-	s, _ := newSnapshot(ents, docs, words, keys)
-	return s, nil
+	return newSnapshot(ents, docs, words, keys), nil
 }
 
 // materializeEntities builds the entity list from the raw report — the
@@ -397,7 +361,7 @@ func (s *Snapshot) queryTokens(sc *queryScratch, words []string) int {
 	words = slices.Compact(words)
 	sc.toks = sc.toks[:0]
 	for _, w := range words {
-		if id, ok := s.words.dict.id(w); ok {
+		if id, ok := s.words.dict.ID(w); ok {
 			sc.toks = append(sc.toks, id)
 		}
 	}
@@ -585,20 +549,18 @@ func (s *Snapshot) queryFields(sc *queryScratch, fields []data.Field) {
 		attr, v := f.Attr, f.Value
 		var words []string
 		if v.Kind == data.KindString {
-			words = tokenize.Words(v.Str)
+			words = tokenize.WordSet(v.Str)
 			sc.words = append(sc.words, words...)
 		}
 		if _, ok := s.attrs[attr]; !ok {
 			continue
 		}
 		if v.Kind != data.KindString {
-			words = tokenize.Words(v.String())
+			words = tokenize.WordSet(v.String())
 		}
-		slices.Sort(words)
-		words = slices.Compact(words)
 		lo := len(sc.ids)
 		for _, w := range words {
-			if id, ok := s.words.dict.id(w); ok {
+			if id, ok := s.words.dict.ID(w); ok {
 				sc.ids = append(sc.ids, id)
 			}
 		}

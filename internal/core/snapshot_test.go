@@ -524,7 +524,7 @@ func TestQueryAllocsFlat(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The rarest and the most frequent words of the index.
-	words := snap.words.dict.all()
+	words := dictAll(&snap.words.dict)
 	byFreq := make([]string, 0, len(words))
 	for w := range words {
 		byFreq = append(byFreq, w)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/similarity"
 	"repro/internal/source"
+	"repro/internal/tokenize"
 )
 
 // StreamConfig controls a streaming integration run — the Velocity
@@ -116,6 +117,12 @@ type Stream struct {
 	inc     *linkage.Incremental
 	publish func(*Snapshot)
 
+	// index is the matcher's feature index, whose one field (0) is the
+	// title: each record's title is tokenised once, at upsert, into its
+	// dictionary, the stream's one word dictionary, and the blocking
+	// keys and docs read those IDs.
+	index *similarity.FeatureIndex
+
 	// acc holds the online accuracy estimates fed back into the probe
 	// order: after each publish, every source's estimate becomes its
 	// Laplace-smoothed agreement rate with the fused values.
@@ -125,15 +132,16 @@ type Stream struct {
 	// The publish cache (view.go), all derived and never persisted: one
 	// view per cluster in partition order, the source table their claim
 	// fragments refer to (items.Sources with its index srcIDs), the
-	// dictionaries the views' docs are interned in, the entity IDs so far,
-	// and buffers a publish reuses: the fragments laid end to end and the
-	// kernel's verdicts on them.
-	views       []*clusterView
-	srcIDs      map[string]int32
-	words, keys *dict
-	entityIDs   []string
-	items       data.ItemView
-	fused       []fusion.Fused
+	// dictionary the views' docs intern their value keys in (their words
+	// go to the index's), the entity IDs so far, and buffers a publish
+	// reuses: the fragments laid end to end and the kernel's verdicts on
+	// them.
+	views     []*clusterView
+	srcIDs    map[string]int32
+	keys      *tokenize.Dict
+	entityIDs []string
+	items     data.ItemView
+	fused     []fusion.Fused
 
 	epoch       int // completed epochs (also the next epoch's sequence)
 	ingested    int64
@@ -154,36 +162,46 @@ func NewStream(cfg StreamConfig, publish func(*Snapshot)) (*Stream, error) {
 	}
 	cfg.defaults()
 	// The linker keeps the feature index attached to the rule's
-	// comparator current, so each record's title is tokenized once, at
-	// upsert, and every comparison runs the set kernel over its IDs.
+	// comparator current, so every comparison runs the set kernel over
+	// the title IDs interned at upsert.
 	rule := defaultRule([]string{titleAttr}, cfg.MatchThreshold)
-	rule.Comparator.AttachIndex(similarity.BuildFeatureIndex(nil, rule.Comparator, 1))
 	s := &Stream{
 		cfg:     cfg,
 		matcher: rule,
 		publish: publish,
+		index:   similarity.BuildFeatureIndex(nil, rule.Comparator, 1),
 		acc:     map[string]float64{},
 		cursors: map[string]int{},
 		srcIDs:  map[string]int32{},
-		words:   newDict(),
-		keys:    newDict(),
+		keys:    tokenize.NewDict(),
 		lastPub: time.Now(),
 	}
-	s.inc = linkage.NewIncremental(streamKey, s.matcher)
+	rule.Comparator.AttachIndex(s.index)
+	s.inc = linkage.NewIncremental(s.streamKey, s.matcher)
 	s.inc.MaxBlock = cfg.MaxBlock
 	return s, nil
 }
 
-// streamKey is the online blocking key: linkage.TitleTokenKey's sorted
-// distinct title tokens plus, when present, one exact identifier key,
-// NUL-prefixed so it can't collide with a word token.
-func streamKey(r *data.Record) []string {
-	keys := linkage.TitleTokenKey(r)
+// streamKey is the online blocking key: the distinct words of the
+// title (of its rendering when it is not a string), as the feature
+// index cached them, plus, when present, one exact identifier key,
+// NUL-delimited so it can't collide with a word. The linker asks for r's
+// keys only while r is indexed.
+func (s *Stream) streamKey(r *data.Record) []string {
+	ids := s.index.Tokens(r, 0)
+	keys := make([]string, len(ids), len(ids)+1)
+	for i, id := range ids {
+		keys[i] = s.words().Token(id)
+	}
 	if v := r.Get(idAttr); !v.IsNull() {
-		keys = append(keys, "\x00"+idAttr+"\x00"+v.Key())
+		var buf [64]byte
+		keys = append(keys, string(v.AppendKey(append(buf[:0], "\x00"+idAttr+"\x00"...))))
 	}
 	return keys
 }
+
+// words is the stream's word dictionary: the feature index's.
+func (s *Stream) words() *tokenize.Dict { return s.index.Dict() }
 
 func (s *Stream) reg() *obs.Registry { return obs.OrDefault(s.cfg.Obs) }
 

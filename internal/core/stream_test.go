@@ -6,13 +6,16 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/data"
 	"repro/internal/datagen"
+	"repro/internal/linkage"
 	"repro/internal/obs"
 	"repro/internal/source"
 )
@@ -356,4 +359,94 @@ func BenchmarkStreamPublish(b *testing.B) {
 			publish(b, s)
 		}
 	})
+}
+
+// refStreamKey is the stream's blocking key as it was before the keys
+// read the feature index's cached title IDs: linkage.TitleTokenKey's
+// sorted distinct title words plus, when present, the identifier key.
+// It is the oracle streamKey's key set is checked against.
+func refStreamKey(r *data.Record) []string {
+	keys := linkage.TitleTokenKey(r)
+	if v := r.Get(idAttr); !v.IsNull() {
+		keys = append(keys, "\x00"+idAttr+"\x00"+v.Key())
+	}
+	return keys
+}
+
+// TestStreamKeyMatchesReference pins streamKey's key set to the
+// reference's for string, numeric, empty and absent titles, each with
+// and without an identifier, on records the stream indexed; and pins
+// that it tokenises nothing: on an indexed record it allocates the keys
+// slice and the identifier key, no more.
+func TestStreamKeyMatchesReference(t *testing.T) {
+	s, err := NewStream(StreamConfig{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	titles := map[string]data.Value{
+		"string":  data.String("Acme Rocket-Skate  X200, acme edition"),
+		"numeric": data.Number(2.5e-7),
+		"empty":   data.String(" -- "),
+		"absent":  data.Null(),
+	}
+	src := &data.Source{ID: "s"}
+	var recs []*data.Record
+	for _, name := range sortedKeys(titles) {
+		for _, pid := range []data.Value{data.Null(), data.String("SKU 9"), data.Number(42)} {
+			r := data.NewRecord(fmt.Sprintf("%s/%s", name, pid.Key()), "s").Set("title", titles[name]).Set(idAttr, pid)
+			if _, _, err := s.inc.Upsert(src, r); err != nil {
+				t.Fatal(err)
+			}
+			recs = append(recs, r)
+		}
+	}
+	for _, r := range recs {
+		got, want := s.streamKey(r), refStreamKey(r)
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: keys %q, the reference %q", r.ID, got, want)
+		}
+		bound := 1.0 // the keys slice
+		if r.Has(idAttr) {
+			bound++ // the identifier key
+		}
+		if allocs := testing.AllocsPerRun(20, func() { s.streamKey(r) }); allocs > bound {
+			t.Errorf("%s: streamKey allocates %.0f times, want at most %.0f", r.ID, allocs, bound)
+		}
+	}
+}
+
+// TestLoadStreamSharesNames pins that a restore holds one copy of each
+// attribute name and source ID: after LoadStream every cell naming an
+// attribute, and every record naming a source, shares one backing array
+// per distinct string.
+func TestLoadStreamSharesNames(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "stream.state")
+	s := drainedStream(t, streamTestWeb(33, 80, 10))
+	if err := s.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := LoadStream(path, StreamConfig{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]*byte{}
+	share := func(kind, name string) {
+		if p, ok := names[kind+name]; !ok {
+			names[kind+name] = unsafe.StringData(name)
+		} else if p != unsafe.StringData(name) {
+			t.Fatalf("the restore holds %s %q twice", kind, name)
+		}
+	}
+	recs := restored.Dataset().Records()
+	for _, r := range recs {
+		share("source", r.SourceID)
+		for _, f := range r.Fields() {
+			share("attribute", f.Attr)
+		}
+	}
+	if len(recs) < 100 || len(names) < 6 {
+		t.Fatalf("%d records naming %d strings, want a corpus", len(recs), len(names))
+	}
 }

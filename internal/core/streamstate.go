@@ -230,7 +230,7 @@ func (s *Stream) decodeState(buf []byte) error {
 	if string(payload[:len(streamStateMagic)]) != streamStateMagic {
 		return fmt.Errorf("%w: bad magic", ErrBadState)
 	}
-	d := &stateDecoder{buf: payload[len(streamStateMagic):]}
+	d := &stateDecoder{buf: payload[len(streamStateMagic):], names: map[string]string{}}
 	version := d.uvarint()
 	if version < streamStateVersionV1 || version > streamStateVersion {
 		return fmt.Errorf("%w: version %d, want ≤%d", ErrBadState, version, streamStateVersion)
@@ -261,7 +261,7 @@ func (s *Stream) decodeState(buf []byte) error {
 	}
 	for n := d.uvarint(); n > 0 && d.err == nil; n-- {
 		id := d.string()
-		srcID := d.string()
+		srcID := d.name()
 		r := data.NewRecord(id, srcID)
 		r.EntityID = d.string()
 		// The cells arrive sorted, so each Set appends. The count is
@@ -270,7 +270,7 @@ func (s *Stream) decodeState(buf []byte) error {
 		m := d.uvarint()
 		r.Grow(int(min(m, uint64(len(d.buf)/2))))
 		for ; m > 0 && d.err == nil; m-- {
-			a := d.string()
+			a := d.name()
 			r.Set(a, d.value())
 		}
 		st.Records = append(st.Records, r)
@@ -296,7 +296,7 @@ func (s *Stream) decodeState(buf []byte) error {
 		return fmt.Errorf("%w: %d trailing bytes", ErrBadState, len(d.buf))
 	}
 
-	inc, err := linkage.FromState(st, streamKey, s.matcher)
+	inc, err := linkage.FromState(st, s.streamKey, s.matcher)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrBadState, err)
 	}
@@ -344,10 +344,12 @@ func appendValue(b []byte, v data.Value) []byte {
 
 // stateDecoder consumes the payload front to back, latching the first
 // error: every accessor returns a zero value once err is set, so the
-// section loops above can read unconditionally.
+// section loops above can read unconditionally. names holds the strings
+// name has read so far.
 type stateDecoder struct {
-	buf []byte
-	err error
+	buf   []byte
+	err   error
+	names map[string]string
 }
 
 func (d *stateDecoder) fail(msg string) {
@@ -382,17 +384,32 @@ func (d *stateDecoder) varint() int64 {
 	return v
 }
 
-func (d *stateDecoder) string() string {
+// bytes reads a length-prefixed string's bytes, in place.
+func (d *stateDecoder) bytes() []byte {
 	n := d.uvarint()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if uint64(len(d.buf)) < n {
 		d.fail("truncated string")
-		return ""
+		return nil
 	}
-	s := string(d.buf[:n])
+	b := d.buf[:n]
 	d.buf = d.buf[n:]
+	return b
+}
+
+func (d *stateDecoder) string() string { return string(d.bytes()) }
+
+// name reads a string that many records repeat — an attribute name, a
+// source ID — as the one copy of it the load holds.
+func (d *stateDecoder) name() string {
+	b := d.bytes()
+	s, ok := d.names[string(b)]
+	if !ok {
+		s = string(b)
+		d.names[s] = s
+	}
 	return s
 }
 

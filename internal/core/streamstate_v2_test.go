@@ -17,7 +17,7 @@ import (
 // version 1, with a posting-list section between the records and the
 // partition. The linker no longer carries postings, so they are derived
 // here as a restore derives them: each record appended, in record
-// order, to the lists of its streamKey keys (distinct and non-empty) —
+// order, to the lists of its refStreamKey keys (distinct and non-empty) —
 // exact for the insert-only streams v1 held. It exists so the
 // v1-compatibility tests pin the historical format independently of
 // the live encoder.
@@ -66,7 +66,7 @@ func encodeStateV1(s *Stream) []byte {
 	}
 	postings := map[string][]string{}
 	for _, r := range st.Records {
-		for _, k := range streamKey(r) {
+		for _, k := range refStreamKey(r) {
 			postings[k] = append(postings[k], r.ID)
 		}
 	}

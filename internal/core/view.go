@@ -10,6 +10,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/fusion"
 	"repro/internal/obs"
+	"repro/internal/tokenize"
 )
 
 // Cluster-local publish. Nothing a cluster contributes to a published
@@ -34,9 +35,10 @@ type clusterView struct {
 	recs []*data.Record
 
 	// The entity header, shared by every snapshot published from the view.
-	records []string // member IDs
-	sources []string // their distinct sources, sorted
-	title   string   // the longest member title
+	records []string     // member IDs
+	sources []string     // their distinct sources, sorted
+	title   string       // the longest member title
+	named   *data.Record // the member whose title it is, nil for none
 
 	// The cluster's fragment of the claim table, item by item: what
 	// data.ClaimsFromClusters writes for the cluster alone over its
@@ -80,7 +82,7 @@ func (s *Stream) newClusterView(d *data.Dataset, cl data.Cluster, recs []*data.R
 			v.sources = append(v.sources, r.SourceID)
 		}
 		if t := r.Get("title"); !t.IsNull() && len(t.Str) > len(v.title) {
-			v.title = t.Str
+			v.title, v.named = t.Str, r
 		}
 		cells += len(r.Fields())
 	}
@@ -225,10 +227,11 @@ func (s *Stream) buildView(ctx context.Context, feedback bool) (*Snapshot, publi
 // assemble builds the snapshot of the fused views. Every entity gets a
 // new header — its number and confidences are this publish's — over the
 // view's immutable parts; a view's doc is rebuilt only if one of its
-// items was won by a different spelling than the doc was built for.
-// Once no entity carries most of a dictionary's IDs, the stream starts
-// fresh dictionaries and drops the views, so the next publish is a cold
-// one.
+// items was won by a different spelling than the doc was built for. The
+// doc's title set, and the word set of a fused title, are read from the
+// feature index's entry for the record they come from; only the other
+// fused string values are tokenised. Then the dictionaries' growth bound
+// is checked (bound).
 func (s *Stream) assemble(st *publishStats) *Snapshot {
 	ents, docs := make([]*Entity, len(s.views)), make([]*entityDoc, len(s.views))
 	item, claim := 0, int32(0) // where the view's items and claims start in s.fused and s.items
@@ -246,13 +249,7 @@ func (s *Stream) assemble(st *publishStats) *Snapshot {
 			}
 		}
 		if stale {
-			values := make(map[string]data.Value, len(v.attrs))
-			for j, attr := range v.attrs {
-				if w := v.winner[j]; w >= 0 {
-					values[attr] = v.recs[w].Get(attr)
-				}
-			}
-			v.doc = newEntityDoc(v.title, values, s.words, s.keys)
+			v.doc = s.newDoc(v)
 			st.docs++
 		}
 		if i == len(s.entityIDs) {
@@ -264,11 +261,56 @@ func (s *Stream) assemble(st *publishStats) *Snapshot {
 		}, v.doc
 		item, claim = item+len(v.attrs), claim+int32(len(v.rep))
 	}
-	snap, worn := newSnapshot(ents, docs, s.words, s.keys)
-	if worn {
-		s.words, s.keys, s.views = newDict(), newDict(), nil
-	}
+	snap := newSnapshot(ents, docs, s.words(), s.keys)
+	s.bound(snap)
 	return snap
+}
+
+// newDoc builds the doc of v under its current winners.
+func (s *Stream) newDoc(v *clusterView) *entityDoc {
+	var title []uint32
+	if v.named != nil {
+		title = s.index.Tokens(v.named, 0)
+	}
+	values := make(map[string]data.Value, len(v.attrs))
+	var fusedTitle *data.Record
+	for j, attr := range v.attrs {
+		if w := v.winner[j]; w >= 0 {
+			values[attr] = v.recs[w].Get(attr)
+			if attr == titleAttr {
+				fusedTitle = v.recs[w]
+			}
+		}
+	}
+	return newEntityDoc(title, values, func(attr string) []uint32 {
+		if attr == titleAttr {
+			return s.index.Tokens(fusedTitle, 0)
+		}
+		return s.words().InternAll(tokenize.Words(values[attr].Str))
+	}, s.keys)
+}
+
+// bound is the stream's one dictionary growth bound, checked on the
+// snapshot just built. A word ID is held while a feature-index entry or
+// a doc carries it, a value key while a doc does; once a dictionary's
+// IDs that nothing holds outnumber those that something does, it is
+// renumbered into a fresh one of its held IDs (tokenize.Dict.Renumber),
+// the feature index along with the words, and the views are dropped, so
+// the next publish is a cold one. Snapshots already built keep the old
+// dictionaries and docs, which nothing rewrites. The index is scanned
+// only when the docs alone hold too few words.
+func (s *Stream) bound(snap *Snapshot) {
+	words, n := snap.words.held()
+	if 2*n < len(words) {
+		if n += s.index.MarkHeld(words); 2*n < len(words) {
+			s.index.Renumber(words)
+			s.views = nil
+		}
+	}
+	if keys, n := snap.values.held(); 2*n < len(keys) {
+		s.keys, _ = s.keys.Renumber(keys)
+		s.views = nil
+	}
 }
 
 // updateAccuracy folds the fused outcome back into the per-source

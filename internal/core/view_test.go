@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +11,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/obs"
 	"repro/internal/source"
+	"repro/internal/tokenize"
 )
 
 // dirtySetStream is a stream over one source holding `singletons`
@@ -79,7 +80,7 @@ func clusterSignatures(s *Stream) map[string]bool {
 // 50,000 allocations (the from-scratch publish made 491,000).
 func TestPublishCostFollowsDirtySet(t *testing.T) {
 	ctx := context.Background()
-	measure := func(singletons int) (rebuilt, docs int64, interned uint32) {
+	measure := func(singletons int) (rebuilt, docs int64, interned int) {
 		s, reg := dirtySetStream(t, singletons)
 		views, rebuiltC, reusedC, docsC := int64(singletons+20), reg.Counter("stream.views_rebuilt"), reg.Counter("stream.views_reused"), reg.Counter("stream.docs_rebuilt")
 		if rebuiltC.Value() != views || reusedC.Value() != 0 || docsC.Value() != views {
@@ -108,8 +109,8 @@ func TestPublishCostFollowsDirtySet(t *testing.T) {
 			t.Fatalf("the deltas changed %d clusters, want a handful", want)
 		}
 		r0, u0, d0 := rebuiltC.Value(), reusedC.Value(), docsC.Value()
-		words, keys := s.words, s.keys
-		w0, k0 := words.n, keys.n
+		words, keys := s.words(), s.keys
+		w0, k0 := words.Len(), keys.Len()
 		kept := map[*entityDoc]bool{}
 		for _, v := range s.views {
 			kept[v.doc] = true
@@ -118,7 +119,7 @@ func TestPublishCostFollowsDirtySet(t *testing.T) {
 			t.Fatal(err)
 		}
 		rebuilt, docs = rebuiltC.Value()-r0, docsC.Value()-d0
-		if s.words != words || s.keys != keys {
+		if s.words() != words || s.keys != keys {
 			t.Fatal("the publish started fresh dictionaries")
 		}
 		rebuiltWords, rebuiltKeys := map[uint32]bool{}, map[uint32]bool{}
@@ -132,24 +133,24 @@ func TestPublishCostFollowsDirtySet(t *testing.T) {
 				}
 			}
 		}
-		for id := w0; id < words.n; id++ {
-			if !rebuiltWords[id] {
+		for id := w0; id < words.Len(); id++ {
+			if !rebuiltWords[uint32(id)] {
 				t.Errorf("beside %d records: the publish interned word %d, which no rebuilt doc carries", singletons, id)
 			}
 		}
-		for id := k0; id < keys.n; id++ {
-			if !rebuiltKeys[id] {
+		for id := k0; id < keys.Len(); id++ {
+			if !rebuiltKeys[uint32(id)] {
 				t.Errorf("beside %d records: the publish interned value key %d, which no rebuilt doc carries", singletons, id)
 			}
 		}
-		interned = words.n - w0 + keys.n - k0
+		interned = words.Len() - w0 + keys.Len() - k0
 		if total := int64(len(s.Clusters())); rebuilt != want || reusedC.Value()-u0 != total-want {
 			t.Errorf("beside %d records: publish rebuilt %d views and reused %d, want %d and %d",
 				singletons, rebuilt, reusedC.Value()-u0, want, total-want)
 		}
 
 		r0, u0, d0 = rebuiltC.Value(), reusedC.Value(), docsC.Value()
-		w0, k0 = s.words.n, s.keys.n
+		w0, k0 = s.words().Len(), s.keys.Len()
 		if _, err := s.Publish(ctx); err != nil {
 			t.Fatal(err)
 		}
@@ -157,9 +158,9 @@ func TestPublishCostFollowsDirtySet(t *testing.T) {
 			t.Errorf("beside %d records: a publish with no delta rebuilt %d views and %d docs and reused %d, want 0, 0 and all %d",
 				singletons, r, d, u, len(s.Clusters()))
 		}
-		if s.words != words || s.keys != keys || s.words.n != w0 || s.keys.n != k0 {
+		if s.words() != words || s.keys != keys || s.words().Len() != w0 || s.keys.Len() != k0 {
 			t.Errorf("beside %d records: a publish with no delta interned %d words and %d value keys, want none",
-				singletons, s.words.n-w0, s.keys.n-k0)
+				singletons, s.words().Len()-w0, s.keys.Len()-k0)
 		}
 		// Rebuild goes through the same views and leaves them current.
 		if _, err := s.Rebuild(ctx); err != nil {
@@ -281,7 +282,7 @@ func TestSnapshotsShareNoMutableState(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := renderAnswers(t, snap)
-	words, n0 := s.words, s.words.n
+	words, n0 := s.words(), s.words().Len()
 
 	const readers = 3
 	var wg sync.WaitGroup
@@ -325,22 +326,18 @@ func TestSnapshotsShareNoMutableState(t *testing.T) {
 	if got := renderAnswers(t, snap); got != want {
 		t.Error("snapshot answers changed after the later publishes")
 	}
-	if s.words != words || s.words.n <= n0 || mapID(s.words.base) == mapID(snap.words.dict.base) {
+	if s.words() != words || s.words().Len() <= n0 || dictBase(s.words()) == dictBase(&snap.words.dict) {
 		t.Errorf("the later publishes grew the word dictionary from %d to %d IDs without folding its top, want new words and a fold in the same dictionary",
-			n0, s.words.n)
+			n0, s.words().Len())
 	}
 }
-
-// mapID identifies a map, so a test can tell whether two dictionaries
-// hold the same one.
-func mapID(m map[string]uint32) uintptr { return reflect.ValueOf(m).Pointer() }
 
 // TestStreamTokenIDsStable pins the stream's dictionaries over a churned
 // drain: every word and value key keeps one ID in every snapshot that
 // knows it, and the first snapshot answers bit for bit the same — with
 // readers racing the writer — after later publishes fold the word
-// dictionary's top into a new base and after the stream, once no entity
-// carries most IDs, starts fresh dictionaries.
+// dictionary's top into a new base and after the stream, once nothing
+// holds most IDs, renumbers them into fresh dictionaries.
 func TestStreamTokenIDsStable(t *testing.T) {
 	ctx := context.Background()
 	d := streamTestWeb(47, 80, 8)
@@ -363,10 +360,10 @@ func TestStreamTokenIDsStable(t *testing.T) {
 		return snap
 	}
 
-	words, keys := s.words, s.keys
+	words, keys := s.words(), s.keys
 	wordIDs, keyIDs := map[string]uint32{}, map[string]uint32{}
-	sameIDs := func(kind string, seen map[string]uint32, snapDict dict) {
-		for w, id := range snapDict.all() {
+	sameIDs := func(kind string, seen map[string]uint32, snapDict tokenize.Dict) {
+		for w, id := range dictAll(&snapDict) {
 			if old, ok := seen[w]; ok && old != id {
 				t.Errorf("%s %q has ID %d, %d in an earlier snapshot", kind, w, id, old)
 			}
@@ -417,10 +414,10 @@ func TestStreamTokenIDsStable(t *testing.T) {
 	if err := str.Err(); err != nil || publishes < 10 {
 		t.Fatalf("%d publishes, %v", publishes, err)
 	}
-	if s.words != words || s.keys != keys {
+	if s.words() != words || s.keys != keys {
 		t.Fatal("the drain started fresh dictionaries, want the same ones throughout")
 	}
-	if mapID(s.words.base) == mapID(first.words.dict.base) {
+	if dictBase(s.words()) == dictBase(&first.words.dict) {
 		t.Error("no publish after the first folded the word dictionary's top")
 	}
 
@@ -434,18 +431,145 @@ func TestStreamTokenIDsStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	publish()
-	if s.words == words || s.keys == keys || s.words.n != 0 || s.keys.n != 0 {
+	if s.words() == words || s.keys == keys || s.words().Len() != 0 || s.keys.Len() != 0 {
 		t.Fatal("a publish with no entity kept the dictionaries, want fresh ones")
 	}
 	back := source.UpsertLog(d.Records()[:40])
 	if err := s.ApplyDeltas(metas, source.DeltaEpoch{Seq: s.Epoch(), Deltas: back}); err != nil {
 		t.Fatal(err)
 	}
-	if snap := publish(); snap.Len() == 0 || s.words.n == 0 || len(snap.words.dict.all()) != int(s.words.n) {
-		t.Errorf("the publish after the reset indexed %d entities over %d words", snap.Len(), s.words.n)
+	if snap := publish(); snap.Len() == 0 || s.words().Len() == 0 || len(dictAll(&snap.words.dict)) != s.words().Len() {
+		t.Errorf("the publish after the reset indexed %d entities over %d words", snap.Len(), s.words().Len())
 	}
 	stop()
 	if got := renderAnswers(t, first); got != want {
 		t.Error("the first snapshot's answers changed after the fold and the reset")
 	}
+}
+
+// TestStreamDictionaryBound drives title and value churn through a
+// stream until its one dictionary growth bound has renumbered the word
+// dictionary at least twice, with readers racing the renumbering on
+// every snapshot published so far. Every published snapshot equals the
+// from-scratch oracle; after every publish each dictionary holds at most
+// 2·held + 1 IDs, where a word is held by a feature-index entry or by a
+// doc of the snapshot just published and a value key by such a doc;
+// and every string a published doc carries is still in the dictionary.
+func TestStreamDictionaryBound(t *testing.T) {
+	ctx := context.Background()
+	s, err := NewStream(StreamConfig{Workers: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metas := map[string]*data.Source{}
+	for i := 0; i < 4; i++ {
+		id := fmt.Sprintf("s%d", i)
+		metas[id] = &data.Source{ID: id, Name: id}
+	}
+	// Four records per family; two at the same round share three of
+	// their five title words and link, at different rounds they do not.
+	// Every round spells an updated record's last two title words and
+	// its colour afresh, so the old spellings go dead.
+	const records = 40
+	record := func(i, round int) *data.Record {
+		fam := i / 4
+		return data.NewRecord(fmt.Sprintf("r%02d", i), fmt.Sprintf("s%d", i%4)).
+			Set("title", data.String(fmt.Sprintf("fam%d base%d v%dr%d x%dr%d", fam, fam, fam, round, i, round))).
+			Set("color", data.String(fmt.Sprintf("c%dr%d", fam, round)))
+	}
+
+	type published struct {
+		snap *Snapshot
+		want string
+	}
+	var (
+		mu   sync.Mutex
+		seen []published
+		wg   sync.WaitGroup
+	)
+	done := make(chan struct{})
+	stop := sync.OnceFunc(func() { close(done); wg.Wait() })
+	defer stop()
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				mu.Lock()
+				all := slices.Clone(seen)
+				mu.Unlock()
+				for _, p := range all {
+					if got := renderAnswers(t, p.snap); got != p.want {
+						t.Errorf("a snapshot's answers changed under the writer:\n--- published\n%s--- now\n%s", p.want, got)
+						return
+					}
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+
+	held := func(d *tokenize.Dict, ids func(*entityDoc) []uint32, frozen *tokenize.Dict, docs []*entityDoc, index bool) int {
+		mark := make([]bool, d.Len())
+		if index {
+			s.index.MarkHeld(mark)
+		}
+		for _, doc := range docs {
+			for _, id := range ids(doc) {
+				w := frozen.Token(id)
+				now, ok := d.ID(w)
+				if !ok {
+					t.Fatalf("%q, which a published doc carries, left the dictionary", w)
+				}
+				mark[now] = true
+			}
+		}
+		return len(slices.DeleteFunc(mark, func(ok bool) bool { return !ok }))
+	}
+	renumbered := 0
+	for round := 0; renumbered < 2; round++ {
+		if round == 60 {
+			t.Fatalf("%d rounds renumbered the word dictionary %d times, want 2", round, renumbered)
+		}
+		var deltas []source.Delta
+		for i := 0; i < records; i++ {
+			switch {
+			case round > 0 && (i+round)%7 == 0:
+				deltas = append(deltas, source.Deletion(fmt.Sprintf("r%02d", i)))
+			case round == 0 || (i+round)%2 == 0:
+				deltas = append(deltas, source.Upsert(record(i, round)))
+			}
+		}
+		if err := s.ApplyDeltas(metas, source.DeltaEpoch{Seq: s.Epoch(), Deltas: deltas}); err != nil {
+			t.Fatal(err)
+		}
+		words := s.words()
+		want, _ := oracleView(t, s, s.Accuracy())
+		snap, err := s.Publish(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameSnapshot(snap, want); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if s.words() != words {
+			renumbered++
+		}
+		hw := held(s.words(), func(d *entityDoc) []uint32 { return d.words }, &snap.words.dict, snap.docs, true)
+		hk := held(s.keys, func(d *entityDoc) []uint32 { return d.keys }, &snap.values.dict, snap.docs, false)
+		if n := s.words().Len(); n > 2*hw+1 {
+			t.Fatalf("round %d: the word dictionary holds %d IDs for %d held", round, n, hw)
+		}
+		if n := s.keys.Len(); n > 2*hk+1 {
+			t.Fatalf("round %d: the value-key dictionary holds %d IDs for %d held", round, n, hk)
+		}
+		mu.Lock()
+		seen = append(seen, published{snap, renderAnswers(t, snap)})
+		mu.Unlock()
+	}
+	stop()
 }

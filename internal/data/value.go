@@ -138,7 +138,7 @@ func (v Value) Key() string {
 		return "s:" + v.Str
 	}
 	var buf [48]byte
-	return string(v.appendKey(buf[:0]))
+	return string(v.AppendKey(buf[:0]))
 }
 
 // SameKey reports whether v and w have the same Key, without a string:
@@ -158,11 +158,11 @@ func compareKeys(v, w Value) int {
 		return strings.Compare(v.Str, w.Str)
 	}
 	var a, b [48]byte
-	return bytes.Compare(v.appendKey(a[:0]), w.appendKey(b[:0]))
+	return bytes.Compare(v.AppendKey(a[:0]), w.AppendKey(b[:0]))
 }
 
-// appendKey appends the bytes of Key to dst.
-func (v Value) appendKey(dst []byte) []byte {
+// AppendKey appends the bytes of Key to dst.
+func (v Value) AppendKey(dst []byte) []byte {
 	switch v.Kind {
 	case KindNull:
 		return append(dst, "∅"...)

@@ -3,7 +3,6 @@ package linkage
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/data"
 	"repro/internal/tokenize"
@@ -25,7 +24,8 @@ import (
 //
 // A feature index attached to the Matcher's comparator is told of every
 // record as it enters (Insert, FromState) and leaves (Delete), so it
-// tokenizes each record once.
+// tokenizes each record once. Key sees a record only while that index
+// holds it, so a key function may read the record's cached features.
 type Incremental struct {
 	Key     func(r *data.Record) []string
 	Matcher Matcher
@@ -73,19 +73,11 @@ func NewIncremental(key func(r *data.Record) []string, m Matcher) *Incremental {
 	}
 }
 
-// TitleTokenKey is the default incremental blocking key: distinct
-// normalised title tokens, in sorted order. Key order is the posting
-// lists' probe order and therefore Insert's match order, so it must
-// not inherit WordSet's random map iteration. The slice has room for
-// one more key, so a caller can extend it without reallocating.
+// TitleTokenKey is the default incremental blocking key: the title's
+// word set, sorted, for key order is the posting lists' probe order and
+// therefore Insert's match order.
 func TitleTokenKey(r *data.Record) []string {
-	set := tokenize.WordSet(r.Get("title").String())
-	out := make([]string, 0, len(set)+1)
-	for w := range set {
-		out = append(out, w)
-	}
-	sort.Strings(out)
-	return out
+	return tokenize.WordSet(r.Get("title").String())
 }
 
 // Insert adds a record, links it against its block neighbours and

@@ -65,7 +65,7 @@ func TestTitleTokenKeySorted(t *testing.T) {
 // Insert: 6 existing records each own one distinct title token, a new
 // record carries all 6 tokens, and the Overlap metric scores every
 // probe 1 (the 1-token set is fully contained), so `matched` lists all
-// 6 — in key probe order. With TitleTokenKey iterating WordSet's map
+// 6 — in key probe order. Were TitleTokenKey to iterate a word map
 // directly there are 6! = 720 possible orders, and 20 fresh runs catch
 // a regression with probability ≈ 1.
 func TestIncrementalInsertMatchOrderDeterministic(t *testing.T) {

@@ -174,15 +174,15 @@ func (m scoreLogger) Match(a, b *data.Record) (float64, bool) {
 // and State, and every pair either compared scored the same bits both
 // ways. Every live pair also scores the same bits under the maintained
 // index as under BuildFeatureIndex over the live records. Each sequence
-// ends by deleting every ID and upserting two again, so the index, its
-// 24 title tokens now mostly dead, must re-intern; the replay asserts
-// it did.
+// ends by deleting every ID and upserting two again. (The index does
+// not renumber its dictionary itself; the stream that shares it does,
+// and core's TestStreamDictionaryBound covers the renumbering.)
 func TestIncrementalIndexMatchesStrings(t *testing.T) {
 	files, err := filepath.Glob("testdata/fuzz/FuzzIncrementalOps/*")
 	if err != nil || len(files) == 0 {
 		t.Fatalf("corpus: %v, %d files", err, len(files))
 	}
-	reinterns, reg := 0, obs.NewRegistry()
+	reg := obs.NewRegistry()
 	for _, m := range []struct {
 		name string
 		wrap func(Matcher) Matcher
@@ -210,8 +210,6 @@ func TestIncrementalIndexMatchesStrings(t *testing.T) {
 			cached.MaxBlock, plain.MaxBlock = fuzzMaxBlock, fuzzMaxBlock
 			for i := 0; i+1 < len(ops); i += 2 {
 				where := fmt.Sprintf("%s %s op %d", m.name, filepath.Base(file), i/2)
-				idx := cachedM.Comparator.Index()
-				interned := idx.Interned()
 				rec := fuzzRecord(ops, i)
 				got, restore := fuzzOp(cached, src, ops, i, rec)
 				want, _ := fuzzOp(plain, src, ops, i, rec)
@@ -224,8 +222,6 @@ func TestIncrementalIndexMatchesStrings(t *testing.T) {
 						t.Fatalf("%s: %v", where, err)
 					}
 					cached.MaxBlock, plain.MaxBlock = fuzzMaxBlock, fuzzMaxBlock
-				} else if idx.Interned() < interned {
-					reinterns++
 				}
 				if got != want {
 					t.Fatalf("%s: the indexed linker returned %s, the string one %s", where, got, want)
@@ -261,9 +257,6 @@ func TestIncrementalIndexMatchesStrings(t *testing.T) {
 	}
 	if n := reg.Counter("matching.uncached_compares").Value(); n != 0 {
 		t.Errorf("the indexed linker scored %d pairs without its index", n)
-	}
-	if reinterns == 0 {
-		t.Error("the replay never re-interned the index")
 	}
 }
 

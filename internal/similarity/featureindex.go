@@ -1,6 +1,7 @@
 package similarity
 
 import (
+	"cmp"
 	"math"
 	"reflect"
 	"slices"
@@ -14,11 +15,14 @@ import (
 // record so each record is tokenized and normalised exactly once, no
 // matter how many candidate pairs it appears in (O(window · #blocks)
 // under blocking). Per compared field it stores the raw value and the
-// sorted slice of interned word-token IDs. With an index attached,
-// RecordComparator scores set-metric fields through allocation-free
-// kernels that linearly merge the sorted ID slices instead of
-// rebuilding hash sets per pair; every other field scores through
-// Values on the cached value copies.
+// sorted slice of the IDs of its distinct words (of its rendering when
+// it is not a string) in the index's dictionary. With an index attached,
+// RecordComparator scores set-metric fields of string values through
+// allocation-free kernels that linearly merge the sorted ID slices
+// instead of rebuilding hash sets per pair; every other field scores
+// through Values on the cached value copies. Tokens hands a record's
+// cached IDs to other consumers of its words, such as a stream's
+// blocking keys.
 //
 // An index is built once (BuildFeatureIndex) or maintained record by
 // record (Add, Remove) — BuildFeatureIndex equals Add in a loop, with
@@ -35,18 +39,15 @@ import (
 // carrying an indexed ID, or an index another comparator built is
 // scored as if no index were attached.
 //
-// Interned IDs are never reused, so a long-lived index accumulates the
-// IDs of tokens no live record carries. The index counts the IDs its
-// live entries hold (Σ); once the interner holds more than 2·Σ IDs,
-// dead ones outnumber live ones and Add renumbers the live IDs into a
-// fresh interner — O(live), amortised over the Σ or more IDs interned
-// since the last renumbering.
+// Dictionary IDs are never reused, so a long-lived index accumulates
+// the IDs of words no live record carries. The index does not bound
+// that itself: whoever shares its dictionary knows every holder of its
+// IDs, and calls Renumber once dead IDs outnumber held ones.
 type FeatureIndex struct {
-	rc       *RecordComparator // the comparator that built the index
-	kernels  []kernel
-	interner *tokenize.Interner
-	feats    map[string]indexedRecord
-	live     int // Σ: token IDs held by the entries, with repeats
+	rc      *RecordComparator // the comparator that built the index
+	kernels []kernel
+	dict    *tokenize.Dict
+	feats   map[string]indexedRecord
 }
 
 // indexedRecord is one entry: the record and its per-field features.
@@ -58,7 +59,7 @@ type indexedRecord struct {
 // fieldFeature caches one record's comparison features for one field.
 type fieldFeature struct {
 	val    data.Value // copy of the record's value (null when absent)
-	tokens []uint32   // sorted distinct word-token IDs (string values)
+	tokens []uint32   // sorted distinct word IDs (of the rendering for non-strings)
 }
 
 // kernel identifies the allocation-free scoring routine for a field.
@@ -116,10 +117,10 @@ const buildBlock = 1 << 12
 // Add called on the records in order.
 func BuildFeatureIndex(records []*data.Record, rc *RecordComparator, workers int) *FeatureIndex {
 	idx := &FeatureIndex{
-		rc:       rc,
-		kernels:  make([]kernel, len(rc.fields)),
-		interner: tokenize.NewInterner(),
-		feats:    make(map[string]indexedRecord, len(records)),
+		rc:      rc,
+		kernels: make([]kernel, len(rc.fields)),
+		dict:    tokenize.NewDict(),
+		feats:   make(map[string]indexedRecord, len(records)),
 	}
 	for i, f := range rc.fields {
 		idx.kernels[i] = kernelOf(f.Metric)
@@ -149,7 +150,7 @@ func BuildFeatureIndex(records []*data.Record, rc *RecordComparator, workers int
 }
 
 // fieldTokens is one field of one record tokenised but not interned:
-// the value and the words of a string value.
+// the value and the words of its rendering.
 type fieldTokens struct {
 	val   data.Value
 	words []string
@@ -160,10 +161,7 @@ type fieldTokens struct {
 func (idx *FeatureIndex) tokenise(r *data.Record, out []fieldTokens) {
 	for i, f := range idx.rc.fields {
 		v := r.Get(f.Attr)
-		out[i] = fieldTokens{val: v}
-		if v.Kind == data.KindString {
-			out[i].words = tokenize.Words(v.Str)
-		}
+		out[i] = fieldTokens{val: v, words: tokenize.Words(v.String())}
 	}
 }
 
@@ -184,56 +182,41 @@ func (idx *FeatureIndex) Add(r *data.Record) {
 // add interns r's tokenised fields as its entry, replacing any entry
 // for r.ID.
 func (idx *FeatureIndex) add(r *data.Record, toks []fieldTokens) {
-	idx.Remove(r.ID)
 	ff := make([]fieldFeature, len(toks))
 	for i, t := range toks {
-		ff[i].val = t.val
-		if t.val.Kind != data.KindString {
-			continue
-		}
-		ff[i].tokens = idx.internWords(t.words)
-		idx.live += len(ff[i].tokens)
+		ff[i] = fieldFeature{val: t.val, tokens: idx.internWords(t.words)}
 	}
 	idx.feats[r.ID] = indexedRecord{rec: r, ff: ff}
-	if idx.interner.Len() > 2*idx.live {
-		idx.reintern()
-	}
 }
 
 // Remove drops the entry for id, if any. Not safe concurrently with any
 // other use of the index.
-func (idx *FeatureIndex) Remove(id string) {
-	e, ok := idx.feats[id]
-	if !ok {
-		return
-	}
-	for _, f := range e.ff {
-		idx.live -= len(f.tokens)
-	}
-	delete(idx.feats, id)
-}
+func (idx *FeatureIndex) Remove(id string) { delete(idx.feats, id) }
 
-// reintern renumbers the IDs the live entries hold into a fresh
-// interner, in ascending order of their old IDs. The renumbering is
-// monotone, so every token set stays sorted and every kernel returns
-// the same bits.
-func (idx *FeatureIndex) reintern() {
-	old := idx.interner
-	held := make([]bool, old.Len())
+// MarkHeld sets held[id] for every dictionary ID an entry carries and
+// returns how many it found unset; held spans the dictionary.
+func (idx *FeatureIndex) MarkHeld(held []bool) (n int) {
 	for _, e := range idx.feats {
 		for _, f := range e.ff {
 			for _, id := range f.tokens {
-				held[id] = true
+				if !held[id] {
+					held[id] = true
+					n++
+				}
 			}
 		}
 	}
-	fresh := tokenize.NewInterner()
-	renum := make([]uint32, len(held))
-	for id, ok := range held {
-		if ok {
-			renum[id] = fresh.Intern(old.Token(uint32(id)))
-		}
-	}
+	return n
+}
+
+// Renumber moves the index into a fresh dictionary of the IDs held
+// marks, which must include every ID MarkHeld marks (Dict.Renumber).
+// The renumbering is monotone, so every token set stays sorted and
+// every kernel returns the same bits. The entries' sets are rewritten
+// in place: a caller keeping a set from Tokens across a Renumber keeps
+// a copy.
+func (idx *FeatureIndex) Renumber(held []bool) {
+	fresh, renum := idx.dict.Renumber(held)
 	for _, e := range idx.feats {
 		for _, f := range e.ff {
 			for i, id := range f.tokens {
@@ -241,20 +224,13 @@ func (idx *FeatureIndex) reintern() {
 			}
 		}
 	}
-	idx.interner = fresh
+	idx.dict = fresh
 }
 
-// internWords interns the distinct words and returns their IDs sorted
-// ascending.
+// internWords interns the words and returns their distinct IDs sorted:
+// WordSet semantics over IDs.
 func (idx *FeatureIndex) internWords(words []string) []uint32 {
-	if len(words) == 0 {
-		return nil
-	}
-	ids := make([]uint32, 0, len(words))
-	for _, w := range words {
-		ids = append(ids, idx.interner.Intern(w))
-	}
-	// WordSet semantics over sorted IDs.
+	ids := idx.dict.InternAll(words)
 	slices.Sort(ids)
 	return slices.Compact(ids)
 }
@@ -267,12 +243,23 @@ func (idx *FeatureIndex) Has(r *data.Record) bool {
 // Len returns the number of indexed records.
 func (idx *FeatureIndex) Len() int { return len(idx.feats) }
 
-// Interned returns the number of token IDs the interner holds, live and
-// dead.
-func (idx *FeatureIndex) Interned() int { return idx.interner.Len() }
+// Dict returns the dictionary the index interns into.
+func (idx *FeatureIndex) Dict() *tokenize.Dict { return idx.dict }
 
-// intersectSize counts common IDs of two sorted slices by linear merge.
-func intersectSize(a, b []uint32) int {
+// Tokens returns the sorted distinct word IDs of field i of r — of the
+// rendering of a value that is not a string — or nil when the index
+// holds no entry built from r itself. The slice is the index's own: the
+// caller must not modify it.
+func (idx *FeatureIndex) Tokens(r *data.Record, i int) []uint32 {
+	if e := idx.feats[r.ID]; e.rec == r {
+		return e.ff[i].tokens
+	}
+	return nil
+}
+
+// intersectSize counts the common elements of two sorted slices by
+// linear merge.
+func intersectSize[T cmp.Ordered](a, b []T) int {
 	n, i, j := 0, 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -289,12 +276,12 @@ func intersectSize(a, b []uint32) int {
 	return n
 }
 
-// setKernel scores two sorted token-ID sets of la and lb distinct
-// tokens with the given set metric; a set may leave out tokens that
-// cannot intersect (la ≥ len(a)). Results are exactly equal to the
-// map-based metrics over the same token sets, including the empty-set
-// conventions.
-func setKernel(k kernel, a []uint32, la int, b []uint32, lb int) float64 {
+// setKernel scores two sorted sets of la and lb distinct elements — word
+// IDs, or the words themselves — with the given set metric; a set may
+// leave out elements that cannot intersect (la ≥ len(a)). It is the one
+// scoring routine of the set metrics, cached or not, empty-set
+// conventions included.
+func setKernel[T cmp.Ordered](k kernel, a []T, la int, b []T, lb int) float64 {
 	if la == 0 && lb == 0 {
 		return 1
 	}

@@ -1,88 +1,33 @@
 package similarity
 
-import (
-	"math"
-
-	"repro/internal/tokenize"
-)
-
-// setOverlap counts the intersection size of two string sets.
-func setOverlap(a, b map[string]bool) int {
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	n := 0
-	for x := range a {
-		if b[x] {
-			n++
-		}
-	}
-	return n
-}
+import "repro/internal/tokenize"
 
 // Jaccard returns |A∩B| / |A∪B| over the word sets of a and b.
 // Two empty strings are perfectly similar.
-func Jaccard(a, b string) float64 {
-	return jaccardSets(tokenize.WordSet(a), tokenize.WordSet(b))
-}
+func Jaccard(a, b string) float64 { return wordSetMetric(kernelJaccard, a, b) }
 
 // QGramJaccard returns the Jaccard similarity over padded q-gram sets.
 func QGramJaccard(a, b string, q int) float64 {
-	return jaccardSets(tokenize.QGramSet(a, q), tokenize.QGramSet(b, q))
-}
-
-func jaccardSets(sa, sb map[string]bool) float64 {
-	if len(sa) == 0 && len(sb) == 0 {
-		return 1
-	}
-	inter := setOverlap(sa, sb)
-	union := len(sa) + len(sb) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
+	sa, sb := tokenize.QGramSet(a, q), tokenize.QGramSet(b, q)
+	return setKernel(kernelJaccard, sa, len(sa), sb, len(sb))
 }
 
 // Dice returns 2|A∩B| / (|A|+|B|) over word sets.
-func Dice(a, b string) float64 {
-	sa, sb := tokenize.WordSet(a), tokenize.WordSet(b)
-	if len(sa) == 0 && len(sb) == 0 {
-		return 1
-	}
-	if len(sa) == 0 || len(sb) == 0 {
-		return 0
-	}
-	return 2 * float64(setOverlap(sa, sb)) / float64(len(sa)+len(sb))
-}
+func Dice(a, b string) float64 { return wordSetMetric(kernelDice, a, b) }
 
 // Overlap returns |A∩B| / min(|A|,|B|) over word sets — the overlap
 // coefficient, robust to one string being a sub-description of the other.
-func Overlap(a, b string) float64 {
-	sa, sb := tokenize.WordSet(a), tokenize.WordSet(b)
-	if len(sa) == 0 && len(sb) == 0 {
-		return 1
-	}
-	if len(sa) == 0 || len(sb) == 0 {
-		return 0
-	}
-	m := len(sa)
-	if len(sb) < m {
-		m = len(sb)
-	}
-	return float64(setOverlap(sa, sb)) / float64(m)
-}
+func Overlap(a, b string) float64 { return wordSetMetric(kernelOverlap, a, b) }
 
 // CosineSet returns the set-cosine similarity |A∩B| / sqrt(|A||B|)
 // over word sets.
-func CosineSet(a, b string) float64 {
+func CosineSet(a, b string) float64 { return wordSetMetric(kernelCosine, a, b) }
+
+// wordSetMetric scores the word sets of a and b by the kernel k, the
+// one a FeatureIndex runs over the sets' cached IDs.
+func wordSetMetric(k kernel, a, b string) float64 {
 	sa, sb := tokenize.WordSet(a), tokenize.WordSet(b)
-	if len(sa) == 0 && len(sb) == 0 {
-		return 1
-	}
-	if len(sa) == 0 || len(sb) == 0 {
-		return 0
-	}
-	return float64(setOverlap(sa, sb)) / math.Sqrt(float64(len(sa))*float64(len(sb)))
+	return setKernel(k, sa, len(sa), sb, len(sb))
 }
 
 // TFIDFCosine computes corpus-weighted cosine similarity between a and b

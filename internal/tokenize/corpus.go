@@ -33,7 +33,7 @@ func (c *Corpus) Add(text string) {
 		panic("tokenize: Corpus.Add after Freeze")
 	}
 	c.numDocs++
-	for w := range WordSet(text) {
+	for _, w := range WordSet(text) {
 		c.docFreq[w]++
 	}
 }

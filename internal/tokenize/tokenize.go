@@ -5,7 +5,7 @@
 package tokenize
 
 import (
-	"sort"
+	"slices"
 	"strings"
 	"unicode"
 )
@@ -41,13 +41,14 @@ func Words(s string) []string {
 	return strings.Split(n, " ")
 }
 
-// WordSet returns the distinct normalised words of s.
-func WordSet(s string) map[string]bool {
-	set := map[string]bool{}
-	for _, w := range Words(s) {
-		set[w] = true
-	}
-	return set
+// WordSet returns the distinct normalised words of s, sorted: the set
+// form every word set takes.
+func WordSet(s string) []string { return distinct(Words(s)) }
+
+// distinct sorts toks and drops repeats, in place.
+func distinct(toks []string) []string {
+	slices.Sort(toks)
+	return slices.Compact(toks)
 }
 
 // QGrams returns the padded character q-grams of the normalised form of
@@ -85,14 +86,8 @@ func QGrams(s string, q int) []string {
 	return out
 }
 
-// QGramSet returns the distinct q-grams of s.
-func QGramSet(s string, q int) map[string]bool {
-	set := map[string]bool{}
-	for _, g := range QGrams(s, q) {
-		set[g] = true
-	}
-	return set
-}
+// QGramSet returns the distinct q-grams of s, sorted.
+func QGramSet(s string, q int) []string { return distinct(QGrams(s, q)) }
 
 // defaultStopWords is a small English stop-word list adequate for
 // product-style titles and attribute names.
@@ -129,12 +124,4 @@ func Prefix(s string, n int) string {
 // Fingerprint returns the sorted, deduplicated words of s joined by
 // spaces: identical fingerprints group token-permuted variants
 // ("john smith" vs "smith john").
-func Fingerprint(s string) string {
-	set := WordSet(s)
-	words := make([]string, 0, len(set))
-	for w := range set {
-		words = append(words, w)
-	}
-	sort.Strings(words)
-	return strings.Join(words, " ")
-}
+func Fingerprint(s string) string { return strings.Join(WordSet(s), " ") }
