@@ -58,4 +58,4 @@ bench:
 # and truncated spill runs fail matching instead of matching a prefix.
 chaos:
 	$(GO) run -race ./cmd/bdibench -exp E23
-	$(GO) test -race -run 'TestStreamKillMidCompactionChaos|TestStreamStateBackupRecovery|TestV2CommittedFixtureLoadsCompacted|TestStreamStateDecodeRobust|FuzzStreamStateDecode|FuzzIncrementalOps|TestIncrementalIndexMatchesStrings|TestDeleteCostIndependentOfCorpus|FuzzHandlers|TestShutdownDuringPublish|FuzzStreamOps|TestPublishCostFollowsDirtySet|TestSnapshotsShareNoMutableState|TestStreamTokenIDsStable|TestStreamDictionaryBound|TestQueryScratchIsolated|TestOnlineKernelMatchesReference|TestFusersKeepParentBits|TestRecordFleetsKeepParentBits|TestStreamSurvivesPanickingSource|TestStreamPanicOnceDrainsClean|TestIngestMatchesStream|TestStreamStopWaitsForSave|TestSpillCancellation|TestIndexedPairsLeaveNoSpill|TestPipelineShardedSpilledIdentical|TestMatchFailsOnTruncatedSpill' ./internal/core/... ./internal/source/... ./internal/linkage/... ./internal/serve/... ./internal/fusion/... ./internal/blocking/... ./cmd/bdiserve/...
+	$(GO) test -race -run 'TestStreamKillMidCompactionChaos|TestStreamStateBackupRecovery|TestV2CommittedFixtureLoadsCompacted|TestStreamStateDecodeRobust|FuzzStreamStateDecode|FuzzIncrementalOps|TestIncrementalIndexMatchesStrings|TestDeleteCostIndependentOfCorpus|FuzzHandlers|TestShutdownDuringPublish|FuzzStreamOps|TestPublishCostFollowsDirtySet|TestSnapshotsShareNoMutableState|TestStreamTokenIDsStable|TestStreamDictionaryBound|TestQueryScratchIsolated|TestOnlineKernelMatchesReference|TestFusersKeepParentBits|TestRecordFleetsKeepParentBits|TestStreamSurvivesPanickingSource|TestStreamPanicOnceDrainsClean|TestIngestMatchesStream|TestStreamStopWaitsForSave|TestSpillCancellation|TestIndexedPairsLeaveNoSpill|TestPipelineShardedSpilledIdentical|TestMatchFailsOnTruncatedSpill|TestRunReaderBlocks' ./internal/core/... ./internal/source/... ./internal/linkage/... ./internal/serve/... ./internal/fusion/... ./internal/blocking/... ./cmd/bdiserve/...

@@ -30,6 +30,8 @@ type (
 	// (TFIDF included, against its own corpus) through its function.
 	// Its dictionary of word IDs is never renumbered behind the caller:
 	// a long-lived owner, such as the stream, bounds it (Renumber).
+	// Entries are keyed by record: Add(r) adds r's, Remove(r) drops it,
+	// and a caller replacing a record removes the old one.
 	FeatureIndex = similarity.FeatureIndex
 	// Corpus holds document frequencies for TF-IDF weighting.
 	Corpus = tokenize.Corpus

@@ -17,6 +17,7 @@ import (
 	"os"
 	"runtime"
 	"slices"
+	"strings"
 
 	"repro/internal/data"
 	"repro/internal/obs"
@@ -54,16 +55,29 @@ type ranker struct {
 	ids []string // rank → ID, sorted ascending, distinct
 }
 
-func newRanker(ids []string) *ranker {
-	sorted := slices.Clone(ids)
-	slices.Sort(sorted)
-	return &ranker{ids: slices.Compact(sorted)}
-}
-
-// rank returns the dense rank of id (which must be present).
-func (rk *ranker) rank(id string) uint32 {
-	i, _ := slices.BinarySearch(rk.ids, id)
-	return uint32(i)
+// newRanker returns the ranker of ids and the rank of each of them, in
+// ids' order. One sort of (ID, position) entries places every ID: its
+// rank is its place among the distinct sorted IDs, so equal IDs share a
+// rank.
+func newRanker(ids []string) (*ranker, []uint32) {
+	type entry struct {
+		id  string
+		pos int
+	}
+	ents := make([]entry, len(ids))
+	for i, id := range ids {
+		ents[i] = entry{id, i}
+	}
+	slices.SortFunc(ents, func(a, b entry) int { return strings.Compare(a.id, b.id) })
+	rk := &ranker{ids: make([]string, 0, len(ids))}
+	ranks := make([]uint32, len(ids))
+	for _, e := range ents {
+		if n := len(rk.ids); n == 0 || rk.ids[n-1] != e.id {
+			rk.ids = append(rk.ids, e.id)
+		}
+		ranks[e.pos] = uint32(len(rk.ids) - 1)
+	}
+	return rk, ranks
 }
 
 // pairCode packs two record ranks into one uint64 with the smaller
@@ -177,12 +191,7 @@ func NewEngineOpts(records []*data.Record, o Opts) *Engine {
 	for i, r := range records {
 		ids[i] = r.ID
 	}
-	e.rk = newRanker(ids)
-	var err error
-	e.ranks, err = parallel.MapSlice(e.cfg, records, func(r *data.Record) uint32 {
-		return e.rk.rank(r.ID)
-	})
-	e.sink.check(err)
+	e.rk, e.ranks = newRanker(ids)
 	return e
 }
 

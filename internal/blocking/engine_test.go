@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"sort"
 	"strings"
@@ -782,5 +783,32 @@ func TestBlockingNeverPanics(t *testing.T) {
 	}
 	if n := e.Blocks(title).NumBlocks(); n != 0 {
 		t.Fatalf("engine poisoned by a foreign set still built %d blocks", n)
+	}
+}
+
+// TestNewRankerRepeatedIDs pins the one-sort ranker against the sorted
+// distinct IDs and a binary search per ID, on IDs with repeats.
+func TestNewRankerRepeatedIDs(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 2, 17, 5000} {
+		ids := make([]string, n)
+		for i := range ids {
+			ids[i] = fmt.Sprintf("s%d-r%d", rng.Intn(4), rng.Intn(n/2+1))
+		}
+		rk, ranks := newRanker(ids)
+		want := slices.Clone(ids)
+		slices.Sort(want)
+		want = slices.Compact(want)
+		if !slices.Equal(rk.ids, want) {
+			t.Fatalf("n=%d: rank table %v, want %v", n, rk.ids, want)
+		}
+		if len(ranks) != n {
+			t.Fatalf("n=%d: %d ranks", n, len(ranks))
+		}
+		for i, id := range ids {
+			if r, _ := slices.BinarySearch(want, id); ranks[i] != uint32(r) {
+				t.Fatalf("n=%d: %s at %d ranks %d, want %d", n, id, i, ranks[i], r)
+			}
+		}
 	}
 }

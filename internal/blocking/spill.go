@@ -270,10 +270,15 @@ func writeRun(dir, name string, ents []pe) (string, error) {
 	return path, nil
 }
 
-// runReader streams one run file back as a peSource.
+// runBlock is how many entries a runReader reads from its file at once.
+const runBlock = 1 << 12
+
+// runReader streams one run file back as a peSource, reading it in
+// blocks of whole entries and decoding each entry from the block.
 type runReader struct {
-	f  *os.File
-	br *bufio.Reader
+	f   *os.File
+	buf []byte // the current block; entries from off on are unread
+	off int
 }
 
 func openRun(path string) (*runReader, error) {
@@ -281,17 +286,23 @@ func openRun(path string) (*runReader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("blocking: open spill run: %w", err)
 	}
-	return &runReader{f: f, br: bufio.NewReaderSize(f, 1<<16)}, nil
+	return &runReader{f: f, buf: make([]byte, 0, runBlock*peSize)}, nil
 }
 
 func (r *runReader) next() (pe, bool, error) {
-	var b [peSize]byte
-	if _, err := io.ReadFull(r.br, b[:]); err != nil {
+	if r.off == len(r.buf) {
+		n, err := io.ReadFull(r.f, r.buf[:cap(r.buf)])
 		if err == io.EOF {
 			return pe{}, false, nil
 		}
-		return pe{}, false, fmt.Errorf("blocking: read spill run: %w", err)
+		// A short block is the run's last; it must end on an entry.
+		if err != nil && (err != io.ErrUnexpectedEOF || n%peSize != 0) {
+			return pe{}, false, fmt.Errorf("blocking: read spill run: %w", err)
+		}
+		r.buf, r.off = r.buf[:n], 0
 	}
+	b := r.buf[r.off : r.off+peSize]
+	r.off += peSize
 	return pe{
 		code: binary.LittleEndian.Uint64(b[:8]),
 		pos:  binary.LittleEndian.Uint64(b[8:]),

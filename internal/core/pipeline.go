@@ -509,7 +509,12 @@ func (p *Pipeline) buildMatcher(d *data.Dataset, cs *blocking.CandidateSet, sp *
 	train := sp.Child("train")
 	// The index is built once, over the set's whole ID table: training
 	// (over the pairs' IDs) and matching (over the table) both reuse it.
-	linkage.PrepareComparatorIndexIDs(fs.Comparator, d, cs.IDs(), p.cfg.Workers)
+	ids := cs.IDs()
+	recs := make([]*data.Record, len(ids))
+	for i, id := range ids {
+		recs[i] = d.Record(id)
+	}
+	linkage.PrepareComparatorIndex(fs.Comparator, recs, p.cfg.Workers)
 	err := fs.Train(d, cs.Pairs(), 15)
 	train.End()
 	if err != nil {

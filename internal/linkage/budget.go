@@ -160,9 +160,10 @@ func sortScoredCodes(parts [][]scoredCode, ranks int) []scoredCode {
 // how many comparisons ran. The stream is consumed through EmitCodes
 // in batches of at most matchBatch codes, each scored in parallel; the
 // final ordering is total, so neither batching nor the worker count
-// can change the output. Each rank's record is looked up once, the
-// first time a batch references it, and pairs stay codes until the
-// sorted result is decoded. The scoring pass observes ctx at chunk
+// can change the output. Each rank's record is looked up once — all of
+// them up front on an unlimited run, on a budgeted one the first time a
+// batch references it — and pairs stay codes until the sorted result is
+// decoded. The scoring pass observes ctx at chunk
 // boundaries, and a cancellation, a recovered matcher panic or an
 // error reading src is returned as an error. A nil ctx never cancels.
 //
@@ -172,9 +173,10 @@ func sortScoredCodes(parts [][]scoredCode, ranks int) []scoredCode {
 //
 // A matcher that scores through a RecordComparator gets the
 // comparator's feature cache warmed on workers goroutines: once over
-// src.IDs() on an unlimited run, per batch over the batch's own record
-// IDs on a budgeted one, so a small budget over a huge stream never
-// tokenises the full corpus. Wrap the matcher in NoIndex to opt out.
+// the records of src.IDs() on an unlimited run, per batch over the
+// batch's own records on a budgeted one, so a small budget over a huge
+// stream never tokenises the full corpus. Wrap the matcher in NoIndex
+// to opt out.
 //
 // The registry records matching.comparisons and matching.matched, and
 // under a budget the recall-at-budget inputs: gauges matching.budget,
@@ -193,21 +195,27 @@ func MatchBudgetedCtx(ctx context.Context, d *data.Dataset, src PairStream, m Ma
 	}
 	ids := src.IDs()
 	warmer := comparatorOf(m)
-	warmBatch := warmer != nil && budgeted // warm per batch, not over ids
-	if warmer != nil && !budgeted {
-		PrepareComparatorIndexIDs(warmer, d, ids, workers)
-	}
-	// recs[r] is rank r's record (nil when absent from d), resolved
-	// when a batch first references r; stamp[r] is the last batch that
-	// referenced r, 0 for none yet.
+	cfg := parallel.Config{Workers: workers, Obs: reg, Ctx: ctx}
+	// recs[r] is rank r's record (nil when absent from d). An unlimited
+	// run resolves every rank up front and warms the cache over them; a
+	// budgeted one resolves a rank when a batch first references it, and
+	// stamp[r] is the last batch that referenced r, 0 for none yet.
 	recs := make([]*data.Record, len(ids))
-	stamp := make([]int32, len(ids))
+	var stamp []int32
+	if budgeted {
+		stamp = make([]int32, len(ids))
+	} else {
+		if err := parallel.ForEach(cfg, len(ids), func(r int) { recs[r] = d.Record(ids[r]) }); err != nil {
+			return nil, 0, err
+		}
+		PrepareComparatorIndex(warmer, recs, workers)
+	}
 	var batchNo int32
-	var ranks []uint32 // the current batch's distinct ranks, when warmBatch
+	var ranks []uint32 // a budgeted batch's distinct ranks, when warming its records
+	var batchRecs []*data.Record
 	batch := make([]uint64, 0, size)
 	scores := make([]float64, size)
 	keep := make([]bool, size)
-	cfg := parallel.Config{Workers: workers, Obs: reg, Ctx: ctx}
 	// Accepted pairs are kept per batch at their exact size and joined
 	// once: growing one slice by append re-copies a multi-million-pair
 	// result several times over, in ever larger fresh allocations.
@@ -216,29 +224,31 @@ func MatchBudgetedCtx(ctx context.Context, d *data.Dataset, src PairStream, m Ma
 		if len(batch) == 0 {
 			return true
 		}
-		batchNo++
-		ranks = ranks[:0]
-		for _, code := range batch {
-			for _, r := range [2]uint32{uint32(code >> 32), uint32(code)} {
-				if stamp[r] == batchNo {
-					continue
-				}
-				if stamp[r] == 0 {
-					recs[r] = d.Record(ids[r])
-				}
-				stamp[r] = batchNo
-				if warmBatch {
-					ranks = append(ranks, r)
+		if budgeted {
+			batchNo++
+			ranks = ranks[:0]
+			for _, code := range batch {
+				for _, r := range [2]uint32{uint32(code >> 32), uint32(code)} {
+					if stamp[r] == batchNo {
+						continue
+					}
+					if stamp[r] == 0 {
+						recs[r] = d.Record(ids[r])
+					}
+					stamp[r] = batchNo
+					if warmer != nil {
+						ranks = append(ranks, r)
+					}
 				}
 			}
-		}
-		if warmBatch {
-			slices.Sort(ranks)
-			batchIDs := make([]string, len(ranks))
-			for i, r := range ranks {
-				batchIDs[i] = ids[r]
+			if warmer != nil {
+				slices.Sort(ranks)
+				batchRecs = batchRecs[:0]
+				for _, r := range ranks {
+					batchRecs = append(batchRecs, recs[r])
+				}
+				PrepareComparatorIndex(warmer, batchRecs, workers)
 			}
-			PrepareComparatorIndexIDs(warmer, d, batchIDs, workers)
 		}
 		err = parallel.ForEach(cfg, len(batch), func(i int) {
 			a, b := recs[batch[i]>>32], recs[uint32(batch[i])]

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/data"
+	"repro/internal/parallel"
 )
 
 // Clusterer turns scored match edges over a record universe into a
@@ -18,18 +19,57 @@ type Clusterer interface {
 // glues two entities together).
 type ConnectedComponents struct{}
 
-// Cluster implements Clusterer.
+// clusterChunk is how many edges one task of ConnectedComponents'
+// parallel slot resolution takes.
+const clusterChunk = 1 << 14
+
+// Cluster implements Clusterer. The forest is made over ids first;
+// then NumCPU goroutines resolve the edge endpoints to its slots, chunk
+// by chunk, and this goroutine unions the slots in edge order, giving
+// an endpoint missing from ids its slot as it comes. The partition does
+// not depend on the order of the unions, and Sets is canonical.
 func (ConnectedComponents) Cluster(ids []string, edges []data.ScoredPair) data.Clustering {
-	uf := NewUnionFind()
-	for _, id := range ids {
-		uf.Add(id)
+	uf := newUnionFindOf(ids)
+	// slots[2i] and slots[2i+1] are edge i's endpoints, -1 for one
+	// missing from ids. Edges come sorted by score and then pair, so a
+	// run of edges often shares its A: one memo entry saves its lookups.
+	slots := make([]int32, 2*len(edges))
+	chunks := (len(edges) + clusterChunk - 1) / clusterChunk
+	if err := parallel.ForEach(parallel.Config{}, chunks, func(c int) {
+		lookup := func(id string) int32 {
+			if s, ok := uf.slot[id]; ok {
+				return s
+			}
+			return -1
+		}
+		// An empty A before the first lookup keeps lastS = -1, which
+		// the union loop resolves as it would a missing endpoint.
+		var lastA string
+		lastS := int32(-1)
+		for i := c * clusterChunk; i < min((c+1)*clusterChunk, len(edges)); i++ {
+			e := &edges[i]
+			if e.A != lastA {
+				lastA, lastS = e.A, lookup(e.A)
+			}
+			slots[2*i], slots[2*i+1] = lastS, lookup(e.B)
+		}
+	}); err != nil {
+		panic(err)
 	}
-	for _, e := range edges {
-		uf.Union(e.A, e.B)
+	for i := range edges {
+		a, b := slots[2*i], slots[2*i+1]
+		if a < 0 {
+			a = uf.intern(edges[i].A)
+		}
+		if b < 0 {
+			b = uf.intern(edges[i].B)
+		}
+		uf.union(a, b)
 	}
-	out := data.Clustering{}
-	for _, set := range uf.Sets() {
-		out = append(out, set)
+	sets := uf.Sets()
+	out := make(data.Clustering, len(sets))
+	for i, set := range sets {
+		out[i] = set
 	}
 	return out
 }

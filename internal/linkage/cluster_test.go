@@ -1,6 +1,9 @@
 package linkage
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/data"
@@ -160,5 +163,104 @@ func assertClusteringEqual(t *testing.T, got, want data.Clustering) {
 				t.Fatalf("cluster %d: got %v, want %v", i, g[i], w[i])
 			}
 		}
+	}
+}
+
+// referenceComponents is ConnectedComponents as a plain UnionFind loop:
+// every ID added, every edge unioned by its IDs, in order.
+func referenceComponents(ids []string, edges []data.ScoredPair) data.Clustering {
+	uf := NewUnionFind()
+	for _, id := range ids {
+		uf.Add(id)
+	}
+	for _, e := range edges {
+		uf.Union(e.A, e.B)
+	}
+	out := data.Clustering{}
+	for _, set := range uf.Sets() {
+		out = append(out, set)
+	}
+	return out
+}
+
+// TestConnectedComponentsMatchesReference checks ConnectedComponents
+// against referenceComponents on seeded random graphs with repeated ids,
+// edge endpoints missing from ids, self-loops and repeated edges, and at
+// least three chunks of edges so the parallel slot resolution runs;
+// edges come in random order and in the matcher's (score, pair) order,
+// whose runs of one A the resolution memoises.
+func TestConnectedComponentsMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2000 + rng.Intn(20000)
+		id := func() string { return fmt.Sprintf("r%05d", rng.Intn(n)) }
+		ids := make([]string, n)
+		for i := range ids {
+			ids[i] = fmt.Sprintf("r%05d", i)
+		}
+		for i := 0; i < n/10; i++ { // repeats
+			ids = append(ids, id())
+		}
+		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+		edges := make([]data.ScoredPair, 3*clusterChunk+rng.Intn(clusterChunk))
+		for i := range edges {
+			a, b := id(), id()
+			switch rng.Intn(20) {
+			case 0:
+				b = a // self-loop
+			case 1:
+				a = fmt.Sprintf("x%04d", rng.Intn(500)) // missing from ids
+			case 2:
+				b = fmt.Sprintf("x%04d", rng.Intn(500))
+			case 3:
+				if i > 0 {
+					edges[i] = edges[rng.Intn(i)] // repeated edge
+					continue
+				}
+			}
+			edges[i] = edge(a, b, float64(rng.Intn(5))/4)
+		}
+		got, want := ConnectedComponents{}.Cluster(ids, edges), referenceComponents(ids, edges)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d, random order: %d clusters, reference %d", seed, len(got), len(want))
+		}
+		sorted := sortEdges(edges)
+		got, want = ConnectedComponents{}.Cluster(ids, sorted), referenceComponents(ids, sorted)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d, sorted: %d clusters, reference %d", seed, len(got), len(want))
+		}
+	}
+	if got := (ConnectedComponents{}).Cluster(nil, []data.ScoredPair{edge("b", "a", 1)}); !reflect.DeepEqual(got, data.Clustering{{"a", "b"}}) {
+		t.Errorf("edge over no ids: %v", got)
+	}
+	// An empty ID heading a chunk matches the memo's initial A.
+	ids, edges := []string{"", "a", "b"}, []data.ScoredPair{{Pair: data.Pair{A: "", B: "a"}, Score: 1}}
+	if got, want := (ConnectedComponents{}).Cluster(ids, edges), referenceComponents(ids, edges); !reflect.DeepEqual(got, want) {
+		t.Errorf("empty ID: %v, reference %v", got, want)
+	}
+}
+
+// BenchmarkConnectedComponents clusters a tenth of link_scale: 35,000
+// IDs in groups of 8 whose every pair is an edge, in the matcher's
+// output order.
+func BenchmarkConnectedComponents(b *testing.B) {
+	const n, group = 35_000, 8
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("s%d-r%d", i%16, i)
+	}
+	var edges []data.ScoredPair
+	for g := 0; g < n; g += group {
+		for i := g; i < g+group; i++ {
+			for j := i + 1; j < g+group; j++ {
+				edges = append(edges, edge(ids[i], ids[j], 1))
+			}
+		}
+	}
+	edges = sortEdges(edges)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ConnectedComponents{}.Cluster(ids, edges)
 	}
 }

@@ -73,7 +73,12 @@ func (fs *FellegiSunter) Train(d *data.Dataset, candidates []data.Pair, iteratio
 	if iterations <= 0 {
 		iterations = 20
 	}
-	PrepareComparatorIndexIDs(fs.Comparator, d, PairSlice(candidates).IDs(), 1)
+	ids := PairSlice(candidates).IDs()
+	recs := make([]*data.Record, len(ids))
+	for i, id := range ids {
+		recs[i] = d.Record(id)
+	}
+	PrepareComparatorIndex(fs.Comparator, recs, 1)
 
 	scratch := make([]float64, k)
 	vectors := make([][]int, 0, len(candidates))

@@ -171,7 +171,7 @@ func (inc *Incremental) Delete(id string) bool {
 	inc.recluster(id)
 	keys := dedupeKeys(inc.Key(r))
 	inc.dataset.RemoveRecord(id)
-	unindexRecord(comparatorOf(inc.Matcher), id)
+	unindexRecord(comparatorOf(inc.Matcher), r)
 	inc.n--
 	inc.dead[id] = keys
 	inc.deadRefs += len(keys)

@@ -31,24 +31,17 @@ func comparatorOf(m Matcher) *similarity.RecordComparator {
 	return nil
 }
 
-// PrepareComparatorIndexIDs builds a feature index over the given
-// records on up to workers goroutines and attaches it to the
-// comparator. It is a no-op when the comparator is nil or its attached
-// index already holds every one of the records present in the dataset
-// (so repeated batches over a stable corpus reuse the cache; an ID the
-// dataset lacks never forces a rebuild). IDs must be distinct. Not
-// safe to call concurrently with matching.
-func PrepareComparatorIndexIDs(c *similarity.RecordComparator, d *data.Dataset, ids []string, workers int) {
-	if c == nil || len(c.Fields()) == 0 || len(ids) == 0 {
+// PrepareComparatorIndex builds a feature index over recs on up to
+// workers goroutines and attaches it to the comparator. It is a no-op
+// when the comparator is nil or its attached index already holds every
+// one of the records (so repeated batches over a stable corpus reuse the
+// cache). Nil records are skipped. Not safe to call concurrently with
+// matching.
+func PrepareComparatorIndex(c *similarity.RecordComparator, recs []*data.Record, workers int) {
+	if c == nil || len(c.Fields()) == 0 || len(recs) == 0 {
 		return
 	}
-	recs := make([]*data.Record, 0, len(ids))
-	for _, id := range ids {
-		if r := d.Record(id); r != nil {
-			recs = append(recs, r)
-		}
-	}
-	if idx := c.Index(); idx != nil && !slices.ContainsFunc(recs, func(r *data.Record) bool { return !idx.Has(r) }) {
+	if idx := c.Index(); idx != nil && !slices.ContainsFunc(recs, func(r *data.Record) bool { return r != nil && !idx.Has(r) }) {
 		return
 	}
 	c.AttachIndex(similarity.BuildFeatureIndex(recs, c, workers))
@@ -61,11 +54,11 @@ func indexRecord(c *similarity.RecordComparator, r *data.Record) {
 	}
 }
 
-// unindexRecord drops id from the comparator's attached feature index,
+// unindexRecord drops r from the comparator's attached feature index,
 // if any.
-func unindexRecord(c *similarity.RecordComparator, id string) {
+func unindexRecord(c *similarity.RecordComparator, r *data.Record) {
 	if c != nil && c.Index() != nil {
-		c.Index().Remove(id)
+		c.Index().Remove(r)
 	}
 }
 

@@ -5,7 +5,10 @@
 // and incremental linkage for high-velocity streams.
 package linkage
 
-import "sort"
+import (
+	"slices"
+	"strings"
+)
 
 // UnionFind is a disjoint-set forest over string IDs with path
 // compression and union by rank. Each ID is interned to a dense slot;
@@ -14,9 +17,12 @@ import "sort"
 // its set, so a set can be enumerated — and dissolved — in time
 // proportional to its size without reading any other set.
 //
-// Find, Union and Same add IDs they have not seen (ConnectedComponents
-// relies on that for edge endpoints missing from its ids argument), so
-// asking about a removed ID brings it back as a singleton.
+// Find, Union and Same add IDs they have not seen, so asking about a
+// removed ID brings it back as a singleton. A forest made for a known
+// universe (newUnionFindOf) interns it up front; its slot table can then
+// be read by many goroutines at once while none writes the forest, which
+// is how ConnectedComponents resolves edge endpoints to slots in
+// parallel before it unions them on one goroutine.
 type UnionFind struct {
 	slot   map[string]int32
 	ids    []string // slot → ID
@@ -32,6 +38,23 @@ type UnionFind struct {
 // NewUnionFind returns an empty forest.
 func NewUnionFind() *UnionFind {
 	return &UnionFind{slot: map[string]int32{}, free: -1}
+}
+
+// newUnionFindOf returns a forest of ids as singletons, its tables sized
+// for them; a repeated ID is one element.
+func newUnionFindOf(ids []string) *UnionFind {
+	u := &UnionFind{
+		slot:   make(map[string]int32, len(ids)),
+		ids:    make([]string, 0, len(ids)),
+		parent: make([]int32, 0, len(ids)),
+		next:   make([]int32, 0, len(ids)),
+		rank:   make([]uint8, 0, len(ids)),
+		free:   -1,
+	}
+	for _, id := range ids {
+		u.intern(id)
+	}
+	return u
 }
 
 // Add ensures id exists as a singleton set.
@@ -74,8 +97,11 @@ func (u *UnionFind) find(s int32) int32 {
 func (u *UnionFind) Find(id string) string { return u.ids[u.find(u.intern(id))] }
 
 // Union merges the sets of a and b.
-func (u *UnionFind) Union(a, b string) {
-	ra, rb := u.find(u.intern(a)), u.find(u.intern(b))
+func (u *UnionFind) Union(a, b string) { u.union(u.intern(a), u.intern(b)) }
+
+// union merges the sets of slots a and b.
+func (u *UnionFind) union(a, b int32) {
+	ra, rb := u.find(a), u.find(b)
 	if ra == rb {
 		return
 	}
@@ -115,7 +141,7 @@ func (u *UnionFind) remove(id string) []string {
 	delete(u.slot, id)
 	u.ids[s], u.parent[s], u.next[s] = "", -1, u.free
 	u.free = s
-	sort.Strings(rest)
+	slices.Sort(rest)
 	return rest
 }
 
@@ -136,10 +162,12 @@ func (u *UnionFind) Sets() [][]string {
 			members = append(members, u.ids[m])
 		}
 		set := members[from:len(members):len(members)]
-		sort.Strings(set)
+		slices.Sort(set)
 		out = append(out, set)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
+	// Sets are disjoint, so their first members are distinct and the
+	// order is total.
+	slices.SortFunc(out, func(a, b []string) int { return strings.Compare(a[0], b[0]) })
 	return out
 }
 

@@ -32,12 +32,14 @@ import (
 // are exactly equal to the uncached metrics, so attaching an index
 // never changes match decisions for the built-in token metrics.
 //
-// An index belongs to the comparator that built it, and each entry
-// holds the record it was built from: the comparator reads an entry
-// only for that very record, and only from its own index. A stale
-// entry (an ID whose record has since been replaced), a foreign record
-// carrying an indexed ID, or an index another comparator built is
-// scored as if no index were attached.
+// An index belongs to the comparator that built it, and its entries are
+// keyed by the record they were built from: the comparator reads an
+// entry only for that very record, and only from its own index. A
+// record the index does not hold — a foreign record carrying an indexed
+// ID, say — and every record under an index another comparator built
+// score as if no index were attached. A replaced record that is still
+// indexed scores from its own features, so a caller replacing a record
+// removes the old one (Remove) only to free its entry.
 //
 // Dictionary IDs are never reused, so a long-lived index accumulates
 // the IDs of words no live record carries. The index does not bound
@@ -47,13 +49,7 @@ type FeatureIndex struct {
 	rc      *RecordComparator // the comparator that built the index
 	kernels []kernel
 	dict    *tokenize.Dict
-	feats   map[string]indexedRecord
-}
-
-// indexedRecord is one entry: the record and its per-field features.
-type indexedRecord struct {
-	rec *data.Record
-	ff  []fieldFeature
+	feats   map[*data.Record][]fieldFeature // a record's features, one per field
 }
 
 // fieldFeature caches one record's comparison features for one field.
@@ -110,94 +106,154 @@ const buildBlock = 1 << 12
 // BuildFeatureIndex tokenizes every record's attributes that rc
 // compares once and returns the resulting index, which only rc reads;
 // with no records it is an empty index to maintain with Add and Remove.
+// Nil records are skipped, and a record listed twice has one entry.
 //
-// Records are tokenised on up to workers goroutines (0 = NumCPU) in
-// blocks of buildBlock, and the calling goroutine interns each block in
-// record order; so every token ID, set and kernel result equals that of
-// Add called on the records in order.
+// Records go through in blocks of buildBlock, each in three passes. Up
+// to workers goroutines (0 = NumCPU) tokenise the block's records and
+// look each word up in the dictionary, which no one writes meanwhile;
+// the calling goroutine interns the words the lookup missed, in record
+// order; and the workers sort each set. So every token ID, set and
+// kernel result equals that of Add called on the records in order.
 func BuildFeatureIndex(records []*data.Record, rc *RecordComparator, workers int) *FeatureIndex {
 	idx := &FeatureIndex{
 		rc:      rc,
 		kernels: make([]kernel, len(rc.fields)),
 		dict:    tokenize.NewDict(),
-		feats:   make(map[string]indexedRecord, len(records)),
+		feats:   make(map[*data.Record][]fieldFeature, len(records)),
 	}
 	for i, f := range rc.fields {
 		idx.kernels[i] = kernelOf(f.Metric)
 	}
-	// Each block tokenises on the workers, then this goroutine interns it
-	// in record order; one block's tokens are the build's only transient
-	// state.
+	// One block's scratch is the build's only transient state, reused
+	// from block to block.
 	nf := len(rc.fields)
-	toks := make([]fieldTokens, min(len(records), buildBlock)*nf)
+	scratch := make([]fieldWords, min(len(records), buildBlock)*nf)
+	missed := make([]bool, min(len(records), buildBlock))
 	cfg := parallel.Config{Workers: workers}
-	for lo := 0; lo < len(records); lo += buildBlock {
-		blk := records[lo:min(lo+buildBlock, len(records))]
-		if err := parallel.ForEach(cfg, len(blk), func(i int) {
-			if blk[i] != nil {
-				idx.tokenise(blk[i], toks[i*nf:(i+1)*nf])
-			}
-		}); err != nil {
+	each := func(n int, f func(i int)) {
+		if err := parallel.ForEach(cfg, n, f); err != nil {
 			panic(err)
 		}
+	}
+	for lo := 0; lo < len(records); lo += buildBlock {
+		blk := records[lo:min(lo+buildBlock, len(records))]
+		sc := scratch[:len(blk)*nf]
+		each(len(blk), func(i int) {
+			missed[i] = blk[i] != nil && idx.lookup(blk[i], sc[i*nf:(i+1)*nf])
+		})
+		for i := range blk {
+			if missed[i] {
+				idx.internMissed(sc[i*nf : (i+1)*nf])
+			}
+		}
+		each(len(blk), func(i int) {
+			if blk[i] != nil {
+				for f := range sc[i*nf : (i+1)*nf] {
+					sc[i*nf+f].distinct()
+				}
+			}
+		})
+		ntok := 0
 		for i, r := range blk {
 			if r != nil {
-				idx.add(r, toks[i*nf:(i+1)*nf])
+				for _, w := range sc[i*nf : (i+1)*nf] {
+					ntok += len(w.ids)
+				}
 			}
+		}
+		// One slab of features and one of token IDs hold the block's
+		// entries.
+		ff, slab := make([]fieldFeature, len(sc)), make([]uint32, ntok)
+		for i, r := range blk {
+			if r == nil {
+				continue
+			}
+			for f, w := range sc[i*nf : (i+1)*nf] {
+				n := copy(slab, w.ids)
+				ff[i*nf+f] = fieldFeature{val: w.val, tokens: slab[:n:n]}
+				slab = slab[n:]
+			}
+			idx.feats[r] = ff[i*nf : (i+1)*nf : (i+1)*nf]
 		}
 	}
 	return idx
 }
 
-// fieldTokens is one field of one record tokenised but not interned:
-// the value and the words of its rendering.
-type fieldTokens struct {
+// fieldWords is one field of one record on its way into the index: the
+// value, the words of its rendering, and their IDs, noID for a word the
+// dictionary lacked at lookup.
+type fieldWords struct {
 	val   data.Value
 	words []string
+	ids   []uint32
 }
 
-// tokenise fills out with r's per-field tokens. It reads only r, so
-// records tokenise concurrently.
-func (idx *FeatureIndex) tokenise(r *data.Record, out []fieldTokens) {
+// noID marks a word lookup missed; a dictionary never hands it out.
+const noID = math.MaxUint32
+
+// lookup fills out with r's per-field words and the IDs the dictionary
+// already holds for them, reusing out's buffers, and reports whether any
+// word missed. It reads only r and the dictionary, so records look up
+// concurrently while nothing writes the dictionary.
+func (idx *FeatureIndex) lookup(r *data.Record, out []fieldWords) (missed bool) {
 	for i, f := range idx.rc.fields {
-		v := r.Get(f.Attr)
-		out[i] = fieldTokens{val: v, words: tokenize.Words(v.String())}
+		w := &out[i]
+		w.val = r.Get(f.Attr)
+		w.words = tokenize.AppendWords(w.words[:0], w.val.String())
+		w.ids = w.ids[:0]
+		for _, word := range w.words {
+			id, ok := idx.dict.ID(word)
+			if !ok {
+				id, missed = noID, true
+			}
+			w.ids = append(w.ids, id)
+		}
+	}
+	return missed
+}
+
+// internMissed interns the words lookup missed, in order.
+func (idx *FeatureIndex) internMissed(fields []fieldWords) {
+	for _, w := range fields {
+		for j, id := range w.ids {
+			if id == noID {
+				w.ids[j] = idx.dict.Intern(w.words[j])
+			}
+		}
 	}
 }
 
-// Add computes r's features, replacing any entry for r.ID. Not safe
-// concurrently with any other use of the index.
-func (idx *FeatureIndex) Add(r *data.Record) {
-	var buf [2]fieldTokens // most comparators compare one or two fields
-	toks := buf[:0]
-	if nf := len(idx.rc.fields); nf <= len(buf) {
-		toks = buf[:nf]
-	} else {
-		toks = make([]fieldTokens, nf)
-	}
-	idx.tokenise(r, toks)
-	idx.add(r, toks)
+// distinct sorts w's IDs and drops repeats, in place: WordSet semantics
+// over IDs.
+func (w *fieldWords) distinct() {
+	slices.Sort(w.ids)
+	w.ids = slices.Compact(w.ids)
 }
 
-// add interns r's tokenised fields as its entry, replacing any entry
-// for r.ID.
-func (idx *FeatureIndex) add(r *data.Record, toks []fieldTokens) {
-	ff := make([]fieldFeature, len(toks))
-	for i, t := range toks {
-		ff[i] = fieldFeature{val: t.val, tokens: idx.internWords(t.words)}
-	}
-	idx.feats[r.ID] = indexedRecord{rec: r, ff: ff}
-}
-
-// Remove drops the entry for id, if any. Not safe concurrently with any
+// Add computes r's features as its entry. Not safe concurrently with any
 // other use of the index.
-func (idx *FeatureIndex) Remove(id string) { delete(idx.feats, id) }
+func (idx *FeatureIndex) Add(r *data.Record) {
+	fields := make([]fieldWords, len(idx.rc.fields))
+	if idx.lookup(r, fields) {
+		idx.internMissed(fields)
+	}
+	ff := make([]fieldFeature, len(fields))
+	for i := range fields {
+		fields[i].distinct()
+		ff[i] = fieldFeature{val: fields[i].val, tokens: fields[i].ids}
+	}
+	idx.feats[r] = ff
+}
+
+// Remove drops r's entry, if any. Not safe concurrently with any other
+// use of the index.
+func (idx *FeatureIndex) Remove(r *data.Record) { delete(idx.feats, r) }
 
 // MarkHeld sets held[id] for every dictionary ID an entry carries and
 // returns how many it found unset; held spans the dictionary.
 func (idx *FeatureIndex) MarkHeld(held []bool) (n int) {
-	for _, e := range idx.feats {
-		for _, f := range e.ff {
+	for _, ff := range idx.feats {
+		for _, f := range ff {
 			for _, id := range f.tokens {
 				if !held[id] {
 					held[id] = true
@@ -217,8 +273,8 @@ func (idx *FeatureIndex) MarkHeld(held []bool) (n int) {
 // a copy.
 func (idx *FeatureIndex) Renumber(held []bool) {
 	fresh, renum := idx.dict.Renumber(held)
-	for _, e := range idx.feats {
-		for _, f := range e.ff {
+	for _, ff := range idx.feats {
+		for _, f := range ff {
 			for i, id := range f.tokens {
 				f.tokens[i] = renum[id]
 			}
@@ -227,17 +283,10 @@ func (idx *FeatureIndex) Renumber(held []bool) {
 	idx.dict = fresh
 }
 
-// internWords interns the words and returns their distinct IDs sorted:
-// WordSet semantics over IDs.
-func (idx *FeatureIndex) internWords(words []string) []uint32 {
-	ids := idx.dict.InternAll(words)
-	slices.Sort(ids)
-	return slices.Compact(ids)
-}
-
 // Has reports whether the index carries features built from r itself.
 func (idx *FeatureIndex) Has(r *data.Record) bool {
-	return r != nil && idx.feats[r.ID].rec == r
+	_, ok := idx.feats[r]
+	return ok
 }
 
 // Len returns the number of indexed records.
@@ -251,8 +300,8 @@ func (idx *FeatureIndex) Dict() *tokenize.Dict { return idx.dict }
 // holds no entry built from r itself. The slice is the index's own: the
 // caller must not modify it.
 func (idx *FeatureIndex) Tokens(r *data.Record, i int) []uint32 {
-	if e := idx.feats[r.ID]; e.rec == r {
-		return e.ff[i].tokens
+	if ff, ok := idx.feats[r]; ok {
+		return ff[i].tokens
 	}
 	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/data"
+	"repro/internal/datagen"
 	"repro/internal/obs"
 	"repro/internal/tokenize"
 )
@@ -218,10 +219,11 @@ func TestUnindexedRecordsFallBack(t *testing.T) {
 
 // TestIndexReadsOnlyItsOwnRecords pins that a cached entry is read only
 // for the record it was built from, and only by the comparator that
-// built the index: after an ID's record is replaced the old entry is
-// never read for the new record, a foreign record carrying an indexed
-// ID scores as if no index were attached, and so does every pair under
-// a comparator given another comparator's index.
+// built the index: after an ID's record is replaced (the old one
+// removed, the new one added) the old entry is never read for the new
+// record, a foreign record carrying an indexed ID scores as if no index
+// were attached, and so does every pair under a comparator given
+// another comparator's index.
 func TestIndexReadsOnlyItsOwnRecords(t *testing.T) {
 	recs := indexWorkload()
 	rc, plain := indexComparator(), indexComparator()
@@ -247,6 +249,7 @@ func TestIndexReadsOnlyItsOwnRecords(t *testing.T) {
 	// Replace recs[1] in the index; the stale record is no longer read
 	// from it, the new one is.
 	stale, fresh := recs[1], recs[1].Clone().Set("title", data.String("zenix photon blender"))
+	rc.Index().Remove(stale)
 	rc.Index().Add(fresh)
 	for _, other := range recs[2:] {
 		before := uncached.Value()
@@ -279,7 +282,8 @@ func TestIndexReadsOnlyItsOwnRecords(t *testing.T) {
 }
 
 // TestIndexAddRemoveMatchesBuild drives an index through random Adds —
-// of new records and of replacements under a live ID — and Removes, and
+// of new records and of replacements under a live ID, the old version
+// removed first — and Removes, and
 // after every step requires every pair of live records to score as
 // under BuildFeatureIndex over them, bit for bit, on a set-metric and a
 // TF-IDF comparator. The titles draw fresh words, so most of the
@@ -313,10 +317,13 @@ func TestIndexAddRemoveMatchesBuild(t *testing.T) {
 				}
 			}
 			r := base[rng.Intn(len(base))]
-			if _, ok := live[r.ID]; ok && rng.Intn(3) == 0 {
-				idx.Remove(r.ID)
+			if old, ok := live[r.ID]; ok && rng.Intn(3) == 0 {
+				idx.Remove(old)
 				delete(live, r.ID)
 			} else {
+				if ok {
+					idx.Remove(old)
+				}
 				r = r.Clone().Set("title", data.String(fmt.Sprintf("%s w%d", r.Get("title").String(), step)))
 				idx.Add(r)
 				live[r.ID] = r
@@ -345,8 +352,8 @@ func TestIndexAddRemoveMatchesBuild(t *testing.T) {
 // TestParallelBuildMatchesAddLoop: BuildFeatureIndex at any worker count
 // equals Add over the same records in order — interned IDs, every token
 // set and Compare bits — on a corpus spanning several
-// build blocks, with a repeated ID (the later record replaces the
-// earlier) and nil records, for a set-metric and a TF-IDF comparator.
+// build blocks, with a repeated ID (each record keeps its own entry)
+// and nil records, for a set-metric and a TF-IDF comparator.
 func TestParallelBuildMatchesAddLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	vocab := make([]string, 400)
@@ -400,15 +407,15 @@ func TestParallelBuildMatchesAddLoop(t *testing.T) {
 				t.Fatalf("%s workers=%d: %d IDs over %d records, the Add loop %d over %d",
 					c.name, workers, built.Dict().Len(), built.Len(), loop.Dict().Len(), loop.Len())
 			}
-			for id, want := range loop.feats {
-				got := built.feats[id]
-				if got.rec != want.rec {
-					t.Fatalf("%s workers=%d: %s indexes another record", c.name, workers, id)
+			for r, want := range loop.feats {
+				got, ok := built.feats[r]
+				if !ok {
+					t.Fatalf("%s workers=%d: %s is not indexed", c.name, workers, r.ID)
 				}
-				for i := range want.ff {
-					g, w := got.ff[i], want.ff[i]
+				for i := range want {
+					g, w := got[i], want[i]
 					if !g.val.Equal(w.val) || !slices.Equal(g.tokens, w.tokens) {
-						t.Fatalf("%s workers=%d: %s field %d differs from the Add loop", c.name, workers, id, i)
+						t.Fatalf("%s workers=%d: %s field %d differs from the Add loop", c.name, workers, r.ID, i)
 					}
 				}
 			}
@@ -419,5 +426,107 @@ func TestParallelBuildMatchesAddLoop(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestParallelBuildGrowingVocabulary: BuildFeatureIndex equals the Add
+// loop on a corpus whose vocabulary grows in every block — each record
+// brings a word first seen mid-block, repeats it, and repeats words of
+// the records just before it in the same block — so most records go
+// through the serial pass over the words the parallel lookup missed.
+// Every dictionary ID, token set and Compare bit must be the loop's.
+func TestParallelBuildGrowingVocabulary(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	n := 2*buildBlock + 777
+	recs := make([]*data.Record, n)
+	for i := range recs {
+		words := []string{fmt.Sprintf("new%d", i), fmt.Sprintf("w%d", rng.Intn(50))}
+		for k := 0; k < 3; k++ {
+			if j := i - 1 - rng.Intn(40); j >= 0 && j/buildBlock == i/buildBlock {
+				words = append(words, fmt.Sprintf("new%d", j))
+			}
+		}
+		words = append(words, words[0])
+		rng.Shuffle(len(words), func(a, b int) { words[a], words[b] = words[b], words[a] })
+		recs[i] = data.NewRecord(fmt.Sprintf("r%05d", i), "s1").
+			Set("title", data.String(strings.Join(words, " "))).
+			Set("brand", data.String(fmt.Sprintf("b%d new%d", rng.Intn(9), i)))
+	}
+	newRC := func() *RecordComparator {
+		return NewRecordComparator(FieldWeight{Attr: "title", Weight: 2, Metric: Jaccard}, FieldWeight{Attr: "brand", Weight: 1, Metric: CosineSet})
+	}
+	loopRC := newRC()
+	loop := BuildFeatureIndex(nil, loopRC, 1)
+	for _, r := range recs {
+		loop.Add(r)
+	}
+	loopRC.AttachIndex(loop)
+	for _, workers := range []int{1, 2, 8} {
+		builtRC := newRC()
+		built := BuildFeatureIndex(recs, builtRC, workers)
+		builtRC.AttachIndex(built)
+		if built.Dict().Len() != loop.Dict().Len() || built.Len() != loop.Len() {
+			t.Fatalf("workers=%d: %d IDs over %d records, the Add loop %d over %d",
+				workers, built.Dict().Len(), built.Len(), loop.Dict().Len(), loop.Len())
+		}
+		for id := 0; id < loop.Dict().Len(); id++ {
+			if got, want := built.Dict().Token(uint32(id)), loop.Dict().Token(uint32(id)); got != want {
+				t.Fatalf("workers=%d: ID %d is %q, the Add loop's %q", workers, id, got, want)
+			}
+		}
+		for _, r := range recs {
+			for f := range builtRC.Fields() {
+				if got, want := built.Tokens(r, f), loop.Tokens(r, f); !slices.Equal(got, want) {
+					t.Fatalf("workers=%d: %s field %d is %v, the Add loop's %v", workers, r.ID, f, got, want)
+				}
+			}
+		}
+		for i := 0; i < 3000; i++ {
+			a, b := recs[rng.Intn(n)], recs[rng.Intn(n)]
+			if got, want := builtRC.Compare(a, b), loopRC.Compare(a, b); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("workers=%d: %s~%s scores %v built, %v by the Add loop", workers, a.ID, b.ID, got, want)
+			}
+		}
+	}
+}
+
+// TestRemoveKeepsOtherVersion: two versions of one ID each keep their
+// entry, and removing one leaves the other's cached and scored.
+func TestRemoveKeepsOtherVersion(t *testing.T) {
+	recs := indexWorkload()
+	rc, plain := indexComparator(), indexComparator()
+	reg := obs.NewRegistry()
+	rc.AttachObs(reg)
+	rc.AttachIndex(BuildFeatureIndex(recs, rc, 2))
+	old := recs[0]
+	v2 := old.Clone().Set("title", data.String("zenix photon blender"))
+	rc.Index().Add(v2)
+	if !rc.Index().Has(old) || !rc.Index().Has(v2) || rc.Index().Len() != len(recs)+1 {
+		t.Fatalf("two versions of %s: Has %v/%v, %d entries", old.ID, rc.Index().Has(old), rc.Index().Has(v2), rc.Index().Len())
+	}
+	rc.Index().Remove(old)
+	if rc.Index().Has(old) || !rc.Index().Has(v2) || rc.Index().Tokens(old, 0) != nil || rc.Index().Tokens(v2, 0) == nil {
+		t.Fatal("removing one version did not keep exactly the other's entry")
+	}
+	uncached := reg.Counter("matching.uncached_compares")
+	for _, other := range recs[1:] {
+		before := uncached.Value()
+		if got, want := rc.Compare(v2, other), plain.Compare(v2, other); got != want {
+			t.Errorf("%s vs %s: %v, uncached %v", v2.ID, other.ID, got, want)
+		}
+		if uncached.Value() != before {
+			t.Fatalf("%s vs %s was not scored from the cache", v2.ID, other.ID)
+		}
+	}
+}
+
+// BenchmarkBuildFeatureIndex builds the title index of a tenth of
+// link_scale: 35,000 lean scale records, on 2 workers.
+func BenchmarkBuildFeatureIndex(b *testing.B) {
+	recs := datagen.ScaleRecords(datagen.ScaleConfig{Seed: 42, NumRecords: 35_000, GroupSize: 8})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		BuildFeatureIndex(recs, NewRecordComparator(FieldWeight{Attr: "title", Weight: 1, Metric: Jaccard}), 2)
 	}
 }

@@ -156,10 +156,9 @@ type FieldWeight struct {
 //
 // Attaching a FeatureIndex (AttachIndex) switches Compare and
 // FieldScoresInto to allocation-free cached kernels for every pair of
-// records the index holds; any other record — unindexed, or replaced
-// since its ID was indexed — falls back to the direct path, as does
-// every record when the index was built by another comparator, so a
-// stale, partial or foreign index degrades performance, never
+// records the index holds; any other record falls back to the direct
+// path, as does every record when the index was built by another
+// comparator, so a partial or foreign index degrades performance, never
 // correctness.
 type RecordComparator struct {
 	fields []FieldWeight
@@ -224,11 +223,10 @@ func (rc *RecordComparator) cachedFeatures(a, b *data.Record) (fa, fb []fieldFea
 	if idx == nil || idx.rc != rc {
 		return nil, nil, false
 	}
-	ea, eb := idx.feats[a.ID], idx.feats[b.ID]
-	if ea.rec != a || eb.rec != b {
-		return nil, nil, false
+	if fa, ok = idx.feats[a]; ok {
+		fb, ok = idx.feats[b]
 	}
-	return ea.ff, eb.ff, true
+	return fa, fb, ok
 }
 
 // fieldSim scores one field from cached features, dispatching to the

@@ -7,8 +7,11 @@ import "maps"
 // order and never reused; Renumber moves the IDs still in use into a
 // fresh Dict.
 //
-// One goroutine writes a Dict, and Freeze hands readers a copy they
-// keep reading while the writer goes on: base is never written once
+// One goroutine writes a Dict. ID and Token read it, so any number of
+// goroutines may call them at once while no write is in flight (a
+// parallel pass that looks words up and leaves the misses to one
+// interning goroutine). Freeze hands readers a copy they keep reading
+// while the writer goes on: base is never written once
 // made, top is copied before the first write after a Freeze, and Freeze
 // folds top into a new base once it passes an eighth of base. The token
 // list only grows, so a frozen copy never sees a write either.

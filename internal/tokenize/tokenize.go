@@ -8,12 +8,56 @@ import (
 	"slices"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Normalize lower-cases s, maps punctuation to spaces, collapses runs of
 // whitespace and trims. It is the canonical pre-processing step applied
 // before any string comparison in the pipeline.
+//
+// An all-ASCII s takes a byte path with the same output as the rune
+// path, and one already in normal form is returned as it is.
 func Normalize(s string) string {
+	clean := true // s is its own normal form
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			return normalizeRunes(s)
+		}
+		if clean && !isLowerAlnum(c) && (c != ' ' || i == 0 || i == len(s)-1 || s[i-1] == ' ') {
+			clean = false
+		}
+	}
+	if clean {
+		return s
+	}
+	var b strings.Builder
+	b.Grow(len(s))
+	prevSpace := true // leading spaces are trimmed
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case isLowerAlnum(c):
+			b.WriteByte(c)
+			prevSpace = false
+		case 'A' <= c && c <= 'Z':
+			b.WriteByte(c + 'a' - 'A')
+			prevSpace = false
+		default:
+			if !prevSpace {
+				b.WriteByte(' ')
+				prevSpace = true
+			}
+		}
+	}
+	return strings.TrimRight(b.String(), " ")
+}
+
+// isLowerAlnum reports whether the ASCII byte c is a lower-case letter
+// or a digit: a byte Normalize keeps as it is.
+func isLowerAlnum(c byte) bool { return 'a' <= c && c <= 'z' || '0' <= c && c <= '9' }
+
+// normalizeRunes is Normalize over runes, for any s.
+func normalizeRunes(s string) string {
 	var b strings.Builder
 	b.Grow(len(s))
 	prevSpace := true // leading spaces are trimmed
@@ -33,12 +77,23 @@ func Normalize(s string) string {
 }
 
 // Words splits s into normalised word tokens.
-func Words(s string) []string {
+func Words(s string) []string { return AppendWords(nil, s) }
+
+// AppendWords appends the normalised word tokens of s to dst and
+// returns the extended slice, so a hot loop can reuse one buffer.
+func AppendWords(dst []string, s string) []string {
 	n := Normalize(s)
 	if n == "" {
-		return nil
+		return dst
 	}
-	return strings.Split(n, " ")
+	dst = slices.Grow(dst, strings.Count(n, " ")+1)
+	for {
+		i := strings.IndexByte(n, ' ')
+		if i < 0 {
+			return append(dst, n)
+		}
+		dst, n = append(dst, n[:i]), n[i+1:]
+	}
 }
 
 // WordSet returns the distinct normalised words of s, sorted: the set

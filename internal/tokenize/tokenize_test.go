@@ -31,6 +31,35 @@ func TestNormalizeIdempotent(t *testing.T) {
 	}
 }
 
+// FuzzNormalize checks Normalize's ASCII byte path against the rune
+// path every input could take, and Words against splitting the result.
+func FuzzNormalize(f *testing.F) {
+	for _, s := range []string{
+		"", " ", "MiXeD CaSe Words", "nova camera pro 300", "a1B2c3", "123--456__789",
+		"!!!...???", "trailing sep, ", "trailing  ", " lead", "tab\there\nnewline",
+		"caf\u00e9 cr\u00e8me", "ascii then \xc3\xa9 mid", "ABC\x80def", "\xff\xfe bad utf8",
+		"half \xe2\x82 rune", "\x7f\x00 controls", "Z", "z", "0", "a  b   c",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, want := Normalize(s), normalizeRunes(s)
+		if got != want {
+			t.Fatalf("Normalize(%q) = %q, rune path %q", s, got, want)
+		}
+		words := Words(s)
+		if want == "" {
+			if words != nil {
+				t.Fatalf("Words(%q) = %q, want nil", s, words)
+			}
+			return
+		}
+		if !reflect.DeepEqual(words, strings.Split(want, " ")) {
+			t.Fatalf("Words(%q) = %q, want %q split", s, words, want)
+		}
+	})
+}
+
 func TestWords(t *testing.T) {
 	if got := Words("The quick, brown fox!"); !reflect.DeepEqual(got, []string{"the", "quick", "brown", "fox"}) {
 		t.Errorf("Words = %v", got)
