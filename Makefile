@@ -30,11 +30,14 @@ bench:
 	$(GO) run ./benchmark -compare benchmark/baseline.json .bench_build/new.json
 
 # Chaos gate under the race detector: the fault-injection sweep (E23),
-# then kill-mid-compaction at workers {1,2,8} with byte-identity of the
-# restored state, backup-file recovery, the committed v2 state file
-# loading compacted and draining to the uninterrupted run's output, the
-# codec corruption sweep, the linker's op-sequence corpus against its
-# full-rebuild oracle with the retraction cost curve, the same corpus through a linker that keeps a
+# then a kill around the save of an epoch that applied deletes at
+# workers {1,2,8} (TestStreamKillMidCompactionChaos, named for the
+# compaction it once guarded), backup-file recovery, the committed v2
+# state file loading without its tombstones and draining to the
+# uninterrupted run's output, the codec corruption sweep, the linker's
+# op-sequence corpus against its tombstoning reference and its own
+# rebuilt posting lists with the retraction cost curve and posting
+# bound, the same corpus through a linker that keeps a
 # feature index current against one that tokenizes every comparison
 # (down to deleting every record), the stream's op-sequence corpus against the
 # from-scratch publish with the publish cost curve and readers racing

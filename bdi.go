@@ -252,13 +252,13 @@ var (
 )
 
 // Mutable-stream re-exports — updates and deletions. A source's log
-// carries typed deltas (upsert/delete); the stream retracts deleted
-// records from posting lists and the partition (deterministic
-// recluster of the affected component), leaves tombstoned posting
-// slots that probes skip, and compacts its in-memory posting index when
-// the tombstone garbage ratio crosses StreamConfig.CompactRatio.
-// cmd/bdirun -stream-update-rate/-stream-delete-rate are the runnable
-// forms; E28 in cmd/bdibench is the churn evaluation.
+// carries typed deltas (upsert/delete); a delete takes the record out
+// of the dataset, the partition (deterministic recluster of the
+// affected component) and its keys' posting lists at once, so the
+// blocking index holds exactly the live records and the next publish
+// fuses their claims alone. cmd/bdirun
+// -stream-update-rate/-stream-delete-rate are the runnable forms; E28
+// in cmd/bdibench is the churn evaluation.
 type (
 	// Delta is one typed stream mutation: an upsert carrying a record,
 	// or a deletion carrying only the record ID.

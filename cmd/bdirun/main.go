@@ -77,7 +77,6 @@ func run() error {
 		streamState   = flag.String("stream-state", "", "stream state file: restored on start, saved at each epoch (empty = no persistence)")
 		streamUpdate  = flag.Float64("stream-update-rate", 0, "with -stream: churn this fraction of records as corrupt-then-correct updates")
 		streamDelete  = flag.Float64("stream-delete-rate", 0, "with -stream: churn this fraction of records as late deletions")
-		streamCompact = flag.Float64("stream-compact-ratio", 0, "with -stream: compact the in-memory posting index when tombstone garbage reaches this posting-slot ratio (0 = never)")
 	)
 	flag.Parse()
 
@@ -130,7 +129,6 @@ func run() error {
 			EpochSize:    *streamEpoch,
 			PublishEvery: *streamPublish,
 			StatePath:    *streamState,
-			CompactRatio: *streamCompact,
 			FusionN:      0,
 			Workers:      *workers,
 			Obs:          reg,
@@ -302,11 +300,10 @@ func churnFleet(d *data.Dataset, churn source.ChurnConfig, faultRate float64, fa
 }
 
 // runStream drives the velocity path: the delta fleet is replayed as an
-// epoch stream through incremental linkage with retraction, online
-// fusion over live claims only and optional auto-compaction, with the
-// final published view and cumulative costs reported instead of the
-// batch pipeline's stage table. planned is how many deletions the
-// churn scheduled.
+// epoch stream through incremental linkage with retraction and online
+// fusion over live claims only, with the final published view and
+// cumulative costs reported instead of the batch pipeline's stage
+// table. planned is how many deletions the churn scheduled.
 func runStream(ctx context.Context, cfg core.StreamConfig, fleet []source.DeltaSource,
 	totals map[string]int, planned int) error {
 	var last *core.Snapshot
@@ -327,8 +324,6 @@ func runStream(ctx context.Context, cfg core.StreamConfig, fleet []source.DeltaS
 		st.Ingested(), st.Deleted(), planned, st.Epoch(), elapsed.Round(time.Millisecond))
 	fmt.Printf("publishes: %d   comparisons: %d   clusters: %d   live records: %d\n",
 		st.Publishes(), st.Comparisons(), len(st.Clusters()), st.Dataset().NumRecords())
-	fmt.Printf("tombstones: %d live (garbage ratio %.3f)   compactions: %d\n",
-		st.Tombstones(), st.GarbageRatio(), st.Compactions())
 	if last != nil {
 		fmt.Printf("final view: %d entities\n", last.Len())
 	}

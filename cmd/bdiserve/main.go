@@ -81,7 +81,6 @@ func run() error {
 		streamEpoch     = flag.Int("stream-epoch", 100, "records per stream epoch")
 		streamStaleness = flag.Duration("stream-staleness", 2*time.Second, "maximum staleness window before a dirty view is republished")
 		streamState     = flag.String("stream-state", "", "stream state file: restored on start, saved at each epoch (empty = no persistence)")
-		streamCompact   = flag.Float64("stream-compact-ratio", 0, "compact the stream's in-memory posting index when tombstone garbage reaches this posting-slot ratio (0 = never)")
 	)
 	flag.Parse()
 
@@ -117,12 +116,11 @@ func run() error {
 		// window behind ingestion. POST /reindex is disabled — the
 		// stream owns the write path.
 		st, err := core.ResumeStream(core.StreamConfig{
-			EpochSize:    *streamEpoch,
-			Staleness:    *streamStaleness,
-			StatePath:    *streamState,
-			CompactRatio: *streamCompact,
-			Workers:      *workers,
-			Obs:          reg,
+			EpochSize: *streamEpoch,
+			Staleness: *streamStaleness,
+			StatePath: *streamState,
+			Workers:   *workers,
+			Obs:       reg,
 		}, func(snap *core.Snapshot) {
 			if srv != nil {
 				srv.Publish(snap)

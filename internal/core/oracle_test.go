@@ -159,7 +159,7 @@ func sameAccuracy(got, want map[string]float64) error {
 //
 //	0-2  upsert: an insert, an update of the same ID, or a revive
 //	3    delete: of a live, a never-inserted or an already-deleted ID
-//	4    Compact (odd content byte) or delete of an ID outside the pool
+//	4    delete of an ID outside the pool
 //	5    Publish
 //	6    Rebuild
 //	7    Save → LoadStream, and carry on with the restored stream
@@ -264,8 +264,6 @@ func FuzzStreamOps(f *testing.F) {
 					apply(source.Upsert(fuzzStreamRecord(id, ops[i], ops[i+1])))
 				case kind == 3:
 					apply(source.Deletion(id))
-				case kind == 4 && ops[i+1]%2 == 1:
-					s.Compact()
 				case kind == 4:
 					apply(source.Deletion(fmt.Sprintf("outsider%d", ops[i+1])))
 				case kind == 5 || kind == 6:

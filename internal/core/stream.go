@@ -36,13 +36,9 @@ type StreamConfig struct {
 	// (0 = its default 10).
 	FusionN float64
 
-	// CompactRatio enables automatic compaction of the in-memory
-	// posting index: when the incremental linker's garbage ratio
-	// (posting slots owned by tombstoned IDs) reaches this threshold
-	// after an epoch, the posting lists are rewritten dropping dead
-	// entries. 0 disables automatic compaction (Compact can still be
-	// called explicitly); compaction never changes match behaviour or
-	// the state file, only the size of the in-memory posting index.
+	// CompactRatio is ignored: a delete unlinks its posting slots at
+	// once, so there is nothing to compact. Kept only for
+	// benchmark/stream_churn.go.
 	CompactRatio float64
 
 	// Publishing cadence. PublishEvery > 0 republishes every that many
@@ -94,9 +90,6 @@ func (c StreamConfig) Validate() error {
 	if c.PublishEvery < 0 {
 		return fmt.Errorf("core: stream publish-every %d is negative", c.PublishEvery)
 	}
-	if c.CompactRatio < 0 || c.CompactRatio > 1 {
-		return fmt.Errorf("core: stream compact ratio %v outside [0,1]", c.CompactRatio)
-	}
 	if c.Workers < 0 {
 		return fmt.Errorf("core: stream workers %d is negative", c.Workers)
 	}
@@ -143,14 +136,13 @@ type Stream struct {
 	items     data.ItemView
 	fused     []fusion.Fused
 
-	epoch       int // completed epochs (also the next epoch's sequence)
-	ingested    int64
-	deleted     int64
-	compactions int64
-	publishes   int64
-	lastPub     time.Time
-	dirty       bool
-	stateLen    int // bytes of the last state encoded or loaded
+	epoch     int // completed epochs (also the next epoch's sequence)
+	ingested  int64
+	deleted   int64
+	publishes int64
+	lastPub   time.Time
+	dirty     bool
+	stateLen  int // bytes of the last state encoded or loaded
 }
 
 // NewStream builds a fresh stream processor. publish, when non-nil, is
@@ -213,9 +205,9 @@ func (s *Stream) ApplyEpoch(metas map[string]*data.Source, ep source.Epoch) erro
 
 // ApplyDeltas folds one epoch of changes into the incremental state:
 // upserts (re)insert into the online linker — a live record with the
-// same ID is retracted first — and deletes tombstone the record,
-// recluster its component and drop it from the dataset, so the next
-// publish rebuilds claims from live records only and online fusion
+// same ID is retracted first — and deletes unlink the record's posting
+// slots, recluster its component and drop it from the dataset, so the
+// next publish rebuilds claims from live records only and online fusion
 // never credits a ghost. Duplicate deletes and deletes of unknown IDs
 // are no-ops (a dirty upstream must not corrupt state). Cursors
 // advance to the epoch's resume points and the view becomes dirty.
@@ -265,35 +257,12 @@ func (s *Stream) ApplyDeltas(metas map[string]*data.Source, ep source.DeltaEpoch
 	reg.Counter("stream.epochs").Inc()
 	reg.Timer("stream.apply_time").Observe(time.Since(t0))
 	reg.Gauge("stream.staleness_seconds").Set(s.StalenessNow().Seconds())
-	reg.Gauge("stream.tombstones_live").Set(float64(s.inc.Tombstones()))
 	return nil
 }
 
-// Compact rewrites the linker's in-memory posting index dropping
-// tombstoned slots: match behaviour (probes skip the dead) and the saved
-// state (it holds no postings) are unchanged. It reports the reclaimed
-// posting slots, emptied keys and cleared tombstones.
-func (s *Stream) Compact() (slots, keys, tombstones int) {
-	reg := s.reg()
-	t0 := time.Now()
-	slots, keys, tombstones = s.inc.Compact()
-	if tombstones > 0 {
-		s.compactions++
-		reg.Counter("stream.compactions").Inc()
-		reg.Counter("stream.compacted_slots").Add(int64(slots))
-	}
-	reg.Timer("stream.compact_time").Observe(time.Since(t0))
-	reg.Gauge("stream.tombstones_live").Set(float64(s.inc.Tombstones()))
-	return slots, keys, tombstones
-}
-
-// maybeCompact runs Compact when the configured garbage-ratio trigger
-// fires.
-func (s *Stream) maybeCompact() {
-	if s.cfg.CompactRatio > 0 && s.inc.GarbageRatio() >= s.cfg.CompactRatio {
-		s.Compact()
-	}
-}
+// Compact reclaims nothing and returns zeros: deletes leave no posting
+// slots behind. Kept only for benchmark/stream_churn.go.
+func (s *Stream) Compact() (slots, keys, tombstones int) { return 0, 0, 0 }
 
 // StalenessNow reports how long the published view has been behind the
 // ingested state: zero when clean, time since the last publish while
@@ -352,9 +321,9 @@ func (s *Stream) Publish(ctx context.Context) (*Snapshot, error) {
 
 // RunDeltas drains a fleet as a stream: delta watch → epoch batches →
 // upsert/delete application → online fusion → snapshot publishing
-// within the staleness window, compacting on the garbage trigger and
-// persisting state every SaveEvery epochs when StatePath is set. A
-// dataset's records enter as source.FromDataset's upsert logs. totals
+// within the staleness window, persisting state every SaveEvery epochs
+// when StatePath is set. A dataset's records enter as
+// source.FromDataset's upsert logs. totals
 // declares each source's canonical log length (mandatory for wrapped
 // sources; see source.StreamConfig.Totals). It returns after every source is
 // drained (with a final publish and save) or on the first error.
@@ -392,15 +361,13 @@ func fleetMetas(fleet []source.DeltaSource) map[string]*data.Source {
 	return metas
 }
 
-// afterEpoch runs the per-epoch tail: publish cadence, garbage trigger,
-// save cadence.
+// afterEpoch runs the per-epoch tail: publish cadence, save cadence.
 func (s *Stream) afterEpoch(ctx context.Context) error {
 	if s.shouldPublish() {
 		if _, err := s.Publish(ctx); err != nil {
 			return err
 		}
 	}
-	s.maybeCompact()
 	if s.cfg.StatePath != "" && s.epoch%s.cfg.SaveEvery == 0 {
 		if err := s.Save(s.cfg.StatePath); err != nil {
 			return err
@@ -416,7 +383,6 @@ func (s *Stream) finish(ctx context.Context) error {
 			return err
 		}
 	}
-	s.maybeCompact()
 	if s.cfg.StatePath != "" {
 		return s.Save(s.cfg.StatePath)
 	}
@@ -435,16 +401,15 @@ func (s *Stream) Ingested() int64 { return s.ingested }
 // (no-op deletes excluded).
 func (s *Stream) Deleted() int64 { return s.deleted }
 
-// Compactions reports how many compaction passes actually reclaimed
-// tombstones.
-func (s *Stream) Compactions() int64 { return s.compactions }
+// Compactions returns 0: deletes leave no posting slots behind, so
+// nothing is ever compacted. Kept only for benchmark/stream_churn.go.
+func (s *Stream) Compactions() int64 { return 0 }
 
-// Tombstones reports how many deleted IDs still occupy posting slots.
-func (s *Stream) Tombstones() int { return s.inc.Tombstones() }
+// Tombstones returns 0. Kept only for benchmark/stream_churn.go.
+func (s *Stream) Tombstones() int { return 0 }
 
-// GarbageRatio reports the fraction of posting slots owned by
-// tombstoned IDs.
-func (s *Stream) GarbageRatio() float64 { return s.inc.GarbageRatio() }
+// GarbageRatio returns 0. Kept only for benchmark/stream_churn.go.
+func (s *Stream) GarbageRatio() float64 { return 0 }
 
 // Publishes reports how many snapshots have been published.
 func (s *Stream) Publishes() int64 { return s.publishes }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/data"
@@ -69,8 +70,14 @@ func TestStreamDeltasRetractDeletedRecords(t *testing.T) {
 			t.Errorf("accuracy[%s] = %v outside (0,1)", src, a)
 		}
 	}
-	if s.Tombstones() == 0 {
-		t.Log("note: all tombstones were exhumed by reinserts")
+	// Nor does the linker's blocking index: no posting list still holds a
+	// deleted record.
+	for k, ids := range s.inc.Postings() {
+		for _, id := range ids {
+			if deleted[id] {
+				t.Errorf("deleted record %s still posted under %q", id, k)
+			}
+		}
 	}
 }
 
@@ -120,83 +127,26 @@ func TestStreamDeltasDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestStreamCompactionNeutral pins that a compaction pass changes no
-// observable output: a stream with an aggressive garbage trigger drains
-// to the same fingerprint as one that never compacts, and writes the
-// same state file byte for byte — compaction shrinks only the
-// in-memory posting index.
-func TestStreamCompactionNeutral(t *testing.T) {
-	d := streamTestWeb(43, 40, 6)
-	fleet, totals, deleted := churnFleet(d, 7)
-	if len(deleted) == 0 {
-		t.Fatal("churn produced no deletions")
-	}
-
-	run := func(ratio float64, path string) *Stream {
-		s, err := NewStream(StreamConfig{
-			EpochSize: 8, PublishEvery: 2, CompactRatio: ratio, StatePath: path,
-		}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.RunDeltas(context.Background(), fleet, totals); err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-
-	dir := t.TempDir()
-	plainPath := filepath.Join(dir, "plain.state")
-	compactPath := filepath.Join(dir, "compact.state")
-	plain := run(0, plainPath)
-	compacted := run(0.01, compactPath)
-
-	if compacted.Compactions() == 0 {
-		t.Fatal("aggressive trigger never compacted")
-	}
-	if a, b := streamFingerprint(t, plain), streamFingerprint(t, compacted); a != b {
-		t.Errorf("compaction changed observable output:\n--- plain\n%s--- compacted\n%s", a, b)
-	}
-	ps, err := os.ReadFile(plainPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs, err := os.ReadFile(compactPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Tombstones() == 0 {
-		t.Fatal("the never-compacting run drained with no tombstones; churn too weak for the test")
-	}
-	if string(ps) != string(cs) {
-		t.Errorf("compacting run saved %d state bytes that differ from the never-compacting run's %d", len(cs), len(ps))
-	}
-}
-
-// TestStreamKillMidCompactionChaos is the crash gate for compaction:
-// at workers {1,2,8}, a compaction with tombstones live leaves the
-// encoded state byte-identical, and killing the process at every
-// interesting point of the compaction's save must leave (a) an on-disk
-// state byte-identical to it — never a torn hybrid — and (b) a stream
-// resumed from those bytes that drains to the same final fingerprint
-// as an uninterrupted run.
+// TestStreamKillMidCompactionChaos is the crash gate for a save that
+// follows deletes (the name is from when a delete left slots for a
+// compaction to sweep): at workers {1,2,8}, killing the process at
+// every interesting point of the save of an epoch that applied deletes
+// must leave an on-disk state that restores to one of the two encoded
+// states — never a torn hybrid — whose stream drains to the same final
+// fingerprint as an uninterrupted run; the state saved after the
+// deletes restores the crashed stream's posting lists.
 func TestStreamKillMidCompactionChaos(t *testing.T) {
 	d := streamTestWeb(44, 60, 8)
 	fleet, totals, deleted := churnFleet(d, 8)
 	if len(deleted) == 0 {
 		t.Fatal("churn produced no deletions")
 	}
-	metas := map[string]*data.Source{}
-	for _, s := range d.Sources() {
-		metas[s.ID] = s
-	}
+	metas := fleetMetas(fleet)
 
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			cfg := StreamConfig{EpochSize: 9, PublishEvery: 2, Workers: workers}
 
-			// Uninterrupted baseline (no compaction; compaction must not
-			// change the final output anyway).
 			base, err := NewStream(cfg, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -206,9 +156,10 @@ func TestStreamKillMidCompactionChaos(t *testing.T) {
 			}
 			want := streamFingerprint(t, base)
 
-			// Crashing run: drive epochs by hand with Run's cadence until
-			// the stream has accumulated garbage, then snapshot the state
-			// file right before and right after a compaction's save.
+			// Crashing run: drive epochs by hand with Run's cadence, saving
+			// after each, until an epoch past the first applies deletes;
+			// snapshot the state file right before and right after that
+			// epoch's save.
 			path := filepath.Join(t.TempDir(), "stream.state")
 			ccfg := cfg
 			ccfg.StatePath = path
@@ -222,8 +173,9 @@ func TestStreamKillMidCompactionChaos(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer str.Close()
-			const crashAfter = 1
+			var preBytes, postBytes []byte
 			for ep := range str.C {
+				deletes := crashed.Deleted()
 				if err := crashed.ApplyDeltas(metas, ep); err != nil {
 					t.Fatal(err)
 				}
@@ -232,53 +184,40 @@ func TestStreamKillMidCompactionChaos(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
+				if ep.Seq > 0 && crashed.Deleted() > deletes {
+					if preBytes, err = os.ReadFile(path); err != nil {
+						t.Fatal(err)
+					}
+				}
 				if err := crashed.Save(path); err != nil {
 					t.Fatal(err)
 				}
-				if ep.Seq == crashAfter {
+				if preBytes != nil {
+					if postBytes, err = os.ReadFile(path); err != nil {
+						t.Fatal(err)
+					}
 					break
 				}
 			}
+			if postBytes == nil {
+				t.Fatal("the stream drained without an epoch past the first applying deletes")
+			}
 			crashEpoch := crashed.Epoch()
-			if crashEpoch != crashAfter+1 {
-				t.Fatalf("stream drained at epoch %d before the crash point", crashEpoch)
-			}
-			if crashed.Tombstones() == 0 {
-				t.Fatalf("no tombstones by epoch %d; churn too weak for the test", crashAfter)
-			}
-			preBytes, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			slots, _, tombs := crashed.Compact()
-			if slots == 0 || tombs == 0 {
-				t.Fatalf("compaction reclaimed nothing (slots=%d tombs=%d)", slots, tombs)
-			}
-			if err := crashed.Save(path); err != nil {
-				t.Fatal(err)
-			}
-			postBytes, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(preBytes) != string(postBytes) {
-				t.Fatalf("compaction changed the encoded state: %d bytes before, %d after", len(preBytes), len(postBytes))
-			}
 
-			// Three kill points: before the compaction save committed
-			// (the previous save's bytes), mid-save with a stray temp
-			// file (those bytes + junk temp), and after (the
-			// compaction save's bytes). Each must restore to exactly the
-			// one encoded state and drain to the uninterrupted
+			// Three kill points: before the save committed (the previous
+			// epoch's bytes), mid-save with a stray temp file (those
+			// bytes + junk temp), and after (the save's bytes). Each must
+			// restore to its epoch and drain to the uninterrupted
 			// fingerprint.
 			scenarios := []struct {
 				name  string
 				bytes []byte
 				junk  bool
+				epoch int
 			}{
-				{"killed-before-save", preBytes, false},
-				{"killed-mid-save", preBytes, true},
-				{"killed-after-save", postBytes, false},
+				{"killed-before-save", preBytes, false, crashEpoch - 1},
+				{"killed-mid-save", preBytes, true, crashEpoch - 1},
+				{"killed-after-save", postBytes, false, crashEpoch},
 			}
 			for _, sc := range scenarios {
 				t.Run(sc.name, func(t *testing.T) {
@@ -294,19 +233,15 @@ func TestStreamKillMidCompactionChaos(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					onDisk, err := os.ReadFile(p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if string(onDisk) != string(preBytes) {
-						t.Fatal("state file is not the encoded state")
-					}
 					resumed, err := LoadStream(p, ccfg, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if resumed.Epoch() != crashEpoch {
-						t.Fatalf("restored at epoch %d, want %d", resumed.Epoch(), crashEpoch)
+					if resumed.Epoch() != sc.epoch {
+						t.Fatalf("restored at epoch %d, want %d", resumed.Epoch(), sc.epoch)
+					}
+					if sc.epoch == crashEpoch && !reflect.DeepEqual(resumed.inc.Postings(), crashed.inc.Postings()) {
+						t.Fatalf("restored postings\n%v\nthe crashed stream's\n%v", resumed.inc.Postings(), crashed.inc.Postings())
 					}
 					if err := resumed.RunDeltas(context.Background(), fleet, totals); err != nil {
 						t.Fatal(err)

@@ -36,7 +36,8 @@ import (
 // ends after the comparisons counter; v2 appends a delete counter and a
 // tombstone section; v3 drops both derived sections. Encoding writes
 // v3; decoding accepts all three, skipping the sections v3 dropped, so
-// an older file restores compacted.
+// an older file restores with posting lists rebuilt from its live
+// records, its tombstones gone.
 const (
 	streamStateMagic     = "BDISTATE"
 	streamStateVersion   = 3

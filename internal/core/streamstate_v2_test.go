@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/source"
@@ -108,9 +109,10 @@ func v1FixtureStream(t *testing.T) *Stream {
 }
 
 // TestV1StateLoadsThroughV2Codec is the compatibility gate: a v1
-// (pre-tombstone) state file — both freshly encoded and the committed
-// fixture — must load through the current codec with an empty
-// tombstone set, behave identically, and round-trip through a v3 save.
+// (pre-delete) state file must load through the current codec with the
+// original's posting lists rebuilt from its records (the file's own
+// posting section is skipped), behave identically, and round-trip
+// through a v3 save.
 func TestV1StateLoadsThroughV2Codec(t *testing.T) {
 	orig := v1FixtureStream(t)
 	cfg := StreamConfig{EpochSize: 7, PublishEvery: 2}
@@ -125,8 +127,11 @@ func TestV1StateLoadsThroughV2Codec(t *testing.T) {
 	if err != nil {
 		t.Fatalf("v1 state failed to load through the current codec: %v", err)
 	}
-	if loaded.Tombstones() != 0 || loaded.Deleted() != 0 {
-		t.Errorf("v1 load: tombstones=%d deleted=%d, want 0/0", loaded.Tombstones(), loaded.Deleted())
+	if loaded.Deleted() != 0 {
+		t.Errorf("v1 load: deleted=%d, want 0", loaded.Deleted())
+	}
+	if a, b := orig.inc.Postings(), loaded.inc.Postings(); !reflect.DeepEqual(a, b) {
+		t.Errorf("v1 load: postings\n%v\nthe original's\n%v", b, a)
 	}
 	if a, b := streamFingerprint(t, orig), streamFingerprint(t, loaded); a != b {
 		t.Errorf("v1-loaded stream fingerprint differs:\n--- original\n%s--- loaded\n%s", a, b)
@@ -148,10 +153,11 @@ func TestV1StateLoadsThroughV2Codec(t *testing.T) {
 
 // TestV1CommittedFixtureStillLoads guards old -stream-state files in
 // the wild: the committed v1 fixture must keep loading through every
-// future codec revision, with an empty tombstone set, and survive a
-// save/reload round trip under the current version; encodeStateV1 must
-// still reproduce it byte for byte. (The fixture is self-seeding on
-// first run so it can be committed from a clean tree.)
+// future codec revision, with the posting lists of the stream it was
+// cut from, and survive a save/reload round trip under the current
+// version; encodeStateV1 must still reproduce it byte for byte. (The
+// fixture is self-seeding on first run so it can be committed from a
+// clean tree.)
 func TestV1CommittedFixtureStillLoads(t *testing.T) {
 	fixture := filepath.Join("testdata", "streamstate_v1.bin")
 	committed, err := os.ReadFile(fixture)
@@ -182,8 +188,11 @@ func TestV1CommittedFixtureStillLoads(t *testing.T) {
 	if err != nil {
 		t.Fatalf("committed v1 fixture failed to load: %v", err)
 	}
-	if loaded.Tombstones() != 0 || loaded.Deleted() != 0 {
-		t.Errorf("fixture load: tombstones=%d deleted=%d, want 0/0", loaded.Tombstones(), loaded.Deleted())
+	if loaded.Deleted() != 0 {
+		t.Errorf("fixture load: deleted=%d, want 0", loaded.Deleted())
+	}
+	if a, b := v1FixtureStream(t).inc.Postings(), loaded.inc.Postings(); !reflect.DeepEqual(a, b) {
+		t.Errorf("fixture load: postings\n%v\nthe original's\n%v", b, a)
 	}
 	if loaded.Epoch() == 0 || loaded.Ingested() == 0 {
 		t.Errorf("fixture load looks empty: epoch=%d ingested=%d", loaded.Epoch(), loaded.Ingested())
@@ -211,8 +220,10 @@ func v2Fixture() (fleet []source.DeltaSource, totals map[string]int, cfg StreamC
 
 // TestV2CommittedFixtureLoadsCompacted guards v2 state files: the
 // committed fixture, whose tombstone section is non-empty, loads with
-// no tombstones (the postings are rebuilt from the records) and drains
-// to the uninterrupted run's fingerprint.
+// the posting lists of a stream that applied the same two epochs, which
+// hold no deleted record (they are rebuilt from the records; the file's
+// posting and tombstone sections are skipped), and drains to the
+// uninterrupted run's fingerprint.
 func TestV2CommittedFixtureLoadsCompacted(t *testing.T) {
 	committed, err := os.ReadFile(filepath.Join("testdata", "streamstate_v2.bin"))
 	if err != nil {
@@ -240,9 +251,29 @@ func TestV2CommittedFixtureLoadsCompacted(t *testing.T) {
 	if err != nil {
 		t.Fatalf("committed v2 fixture failed to load: %v", err)
 	}
-	if loaded.Epoch() != 2 || loaded.Deleted() != 2 || loaded.Tombstones() != 0 || loaded.GarbageRatio() != 0 {
-		t.Fatalf("fixture load: epoch=%d deleted=%d tombstones=%d garbage=%v, want 2/2/0/0",
-			loaded.Epoch(), loaded.Deleted(), loaded.Tombstones(), loaded.GarbageRatio())
+	if loaded.Epoch() != 2 || loaded.Deleted() != 2 {
+		t.Fatalf("fixture load: epoch=%d deleted=%d, want 2/2", loaded.Epoch(), loaded.Deleted())
+	}
+	cut, err := NewStream(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	str, err := source.NewDeltaStreamer(context.Background(), fleet, source.StreamConfig{EpochSize: cfg.EpochSize, Totals: totals})
+	if err != nil {
+		t.Fatal(err)
+	}
+	metas := fleetMetas(fleet)
+	for ep := range str.C {
+		if err := cut.ApplyDeltas(metas, ep); err != nil {
+			t.Fatal(err)
+		}
+		if cut.Epoch() == loaded.Epoch() {
+			break
+		}
+	}
+	str.Close()
+	if a, b := cut.inc.Postings(), loaded.inc.Postings(); cut.Deleted() != 2 || !reflect.DeepEqual(a, b) {
+		t.Fatalf("fixture load: postings\n%v\nafter the same %d epochs (%d deletes)\n%v", b, cut.Epoch(), cut.Deleted(), a)
 	}
 	if err := loaded.RunDeltas(context.Background(), fleet, totals); err != nil {
 		t.Fatal(err)

@@ -1,12 +1,9 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -21,14 +18,6 @@ type E28Result struct {
 	BatchF1     []float64 // from-scratch run over the same live records
 	MaxGap      float64   // max |StreamF1 - BatchF1| over all checkpoints
 	Deletes     int64     // effective deletes applied by the stream
-	// Tombstones live at drain before any compaction ran, and the final
-	// persisted state size of the runs with and without a compaction
-	// trigger. The two runs must agree on every observable
-	// (CompactionNeutral) and write the same state bytes (StateIdentical).
-	Tombstones        int
-	StateBytes        int64
-	StateIdentical    bool
-	CompactionNeutral bool
 }
 
 // E28 — mutable-stream churn: a delta stream carrying 10% updates and
@@ -37,10 +26,7 @@ type E28Result struct {
 // from-scratch run of the same engine over exactly those records. The
 // gap stays within 0.01 at every checkpoint: retraction plus
 // deterministic reclustering keeps the online partition equivalent to
-// one that never saw the dead records. A second pair of runs persists
-// state with and without a compaction trigger: outputs and state files
-// are identical, since the state holds only the live records and
-// compaction shrinks only the in-memory posting index.
+// one that never saw the dead records.
 func E28(seed int64) (*Table, *E28Result, error) {
 	web := dirtyWeb(seed, 300, 12, 1)
 	d := web.Dataset
@@ -69,7 +55,7 @@ func E28(seed int64) (*Table, *E28Result, error) {
 	res := &E28Result{}
 	tab := &Table{
 		ID: "E28", Title: "churn stream vs from-scratch batch under updates and deletes",
-		Columns: []string{"live corpus", "stream F1", "batch F1", "gap", "tombstones"},
+		Columns: []string{"live corpus", "stream F1", "batch F1", "gap"},
 	}
 
 	str, err := source.NewDeltaStreamer(context.Background(), fleet, source.StreamConfig{
@@ -110,60 +96,15 @@ func E28(seed int64) (*Table, *E28Result, error) {
 			fmt.Sprintf("%.4f", streamF1),
 			fmt.Sprintf("%.4f", batchF1),
 			fmt.Sprintf("%.4f", gap),
-			d1(st.Tombstones()),
 		})
 	}
 	if err := str.Err(); err != nil {
 		return nil, nil, err
 	}
 	res.Deletes = st.Deleted()
-	res.Tombstones = st.Tombstones()
-
-	// Compaction leg: the same churn through two persisted streams, one
-	// never compacting and one with an aggressive garbage trigger.
-	dir, err := os.MkdirTemp("", "e28-state-")
-	if err != nil {
-		return nil, nil, err
-	}
-	defer os.RemoveAll(dir)
-	persist := func(ratio float64, name string) (*core.Stream, []byte, error) {
-		path := filepath.Join(dir, name)
-		pcfg := cfg
-		pcfg.StatePath = path
-		pcfg.CompactRatio = ratio
-		ps, err := core.NewStream(pcfg, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := ps.RunDeltas(context.Background(), fleet, totals); err != nil {
-			return nil, nil, err
-		}
-		state, err := os.ReadFile(path)
-		return ps, state, err
-	}
-	plain, plainState, err := persist(0, "plain.state")
-	if err != nil {
-		return nil, nil, err
-	}
-	compacted, compactState, err := persist(0.01, "compact.state")
-	if err != nil {
-		return nil, nil, err
-	}
-	res.StateBytes = int64(len(plainState))
-	res.StateIdentical = bytes.Equal(plainState, compactState)
-	fa, err := e27Fingerprint(plain)
-	if err != nil {
-		return nil, nil, err
-	}
-	fb, err := e27Fingerprint(compacted)
-	if err != nil {
-		return nil, nil, err
-	}
-	res.CompactionNeutral = fa == fb
-
 	tab.Notes = fmt.Sprintf(
-		"churn 10%% updates / 5%% deletes over %d records; %d deletes, max F1 gap vs from-scratch %.4f; state %dB with and without compaction (identical=%v, neutral=%v)",
-		d.NumRecords(), res.Deletes, res.MaxGap, res.StateBytes, res.StateIdentical, res.CompactionNeutral)
+		"churn 10%% updates / 5%% deletes over %d records; %d deletes, max F1 gap vs from-scratch %.4f",
+		d.NumRecords(), res.Deletes, res.MaxGap)
 	return tab, res, nil
 }
 

@@ -1,7 +1,8 @@
 package linkage
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/data"
 	"repro/internal/parallel"
@@ -174,16 +175,13 @@ func centerOf(role map[string]string, id string) string {
 	return id
 }
 
+// sortEdges returns the edges in descending score order (cmp.Compare's:
+// NaNs last), then ascending pair, so the order depends on the edge set
+// alone.
 func sortEdges(edges []data.ScoredPair) []data.ScoredPair {
-	sorted := append([]data.ScoredPair(nil), edges...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Score != sorted[j].Score {
-			return sorted[i].Score > sorted[j].Score
-		}
-		if sorted[i].A != sorted[j].A {
-			return sorted[i].A < sorted[j].A
-		}
-		return sorted[i].B < sorted[j].B
+	sorted := slices.Clone(edges)
+	slices.SortFunc(sorted, func(x, y data.ScoredPair) int {
+		return cmp.Or(cmp.Compare(y.Score, x.Score), cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B))
 	})
 	return sorted
 }

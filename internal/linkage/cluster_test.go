@@ -2,8 +2,10 @@ package linkage
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/data"
@@ -119,6 +121,51 @@ func TestClusterersCoverAllIDs(t *testing.T) {
 			if !seen[id] {
 				t.Errorf("%s: id %s missing from clustering", name, id)
 			}
+		}
+	}
+}
+
+// TestClusterersIgnoreEdgeOrderWithNaN pins that every clusterer's
+// output depends on its edge set alone, not on the order the edges come
+// in, also when some scores are NaN: a seeded 30-ID, 60-edge graph with
+// a quarter of its scores NaN, and a sixth of its endpoints outside the
+// IDs, clusters the same under 50 shuffles.
+func TestClusterersIgnoreEdgeOrderWithNaN(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	ids := make([]string, 30)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("r%02d", i)
+	}
+	edges := make([]data.ScoredPair, 60)
+	for i := range edges {
+		a, b := rng.Intn(len(ids)), rng.Intn(len(ids)-1)
+		if b >= a {
+			b++
+		}
+		score := float64(rng.Intn(8)) / 8
+		if i%4 == 0 {
+			score = math.NaN()
+		}
+		edges[i] = edge(ids[a], ids[b], score)
+		if i%6 == 0 {
+			edges[i] = edge(ids[a], fmt.Sprintf("x%d", b%5), score)
+		}
+	}
+	for name, c := range map[string]Clusterer{
+		"cc": ConnectedComponents{}, "center": Center{},
+		"merge": MergeCenter{}, "corr": CorrelationClustering{},
+	} {
+		want := c.Cluster(ids, edges)
+		differ, rng := 0, rand.New(rand.NewSource(2))
+		for range 50 {
+			shuffled := slices.Clone(edges)
+			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			if got := c.Cluster(ids, shuffled); !reflect.DeepEqual(got, want) {
+				differ++
+			}
+		}
+		if differ > 0 {
+			t.Errorf("%s: %d of 50 shuffles of the same edges cluster differently", name, differ)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package linkage
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/data"
@@ -38,8 +40,9 @@ func (cc CorrelationClustering) Cluster(ids []string, edges []data.ScoredPair) d
 		addEdge(e.B, e.A, e.Score)
 	}
 
-	// Pivot order: heaviest node first, ties by ID for determinism.
-	// Edges may mention nodes not in ids; include them too.
+	// Pivot order: heaviest node first (cmp.Compare's order, NaN weights
+	// last), ties by ID for determinism. Edges may mention nodes not in
+	// ids; include them too.
 	inOrder := make(map[string]bool, len(ids))
 	order := append([]string(nil), ids...)
 	for _, id := range ids {
@@ -51,12 +54,8 @@ func (cc CorrelationClustering) Cluster(ids []string, edges []data.ScoredPair) d
 			order = append(order, id)
 		}
 	}
-	sort.Slice(order, func(i, j int) bool {
-		wi, wj := weight[order[i]], weight[order[j]]
-		if wi != wj {
-			return wi > wj
-		}
-		return order[i] < order[j]
+	slices.SortFunc(order, func(a, b string) int {
+		return cmp.Or(cmp.Compare(weight[b], weight[a]), cmp.Compare(a, b))
 	})
 
 	clustered := map[string]bool{}

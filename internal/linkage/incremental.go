@@ -14,13 +14,12 @@ import (
 // against records sharing a blocking key (an inverted index is
 // maintained online) and merged into existing clusters via union-find.
 // Cost per insert is proportional to the record's block sizes and cost
-// per delete to the size of the record's component, not to the corpus.
+// per delete to the size of the record's component and of its keys'
+// posting lists, not to the corpus.
 //
-// Deletion is tombstoning: the dead record leaves the dataset and the
-// partition immediately (its component is reclustered), but its posting
-// entries stay behind as garbage until Compact rewrites the lists —
-// probes skip tombstoned IDs, so match behaviour is identical whether
-// or not a compaction has run.
+// A deleted record leaves the dataset, the partition (its component is
+// reclustered) and its posting lists at once, so the lists always hold
+// exactly the live records in insertion order.
 //
 // A feature index attached to the Matcher's comparator is told of every
 // record as it enters (Insert, FromState) and leaves (Delete), so it
@@ -38,25 +37,12 @@ type Incremental struct {
 	MaxBlock int
 
 	dataset *data.Dataset
-	index   map[string][]string // key → record IDs (may contain tombstoned IDs)
+	index   map[string][]string // key → live record IDs, in insertion order
 	uf      *UnionFind
 	sets    [][]string // uf.Sets() until the next Insert or Delete; nil when stale
 	n       int
 	// comparisons counts pairwise match calls, for the E7 cost metric.
 	comparisons int
-
-	// dead maps each tombstoned record ID to the posting keys it still
-	// occupies — exactly dedupeKeys(Key(r)) at death, since records are
-	// never mutated after insert. Entries leave via Compact or when the
-	// ID is re-inserted (the stale slots are exhumed first, so a revived
-	// record is only ever probed under its current keys); a linker
-	// restored by FromState starts with none.
-	dead map[string][]string
-	// postRefs counts every posting-list slot (live + dead); deadRefs
-	// counts the tombstoned ones. Their ratio is the garbage metric
-	// compaction triggers on.
-	postRefs int
-	deadRefs int
 }
 
 // NewIncremental returns an empty incremental linker over its own
@@ -69,7 +55,6 @@ func NewIncremental(key func(r *data.Record) []string, m Matcher) *Incremental {
 		dataset:  data.NewDataset(),
 		index:    map[string][]string{},
 		uf:       NewUnionFind(),
-		dead:     map[string][]string{},
 	}
 }
 
@@ -81,18 +66,12 @@ func TitleTokenKey(r *data.Record) []string {
 }
 
 // Insert adds a record, links it against its block neighbours and
-// returns the IDs of the records it matched. Inserting an ID that is
-// currently tombstoned revives it: the stale posting slots from its
-// previous life are exhumed first, so the record is only ever probed
-// under the keys of the version being inserted.
+// returns the IDs of the records it matched.
 func (inc *Incremental) Insert(src *data.Source, r *data.Record) ([]string, error) {
 	if inc.dataset.Source(src.ID) == nil {
 		if err := inc.dataset.AddSource(src); err != nil {
 			return nil, err
 		}
-	}
-	if keys, ok := inc.dead[r.ID]; ok {
-		inc.exhume(r.ID, keys)
 	}
 	if err := inc.dataset.AddRecord(r); err != nil {
 		return nil, fmt.Errorf("linkage: incremental insert: %w", err)
@@ -106,30 +85,10 @@ func (inc *Incremental) Insert(src *data.Source, r *data.Record) ([]string, erro
 	var matched []string
 	for _, k := range dedupeKeys(inc.Key(r)) {
 		ids := inc.index[k]
-		// The stop-token gate counts live entries only, so match
-		// decisions do not depend on whether a compaction has already
-		// swept this list. The count stops once it is past the gate: a
-		// stop-token's list is never read to its end.
-		live := len(ids)
-		if live > inc.MaxBlock && inc.deadRefs > 0 {
-			live = 0
-			for _, id := range ids {
-				if _, gone := inc.dead[id]; !gone {
-					if live++; live > inc.MaxBlock {
-						break
-					}
-				}
-			}
-		}
-		if inc.MaxBlock <= 0 || live <= inc.MaxBlock {
+		if inc.MaxBlock <= 0 || len(ids) <= inc.MaxBlock {
 			for _, other := range ids {
 				if seen[other] {
 					continue
-				}
-				if inc.deadRefs > 0 {
-					if _, gone := inc.dead[other]; gone {
-						continue
-					}
 				}
 				seen[other] = true
 				inc.comparisons++
@@ -140,7 +99,6 @@ func (inc *Incremental) Insert(src *data.Source, r *data.Record) ([]string, erro
 			}
 		}
 		inc.index[k] = append(ids, r.ID)
-		inc.postRefs++
 	}
 	return matched, nil
 }
@@ -159,22 +117,30 @@ func (inc *Incremental) Upsert(src *data.Source, r *data.Record) (matched []stri
 
 // Delete retracts a record: it leaves the dataset immediately, its
 // cluster component is deterministically reclustered without it, and
-// its posting slots are tombstoned (skipped by probes, reclaimed by
-// Compact). Deleting an unknown or already-deleted ID is a no-op
-// reporting false — duplicate and early deletes from a dirty upstream
-// must not corrupt state.
+// its slot is cut out of each of its keys' posting lists, the other
+// entries keeping their order. Deleting an unknown or already-deleted
+// ID is a no-op reporting false — duplicate and early deletes from a
+// dirty upstream must not corrupt state.
 func (inc *Incremental) Delete(id string) bool {
 	r := inc.dataset.Record(id)
 	if r == nil {
 		return false
 	}
 	inc.recluster(id)
-	keys := dedupeKeys(inc.Key(r))
+	for _, k := range dedupeKeys(inc.Key(r)) {
+		ids := inc.index[k]
+		if i := slices.Index(ids, id); i >= 0 {
+			ids = slices.Delete(ids, i, i+1)
+		}
+		if len(ids) == 0 {
+			delete(inc.index, k)
+		} else {
+			inc.index[k] = ids
+		}
+	}
 	inc.dataset.RemoveRecord(id)
 	unindexRecord(comparatorOf(inc.Matcher), r)
 	inc.n--
-	inc.dead[id] = keys
-	inc.deadRefs += len(keys)
 	return true
 }
 
@@ -195,71 +161,6 @@ func (inc *Incremental) recluster(id string) {
 			}
 		}
 	}
-}
-
-// exhume removes the stale posting slots of a tombstoned ID (first
-// occurrence in each of its death keys) ahead of its re-insertion.
-func (inc *Incremental) exhume(id string, keys []string) {
-	for _, k := range keys {
-		ids := inc.index[k]
-		for i, other := range ids {
-			if other == id {
-				inc.index[k] = append(ids[:i], ids[i+1:]...)
-				inc.postRefs--
-				inc.deadRefs--
-				break
-			}
-		}
-		if len(inc.index[k]) == 0 {
-			delete(inc.index, k)
-		}
-	}
-	delete(inc.dead, id)
-}
-
-// Compact rewrites every posting list dropping tombstoned slots and
-// clears the tombstone set — the garbage-collection half of deletion.
-// List order of surviving entries is preserved, so probe behaviour
-// (and therefore all future match decisions) is unchanged; only the
-// encoded state shrinks. It reports how many posting slots, emptied
-// keys and tombstones were reclaimed.
-func (inc *Incremental) Compact() (slots, keys, tombstones int) {
-	if len(inc.dead) == 0 {
-		return 0, 0, 0
-	}
-	for k, ids := range inc.index {
-		keep := ids[:0]
-		for _, id := range ids {
-			if _, gone := inc.dead[id]; gone {
-				slots++
-			} else {
-				keep = append(keep, id)
-			}
-		}
-		if len(keep) == 0 {
-			delete(inc.index, k)
-			keys++
-		} else {
-			inc.index[k] = keep
-		}
-	}
-	tombstones = len(inc.dead)
-	inc.dead = map[string][]string{}
-	inc.postRefs -= slots
-	inc.deadRefs = 0
-	return slots, keys, tombstones
-}
-
-// Tombstones reports how many deleted IDs still occupy posting slots.
-func (inc *Incremental) Tombstones() int { return len(inc.dead) }
-
-// GarbageRatio reports the fraction of posting slots owned by
-// tombstoned IDs — the metric a compaction trigger thresholds on.
-func (inc *Incremental) GarbageRatio() float64 {
-	if inc.postRefs == 0 {
-		return 0
-	}
-	return float64(inc.deadRefs) / float64(inc.postRefs)
 }
 
 // Clusters returns a copy of the current clustering, the caller's own.
@@ -284,6 +185,11 @@ func (inc *Incremental) Partition() [][]string {
 // Len returns the number of inserted records.
 func (inc *Incremental) Len() int { return inc.n }
 
+// Postings returns the posting lists: key → the live records carrying
+// it, in insertion order, which is the probe order. Shared: callers must
+// not modify it.
+func (inc *Incremental) Postings() map[string][]string { return inc.index }
+
 // Comparisons returns the cumulative number of pairwise match calls.
 func (inc *Incremental) Comparisons() int { return inc.comparisons }
 
@@ -293,13 +199,12 @@ func (inc *Incremental) Dataset() *data.Dataset { return inc.dataset }
 // IncrementalState is the serializable core of an incremental linker:
 // its primary data, from which everything else Insert consults is
 // derived. Records keep insertion order — the probe order — so the
-// posting lists FromState rebuilds from them hold exactly the live
-// entries of the original's, in the same order, and a restored linker
+// posting lists FromState rebuilds from them equal the original's, and
+// a restored linker
 // compares exactly the pairs the original would have. The partition is
 // stored in Sets' canonical form, so Clusters() of a restored linker is
 // byte-identical to the original's regardless of the union-find's
-// internal tree shape. Tombstones are not part of the state: a restored
-// linker starts compacted.
+// internal tree shape.
 type IncrementalState struct {
 	Sources     []*data.Source
 	Records     []*data.Record // insertion order, live records only
@@ -325,8 +230,7 @@ func (inc *Incremental) State() *IncrementalState {
 // built under — a different key or matcher silently changes future
 // linkage decisions). Each record is appended to its posting lists in
 // record order, the append Insert makes without the probe, so the lists
-// are the original's with their tombstoned slots compacted away — which
-// no probe reads. MaxBlock is restored to the default; override it
+// are the original's. MaxBlock is restored to the default; override it
 // after construction if the original differed.
 func FromState(st *IncrementalState, key func(r *data.Record) []string, m Matcher) (*Incremental, error) {
 	inc := NewIncremental(key, m)
@@ -345,7 +249,6 @@ func FromState(st *IncrementalState, key func(r *data.Record) []string, m Matche
 		inc.n++
 		for _, k := range dedupeKeys(key(r)) {
 			inc.index[k] = append(inc.index[k], r.ID)
-			inc.postRefs++
 		}
 	}
 	// A partition member that is not a restored record would reach

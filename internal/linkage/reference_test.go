@@ -3,9 +3,11 @@ package linkage
 // The parent commit's forest and incremental linker, bodies unchanged
 // (only renamed with a ref prefix): a map[string]string forest whose
 // Sets sorts every ID, a recluster that rebuilds the whole partition to
-// split one component, and an Insert that copies each posting list it
-// probes. They are the oracle the dense forest and the component-local
-// retraction are compared against, op by op, in oracle_test.go.
+// split one component, an Insert that copies each posting list it
+// probes, and a Delete that leaves its posting slots behind as
+// tombstones until Compact sweeps them. They are the oracle the dense
+// forest, the component-local retraction and the unlinking delete are
+// compared against, op by op, in oracle_test.go.
 
 import (
 	"fmt"

@@ -12,6 +12,20 @@ func retractRecord(id, title string) *data.Record {
 	return data.NewRecord(id, "s").Set("title", data.String(title))
 }
 
+// checkPostings fails unless inc's posting lists are the ones FromState
+// rebuilds from its State: each live record once under each of its
+// keys, in insertion order, and nothing else.
+func checkPostings(tb testing.TB, where string, inc *Incremental) {
+	tb.Helper()
+	rebuilt, err := FromState(inc.State(), TitleTokenKey, incMatcher())
+	if err != nil {
+		tb.Fatalf("%s: FromState of the linker's own State: %v", where, err)
+	}
+	if !reflect.DeepEqual(inc.index, rebuilt.index) {
+		tb.Fatalf("%s: postings %v, the rebuilt ones %v", where, inc.index, rebuilt.index)
+	}
+}
+
 func TestIncrementalDeleteNeverInserted(t *testing.T) {
 	inc := NewIncremental(TitleTokenKey, incMatcher())
 	src := &data.Source{ID: "s"}
@@ -21,9 +35,10 @@ func TestIncrementalDeleteNeverInserted(t *testing.T) {
 	if inc.Delete("ghost") {
 		t.Error("deleting a never-inserted ID must report false")
 	}
-	if inc.Len() != 1 || inc.Tombstones() != 0 {
-		t.Errorf("no-op delete mutated state: len=%d tombstones=%d", inc.Len(), inc.Tombstones())
+	if inc.Len() != 1 {
+		t.Errorf("no-op delete mutated state: len=%d", inc.Len())
 	}
+	checkPostings(t, "after a no-op delete", inc)
 	// The linker keeps working after the no-op.
 	if m, err := inc.Insert(src, retractRecord("r2", "acme rocket skate pro")); err != nil || len(m) != 1 {
 		t.Fatalf("insert after no-op delete: %v %v", m, err)
@@ -44,8 +59,11 @@ func TestIncrementalDeleteSameIDTwice(t *testing.T) {
 	if inc.Delete("r0") {
 		t.Error("second delete of the same ID must be a no-op")
 	}
-	if inc.Len() != 1 || inc.Tombstones() != 1 {
-		t.Errorf("after duplicate delete: len=%d tombstones=%d, want 1/1", inc.Len(), inc.Tombstones())
+	if inc.Len() != 1 {
+		t.Errorf("after duplicate delete: len=%d, want 1", inc.Len())
+	}
+	if want := map[string][]string{"acme": {"r1"}, "rocket": {"r1"}, "skate": {"r1"}, "pro": {"r1"}}; !reflect.DeepEqual(inc.index, want) {
+		t.Errorf("postings after duplicate delete %v, want %v", inc.index, want)
 	}
 	clusters := inc.Clusters()
 	if len(clusters) != 1 || len(clusters[0]) != 1 || clusters[0][0] != "r1" {
@@ -107,8 +125,8 @@ func TestIncrementalDeleteSplitsTransitiveCluster(t *testing.T) {
 
 // TestIncrementalDeleteThenReinsertEqualsInsertOnly pins that a
 // delete + reinsert of the same record converges to the insert-only
-// partition: the revived record re-earns exactly its old links and the
-// stale posting slots from its first life never distort probing.
+// partition: the revived record re-earns exactly its old links, and
+// its first life leaves nothing in the posting lists.
 func TestIncrementalDeleteThenReinsertEqualsInsertOnly(t *testing.T) {
 	titles := []struct{ id, title string }{
 		{"r0", "acme rocket skate"},
@@ -148,79 +166,17 @@ func TestIncrementalDeleteThenReinsertEqualsInsertOnly(t *testing.T) {
 	if got != want {
 		t.Errorf("delete-then-reinsert partition %s differs from insert-only %s", got, want)
 	}
-	if churned.Tombstones() != 0 {
-		t.Errorf("reinsert left %d tombstones, want 0 (stale slots must be exhumed)", churned.Tombstones())
-	}
+	checkPostings(t, "after delete and reinsert", churned)
 	if churned.Len() != insertOnly.Len() {
 		t.Errorf("len %d vs %d", churned.Len(), insertOnly.Len())
 	}
 }
 
-// TestIncrementalCompactPreservesBehaviour pins compaction neutrality:
-// a compacted and an uncompacted linker with identical histories make
-// identical decisions on every subsequent operation.
-func TestIncrementalCompactPreservesBehaviour(t *testing.T) {
-	src := &data.Source{ID: "s"}
-	seedOps := func(inc *Incremental) {
-		for i := 0; i < 20; i++ {
-			r := retractRecord(fmt.Sprintf("r%02d", i), fmt.Sprintf("brand%d gadget model%d common", i%5, i))
-			if _, err := inc.Insert(src, r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, id := range []string{"r03", "r07", "r11"} {
-			if !inc.Delete(id) {
-				t.Fatalf("delete %s failed", id)
-			}
-		}
-	}
-	plain := NewIncremental(TitleTokenKey, incMatcher())
-	compacted := NewIncremental(TitleTokenKey, incMatcher())
-	seedOps(plain)
-	seedOps(compacted)
-
-	slots, _, tombs := compacted.Compact()
-	if slots == 0 || tombs != 3 {
-		t.Fatalf("compact reclaimed %d slots / %d tombstones, want >0 / 3", slots, tombs)
-	}
-	if compacted.GarbageRatio() != 0 {
-		t.Errorf("garbage ratio after compact = %v, want 0", compacted.GarbageRatio())
-	}
-	if again, _, _ := compacted.Compact(); again != 0 {
-		t.Errorf("second compact reclaimed %d slots, want 0", again)
-	}
-
-	// Both linkers consume the same follow-up stream, including a revive
-	// of a deleted ID; every observable must stay in lockstep.
-	follow := []struct{ id, title string }{
-		{"r03", "brand3 gadget model3 common"}, // revive
-		{"r20", "brand0 gadget model0 common"},
-		{"r21", "fresh unrelated item"},
-	}
-	for _, rc := range follow {
-		m1, err1 := plain.Insert(src, retractRecord(rc.id, rc.title))
-		m2, err2 := compacted.Insert(src, retractRecord(rc.id, rc.title))
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		if fmt.Sprint(m1) != fmt.Sprint(m2) {
-			t.Fatalf("insert %s matched %v (plain) vs %v (compacted)", rc.id, m1, m2)
-		}
-	}
-	if a, b := fmt.Sprint(plain.Clusters()), fmt.Sprint(compacted.Clusters()); a != b {
-		t.Errorf("clusters diverged after compaction:\n%s\n%s", a, b)
-	}
-	if plain.Comparisons() != compacted.Comparisons() {
-		t.Errorf("comparisons %d vs %d", plain.Comparisons(), compacted.Comparisons())
-	}
-}
-
-// TestIncrementalStateRoundTripWithTombstones extends the PR 9
-// round-trip contract to deleted state: State / FromState drops the
-// tombstones, so the restored linker starts compacted, and it keeps
-// behaving identically to the original — its posting lists are the
-// original's after a compaction.
-func TestIncrementalStateRoundTripWithTombstones(t *testing.T) {
+// TestIncrementalStateRoundTripAfterDeletes extends the round-trip
+// contract to deleted state: a linker restored from the State of one
+// that applied deletes holds the original's posting lists and keeps
+// behaving identically to it.
+func TestIncrementalStateRoundTripAfterDeletes(t *testing.T) {
 	src := &data.Source{ID: "s"}
 	orig := NewIncremental(TitleTokenKey, incMatcher())
 	for i := 0; i < 10; i++ {
@@ -236,11 +192,8 @@ func TestIncrementalStateRoundTripWithTombstones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if orig.Tombstones() != 2 {
-		t.Fatalf("original holds %d tombstones, want 2", orig.Tombstones())
-	}
-	if restored.Tombstones() != 0 || restored.GarbageRatio() != 0 {
-		t.Fatalf("restored tombstones %d, garbage ratio %v, want 0 and 0", restored.Tombstones(), restored.GarbageRatio())
+	if !reflect.DeepEqual(orig.index, restored.index) {
+		t.Fatalf("restored postings are not the original's:\n%v\n%v", restored.index, orig.index)
 	}
 	for i, inc := range []*Incremental{orig, restored} {
 		m, err := inc.Insert(src, retractRecord("probe", "widget mk1 shared"))
@@ -249,7 +202,7 @@ func TestIncrementalStateRoundTripWithTombstones(t *testing.T) {
 		}
 		for _, id := range m {
 			if id == "r4" || id == "r8" {
-				t.Fatalf("linker %d matched tombstoned record %s", i, id)
+				t.Fatalf("linker %d matched deleted record %s", i, id)
 			}
 		}
 	}
@@ -259,12 +212,8 @@ func TestIncrementalStateRoundTripWithTombstones(t *testing.T) {
 	if orig.Comparisons() != restored.Comparisons() {
 		t.Errorf("comparisons %d vs %d", orig.Comparisons(), restored.Comparisons())
 	}
-
-	if slots, _, _ := orig.Compact(); slots == 0 {
-		t.Error("the original's compaction reclaimed no slots")
-	}
 	if !reflect.DeepEqual(orig.index, restored.index) {
-		t.Errorf("restored postings are not the compacted original's:\n%v\n%v", restored.index, orig.index)
+		t.Errorf("postings diverged after the probe:\n%v\n%v", orig.index, restored.index)
 	}
 }
 
@@ -288,8 +237,8 @@ func TestFromStateRejectsGhosts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("a state placing every record once must load: %v", err)
 	}
-	if got := fmt.Sprint(inc.Clusters()); got != "[[a b]]" || inc.Len() != 2 || inc.Tombstones() != 0 {
-		t.Fatalf("restored clusters %s, len %d, tombstones %d", got, inc.Len(), inc.Tombstones())
+	if got := fmt.Sprint(inc.Clusters()); got != "[[a b]]" || inc.Len() != 2 {
+		t.Fatalf("restored clusters %s, len %d", got, inc.Len())
 	}
 	if want := map[string][]string{"acme": {"a", "b"}, "rocket": {"a", "b"}, "skate": {"a", "b"}, "pro": {"b"}}; !reflect.DeepEqual(inc.index, want) {
 		t.Fatalf("restored postings %v, want %v", inc.index, want)
@@ -349,7 +298,8 @@ func deleteCostCorpus(tb testing.TB, singletons int) (inc *Incremental, src *dat
 // five-record component allocates the same, walks the same forest slots
 // and touches the same two dataset list slots whether 2,000 or 20,000
 // unrelated records sit beside it, and endless churn reuses forest slots
-// instead of growing the arrays.
+// instead of growing the arrays and leaves in the posting lists exactly
+// the live records' slots.
 func TestDeleteCostIndependentOfCorpus(t *testing.T) {
 	measure := func(singletons int) (allocs float64, visits, listVisits int) {
 		inc, src, member := deleteCostCorpus(t, singletons)
@@ -396,6 +346,14 @@ func TestDeleteCostIndependentOfCorpus(t *testing.T) {
 	if inc.uf.Len() != 100 {
 		t.Errorf("forest tracks %d IDs, want the 100 live records", inc.uf.Len())
 	}
+	slots := 0
+	for _, ids := range inc.index {
+		slots += len(ids)
+	}
+	if len(inc.index) != 199 || slots != 215 {
+		t.Errorf("posting lists hold %d keys and %d slots after 10,000 insert/delete cycles, want the 100 live records' 199 and 215", len(inc.index), slots)
+	}
+	checkPostings(t, "after 10,000 insert/delete cycles", inc)
 }
 
 // BenchmarkIncrementalDelete times the same delete + reinsert cycle.
