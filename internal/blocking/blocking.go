@@ -145,7 +145,7 @@ func TokenKey(attrs ...string) KeyFunc {
 			if v.IsNull() {
 				continue
 			}
-			keys = append(keys, tokenize.Words(v.String())...)
+			keys = tokenize.AppendWords(keys, v.String())
 		}
 		return keys
 	}
@@ -157,7 +157,7 @@ func AllTokensKey() KeyFunc {
 	return func(r *data.Record) []string {
 		var keys []string
 		for _, f := range r.Fields() {
-			keys = append(keys, tokenize.Words(f.Value.String())...)
+			keys = tokenize.AppendWords(keys, f.Value.String())
 		}
 		return keys
 	}

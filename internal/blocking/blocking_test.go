@@ -239,3 +239,25 @@ func TestBlockingInvariantNoSelfPairs(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// raceEnabled reports a -race build, whose instrumentation changes
+// allocation counts.
+var raceEnabled bool
+
+// TestTokenKeysAllocateOnce: the token keys of a normalised three-word
+// title cost one allocation, the key slice the words are appended to.
+func TestTokenKeysAllocateOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	r := rec("r1", "canon eos camera")
+	for name, key := range map[string]KeyFunc{"TokenKey": TokenKey("title"), "AllTokensKey": AllTokensKey()} {
+		var keys []string
+		if n := testing.AllocsPerRun(100, func() { keys = key(r) }); n != 1 {
+			t.Errorf("%s: %v allocations per call, want 1", name, n)
+		}
+		if len(keys) != 3 {
+			t.Errorf("%s: keys %q, want three words", name, keys)
+		}
+	}
+}

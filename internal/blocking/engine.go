@@ -55,20 +55,56 @@ type ranker struct {
 	ids []string // rank → ID, sorted ascending, distinct
 }
 
+// rankChunk floors the entries newRanker sorts per chunk, so a small ID
+// table is not split into chunks that cost more to merge than to sort.
+const rankChunk = 1 << 10
+
+// idPos is one (ID, position) entry of newRanker's sort.
+type idPos struct {
+	id  string
+	pos int
+}
+
 // newRanker returns the ranker of ids and the rank of each of them, in
-// ids' order. One sort of (ID, position) entries places every ID: its
-// rank is its place among the distinct sorted IDs, so equal IDs share a
-// rank.
-func newRanker(ids []string) (*ranker, []uint32) {
-	type entry struct {
-		id  string
-		pos int
+// ids' order. The (ID, position) entries are sorted in one chunk per
+// worker, in parallel, and the sorted chunks merged pairwise, also in
+// parallel; an ID's rank is its place among the distinct sorted IDs, so
+// equal IDs share a rank and the ranks do not depend on the worker
+// count. The error is a recovered worker panic.
+func newRanker(workers int, ids []string) (*ranker, []uint32, error) {
+	cfg := parallel.Config{Workers: workers}
+	if workers <= 0 {
+		workers = runtime.NumCPU()
 	}
-	ents := make([]entry, len(ids))
+	ents := make([]idPos, len(ids))
 	for i, id := range ids {
-		ents[i] = entry{id, i}
+		ents[i] = idPos{id, i}
 	}
-	slices.SortFunc(ents, func(a, b entry) int { return strings.Compare(a.id, b.id) })
+	k := max(min(workers, len(ents)/rankChunk), 1)
+	bounds := make([]int, k+1) // chunk c is ents[bounds[c]:bounds[c+1]]
+	for c := range bounds {
+		bounds[c] = len(ents) * c / k
+	}
+	err := parallel.ForEach(cfg, k, func(c int) {
+		slices.SortFunc(ents[bounds[c]:bounds[c+1]], func(a, b idPos) int { return strings.Compare(a.id, b.id) })
+	})
+	var tmp []idPos
+	if k > 1 {
+		tmp = make([]idPos, len(ents))
+	}
+	// Round by round, merge each pair of neighbouring sorted runs of
+	// width chunks into tmp; a run without a partner is copied as it is.
+	for width := 1; err == nil && width < k; width *= 2 {
+		err = parallel.ForEach(cfg, (k+2*width-1)/(2*width), func(j int) {
+			lo := bounds[2*j*width]
+			mid, hi := bounds[min((2*j+1)*width, k)], bounds[min((2*j+2)*width, k)]
+			mergeIDs(tmp[lo:hi], ents[lo:mid], ents[mid:hi])
+		})
+		ents, tmp = tmp, ents
+	}
+	if err != nil {
+		return &ranker{}, make([]uint32, len(ids)), err
+	}
 	rk := &ranker{ids: make([]string, 0, len(ids))}
 	ranks := make([]uint32, len(ids))
 	for _, e := range ents {
@@ -77,7 +113,21 @@ func newRanker(ids []string) (*ranker, []uint32) {
 		}
 		ranks[e.pos] = uint32(len(rk.ids) - 1)
 	}
-	return rk, ranks
+	return rk, ranks, nil
+}
+
+// mergeIDs merges the ID-sorted a and b into dst (len(a)+len(b) long).
+func mergeIDs(dst, a, b []idPos) {
+	i, j := 0, 0
+	for w := range dst {
+		if j == len(b) || i < len(a) && a[i].id <= b[j].id {
+			dst[w] = a[i]
+			i++
+		} else {
+			dst[w] = b[j]
+			j++
+		}
+	}
 }
 
 // pairCode packs two record ranks into one uint64 with the smaller
@@ -137,11 +187,16 @@ type Opts struct {
 	Shards int
 	// PairMemBudget, when > 0, bounds the bytes of packed pair codes
 	// held in RAM during candidate generation. A pass whose raw pair
-	// codes would exceed it spills sorted runs of (code, position)
-	// entries to temp files and streams the deduplicated result back
-	// through a k-way loser-tree merge. It bounds pair codes only: the
-	// records, the ID interning tables and the block index stay
-	// resident, as do the caller's feature index and matched edges.
+	// codes (8 bytes each) would exceed it spills radix-sorted runs of
+	// (code, position) entries to temp files, merges them once into
+	// deduplicated position buckets, and replays the set from those on
+	// every read. Run generation splits the budget across the shards
+	// (each running shard also holds a radix scratch of its buffer's
+	// size); a replay holds one dense code array of budget/16 slots
+	// (half the budget's bytes) plus one presence bit per slot. It bounds
+	// pair codes only: the records, the ID interning tables and the
+	// block index stay resident, as do the caller's feature index and
+	// matched edges.
 	PairMemBudget int64
 	// SpillDir is the directory for spill runs ("" = os.TempDir()).
 	SpillDir string
@@ -191,7 +246,9 @@ func NewEngineOpts(records []*data.Record, o Opts) *Engine {
 	for i, r := range records {
 		ids[i] = r.ID
 	}
-	e.rk, e.ranks = newRanker(ids)
+	var err error
+	e.rk, e.ranks, err = newRanker(o.Workers, ids)
+	e.sink.check(err)
 	return e
 }
 
@@ -404,9 +461,10 @@ func (e *Engine) sweep(rows [][]uint32) []uint64 {
 // in-block input order. Two strategies produce that byte-identical
 // order, chosen by the one thing the code can observe — the raw pair
 // bytes against Opts.PairMemBudget: the in-memory sweep, or, past the
-// budget, external generation that spills sorted runs to temp files
-// and streams the deduplicated result through k-way loser-tree merges.
-// Spill-backed sets must be released with Close.
+// budget, external generation that spills sorted runs to temp files,
+// merges them once into deduplicated position buckets and replays
+// those by position (see spill.go). Spill-backed sets must be released
+// with Close.
 func (x *Indexed) CandidateSet() *CandidateSet {
 	e := x.eng
 	if e.sink.failed() {
@@ -447,7 +505,7 @@ func (x *Indexed) Pairs() []data.Pair {
 // materialising a []data.Pair.
 //
 // A set built under a pair-memory budget is spill-backed: its codes
-// live in sorted run files on disk (ext != nil) and stream through
+// live in position-bucket run files on disk (ext != nil) and stream through
 // EmitCodes/EmitPairs like an in-memory set's; Close must be called to
 // remove the set's run directory.
 type CandidateSet struct {

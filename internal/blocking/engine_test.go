@@ -786,8 +786,10 @@ func TestBlockingNeverPanics(t *testing.T) {
 	}
 }
 
-// TestNewRankerRepeatedIDs pins the one-sort ranker against the sorted
-// distinct IDs and a binary search per ID, on IDs with repeats.
+// TestNewRankerRepeatedIDs pins the chunk-sorting, pairwise-merging
+// ranker against the sorted distinct IDs and a binary search per ID, on
+// IDs with repeats, at worker counts that give one chunk, two, an odd
+// number and eight.
 func TestNewRankerRepeatedIDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{0, 1, 2, 17, 5000} {
@@ -795,19 +797,24 @@ func TestNewRankerRepeatedIDs(t *testing.T) {
 		for i := range ids {
 			ids[i] = fmt.Sprintf("s%d-r%d", rng.Intn(4), rng.Intn(n/2+1))
 		}
-		rk, ranks := newRanker(ids)
 		want := slices.Clone(ids)
 		slices.Sort(want)
 		want = slices.Compact(want)
-		if !slices.Equal(rk.ids, want) {
-			t.Fatalf("n=%d: rank table %v, want %v", n, rk.ids, want)
-		}
-		if len(ranks) != n {
-			t.Fatalf("n=%d: %d ranks", n, len(ranks))
-		}
-		for i, id := range ids {
-			if r, _ := slices.BinarySearch(want, id); ranks[i] != uint32(r) {
-				t.Fatalf("n=%d: %s at %d ranks %d, want %d", n, id, i, ranks[i], r)
+		for _, w := range []int{1, 2, 3, 8} {
+			rk, ranks, err := newRanker(w, ids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(rk.ids, want) {
+				t.Fatalf("n=%d workers=%d: rank table %v, want %v", n, w, rk.ids, want)
+			}
+			if len(ranks) != n {
+				t.Fatalf("n=%d workers=%d: %d ranks", n, w, len(ranks))
+			}
+			for i, id := range ids {
+				if r, _ := slices.BinarySearch(want, id); ranks[i] != uint32(r) {
+					t.Fatalf("n=%d workers=%d: %s at %d ranks %d, want %d", n, w, id, i, ranks[i], r)
+				}
 			}
 		}
 	}

@@ -20,11 +20,13 @@ package blocking
 // floating-point result is independent of the worker and shard count)
 // followed by a deterministic k-way sorted merge, the same shape as
 // the spilling pair generator. The fused stream is byte-identical for
-// any Workers/Shards combination, and spills to disk run files when it
-// exceeds the engine's PairMemBudget, so downstream matching streams
-// it in bounded batches exactly like a spilled blocking pass.
+// any Workers/Shards combination, and spills to position-bucket run
+// files when it exceeds the engine's PairMemBudget, so downstream
+// matching streams it in bounded batches exactly like a spilled
+// blocking pass.
 
 import (
+	"bufio"
 	"cmp"
 	"fmt"
 	"math"
@@ -44,16 +46,6 @@ const DefaultRRFK = 60
 // patterns, so the complement inverts the order. Scores are strict
 // sums of positive terms, never zero, negative or NaN.
 func fusedKey(score float64) uint64 { return ^math.Float64bits(score) }
-
-// byKeyCode orders fused entries by (packed score key, code) —
-// descending score, ties by ascending code. Codes are unique across
-// entries, so the order is total.
-func byKeyCode(a, b pe) int {
-	if c := cmp.Compare(a.pos, b.pos); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.code, b.code)
-}
 
 // FuseRanked runs every blocker's Ranked pass over the engine — all
 // streams share its interned rank space — and fuses the ranked streams
@@ -96,7 +88,8 @@ func (e *Engine) FuseRanked(k float64, blockers ...RankedBlocker) *CandidateSet 
 // floating-point scores, and therefore the fused order, are identical
 // for any worker or shard count.
 func (e *Engine) fuseRRF(k float64, streams [][]uint64) []pe {
-	// Per-stream code-sorted entries, pos = rank.
+	// Per-stream code-sorted entries, pos = rank: built in rank order,
+	// so the stable radix sort on code leaves them in (code, pos) order.
 	ents := make([][]pe, len(streams))
 	err := parallel.ForEach(e.cfg, len(streams), func(s int) {
 		codes := streams[s]
@@ -104,7 +97,7 @@ func (e *Engine) fuseRRF(k float64, streams [][]uint64) []pe {
 		for i, c := range codes {
 			es[i] = pe{code: c, pos: uint64(i)}
 		}
-		slices.SortFunc(es, byCode)
+		radixSortPE(es, nil)
 		ents[s] = es
 	})
 	if e.sink.check(err) {
@@ -138,7 +131,12 @@ func (e *Engine) fuseRRF(k float64, streams [][]uint64) []pe {
 	ranges := parallel.WeightedRanges(cum, e.partitions())
 	// Per-shard accumulation: walk each stream's sorted entries in
 	// lockstep with the shard's distinct-code range, then sort the
-	// shard's scored entries into fused order.
+	// shard's scored entries into fused order. A scored entry carries
+	// its score key in the code slot and its pair code in the position
+	// slot, so (code, pos) order — the one order the radix sort and the
+	// merge know — is descending score, ties by ascending pair code
+	// (unique, so the order is total). The entries are built in
+	// ascending pair code, so the stable radix sort on the key gives it.
 	per := make([][]pe, len(ranges))
 	err = parallel.ForEach(e.cfg, len(ranges), func(si int) {
 		lo, hi := ranges[si][0], ranges[si][1]
@@ -160,23 +158,23 @@ func (e *Engine) fuseRRF(k float64, streams [][]uint64) []pe {
 				}
 				ptrs[s] = p
 			}
-			out = append(out, pe{code: code, pos: fusedKey(score)})
+			out = append(out, pe{code: fusedKey(score), pos: code})
 		}
-		slices.SortFunc(out, byKeyCode)
+		radixSortPE(out, nil)
 		per[si] = out
 	})
 	if e.sink.check(err) {
 		return nil
 	}
 	// Deterministic sorted merge of the per-shard fused orders, then
-	// rewrite pos from packed score key to fused rank.
+	// back to (pair code, fused rank) entries.
 	sources := make([]peSource, len(per))
 	for i, es := range per {
 		sources[i] = &sliceSource{ents: es}
 	}
 	fused := make([]pe, 0, len(distinct))
-	err = mergePE(sources, byKeyCode, func(en pe) error {
-		fused = append(fused, pe{code: en.code, pos: uint64(len(fused))})
+	err = mergePE(sources, func(en pe) error {
+		fused = append(fused, pe{code: en.pos, pos: uint64(len(fused))})
 		return nil
 	})
 	if e.sink.check(err) {
@@ -185,30 +183,33 @@ func (e *Engine) fuseRRF(k float64, streams [][]uint64) []pe {
 	return fused
 }
 
-// spillFused writes a fused stream to disk run files and returns the
-// spill-backed candidate set: emission runs in fused order (each chunk
-// is a contiguous rank range, so the position merge replays the exact
-// fused order). The long-lived set then holds no pair state in RAM.
+// spillFused writes a fused stream to disk and returns the spill-backed
+// candidate set. Fused ranks are the positions, so each contiguous rank
+// range of runCap(budget, 1) entries is written as one position bucket
+// and the replay emits the exact fused order. The long-lived set then
+// holds no pair state in RAM.
 func (e *Engine) spillFused(fused []pe) *CandidateSet {
 	reg := e.cfg.Obs
 	dir, err := os.MkdirTemp(e.dir, "bdi-rrf-*")
 	if e.sink.check(err) {
 		return e.set(nil)
 	}
-	ss := &spillSet{dir: dir, reg: reg, n: len(fused)}
-	capE := runCap(e.budget, 1)
-	for lo := 0; lo < len(fused); lo += capE {
-		path, err := writeRun(dir, fmt.Sprintf("c-%05d.run", len(ss.emitRuns)), fused[lo:min(lo+capE, len(fused))])
+	ss := &spillSet{dir: dir, n: len(fused)}
+	bw := bufio.NewWriterSize(nil, 1<<18)
+	span := runCap(e.budget, 1)
+	for lo := 0; lo < len(fused); lo += span {
+		hi := min(lo+span, len(fused))
+		path, err := writeRun(bw, dir, fmt.Sprintf("b-%05d.run", len(ss.buckets)), fused[lo:hi])
 		if err != nil {
 			os.RemoveAll(dir)
 			e.sink.check(err)
 			return e.set(nil)
 		}
-		ss.emitRuns = append(ss.emitRuns, path)
+		ss.buckets = append(ss.buckets, posBucket{path: path, lo: uint64(lo), hi: uint64(hi), n: hi - lo})
 	}
 	reg.Counter("blocking.rrf_spilled").Add(int64(len(fused)))
-	reg.Counter("blocking.spill_runs").Add(int64(len(ss.emitRuns)))
+	reg.Counter("blocking.spill_runs").Add(int64(len(ss.buckets)))
 	reg.Counter("blocking.spill_bytes").Add(int64(len(fused)) * peSize)
-	reg.Counter("blocking.spill_merge_runs").Add(int64(len(ss.emitRuns)))
+	reg.Counter("blocking.spill_merge_runs").Add(int64(len(ss.buckets)))
 	return &CandidateSet{eng: e, ext: ss}
 }

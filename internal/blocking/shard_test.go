@@ -223,7 +223,7 @@ func TestSpillObsCounters(t *testing.T) {
 	e := NewEngineOpts(recs, Opts{Shards: 4, PairMemBudget: 1 << 12, SpillDir: t.TempDir(), Obs: reg})
 	cs := e.Blocks(TokenKey("title")).CandidateSet()
 	defer cs.Close()
-	cs.Pairs() // one emission merge
+	cs.Pairs() // one replay of the position buckets
 	snap := reg.Snapshot()
 	vals := map[string]int64{}
 	for _, c := range snap.Counters {

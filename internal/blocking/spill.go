@@ -6,32 +6,33 @@ package blocking
 // than ~budget bytes of pair state in RAM:
 //
 //   phase A  per shard, in parallel: expand blocks into a bounded
-//            entry buffer; on overflow sort by (code, pos), compact
-//            duplicate codes, and write the buffer as one run file.
+//            entry buffer, filled in ascending position; on overflow
+//            radix-sort it by code (stable, so (code, pos) order),
+//            compact duplicate codes, and write it as one run file.
 //   phase B  one k-way loser-tree merge of all runs by (code, pos):
 //            the first entry of each code is its global first
-//            occurrence. Unique entries fill a bounded buffer that is
-//            re-sorted by position and written as one emission run —
-//            phase B writes this one stream.
-//   phase C  on every EmitCodes, a k-way merge of the emission runs
-//            by position replays the deduplicated codes in the exact
-//            first-seen order of the in-memory sweep.
+//            occurrence. Each one is appended to the position bucket
+//            that covers its position — a contiguous position range
+//            whose dense code array fits in half the budget.
+//   replay   on every EmitCodes, each bucket in turn is read into a
+//            dense array indexed by position, with a presence bit per
+//            slot, and its present slots are emitted in order: the
+//            deduplicated codes in the exact first-seen order of the
+//            in-memory sweep, with no second merge.
 //
 // The result is byte-identical to the in-memory sweep; only the peak
 // memory differs.
 
 import (
 	"bufio"
-	"cmp"
+	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
-	"slices"
 
-	"repro/internal/obs"
 	"repro/internal/parallel"
 )
 
@@ -41,31 +42,71 @@ import (
 // first occurrence of a code is simply its minimum position.
 type pe struct{ code, pos uint64 }
 
-// byCode orders entries by (code, pos) — the sort and merge key for
-// dedup, where the first entry of a code run is its first global
-// occurrence.
-func byCode(a, b pe) int {
-	if c := cmp.Compare(a.code, b.code); c != 0 {
-		return c
+// radixSortPE sorts ents by code with a stable LSD radix sort over the
+// code's eight bytes, skipping every byte all the codes share, and
+// returns the scratch buffer — tmp, or a new one when tmp is too short —
+// for the next call. Stability is what the callers rely on: entries
+// that arrive in ascending position leave in (code, pos) order.
+func radixSortPE(ents, tmp []pe) []pe {
+	n := len(ents)
+	if cap(tmp) < n {
+		tmp = make([]pe, n)
 	}
-	return cmp.Compare(a.pos, b.pos)
+	tmp = tmp[:n]
+	if n < 2 {
+		return tmp
+	}
+	var counts [8][256]int
+	for _, e := range ents {
+		c := e.code
+		counts[0][byte(c)]++
+		counts[1][byte(c>>8)]++
+		counts[2][byte(c>>16)]++
+		counts[3][byte(c>>24)]++
+		counts[4][byte(c>>32)]++
+		counts[5][byte(c>>40)]++
+		counts[6][byte(c>>48)]++
+		counts[7][byte(c>>56)]++
+	}
+	src, dst := ents, tmp
+	first := ents[0].code
+	for d := range counts {
+		shift := uint(8 * d)
+		cnt := &counts[d]
+		if cnt[byte(first>>shift)] == n {
+			continue // every code has this byte
+		}
+		off := 0
+		for i, c := range cnt {
+			cnt[i] = off
+			off += c
+		}
+		for _, e := range src {
+			b := byte(e.code >> shift)
+			dst[cnt[b]] = e
+			cnt[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &ents[0] {
+		copy(ents, src)
+	}
+	return tmp
 }
 
-// byPos orders entries by position — the sort and merge key for
-// restoring emission order (positions are globally unique).
-func byPos(a, b pe) int { return cmp.Compare(a.pos, b.pos) }
-
-// sortCompactEntries sorts entries by (code, pos) and keeps only the
-// first entry of each code — its minimum position — in place.
-func sortCompactEntries(ents []pe) []pe {
-	slices.SortFunc(ents, byCode)
+// sortCompactEntries sorts entries filled in ascending position into
+// (code, pos) order and keeps only the first entry of each code — its
+// minimum position — in place. It returns the kept entries and the
+// radix scratch buffer for reuse.
+func sortCompactEntries(ents, tmp []pe) ([]pe, []pe) {
+	tmp = radixSortPE(ents, tmp)
 	out := ents[:0]
 	for i, e := range ents {
 		if i == 0 || e.code != ents[i-1].code {
 			out = append(out, e)
 		}
 	}
-	return out
+	return out, tmp
 }
 
 // peSize is the on-disk size of one (code, position) entry.
@@ -76,6 +117,9 @@ const peSize = 16
 const minRunEnts = 256
 
 // runCap sizes one of parts concurrent run buffers against budget.
+// runCap(budget, 1) is also the span of one position bucket: its
+// replay array holds 8 of the 16 bytes an entry takes, so the dense
+// codes and their presence bits fit in about half the budget.
 func runCap(budget int64, parts int) int {
 	if parts < 1 {
 		parts = 1
@@ -87,8 +131,8 @@ func runCap(budget int64, parts int) int {
 	return int(c)
 }
 
-// peSource yields entries in nondecreasing key order; ok=false marks
-// exhaustion.
+// peSource yields entries in nondecreasing (code, pos) order; ok=false
+// marks exhaustion.
 type peSource interface {
 	next() (e pe, ok bool, err error)
 }
@@ -109,25 +153,23 @@ func (s *sliceSource) next() (pe, bool, error) {
 }
 
 // loserTree is a tournament tree over k sorted sources: head() is the
-// minimum entry across all of them, advance() refills one source and
-// replays only that leaf's path to the root — log(k) comparisons per
-// emitted entry instead of k.
+// minimum entry across all of them in (code, pos) order, advance()
+// refills one source and replays only that leaf's path to the root —
+// log(k) comparisons per emitted entry instead of k.
 type loserTree struct {
 	src  []peSource
 	head []pe
 	ok   []bool
 	node []int // node[j], j>=1: loser parked at internal node j; node[0]: winner
-	ord  func(a, b pe) int
 }
 
-func newLoserTree(src []peSource, ord func(a, b pe) int) (*loserTree, error) {
+func newLoserTree(src []peSource) (*loserTree, error) {
 	k := len(src)
 	t := &loserTree{
 		src:  src,
 		head: make([]pe, k),
 		ok:   make([]bool, k),
 		node: make([]int, max(k, 1)),
-		ord:  ord,
 	}
 	for i := range src {
 		if err := t.load(i); err != nil {
@@ -157,8 +199,12 @@ func (t *loserTree) beats(a, b int) bool {
 	case !t.ok[b]:
 		return true
 	}
-	if c := t.ord(t.head[a], t.head[b]); c != 0 {
-		return c < 0
+	x, y := t.head[a], t.head[b]
+	if x.code != y.code {
+		return x.code < y.code
+	}
+	if x.pos != y.pos {
+		return x.pos < y.pos
 	}
 	return a < b
 }
@@ -220,10 +266,10 @@ func (t *loserTree) advance(i int) error {
 	return nil
 }
 
-// mergePE streams the k-way merge of ord-sorted sources to emit in
-// nondecreasing ord order.
-func mergePE(src []peSource, ord func(a, b pe) int, emit func(pe) error) error {
-	t, err := newLoserTree(src, ord)
+// mergePE streams the k-way merge of sorted sources to emit in
+// nondecreasing (code, pos) order.
+func mergePE(src []peSource, emit func(pe) error) error {
+	t, err := newLoserTree(src)
 	if err != nil {
 		return err
 	}
@@ -241,19 +287,25 @@ func mergePE(src []peSource, ord func(a, b pe) int, emit func(pe) error) error {
 	}
 }
 
+// putPE encodes e into b as one fixed-width little-endian entry.
+func putPE(b *[peSize]byte, e pe) {
+	binary.LittleEndian.PutUint64(b[:8], e.code)
+	binary.LittleEndian.PutUint64(b[8:], e.pos)
+}
+
 // writeRun writes ents, in order, as the run file dir/name of
-// fixed-width little-endian entries and returns its path.
-func writeRun(dir, name string, ents []pe) (string, error) {
+// fixed-width little-endian entries and returns its path. bw is reset
+// onto the file, so one write buffer serves any number of runs.
+func writeRun(bw *bufio.Writer, dir, name string, ents []pe) (string, error) {
 	path := filepath.Join(dir, name)
 	f, err := os.Create(path)
 	if err != nil {
 		return "", fmt.Errorf("blocking: create spill run: %w", err)
 	}
-	bw := bufio.NewWriterSize(f, 1<<18)
+	bw.Reset(f)
 	var b [peSize]byte
 	for _, e := range ents {
-		binary.LittleEndian.PutUint64(b[:8], e.code)
-		binary.LittleEndian.PutUint64(b[8:], e.pos)
+		putPE(&b, e)
 		if _, err = bw.Write(b[:]); err != nil {
 			break
 		}
@@ -333,64 +385,104 @@ func closeRuns(rs []*runReader) {
 	}
 }
 
-// errStopEmit aborts a merge when the emission callback asks to stop;
-// it never escapes to callers.
-var errStopEmit = errors.New("blocking: emission stopped")
-
-// spillSet is the disk-resident backing of a budgeted candidate set:
-// emission runs replayed by position on every read. The set that holds
-// it owns the run directory alone; CandidateSet.Close removes it.
-type spillSet struct {
-	dir      string
-	emitRuns []string // each sorted by position; k-way merged on emit
-	n        int      // unique codes
-	reg      *obs.Registry
+// posBucket is one position bucket of a spill set: the run file of the
+// n deduplicated entries whose positions fall in [lo, hi), in any order.
+type posBucket struct {
+	path   string
+	lo, hi uint64
+	n      int
 }
 
-// emit replays the deduplicated codes in first-seen order by merging
-// the emission runs on position. Returning false from f stops early.
-// Runs that end early — even on an entry boundary, which reads as a
-// clean end of file — are an error.
-func (s *spillSet) emit(f func(code uint64) bool) error {
-	s.reg.Counter("blocking.spill_merges").Add(1)
-	rs, err := openRuns(s.emitRuns)
+// load places each entry of the bucket's run at codes[pos-lo] and sets
+// its bit in present (both at least hi-lo slots, present cleared). A
+// position outside the bucket or seen twice, or an entry count other
+// than n — a run cut even on an entry boundary reads as a clean end of
+// file — is a spill read error.
+func (b posBucket) load(codes, present []uint64) error {
+	r, err := openRun(b.path)
 	if err != nil {
 		return err
 	}
-	defer closeRuns(rs)
-	src := make([]peSource, len(rs))
-	for i, r := range rs {
-		src[i] = r
-	}
-	emitted := 0
-	err = mergePE(src, byPos, func(e pe) error {
-		if !f(e.code) {
-			return errStopEmit
+	defer r.close()
+	read := 0
+	for {
+		e, ok, err := r.next()
+		switch {
+		case err != nil:
+			return err
+		case !ok:
+			if read != b.n {
+				return fmt.Errorf("blocking: read spill run: %d of %d pairs on disk", read, b.n)
+			}
+			return nil
+		case e.pos < b.lo || e.pos >= b.hi:
+			return fmt.Errorf("blocking: read spill run: position %d outside its bucket [%d, %d)", e.pos, b.lo, b.hi)
 		}
-		emitted++
-		return nil
-	})
-	switch {
-	case err == errStopEmit:
-		return nil
-	case err == nil && emitted != s.n:
-		return fmt.Errorf("blocking: read spill run: %d of %d pairs on disk", emitted, s.n)
+		i := e.pos - b.lo
+		bit := uint64(1) << (i & 63)
+		if present[i>>6]&bit != 0 {
+			return fmt.Errorf("blocking: read spill run: position %d twice", e.pos)
+		}
+		present[i>>6] |= bit
+		codes[i] = e.code
+		read++
 	}
-	return err
+}
+
+// spillSet is the disk-resident backing of a budgeted candidate set:
+// position buckets replayed in order on every read. The set that holds
+// it owns the run directory alone; CandidateSet.Close removes it.
+type spillSet struct {
+	dir     string
+	buckets []posBucket // ascending, disjoint position ranges
+	n       int         // unique codes
+}
+
+// emit replays the deduplicated codes in first-seen order, one bucket
+// at a time: its entries are placed by position into one dense code
+// array, and the present slots are emitted in order. Returning false
+// from f stops early. A bucket that fails to load (see posBucket.load)
+// is an error.
+func (s *spillSet) emit(f func(code uint64) bool) error {
+	width := 0
+	for _, b := range s.buckets {
+		width = max(width, int(b.hi-b.lo))
+	}
+	codes := make([]uint64, width)
+	present := make([]uint64, (width+63)/64)
+	for _, b := range s.buckets {
+		live := present[:(b.hi-b.lo+63)/64]
+		clear(live)
+		if err := b.load(codes, live); err != nil {
+			return err
+		}
+		for w, word := range live {
+			for ; word != 0; word &= word - 1 {
+				if !f(codes[w<<6|bits.TrailingZeros64(word)]) {
+					return nil
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // spillShard is phase A for one shard: expand blocks [rng[0], rng[1])
 // in raw emission order (offs supplies each block's global starting
 // position) through a capEnts-entry buffer, writing each full (sorted,
-// locally deduplicated) buffer as one run file. Returns the run paths
-// in generation order and the entry count written.
+// locally deduplicated) buffer as one run file. One radix scratch
+// buffer and one write buffer serve all of the shard's runs. Returns
+// the run paths in generation order and the entry count written.
 func (x *Indexed) spillShard(shard int, rng [2]int, offs []int, dir string, capEnts int) (paths []string, written int64, err error) {
+	bw := bufio.NewWriterSize(nil, 1<<18)
+	var tmp []pe
 	flush := func(buf []pe) error {
 		if len(buf) == 0 {
 			return nil
 		}
-		ents := sortCompactEntries(buf)
-		path, err := writeRun(dir, fmt.Sprintf("a-%03d-%05d.run", shard, len(paths)), ents)
+		var ents []pe
+		ents, tmp = sortCompactEntries(buf, tmp)
+		path, err := writeRun(bw, dir, fmt.Sprintf("a-%03d-%05d.run", shard, len(paths)), ents)
 		if err != nil {
 			return err
 		}
@@ -417,6 +509,82 @@ func (x *Indexed) spillShard(shard int, rng [2]int, offs []int, dir string, capE
 	}
 	err = flush(buf)
 	return paths, written, err
+}
+
+// mergeToBuckets is phase B: one k-way merge of the phase-A runs by
+// (code, pos) deduplicates globally — the first entry of a code run
+// carries its minimum position, i.e. its global first occurrence — and
+// appends each such entry to the position bucket that covers it. The
+// nraw positions split into buckets of runCap(budget, 1) positions.
+func mergeToBuckets(ctx context.Context, dir string, runs []string, nraw int, budget int64) (ss *spillSet, err error) {
+	span := uint64(runCap(budget, 1))
+	ss = &spillSet{dir: dir, buckets: make([]posBucket, (uint64(nraw)+span-1)/span)}
+	ws := make([]*bufio.Writer, len(ss.buckets))
+	files := make([]*os.File, 0, len(ss.buckets))
+	defer func() {
+		for _, f := range files {
+			if cerr := f.Close(); cerr != nil && err == nil {
+				err = fmt.Errorf("blocking: write spill run: %w", cerr)
+			}
+		}
+	}()
+	for i := range ss.buckets {
+		b := &ss.buckets[i]
+		b.lo = uint64(i) * span
+		b.hi = min(b.lo+span, uint64(nraw))
+		b.path = filepath.Join(dir, fmt.Sprintf("b-%05d.run", i))
+		f, err := os.Create(b.path)
+		if err != nil {
+			return nil, fmt.Errorf("blocking: create spill run: %w", err)
+		}
+		files = append(files, f)
+		ws[i] = bufio.NewWriterSize(f, runBlock*peSize)
+	}
+	rs, err := openRuns(runs)
+	if err != nil {
+		return nil, err
+	}
+	defer closeRuns(rs)
+	src := make([]peSource, len(rs))
+	for i, r := range rs {
+		src[i] = r
+	}
+	seen := 0
+	var last uint64
+	have := false
+	var ent [peSize]byte
+	err = mergePE(src, func(en pe) error {
+		seen++
+		if ctx != nil && seen&0xffff == 0 {
+			if cerr := ctx.Err(); cerr != nil {
+				return cerr
+			}
+		}
+		if have && en.code == last {
+			return nil
+		}
+		last, have = en.code, true
+		if en.pos >= uint64(nraw) {
+			return fmt.Errorf("blocking: read spill run: position %d past the %d raw pairs", en.pos, nraw)
+		}
+		i := en.pos / span
+		ss.buckets[i].n++
+		ss.n++
+		putPE(&ent, en)
+		if _, err := ws[i].Write(ent[:]); err != nil {
+			return fmt.Errorf("blocking: write spill run: %w", err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, w := range ws {
+		if err := w.Flush(); err != nil {
+			return nil, fmt.Errorf("blocking: write spill run: %w", err)
+		}
+	}
+	return ss, nil
 }
 
 // spillCandidates is the external strategy behind CandidateSet: pair
@@ -467,61 +635,8 @@ func (x *Indexed) spillCandidates() *CandidateSet {
 	reg.Counter("blocking.spill_bytes").Add(written * peSize)
 	reg.Counter("blocking.pairs_spilled").Add(int64(nraw))
 
-	// Phase B: one k-way merge by (code, pos) deduplicates globally —
-	// the first entry of a code run carries its minimum position, i.e.
-	// its global first occurrence. Unique entries collect in a bounded
-	// buffer; each full buffer is re-sorted by position and written as
-	// one emission run.
-	ss := &spillSet{dir: dir, reg: reg}
-	rs, err := openRuns(runs)
-	if err != nil {
-		return fail(err)
-	}
-	src := make([]peSource, len(rs))
-	for i, r := range rs {
-		src[i] = r
-	}
 	reg.Counter("blocking.spill_merges").Add(1)
-	cbuf := make([]pe, 0, runCap(e.budget, 1))
-	flushC := func() error {
-		if len(cbuf) == 0 {
-			return nil
-		}
-		slices.SortFunc(cbuf, byPos)
-		path, err := writeRun(dir, fmt.Sprintf("c-%05d.run", len(ss.emitRuns)), cbuf)
-		if err != nil {
-			return err
-		}
-		ss.emitRuns = append(ss.emitRuns, path)
-		cbuf = cbuf[:0]
-		return nil
-	}
-	ctx := e.cfg.Ctx
-	seen := 0
-	var last uint64
-	have := false
-	err = mergePE(src, byCode, func(en pe) error {
-		seen++
-		if ctx != nil && seen&0xffff == 0 {
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
-			}
-		}
-		if have && en.code == last {
-			return nil
-		}
-		last, have = en.code, true
-		ss.n++
-		cbuf = append(cbuf, en)
-		if len(cbuf) == cap(cbuf) {
-			return flushC()
-		}
-		return nil
-	})
-	closeRuns(rs)
-	if err == nil {
-		err = flushC()
-	}
+	ss, err := mergeToBuckets(e.cfg.Ctx, dir, runs, nraw, e.budget)
 	if err != nil {
 		return fail(err)
 	}
@@ -531,6 +646,6 @@ func (x *Indexed) spillCandidates() *CandidateSet {
 		os.Remove(p)
 	}
 	reg.Counter("blocking.spill_bytes").Add(int64(ss.n) * peSize)
-	reg.Counter("blocking.spill_merge_runs").Add(int64(len(ss.emitRuns)))
+	reg.Counter("blocking.spill_merge_runs").Add(int64(len(ss.buckets)))
 	return &CandidateSet{eng: e, ext: ss}
 }

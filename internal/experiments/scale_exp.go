@@ -55,8 +55,8 @@ type E24Row struct {
 	PeakHeapBytes      int64 `json:"peak_heap_bytes"`      // sampled heap high-water during the spilled run
 
 	SpillRuns     int64 `json:"spill_runs"`       // phase-A run files
-	SpillMergeRun int64 `json:"spill_merge_runs"` // phase-C emission runs
-	Merges        int64 `json:"merges"`           // k-way merges performed
+	SpillMergeRun int64 `json:"spill_merge_runs"` // position buckets phase B writes
+	Merges        int64 `json:"merges"`           // k-way merges performed: phase B's one; replays merge nothing
 
 	Seconds     float64 `json:"seconds"` // spilled run: blocks + pair generation + full stream
 	PairsPerSec float64 `json:"pairs_per_sec"`
